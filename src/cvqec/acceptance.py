@@ -236,12 +236,12 @@ def criterion_8_classifier() -> str:
         for law, n in mix:
             out = run_rounds(cfg, ErrorConfig(1.0, ch, law),
                              np.random.default_rng(seed), n, window)
-            bad = [r for r in out.reports if not r.matched]
-            assert not bad, (
+            bad = np.flatnonzero(~out.matched)
+            assert not len(bad), (
                 f"channel {ch} {law.kind}: {len(bad)}/{n} misclassified "
-                f"(first: {bad[0].final_classification})")
+                f"(first: {out.reports[bad[0]].final_classification})")
             if law.kind == "p":
-                assert all(r.fourier_used for r in out.reports), \
+                assert out.fourier_used.all(), \
                     f"channel {ch}: pure-p rounds skipped the rotated rerun"
                 pure_p_ok += n
     gamma = 0.3

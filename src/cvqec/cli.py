@@ -26,7 +26,7 @@ import numpy as np
 
 from . import code as qec
 from .code import (CodeConfig, RoundsOutcome, closed_form_output,
-                   coherent_ancilla_config, run_rounds, summarize_reports)
+                   coherent_ancilla_config, pooled_moments, run_rounds)
 from .errors import ErrorConfig, ErrorLaw
 from .gaussian import db_to_r, fidelity_from_moments, variance_to_db
 from .witness import evaluate_witness
@@ -129,10 +129,9 @@ def _parse_code(doc: dict) -> tuple[CodeConfig, float]:
     else:
         raise ValueError(f"unknown input spec {inp!r}")
     loss = doc.get("channel_loss")
-    cfg = CodeConfig(r=tuple(r) if isinstance(r, list) else float(r),
+    cfg = CodeConfig(r=r if isinstance(r, list) else float(r),
                      fourier_mode=bool(doc.get("fourier", False)),
-                     channel_loss=tuple(loss) if isinstance(loss, list) else loss,
-                     **kwargs)
+                     channel_loss=loss, **kwargs)
     return cfg, squeezing_db
 
 
@@ -218,8 +217,7 @@ def run_chunked_rounds(code_cfg: CodeConfig, error_cfg: ErrorConfig,
             outcomes = list(pool.map(job, children, sizes))
     else:
         outcomes = [job(c, s) for c, s in zip(children, sizes)]
-    reports = [r for o in outcomes for r in o.reports]
-    return RoundsOutcome(reports, summarize_reports(code_cfg, reports, window))
+    return RoundsOutcome.concatenate(outcomes)
 
 
 # --------------------------------------------------------------------------
@@ -249,8 +247,8 @@ def _input_variants(code: CodeConfig):
             ("squeezed", replace(code, input_kind="squeezed")))
 
 
-def _mc_stderr(reports) -> float:
-    fids = [r.fidelity_mc for r in reports]
+def _mc_stderr(outcome: RoundsOutcome) -> float:
+    fids = outcome.fidelity_mc
     if len(fids) < 2:
         return float("nan")
     return float(np.std(fids, ddof=1) / math.sqrt(len(fids)))
@@ -277,7 +275,7 @@ def run_table2(cfg: ExperimentConfig, out_dir: Path) -> dict:
                 mc = outcome.summary.pooled_fidelity.get(key, float("nan"))
                 rows.append([channel, input_kind, ancilla,
                              repr(theory), repr(mc),
-                             repr(_mc_stderr(outcome.reports)),
+                             repr(_mc_stderr(outcome)),
                              MEASURED_FIDELITY[(input_kind, ancilla)][channel],
                              "measured"])
     _write_csv(out_dir / "table2.csv", header, rows)
@@ -438,25 +436,10 @@ def run_mc_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
                                      cfg.trials, cfg.window)
         inp = code.input_state()
         # pool over every round regardless of class: the full channel mixture
-        n_all = 0
-        s1 = np.zeros(2)
-        s2 = np.zeros(2)
-        sxy = 0.0
-        for rep in outcome.reports:
-            mean = np.asarray(rep.corrected_mean)
-            var = np.asarray(rep.corrected_var)
-            n_all += cfg.window
-            s1 += cfg.window * mean
-            s2 += (cfg.window - 1) * var + cfg.window * mean ** 2
-            sxy += (cfg.window - 1) * rep.corrected_cov_xp + cfg.window * mean[0] * mean[1]
-        mean = s1 / n_all
-        var = (s2 - n_all * mean ** 2) / (n_all - 1)
-        cxy = (sxy - n_all * mean[0] * mean[1]) / (n_all - 1)
-        mc = fidelity_from_moments(inp.mean, inp.cov, mean,
-                                   np.array([[var[0], cxy], [cxy, var[1]]]))
+        mc = fidelity_from_moments(inp.mean, inp.cov, *pooled_moments(outcome))
         rows.append([repr(float(value)),
                      repr(_sweep_theory_fidelity(code, error)),
-                     repr(mc), repr(_mc_stderr(outcome.reports)),
+                     repr(mc), repr(_mc_stderr(outcome)),
                      repr(outcome.summary.accuracy)])
     _write_csv(out_dir / "mc_sweep.csv", header, rows)
     _write_json(out_dir / "mc_sweep.json", {
@@ -507,7 +490,10 @@ def main(argv: list[str] | None = None) -> int:
         from .acceptance import run_all
         return 0 if run_all(quiet=args.quiet) else 1
 
-    cfg = load_config(args.config)
+    try:
+        cfg = load_config(args.config)
+    except (OSError, ValueError) as exc:
+        parser.error(f"bad config: {exc}")
     if cfg.experiment is not None and cfg.experiment != args.experiment:
         parser.error(f"config names experiment {cfg.experiment!r} but "
                      f"{args.experiment!r} was requested")

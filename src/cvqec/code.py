@@ -16,7 +16,8 @@ displacements that live purely in p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +49,18 @@ def measured_quad(detector: str, fourier: bool) -> str:
     return q
 
 
+def readout_index(detector: str, fourier: bool) -> int:
+    """Index of the decoded quadrature (interleaved x, p) a detector measures."""
+    quad = measured_quad(detector, fourier)
+    return 2 * DETECTOR_POS[detector] + (0 if quad == "x" else 1)
+
+
+def readout_rows(fourier: bool) -> list[int]:
+    """Decoded-quadrature indices of the readouts (D1..D4, out_x, out_p)."""
+    return ([readout_index(det, fourier) for det in DETECTORS]
+            + [2 * OUT_POS, 2 * OUT_POS + 1])
+
+
 class CorrectionUnavailable(RuntimeError):
     """No feedforward plan exists (ambiguous or unclassifiable syndrome)."""
 
@@ -68,6 +81,9 @@ class CodeConfig:
     channel_loss: float | tuple[float, ...] | None = None
 
     def __post_init__(self):
+        for name in ("r", "channel_loss"):       # lists would make the config unhashable
+            if isinstance(getattr(self, name), list):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         if any(v < 0 for v in self.r_values):
             raise ValueError("squeezing parameter must be non-negative")
         if self.input_kind not in ("vacuum", "squeezed"):
@@ -77,7 +93,7 @@ class CodeConfig:
 
     @property
     def r_values(self) -> tuple[float, float, float, float]:
-        if isinstance(self.r, (tuple, list)):
+        if isinstance(self.r, tuple):
             if len(self.r) != 4:
                 raise ValueError("per-ancilla squeezing needs 4 values")
             return tuple(float(v) for v in self.r)
@@ -87,7 +103,7 @@ class CodeConfig:
     def loss_values(self) -> tuple[float, float, float, float, float]:
         if self.channel_loss is None:
             return (1.0,) * 5
-        if isinstance(self.channel_loss, (tuple, list)):
+        if isinstance(self.channel_loss, tuple):
             if len(self.channel_loss) != 5:
                 raise ValueError("per-channel loss needs 5 values")
             return tuple(float(v) for v in self.channel_loss)
@@ -219,10 +235,6 @@ class DecodedState:
         form = self.forms[DETECTOR_POS[detector]]
         return form.x if measured_quad(detector, self.cfg.fourier_mode) == "x" else form.p
 
-    def readout_index(self, detector: str) -> int:
-        quad = measured_quad(detector, self.cfg.fourier_mode)
-        return 2 * DETECTOR_POS[detector] + (0 if quad == "x" else 1)
-
 
 def decode(state: EncodedState) -> DecodedState:
     """Applies per-channel loss (numeric only) and the inverse network.
@@ -293,7 +305,7 @@ def _record_from_noise(decoded: DecodedState, noise: np.ndarray,
                        window: int) -> SyndromeRecord:
     readouts, variances, baselines, flags = {}, {}, {}, {}
     for det in DETECTORS:
-        idx = decoded.readout_index(det)
+        idx = readout_index(det, decoded.cfg.fourier_mode)
         readouts[det] = noise[:, idx]
         variances[det] = float(np.var(noise[:, idx], ddof=1))
         baselines[det] = float(decoded.numeric.cov[idx, idx])
@@ -396,25 +408,47 @@ class ClassificationResult:
         return f"channel-{self.channel}" if self.kind == CHANNEL else self.kind
 
 
+# Round codes: 1..5 name the located channel.
+_CODE_NO_ERROR = 0
+_CODE_AMBIGUOUS = 6
+_CODE_UNCLASSIFIABLE = 7
+
+_CODE_TO_RESULT = {
+    _CODE_NO_ERROR: ClassificationResult(NO_ERROR),
+    _CODE_AMBIGUOUS: ClassificationResult(AMBIGUOUS_P),
+    _CODE_UNCLASSIFIABLE: ClassificationResult(UNCLASSIFIABLE),
+    **{k: ClassificationResult(CHANNEL, k) for k in range(1, 6)},
+}
+_RESULT_TO_CODE = {result: code for code, result in _CODE_TO_RESULT.items()}
+
+# Sign standing for a phase relation; NaN compares false either way, so a
+# flagged pair without a relation is unclassifiable.
+_RELATION_SIGN = {IN_PHASE: 1.0, OUT_OF_PHASE: -1.0, NO_RELATION: math.nan}
+
+
+def _classify_codes(flags: np.ndarray, cc13: np.ndarray, cc34: np.ndarray) -> np.ndarray:
+    """Round codes from (n, 4) fluctuation flags and the D1-D3 / D3-D4
+    cross-correlations, matched against the syndrome table."""
+    f1, f2, f3, f4 = flags.T
+    codes = np.full(len(flags), _CODE_UNCLASSIFIABLE, dtype=np.int8)
+    codes[~(f1 | f2 | f3 | f4)] = _CODE_NO_ERROR
+    m = f1 & f3 & ~f4
+    codes[m & (cc13 > 0)] = 1
+    codes[m & (cc13 <= 0)] = 2
+    codes[~f1 & f3 & ~f4] = 3
+    m = ~f1 & f3 & f4
+    codes[m & (cc34 > 0)] = 5
+    codes[m & (cc34 <= 0)] = 4
+    codes[~f1 & ~f3 & ~f4 & f2] = _CODE_AMBIGUOUS
+    return codes
+
+
 def classify(rec: SyndromeRecord) -> ClassificationResult:
     """Pattern-matches the fluctuation flags against the syndrome table."""
-    f1, f2, f3, f4 = (rec.flags[d] for d in DETECTORS)
-    if not (f1 or f2 or f3 or f4):
-        return ClassificationResult(NO_ERROR)
-    pattern = (f1, f3, f4)
-    if pattern == (True, True, False):
-        if rec.relation_13 == NO_RELATION:
-            return ClassificationResult(UNCLASSIFIABLE)
-        return ClassificationResult(CHANNEL, 1 if rec.relation_13 == IN_PHASE else 2)
-    if pattern == (False, True, False):
-        return ClassificationResult(CHANNEL, 3)
-    if pattern == (False, True, True):
-        if rec.relation_34 == NO_RELATION:
-            return ClassificationResult(UNCLASSIFIABLE)
-        return ClassificationResult(CHANNEL, 5 if rec.relation_34 == IN_PHASE else 4)
-    if pattern == (False, False, False) and f2:
-        return ClassificationResult(AMBIGUOUS_P)
-    return ClassificationResult(UNCLASSIFIABLE)
+    code = _classify_codes(np.array([[rec.flags[d] for d in DETECTORS]]),
+                           np.array([_RELATION_SIGN[rec.relation_13]]),
+                           np.array([_RELATION_SIGN[rec.relation_34]]))[0]
+    return _CODE_TO_RESULT[int(code)]
 
 
 # --------------------------------------------------------------------------
@@ -466,6 +500,31 @@ def correction_plan(result: ClassificationResult, fourier: bool = False) -> Corr
         x_ff, p_ff = (FOURIER_PLANS if fourier else STANDARD_PLANS)[result.channel]
         return CorrectionPlan(x_ff, p_ff, fourier)
     raise CorrectionUnavailable(f"no feedforward plan for {result}")
+
+
+def _plan_or_zero(result: ClassificationResult, fourier: bool) -> CorrectionPlan:
+    """The result's plan; an indefinite result leaves the output uncorrected."""
+    try:
+        return correction_plan(result, fourier)
+    except CorrectionUnavailable:
+        return CorrectionPlan(fourier=fourier)
+
+
+def plan_matrix(plan: CorrectionPlan) -> np.ndarray:
+    """2x6 linear map from the readouts (D1..D4, out_x, out_p) to the
+    corrected output quadratures: each readout times its gain is added."""
+    rows = np.zeros((2, 6))
+    rows[0, 4] = rows[1, 5] = 1.0
+    for row, ff in ((0, plan.x_ff), (1, plan.p_ff)):
+        if ff is not None:
+            det, gain = ff
+            rows[row, DETECTORS.index(det)] += float(gain)
+    return rows
+
+
+def _decoded_plan_rows(plan: CorrectionPlan, fourier: bool) -> np.ndarray:
+    """plan_matrix acting on all ten decoded quadratures."""
+    return plan_matrix(plan) @ np.eye(10)[readout_rows(fourier)]
 
 
 def derive_correction_plan(channel: int, fourier: bool = False) -> CorrectionPlan:
@@ -521,19 +580,6 @@ class CorrectedOutput:
         return mean, cov
 
 
-def _plan_rows(decoded: DecodedState, plan: CorrectionPlan) -> np.ndarray:
-    """2x10 linear map from decoded quadratures to the corrected output."""
-    rows = np.zeros((2, 10))
-    rows[0, 2 * OUT_POS] = 1.0
-    rows[1, 2 * OUT_POS + 1] = 1.0
-    for row, ff in ((0, plan.x_ff), (1, plan.p_ff)):
-        if ff is None:
-            continue
-        det, gain = ff
-        rows[row, decoded.readout_index(det)] += float(gain)
-    return rows
-
-
 def apply_correction(decoded: DecodedState, plan: CorrectionPlan,
                      rec: SyndromeRecord | None = None) -> CorrectedOutput:
     """Adds the gained readouts to the output mode.
@@ -550,17 +596,14 @@ def apply_correction(decoded: DecodedState, plan: CorrectionPlan,
     if plan.p_ff is not None:
         det, gain = plan.p_ff
         p_form = p_form + decoded.readout_form(det).scaled(gain)
-    rows = _plan_rows(decoded, plan)
+    rows = _decoded_plan_rows(plan, decoded.cfg.fourier_mode)
     mean = rows @ decoded.numeric.mean
     cov = rows @ decoded.numeric.cov @ rows.T
     state = GaussianState(1, mean, cov, validate=False)
     series = None
     if rec is not None and rec.readouts is not None:
-        series = rec.out_series.copy()
-        for col, ff in ((0, plan.x_ff), (1, plan.p_ff)):
-            if ff is not None:
-                det, gain = ff
-                series[:, col] += float(gain) * rec.readouts[det]
+        readouts = np.column_stack([rec.readouts[d] for d in DETECTORS] + [rec.out_series])
+        series = readouts @ plan_matrix(plan).T
     return CorrectedOutput(ModeForm(x_form, p_form), state, series)
 
 
@@ -604,6 +647,7 @@ class PipelineMaps:
             anc += 1
         self.sigma_src = sigma
         self.has_loss = cfg.has_loss
+        self.readout_rows = readout_rows(fourier)
 
     def decoded_cov(self) -> np.ndarray:
         cov = (self.A_src * self.sigma_src ** 2) @ self.A_src.T
@@ -611,25 +655,6 @@ class PipelineMaps:
             cov = cov + VACUUM_VAR * self.A_vac @ self.A_vac.T
         return cov
 
-    def readout_index(self, detector: str) -> int:
-        quad = measured_quad(detector, self.fourier)
-        return 2 * DETECTOR_POS[detector] + (0 if quad == "x" else 1)
-
-    def detector_rows(self) -> list[int]:
-        return [self.readout_index(det) for det in DETECTORS]
-
-    def output_rows(self) -> list[int]:
-        return [2 * OUT_POS, 2 * OUT_POS + 1]
-
-    def plan_matrix(self, plan: CorrectionPlan) -> np.ndarray:
-        rows = np.zeros((2, 10))
-        rows[0, 2 * OUT_POS] = 1.0
-        rows[1, 2 * OUT_POS + 1] = 1.0
-        for row, ff in ((0, plan.x_ff), (1, plan.p_ff)):
-            if ff is not None:
-                det, gain = ff
-                rows[row, self.readout_index(det)] += float(gain)
-        return rows
 
 
 @dataclass(frozen=True)
@@ -674,7 +699,7 @@ def closed_form_output(cfg: CodeConfig, channel: int | None, corrected: bool = T
         plan = CorrectionPlan(fourier=fourier)
     else:
         plan = correction_plan(ClassificationResult(CHANNEL, channel), fourier)
-    rows = maps.plan_matrix(plan)
+    rows = _decoded_plan_rows(plan, fourier)
     cov = rows @ maps.decoded_cov() @ rows.T
     mean = np.zeros(2)
     if channel is not None:
@@ -689,25 +714,6 @@ def closed_form_output(cfg: CodeConfig, channel: int | None, corrected: bool = T
 
 # --------------------------------------------------------------------------
 # full correction rounds
-
-_CODE_NO_ERROR = 0
-_CODE_AMBIGUOUS = 6
-_CODE_UNCLASSIFIABLE = 7
-
-_CODE_TO_RESULT = {
-    _CODE_NO_ERROR: ClassificationResult(NO_ERROR),
-    _CODE_AMBIGUOUS: ClassificationResult(AMBIGUOUS_P),
-    _CODE_UNCLASSIFIABLE: ClassificationResult(UNCLASSIFIABLE),
-    **{k: ClassificationResult(CHANNEL, k) for k in range(1, 6)},
-}
-
-
-def _result_to_code(result: ClassificationResult) -> int:
-    if result.kind == CHANNEL:
-        return result.channel
-    return {NO_ERROR: _CODE_NO_ERROR, AMBIGUOUS_P: _CODE_AMBIGUOUS,
-            UNCLASSIFIABLE: _CODE_UNCLASSIFIABLE}[result.kind]
-
 
 @dataclass(frozen=True)
 class RoundReport:
@@ -767,18 +773,16 @@ class RoundReport:
 
 
 def _theory_stats(cfg: CodeConfig, code: int, fourier: bool, channel: int,
-                  law: ErrorLaw, cache: dict) -> OutputStats:
-    key = (code, fourier, channel)
-    if key not in cache:
-        if code in (1, 2, 3, 4, 5):
-            cache[key] = closed_form_output(cfg, code, corrected=True, fourier=fourier)
-        elif code == _CODE_NO_ERROR:
-            cache[key] = closed_form_output(cfg, None, fourier=fourier)
-        else:
-            extra = law.quadrature_variances() if channel else (0.0, 0.0)
-            cache[key] = closed_form_output(cfg, channel or None, corrected=False,
-                                            extra_error_var=extra, fourier=fourier)
-    return cache[key]
+                  law: ErrorLaw) -> OutputStats:
+    """Closed-form output of a round with this final code, measurement
+    configuration and hit channel (0 for none)."""
+    if code in (1, 2, 3, 4, 5):
+        return closed_form_output(cfg, code, corrected=True, fourier=fourier)
+    if code == _CODE_NO_ERROR:
+        return closed_form_output(cfg, None, fourier=fourier)
+    extra = law.quadrature_variances() if channel else (0.0, 0.0)
+    return closed_form_output(cfg, channel or None, corrected=False,
+                              extra_error_var=extra, fourier=fourier)
 
 
 def run_round(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator,
@@ -809,17 +813,12 @@ def run_round(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator,
         if second.is_definite():
             used_decoded, used_rec = alt_decoded, alt_rec
     mode_fourier = used_decoded.cfg.fourier_mode
-    try:
-        plan = correction_plan(final, mode_fourier)
-    except CorrectionUnavailable:
-        plan = CorrectionPlan(fourier=mode_fourier)
-    out = apply_correction(used_decoded, plan, used_rec)
+    out = apply_correction(used_decoded, _plan_or_zero(final, mode_fourier), used_rec)
     emp_mean, emp_cov = out.empirical_moments()
     inp = cfg.input_state()
     fid_mc = fidelity_from_moments(inp.mean, inp.cov, emp_mean, emp_cov)
-    theory = _theory_stats(cfg, _result_to_code(final), mode_fourier,
-                           event.channel if event.occurred else 0,
-                           error_cfg.law, {})
+    theory = _theory_stats(cfg, _RESULT_TO_CODE[final], mode_fourier,
+                           event.channel if event.occurred else 0, error_cfg.law)
     matched = (final.kind == CHANNEL and final.channel == event.channel
                if event.occurred else final.kind == NO_ERROR)
     traces = dict(rec.readouts)
@@ -837,23 +836,28 @@ def run_round(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator,
 
 
 class _PassData:
-    """Readout series of one batched pass, rows ordered (D1..D4, out_x, out_p)."""
+    """Per-round sufficient statistics of one batched pass: the mean 6-vector
+    and centred 6x6 scatter of the readouts (D1..D4, out_x, out_p), and the
+    syndrome they imply."""
 
-    __slots__ = ("series", "variances", "flags", "cc13", "cc34", "baselines")
+    __slots__ = ("mean", "scatter", "flags", "cc13", "cc34", "series")
 
-    def __init__(self, series, baselines):
-        self.series = series
-        self.baselines = baselines
-        self.variances = series.var(axis=1, ddof=1)
-        self.flags = self.variances[:, :4] > (1.0 + FLUCTUATION_FACTOR) * baselines[:4]
-        centered = series - series.mean(axis=1, keepdims=True)
-        self.cc13 = (centered[:, :, 0] * centered[:, :, 2]).mean(axis=1)
-        self.cc34 = (centered[:, :, 2] * centered[:, :, 3]).mean(axis=1)
+    def __init__(self, series: np.ndarray, baselines: np.ndarray, keep_series: bool):
+        window = series.shape[1]
+        self.mean = series.mean(axis=1)
+        centred = series - self.mean[:, None, :]
+        self.scatter = centred.transpose(0, 2, 1) @ centred
+        variances = np.diagonal(self.scatter, axis1=1, axis2=2)[:, :4] / (window - 1)
+        self.flags = variances > (1.0 + FLUCTUATION_FACTOR) * baselines[:4]
+        self.cc13 = self.scatter[:, 0, 2] / window
+        self.cc34 = self.scatter[:, 2, 3] / window
+        self.series = series if keep_series else None
 
 
 def _simulate_pass(maps: PipelineMaps, channels: np.ndarray, occurred: np.ndarray,
-                   law: ErrorLaw, window: int, rng: np.random.Generator) -> _PassData:
-    rows = maps.detector_rows() + maps.output_rows()
+                   law: ErrorLaw, window: int, rng: np.random.Generator,
+                   keep_series: bool) -> _PassData:
+    rows = maps.readout_rows
     mix = (maps.A_src * maps.sigma_src)[rows]
     n = len(channels)
     series = rng.standard_normal((n, window, 10)) @ mix.T
@@ -870,57 +874,42 @@ def _simulate_pass(maps: PipelineMaps, channels: np.ndarray, occurred: np.ndarra
         coeff_p = err_rows[:, 2 * (channels[idx] - 1) + 1].T
         series[idx] += (draws[:, :, :1] * coeff_x[:, None, :]
                         + draws[:, :, 1:] * coeff_p[:, None, :])
-    return _PassData(series, baselines)
+    return _PassData(series, baselines, keep_series)
 
 
-def _classify_codes(p: _PassData) -> np.ndarray:
-    f1, f2, f3, f4 = (p.flags[:, k] for k in range(4))
-    codes = np.full(len(f1), _CODE_UNCLASSIFIABLE, dtype=np.int8)
-    codes[~(f1 | f2 | f3 | f4)] = _CODE_NO_ERROR
-    m = f1 & f3 & ~f4
-    codes[m & (p.cc13 > 0)] = 1
-    codes[m & (p.cc13 <= 0)] = 2
-    codes[~f1 & f3 & ~f4] = 3
-    m = ~f1 & f3 & f4
-    codes[m & (p.cc34 > 0)] = 5
-    codes[m & (p.cc34 <= 0)] = 4
-    codes[~f1 & ~f3 & ~f4 & f2] = _CODE_AMBIGUOUS
-    return codes
+def pooled_moments(rounds: "RoundsOutcome", select=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of the corrected output over the selected rounds'
+    samples, rebuilt exactly from each round's moments (equal windows), so
+    chunked runs merge losslessly."""
+    w = rounds.window
+    mean = rounds.corrected_mean[select]
+    var = rounds.corrected_var[select].sum(axis=0)
+    cxy = rounds.corrected_cov_xp[select].sum()
+    n = w * len(mean)
+    pooled = mean.mean(axis=0)
+    second = (w - 1) * np.array([[var[0], cxy], [cxy, var[1]]]) + w * mean.T @ mean
+    return pooled, (second - n * np.outer(pooled, pooled)) / (n - 1)
 
 
-def summarize_reports(cfg: CodeConfig, reports: list["RoundReport"],
-                      window: int) -> "RoundsSummary":
-    """Aggregates per-round reports; pooled moments are reconstructed exactly
-    from each round's sufficient statistics, so chunked runs merge losslessly."""
-    sums: dict[str, list] = {}
-    counts: dict[str, int] = {}
-    for rep in reports:
-        key = str(rep.final_classification)
-        counts[key] = counts.get(key, 0) + 1
-        acc = sums.setdefault(key, [0, np.zeros(2), np.zeros(2), 0.0])
-        mean = np.asarray(rep.corrected_mean)
-        var = np.asarray(rep.corrected_var)
-        acc[0] += window
-        acc[1] += window * mean
-        acc[2] += (window - 1) * var + window * mean ** 2
-        acc[3] += (window - 1) * rep.corrected_cov_xp + window * mean[0] * mean[1]
+def summarize_reports(cfg: CodeConfig, rounds: "RoundsOutcome") -> "RoundsSummary":
+    """Aggregates a batch of rounds from its columns: counts and pooled
+    moments per final class, in order of first appearance."""
+    codes, first = np.unique(rounds.final_codes, return_index=True)
+    codes = codes[np.argsort(first)]
+    keys = [str(_CODE_TO_RESULT[int(c)]) for c in codes]
+    pooled = [pooled_moments(rounds, rounds.final_codes == c) for c in codes]
     inp = cfg.input_state()
-    pooled_moments = {}
-    pooled_fidelity = {}
-    for key, (n, s1, s2, sxy) in sums.items():
-        mean = s1 / n
-        var = (s2 - n * mean ** 2) / (n - 1)
-        cxy = (sxy - n * mean[0] * mean[1]) / (n - 1)
-        cov = np.array([[var[0], cxy], [cxy, var[1]]])
-        pooled_moments[key] = (mean, cov)
-        pooled_fidelity[key] = fidelity_from_moments(inp.mean, inp.cov, mean, cov)
+    fids = fidelity_from_moments(inp.mean, inp.cov, np.array([m for m, _ in pooled]),
+                                 np.array([c for _, c in pooled]))
     return RoundsSummary(
-        n_rounds=len(reports), window=window, counts=counts,
-        occurrence_fraction=float(np.mean([r.injected_channel is not None
-                                           for r in reports])),
-        accuracy=float(np.mean([r.matched for r in reports])),
-        fourier_rate=float(np.mean([r.fourier_used for r in reports])),
-        pooled_moments=pooled_moments, pooled_fidelity=pooled_fidelity)
+        n_rounds=len(rounds.final_codes), window=rounds.window,
+        counts={k: int(np.count_nonzero(rounds.final_codes == c))
+                for k, c in zip(keys, codes)},
+        occurrence_fraction=float(np.mean(rounds.channels > 0)),
+        accuracy=float(np.mean(rounds.matched)),
+        fourier_rate=float(np.mean(rounds.fourier_used)),
+        pooled_moments=dict(zip(keys, pooled)),
+        pooled_fidelity={k: float(f) for k, f in zip(keys, fids)})
 
 
 @dataclass
@@ -948,10 +937,82 @@ class RoundsSummary:
         }
 
 
-@dataclass
+_RELATION_NAME = {1: IN_PHASE, -1: OUT_OF_PHASE, 0: NO_RELATION}
+
+
+@dataclass(frozen=True, eq=False)
 class RoundsOutcome:
-    reports: list[RoundReport]
-    summary: RoundsSummary
+    """Results of a batch of rounds as columns, one entry per round.
+
+    Codes are 0 (no error), 1..5 (the located channel), 6 (ambiguous-p) and
+    7 (unclassifiable).  Flags and relations describe the first pass; the
+    corrected moments and fidelities come from the pass the correction used.
+    ``summary`` is derived from the columns, and ``reports`` builds one
+    RoundReport per round on first access.
+    """
+
+    cfg: CodeConfig
+    window: int
+    channels: np.ndarray          # hit channel, 0 when no error occurred
+    injected: np.ndarray          # (n, 2) drawn displacement (dx, dp)
+    first_codes: np.ndarray
+    final_codes: np.ndarray
+    fourier_used: np.ndarray      # the rotated rerun ran
+    matched: np.ndarray           # final code names the injected channel
+    flags: np.ndarray             # (n, 4) fluctuation flags of D1..D4
+    relations: np.ndarray         # (n, 2) D1-D3, D3-D4: +1 in phase, -1 out of phase, 0 n/a
+    corrected_mean: np.ndarray    # (n, 2)
+    corrected_var: np.ndarray     # (n, 2), ddof=1
+    corrected_cov_xp: np.ndarray
+    fidelity_mc: np.ndarray
+    fidelity_theory: np.ndarray
+    traces: np.ndarray | None = None   # (n, window, 6): D1..D4, corrected x, p
+    summary: RoundsSummary = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "summary", summarize_reports(self.cfg, self))
+
+    @classmethod
+    def concatenate(cls, parts: list["RoundsOutcome"]) -> "RoundsOutcome":
+        """One outcome holding the rounds of ``parts`` in order."""
+        columns = {f.name: np.concatenate([getattr(p, f.name) for p in parts])
+                   for f in fields(cls)
+                   if f.init and f.name not in ("cfg", "window", "traces")}
+        traces = (None if parts[0].traces is None
+                  else np.concatenate([p.traces for p in parts]))
+        return cls(parts[0].cfg, parts[0].window, traces=traces, **columns)
+
+    @cached_property
+    def reports(self) -> list[RoundReport]:
+        return [self._report(i) for i in range(len(self.final_codes))]
+
+    def _report(self, i: int) -> RoundReport:
+        traces = None
+        if self.traces is not None:
+            traces = {det: self.traces[i, :, k] for k, det in enumerate(DETECTORS)}
+            traces["corrected"] = self.traces[i, :, 4:]
+        channel = int(self.channels[i])
+        return RoundReport(
+            injected_channel=channel or None,
+            injected_dx=float(self.injected[i, 0]), injected_dp=float(self.injected[i, 1]),
+            first_classification=_CODE_TO_RESULT[int(self.first_codes[i])],
+            final_classification=_CODE_TO_RESULT[int(self.final_codes[i])],
+            fourier_used=bool(self.fourier_used[i]), matched=bool(self.matched[i]),
+            corrected_mean=tuple(self.corrected_mean[i].tolist()),
+            corrected_var=tuple(self.corrected_var[i].tolist()),
+            corrected_cov_xp=float(self.corrected_cov_xp[i]),
+            fidelity_mc=float(self.fidelity_mc[i]),
+            fidelity_theory=float(self.fidelity_theory[i]),
+            flags=dict(zip(DETECTORS, self.flags[i].tolist())),
+            relations=tuple(_RELATION_NAME[v] for v in self.relations[i].tolist()),
+            traces=traces)
+
+
+def _plan_table() -> np.ndarray:
+    """plan_matrix of every round code, indexed [fourier, code]."""
+    return np.array([[plan_matrix(_plan_or_zero(_CODE_TO_RESULT[code], fourier))
+                      for code in range(len(_CODE_TO_RESULT))]
+                     for fourier in (False, True)])
 
 
 def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator,
@@ -959,9 +1020,16 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
                store_traces: bool = False) -> RoundsOutcome:
     """Batched correction rounds (vectorized twin of run_round).
 
-    All rounds draw from one generator in a fixed order, so a fixed seed gives
-    identical results regardless of how the caller consumes the reports.
+    Each pass reduces every round's readout window to its mean and scatter;
+    classification, feedforward, corrected moments and fidelities are array
+    operations on those statistics.  Ambiguous rounds are rerun with rotated
+    ancillas; a resolved rerun reports the second pass, an unresolved one the
+    first.  All rounds draw from one generator in a fixed order, so a fixed
+    seed gives identical results.  With ``store_traces`` the outcome also
+    keeps each round's first-pass detector series and corrected output series.
     """
+    if n_rounds < 1:
+        raise ValueError("n_rounds must be at least 1")
     if window < MIN_SYNDROME_WINDOW:
         raise ValueError(f"syndrome window must be at least {MIN_SYNDROME_WINDOW}")
     law = error_cfg.law
@@ -971,86 +1039,57 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
     else:
         channels = np.full(n_rounds, int(error_cfg.channel))
     channels = np.where(occurred, channels, 0)
-    rep = np.zeros((n_rounds, 2))
+    injected = np.zeros((n_rounds, 2))
     if occurred.any():
-        rep[occurred] = law.draw(rng, int(occurred.sum()))
+        injected[occurred] = law.draw(rng, int(occurred.sum()))
 
     maps1 = PipelineMaps(cfg, cfg.fourier_mode)
     maps2 = PipelineMaps(cfg, not cfg.fourier_mode)
-    pass1 = _simulate_pass(maps1, channels, occurred, law, window, rng)
-    codes1 = _classify_codes(pass1)
-    final = codes1.copy()
-    rerun_idx = np.flatnonzero(codes1 == _CODE_AMBIGUOUS)
-    pass2 = None
-    sub_pos = {}
-    if len(rerun_idx):
-        pass2 = _simulate_pass(maps2, channels[rerun_idx], occurred[rerun_idx],
-                               law, window, rng)
-        codes2 = _classify_codes(pass2)
-        codes2[codes2 == _CODE_AMBIGUOUS] = _CODE_UNCLASSIFIABLE
-        final[rerun_idx] = codes2
-        sub_pos = {int(r): k for k, r in enumerate(rerun_idx)}
-
-    inp = cfg.input_state()
-    theory_cache: dict = {}
-    reports: list[RoundReport] = []
-    plan_cols = {}
-
-    def _plan_columns(code: int, fourier: bool):
-        key = (code, fourier)
-        if key not in plan_cols:
-            if code in (3, 4, 5):
-                x_ff, p_ff = (FOURIER_PLANS if fourier else STANDARD_PLANS)[code]
-                plan_cols[key] = ((DETECTORS.index(x_ff[0]), float(x_ff[1])),
-                                  (DETECTORS.index(p_ff[0]), float(p_ff[1])))
-            else:
-                plan_cols[key] = (None, None)
-        return plan_cols[key]
-
-    for i in range(n_rounds):
-        code = int(final[i])
-        used_fourier = maps2.fourier if i in sub_pos else maps1.fourier
-        if i in sub_pos and final[i] in (1, 2, 3, 4, 5, _CODE_NO_ERROR):
-            src = pass2.series[sub_pos[i]]
-        elif i in sub_pos:
-            src = pass1.series[i]      # unresolved rerun: report the first pass
-            used_fourier = maps1.fourier
-        else:
-            src = pass1.series[i]
-        corrected = src[:, 4:6].copy()
-        x_col, p_col = _plan_columns(code, used_fourier)
-        if x_col is not None:
-            corrected[:, 0] += x_col[1] * src[:, x_col[0]]
-            corrected[:, 1] += p_col[1] * src[:, p_col[0]]
-        mean = corrected.mean(axis=0)
-        var = corrected.var(axis=0, ddof=1)
-        cxy = float(np.cov(corrected.T, ddof=1)[0, 1])
-        cov = np.array([[var[0], cxy], [cxy, var[1]]])
-        fid_mc = fidelity_from_moments(inp.mean, inp.cov, mean, cov)
-        theory = _theory_stats(cfg, code, used_fourier, int(channels[i]),
-                               law, theory_cache)
-        result = _CODE_TO_RESULT[code]
-        matched = (result.kind == CHANNEL and result.channel == channels[i]
-                   if occurred[i] else result.kind == NO_ERROR)
-        first_res = _CODE_TO_RESULT[int(codes1[i])]
-        traces = None
+    pass1 = _simulate_pass(maps1, channels, occurred, law, window, rng, store_traces)
+    first = _classify_codes(pass1.flags, pass1.cc13, pass1.cc34)
+    final = first.copy()
+    fourier = np.full(n_rounds, maps1.fourier)
+    mean, scatter, series = pass1.mean, pass1.scatter, pass1.series
+    rerun = np.flatnonzero(first == _CODE_AMBIGUOUS)
+    if len(rerun):
+        pass2 = _simulate_pass(maps2, channels[rerun], occurred[rerun], law, window,
+                               rng, store_traces)
+        second = _classify_codes(pass2.flags, pass2.cc13, pass2.cc34)
+        second[second == _CODE_AMBIGUOUS] = _CODE_UNCLASSIFIABLE
+        final[rerun] = second
+        resolved = second != _CODE_UNCLASSIFIABLE
+        used = rerun[resolved]
+        fourier[used] = maps2.fourier
+        mean, scatter = mean.copy(), scatter.copy()
+        mean[used], scatter[used] = pass2.mean[resolved], pass2.scatter[resolved]
         if store_traces:
-            traces = {det: pass1.series[i, :, k] for k, det in enumerate(DETECTORS)}
-            traces["corrected"] = corrected
-        reports.append(RoundReport(
-            injected_channel=int(channels[i]) if occurred[i] else None,
-            injected_dx=float(rep[i, 0]), injected_dp=float(rep[i, 1]),
-            first_classification=first_res, final_classification=result,
-            fourier_used=bool(codes1[i] == _CODE_AMBIGUOUS), matched=bool(matched),
-            corrected_mean=tuple(mean), corrected_var=(float(var[0]), float(var[1])),
-            corrected_cov_xp=cxy,
-            fidelity_mc=fid_mc, fidelity_theory=theory.fidelity,
-            flags={det: bool(pass1.flags[i, k]) for k, det in enumerate(DETECTORS)},
-            relations=(_relation_from_sign(pass1.cc13[i]) if pass1.flags[i, 0] and pass1.flags[i, 2] else NO_RELATION,
-                       _relation_from_sign(pass1.cc34[i]) if pass1.flags[i, 2] and pass1.flags[i, 3] else NO_RELATION),
-            traces=traces))
+            series = series.copy()
+            series[used] = pass2.series[resolved]
 
-    return RoundsOutcome(reports, summarize_reports(cfg, reports, window))
+    comb = _plan_table()[fourier.astype(np.intp), final]          # (n, 2, 6)
+    corrected_mean = (comb @ mean[:, :, None])[:, :, 0]
+    cov = comb @ scatter @ comb.transpose(0, 2, 1) / (window - 1)
+    inp = cfg.input_state()
+    keys, inverse = np.unique(np.stack([final, fourier, channels], axis=1), axis=0,
+                              return_inverse=True)
+    theory = np.array([_theory_stats(cfg, code, bool(f), ch, law).fidelity
+                       for code, f, ch in keys.tolist()])
+    pair13 = pass1.flags[:, 0] & pass1.flags[:, 2]
+    pair34 = pass1.flags[:, 2] & pass1.flags[:, 3]
+    relations = np.stack([np.where(pass1.cc13 > 0, 1, -1) * pair13,
+                          np.where(pass1.cc34 > 0, 1, -1) * pair34], axis=1)
+    traces = None
+    if store_traces:
+        traces = np.concatenate([pass1.series[:, :, :4],
+                                 series @ comb.transpose(0, 2, 1)], axis=2)
+    return RoundsOutcome(
+        cfg=cfg, window=window, channels=channels, injected=injected,
+        first_codes=first, final_codes=final, fourier_used=first == _CODE_AMBIGUOUS,
+        matched=final == channels, flags=pass1.flags, relations=relations.astype(np.int8),
+        corrected_mean=corrected_mean, corrected_var=np.diagonal(cov, axis1=1, axis2=2).copy(),
+        corrected_cov_xp=cov[:, 0, 1].copy(),
+        fidelity_mc=fidelity_from_moments(inp.mean, inp.cov, corrected_mean, cov),
+        fidelity_theory=theory[inverse.reshape(-1)], traces=traces)
 
 
 def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,

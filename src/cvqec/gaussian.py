@@ -230,7 +230,11 @@ def loss_channel(state: GaussianState, mode: int, eta: float) -> GaussianState:
     return GaussianState(state.n, mean, cov, validate=False)
 
 
-def fidelity_from_moments(mean1, cov1, mean2, cov2) -> float:
+def _det2(a: np.ndarray) -> np.ndarray:
+    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+
+
+def fidelity_from_moments(mean1, cov1, mean2, cov2):
     """Single-mode Gaussian fidelity from raw moments, without physicality checks.
 
     Uses the closed form on covariances rescaled by 4 so that pure states have
@@ -240,18 +244,25 @@ def fidelity_from_moments(mean1, cov1, mean2, cov2) -> float:
         F = 2 / (sqrt(D + L) - sqrt(L)) * exp(-(1/2) b^T (A1 + A2)^{-1} b),
 
     where b = 2 (mean2 - mean1).  Suitable for empirical moments, whose
-    sampling noise can leave them marginally unphysical.
+    sampling noise can leave them marginally unphysical: L is clamped at 0
+    and F to [0, 1].
+
+    Moments may be stacked, means (n, 2) with covariances (n, 2, 2), and
+    broadcast against each other; the result is then an array of n
+    fidelities, and a float for single moments.
     """
     a1 = 4.0 * np.asarray(cov1, dtype=float)
     a2 = 4.0 * np.asarray(cov2, dtype=float)
     total = a1 + a2
-    delta = float(np.linalg.det(total))
-    lam = (float(np.linalg.det(a1)) - 1.0) * (float(np.linalg.det(a2)) - 1.0)
-    lam = max(lam, 0.0)
+    delta = _det2(total)
+    lam = np.maximum((_det2(a1) - 1.0) * (_det2(a2) - 1.0), 0.0)
     beta = 2.0 * (np.asarray(mean2, dtype=float) - np.asarray(mean1, dtype=float))
-    expo = -0.5 * float(beta @ np.linalg.solve(total, beta))
-    f = 2.0 / (math.sqrt(delta + lam) - math.sqrt(lam)) * math.exp(expo)
-    return min(max(f, 0.0), 1.0)
+    b0, b1 = beta[..., 0], beta[..., 1]
+    # b^T total^{-1} b through the 2x2 adjugate
+    quad = (total[..., 1, 1] * b0 * b0 - (total[..., 0, 1] + total[..., 1, 0]) * b0 * b1
+            + total[..., 0, 0] * b1 * b1) / delta
+    f = np.clip(2.0 / (np.sqrt(delta + lam) - np.sqrt(lam)) * np.exp(-0.5 * quad), 0.0, 1.0)
+    return float(f) if f.ndim == 0 else f
 
 
 def fidelity_gaussian(s1: GaussianState, s2: GaussianState) -> float:

@@ -209,6 +209,19 @@ def test_main_runs_and_overrides_seed(tmp_path, capsys):
     assert (tmp_path / "out" / "table2.csv").exists()
 
 
+@pytest.mark.parametrize("doc,message", [
+    ({"trials": 0}, "trials must be at least 1"),
+    ({"code": {"squeeze": 3.5}}, "unknown code keys"),
+])
+def test_main_reports_bad_config_as_usage_error(tmp_path, capsys, doc, message):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "table2", "--config", config, "--out", tmp_path / "out"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_main_rejects_unknown_experiment(tmp_path):
     with pytest.raises(SystemExit):
         run_cli(["run", "tableX", "--out", tmp_path])

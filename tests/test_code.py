@@ -37,6 +37,14 @@ def test_code_config_validation():
     assert CodeConfig(r=(0.1, 0.2, 0.3, 0.4)).r_values == (0.1, 0.2, 0.3, 0.4)
 
 
+def test_code_config_lists_become_tuples():
+    """Per-ancilla and per-channel lists give the same hashable config as tuples."""
+    cfg = CodeConfig(r=[0.1, 0.2, 0.3, 0.4], channel_loss=[1.0, 0.9, 0.9, 0.8, 1.0])
+    same = CodeConfig(r=(0.1, 0.2, 0.3, 0.4), channel_loss=(1.0, 0.9, 0.9, 0.8, 1.0))
+    assert cfg == same
+    assert hash(cfg) == hash(same)
+
+
 def test_encode_symbolic_channel4():
     """c4 = a2/(2 sqrt6) - a3/(2 sqrt2) + a4/sqrt2 - a_in/sqrt3."""
     enc = encode(CodeConfig(r=0.5))
@@ -245,6 +253,39 @@ def test_classify_mismatched_patterns_are_unclassifiable():
     assert classify(_rec((False, False, False, True))).kind == UNCLASSIFIABLE
 
 
+def _reference_classify(flags, rel13, rel34):
+    """The syndrome table as a pattern match, one record at a time."""
+    f1, f2, f3, f4 = flags
+    if not any(flags):
+        return str(ClassificationResult(NO_ERROR))
+    if (f1, f3, f4) == (True, True, False):
+        return "channel-1" if rel13 == "in-phase" else "channel-2"
+    if (f1, f3, f4) == (False, True, False):
+        return "channel-3"
+    if (f1, f3, f4) == (False, True, True):
+        return "channel-5" if rel34 == "in-phase" else "channel-4"
+    if (f1, f3, f4) == (False, False, False) and f2:
+        return AMBIGUOUS_P
+    return UNCLASSIFIABLE
+
+
+def test_scalar_and_array_classifiers_agree():
+    """classify and the batched _classify_codes follow one syndrome table on
+    every flag pattern and both signs of each phase relation."""
+    sign = {"in-phase": 0.7, "out-of-phase": -0.7}
+    cases = [(tuple(bool(bits >> k & 1) for k in range(4)), rel13, rel34)
+             for bits in range(16) for rel13 in sign for rel34 in sign]
+    flags = np.array([c[0] for c in cases])
+    codes = qec._classify_codes(flags, np.array([sign[c[1]] for c in cases]),
+                                np.array([sign[c[2]] for c in cases]))
+    for (f, rel13, rel34), code in zip(cases, codes):
+        want = _reference_classify(f, rel13, rel34)
+        # a relation is reported only for a flagged detector pair
+        rec = _rec(f, rel13 if f[0] and f[2] else "n/a", rel34 if f[2] and f[3] else "n/a")
+        assert str(classify(rec)) == want
+        assert str(qec._CODE_TO_RESULT[int(code)]) == want
+
+
 # --------------------------------------------------------------------------
 # feedforward plans and correction
 
@@ -439,6 +480,95 @@ def test_run_rounds_deterministic_for_fixed_seed():
     a = run_rounds(cfg, ec, np.random.default_rng(77), 30, window=64)
     b = run_rounds(cfg, ec, np.random.default_rng(77), 30, window=64)
     assert [r.to_dict() for r in a.reports] == [r.to_dict() for r in b.reports]
+
+
+# Seed 0, 16 rounds of window 64, as drawn before the round engine became
+# columnar: (channels, first codes, final codes, reruns, sha256 of the
+# injected (dx, dp) float64 bytes).  Equal values show the RNG stream is
+# unchanged.
+_PINNED_ROUNDS = {
+    "general": ([1, 5, 1, 3, 0, 0, 3, 0, 3, 0, 0, 1, 0, 4, 0, 4],
+                "1 5 1 3 0 0 3 0 3 0 0 1 0 4 0 4",
+                "1 5 1 3 0 0 3 0 3 0 0 1 0 4 0 4",
+                "FFFFFFFFFFFFFFFF",
+                "e34db0f1258fe43eb3adbb4bc373b9e0e7fc51035b570ad9e366927cc2ffb103"),
+    "p": ([1, 5, 1, 3, 1, 2, 3, 3, 3, 1, 1, 1, 1, 4, 3, 4],
+          "A 0 A A A A A A 0 A A A A 0 A 0",
+          "U 0 U 3 U U 3 3 0 U U 1 U 0 3 0",
+          "TFTTTTTTFTTTTFTF",
+          "68e29d125d0b3b7777b23cc0c29fd4fe006ce3bb338a26a263258e8b9b516892"),
+}
+
+
+def _short(result):
+    return {NO_ERROR: "0", AMBIGUOUS_P: "A", UNCLASSIFIABLE: "U"}.get(
+        result.kind, str(result.channel))
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_ROUNDS))
+def test_round_moments_match_stored_series(case):
+    """Every round's corrected moments and fidelity equal those recomputed
+    from its stored corrected series.  The general case has no-error rounds
+    and channels 1 and 3-5; the gaussian p case has resolved reruns and
+    unresolved ones, which report the first pass."""
+    import hashlib
+
+    from cvqec.gaussian import fidelity_from_moments
+
+    ec = {"general": ErrorConfig(0.7, "uniform", ErrorLaw("general", STRONG)),
+          "p": ErrorConfig(1.0, "uniform", ErrorLaw("p", 1.5, "gaussian"))}[case]
+    cfg = CodeConfig(r=R35)
+    outcome = run_rounds(cfg, ec, np.random.default_rng(0), 16, window=64,
+                         store_traces=True)
+    reports = outcome.reports
+    inp = cfg.input_state()
+    for rep in reports:
+        series = rep.traces["corrected"]
+        mean = series.mean(axis=0)
+        var = series.var(axis=0, ddof=1)
+        cov = np.cov(series.T, ddof=1)
+        tol = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(rep.corrected_mean, mean, **tol)
+        np.testing.assert_allclose(rep.corrected_var, var, **tol)
+        np.testing.assert_allclose(rep.corrected_cov_xp, cov[0, 1], **tol)
+        np.testing.assert_allclose(
+            rep.fidelity_mc, fidelity_from_moments(inp.mean, inp.cov, mean, cov), **tol)
+    channels, first, final, reruns, draws = _PINNED_ROUNDS[case]
+    assert [r.injected_channel or 0 for r in reports] == channels
+    assert " ".join(_short(r.first_classification) for r in reports) == first
+    assert " ".join(_short(r.final_classification) for r in reports) == final
+    assert "".join("FT"[r.fourier_used] for r in reports) == reruns
+    injected = np.array([[r.injected_dx, r.injected_dp] for r in reports])
+    assert hashlib.sha256(injected.tobytes()).hexdigest() == draws
+
+
+def test_pooled_moments_match_pooled_series():
+    """Per-class and all-round pooled moments equal the moments of the
+    concatenated corrected series, also across chunks."""
+    cfg = CodeConfig(r=R35)
+    ec = ErrorConfig(1.0, "uniform", ErrorLaw("p", 1.5, "gaussian"))
+    chunks = [run_rounds(cfg, ec, np.random.default_rng(k), 16, window=64,
+                         store_traces=True) for k in (0, 1)]
+    outcome = qec.RoundsOutcome.concatenate(chunks)
+    assert outcome.summary.n_rounds == 32
+    series = outcome.traces[:, :, 4:]
+    tol = dict(rtol=1e-12, atol=1e-12)
+    for code in np.unique(outcome.final_codes):
+        key = str(qec._CODE_TO_RESULT[int(code)])
+        pooled = series[outcome.final_codes == code].reshape(-1, 2)
+        mean, cov = outcome.summary.pooled_moments[key]
+        np.testing.assert_allclose(mean, pooled.mean(axis=0), **tol)
+        np.testing.assert_allclose(cov, np.cov(pooled.T, ddof=1), **tol)
+        assert outcome.summary.counts[key] == np.count_nonzero(outcome.final_codes == code)
+    mean, cov = qec.pooled_moments(outcome)
+    np.testing.assert_allclose(mean, series.reshape(-1, 2).mean(axis=0), **tol)
+    np.testing.assert_allclose(cov, np.cov(series.reshape(-1, 2).T, ddof=1), **tol)
+
+
+def test_run_rounds_rejects_empty_batch():
+    with pytest.raises(ValueError, match="n_rounds"):
+        run_rounds(CodeConfig(r=R35), ErrorConfig(1.0, 3, ErrorLaw("general", STRONG)),
+                   np.random.default_rng(0), 0)
 
 
 def test_run_round_report_serializes():

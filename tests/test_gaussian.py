@@ -227,6 +227,34 @@ def test_fidelity_from_moments_tolerates_sampling_noise():
     assert 0.0 <= f <= 1.0
 
 
+def _reference_fidelity(mean1, cov1, mean2, cov2):
+    """The fidelity formula with general determinant and solve, one pair at a time."""
+    a1, a2 = 4.0 * cov1, 4.0 * cov2
+    total = a1 + a2
+    delta = np.linalg.det(total)
+    lam = max((np.linalg.det(a1) - 1.0) * (np.linalg.det(a2) - 1.0), 0.0)
+    beta = 2.0 * (mean2 - mean1)
+    expo = -0.5 * beta @ np.linalg.solve(total, beta)
+    return min(max(2.0 / (math.sqrt(delta + lam) - math.sqrt(lam)) * math.exp(expo), 0.0), 1.0)
+
+
+def test_fidelity_from_moments_stacked_matches_reference():
+    rng = np.random.default_rng(4)
+    inp_mean, inp_cov = np.zeros(2), np.diag([0.25 * 10 ** 0.89, 0.25 * 10 ** -0.35])
+    means = rng.normal(0.0, 0.5, (50, 2))
+    factors = rng.normal(0.0, 0.6, (50, 2, 2))
+    covs = 0.2 * np.eye(2) + factors @ factors.transpose(0, 2, 1)
+    covs[0] = 0.24 * np.eye(2)                 # a clamped, marginally unphysical one
+    stacked = fidelity_from_moments(inp_mean, inp_cov, means, covs)
+    assert stacked.shape == (50,)
+    for k in range(50):
+        want = _reference_fidelity(inp_mean, inp_cov, means[k], covs[k])
+        single = fidelity_from_moments(inp_mean, inp_cov, means[k], covs[k])
+        assert isinstance(single, float)
+        assert single == stacked[k]
+        assert single == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
 # --------------------------------------------------------------------------
 # sampling and dB
 
