@@ -338,8 +338,6 @@ def run_syndrome_demo(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 def run_witness(cfg: ExperimentConfig, out_dir: Path) -> dict:
     """Witness combination values and optimal gains over a squeezing grid."""
-    if cfg.sweep_parameter not in (None, "r"):
-        raise ValueError("the witness experiment sweeps r only")
     values = cfg.sweep_values or (0.0, 0.2, 0.4, db_to_r(cfg.squeezing_db), 0.8, 1.6)
     header = (["r"] + [f"combination_{i}" for i in (1, 2, 3, 4)]
               + [f"g{i}" for i in range(1, 7)] + ["all_satisfied"])
@@ -424,8 +422,6 @@ def _sweep_theory_fidelity(code: CodeConfig, error: ErrorConfig) -> float:
 
 def run_mc_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
     """Fidelity and classification accuracy versus a swept parameter."""
-    if cfg.sweep_parameter is None:
-        raise ValueError("mc-sweep requires a sweep section in the config")
     root = np.random.SeedSequence(cfg.seed)
     header = [cfg.sweep_parameter, "fidelity_theory", "fidelity_mc",
               "fidelity_mc_stderr", "classification_accuracy"]
@@ -459,9 +455,19 @@ _RUNNERS = {
 }
 
 
-def run_experiment(name: str, cfg: ExperimentConfig, out_dir: str | Path) -> dict:
+def check_experiment(name: str, cfg: ExperimentConfig) -> None:
+    """Raises ValueError if the experiment is unknown or cannot run with the
+    config's sweep section."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown experiment {name!r}")
+    if name == "mc-sweep" and cfg.sweep_parameter is None:
+        raise ValueError("mc-sweep requires a sweep section in the config")
+    if name == "witness" and cfg.sweep_parameter not in (None, "r"):
+        raise ValueError("the witness experiment sweeps r only")
+
+
+def run_experiment(name: str, cfg: ExperimentConfig, out_dir: str | Path) -> dict:
+    check_experiment(name, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return _RUNNERS[name](cfg, out)
@@ -499,6 +505,10 @@ def main(argv: list[str] | None = None) -> int:
                      f"{args.experiment!r} was requested")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
+    try:
+        check_experiment(args.experiment, cfg)
+    except ValueError as exc:
+        parser.error(str(exc))
     out_dir = args.out or cfg.out or "cvqec-out"
     artifacts = run_experiment(args.experiment, cfg, out_dir)
     print(json.dumps({"experiment": args.experiment, "out": str(out_dir),

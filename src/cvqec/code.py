@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -611,21 +611,34 @@ def apply_correction(decoded: DecodedState, plan: CorrectionPlan,
 # closed-form pipeline moments (no sampling)
 
 
+@cache
+def _network_symplectics(fourier: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Encoder (with the ancillas' Fourier rotation when ``fourier``) and
+    decoder as 10x10 symplectic matrices, lifted from the exact network once
+    per flag and read-only."""
+    u = encoder_matrix()
+    flags = [pos != INPUT_POS for pos in range(5)] if fourier else None
+    pair = (lift_to_symplectic(u, flags).S, lift_to_symplectic(inverse(u)).S)
+    for s in pair:
+        s.setflags(write=False)
+    return pair
+
+
 class PipelineMaps:
     """Precomputed linear maps of one encode/loss/decode pass.
 
     Decoded quadratures q_dec = A_src q_src + A_err e + A_vac v, where q_src
     are the independent source quadratures, e the per-channel displacement and
-    v the loss vacua.
+    v the loss vacua.  On the readouts (D1..D4, out_x, out_p) the noise is
+    ``mix`` times 10 standard normals (plus ``vac`` times 10 more with loss).
+    ``readout_factor`` F gives its 6x6 covariance as F F^T (from ``eigh``, so
+    a singular covariance is safe), and ``baselines`` is that diagonal.
     """
 
     def __init__(self, cfg: CodeConfig, fourier: bool):
         self.cfg = cfg
         self.fourier = fourier
-        u = encoder_matrix()
-        flags = [pos != INPUT_POS for pos in range(5)] if fourier else None
-        s_enc = lift_to_symplectic(u, flags).S
-        s_dec = lift_to_symplectic(inverse(u)).S
+        s_enc, s_dec = _network_symplectics(fourier)
         eta = np.repeat(np.sqrt(cfg.loss_values), 2)
         self.A_src = s_dec @ (eta[:, None] * s_enc)
         self.A_err = s_dec * eta[None, :]
@@ -647,14 +660,23 @@ class PipelineMaps:
             anc += 1
         self.sigma_src = sigma
         self.has_loss = cfg.has_loss
-        self.readout_rows = readout_rows(fourier)
+        rows = readout_rows(fourier)
+        self.err_readout = self.A_err[rows]
+        self.mix = (self.A_src * sigma)[rows]
+        cov = self.mix @ self.mix.T
+        self.vac = None
+        if self.has_loss:
+            self.vac = self.A_vac[rows] * math.sqrt(VACUUM_VAR)
+            cov += self.vac @ self.vac.T
+        lam, vec = np.linalg.eigh(cov)
+        self.readout_factor = vec * np.sqrt(np.clip(lam, 0.0, None))
+        self.baselines = np.diagonal(cov).copy()
 
     def decoded_cov(self) -> np.ndarray:
         cov = (self.A_src * self.sigma_src ** 2) @ self.A_src.T
         if self.has_loss:
             cov = cov + VACUUM_VAR * self.A_vac @ self.A_vac.T
         return cov
-
 
 
 @dataclass(frozen=True)
@@ -836,45 +858,98 @@ def run_round(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator,
 
 
 class _PassData:
-    """Per-round sufficient statistics of one batched pass: the mean 6-vector
-    and centred 6x6 scatter of the readouts (D1..D4, out_x, out_p), and the
-    syndrome they imply."""
+    """The syndrome of one batched pass, reduced from every round's readout
+    mean 6-vector and centred 6x6 scatter of (D1..D4, out_x, out_p)."""
 
-    __slots__ = ("mean", "scatter", "flags", "cc13", "cc34", "series")
+    __slots__ = ("mean", "scatter", "flags", "cc13", "cc34")
 
-    def __init__(self, series: np.ndarray, baselines: np.ndarray, keep_series: bool):
-        window = series.shape[1]
-        self.mean = series.mean(axis=1)
-        centred = series - self.mean[:, None, :]
-        self.scatter = centred.transpose(0, 2, 1) @ centred
-        variances = np.diagonal(self.scatter, axis1=1, axis2=2)[:, :4] / (window - 1)
+    def __init__(self, mean: np.ndarray, scatter: np.ndarray, window: int,
+                 baselines: np.ndarray):
+        self.mean = mean
+        self.scatter = scatter
+        variances = np.diagonal(scatter, axis1=1, axis2=2)[:, :4] / (window - 1)
         self.flags = variances > (1.0 + FLUCTUATION_FACTOR) * baselines[:4]
-        self.cc13 = self.scatter[:, 0, 2] / window
-        self.cc34 = self.scatter[:, 2, 3] / window
-        self.series = series if keep_series else None
+        self.cc13 = scatter[:, 0, 2] / window
+        self.cc34 = scatter[:, 2, 3] / window
+
+
+def _error_columns(maps: PipelineMaps, channels: np.ndarray) -> np.ndarray:
+    """(n, 6, 2) readout coefficients of each round's (dx, dp) error."""
+    cols = 2 * (channels - 1)
+    return maps.err_readout[:, np.stack([cols, cols + 1], axis=1)].transpose(1, 0, 2)
+
+
+def _sample_series(maps: PipelineMaps, channels: np.ndarray, occurred: np.ndarray,
+                   law: ErrorLaw, window: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, window, 6) readout series: ten normals per sample (twenty with
+    loss) through the network, plus each hit round's error series."""
+    n = len(channels)
+    series = rng.standard_normal((n, window, 10)) @ maps.mix.T
+    if maps.has_loss:
+        series += rng.standard_normal((n, window, 10)) @ maps.vac.T
+    idx = np.flatnonzero(occurred)
+    if len(idx):
+        draws = law.draw(rng, len(idx) * window).reshape(len(idx), window, 2)
+        coeff = _error_columns(maps, channels[idx])
+        series[idx] += (draws[:, :, :1] * coeff[:, None, :, 0]
+                        + draws[:, :, 1:] * coeff[:, None, :, 1])
+    return series
+
+
+def _sample_statistics(maps: PipelineMaps, channels: np.ndarray, occurred: np.ndarray,
+                       law: ErrorLaw, window: int,
+                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Every round's readout mean (n, 6) and centred scatter (n, 6, 6), drawn
+    from their exact joint law without forming a series.
+
+    With readout covariance S = F F^T, error coefficients C (6x2) and error
+    series D (window x 2) of mean d and centred Gram K: the mean is
+    F z / sqrt(window) + C d, and the scatter is W + H^T H.  W is the noise
+    scatter off the span of the ones vector and the centred error columns,
+    Wishart(S, window - 3), drawn as (F A)(F A)^T with A a Bartlett factor
+    (Smith & Hocking, Appl. Stat. 21 (1972) 341).  H = G + R C^T, where the
+    rows of G (2x6) are the noise along the two centred error directions,
+    N(0, S), and R^T R = K.  A round without error has R = 0, which gives
+    Wishart(S, window - 1).
+    """
+    n = len(channels)
+    idx = np.flatnonzero(occurred)
+    err_mean, err_gram = law.window_statistics(rng, len(idx), window)
+    factor = maps.readout_factor
+    mean = rng.standard_normal((n, 6)) @ factor.T / math.sqrt(window)
+    bartlett = np.zeros((n, 6, 6))
+    below_row, below_col = np.tril_indices(6, -1)
+    bartlett[:, below_row, below_col] = rng.standard_normal((n, 15))
+    bartlett[:, range(6), range(6)] = np.sqrt(
+        rng.chisquare(window - 3 - np.arange(6), (n, 6)))
+    along = rng.standard_normal((n, 2, 6)) @ factor.T
+    noise = factor @ bartlett
+    scatter = noise @ noise.transpose(0, 2, 1)
+    if len(idx):
+        coeff = _error_columns(maps, channels[idx])
+        mean[idx] += (coeff @ err_mean[:, :, None])[:, :, 0]
+        lam, vec = np.linalg.eigh(err_gram)
+        root = np.sqrt(np.clip(lam, 0.0, None))[:, :, None] * vec.transpose(0, 2, 1)
+        along[idx] += root @ coeff.transpose(0, 2, 1)
+    scatter += along.transpose(0, 2, 1) @ along
+    return mean, scatter
 
 
 def _simulate_pass(maps: PipelineMaps, channels: np.ndarray, occurred: np.ndarray,
                    law: ErrorLaw, window: int, rng: np.random.Generator,
-                   keep_series: bool) -> _PassData:
-    rows = maps.readout_rows
-    mix = (maps.A_src * maps.sigma_src)[rows]
-    n = len(channels)
-    series = rng.standard_normal((n, window, 10)) @ mix.T
-    baselines = (mix ** 2).sum(axis=1)
-    if maps.has_loss:
-        vac = maps.A_vac[rows] * math.sqrt(VACUUM_VAR)
-        series += rng.standard_normal((n, window, 10)) @ vac.T
-        baselines = baselines + (vac ** 2).sum(axis=1)
-    idx = np.flatnonzero(occurred)
-    if len(idx):
-        draws = law.draw(rng, len(idx) * window).reshape(len(idx), window, 2)
-        err_rows = maps.A_err[rows]
-        coeff_x = err_rows[:, 2 * (channels[idx] - 1)].T
-        coeff_p = err_rows[:, 2 * (channels[idx] - 1) + 1].T
-        series[idx] += (draws[:, :, :1] * coeff_x[:, None, :]
-                        + draws[:, :, 1:] * coeff_p[:, None, :])
-    return _PassData(series, baselines, keep_series)
+                   keep_series: bool) -> tuple[_PassData, np.ndarray | None]:
+    """One pass over a batch of rounds and, with ``keep_series``, its
+    (n, window, 6) readout series.  Without it the round statistics are drawn
+    directly: equal in law, but a different draw from the same generator."""
+    series = None
+    if keep_series:
+        series = _sample_series(maps, channels, occurred, law, window, rng)
+        mean = series.mean(axis=1)
+        centred = series - mean[:, None, :]
+        scatter = centred.transpose(0, 2, 1) @ centred
+    else:
+        mean, scatter = _sample_statistics(maps, channels, occurred, law, window, rng)
+    return _PassData(mean, scatter, window, maps.baselines), series
 
 
 def pooled_moments(rounds: "RoundsOutcome", select=slice(None)) -> tuple[np.ndarray, np.ndarray]:
@@ -1020,13 +1095,18 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
                store_traces: bool = False) -> RoundsOutcome:
     """Batched correction rounds (vectorized twin of run_round).
 
-    Each pass reduces every round's readout window to its mean and scatter;
+    Each pass yields every round's readout mean and centred scatter, and
     classification, feedforward, corrected moments and fidelities are array
-    operations on those statistics.  Ambiguous rounds are rerun with rotated
-    ancillas; a resolved rerun reports the second pass, an unresolved one the
-    first.  All rounds draw from one generator in a fixed order, so a fixed
-    seed gives identical results.  With ``store_traces`` the outcome also
-    keeps each round's first-pass detector series and corrected output series.
+    operations on those statistics.  By default the statistics are drawn
+    directly from their joint law (a Wishart scatter; see
+    ``_sample_statistics``), at a cost that does not grow with the window
+    beyond the error law's own draws.  ``store_traces=True`` instead samples
+    each round's series and reduces it, and the outcome also keeps each
+    round's first-pass detector series and corrected output series; the two
+    routes are equal in law, but the same seed gives different draws.
+    Ambiguous rounds are rerun with rotated ancillas; a resolved rerun reports
+    the second pass, an unresolved one the first.  All rounds draw from one
+    generator in a fixed order, so a fixed seed gives identical results.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be at least 1")
@@ -1043,28 +1123,28 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
     if occurred.any():
         injected[occurred] = law.draw(rng, int(occurred.sum()))
 
-    maps1 = PipelineMaps(cfg, cfg.fourier_mode)
-    maps2 = PipelineMaps(cfg, not cfg.fourier_mode)
-    pass1 = _simulate_pass(maps1, channels, occurred, law, window, rng, store_traces)
+    pass1, series1 = _simulate_pass(PipelineMaps(cfg, cfg.fourier_mode), channels,
+                                    occurred, law, window, rng, store_traces)
     first = _classify_codes(pass1.flags, pass1.cc13, pass1.cc34)
     final = first.copy()
-    fourier = np.full(n_rounds, maps1.fourier)
-    mean, scatter, series = pass1.mean, pass1.scatter, pass1.series
+    fourier = np.full(n_rounds, cfg.fourier_mode)
+    mean, scatter, series = pass1.mean, pass1.scatter, series1
     rerun = np.flatnonzero(first == _CODE_AMBIGUOUS)
     if len(rerun):
-        pass2 = _simulate_pass(maps2, channels[rerun], occurred[rerun], law, window,
-                               rng, store_traces)
+        pass2, series2 = _simulate_pass(PipelineMaps(cfg, not cfg.fourier_mode),
+                                        channels[rerun], occurred[rerun], law, window,
+                                        rng, store_traces)
         second = _classify_codes(pass2.flags, pass2.cc13, pass2.cc34)
         second[second == _CODE_AMBIGUOUS] = _CODE_UNCLASSIFIABLE
         final[rerun] = second
         resolved = second != _CODE_UNCLASSIFIABLE
         used = rerun[resolved]
-        fourier[used] = maps2.fourier
+        fourier[used] = not cfg.fourier_mode
         mean, scatter = mean.copy(), scatter.copy()
         mean[used], scatter[used] = pass2.mean[resolved], pass2.scatter[resolved]
         if store_traces:
             series = series.copy()
-            series[used] = pass2.series[resolved]
+            series[used] = series2[resolved]
 
     comb = _plan_table()[fourier.astype(np.intp), final]          # (n, 2, 6)
     corrected_mean = (comb @ mean[:, :, None])[:, :, 0]
@@ -1080,7 +1160,7 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
                           np.where(pass1.cc34 > 0, 1, -1) * pair34], axis=1)
     traces = None
     if store_traces:
-        traces = np.concatenate([pass1.series[:, :, :4],
+        traces = np.concatenate([series1[:, :, :4],
                                  series @ comb.transpose(0, 2, 1)], axis=2)
     return RoundsOutcome(
         cfg=cfg, window=window, channels=channels, injected=injected,

@@ -78,6 +78,41 @@ class ErrorLaw:
             out[:, col] = rng.normal(0.0, self.magnitude, size)
         return out
 
+    def window_statistics(self, rng: np.random.Generator, n: int,
+                          window: int) -> tuple[np.ndarray, np.ndarray]:
+        """Mean (n, 2) and centred Gram matrix (n, 2, 2) of n independent
+        ``draw(rng, window)`` series.  The general law reduces its window of
+        phases directly; the others form no series: a +-1 series is a
+        Binomial(window, 1/2) count, a Gaussian one its independent mean and
+        chi-square(window - 1) sum of squares."""
+        mean, gram = np.zeros((n, 2)), np.zeros((n, 2, 2))
+        a = self.magnitude
+        if a == 0 or n == 0:
+            return mean, gram
+        if self.kind == LAW_GENERAL:
+            phase = rng.uniform(0.0, 2.0 * math.pi, (n, window))
+            sin = np.sin(phase)
+            cos = np.cos(phase, out=phase)
+            cc = np.einsum("ij,ij->i", cos, cos)
+            cs = np.einsum("ij,ij->i", cos, sin)
+            mean[:, 0], mean[:, 1] = cos.sum(axis=1), sin.sum(axis=1)
+            mean *= a / window
+            # sum of sin^2 is window - sum of cos^2
+            gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1] = cc, cs, window - cc
+            gram[:, 1, 0] = cs
+            gram *= a * a
+            gram -= window * mean[:, :, None] * mean[:, None, :]
+            return mean, gram
+        col = 0 if self.kind == LAW_X else 1
+        if self.shape == SHAPE_FIXED:
+            total = a * (2.0 * rng.binomial(window, 0.5, n) - window)
+            mean[:, col] = total / window
+            gram[:, col, col] = window * a * a - total * total / window
+        else:
+            mean[:, col] = rng.normal(0.0, a / math.sqrt(window), n)
+            gram[:, col, col] = a * a * rng.chisquare(window - 1, n)
+        return mean, gram
+
     def branch_components(self, phase_bins: int = 24):
         """Finite decomposition ``(weight, dx, dp, (extra_var_x, extra_var_p))``.
 

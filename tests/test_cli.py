@@ -222,6 +222,24 @@ def test_main_reports_bad_config_as_usage_error(tmp_path, capsys, doc, message):
     assert message in capsys.readouterr().err
 
 
+def test_main_reports_mc_sweep_without_sweep_as_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "mc-sweep", "--out", tmp_path / "out"])
+    assert exc.value.code == 2
+    assert "mc-sweep requires a sweep section" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_main_reports_witness_sweep_over_gamma_as_usage_error(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"sweep": {"parameter": "gamma", "values": [0.1, 0.5]}}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "witness", "--config", config, "--out", tmp_path / "out"])
+    assert exc.value.code == 2
+    assert "the witness experiment sweeps r only" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_rejects_unknown_experiment(tmp_path):
     with pytest.raises(SystemExit):
         run_cli(["run", "tableX", "--out", tmp_path])

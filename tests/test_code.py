@@ -1,6 +1,7 @@
 """End-to-end pipeline: encoding, syndromes, classification, feedforward."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -540,6 +541,83 @@ def test_round_moments_match_stored_series(case):
     assert "".join("FT"[r.fourier_used] for r in reports) == reruns
     injected = np.array([[r.injected_dx, r.injected_dp] for r in reports])
     assert hashlib.sha256(injected.tobytes()).hexdigest() == draws
+
+
+# Equal-in-law cases: (code config, error config, window).  The general and
+# fixed-x magnitudes leave some fluctuation flags between never and always
+# raised; the gaussian one lets the error's chi-square spread dominate D2.
+_IN_LAW_CASES = {
+    "general-w512": (CodeConfig(r=R35), ErrorConfig(1.0, "uniform", ErrorLaw("general", 2.0)),
+                     512),
+    "gaussian-p-loss": (CodeConfig(r=R35, channel_loss=0.8),
+                        ErrorConfig(1.0, "uniform", ErrorLaw("p", 4.0, "gaussian")), 64),
+    "fixed-x-w30": (CodeConfig(r=R35), ErrorConfig(1.0, "uniform", ErrorLaw("x", 0.8)),
+                    qec.MIN_SYNDROME_WINDOW),
+    "no-error": (CodeConfig(r=R35), ErrorConfig(0.0, "uniform", ErrorLaw("general", 2.0)), 64),
+}
+_IN_LAW_ROUNDS = 10_000
+# 29 KS tests and 4 flag-rate tests per case, at family-wise level 1e-3.
+_IN_LAW_P_MIN = 1e-3 / (len(_IN_LAW_CASES) * 33)
+
+
+def _pass_statistics(maps, channels, law, window, seed, keep_series):
+    """_simulate_pass in chunks of 1000 rounds (bounded memory): the 29
+    continuous statistics (6 means, 21 scatter entries, cc13, cc34) and the
+    (n, 4) fluctuation flags."""
+    rng = np.random.default_rng(seed)
+    upper_row, upper_col = np.triu_indices(6)
+    columns, flags = [], []
+    for chunk in np.split(channels, len(channels) // 1000):
+        data, _ = qec._simulate_pass(maps, chunk, chunk > 0, law, window, rng, keep_series)
+        columns.append(np.column_stack([data.mean, data.scatter[:, upper_row, upper_col],
+                                        data.cc13, data.cc34]))
+        flags.append(data.flags)
+    return np.concatenate(columns), np.concatenate(flags)
+
+
+@pytest.mark.parametrize("case", sorted(_IN_LAW_CASES))
+def test_statistics_sampler_equals_series_sampler_in_law(case):
+    """The directly drawn round statistics and those reduced from sampled
+    series agree in law: two-sample KS on every mean, scatter entry and
+    cross-correlation, Fisher's exact test on every flag rate."""
+    from scipy.stats import fisher_exact, ks_2samp
+
+    cfg, ec, window = _IN_LAW_CASES[case]
+    channels = np.random.default_rng(11).integers(1, 6, _IN_LAW_ROUNDS)
+    if ec.gamma == 0.0:
+        channels[:] = 0
+    maps = qec.PipelineMaps(cfg, cfg.fourier_mode)
+    direct, direct_flags = _pass_statistics(maps, channels, ec.law, window, 21, False)
+    series, series_flags = _pass_statistics(maps, channels, ec.law, window, 22, True)
+    p_values = [ks_2samp(a, b, method="asymp").pvalue for a, b in zip(direct.T, series.T)]
+    n = _IN_LAW_ROUNDS
+    for a, b in zip(direct_flags.sum(axis=0), series_flags.sum(axis=0)):
+        p_values.append(fisher_exact([[a, n - a], [b, n - b]]).pvalue)
+    assert len(p_values) == 33
+    worst = int(np.argmin(p_values))
+    assert p_values[worst] > _IN_LAW_P_MIN, f"statistic {worst}: p = {p_values[worst]:.3g}"
+
+
+@pytest.mark.parametrize("cfg,law,expect", [
+    (CodeConfig(r=R35, channel_loss=0.0), ErrorLaw("general", STRONG), "no-error"),
+    (CodeConfig(r=8.0), ErrorLaw("general", STRONG), "matched"),
+    (CodeConfig(r=0.0), ErrorLaw("general", 5.0), "matched"),
+    (CodeConfig(r=R35), ErrorLaw("general", 0.0), "no-error"),
+], ids=["total-loss", "r8", "r0", "magnitude0"])
+def test_samplers_at_the_extremes(cfg, law, expect):
+    """Total loss, extreme and zero squeezing and a zero error: both samplers
+    give finite fidelities without a numpy warning, and the same certain
+    classification."""
+    ec = ErrorConfig(1.0, "uniform", law)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = [run_rounds(cfg, ec, np.random.default_rng(3), 200, window=64,
+                               store_traces=traces) for traces in (False, True)]
+    for outcome in outcomes:
+        assert np.isfinite(outcome.fidelity_mc).all()
+        assert np.isfinite(outcome.fidelity_theory).all()
+        want = np.zeros_like(outcome.channels) if expect == "no-error" else outcome.channels
+        np.testing.assert_array_equal(outcome.final_codes, want)
 
 
 def test_pooled_moments_match_pooled_series():

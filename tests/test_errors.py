@@ -1,6 +1,7 @@
 """Error laws, event sampling, and the non-Gaussian output mixtures."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,7 +181,11 @@ def test_merge_components_weights():
 
 
 def test_monte_carlo_matches_mixture_moments():
-    """Pooled round outputs converge to the corrected-mixture moments."""
+    """Pooled round outputs converge to the corrected-mixture moments.
+
+    Whether a round is hit is drawn once per round, so the pooled samples
+    are clustered: the reference is the mixture at the realized hit fraction,
+    and the standard errors add each branch's within-branch spread."""
     cfg = CodeConfig(r=R35)
     amp = 10 * math.sqrt(0.25 * math.exp(-2 * R35))
     ec = ErrorConfig(0.5, 3, ErrorLaw("x", amp))
@@ -197,9 +202,14 @@ def test_monte_carlo_matches_mixture_moments():
         s2 += (window - 1) * var + window * mean ** 2
     emp_mean = s1 / n
     emp_var = (s2 - n * emp_mean ** 2) / (n - 1)
-    mean, cov = mixture_output(ec, cfg, 3).moments()
+    hit = int(np.count_nonzero(outcome.channels))
+    mean, cov = mixture_output(replace(ec, gamma=hit / rounds), cfg, 3).moments()
+    # samples and covariance of the no-error and the error branch
+    branches = [(window * (rounds - hit), mixture_output(replace(ec, gamma=0.0), cfg, 3)),
+                (window * hit, mixture_output(replace(ec, gamma=1.0), cfg, 3))]
+    branches = [(n_b, branch.moments()[1]) for n_b, branch in branches]
     for k in (0, 1):
-        se_mean = math.sqrt(cov[k, k] / n)
-        se_var = cov[k, k] * math.sqrt(2.0 / (n - 1))
+        se_mean = math.sqrt(sum(n_b * c[k, k] for n_b, c in branches)) / n
+        se_var = math.sqrt(2.0 * sum(n_b * c[k, k] ** 2 for n_b, c in branches)) / n
         assert abs(emp_mean[k] - mean[k]) < 5 * se_mean
         assert abs(emp_var[k] - cov[k, k]) < 5 * se_var
