@@ -5,9 +5,9 @@ network fed with four squeezed ancillas.  A stochastic displacement on any
 single channel is located from the homodyne syndrome pattern and removed by
 feedforward; two of the five channels never carry the input, so their errors
 need no correction at all.  The package provides an exact symbolic route for
-every algebraic identity, a Gaussian-moment route for closed-form statistics,
-and a seeded Monte-Carlo engine, plus a CLI that regenerates the headline
-tables.
+every algebraic identity, one numeric model (the linear maps of
+``code.PipelineMaps``) for closed-form statistics, and a seeded batched
+Monte-Carlo engine, plus a CLI that regenerates the headline tables.
 """
 
 from .exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol,
@@ -22,17 +22,15 @@ from .network import (BeamSplitterElement, ENCODER_SPEC, ModeMatrix,
                       NetworkSpec, SwapElement, compose, element_matrix,
                       encoder_matrix, inverse, lift_to_symplectic)
 from .errors import (ErrorConfig, ErrorEvent, ErrorLaw, MixtureState,
-                     merge_components, mixture_moments, mixture_output,
-                     sample_error, series_for_event)
+                     merge_components, mixture_output)
 from .code import (AMBIGUOUS_P, CHANNEL, ClassificationResult, CodeConfig,
-                   CorrectedOutput, CorrectionPlan, CorrectionUnavailable,
-                   DecodedState, EncodedState, NO_ERROR, OutputStats,
+                   CorrectionPlan, CorrectionUnavailable, DecodedState,
+                   EncodedState, NO_ERROR, OutputStats,
                    RoundReport, RoundsOutcome, RoundsSummary, SyndromeRecord,
                    UNCLASSIFIABLE, apply_correction, classify,
                    closed_form_output, correction_plan, decode,
-                   derive_correction_plan, encode, inject_error,
-                   measure_syndrome, run_round, run_rounds, summarize_reports,
-                   syndrome_closed_form, syndrome_trace)
+                   derive_correction_plan, encode, inject_error, run_rounds,
+                   summarize_reports, syndrome_closed_form, syndrome_trace)
 from .witness import (WitnessResult, combination_value, evaluate_witness,
                       optimize_gains)
 

@@ -68,7 +68,7 @@ def criterion_2_immunity() -> str:
     return "exact zero coefficients on both protected channels"
 
 
-def _decoded_error_coefficients() -> dict[int, dict[int, ExactScalar]]:
+def _decoded_error_table() -> dict[int, dict[int, ExactScalar]]:
     """Exact error coefficient of each decoded position, per hit channel."""
     cfg = CodeConfig(r=0.0)
     table = {}
@@ -96,7 +96,7 @@ def criterion_3_decode_identities() -> str:
         5: {0: ExactScalar(), 1: -sqrt_of(Fraction(1, 24)), 2: ExactScalar(0, Fraction(1, 4)),
             3: sqrt_of(Fraction(1, 3)), 4: inv_sqrt2},
     }
-    table = _decoded_error_coefficients()
+    table = _decoded_error_table()
     for ch, expected in s.items():
         for pos, coeff in expected.items():
             assert table[ch][pos] == coeff, \

@@ -27,7 +27,7 @@ import numpy as np
 from . import code as qec
 from .code import (CodeConfig, RoundsOutcome, closed_form_output,
                    coherent_ancilla_config, pooled_moments, run_rounds)
-from .errors import ErrorConfig, ErrorLaw
+from .errors import ErrorConfig, ErrorLaw, MixtureState
 from .gaussian import db_to_r, fidelity_from_moments, variance_to_db
 from .witness import evaluate_witness
 
@@ -129,8 +129,10 @@ def _parse_code(doc: dict) -> tuple[CodeConfig, float]:
     else:
         raise ValueError(f"unknown input spec {inp!r}")
     loss = doc.get("channel_loss")
-    cfg = CodeConfig(r=r if isinstance(r, list) else float(r),
-                     fourier_mode=bool(doc.get("fourier", False)),
+    fourier = doc.get("fourier", False)
+    if not isinstance(fourier, bool):
+        raise ValueError(f"code.fourier must be true or false, not {fourier!r}")
+    cfg = CodeConfig(r=r if isinstance(r, list) else float(r), fourier_mode=fourier,
                      channel_loss=loss, **kwargs)
     return cfg, squeezing_db
 
@@ -403,21 +405,14 @@ def _sweep_theory_fidelity(code: CodeConfig, error: ErrorConfig) -> float:
     branch and the corrected branches of the possible channels.
     """
     channels = range(1, 6) if error.channel == "uniform" else (error.channel,)
-    comps = []
-    if error.gamma < 1.0:
-        stats = closed_form_output(code, None)
-        comps.append((1.0 - error.gamma, stats.mean, stats.cov))
-    for ch in channels:
-        stats = closed_form_output(code, ch)
-        comps.append((error.gamma / len(tuple(channels)), stats.mean, stats.cov))
-    w = np.array([c[0] for c in comps])
-    mu = np.array([c[1] for c in comps])
-    cov = np.array([c[2] for c in comps])
-    mean = w @ mu
-    second = np.einsum("k,kij->ij", w, cov) + np.einsum("k,ki,kj->ij", w, mu, mu)
-    total_cov = second - np.outer(mean, mean)
+    branches = [(1.0 - error.gamma, None)] if error.gamma < 1.0 else []
+    branches += [(error.gamma / len(channels), ch) for ch in channels]
+    stats = [closed_form_output(code, ch) for _, ch in branches]
+    mixture = MixtureState(tuple(w for w, _ in branches),
+                           tuple(tuple(s.mean) for s in stats),
+                           tuple(tuple(map(tuple, s.cov)) for s in stats))
     inp = code.input_state()
-    return fidelity_from_moments(inp.mean, inp.cov, mean, total_cov)
+    return fidelity_from_moments(inp.mean, inp.cov, *mixture.moments())
 
 
 def run_mc_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
@@ -455,15 +450,28 @@ _RUNNERS = {
 }
 
 
+_WINDOWED = ("table2", "spectra", "mc-sweep", "syndrome-demo")
+
+
 def check_experiment(name: str, cfg: ExperimentConfig) -> None:
     """Raises ValueError if the experiment is unknown or cannot run with the
-    config's sweep section."""
+    config: a negative seed, a window below the syndrome floor, a missing or
+    unsuitable sweep section, or a sweep value that makes an invalid config."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown experiment {name!r}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be non-negative, not {cfg.seed}")
+    if name in _WINDOWED and cfg.window < qec.MIN_SYNDROME_WINDOW:
+        raise ValueError(f"window must be at least {qec.MIN_SYNDROME_WINDOW}")
     if name == "mc-sweep" and cfg.sweep_parameter is None:
         raise ValueError("mc-sweep requires a sweep section in the config")
     if name == "witness" and cfg.sweep_parameter not in (None, "r"):
         raise ValueError("the witness experiment sweeps r only")
+    for value in cfg.sweep_values:
+        try:
+            _sweep_apply(cfg, value)
+        except ValueError as exc:
+            raise ValueError(f"sweep {cfg.sweep_parameter} = {value}: {exc}") from None
 
 
 def run_experiment(name: str, cfg: ExperimentConfig, out_dir: str | Path) -> dict:

@@ -3,9 +3,11 @@
 Encode an input mode with four squeezed ancillas, inject a stochastic
 displacement on one channel, decode with the inverse network, recognize the
 error location from the homodyne syndrome pattern, and repair the output by
-feedforward.  Both a symbolic route (exact quadrature forms) and a numeric
-route (Gaussian moments and Monte-Carlo sampling) are provided; they agree in
-the lossless case and the numeric route additionally models channel loss.
+feedforward.  The exact quadrature forms (``encode``/``inject_error``/
+``decode``) verify the algebra and the feedforward gains; ``PipelineMaps``,
+the linear maps of one encode/loss/decode pass, is the only numeric model.
+It gives the closed-form moments and drives the batched Monte-Carlo rounds,
+and it additionally models channel loss.
 
 Detector/mode layout after decoding (positions 0..4): D1, D2, D3, output, D4.
 In the standard configuration D1/D3/D4 read x and D2 reads p; running with
@@ -23,12 +25,11 @@ from fractions import Fraction
 import numpy as np
 
 from . import gaussian
-from .errors import ErrorConfig, ErrorEvent, ErrorLaw, series_for_event
+from .errors import ErrorConfig, ErrorEvent, ErrorLaw
 from .exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol, SQRT2,
-                    TAG_ANTISQUEEZED, TAG_SQUEEZED, form_covariance,
-                    form_variance, mode_forms_apply_matrix, sqrt_of)
-from .gaussian import (GaussianState, VACUUM_VAR, fidelity_from_moments, join)
-from .gaussian import apply as apply_symplectic
+                    TAG_ANTISQUEEZED, TAG_SQUEEZED, form_variance,
+                    mode_forms_apply_matrix, sqrt_of)
+from .gaussian import GaussianState, VACUUM_VAR, fidelity_from_moments
 from .network import encoder_matrix, inverse, lift_to_symplectic
 
 INPUT_POS = 3
@@ -131,7 +132,7 @@ def coherent_ancilla_config(cfg: CodeConfig) -> CodeConfig:
 
 
 # --------------------------------------------------------------------------
-# symbolic and numeric encoding
+# exact encoding and decoding
 
 
 def source_mode_forms(cfg: CodeConfig) -> list[ModeForm]:
@@ -161,74 +162,41 @@ def error_mode_form(channel: int) -> ModeForm:
                     LinearForm.of(QuadSymbol.error(channel, "p")))
 
 
-def _source_states(cfg: CodeConfig) -> GaussianState:
-    states = []
-    anc = 0
-    for pos in range(5):
-        if pos == INPUT_POS:
-            states.append(cfg.input_state())
-            continue
-        anc += 1
-        states.append(gaussian.squeezed_vacuum(cfg.r_values[anc - 1],
-                                               ANCILLA_ORIENTATIONS[anc - 1]))
-    return join(states)
-
-
-def _fourier_flags(cfg: CodeConfig):
-    if not cfg.fourier_mode:
-        return None
-    return [pos != INPUT_POS for pos in range(5)]
-
-
 @dataclass(frozen=True)
 class EncodedState:
-    """The five channel modes, symbolically and numerically."""
+    """The exact quadrature forms of the five channel modes."""
 
     forms: tuple[ModeForm, ...]
-    numeric: GaussianState
     cfg: CodeConfig
     events: tuple[ErrorEvent, ...] = ()
 
 
 def encode(cfg: CodeConfig) -> EncodedState:
     """Runs the encoder on the input and ancilla modes."""
-    u = encoder_matrix()
-    forms = tuple(mode_forms_apply_matrix(source_mode_forms(cfg), u.rows))
-    op = lift_to_symplectic(u, _fourier_flags(cfg))
-    numeric = apply_symplectic(op, _source_states(cfg))
-    return EncodedState(forms, numeric, cfg)
+    forms = mode_forms_apply_matrix(source_mode_forms(cfg), encoder_matrix().rows)
+    return EncodedState(tuple(forms), cfg)
 
 
 def inject_error(state: EncodedState, event: ErrorEvent) -> EncodedState:
-    """Adds a displacement error to one channel (symbol + numeric mean shift)."""
-    if not event.occurred:
-        return replace(state, events=state.events + (event,))
-    ch = event.channel
+    """Adds the error symbols of one channel's displacement to its mode."""
     forms = list(state.forms)
-    forms[ch - 1] = forms[ch - 1] + error_mode_form(ch)
-    mean = state.numeric.mean.copy()
-    mean[2 * (ch - 1)] += event.dx
-    mean[2 * (ch - 1) + 1] += event.dp
-    numeric = GaussianState(5, mean, state.numeric.cov, validate=False)
-    return EncodedState(tuple(forms), numeric, state.cfg,
-                        state.events + (event,))
+    if event.occurred:
+        forms[event.channel - 1] = forms[event.channel - 1] + error_mode_form(event.channel)
+    return EncodedState(tuple(forms), state.cfg, state.events + (event,))
 
 
 @dataclass(frozen=True)
 class DecodedState:
-    """Modes after the inverse network: (D1, D2, D3, output, D4)."""
+    """Exact forms of the modes after the inverse network: (D1, D2, D3,
+    output, D4)."""
 
     forms: tuple[ModeForm, ...]
-    numeric: GaussianState
     cfg: CodeConfig
     events: tuple[ErrorEvent, ...] = ()
 
     @property
     def out_form(self) -> ModeForm:
         return self.forms[OUT_POS]
-
-    def syndrome_forms(self) -> dict[str, ModeForm]:
-        return {det: self.forms[DETECTOR_POS[det]] for det in DETECTORS}
 
     def readout_form(self, detector: str) -> LinearForm:
         """The quadrature form actually measured by one detector."""
@@ -237,20 +205,13 @@ class DecodedState:
 
 
 def decode(state: EncodedState) -> DecodedState:
-    """Applies per-channel loss (numeric only) and the inverse network.
+    """Applies the inverse network to the exact forms.
 
-    The symbolic forms always describe the lossless algebra; channel loss is
-    a numeric-route feature.
+    The forms describe the lossless algebra; channel loss is modelled by
+    ``PipelineMaps`` only.
     """
-    u = encoder_matrix()
-    u_inv = inverse(u)
-    forms = tuple(mode_forms_apply_matrix(state.forms, u_inv.rows))
-    numeric = state.numeric
-    for idx, eta in enumerate(state.cfg.loss_values):
-        if eta < 1.0:
-            numeric = gaussian.loss_channel(numeric, idx, eta)
-    numeric = apply_symplectic(lift_to_symplectic(u_inv), numeric)
-    return DecodedState(forms, numeric, state.cfg, state.events)
+    forms = mode_forms_apply_matrix(state.forms, inverse(encoder_matrix()).rows)
+    return DecodedState(tuple(forms), state.cfg, state.events)
 
 
 # --------------------------------------------------------------------------
@@ -263,7 +224,7 @@ NO_RELATION = "n/a"
 
 @dataclass(frozen=True)
 class SyndromeRecord:
-    """Detector readouts (or their variances), fluctuation flags and phase relations."""
+    """Detector variances, fluctuation flags and phase relations."""
 
     mode: str                                  # "standard" | "fourier"
     variances: dict[str, float]
@@ -271,78 +232,10 @@ class SyndromeRecord:
     flags: dict[str, bool]
     relation_13: str
     relation_34: str
-    window: int
-    readouts: dict[str, np.ndarray] | None = None   # per-detector series
-    out_series: np.ndarray | None = None            # (window, 2) output samples
-    closed_form: bool = False
 
 
 def _relation_from_sign(value: float) -> str:
     return IN_PHASE if value > 0 else OUT_OF_PHASE
-
-
-def _error_coefficient(channel: int, position: int) -> float:
-    """Float coefficient of the channel's error operator in a decoded position."""
-    return float(encoder_matrix().entry(channel - 1, position))
-
-
-def _decoded_noise_series(decoded: DecodedState, window: int,
-                          rng: np.random.Generator,
-                          channel_series) -> np.ndarray:
-    """Samples (window, 10) decoded quadratures: quantum noise + error series."""
-    noise = rng.multivariate_normal(np.zeros(10), decoded.numeric.cov, size=window)
-    for channel, series in channel_series:
-        scale = math.sqrt(decoded.cfg.loss_values[channel - 1])
-        for pos in range(5):
-            coeff = scale * _error_coefficient(channel, pos)
-            if coeff:
-                noise[:, 2 * pos] += coeff * series[:, 0]
-                noise[:, 2 * pos + 1] += coeff * series[:, 1]
-    return noise
-
-
-def _record_from_noise(decoded: DecodedState, noise: np.ndarray,
-                       window: int) -> SyndromeRecord:
-    readouts, variances, baselines, flags = {}, {}, {}, {}
-    for det in DETECTORS:
-        idx = readout_index(det, decoded.cfg.fourier_mode)
-        readouts[det] = noise[:, idx]
-        variances[det] = float(np.var(noise[:, idx], ddof=1))
-        baselines[det] = float(decoded.numeric.cov[idx, idx])
-        flags[det] = variances[det] > (1.0 + FLUCTUATION_FACTOR) * baselines[det]
-    relation_13 = relation_34 = NO_RELATION
-    if flags["D1"] and flags["D3"]:
-        c = np.mean((readouts["D1"] - readouts["D1"].mean())
-                    * (readouts["D3"] - readouts["D3"].mean()))
-        relation_13 = _relation_from_sign(float(c))
-    if flags["D3"] and flags["D4"]:
-        c = np.mean((readouts["D3"] - readouts["D3"].mean())
-                    * (readouts["D4"] - readouts["D4"].mean()))
-        relation_34 = _relation_from_sign(float(c))
-    return SyndromeRecord(
-        mode="fourier" if decoded.cfg.fourier_mode else "standard",
-        variances=variances, baselines=baselines, flags=flags,
-        relation_13=relation_13, relation_34=relation_34, window=window,
-        readouts=readouts, out_series=noise[:, 2 * OUT_POS:2 * OUT_POS + 2],
-        closed_form=False)
-
-
-def measure_syndrome(decoded: DecodedState, window: int,
-                     rng: np.random.Generator) -> SyndromeRecord:
-    """Simulates one syndrome window and flags detectors with excess variance.
-
-    Every sample draws fresh quantum noise from the decoded covariance; an
-    error event with a displacement law is re-drawn per sample, reproducing the
-    quasi-random modulation that makes the error visible as fluctuation rather
-    than as a DC offset.  An event without a law is held constant, so it shifts
-    detector means but raises no fluctuation flag.
-    """
-    if window < MIN_SYNDROME_WINDOW:
-        raise ValueError(f"syndrome window must be at least {MIN_SYNDROME_WINDOW}")
-    channel_series = [(ev.channel, series_for_event(ev, window, rng))
-                      for ev in decoded.events if ev.occurred]
-    noise = _decoded_noise_series(decoded, window, rng, channel_series)
-    return _record_from_noise(decoded, noise, window)
 
 
 def syndrome_closed_form(decoded: DecodedState) -> SyndromeRecord:
@@ -350,7 +243,8 @@ def syndrome_closed_form(decoded: DecodedState) -> SyndromeRecord:
 
     A detector is flagged iff its measured quadrature carries a non-zero exact
     coefficient on an active error quadrature; phase relations come from the
-    signs of the exact coefficients.
+    signs of the exact coefficients.  An event without a law is a constant
+    displacement: it shifts readout means, adds no variance and raises no flag.
     """
     fourier = decoded.cfg.fourier_mode
     variances, baselines, flags = {}, {}, {}
@@ -363,17 +257,12 @@ def syndrome_closed_form(decoded: DecodedState) -> SyndromeRecord:
         base = form_variance(form.drop_errors(), r, input_var)
         excess = 0.0
         for event in decoded.events:
-            if not event.occurred:
+            if not event.occurred or event.law is None:
                 continue
-            law = event.law
-            active = (law.active_quadratures() if law is not None
-                      else tuple(q for q, v in zip("xp", (event.dx, event.dp)) if v))
-            coeff = decoded.readout_form(det).coefficient(
-                QuadSymbol.error(event.channel, quad))
-            if quad in active and not coeff.is_zero():
+            coeff = form.coefficient(QuadSymbol.error(event.channel, quad))
+            if quad in event.law.active_quadratures() and not coeff.is_zero():
                 coeffs[det] = float(coeff)
-                var = (law.quadrature_variances() if law is not None
-                       else (event.dx ** 2, event.dp ** 2))
+                var = event.law.quadrature_variances()
                 excess += float(coeff) ** 2 * var[0 if quad == "x" else 1]
         baselines[det] = base
         variances[det] = base + excess
@@ -386,8 +275,7 @@ def syndrome_closed_form(decoded: DecodedState) -> SyndromeRecord:
     return SyndromeRecord(
         mode="fourier" if fourier else "standard",
         variances=variances, baselines=baselines, flags=flags,
-        relation_13=relation_13, relation_34=relation_34,
-        window=0, closed_form=True)
+        relation_13=relation_13, relation_34=relation_34)
 
 
 NO_ERROR = "no-error"
@@ -400,9 +288,6 @@ UNCLASSIFIABLE = "unclassifiable"
 class ClassificationResult:
     kind: str
     channel: int | None = None
-
-    def is_definite(self) -> bool:
-        return self.kind in (NO_ERROR, CHANNEL)
 
     def __str__(self) -> str:
         return f"channel-{self.channel}" if self.kind == CHANNEL else self.kind
@@ -419,7 +304,6 @@ _CODE_TO_RESULT = {
     _CODE_UNCLASSIFIABLE: ClassificationResult(UNCLASSIFIABLE),
     **{k: ClassificationResult(CHANNEL, k) for k in range(1, 6)},
 }
-_RESULT_TO_CODE = {result: code for code, result in _CODE_TO_RESULT.items()}
 
 # Sign standing for a phase relation; NaN compares false either way, so a
 # flagged pair without a relation is unclassifiable.
@@ -522,11 +406,6 @@ def plan_matrix(plan: CorrectionPlan) -> np.ndarray:
     return rows
 
 
-def _decoded_plan_rows(plan: CorrectionPlan, fourier: bool) -> np.ndarray:
-    """plan_matrix acting on all ten decoded quadratures."""
-    return plan_matrix(plan) @ np.eye(10)[readout_rows(fourier)]
-
-
 def derive_correction_plan(channel: int, fourier: bool = False) -> CorrectionPlan:
     """Derives the feedforward plan symbolically by requiring exact cancellation.
 
@@ -564,31 +443,9 @@ def derive_correction_plan(channel: int, fourier: bool = False) -> CorrectionPla
 # applying the correction
 
 
-@dataclass(frozen=True)
-class CorrectedOutput:
-    """The repaired output mode: exact form, Gaussian moments, optional samples."""
-
-    form: ModeForm
-    state: GaussianState
-    series: np.ndarray | None = None
-
-    def empirical_moments(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.series is None:
-            raise ValueError("no sample series attached")
-        mean = self.series.mean(axis=0)
-        cov = np.cov(self.series.T, ddof=1)
-        return mean, cov
-
-
-def apply_correction(decoded: DecodedState, plan: CorrectionPlan,
-                     rec: SyndromeRecord | None = None) -> CorrectedOutput:
-    """Adds the gained readouts to the output mode.
-
-    Returns the corrected output in all live representations: the exact
-    quadrature forms (error symbols cancel for a correct plan), the Gaussian
-    moments, and, when a sampled syndrome record is supplied, the corrected
-    sample series.
-    """
+def apply_correction(decoded: DecodedState, plan: CorrectionPlan) -> ModeForm:
+    """The exact forms of the output mode with the gained readouts added;
+    the error symbols cancel for a correct plan."""
     x_form, p_form = decoded.out_form.x, decoded.out_form.p
     if plan.x_ff is not None:
         det, gain = plan.x_ff
@@ -596,15 +453,7 @@ def apply_correction(decoded: DecodedState, plan: CorrectionPlan,
     if plan.p_ff is not None:
         det, gain = plan.p_ff
         p_form = p_form + decoded.readout_form(det).scaled(gain)
-    rows = _decoded_plan_rows(plan, decoded.cfg.fourier_mode)
-    mean = rows @ decoded.numeric.mean
-    cov = rows @ decoded.numeric.cov @ rows.T
-    state = GaussianState(1, mean, cov, validate=False)
-    series = None
-    if rec is not None and rec.readouts is not None:
-        readouts = np.column_stack([rec.readouts[d] for d in DETECTORS] + [rec.out_series])
-        series = readouts @ plan_matrix(plan).T
-    return CorrectedOutput(ModeForm(x_form, p_form), state, series)
+    return ModeForm(x_form, p_form)
 
 
 # --------------------------------------------------------------------------
@@ -631,8 +480,8 @@ class PipelineMaps:
     are the independent source quadratures, e the per-channel displacement and
     v the loss vacua.  On the readouts (D1..D4, out_x, out_p) the noise is
     ``mix`` times 10 standard normals (plus ``vac`` times 10 more with loss).
-    ``readout_factor`` F gives its 6x6 covariance as F F^T (from ``eigh``, so
-    a singular covariance is safe), and ``baselines`` is that diagonal.
+    ``baselines`` is the diagonal of its 6x6 covariance, and
+    ``readout_factor`` F, made on first use, gives the covariance as F F^T.
     """
 
     def __init__(self, cfg: CodeConfig, fourier: bool):
@@ -662,15 +511,20 @@ class PipelineMaps:
         self.has_loss = cfg.has_loss
         rows = readout_rows(fourier)
         self.err_readout = self.A_err[rows]
-        self.mix = (self.A_src * sigma)[rows]
-        cov = self.mix @ self.mix.T
+        self.mix = self._noise = (self.A_src * sigma)[rows]
         self.vac = None
         if self.has_loss:
             self.vac = self.A_vac[rows] * math.sqrt(VACUUM_VAR)
-            cov += self.vac @ self.vac.T
-        lam, vec = np.linalg.eigh(cov)
-        self.readout_factor = vec * np.sqrt(np.clip(lam, 0.0, None))
-        self.baselines = np.diagonal(cov).copy()
+            self._noise = np.hstack([self.mix, self.vac])
+        self.baselines = np.einsum("ij,ij->i", self._noise, self._noise)
+
+    @cached_property
+    def readout_factor(self) -> np.ndarray:
+        """The transposed R of a QR factorization of the stacked noise maps.
+        The covariance, whose quiet readouts lie below the rounding error of
+        its loud ones under extreme squeezing, is never formed, and a
+        singular covariance is safe."""
+        return np.linalg.qr(self._noise.T, mode="r").T
 
     def decoded_cov(self) -> np.ndarray:
         cov = (self.A_src * self.sigma_src ** 2) @ self.A_src.T
@@ -721,7 +575,7 @@ def closed_form_output(cfg: CodeConfig, channel: int | None, corrected: bool = T
         plan = CorrectionPlan(fourier=fourier)
     else:
         plan = correction_plan(ClassificationResult(CHANNEL, channel), fourier)
-    rows = _decoded_plan_rows(plan, fourier)
+    rows = plan_matrix(plan) @ np.eye(10)[readout_rows(fourier)]
     cov = rows @ maps.decoded_cov() @ rows.T
     mean = np.zeros(2)
     if channel is not None:
@@ -807,56 +661,6 @@ def _theory_stats(cfg: CodeConfig, code: int, fourier: bool, channel: int,
                               extra_error_var=extra, fourier=fourier)
 
 
-def run_round(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator,
-              window: int = 512) -> RoundReport:
-    """One full correction round through the composed pipeline operations.
-
-    Encode, sample and inject the error, decode, measure the syndrome window,
-    classify, and repair the output.  When the first pass is ambiguous (a
-    pure-p displacement), the round is repeated once with rotated ancillas and
-    swapped measurement bases; a second ambiguity is unclassifiable.
-    """
-    from .errors import sample_error
-
-    event = sample_error(error_cfg, rng)
-    decoded = decode(inject_error(encode(cfg), event))
-    rec = measure_syndrome(decoded, window, rng)
-    first = classify(rec)
-    final, fourier_used = first, False
-    used_decoded, used_rec = decoded, rec
-    if first.kind == AMBIGUOUS_P:
-        fourier_used = True
-        alt_cfg = replace(cfg, fourier_mode=not cfg.fourier_mode)
-        alt_decoded = decode(inject_error(encode(alt_cfg), event))
-        alt_rec = measure_syndrome(alt_decoded, window, rng)
-        second = classify(alt_rec)
-        final = (second if second.kind != AMBIGUOUS_P
-                 else ClassificationResult(UNCLASSIFIABLE))
-        if second.is_definite():
-            used_decoded, used_rec = alt_decoded, alt_rec
-    mode_fourier = used_decoded.cfg.fourier_mode
-    out = apply_correction(used_decoded, _plan_or_zero(final, mode_fourier), used_rec)
-    emp_mean, emp_cov = out.empirical_moments()
-    inp = cfg.input_state()
-    fid_mc = fidelity_from_moments(inp.mean, inp.cov, emp_mean, emp_cov)
-    theory = _theory_stats(cfg, _RESULT_TO_CODE[final], mode_fourier,
-                           event.channel if event.occurred else 0, error_cfg.law)
-    matched = (final.kind == CHANNEL and final.channel == event.channel
-               if event.occurred else final.kind == NO_ERROR)
-    traces = dict(rec.readouts)
-    traces["corrected"] = out.series
-    return RoundReport(
-        injected_channel=event.channel if event.occurred else None,
-        injected_dx=event.dx, injected_dp=event.dp,
-        first_classification=first, final_classification=final,
-        fourier_used=fourier_used, matched=matched,
-        corrected_mean=tuple(emp_mean), corrected_var=(emp_cov[0, 0], emp_cov[1, 1]),
-        corrected_cov_xp=float(emp_cov[0, 1]),
-        fidelity_mc=fid_mc, fidelity_theory=theory.fidelity,
-        flags=dict(rec.flags), relations=(rec.relation_13, rec.relation_34),
-        traces=traces)
-
-
 class _PassData:
     """The syndrome of one batched pass, reduced from every round's readout
     mean 6-vector and centred 6x6 scatter of (D1..D4, out_x, out_p)."""
@@ -879,20 +683,38 @@ def _error_columns(maps: PipelineMaps, channels: np.ndarray) -> np.ndarray:
     return maps.err_readout[:, np.stack([cols, cols + 1], axis=1)].transpose(1, 0, 2)
 
 
-def _sample_series(maps: PipelineMaps, channels: np.ndarray, occurred: np.ndarray,
-                   law: ErrorLaw, window: int, rng: np.random.Generator) -> np.ndarray:
-    """(n, window, 6) readout series: ten normals per sample (twenty with
-    loss) through the network, plus each hit round's error series."""
-    n = len(channels)
+def _readout_noise(maps: PipelineMaps, n: int, window: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """(n, window, 6) readout noise series: ten normals per sample (twenty
+    with loss) through the network."""
     series = rng.standard_normal((n, window, 10)) @ maps.mix.T
     if maps.has_loss:
         series += rng.standard_normal((n, window, 10)) @ maps.vac.T
+    return series
+
+
+def _error_series(maps: PipelineMaps, channels: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """(n, window, 6) readout series of each round's (window, 2) displacements."""
+    coeff = _error_columns(maps, channels)
+    return draws[:, :, :1] * coeff[:, None, :, 0] + draws[:, :, 1:] * coeff[:, None, :, 1]
+
+
+def _reduce_series(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every round's readout mean and centred scatter of (n, window, 6) series."""
+    mean = series.mean(axis=1)
+    centred = series - mean[:, None, :]
+    return mean, centred.transpose(0, 2, 1) @ centred
+
+
+def _sample_series(maps: PipelineMaps, channels: np.ndarray, occurred: np.ndarray,
+                   law: ErrorLaw, window: int, rng: np.random.Generator) -> np.ndarray:
+    """(n, window, 6) readout series: the noise plus each hit round's error
+    series drawn from the law."""
+    series = _readout_noise(maps, len(channels), window, rng)
     idx = np.flatnonzero(occurred)
     if len(idx):
         draws = law.draw(rng, len(idx) * window).reshape(len(idx), window, 2)
-        coeff = _error_columns(maps, channels[idx])
-        series[idx] += (draws[:, :, :1] * coeff[:, None, :, 0]
-                        + draws[:, :, 1:] * coeff[:, None, :, 1])
+        series[idx] += _error_series(maps, channels[idx], draws)
     return series
 
 
@@ -944,9 +766,7 @@ def _simulate_pass(maps: PipelineMaps, channels: np.ndarray, occurred: np.ndarra
     series = None
     if keep_series:
         series = _sample_series(maps, channels, occurred, law, window, rng)
-        mean = series.mean(axis=1)
-        centred = series - mean[:, None, :]
-        scatter = centred.transpose(0, 2, 1) @ centred
+        mean, scatter = _reduce_series(series)
     else:
         mean, scatter = _sample_statistics(maps, channels, occurred, law, window, rng)
     return _PassData(mean, scatter, window, maps.baselines), series
@@ -1093,11 +913,13 @@ def _plan_table() -> np.ndarray:
 def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator,
                n_rounds: int, window: int = 512,
                store_traces: bool = False) -> RoundsOutcome:
-    """Batched correction rounds (vectorized twin of run_round).
+    """Batched correction rounds.
 
-    Each pass yields every round's readout mean and centred scatter, and
-    classification, feedforward, corrected moments and fidelities are array
-    operations on those statistics.  By default the statistics are drawn
+    Every round draws its error, measures the syndrome window, is classified
+    and has its output repaired by feedforward.  Each pass yields every
+    round's readout mean and centred scatter, and classification,
+    feedforward, corrected moments and fidelities are array operations on
+    those statistics.  By default the statistics are drawn
     directly from their joint law (a Wishart scatter; see
     ``_sample_statistics``), at a cost that does not grow with the window
     beyond the error law's own draws.  ``store_traces=True`` instead samples
@@ -1178,21 +1000,19 @@ def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,
     """One oscilloscope-style trace with a slowly swept error phase.
 
     Returns the per-detector readout series (plus the uncorrected output
-    quadratures) and the classification of the trace.
+    quadratures) and the classification of the trace.  The readout noise and
+    the syndrome come from the batched round engine's series route.
     """
     if window < MIN_SYNDROME_WINDOW:
         raise ValueError(f"syndrome window must be at least {MIN_SYNDROME_WINDOW}")
-    decoded = decode(encode(cfg))
-    channel_series = []
+    maps = PipelineMaps(cfg, cfg.fourier_mode)
+    series = _readout_noise(maps, 1, window, rng)
     if channel is not None and magnitude > 0:
         phase = (2.0 * math.pi * cycles * np.arange(window) / window
                  + rng.uniform(0.0, 2.0 * math.pi))
-        sweep = np.column_stack([magnitude * np.cos(phase),
-                                 magnitude * np.sin(phase)])
-        channel_series.append((channel, sweep))
-    noise = _decoded_noise_series(decoded, window, rng, channel_series)
-    rec = _record_from_noise(decoded, noise, window)
-    traces = {det: rec.readouts[det] for det in DETECTORS}
-    traces["out_x"] = noise[:, 2 * OUT_POS]
-    traces["out_p"] = noise[:, 2 * OUT_POS + 1]
-    return traces, classify(rec)
+        sweep = magnitude * np.stack([np.cos(phase), np.sin(phase)], axis=1)
+        series += _error_series(maps, np.array([channel]), sweep[None])
+    syndrome = _PassData(*_reduce_series(series), window, maps.baselines)
+    code = _classify_codes(syndrome.flags, syndrome.cc13, syndrome.cc34)[0]
+    traces = dict(zip(DETECTORS + ("out_x", "out_p"), series[0].T))
+    return traces, _CODE_TO_RESULT[int(code)]

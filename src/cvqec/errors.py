@@ -53,9 +53,6 @@ class ErrorLaw:
             return a2, 0.0
         return 0.0, a2
 
-    def quadrature_means(self) -> tuple[float, float]:
-        return 0.0, 0.0
-
     def active_quadratures(self) -> tuple[str, ...]:
         if self.kind == LAW_GENERAL:
             return ("x", "p")
@@ -152,11 +149,14 @@ class ErrorConfig:
 
 @dataclass(frozen=True)
 class ErrorEvent:
-    """One sampled error: whether it occurred, where, and a representative draw.
+    """One error injected into the exact forms: whether it occurred, where,
+    and a representative displacement.
 
-    ``law`` preserves the generating distribution so that a syndrome window can
-    re-draw the modulated displacement sample by sample; an event without a law
-    behaves as a constant (DC) displacement.
+    ``law`` is the generating distribution, re-drawn sample by sample over a
+    syndrome window, so the error shows as excess fluctuation:
+    ``syndrome_closed_form`` flags the detectors that see the law's active
+    quadratures.  An event without a law is a constant (DC) displacement: it
+    shifts readout means and raises no flag.
     """
 
     occurred: bool
@@ -170,28 +170,6 @@ class ErrorEvent:
             raise ValueError("channel must be 1..5")
         if not self.occurred and (self.dx or self.dp):
             raise ValueError("a null event carries zero displacement")
-
-
-NULL_EVENT = ErrorEvent(occurred=False)
-
-
-def sample_error(cfg: ErrorConfig, rng: np.random.Generator) -> ErrorEvent:
-    """Draws one error event: Bernoulli(gamma), channel policy, one law sample."""
-    if rng.random() >= cfg.gamma:
-        return NULL_EVENT
-    channel = (int(rng.integers(1, 6)) if cfg.channel == "uniform"
-               else int(cfg.channel))
-    dx, dp = cfg.law.draw(rng, 1)[0]
-    return ErrorEvent(True, channel, float(dx), float(dp), cfg.law)
-
-
-def series_for_event(event: ErrorEvent, window: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-sample displacement series (window, 2) observed during one round."""
-    if not event.occurred:
-        return np.zeros((window, 2))
-    if event.law is None:
-        return np.tile([event.dx, event.dp], (window, 1))
-    return event.law.draw(rng, window)
 
 
 # --------------------------------------------------------------------------
@@ -257,10 +235,6 @@ def merge_components(weights, means, covs, tol: float = 1e-10) -> MixtureState:
         tuple(w / total for w, _, _ in kept),
         tuple(tuple(m) for _, m, _ in kept),
         tuple(tuple(map(tuple, c)) for _, _, c in kept))
-
-
-def mixture_moments(m: MixtureState) -> tuple[np.ndarray, np.ndarray]:
-    return m.moments()
 
 
 def mixture_output(error_cfg: ErrorConfig, code_cfg, error_channel: int,

@@ -421,14 +421,8 @@ class LinearForm:
     def drop_errors(self) -> "LinearForm":
         return self.restrict(lambda s: s.role != ROLE_ERROR)
 
-    def error_part(self) -> "LinearForm":
-        return self.restrict(lambda s: s.role == ROLE_ERROR)
-
     def has_errors(self) -> bool:
         return any(s.role == ROLE_ERROR for s in self._terms)
-
-    def float_coefficients(self) -> dict[QuadSymbol, float]:
-        return {sym: float(c) for sym, c in self._terms.items()}
 
     def __str__(self) -> str:
         if not self._terms:

@@ -92,11 +92,6 @@ class GaussianState:
         sl = slice(2 * index, 2 * index + 2)
         return GaussianState(1, self.mean[sl], self.cov[sl, sl], validate=False)
 
-    def quadrature_stats(self, index: int, quad: str) -> tuple[float, float]:
-        """Homodyne statistics (mean, variance) of one quadrature marginal."""
-        k = 2 * index + (0 if quad == "x" else 1)
-        return float(self.mean[k]), float(self.cov[k, k])
-
 
 def join(states: list[GaussianState]) -> GaussianState:
     """Tensor product of independent Gaussian states (block-diagonal covariance)."""

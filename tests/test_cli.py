@@ -86,15 +86,23 @@ def test_table2_theory_column_ignores_seed(tmp_path):
     assert mc_a != mc_b
 
 
-def test_table2_deterministic_and_crlf(tmp_path):
+@pytest.mark.parametrize("experiment", cli.EXPERIMENTS)
+def test_table2_deterministic_and_crlf(tmp_path, experiment):
+    """Every experiment's artifacts are byte-identical across two runs with
+    one seed, and its CSV files end lines with CRLF."""
     doc = {"trials": 3, "window": 64, "seed": 42}
+    if experiment == "mc-sweep":
+        doc["sweep"] = {"parameter": "gamma", "values": [0.5, 1.0]}
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     for out in (out_a, out_b):
-        cli.run_experiment("table2", cli.parse_config(dict(doc)), out)
-    assert filecmp.cmp(out_a / "table2.csv", out_b / "table2.csv", shallow=False)
-    assert filecmp.cmp(out_a / "table2.json", out_b / "table2.json", shallow=False)
-    raw = (out_a / "table2.csv").read_bytes()
-    assert b"\r\n" in raw
+        cli.run_experiment(experiment, cli.parse_config(dict(doc)), out)
+    names = sorted(p.name for p in out_a.iterdir())
+    assert names == sorted(p.name for p in out_b.iterdir())
+    assert any(name.endswith(".csv") for name in names)
+    for name in names:
+        assert filecmp.cmp(out_a / name, out_b / name, shallow=False), name
+        if name.endswith(".csv"):
+            assert b"\r\n" in (out_a / name).read_bytes()
 
 
 def test_thread_cap_does_not_change_results(tmp_path, monkeypatch):
@@ -209,17 +217,33 @@ def test_main_runs_and_overrides_seed(tmp_path, capsys):
     assert (tmp_path / "out" / "table2.csv").exists()
 
 
+_GAMMA_SWEEP = {"parameter": "gamma", "values": [0.5, 1.0]}
+
+
 @pytest.mark.parametrize("doc,message", [
     ({"trials": 0}, "trials must be at least 1"),
     ({"code": {"squeeze": 3.5}}, "unknown code keys"),
+    ({"window": 29}, "window must be at least 30"),
+    ({"experiment": "spectra", "window": 16}, "window must be at least 30"),
+    ({"experiment": "mc-sweep", "window": 16, "sweep": _GAMMA_SWEEP},
+     "window must be at least 30"),
+    ({"experiment": "syndrome-demo", "window": 16}, "window must be at least 30"),
+    ({"seed": -1}, "seed must be non-negative"),
+    ({"experiment": "mc-sweep", "sweep": {"parameter": "gamma", "values": [0.5, 1.5]}},
+     "sweep gamma = 1.5: gamma must lie in [0, 1]"),
+    ({"code": {"fourier": "false"}}, "code.fourier must be true or false"),
 ])
 def test_main_reports_bad_config_as_usage_error(tmp_path, capsys, doc, message):
+    """A bad config stops ``cvqec run`` with exit 2 before the runner starts;
+    the experiment is the one the config names, else table2."""
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(doc))
     with pytest.raises(SystemExit) as exc:
-        run_cli(["run", "table2", "--config", config, "--out", tmp_path / "out"])
+        run_cli(["run", doc.get("experiment", "table2"), "--config", config,
+                 "--out", tmp_path / "out"])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_reports_mc_sweep_without_sweep_as_usage_error(tmp_path, capsys):

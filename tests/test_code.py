@@ -11,13 +11,13 @@ from cvqec import code as qec
 from cvqec.code import (AMBIGUOUS_P, CHANNEL, ClassificationResult, CodeConfig,
                         CorrectionUnavailable, NO_ERROR, UNCLASSIFIABLE,
                         classify, closed_form_output, correction_plan, decode,
-                        derive_correction_plan, encode, inject_error,
-                        measure_syndrome, run_round, run_rounds,
+                        derive_correction_plan, encode, inject_error, run_rounds,
                         syndrome_closed_form, syndrome_trace)
 from cvqec.errors import ErrorConfig, ErrorEvent, ErrorLaw
 from cvqec.exact import (ExactScalar, QuadSymbol, SQRT2, TAG_ANTISQUEEZED,
                          TAG_SQUEEZED, form_covariance, sqrt_of)
-from cvqec.gaussian import db_to_r
+from cvqec.gaussian import apply, db_to_r, join, loss_channel, squeezed_vacuum
+from cvqec.network import encoder_matrix, inverse, lift_to_symplectic
 
 R35 = db_to_r(3.5)
 Q35 = 10.0 ** -0.35
@@ -59,9 +59,32 @@ def test_encode_symbolic_channel4():
     assert c4x.coefficient(QuadSymbol.input("x")) == -sqrt_of(frac(1, 3))
 
 
+def _engine_state(cfg, decoded=True):
+    """The pipeline through the Gaussian-state engine: source states, the
+    lifted encoder (ancillas Fourier-rotated in Fourier mode) and, with
+    ``decoded``, per-channel loss and the lifted decoder."""
+    ancillas = iter(zip(cfg.r_values, qec.ANCILLA_ORIENTATIONS))
+    state = join([cfg.input_state() if pos == qec.INPUT_POS else squeezed_vacuum(*next(ancillas))
+                  for pos in range(5)])
+    flags = [pos != qec.INPUT_POS for pos in range(5)] if cfg.fourier_mode else None
+    state = apply(lift_to_symplectic(encoder_matrix(), flags), state)
+    if not decoded:
+        return state
+    for mode, eta in enumerate(cfg.loss_values):
+        state = loss_channel(state, mode, eta)
+    return apply(lift_to_symplectic(inverse(encoder_matrix())), state)
+
+
+def _form_covariances(forms, cfg):
+    quads = [f for m in forms for f in (m.x, m.p)]
+    return np.array([[form_covariance(f, g, cfg.r_values, cfg.input_variances())
+                      for g in quads] for f in quads])
+
+
 def test_encode_unsqueezed_gives_vacuum_channels():
-    enc = encode(CodeConfig(r=0.0))
-    assert np.allclose(enc.numeric.cov, 0.25 * np.eye(10), atol=1e-12)
+    cfg = CodeConfig(r=0.0)
+    assert np.allclose(_form_covariances(encode(cfg).forms, cfg), 0.25 * np.eye(10), atol=1e-12)
+    assert np.allclose(_engine_state(cfg, decoded=False).cov, 0.25 * np.eye(10), atol=1e-12)
 
 
 def test_encode_correlation_variance():
@@ -74,32 +97,45 @@ def test_encode_correlation_variance():
 
 
 def test_encode_numeric_matches_symbolic_covariances():
+    """The Gaussian-state engine's encoded covariance equals that of the
+    exact encoded forms."""
     cfg = CodeConfig(r=(0.2, 0.5, 0.8, 0.1), input_kind="squeezed")
-    enc = encode(cfg)
-    forms = [f for m in enc.forms for f in (m.x, m.p)]
-    for i in range(10):
-        for j in range(10):
-            expected = form_covariance(forms[i], forms[j], cfg.r_values,
-                                       cfg.input_variances())
-            assert enc.numeric.cov[i, j] == pytest.approx(expected, abs=1e-12)
+    np.testing.assert_allclose(_engine_state(cfg, decoded=False).cov,
+                               _form_covariances(encode(cfg).forms, cfg), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("r", [0.6, (0.2, 0.7, 0.1, 0.9)])
 def test_encode_fourier_mode_matches_symbolic(r):
     cfg = CodeConfig(r=r, fourier_mode=True)
-    enc = encode(cfg)
-    forms = [f for m in enc.forms for f in (m.x, m.p)]
-    for i in range(10):
-        expected = form_covariance(forms[i], forms[i], cfg.r_values,
-                                   cfg.input_variances())
-        assert enc.numeric.cov[i, i] == pytest.approx(expected, abs=1e-12)
+    np.testing.assert_allclose(_engine_state(cfg, decoded=False).cov,
+                               _form_covariances(encode(cfg).forms, cfg), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("cfg", [
+    CodeConfig(r=R35),
+    CodeConfig(r=(0.2, 0.5, 0.8, 0.1), channel_loss=(1.0, 0.9, 0.8, 0.95, 0.7)),
+    CodeConfig(r=0.6, fourier_mode=True),
+    CodeConfig(r=R35, fourier_mode=True, channel_loss=(1.0, 0.9, 0.8, 0.95, 0.7)),
+    CodeConfig(r=R35, input_kind="squeezed"),
+    CodeConfig(r=0.9, input_kind="squeezed", fourier_mode=True,
+               channel_loss=(1.0, 0.9, 0.8, 0.95, 0.7)),
+], ids=["lossless", "loss", "fourier", "fourier-loss", "squeezed", "squeezed-fourier-loss"])
+def test_pipeline_maps_decoded_cov_matches_gaussian_engine(cfg):
+    """PipelineMaps' decoded covariance equals the one the Gaussian-state
+    engine builds step by step, and, without loss, the covariance of the
+    exact decoded forms."""
+    cov = qec.PipelineMaps(cfg, cfg.fourier_mode).decoded_cov()
+    np.testing.assert_allclose(cov, _engine_state(cfg).cov, rtol=0, atol=1e-12)
+    if not cfg.has_loss:
+        exact = _form_covariances(decode(encode(cfg)).forms, cfg)
+        np.testing.assert_allclose(cov, exact, rtol=0, atol=1e-12)
 
 
 def test_inject_null_event_is_identity():
     enc = encode(CodeConfig())
     out = inject_error(enc, ErrorEvent(False))
     assert out.forms == enc.forms
-    assert np.allclose(out.numeric.mean, enc.numeric.mean)
+    assert out.events == (ErrorEvent(False),)
 
 
 def test_error_event_validation():
@@ -137,11 +173,10 @@ def test_decode_channel4_coefficients():
 def test_decode_mean_shift_through_pipeline():
     """A channel-3 x displacement of delta moves the output mean by delta/sqrt3."""
     delta = 0.8
-    dec = decode(inject_error(encode(CodeConfig()), ErrorEvent(True, 3, delta, 0.0)))
-    assert dec.numeric.mean[2 * qec.OUT_POS] == pytest.approx(delta / math.sqrt(3))
-    dec = decode(inject_error(encode(CodeConfig()), ErrorEvent(True, 1, 5.0, -3.0)))
-    assert dec.numeric.mean[2 * qec.OUT_POS] == pytest.approx(0.0, abs=1e-14)
-    assert dec.numeric.mean[2 * qec.OUT_POS + 1] == pytest.approx(0.0, abs=1e-14)
+    out = closed_form_output(CodeConfig(), 3, corrected=False, displacement=(delta, 0.0))
+    assert out.mean[0] == pytest.approx(delta / math.sqrt(3))
+    out = closed_form_output(CodeConfig(), 1, corrected=False, displacement=(5.0, -3.0))
+    assert out.mean == pytest.approx([0.0, 0.0], abs=1e-14)
 
 
 # --------------------------------------------------------------------------
@@ -149,45 +184,48 @@ def test_decode_mean_shift_through_pipeline():
 
 
 def _measured(cfg, channel, law, seed=0, window=512):
-    rng = np.random.default_rng(seed)
-    event = ErrorEvent(True, channel, law.magnitude, 0.0, law) if channel else None
-    enc = encode(cfg)
-    if event is not None:
-        enc = inject_error(enc, event)
-    return measure_syndrome(decode(enc), window, rng)
+    """The traced first-pass syndrome of one round with an error on
+    ``channel`` (None for an error-free round)."""
+    ec = ErrorConfig(1.0 if channel else 0.0, channel or "uniform", law)
+    return run_rounds(cfg, ec, np.random.default_rng(seed), 1, window,
+                      store_traces=True).reports[0]
 
 
 def test_syndrome_channel1_pattern():
-    rec = _measured(CodeConfig(r=R35), 1, ErrorLaw("general", STRONG))
-    assert rec.flags == {"D1": True, "D2": True, "D3": True, "D4": False}
-    assert rec.relation_13 == "in-phase"
+    rep = _measured(CodeConfig(r=R35), 1, ErrorLaw("general", STRONG))
+    assert rep.flags == {"D1": True, "D2": True, "D3": True, "D4": False}
+    assert rep.relations[0] == "in-phase"
 
 
 def test_syndrome_channel2_pattern():
-    rec = _measured(CodeConfig(r=R35), 2, ErrorLaw("general", STRONG))
-    assert rec.flags["D1"] and rec.flags["D3"] and not rec.flags["D4"]
-    assert rec.relation_13 == "out-of-phase"
+    rep = _measured(CodeConfig(r=R35), 2, ErrorLaw("general", STRONG))
+    assert rep.flags["D1"] and rep.flags["D3"] and not rep.flags["D4"]
+    assert rep.relations[0] == "out-of-phase"
 
 
 def test_syndrome_no_error_large_squeezing():
-    rec = _measured(CodeConfig(r=2.0), None, ErrorLaw("general", 0.0))
-    assert not any(rec.flags.values())
+    rep = _measured(CodeConfig(r=2.0), None, ErrorLaw("general", 0.0))
+    assert not any(rep.flags.values())
 
 
 def test_syndrome_window_floor():
     with pytest.raises(ValueError):
         _measured(CodeConfig(), 1, ErrorLaw("general", 1.0), window=10)
+    with pytest.raises(ValueError):
+        syndrome_trace(CodeConfig(), 1, 10, np.random.default_rng(0), 1.0)
 
 
 def test_syndrome_constant_event_shifts_mean_not_variance():
     """A law-less DC displacement moves readout means but raises no flag."""
-    rng = np.random.default_rng(3)
     dec = decode(inject_error(encode(CodeConfig(r=R35)),
                               ErrorEvent(True, 3, 4.0, 0.0, law=None)))
-    rec = measure_syndrome(dec, 2048, rng)
-    assert not rec.flags["D3"]
-    expected = 4.0 * float(qec.encoder_matrix().entry(2, 2))
-    assert rec.readouts["D3"].mean() == pytest.approx(expected, abs=0.05)
+    rec = syndrome_closed_form(dec)
+    assert not any(rec.flags.values())
+    assert rec.variances == rec.baselines
+    assert (rec.relation_13, rec.relation_34) == ("n/a", "n/a")
+    shift = 4.0 * float(dec.readout_form("D3").coefficient(QuadSymbol.error(3, "x")))
+    assert shift == pytest.approx(4.0 * float(qec.encoder_matrix().entry(2, 2)), rel=1e-15)
+    assert shift != 0.0
 
 
 @pytest.mark.parametrize("channel,flags,rel13,rel34", [
@@ -225,7 +263,7 @@ def _rec(flags, rel13="n/a", rel34="n/a"):
         variances={d: 1.0 for d in qec.DETECTORS},
         baselines={d: 0.1 for d in qec.DETECTORS},
         flags=dict(zip(qec.DETECTORS, flags)),
-        relation_13=rel13, relation_34=rel34, window=0, closed_form=True)
+        relation_13=rel13, relation_34=rel34)
 
 
 def test_classify_table():
@@ -331,11 +369,11 @@ def test_corrected_output_channel3_residuals():
     """x' = x_in + sqrt(2/3) x3 e^{-r}; p' = p_in - sqrt2 p2 e^{-r}."""
     dec = decode(inject_error(encode(CodeConfig(r=0.7)), ErrorEvent(True, 3, 1.0, 1.0)))
     out = qec.apply_correction(dec, correction_plan(ClassificationResult(CHANNEL, 3)))
-    x_terms = out.form.x.terms
+    x_terms = out.x.terms
     assert x_terms == {
         QuadSymbol.input("x"): ExactScalar(1),
         QuadSymbol.ancilla(3, "x", TAG_SQUEEZED): sqrt_of(frac(2, 3))}
-    p_terms = out.form.p.terms
+    p_terms = out.p.terms
     assert p_terms == {
         QuadSymbol.input("p"): ExactScalar(1),
         QuadSymbol.ancilla(2, "p", TAG_SQUEEZED): -SQRT2}
@@ -344,7 +382,7 @@ def test_corrected_output_channel3_residuals():
 def test_corrected_output_channel5_p_residual():
     dec = decode(inject_error(encode(CodeConfig(r=0.7)), ErrorEvent(True, 5, 1.0, 1.0)))
     out = qec.apply_correction(dec, correction_plan(ClassificationResult(CHANNEL, 5)))
-    assert out.form.p.terms == {
+    assert out.p.terms == {
         QuadSymbol.input("p"): ExactScalar(1),
         QuadSymbol.ancilla(2, "p", TAG_SQUEEZED): ExactScalar(0, 2)}
 
@@ -356,8 +394,8 @@ def test_error_symbols_cancel_exactly(channel, fourier):
     dec = decode(inject_error(encode(cfg), ErrorEvent(True, channel, 2.7, -1.3)))
     plan = correction_plan(ClassificationResult(CHANNEL, channel), fourier)
     out = qec.apply_correction(dec, plan)
-    assert not out.form.x.has_errors()
-    assert not out.form.p.has_errors()
+    assert not out.x.has_errors()
+    assert not out.p.has_errors()
 
 
 def test_immunity_channels_need_no_correction():
@@ -437,7 +475,7 @@ def test_loss_reduces_channel12_fidelity_for_squeezed_input():
 def test_run_round_channel2_near_unit_fidelity():
     cfg = CodeConfig(r=R35)
     ec = ErrorConfig(1.0, 2, ErrorLaw("general", STRONG))
-    rep = run_round(cfg, ec, np.random.default_rng(21))
+    rep = run_rounds(cfg, ec, np.random.default_rng(21), 1, store_traces=True).reports[0]
     assert rep.final_classification.channel == 2
     assert rep.fidelity_theory == pytest.approx(1.0, abs=1e-12)
     assert rep.fidelity_mc > 0.99
@@ -446,7 +484,7 @@ def test_run_round_channel2_near_unit_fidelity():
 def test_run_round_pure_p_resolved_by_rerun():
     cfg = CodeConfig(r=R35)
     ec = ErrorConfig(1.0, 4, ErrorLaw("p", STRONG))
-    rep = run_round(cfg, ec, np.random.default_rng(22))
+    rep = run_rounds(cfg, ec, np.random.default_rng(22), 1, store_traces=True).reports[0]
     assert rep.first_classification.kind == AMBIGUOUS_P
     assert rep.fourier_used
     assert rep.final_classification.channel == 4
@@ -456,7 +494,7 @@ def test_run_round_pure_p_resolved_by_rerun():
 def test_run_round_gamma_zero_is_identity_round():
     cfg = CodeConfig(r=R35)
     ec = ErrorConfig(0.0, 3, ErrorLaw("general", STRONG))
-    rep = run_round(cfg, ec, np.random.default_rng(23))
+    rep = run_rounds(cfg, ec, np.random.default_rng(23), 1, store_traces=True).reports[0]
     assert rep.final_classification.kind == NO_ERROR
     assert rep.injected_channel is None
     assert rep.fidelity_theory == pytest.approx(1.0, abs=1e-12)
@@ -601,13 +639,17 @@ def test_statistics_sampler_equals_series_sampler_in_law(case):
 @pytest.mark.parametrize("cfg,law,expect", [
     (CodeConfig(r=R35, channel_loss=0.0), ErrorLaw("general", STRONG), "no-error"),
     (CodeConfig(r=8.0), ErrorLaw("general", STRONG), "matched"),
+    (CodeConfig(r=19.0), ErrorLaw("p", STRONG), "matched"),
+    (CodeConfig(r=24.0), ErrorLaw("p", STRONG), "matched"),
     (CodeConfig(r=0.0), ErrorLaw("general", 5.0), "matched"),
     (CodeConfig(r=R35), ErrorLaw("general", 0.0), "no-error"),
-], ids=["total-loss", "r8", "r0", "magnitude0"])
+], ids=["total-loss", "r8", "r19", "r24", "r0", "magnitude0"])
 def test_samplers_at_the_extremes(cfg, law, expect):
     """Total loss, extreme and zero squeezing and a zero error: both samplers
     give finite fidelities without a numpy warning, and the same certain
-    classification."""
+    classification.  At r = 19 and 24 the quiet readouts' variances lie far
+    below the rounding error of the loud source quadratures, and the pure-p
+    law also takes every round through the rotated rerun."""
     ec = ErrorConfig(1.0, "uniform", law)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -650,18 +692,16 @@ def test_run_rounds_rejects_empty_batch():
 
 
 def test_run_round_report_serializes():
-    rep = run_round(CodeConfig(r=R35),
-                    ErrorConfig(1.0, 3, ErrorLaw("x", STRONG)),
-                    np.random.default_rng(1), window=128)
+    rep = run_rounds(CodeConfig(r=R35), ErrorConfig(1.0, 3, ErrorLaw("x", STRONG)),
+                     np.random.default_rng(1), 1, window=128, store_traces=True).reports[0]
     doc = rep.to_dict()
     assert doc["final_classification"] == "channel-3"
     assert isinstance(doc["fidelity_mc"], float)
 
 
 def test_round_report_trace_dump(tmp_path):
-    rep = run_round(CodeConfig(r=R35),
-                    ErrorConfig(1.0, 2, ErrorLaw("general", STRONG)),
-                    np.random.default_rng(6), window=64)
+    rep = run_rounds(CodeConfig(r=R35), ErrorConfig(1.0, 2, ErrorLaw("general", STRONG)),
+                     np.random.default_rng(6), 1, window=64, store_traces=True).reports[0]
     path = tmp_path / "round.csv"
     rep.write_traces_csv(path)
     lines = path.read_text().splitlines()
@@ -683,8 +723,10 @@ def test_multi_error_is_unclassifiable():
     law = ErrorLaw("general", STRONG)
     enc = inject_error(enc, ErrorEvent(True, 1, STRONG, 0.0, law))
     enc = inject_error(enc, ErrorEvent(True, 4, STRONG, 0.0, law))
-    rec = measure_syndrome(decode(enc), 512, np.random.default_rng(9))
-    assert classify(rec).kind == UNCLASSIFIABLE
+    result = classify(syndrome_closed_form(decode(enc)))
+    assert result.kind == UNCLASSIFIABLE
+    with pytest.raises(CorrectionUnavailable):
+        correction_plan(result)
 
 
 # --------------------------------------------------------------------------

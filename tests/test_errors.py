@@ -8,9 +8,8 @@ import pytest
 from scipy import stats as scipy_stats
 
 from cvqec.code import CodeConfig, closed_form_output, run_rounds
-from cvqec.errors import (ErrorConfig, ErrorEvent, ErrorLaw, MixtureState,
-                          merge_components, mixture_moments, mixture_output,
-                          sample_error, series_for_event)
+from cvqec.errors import (ErrorConfig, ErrorLaw, MixtureState, merge_components,
+                          mixture_output)
 from cvqec.gaussian import db_to_r
 
 R35 = db_to_r(3.5)
@@ -29,56 +28,40 @@ def test_law_validation():
         ErrorConfig(channel=6)
 
 
+def _drawn_errors(cfg, rounds, seed):
+    """The hit channels (0 for none) and injected (dx, dp) of a batch of rounds."""
+    out = run_rounds(CodeConfig(r=R35), cfg, np.random.default_rng(seed), rounds, window=30)
+    return out.channels, out.injected
+
+
 def test_sample_error_gamma_zero_is_null():
-    rng = np.random.default_rng(0)
-    cfg = ErrorConfig(0.0, 3, ErrorLaw("general", 5.0))
-    assert all(not sample_error(cfg, rng).occurred for _ in range(200))
+    channels, injected = _drawn_errors(ErrorConfig(0.0, 3, ErrorLaw("general", 5.0)), 200, 0)
+    assert not channels.any()
+    assert not injected.any()
 
 
 def test_sample_error_general_magnitude_exact():
-    rng = np.random.default_rng(1)
-    cfg = ErrorConfig(1.0, 2, ErrorLaw("general", 5.0))
-    for _ in range(100):
-        ev = sample_error(cfg, rng)
-        assert ev.occurred and ev.channel == 2
-        assert ev.dx ** 2 + ev.dp ** 2 == pytest.approx(25.0, rel=1e-12)
+    channels, injected = _drawn_errors(ErrorConfig(1.0, 2, ErrorLaw("general", 5.0)), 100, 1)
+    assert (channels == 2).all()
+    np.testing.assert_allclose((injected ** 2).sum(axis=1), 25.0, rtol=1e-12)
 
 
 def test_sample_error_phase_is_uniform():
-    rng = np.random.default_rng(2)
-    cfg = ErrorConfig(1.0, 1, ErrorLaw("general", 5.0))
-    phases = []
-    for _ in range(10_000):
-        ev = sample_error(cfg, rng)
-        phases.append(math.atan2(ev.dp, ev.dx) % (2 * math.pi))
-    result = scipy_stats.kstest(np.array(phases) / (2 * math.pi), "uniform")
+    _, injected = _drawn_errors(ErrorConfig(1.0, 1, ErrorLaw("general", 5.0)), 10_000, 2)
+    phases = np.arctan2(injected[:, 1], injected[:, 0]) % (2 * math.pi)
+    result = scipy_stats.kstest(phases / (2 * math.pi), "uniform")
     assert result.pvalue > 0.01
 
 
 def test_sample_error_occurrence_fraction():
-    rng = np.random.default_rng(3)
-    cfg = ErrorConfig(0.3, "uniform", ErrorLaw("x", 1.0))
-    hits = sum(sample_error(cfg, rng).occurred for _ in range(10_000))
+    channels, _ = _drawn_errors(ErrorConfig(0.3, "uniform", ErrorLaw("x", 1.0)), 10_000, 3)
     ci = 2.576 * math.sqrt(0.3 * 0.7 / 10_000)
-    assert abs(hits / 10_000 - 0.3) <= ci
+    assert abs(np.count_nonzero(channels) / 10_000 - 0.3) <= ci
 
 
 def test_sample_error_uniform_channel_policy():
-    rng = np.random.default_rng(4)
-    cfg = ErrorConfig(1.0, "uniform", ErrorLaw("p", 1.0))
-    seen = {sample_error(cfg, rng).channel for _ in range(300)}
-    assert seen == {1, 2, 3, 4, 5}
-
-
-def test_series_for_event():
-    rng = np.random.default_rng(5)
-    assert np.all(series_for_event(ErrorEvent(False), 40, rng) == 0.0)
-    const = series_for_event(ErrorEvent(True, 1, 2.0, -1.0), 40, rng)
-    assert np.allclose(const, np.tile([2.0, -1.0], (40, 1)))
-    law = ErrorLaw("x", 3.0)
-    drawn = series_for_event(ErrorEvent(True, 1, 3.0, 0.0, law), 5000, rng)
-    assert np.all(np.abs(drawn[:, 0]) == 3.0)
-    assert np.all(drawn[:, 1] == 0.0)
+    channels, _ = _drawn_errors(ErrorConfig(1.0, "uniform", ErrorLaw("p", 1.0)), 300, 4)
+    assert set(channels.tolist()) == {1, 2, 3, 4, 5}
 
 
 @pytest.mark.parametrize("law,vx,vp", [
@@ -138,7 +121,7 @@ def test_mixture_corrected_branch_collapses():
 
 def test_mixture_moments_single_component():
     m = MixtureState((1.0,), ((0.5, -0.5),), (((0.3, 0.0), (0.0, 0.4)),))
-    mean, cov = mixture_moments(m)
+    mean, cov = m.moments()
     assert np.allclose(mean, [0.5, -0.5])
     assert np.allclose(cov, [[0.3, 0], [0, 0.4]])
 
@@ -148,7 +131,7 @@ def test_mixture_moments_total_variance():
     v, a = 0.3, 2.0
     m = MixtureState((0.5, 0.5), ((a, 0.0), (-a, 0.0)),
                      (((v, 0.0), (0.0, v)),) * 2)
-    mean, cov = mixture_moments(m)
+    mean, cov = m.moments()
     assert np.allclose(mean, 0.0)
     assert cov[0, 0] == pytest.approx(v + a ** 2, rel=1e-12)
     assert cov[1, 1] == pytest.approx(v, rel=1e-12)
