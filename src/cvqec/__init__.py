@@ -25,9 +25,9 @@ from .errors import (ErrorConfig, ErrorEvent, ErrorLaw, MixtureState,
                      merge_components, mixture_output)
 from .code import (AMBIGUOUS_P, CHANNEL, ClassificationResult, CodeConfig,
                    CorrectionPlan, CorrectionUnavailable, DecodedState,
-                   EncodedState, NO_ERROR, OutputStats,
-                   RoundReport, RoundsOutcome, RoundsSummary, SyndromeRecord,
-                   UNCLASSIFIABLE, apply_correction, classify,
+                   EncodedState, NO_ERROR, OutputStats, RoundsOutcome,
+                   RoundsSummary, SyndromeRecord, UNCLASSIFIABLE,
+                   apply_correction, classify,
                    closed_form_output, correction_plan, decode,
                    derive_correction_plan, encode, inject_error, run_rounds,
                    summarize_reports, syndrome_closed_form, syndrome_trace)

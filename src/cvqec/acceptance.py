@@ -239,7 +239,7 @@ def criterion_8_classifier() -> str:
             bad = np.flatnonzero(~out.matched)
             assert not len(bad), (
                 f"channel {ch} {law.kind}: {len(bad)}/{n} misclassified "
-                f"(first: {out.reports[bad[0]].final_classification})")
+                f"(first: {qec._CODE_TO_RESULT[int(out.final_codes[bad[0]])]})")
             if law.kind == "p":
                 assert out.fourier_used.all(), \
                     f"channel {ch}: pure-p rounds skipped the rotated rerun"

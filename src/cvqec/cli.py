@@ -148,6 +148,16 @@ def _parse_error(doc: dict) -> ErrorConfig:
                        channel=doc.get("channel", "uniform"), law=law)
 
 
+def _parse_count(doc: dict, key: str, default: int) -> int:
+    """An integer entry; a bool, string or non-integral number is rejected,
+    not truncated."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    return int(value)
+
+
 def parse_config(doc: dict) -> ExperimentConfig:
     """Parses an experiment config document; unknown keys are rejected."""
     _reject_unknown(doc, {"code", "error", "trials", "window", "seed", "sweep",
@@ -169,9 +179,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ValueError("a sweep needs at least two values")
     return ExperimentConfig(
         code=code, error=error,
-        trials=int(doc.get("trials", 50)),
-        window=int(doc.get("window", 512)),
-        seed=int(doc.get("seed", 0)),
+        trials=_parse_count(doc, "trials", 50),
+        window=_parse_count(doc, "window", 512),
+        seed=_parse_count(doc, "seed", 0),
         squeezing_db=squeezing_db,
         sweep_parameter=sweep_parameter, sweep_values=sweep_values,
         experiment=experiment, out=doc.get("out"), echo=doc)

@@ -85,8 +85,11 @@ class CodeConfig:
         for name in ("r", "channel_loss"):       # lists would make the config unhashable
             if isinstance(getattr(self, name), list):
                 object.__setattr__(self, name, tuple(getattr(self, name)))
-        if any(v < 0 for v in self.r_values):
-            raise ValueError("squeezing parameter must be non-negative")
+        if not all(math.isfinite(v) and v >= 0 for v in self.r_values):
+            raise ValueError("squeezing parameter must be finite and non-negative")
+        if not (math.isfinite(self.input_squeeze_db)
+                and math.isfinite(self.input_antisqueeze_db)):
+            raise ValueError("input squeezing in dB must be finite")
         if self.input_kind not in ("vacuum", "squeezed"):
             raise ValueError(f"unknown input kind {self.input_kind!r}")
         if any(not 0.0 <= eta <= 1.0 for eta in self.loss_values):
@@ -473,6 +476,28 @@ def _network_symplectics(fourier: bool) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
+def _source_sigma(cfg: CodeConfig) -> np.ndarray:
+    """Standard deviations of the independent source quadratures, interleaved
+    (x, p) of (a1, a2, a3, a_in, a4): the input's and each ancilla's quiet
+    and loud quadrature."""
+    sigma = np.empty(10)
+    v_x, v_p = cfg.input_variances()
+    anc = 0
+    for pos in range(5):
+        if pos == INPUT_POS:
+            sigma[2 * pos], sigma[2 * pos + 1] = math.sqrt(v_x), math.sqrt(v_p)
+            continue
+        r_m = cfg.r_values[anc]
+        quiet = VACUUM_VAR * math.exp(-2.0 * r_m)
+        loud = VACUUM_VAR * math.exp(2.0 * r_m)
+        if ANCILLA_ORIENTATIONS[anc] == "amplitude":
+            sigma[2 * pos], sigma[2 * pos + 1] = math.sqrt(quiet), math.sqrt(loud)
+        else:
+            sigma[2 * pos], sigma[2 * pos + 1] = math.sqrt(loud), math.sqrt(quiet)
+        anc += 1
+    return sigma
+
+
 class PipelineMaps:
     """Precomputed linear maps of one encode/loss/decode pass.
 
@@ -492,26 +517,11 @@ class PipelineMaps:
         self.A_src = s_dec @ (eta[:, None] * s_enc)
         self.A_err = s_dec * eta[None, :]
         self.A_vac = s_dec * np.sqrt(1.0 - eta ** 2)[None, :]
-        sigma = np.empty(10)
-        v_x, v_p = cfg.input_variances()
-        anc = 0
-        for pos in range(5):
-            if pos == INPUT_POS:
-                sigma[2 * pos], sigma[2 * pos + 1] = math.sqrt(v_x), math.sqrt(v_p)
-                continue
-            r_m = cfg.r_values[anc]
-            quiet = VACUUM_VAR * math.exp(-2.0 * r_m)
-            loud = VACUUM_VAR * math.exp(2.0 * r_m)
-            if ANCILLA_ORIENTATIONS[anc] == "amplitude":
-                sigma[2 * pos], sigma[2 * pos + 1] = math.sqrt(quiet), math.sqrt(loud)
-            else:
-                sigma[2 * pos], sigma[2 * pos + 1] = math.sqrt(loud), math.sqrt(quiet)
-            anc += 1
-        self.sigma_src = sigma
+        self.sigma_src = _source_sigma(cfg)
         self.has_loss = cfg.has_loss
         rows = readout_rows(fourier)
         self.err_readout = self.A_err[rows]
-        self.mix = self._noise = (self.A_src * sigma)[rows]
+        self.mix = self._noise = (self.A_src * self.sigma_src)[rows]
         self.vac = None
         if self.has_loss:
             self.vac = self.A_vac[rows] * math.sqrt(VACUUM_VAR)
@@ -591,63 +601,6 @@ def closed_form_output(cfg: CodeConfig, channel: int | None, corrected: bool = T
 # --------------------------------------------------------------------------
 # full correction rounds
 
-@dataclass(frozen=True)
-class RoundReport:
-    """Everything observed in one correction round."""
-
-    injected_channel: int | None
-    injected_dx: float
-    injected_dp: float
-    first_classification: ClassificationResult
-    final_classification: ClassificationResult
-    fourier_used: bool
-    matched: bool
-    corrected_mean: tuple[float, float]
-    corrected_var: tuple[float, float]
-    corrected_cov_xp: float
-    fidelity_mc: float
-    fidelity_theory: float
-    flags: dict[str, bool]
-    relations: tuple[str, str]
-    traces: dict[str, np.ndarray] | None = None
-
-    def write_traces_csv(self, path) -> None:
-        """Dumps the stored readout series as CSV (sample index, one detector
-        per column, then the corrected output quadratures)."""
-        import csv
-
-        if self.traces is None:
-            raise ValueError("this report was produced without traces")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample"] + list(DETECTORS)
-                            + ["corrected_x", "corrected_p"])
-            corrected = self.traces["corrected"]
-            for t in range(corrected.shape[0]):
-                writer.writerow([t] + [repr(float(self.traces[d][t]))
-                                       for d in DETECTORS]
-                                + [repr(float(corrected[t, 0])),
-                                   repr(float(corrected[t, 1]))])
-
-    def to_dict(self) -> dict:
-        return {
-            "injected_channel": self.injected_channel,
-            "injected_dx": self.injected_dx,
-            "injected_dp": self.injected_dp,
-            "first_classification": str(self.first_classification),
-            "final_classification": str(self.final_classification),
-            "fourier_used": self.fourier_used,
-            "matched": self.matched,
-            "corrected_mean": list(self.corrected_mean),
-            "corrected_var": list(self.corrected_var),
-            "corrected_cov_xp": self.corrected_cov_xp,
-            "fidelity_mc": self.fidelity_mc,
-            "fidelity_theory": self.fidelity_theory,
-            "flags": dict(self.flags),
-            "relations": list(self.relations),
-        }
-
-
 def _theory_stats(cfg: CodeConfig, code: int, fourier: bool, channel: int,
                   law: ErrorLaw) -> OutputStats:
     """Closed-form output of a round with this final code, measurement
@@ -709,7 +662,8 @@ def _reduce_series(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _sample_series(maps: PipelineMaps, channels: np.ndarray, occurred: np.ndarray,
                    law: ErrorLaw, window: int, rng: np.random.Generator) -> np.ndarray:
     """(n, window, 6) readout series: the noise plus each hit round's error
-    series drawn from the law."""
+    series drawn from the law.  Reduced by ``_reduce_series``, it is the
+    reference that ``_sample_statistics`` equals in law."""
     series = _readout_noise(maps, len(channels), window, rng)
     idx = np.flatnonzero(occurred)
     if len(idx):
@@ -758,18 +712,11 @@ def _sample_statistics(maps: PipelineMaps, channels: np.ndarray, occurred: np.nd
 
 
 def _simulate_pass(maps: PipelineMaps, channels: np.ndarray, occurred: np.ndarray,
-                   law: ErrorLaw, window: int, rng: np.random.Generator,
-                   keep_series: bool) -> tuple[_PassData, np.ndarray | None]:
-    """One pass over a batch of rounds and, with ``keep_series``, its
-    (n, window, 6) readout series.  Without it the round statistics are drawn
-    directly: equal in law, but a different draw from the same generator."""
-    series = None
-    if keep_series:
-        series = _sample_series(maps, channels, occurred, law, window, rng)
-        mean, scatter = _reduce_series(series)
-    else:
-        mean, scatter = _sample_statistics(maps, channels, occurred, law, window, rng)
-    return _PassData(mean, scatter, window, maps.baselines), series
+                   law: ErrorLaw, window: int, rng: np.random.Generator) -> _PassData:
+    """The syndrome of one pass over a batch of rounds, from directly drawn
+    round statistics."""
+    mean, scatter = _sample_statistics(maps, channels, occurred, law, window, rng)
+    return _PassData(mean, scatter, window, maps.baselines)
 
 
 def pooled_moments(rounds: "RoundsOutcome", select=slice(None)) -> tuple[np.ndarray, np.ndarray]:
@@ -820,20 +767,6 @@ class RoundsSummary:
     pooled_moments: dict[str, tuple[np.ndarray, np.ndarray]]
     pooled_fidelity: dict[str, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "n_rounds": self.n_rounds,
-            "window": self.window,
-            "counts": dict(self.counts),
-            "occurrence_fraction": self.occurrence_fraction,
-            "accuracy": self.accuracy,
-            "fourier_rate": self.fourier_rate,
-            "pooled_fidelity": dict(self.pooled_fidelity),
-        }
-
-
-_RELATION_NAME = {1: IN_PHASE, -1: OUT_OF_PHASE, 0: NO_RELATION}
-
 
 @dataclass(frozen=True, eq=False)
 class RoundsOutcome:
@@ -842,8 +775,7 @@ class RoundsOutcome:
     Codes are 0 (no error), 1..5 (the located channel), 6 (ambiguous-p) and
     7 (unclassifiable).  Flags and relations describe the first pass; the
     corrected moments and fidelities come from the pass the correction used.
-    ``summary`` is derived from the columns, and ``reports`` builds one
-    RoundReport per round on first access.
+    ``summary`` is derived from the columns.  No sample series is kept.
     """
 
     cfg: CodeConfig
@@ -861,7 +793,6 @@ class RoundsOutcome:
     corrected_cov_xp: np.ndarray
     fidelity_mc: np.ndarray
     fidelity_theory: np.ndarray
-    traces: np.ndarray | None = None   # (n, window, 6): D1..D4, corrected x, p
     summary: RoundsSummary = field(init=False)
 
     def __post_init__(self):
@@ -871,36 +802,8 @@ class RoundsOutcome:
     def concatenate(cls, parts: list["RoundsOutcome"]) -> "RoundsOutcome":
         """One outcome holding the rounds of ``parts`` in order."""
         columns = {f.name: np.concatenate([getattr(p, f.name) for p in parts])
-                   for f in fields(cls)
-                   if f.init and f.name not in ("cfg", "window", "traces")}
-        traces = (None if parts[0].traces is None
-                  else np.concatenate([p.traces for p in parts]))
-        return cls(parts[0].cfg, parts[0].window, traces=traces, **columns)
-
-    @cached_property
-    def reports(self) -> list[RoundReport]:
-        return [self._report(i) for i in range(len(self.final_codes))]
-
-    def _report(self, i: int) -> RoundReport:
-        traces = None
-        if self.traces is not None:
-            traces = {det: self.traces[i, :, k] for k, det in enumerate(DETECTORS)}
-            traces["corrected"] = self.traces[i, :, 4:]
-        channel = int(self.channels[i])
-        return RoundReport(
-            injected_channel=channel or None,
-            injected_dx=float(self.injected[i, 0]), injected_dp=float(self.injected[i, 1]),
-            first_classification=_CODE_TO_RESULT[int(self.first_codes[i])],
-            final_classification=_CODE_TO_RESULT[int(self.final_codes[i])],
-            fourier_used=bool(self.fourier_used[i]), matched=bool(self.matched[i]),
-            corrected_mean=tuple(self.corrected_mean[i].tolist()),
-            corrected_var=tuple(self.corrected_var[i].tolist()),
-            corrected_cov_xp=float(self.corrected_cov_xp[i]),
-            fidelity_mc=float(self.fidelity_mc[i]),
-            fidelity_theory=float(self.fidelity_theory[i]),
-            flags=dict(zip(DETECTORS, self.flags[i].tolist())),
-            relations=tuple(_RELATION_NAME[v] for v in self.relations[i].tolist()),
-            traces=traces)
+                   for f in fields(cls) if f.init and f.name not in ("cfg", "window")}
+        return cls(parts[0].cfg, parts[0].window, **columns)
 
 
 def _plan_table() -> np.ndarray:
@@ -911,21 +814,18 @@ def _plan_table() -> np.ndarray:
 
 
 def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator,
-               n_rounds: int, window: int = 512,
-               store_traces: bool = False) -> RoundsOutcome:
+               n_rounds: int, window: int = 512) -> RoundsOutcome:
     """Batched correction rounds.
 
     Every round draws its error, measures the syndrome window, is classified
     and has its output repaired by feedforward.  Each pass yields every
     round's readout mean and centred scatter, and classification,
     feedforward, corrected moments and fidelities are array operations on
-    those statistics.  By default the statistics are drawn
-    directly from their joint law (a Wishart scatter; see
-    ``_sample_statistics``), at a cost that does not grow with the window
-    beyond the error law's own draws.  ``store_traces=True`` instead samples
-    each round's series and reduces it, and the outcome also keeps each
-    round's first-pass detector series and corrected output series; the two
-    routes are equal in law, but the same seed gives different draws.
+    those statistics.  The statistics are drawn directly from their joint
+    law (a Wishart scatter; see ``_sample_statistics``), at a cost that does
+    not grow with the window beyond the error law's own draws; no sample
+    series is formed.  ``_sample_series`` is the series route they equal in
+    law.
     Ambiguous rounds are rerun with rotated ancillas; a resolved rerun reports
     the second pass, an unresolved one the first.  All rounds draw from one
     generator in a fixed order, so a fixed seed gives identical results.
@@ -945,17 +845,16 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
     if occurred.any():
         injected[occurred] = law.draw(rng, int(occurred.sum()))
 
-    pass1, series1 = _simulate_pass(PipelineMaps(cfg, cfg.fourier_mode), channels,
-                                    occurred, law, window, rng, store_traces)
+    pass1 = _simulate_pass(PipelineMaps(cfg, cfg.fourier_mode), channels, occurred,
+                           law, window, rng)
     first = _classify_codes(pass1.flags, pass1.cc13, pass1.cc34)
     final = first.copy()
     fourier = np.full(n_rounds, cfg.fourier_mode)
-    mean, scatter, series = pass1.mean, pass1.scatter, series1
+    mean, scatter = pass1.mean, pass1.scatter
     rerun = np.flatnonzero(first == _CODE_AMBIGUOUS)
     if len(rerun):
-        pass2, series2 = _simulate_pass(PipelineMaps(cfg, not cfg.fourier_mode),
-                                        channels[rerun], occurred[rerun], law, window,
-                                        rng, store_traces)
+        pass2 = _simulate_pass(PipelineMaps(cfg, not cfg.fourier_mode),
+                               channels[rerun], occurred[rerun], law, window, rng)
         second = _classify_codes(pass2.flags, pass2.cc13, pass2.cc34)
         second[second == _CODE_AMBIGUOUS] = _CODE_UNCLASSIFIABLE
         final[rerun] = second
@@ -964,9 +863,6 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
         fourier[used] = not cfg.fourier_mode
         mean, scatter = mean.copy(), scatter.copy()
         mean[used], scatter[used] = pass2.mean[resolved], pass2.scatter[resolved]
-        if store_traces:
-            series = series.copy()
-            series[used] = series2[resolved]
 
     comb = _plan_table()[fourier.astype(np.intp), final]          # (n, 2, 6)
     corrected_mean = (comb @ mean[:, :, None])[:, :, 0]
@@ -980,10 +876,6 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
     pair34 = pass1.flags[:, 2] & pass1.flags[:, 3]
     relations = np.stack([np.where(pass1.cc13 > 0, 1, -1) * pair13,
                           np.where(pass1.cc34 > 0, 1, -1) * pair34], axis=1)
-    traces = None
-    if store_traces:
-        traces = np.concatenate([series1[:, :, :4],
-                                 series @ comb.transpose(0, 2, 1)], axis=2)
     return RoundsOutcome(
         cfg=cfg, window=window, channels=channels, injected=injected,
         first_codes=first, final_codes=final, fourier_used=first == _CODE_AMBIGUOUS,
@@ -991,7 +883,7 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
         corrected_mean=corrected_mean, corrected_var=np.diagonal(cov, axis1=1, axis2=2).copy(),
         corrected_cov_xp=cov[:, 0, 1].copy(),
         fidelity_mc=fidelity_from_moments(inp.mean, inp.cov, corrected_mean, cov),
-        fidelity_theory=theory[inverse.reshape(-1)], traces=traces)
+        fidelity_theory=theory[inverse.reshape(-1)])
 
 
 def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,
@@ -1000,8 +892,10 @@ def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,
     """One oscilloscope-style trace with a slowly swept error phase.
 
     Returns the per-detector readout series (plus the uncorrected output
-    quadratures) and the classification of the trace.  The readout noise and
-    the syndrome come from the batched round engine's series route.
+    quadratures) and the classification of the trace.  The series is sampled
+    with the noise of ``_sample_series``, the series route that the round
+    engine's statistics equal in law, and is reduced and classified as a
+    round is.
     """
     if window < MIN_SYNDROME_WINDOW:
         raise ValueError(f"syndrome window must be at least {MIN_SYNDROME_WINDOW}")

@@ -41,8 +41,8 @@ class ErrorLaw:
             raise ValueError(f"unknown law shape {self.shape!r}")
         if self.kind == LAW_GENERAL and self.shape != SHAPE_FIXED:
             raise ValueError("the general law supports the fixed shape only")
-        if self.magnitude < 0:
-            raise ValueError("magnitude must be non-negative")
+        if not (math.isfinite(self.magnitude) and self.magnitude >= 0):
+            raise ValueError("magnitude must be finite and non-negative")
 
     def quadrature_variances(self) -> tuple[float, float]:
         """Per-sample variance (Var dx, Var dp) of the displacement series."""

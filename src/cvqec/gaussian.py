@@ -87,11 +87,6 @@ class GaussianState:
     def is_pure(self, tol: float = 1e-6) -> bool:
         return abs(self.purity_det() - 1.0) < tol
 
-    def mode(self, index: int) -> "GaussianState":
-        """Marginal single-mode state of one mode."""
-        sl = slice(2 * index, 2 * index + 2)
-        return GaussianState(1, self.mean[sl], self.cov[sl, sl], validate=False)
-
 
 def join(states: list[GaussianState]) -> GaussianState:
     """Tensor product of independent Gaussian states (block-diagonal covariance)."""

@@ -2,10 +2,13 @@
 
 Four combinations of correlation variances, each the sum of an x-type and a
 p-type term with tunable gains g1..g6, certify cluster-type entanglement when
-they drop below the separable bound.  Variances are evaluated on the exact
-encoded quadrature forms with a vacuum input; the bound normalization is
-pinned so that unsqueezed ancillas with optimal gains sit exactly on the
-boundary (value 1) and any non-zero squeezing falls below it.
+they drop below the separable bound.  Variances are quadratic forms v^T C v on
+the lossless encoded covariance C = F F^T of a vacuum input, with F the
+network's encoder symplectic times the source standard deviations, the same
+numeric model as ``code.PipelineMaps``; the exact encoded forms give the same
+values and serve as their check.  The bound normalization is pinned so that
+unsqueezed ancillas with optimal gains sit exactly on the boundary (value 1)
+and any non-zero squeezing falls below it.
 """
 
 from __future__ import annotations
@@ -14,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import CodeConfig, encode
-from .exact import LinearForm, symbol_variance
+from .code import CodeConfig, _network_symplectics, _source_sigma
 
 SEPARABLE_BOUND = 1.0
 
@@ -40,50 +42,36 @@ def _check_vacuum_input(cfg: CodeConfig) -> None:
         raise ValueError("the witness is defined for a vacuum input state")
 
 
-def _quad_form(forms, channel: int, quad: str) -> LinearForm:
-    mode = forms[channel - 1]
-    return mode.x if quad == "x" else mode.p
+def _encoded_factor(cfg: CodeConfig) -> np.ndarray:
+    """F with F F^T the lossless encoded covariance S_enc diag(sigma^2)
+    S_enc^T over the interleaved (x, p) quadratures of channels 1..5."""
+    _check_vacuum_input(cfg)
+    return _network_symplectics(cfg.fourier_mode)[0] * _source_sigma(cfg)
 
 
-def _accumulate(pairs) -> dict:
-    coeffs: dict = {}
-    for weight, form in pairs:
-        for sym, coeff in form.terms.items():
-            coeffs[sym] = coeffs.get(sym, 0.0) + weight * float(coeff)
-    return coeffs
+def _index(channel: int, quad: str) -> int:
+    return 2 * (channel - 1) + (0 if quad == "x" else 1)
 
 
-def _variance_of(coeffs: dict, r, input_var) -> float:
-    return sum(c * c * symbol_variance(sym, r, input_var)
-               for sym, c in coeffs.items())
-
-
-def _covariance_of(ca: dict, cb: dict, r, input_var) -> float:
-    return sum(c * cb[sym] * symbol_variance(sym, r, input_var)
-               for sym, c in ca.items() if sym in cb)
-
-
-def _term_pairs(forms, term, gains):
-    quad, fixed, slot, gained = term
-    pairs = [(float(w), _quad_form(forms, ch, quad)) for w, ch in fixed]
-    if slot is not None:
-        sign, ch = gained
-        pairs.append((sign * float(gains[slot]), _quad_form(forms, ch, quad)))
-    return pairs
+def _weights(quad: str, parts) -> np.ndarray:
+    """The vector v of sum(weight * quad of channel) over (weight, channel)."""
+    v = np.zeros(10)
+    for weight, channel in parts:
+        v[_index(channel, quad)] += weight
+    return v
 
 
 def combination_value(idx: int, gains, cfg: CodeConfig) -> float:
     """Left-hand side of one witness inequality (separable bound is 1)."""
     if idx not in _TERMS:
         raise ValueError("combination index must be 1..4")
-    _check_vacuum_input(cfg)
-    forms = encode(cfg).forms
-    r = cfg.r_values
-    input_var = cfg.input_variances()
+    factor = _encoded_factor(cfg)
     total = 0.0
-    for term in _TERMS[idx]:
-        coeffs = _accumulate(_term_pairs(forms, term, gains))
-        total += _variance_of(coeffs, r, input_var)
+    for quad, fixed, slot, gained in _TERMS[idx]:
+        parts = list(fixed)
+        if slot is not None:
+            parts.append((gained[0] * float(gains[slot]), gained[1]))
+        total += float(np.sum((_weights(quad, parts) @ factor) ** 2))
     return total
 
 
@@ -113,13 +101,11 @@ def optimize_gains(cfg: CodeConfig) -> tuple[tuple[float, ...], tuple[int, ...]]
     """Closed-form minimizing gains g1..g6.
 
     Each gained term is Var(base + s*g*m), a parabola in g with vertex
-    g* = -s Cov(base, m) / Var(m).  Returns the gains and the slots (if any)
+    g* = -s Cov(base, m) / Var(m), i.e. -s (b^T C m) / (m^T C m) on the
+    encoded covariance.  Returns the gains and the slots (if any)
     that were degenerate and pinned to zero.
     """
-    _check_vacuum_input(cfg)
-    forms = encode(cfg).forms
-    r = cfg.r_values
-    input_var = cfg.input_variances()
+    factor = _encoded_factor(cfg)
     gains = [0.0] * 6
     degenerate = []
     for terms in _TERMS.values():
@@ -127,16 +113,14 @@ def optimize_gains(cfg: CodeConfig) -> tuple[tuple[float, ...], tuple[int, ...]]
             if slot is None:
                 continue
             sign, ch = gained
-            base = _accumulate([(float(w), _quad_form(forms, c, quad))
-                                for w, c in fixed])
-            gain_part = _accumulate([(1.0, _quad_form(forms, ch, quad))])
-            var_m = _variance_of(gain_part, r, input_var)
+            base = _weights(quad, fixed) @ factor
+            part = factor[_index(ch, quad)]
+            var_m = float(part @ part)
             if var_m < _DEGENERATE_VAR:
                 degenerate.append(slot)
                 gains[slot] = 0.0
                 continue
-            cov = _covariance_of(base, gain_part, r, input_var)
-            gains[slot] = -sign * cov / var_m
+            gains[slot] = -sign * float(base @ part) / var_m
     return tuple(gains), tuple(degenerate)
 
 

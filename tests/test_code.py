@@ -1,5 +1,6 @@
 """End-to-end pipeline: encoding, syndromes, classification, feedforward."""
 
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -28,6 +29,37 @@ def frac(n, d=1):
     return Fraction(n, d)
 
 
+def _series_statistics(maps, channels, occurred, law, window, rng):
+    """The round statistics reduced from sampled readout series: the series
+    route that ``_sample_statistics`` equals in law."""
+    return qec._reduce_series(qec._sample_series(maps, channels, occurred, law, window, rng))
+
+
+@pytest.fixture
+def series_sampler(monkeypatch):
+    """Makes run_rounds sample every pass's readout series and reduce it.
+    Returns the list to which each pass's (n, window, 6) series is appended."""
+    passes = []
+
+    def sample(maps, channels, occurred, law, window, rng):
+        series = qec._sample_series(maps, channels, occurred, law, window, rng)
+        passes.append(series)
+        return qec._reduce_series(series)
+
+    monkeypatch.setattr(qec, "_sample_statistics", sample)
+    return passes
+
+
+def _result(code):
+    return qec._CODE_TO_RESULT[int(code)]
+
+
+def _assert_same_columns(a, b):
+    for f in dataclasses.fields(a):
+        if f.init:
+            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), f.name)
+
+
 def test_code_config_validation():
     with pytest.raises(ValueError):
         CodeConfig(r=-0.1)
@@ -35,6 +67,15 @@ def test_code_config_validation():
         CodeConfig(input_kind="thermal")
     with pytest.raises(ValueError):
         CodeConfig(channel_loss=1.5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            CodeConfig(r=bad)
+        with pytest.raises(ValueError, match="finite"):
+            CodeConfig(r=(0.1, bad, 0.3, 0.4))
+        with pytest.raises(ValueError, match="finite"):
+            CodeConfig(input_kind="squeezed", input_squeeze_db=bad)
+        with pytest.raises(ValueError, match="finite"):
+            CodeConfig(input_kind="squeezed", input_antisqueeze_db=bad)
     assert CodeConfig(r=(0.1, 0.2, 0.3, 0.4)).r_values == (0.1, 0.2, 0.3, 0.4)
 
 
@@ -184,31 +225,31 @@ def test_decode_mean_shift_through_pipeline():
 
 
 def _measured(cfg, channel, law, seed=0, window=512):
-    """The traced first-pass syndrome of one round with an error on
-    ``channel`` (None for an error-free round)."""
+    """One round with an error on ``channel`` (None for an error-free round),
+    whose first-pass flags and relations form its syndrome."""
     ec = ErrorConfig(1.0 if channel else 0.0, channel or "uniform", law)
-    return run_rounds(cfg, ec, np.random.default_rng(seed), 1, window,
-                      store_traces=True).reports[0]
+    return run_rounds(cfg, ec, np.random.default_rng(seed), 1, window)
 
 
-def test_syndrome_channel1_pattern():
-    rep = _measured(CodeConfig(r=R35), 1, ErrorLaw("general", STRONG))
-    assert rep.flags == {"D1": True, "D2": True, "D3": True, "D4": False}
-    assert rep.relations[0] == "in-phase"
+def test_syndrome_channel1_pattern(series_sampler):
+    out = _measured(CodeConfig(r=R35), 1, ErrorLaw("general", STRONG))
+    assert out.flags[0].tolist() == [True, True, True, False]
+    assert out.relations[0, 0] == 1                  # D1-D3 in phase
 
 
-def test_syndrome_channel2_pattern():
-    rep = _measured(CodeConfig(r=R35), 2, ErrorLaw("general", STRONG))
-    assert rep.flags["D1"] and rep.flags["D3"] and not rep.flags["D4"]
-    assert rep.relations[0] == "out-of-phase"
+def test_syndrome_channel2_pattern(series_sampler):
+    out = _measured(CodeConfig(r=R35), 2, ErrorLaw("general", STRONG))
+    d1, _, d3, d4 = out.flags[0]
+    assert d1 and d3 and not d4
+    assert out.relations[0, 0] == -1                 # D1-D3 out of phase
 
 
-def test_syndrome_no_error_large_squeezing():
-    rep = _measured(CodeConfig(r=2.0), None, ErrorLaw("general", 0.0))
-    assert not any(rep.flags.values())
+def test_syndrome_no_error_large_squeezing(series_sampler):
+    out = _measured(CodeConfig(r=2.0), None, ErrorLaw("general", 0.0))
+    assert not out.flags.any()
 
 
-def test_syndrome_window_floor():
+def test_syndrome_window_floor(series_sampler):
     with pytest.raises(ValueError):
         _measured(CodeConfig(), 1, ErrorLaw("general", 1.0), window=10)
     with pytest.raises(ValueError):
@@ -472,39 +513,39 @@ def test_loss_reduces_channel12_fidelity_for_squeezed_input():
 # full rounds
 
 
-def test_run_round_channel2_near_unit_fidelity():
+def test_run_round_channel2_near_unit_fidelity(series_sampler):
     cfg = CodeConfig(r=R35)
     ec = ErrorConfig(1.0, 2, ErrorLaw("general", STRONG))
-    rep = run_rounds(cfg, ec, np.random.default_rng(21), 1, store_traces=True).reports[0]
-    assert rep.final_classification.channel == 2
-    assert rep.fidelity_theory == pytest.approx(1.0, abs=1e-12)
-    assert rep.fidelity_mc > 0.99
+    out = run_rounds(cfg, ec, np.random.default_rng(21), 1)
+    assert _result(out.final_codes[0]).channel == 2
+    assert out.fidelity_theory[0] == pytest.approx(1.0, abs=1e-12)
+    assert out.fidelity_mc[0] > 0.99
 
 
-def test_run_round_pure_p_resolved_by_rerun():
+def test_run_round_pure_p_resolved_by_rerun(series_sampler):
     cfg = CodeConfig(r=R35)
     ec = ErrorConfig(1.0, 4, ErrorLaw("p", STRONG))
-    rep = run_rounds(cfg, ec, np.random.default_rng(22), 1, store_traces=True).reports[0]
-    assert rep.first_classification.kind == AMBIGUOUS_P
-    assert rep.fourier_used
-    assert rep.final_classification.channel == 4
-    assert rep.matched
+    out = run_rounds(cfg, ec, np.random.default_rng(22), 1)
+    assert _result(out.first_codes[0]).kind == AMBIGUOUS_P
+    assert out.fourier_used[0]
+    assert _result(out.final_codes[0]).channel == 4
+    assert out.matched[0]
 
 
-def test_run_round_gamma_zero_is_identity_round():
+def test_run_round_gamma_zero_is_identity_round(series_sampler):
     cfg = CodeConfig(r=R35)
     ec = ErrorConfig(0.0, 3, ErrorLaw("general", STRONG))
-    rep = run_rounds(cfg, ec, np.random.default_rng(23), 1, store_traces=True).reports[0]
-    assert rep.final_classification.kind == NO_ERROR
-    assert rep.injected_channel is None
-    assert rep.fidelity_theory == pytest.approx(1.0, abs=1e-12)
+    out = run_rounds(cfg, ec, np.random.default_rng(23), 1)
+    assert _result(out.final_codes[0]).kind == NO_ERROR
+    assert out.channels[0] == 0
+    assert out.fidelity_theory[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_rounds_matches_run_round_semantics():
     cfg = CodeConfig(r=R35)
     ec = ErrorConfig(1.0, 5, ErrorLaw("general", STRONG))
     outcome = run_rounds(cfg, ec, np.random.default_rng(24), 40, window=256)
-    assert all(r.matched for r in outcome.reports)
+    assert outcome.matched.all()
     assert outcome.summary.counts == {"channel-5": 40}
     th = closed_form_output(cfg, 5)
     mean, cov = outcome.summary.pooled_moments["channel-5"]
@@ -518,13 +559,13 @@ def test_run_rounds_deterministic_for_fixed_seed():
     ec = ErrorConfig(0.7, "uniform", ErrorLaw("general", STRONG))
     a = run_rounds(cfg, ec, np.random.default_rng(77), 30, window=64)
     b = run_rounds(cfg, ec, np.random.default_rng(77), 30, window=64)
-    assert [r.to_dict() for r in a.reports] == [r.to_dict() for r in b.reports]
+    _assert_same_columns(a, b)
 
 
-# Seed 0, 16 rounds of window 64, as drawn before the round engine became
-# columnar: (channels, first codes, final codes, reruns, sha256 of the
-# injected (dx, dp) float64 bytes).  Equal values show the RNG stream is
-# unchanged.
+# Seed 0, 16 rounds of window 64 on the series route, as drawn before the
+# round engine became columnar: (channels, first codes, final codes, reruns,
+# sha256 of the injected (dx, dp) float64 bytes).  Equal values show the RNG
+# stream is unchanged.
 _PINNED_ROUNDS = {
     "general": ([1, 5, 1, 3, 0, 0, 3, 0, 3, 0, 0, 1, 0, 4, 0, 4],
                 "1 5 1 3 0 0 3 0 3 0 0 1 0 4 0 4",
@@ -544,10 +585,23 @@ def _short(result):
         result.kind, str(result.channel))
 
 
+def _corrected_series(outcome, passes):
+    """(n, window, 2) corrected output series of a run on the series route,
+    from its recorded passes: a resolved rerun's second pass, otherwise the
+    first, through each round's feedforward."""
+    series = passes[0].copy()
+    rerun = np.flatnonzero(outcome.fourier_used)
+    if len(rerun):
+        resolved = outcome.final_codes[rerun] != qec._CODE_UNCLASSIFIABLE
+        series[rerun[resolved]] = passes[1][resolved]
+    comb = qec._plan_table()[outcome.fourier_used.astype(np.intp), outcome.final_codes]
+    return series @ comb.transpose(0, 2, 1)
+
+
 @pytest.mark.parametrize("case", sorted(_PINNED_ROUNDS))
-def test_round_moments_match_stored_series(case):
+def test_round_moments_match_stored_series(case, series_sampler):
     """Every round's corrected moments and fidelity equal those recomputed
-    from its stored corrected series.  The general case has no-error rounds
+    from its corrected series.  The general case has no-error rounds
     and channels 1 and 3-5; the gaussian p case has resolved reruns and
     unresolved ones, which report the first pass."""
     import hashlib
@@ -557,28 +611,24 @@ def test_round_moments_match_stored_series(case):
     ec = {"general": ErrorConfig(0.7, "uniform", ErrorLaw("general", STRONG)),
           "p": ErrorConfig(1.0, "uniform", ErrorLaw("p", 1.5, "gaussian"))}[case]
     cfg = CodeConfig(r=R35)
-    outcome = run_rounds(cfg, ec, np.random.default_rng(0), 16, window=64,
-                         store_traces=True)
-    reports = outcome.reports
+    outcome = run_rounds(cfg, ec, np.random.default_rng(0), 16, window=64)
     inp = cfg.input_state()
-    for rep in reports:
-        series = rep.traces["corrected"]
+    tol = dict(rtol=1e-12, atol=1e-12)
+    for i, series in enumerate(_corrected_series(outcome, series_sampler)):
         mean = series.mean(axis=0)
         var = series.var(axis=0, ddof=1)
         cov = np.cov(series.T, ddof=1)
-        tol = dict(rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(rep.corrected_mean, mean, **tol)
-        np.testing.assert_allclose(rep.corrected_var, var, **tol)
-        np.testing.assert_allclose(rep.corrected_cov_xp, cov[0, 1], **tol)
+        np.testing.assert_allclose(outcome.corrected_mean[i], mean, **tol)
+        np.testing.assert_allclose(outcome.corrected_var[i], var, **tol)
+        np.testing.assert_allclose(outcome.corrected_cov_xp[i], cov[0, 1], **tol)
         np.testing.assert_allclose(
-            rep.fidelity_mc, fidelity_from_moments(inp.mean, inp.cov, mean, cov), **tol)
+            outcome.fidelity_mc[i], fidelity_from_moments(inp.mean, inp.cov, mean, cov), **tol)
     channels, first, final, reruns, draws = _PINNED_ROUNDS[case]
-    assert [r.injected_channel or 0 for r in reports] == channels
-    assert " ".join(_short(r.first_classification) for r in reports) == first
-    assert " ".join(_short(r.final_classification) for r in reports) == final
-    assert "".join("FT"[r.fourier_used] for r in reports) == reruns
-    injected = np.array([[r.injected_dx, r.injected_dp] for r in reports])
-    assert hashlib.sha256(injected.tobytes()).hexdigest() == draws
+    assert outcome.channels.tolist() == channels
+    assert " ".join(_short(_result(c)) for c in outcome.first_codes) == first
+    assert " ".join(_short(_result(c)) for c in outcome.final_codes) == final
+    assert "".join("FT"[int(r)] for r in outcome.fourier_used) == reruns
+    assert hashlib.sha256(outcome.injected.tobytes()).hexdigest() == draws
 
 
 # Equal-in-law cases: (code config, error config, window).  The general and
@@ -598,15 +648,16 @@ _IN_LAW_ROUNDS = 10_000
 _IN_LAW_P_MIN = 1e-3 / (len(_IN_LAW_CASES) * 33)
 
 
-def _pass_statistics(maps, channels, law, window, seed, keep_series):
-    """_simulate_pass in chunks of 1000 rounds (bounded memory): the 29
+def _pass_statistics(maps, channels, law, window, seed, sample):
+    """One sampler's passes in chunks of 1000 rounds (bounded memory): the 29
     continuous statistics (6 means, 21 scatter entries, cc13, cc34) and the
     (n, 4) fluctuation flags."""
     rng = np.random.default_rng(seed)
     upper_row, upper_col = np.triu_indices(6)
     columns, flags = [], []
     for chunk in np.split(channels, len(channels) // 1000):
-        data, _ = qec._simulate_pass(maps, chunk, chunk > 0, law, window, rng, keep_series)
+        data = qec._PassData(*sample(maps, chunk, chunk > 0, law, window, rng),
+                             window, maps.baselines)
         columns.append(np.column_stack([data.mean, data.scatter[:, upper_row, upper_col],
                                         data.cc13, data.cc34]))
         flags.append(data.flags)
@@ -625,8 +676,10 @@ def test_statistics_sampler_equals_series_sampler_in_law(case):
     if ec.gamma == 0.0:
         channels[:] = 0
     maps = qec.PipelineMaps(cfg, cfg.fourier_mode)
-    direct, direct_flags = _pass_statistics(maps, channels, ec.law, window, 21, False)
-    series, series_flags = _pass_statistics(maps, channels, ec.law, window, 22, True)
+    direct, direct_flags = _pass_statistics(maps, channels, ec.law, window, 21,
+                                            qec._sample_statistics)
+    series, series_flags = _pass_statistics(maps, channels, ec.law, window, 22,
+                                            _series_statistics)
     p_values = [ks_2samp(a, b, method="asymp").pvalue for a, b in zip(direct.T, series.T)]
     n = _IN_LAW_ROUNDS
     for a, b in zip(direct_flags.sum(axis=0), series_flags.sum(axis=0)):
@@ -644,17 +697,19 @@ def test_statistics_sampler_equals_series_sampler_in_law(case):
     (CodeConfig(r=0.0), ErrorLaw("general", 5.0), "matched"),
     (CodeConfig(r=R35), ErrorLaw("general", 0.0), "no-error"),
 ], ids=["total-loss", "r8", "r19", "r24", "r0", "magnitude0"])
-def test_samplers_at_the_extremes(cfg, law, expect):
+def test_samplers_at_the_extremes(cfg, law, expect, request):
     """Total loss, extreme and zero squeezing and a zero error: both samplers
     give finite fidelities without a numpy warning, and the same certain
     classification.  At r = 19 and 24 the quiet readouts' variances lie far
     below the rounding error of the loud source quadratures, and the pure-p
     law also takes every round through the rotated rerun."""
     ec = ErrorConfig(1.0, "uniform", law)
+    outcomes = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        outcomes = [run_rounds(cfg, ec, np.random.default_rng(3), 200, window=64,
-                               store_traces=traces) for traces in (False, True)]
+        outcomes.append(run_rounds(cfg, ec, np.random.default_rng(3), 200, window=64))
+        request.getfixturevalue("series_sampler")       # the series route from here on
+        outcomes.append(run_rounds(cfg, ec, np.random.default_rng(3), 200, window=64))
     for outcome in outcomes:
         assert np.isfinite(outcome.fidelity_mc).all()
         assert np.isfinite(outcome.fidelity_theory).all()
@@ -662,16 +717,19 @@ def test_samplers_at_the_extremes(cfg, law, expect):
         np.testing.assert_array_equal(outcome.final_codes, want)
 
 
-def test_pooled_moments_match_pooled_series():
+def test_pooled_moments_match_pooled_series(series_sampler):
     """Per-class and all-round pooled moments equal the moments of the
     concatenated corrected series, also across chunks."""
     cfg = CodeConfig(r=R35)
     ec = ErrorConfig(1.0, "uniform", ErrorLaw("p", 1.5, "gaussian"))
-    chunks = [run_rounds(cfg, ec, np.random.default_rng(k), 16, window=64,
-                         store_traces=True) for k in (0, 1)]
+    chunks, series = [], []
+    for k in (0, 1):
+        series_sampler.clear()
+        chunks.append(run_rounds(cfg, ec, np.random.default_rng(k), 16, window=64))
+        series.append(_corrected_series(chunks[-1], series_sampler))
     outcome = qec.RoundsOutcome.concatenate(chunks)
     assert outcome.summary.n_rounds == 32
-    series = outcome.traces[:, :, 4:]
+    series = np.concatenate(series)
     tol = dict(rtol=1e-12, atol=1e-12)
     for code in np.unique(outcome.final_codes):
         key = str(qec._CODE_TO_RESULT[int(code)])
@@ -689,24 +747,6 @@ def test_run_rounds_rejects_empty_batch():
     with pytest.raises(ValueError, match="n_rounds"):
         run_rounds(CodeConfig(r=R35), ErrorConfig(1.0, 3, ErrorLaw("general", STRONG)),
                    np.random.default_rng(0), 0)
-
-
-def test_run_round_report_serializes():
-    rep = run_rounds(CodeConfig(r=R35), ErrorConfig(1.0, 3, ErrorLaw("x", STRONG)),
-                     np.random.default_rng(1), 1, window=128, store_traces=True).reports[0]
-    doc = rep.to_dict()
-    assert doc["final_classification"] == "channel-3"
-    assert isinstance(doc["fidelity_mc"], float)
-
-
-def test_round_report_trace_dump(tmp_path):
-    rep = run_rounds(CodeConfig(r=R35), ErrorConfig(1.0, 2, ErrorLaw("general", STRONG)),
-                     np.random.default_rng(6), 1, window=64, store_traces=True).reports[0]
-    path = tmp_path / "round.csv"
-    rep.write_traces_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "sample,D1,D2,D3,D4,corrected_x,corrected_p"
-    assert len(lines) == 65
 
 
 def test_rounds_with_uniform_loss_still_classify():

@@ -22,6 +22,9 @@ def test_law_validation():
         ErrorLaw("general", 1.0, "gaussian")
     with pytest.raises(ValueError):
         ErrorLaw("x", -1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ErrorLaw("general", bad)
     with pytest.raises(ValueError):
         ErrorConfig(gamma=1.5)
     with pytest.raises(ValueError):
@@ -178,9 +181,7 @@ def test_monte_carlo_matches_mixture_moments():
     n = rounds * window
     s1 = np.zeros(2)
     s2 = np.zeros(2)
-    for rep in outcome.reports:
-        mean = np.asarray(rep.corrected_mean)
-        var = np.asarray(rep.corrected_var)
+    for mean, var in zip(outcome.corrected_mean, outcome.corrected_var):
         s1 += window * mean
         s2 += (window - 1) * var + window * mean ** 2
     emp_mean = s1 / n

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from cvqec.code import CodeConfig, closed_form_output
+from cvqec.code import CodeConfig, closed_form_output, encode
+from cvqec.exact import form_covariance, form_variance
 from cvqec.gaussian import db_to_r
-from cvqec.witness import (SEPARABLE_BOUND, combination_value, evaluate_witness,
-                           optimize_gains)
+from cvqec.witness import (_TERMS, SEPARABLE_BOUND, combination_value,
+                           evaluate_witness, optimize_gains)
 
 R35 = db_to_r(3.5)
 
@@ -110,6 +111,50 @@ def test_rejects_non_vacuum_input():
 def test_combination_index_validation():
     with pytest.raises(ValueError):
         combination_value(5, [0] * 6, CodeConfig())
+
+
+def _exact_term(forms, cfg, term):
+    """Var(base), Cov(base, part) and Var(part) of one witness term on the
+    exact encoded forms; part is the gained channel's quadrature."""
+    quad, fixed, slot, gained = term
+
+    def form(ch):
+        return forms[ch - 1].x if quad == "x" else forms[ch - 1].p
+
+    base = None
+    for weight, ch in fixed:
+        f = form(ch) if weight > 0 else -form(ch)
+        base = f if base is None else base + f
+    stats = cfg.r_values, cfg.input_variances()
+    if slot is None:
+        return form_variance(base, *stats), 0.0, 0.0
+    part = form(gained[1])
+    return (form_variance(base, *stats), form_covariance(base, part, *stats),
+            form_variance(part, *stats))
+
+
+@pytest.mark.parametrize("fourier", [False, True])
+@pytest.mark.parametrize("r", [0.0, 0.2, R35, 1.6, (0.1, 0.9, 0.4, 1.3)])
+def test_witness_matches_exact_forms(r, fourier):
+    """Combination values at fixed gains and the optimal gains equal their
+    evaluation on the exact encoded forms."""
+    cfg = CodeConfig(r=r, fourier_mode=fourier)
+    forms = encode(cfg).forms
+    fixed_gains = (0.37, -1.21, 0.88, 2.5, -0.06, 1.13)
+    want_gains = [0.0] * 6
+    for idx, terms in _TERMS.items():
+        want = 0.0
+        for term in terms:
+            var_b, cov_bm, var_m = _exact_term(forms, cfg, term)
+            slot, sign = term[2], (term[3] or (0,))[0]
+            g = fixed_gains[slot] if slot is not None else 0.0
+            want += var_b + 2.0 * sign * g * cov_bm + g * g * var_m
+            if slot is not None:
+                want_gains[slot] = -sign * cov_bm / var_m
+        assert combination_value(idx, fixed_gains, cfg) == pytest.approx(want, rel=1e-12)
+    gains, degenerate = optimize_gains(cfg)
+    assert degenerate == ()
+    np.testing.assert_allclose(gains, want_gains, rtol=1e-12, atol=1e-12)
 
 
 def test_result_serializes():
