@@ -21,16 +21,16 @@ from .gaussian import (GaussianState, NonPhysicalStateError, SymplecticOp,
 from .network import (BeamSplitterElement, ENCODER_SPEC, ModeMatrix,
                       NetworkSpec, SwapElement, compose, element_matrix,
                       encoder_matrix, inverse, lift_to_symplectic)
-from .errors import (ErrorConfig, ErrorEvent, ErrorLaw, MixtureState,
-                     merge_components, mixture_output)
+from .errors import ErrorConfig, ErrorEvent, ErrorLaw, MixtureState
 from .code import (AMBIGUOUS_P, CHANNEL, ClassificationResult, CodeConfig,
                    CorrectionPlan, CorrectionUnavailable, DecodedState,
                    EncodedState, NO_ERROR, OutputStats, RoundsOutcome,
                    RoundsSummary, SyndromeRecord, UNCLASSIFIABLE,
                    apply_correction, classify,
                    closed_form_output, correction_plan, decode,
-                   derive_correction_plan, encode, inject_error, run_rounds,
-                   summarize_reports, syndrome_closed_form, syndrome_trace)
+                   derive_correction_plan, encode, inject_error, output_mixture,
+                   run_rounds, summarize_reports, syndrome_closed_form,
+                   syndrome_trace)
 from .witness import (WitnessResult, combination_value, evaluate_witness,
                       optimize_gains)
 

@@ -26,8 +26,9 @@ import numpy as np
 
 from . import code as qec
 from .code import (CodeConfig, RoundsOutcome, closed_form_output,
-                   coherent_ancilla_config, pooled_moments, run_rounds)
-from .errors import ErrorConfig, ErrorLaw, MixtureState
+                   coherent_ancilla_config, output_mixture, pooled_moments,
+                   run_rounds)
+from .errors import ErrorConfig, ErrorLaw
 from .gaussian import db_to_r, fidelity_from_moments, variance_to_db
 from .witness import evaluate_witness
 
@@ -115,8 +116,9 @@ def _reject_unknown(doc: dict, allowed, where: str) -> None:
 def _parse_code(doc: dict) -> tuple[CodeConfig, float]:
     _reject_unknown(doc, {"squeezing_db", "r", "input", "fourier", "channel_loss"},
                     "code")
-    squeezing_db = float(doc.get("squeezing_db", 3.5))
-    r = doc["r"] if "r" in doc else db_to_r(squeezing_db)
+    squeezing_db = _parse_number(doc.get("squeezing_db", 3.5), "code.squeezing_db")
+    r = (_parse_number(doc["r"], "squeezing parameter", allow_list=True) if "r" in doc
+         else db_to_r(squeezing_db))
     inp = doc.get("input", "vacuum")
     kwargs = {}
     if inp == "vacuum":
@@ -124,16 +126,19 @@ def _parse_code(doc: dict) -> tuple[CodeConfig, float]:
     elif isinstance(inp, dict):
         _reject_unknown(inp, {"squeeze_db", "antisqueeze_db"}, "code.input")
         kwargs["input_kind"] = "squeezed"
-        kwargs["input_squeeze_db"] = float(inp.get("squeeze_db", 3.5))
-        kwargs["input_antisqueeze_db"] = float(inp.get("antisqueeze_db", 8.9))
+        kwargs["input_squeeze_db"] = _parse_number(inp.get("squeeze_db", 3.5),
+                                                   "code.input.squeeze_db")
+        kwargs["input_antisqueeze_db"] = _parse_number(inp.get("antisqueeze_db", 8.9),
+                                                       "code.input.antisqueeze_db")
     else:
         raise ValueError(f"unknown input spec {inp!r}")
-    loss = doc.get("channel_loss")
+    if doc.get("channel_loss") is not None:
+        kwargs["channel_loss"] = _parse_number(doc["channel_loss"], "code.channel_loss",
+                                               allow_list=True)
     fourier = doc.get("fourier", False)
     if not isinstance(fourier, bool):
         raise ValueError(f"code.fourier must be true or false, not {fourier!r}")
-    cfg = CodeConfig(r=r if isinstance(r, list) else float(r), fourier_mode=fourier,
-                     channel_loss=loss, **kwargs)
+    cfg = CodeConfig(r=r, fourier_mode=fourier, **kwargs)
     return cfg, squeezing_db
 
 
@@ -142,10 +147,23 @@ def _parse_error(doc: dict) -> ErrorConfig:
     law_doc = doc.get("law", {})
     _reject_unknown(law_doc, {"kind", "magnitude", "shape"}, "error.law")
     law = ErrorLaw(kind=law_doc.get("kind", "general"),
-                   magnitude=float(law_doc.get("magnitude", 5.0)),
+                   magnitude=_parse_number(law_doc.get("magnitude", 5.0),
+                                           "error.law.magnitude"),
                    shape=law_doc.get("shape", "fixed"))
-    return ErrorConfig(gamma=float(doc.get("gamma", 1.0)),
+    return ErrorConfig(gamma=_parse_number(doc.get("gamma", 1.0), "error.gamma"),
                        channel=doc.get("channel", "uniform"), law=law)
+
+
+def _parse_number(value, name: str, allow_list: bool = False):
+    """A finite real number, or with ``allow_list`` a list of them as a
+    tuple; a bool, string or non-finite value is rejected, not converted."""
+    if allow_list and isinstance(value, list):
+        return tuple(_parse_number(v, name) for v in value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, not {value!r}")
+    return float(value)
 
 
 def _parse_count(doc: dict, key: str, default: int) -> int:
@@ -174,7 +192,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         sweep_parameter = sweep["parameter"]
         if sweep_parameter not in ("r", "gamma", "magnitude", "loss"):
             raise ValueError(f"unknown sweep parameter {sweep_parameter!r}")
-        sweep_values = tuple(float(v) for v in sweep["values"])
+        sweep_values = tuple(_parse_number(v, "sweep value") for v in sweep["values"])
         if len(sweep_values) < 2:
             raise ValueError("a sweep needs at least two values")
     return ExperimentConfig(
@@ -408,23 +426,6 @@ def _sweep_apply(cfg: ExperimentConfig, value: float) -> tuple[CodeConfig, Error
     return code, error
 
 
-def _sweep_theory_fidelity(code: CodeConfig, error: ErrorConfig) -> float:
-    """Fidelity of the round-averaged output (Gaussian-moment approximation).
-
-    Assumes correct classification; the output is a mixture of the no-error
-    branch and the corrected branches of the possible channels.
-    """
-    channels = range(1, 6) if error.channel == "uniform" else (error.channel,)
-    branches = [(1.0 - error.gamma, None)] if error.gamma < 1.0 else []
-    branches += [(error.gamma / len(channels), ch) for ch in channels]
-    stats = [closed_form_output(code, ch) for _, ch in branches]
-    mixture = MixtureState(tuple(w for w, _ in branches),
-                           tuple(tuple(s.mean) for s in stats),
-                           tuple(tuple(map(tuple, s.cov)) for s in stats))
-    inp = code.input_state()
-    return fidelity_from_moments(inp.mean, inp.cov, *mixture.moments())
-
-
 def run_mc_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
     """Fidelity and classification accuracy versus a swept parameter."""
     root = np.random.SeedSequence(cfg.seed)
@@ -436,10 +437,12 @@ def run_mc_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
         outcome = run_chunked_rounds(code, error, root.spawn(1)[0],
                                      cfg.trials, cfg.window)
         inp = code.input_state()
-        # pool over every round regardless of class: the full channel mixture
+        # theory assumes correct classification; MC pools every round
+        # regardless of class: both are the full channel mixture
+        theory = fidelity_from_moments(inp.mean, inp.cov,
+                                       *output_mixture(code, error).moments())
         mc = fidelity_from_moments(inp.mean, inp.cov, *pooled_moments(outcome))
-        rows.append([repr(float(value)),
-                     repr(_sweep_theory_fidelity(code, error)),
+        rows.append([repr(float(value)), repr(theory),
                      repr(mc), repr(_mc_stderr(outcome)),
                      repr(outcome.summary.accuracy)])
     _write_csv(out_dir / "mc_sweep.csv", header, rows)

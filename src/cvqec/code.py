@@ -5,9 +5,10 @@ displacement on one channel, decode with the inverse network, recognize the
 error location from the homodyne syndrome pattern, and repair the output by
 feedforward.  The exact quadrature forms (``encode``/``inject_error``/
 ``decode``) verify the algebra and the feedforward gains; ``PipelineMaps``,
-the linear maps of one encode/loss/decode pass, is the only numeric model.
-It gives the closed-form moments and drives the batched Monte-Carlo rounds,
-and it additionally models channel loss.
+the linear maps of one encode/loss/decode pass onto the readouts, is the only
+numeric model and also models channel loss.  Through one feedforward table,
+``PLAN_TABLE``, it drives the Monte-Carlo rounds and gives the closed-form
+output moments.
 
 Detector/mode layout after decoding (positions 0..4): D1, D2, D3, output, D4.
 In the standard configuration D1/D3/D4 read x and D2 reads p; running with
@@ -18,14 +19,14 @@ displacements that live purely in p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
 from fractions import Fraction
 
 import numpy as np
 
 from . import gaussian
-from .errors import ErrorConfig, ErrorEvent, ErrorLaw
+from .errors import ErrorConfig, ErrorEvent, ErrorLaw, MixtureState
 from .exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol, SQRT2,
                     TAG_ANTISQUEEZED, TAG_SQUEEZED, form_variance,
                     mode_forms_apply_matrix, sqrt_of)
@@ -50,15 +51,10 @@ def measured_quad(detector: str, fourier: bool) -> str:
     return q
 
 
-def readout_index(detector: str, fourier: bool) -> int:
-    """Index of the decoded quadrature (interleaved x, p) a detector measures."""
-    quad = measured_quad(detector, fourier)
-    return 2 * DETECTOR_POS[detector] + (0 if quad == "x" else 1)
-
-
 def readout_rows(fourier: bool) -> list[int]:
-    """Decoded-quadrature indices of the readouts (D1..D4, out_x, out_p)."""
-    return ([readout_index(det, fourier) for det in DETECTORS]
+    """Decoded-quadrature indices (interleaved x, p) of the readouts (D1..D4,
+    out_x, out_p)."""
+    return ([2 * DETECTOR_POS[det] + (measured_quad(det, fourier) == "p") for det in DETECTORS]
             + [2 * OUT_POS, 2 * OUT_POS + 1])
 
 
@@ -389,14 +385,6 @@ def correction_plan(result: ClassificationResult, fourier: bool = False) -> Corr
     raise CorrectionUnavailable(f"no feedforward plan for {result}")
 
 
-def _plan_or_zero(result: ClassificationResult, fourier: bool) -> CorrectionPlan:
-    """The result's plan; an indefinite result leaves the output uncorrected."""
-    try:
-        return correction_plan(result, fourier)
-    except CorrectionUnavailable:
-        return CorrectionPlan(fourier=fourier)
-
-
 def plan_matrix(plan: CorrectionPlan) -> np.ndarray:
     """2x6 linear map from the readouts (D1..D4, out_x, out_p) to the
     corrected output quadratures: each readout times its gain is added."""
@@ -407,6 +395,14 @@ def plan_matrix(plan: CorrectionPlan) -> np.ndarray:
             det, gain = ff
             rows[row, DETECTORS.index(det)] += float(gain)
     return rows
+
+
+# plan_matrix of every round code, indexed [fourier, code], for the round engine
+# and the closed form; a code without a plan leaves the output as it is.
+PLAN_TABLE = np.array([[plan_matrix(CorrectionPlan(*plans.get(code, (None, None))))
+                        for code in range(len(_CODE_TO_RESULT))]
+                       for plans in (STANDARD_PLANS, FOURIER_PLANS)])
+PLAN_TABLE.setflags(write=False)
 
 
 def derive_correction_plan(channel: int, fourier: bool = False) -> CorrectionPlan:
@@ -499,34 +495,28 @@ def _source_sigma(cfg: CodeConfig) -> np.ndarray:
 
 
 class PipelineMaps:
-    """Precomputed linear maps of one encode/loss/decode pass.
+    """Precomputed linear maps of one encode/loss/decode pass, on the readouts
+    (D1..D4, out_x, out_p).
 
-    Decoded quadratures q_dec = A_src q_src + A_err e + A_vac v, where q_src
-    are the independent source quadratures, e the per-channel displacement and
-    v the loss vacua.  On the readouts (D1..D4, out_x, out_p) the noise is
-    ``mix`` times 10 standard normals (plus ``vac`` times 10 more with loss).
-    ``baselines`` is the diagonal of its 6x6 covariance, and
+    The readouts are ``noise`` times standard normals plus ``err_readout``
+    times the per-channel displacements (dx, dp interleaved).  ``noise`` is
+    ``mix``, the ten independent source quadratures through the network,
+    joined by ``vac``, the loss vacua, when a channel is lossy.
+    ``baselines`` is the diagonal of the 6x6 readout covariance, and
     ``readout_factor`` F, made on first use, gives the covariance as F F^T.
     """
 
     def __init__(self, cfg: CodeConfig, fourier: bool):
-        self.cfg = cfg
-        self.fourier = fourier
         s_enc, s_dec = _network_symplectics(fourier)
         eta = np.repeat(np.sqrt(cfg.loss_values), 2)
-        self.A_src = s_dec @ (eta[:, None] * s_enc)
-        self.A_err = s_dec * eta[None, :]
-        self.A_vac = s_dec * np.sqrt(1.0 - eta ** 2)[None, :]
-        self.sigma_src = _source_sigma(cfg)
-        self.has_loss = cfg.has_loss
         rows = readout_rows(fourier)
-        self.err_readout = self.A_err[rows]
-        self.mix = self._noise = (self.A_src * self.sigma_src)[rows]
+        self.err_readout = s_dec[rows] * eta
+        self.mix = self.noise = (s_dec @ (eta[:, None] * s_enc))[rows] * _source_sigma(cfg)
         self.vac = None
-        if self.has_loss:
-            self.vac = self.A_vac[rows] * math.sqrt(VACUUM_VAR)
-            self._noise = np.hstack([self.mix, self.vac])
-        self.baselines = np.einsum("ij,ij->i", self._noise, self._noise)
+        if cfg.has_loss:
+            self.vac = s_dec[rows] * np.sqrt(1.0 - eta ** 2) * math.sqrt(VACUUM_VAR)
+            self.noise = np.hstack([self.mix, self.vac])
+        self.baselines = np.einsum("ij,ij->i", self.noise, self.noise)
 
     @cached_property
     def readout_factor(self) -> np.ndarray:
@@ -534,13 +524,7 @@ class PipelineMaps:
         The covariance, whose quiet readouts lie below the rounding error of
         its loud ones under extreme squeezing, is never formed, and a
         singular covariance is safe."""
-        return np.linalg.qr(self._noise.T, mode="r").T
-
-    def decoded_cov(self) -> np.ndarray:
-        cov = (self.A_src * self.sigma_src ** 2) @ self.A_src.T
-        if self.has_loss:
-            cov = cov + VACUUM_VAR * self.A_vac @ self.A_vac.T
-        return cov
+        return np.linalg.qr(self.noise.T, mode="r").T
 
 
 @dataclass(frozen=True)
@@ -567,7 +551,8 @@ def closed_form_output(cfg: CodeConfig, channel: int | None, corrected: bool = T
                        displacement: tuple[float, float] = (0.0, 0.0),
                        extra_error_var: tuple[float, float] = (0.0, 0.0),
                        fourier: bool | None = None) -> OutputStats:
-    """Output moments of one branch of the round, computed without sampling.
+    """Output moments of one branch of the round, computed without sampling
+    from ``PipelineMaps`` and the round engine's ``PLAN_TABLE``.
 
     Args:
         cfg: code configuration.
@@ -581,37 +566,42 @@ def closed_form_output(cfg: CodeConfig, channel: int | None, corrected: bool = T
     """
     fourier = cfg.fourier_mode if fourier is None else fourier
     maps = PipelineMaps(cfg, fourier)
-    if channel in (None, 1, 2) or not corrected:
-        plan = CorrectionPlan(fourier=fourier)
-    else:
-        plan = correction_plan(ClassificationResult(CHANNEL, channel), fourier)
-    rows = plan_matrix(plan) @ np.eye(10)[readout_rows(fourier)]
-    cov = rows @ maps.decoded_cov() @ rows.T
+    plan = PLAN_TABLE[int(fourier), channel if corrected and channel else _CODE_NO_ERROR]
+    noise = plan @ maps.noise
+    cov = noise @ noise.T
     mean = np.zeros(2)
     if channel is not None:
-        cols = (2 * (channel - 1), 2 * (channel - 1) + 1)
-        err_rows = rows @ maps.A_err[:, cols]        # (2, 2)
-        mean = err_rows @ np.asarray(displacement, dtype=float)
-        cov = cov + err_rows @ np.diag(extra_error_var) @ err_rows.T
+        err = plan @ maps.err_readout[:, 2 * channel - 2:2 * channel]      # (2, 2)
+        mean = err @ np.asarray(displacement, dtype=float)
+        cov = cov + err @ np.diag(extra_error_var) @ err.T
     inp = cfg.input_state()
     fid = fidelity_from_moments(inp.mean, inp.cov, mean, cov)
     return OutputStats(mean=mean, cov=cov, fidelity=fid)
 
 
+def output_mixture(cfg: CodeConfig, error_cfg: ErrorConfig,
+                   corrected: bool = True) -> MixtureState:
+    """The output mode over a round's branches, assuming correct
+    classification: 1 - gamma on the no-error branch, gamma shared by the
+    channels of ``error_cfg``'s policy.  The feedforward cancels a
+    displacement exactly at any loss, so a corrected branch is one
+    component; an uncorrected one splits over the law's branch components."""
+    gamma = error_cfg.gamma
+    channels = range(1, 6) if error_cfg.channel == "uniform" else (error_cfg.channel,)
+    parts = ([(1.0, 0.0, 0.0, (0.0, 0.0))] if corrected
+             else error_cfg.law.branch_components())
+    branches = [(1.0 - gamma, closed_form_output(cfg, None))] if gamma < 1.0 else []
+    if gamma > 0.0:
+        branches += [(gamma / len(channels) * w,
+                      closed_form_output(cfg, ch, corrected, (dx, dp), extra))
+                     for ch in channels for w, dx, dp, extra in parts]
+    return MixtureState(tuple(w for w, _ in branches),
+                        tuple(tuple(s.mean) for _, s in branches),
+                        tuple(tuple(map(tuple, s.cov)) for _, s in branches))
+
+
 # --------------------------------------------------------------------------
 # full correction rounds
-
-def _theory_stats(cfg: CodeConfig, code: int, fourier: bool, channel: int,
-                  law: ErrorLaw) -> OutputStats:
-    """Closed-form output of a round with this final code, measurement
-    configuration and hit channel (0 for none)."""
-    if code in (1, 2, 3, 4, 5):
-        return closed_form_output(cfg, code, corrected=True, fourier=fourier)
-    if code == _CODE_NO_ERROR:
-        return closed_form_output(cfg, None, fourier=fourier)
-    extra = law.quadrature_variances() if channel else (0.0, 0.0)
-    return closed_form_output(cfg, channel or None, corrected=False,
-                              extra_error_var=extra, fourier=fourier)
 
 
 class _PassData:
@@ -641,7 +631,7 @@ def _readout_noise(maps: PipelineMaps, n: int, window: int,
     """(n, window, 6) readout noise series: ten normals per sample (twenty
     with loss) through the network."""
     series = rng.standard_normal((n, window, 10)) @ maps.mix.T
-    if maps.has_loss:
+    if maps.vac is not None:
         series += rng.standard_normal((n, window, 10)) @ maps.vac.T
     return series
 
@@ -775,7 +765,8 @@ class RoundsOutcome:
     Codes are 0 (no error), 1..5 (the located channel), 6 (ambiguous-p) and
     7 (unclassifiable).  Flags and relations describe the first pass; the
     corrected moments and fidelities come from the pass the correction used.
-    ``summary`` is derived from the columns.  No sample series is kept.
+    ``summary`` is derived from the columns on first use.  No sample series
+    and no closed-form theory is kept.
     """
 
     cfg: CodeConfig
@@ -792,25 +783,17 @@ class RoundsOutcome:
     corrected_var: np.ndarray     # (n, 2), ddof=1
     corrected_cov_xp: np.ndarray
     fidelity_mc: np.ndarray
-    fidelity_theory: np.ndarray
-    summary: RoundsSummary = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "summary", summarize_reports(self.cfg, self))
+    @cached_property
+    def summary(self) -> RoundsSummary:
+        return summarize_reports(self.cfg, self)
 
     @classmethod
     def concatenate(cls, parts: list["RoundsOutcome"]) -> "RoundsOutcome":
         """One outcome holding the rounds of ``parts`` in order."""
         columns = {f.name: np.concatenate([getattr(p, f.name) for p in parts])
-                   for f in fields(cls) if f.init and f.name not in ("cfg", "window")}
+                   for f in fields(cls) if f.name not in ("cfg", "window")}
         return cls(parts[0].cfg, parts[0].window, **columns)
-
-
-def _plan_table() -> np.ndarray:
-    """plan_matrix of every round code, indexed [fourier, code]."""
-    return np.array([[plan_matrix(_plan_or_zero(_CODE_TO_RESULT[code], fourier))
-                      for code in range(len(_CODE_TO_RESULT))]
-                     for fourier in (False, True)])
 
 
 def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator,
@@ -825,7 +808,7 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
     law (a Wishart scatter; see ``_sample_statistics``), at a cost that does
     not grow with the window beyond the error law's own draws; no sample
     series is formed.  ``_sample_series`` is the series route they equal in
-    law.
+    law.  The feedforward is ``PLAN_TABLE``; rounds carry no closed-form theory.
     Ambiguous rounds are rerun with rotated ancillas; a resolved rerun reports
     the second pass, an unresolved one the first.  All rounds draw from one
     generator in a fixed order, so a fixed seed gives identical results.
@@ -864,14 +847,10 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
         mean, scatter = mean.copy(), scatter.copy()
         mean[used], scatter[used] = pass2.mean[resolved], pass2.scatter[resolved]
 
-    comb = _plan_table()[fourier.astype(np.intp), final]          # (n, 2, 6)
+    comb = PLAN_TABLE[fourier.astype(np.intp), final]             # (n, 2, 6)
     corrected_mean = (comb @ mean[:, :, None])[:, :, 0]
     cov = comb @ scatter @ comb.transpose(0, 2, 1) / (window - 1)
     inp = cfg.input_state()
-    keys, inverse = np.unique(np.stack([final, fourier, channels], axis=1), axis=0,
-                              return_inverse=True)
-    theory = np.array([_theory_stats(cfg, code, bool(f), ch, law).fidelity
-                       for code, f, ch in keys.tolist()])
     pair13 = pass1.flags[:, 0] & pass1.flags[:, 2]
     pair34 = pass1.flags[:, 2] & pass1.flags[:, 3]
     relations = np.stack([np.where(pass1.cc13 > 0, 1, -1) * pair13,
@@ -882,8 +861,7 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
         matched=final == channels, flags=pass1.flags, relations=relations.astype(np.int8),
         corrected_mean=corrected_mean, corrected_var=np.diagonal(cov, axis1=1, axis2=2).copy(),
         corrected_cov_xp=cov[:, 0, 1].copy(),
-        fidelity_mc=fidelity_from_moments(inp.mean, inp.cov, corrected_mean, cov),
-        fidelity_theory=theory[inverse.reshape(-1)])
+        fidelity_mc=fidelity_from_moments(inp.mean, inp.cov, corrected_mean, cov))
 
 
 def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,

@@ -1,9 +1,11 @@
-"""Stochastic displacement errors and the resulting non-Gaussian mixtures.
+"""Stochastic displacement errors and the Gaussian-mixture type.
 
 An error hits one channel with probability gamma.  The physical modulation
 (a driven sideband whose phase is slowly swept) is abstracted to a
 displacement law: either a fixed magnitude with uniformly random phase, or a
 single-quadrature displacement with random sign or Gaussian amplitude.
+``MixtureState`` holds a weighted list of Gaussian components; the output
+mixture of a round's branches is ``code.output_mixture``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ LAW_P = "p"
 
 SHAPE_FIXED = "fixed"
 SHAPE_GAUSSIAN = "gaussian"
+
+PHASE_BINS = 24            # components of the general law's phase
 
 
 @dataclass(frozen=True)
@@ -110,19 +114,19 @@ class ErrorLaw:
             gram[:, col, col] = a * a * rng.chisquare(window - 1, n)
         return mean, gram
 
-    def branch_components(self, phase_bins: int = 24):
+    def branch_components(self):
         """Finite decomposition ``(weight, dx, dp, (extra_var_x, extra_var_p))``.
 
-        The general law is discretized over equally weighted phase bins; the
-        Gaussian shape is a single zero-mean component whose spread is carried
-        as extra variance on the displaced quadrature.
+        The general law is discretized over ``PHASE_BINS`` equally weighted
+        phase bins; the Gaussian shape is a single zero-mean component whose
+        spread is carried as extra variance on the displaced quadrature.
         """
         none = (0.0, 0.0)
         if self.kind == LAW_GENERAL:
-            w = 1.0 / phase_bins
+            w = 1.0 / PHASE_BINS
             return [(w, self.magnitude * math.cos(t), self.magnitude * math.sin(t), none)
-                    for t in (2.0 * math.pi * (k + 0.5) / phase_bins
-                              for k in range(phase_bins))]
+                    for t in (2.0 * math.pi * (k + 0.5) / PHASE_BINS
+                              for k in range(PHASE_BINS))]
         if self.shape == SHAPE_GAUSSIAN:
             extra = ((self.magnitude ** 2, 0.0) if self.kind == LAW_X
                      else (0.0, self.magnitude ** 2))
@@ -143,8 +147,9 @@ class ErrorConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        if self.channel != "uniform" and self.channel not in (1, 2, 3, 4, 5):
-            raise ValueError("channel must be 1..5 or 'uniform'")
+        if self.channel != "uniform" and (type(self.channel) is not int
+                                          or not 1 <= self.channel <= 5):
+            raise ValueError(f"channel must be 1..5 or 'uniform', not {self.channel!r}")
 
 
 @dataclass(frozen=True)
@@ -216,50 +221,3 @@ class MixtureState:
         m2 = float(w @ (var + d ** 2))
         m4 = float(w @ (3.0 * var ** 2 + 6.0 * var * d ** 2 + d ** 4))
         return m4 - 3.0 * m2 ** 2
-
-
-def merge_components(weights, means, covs, tol: float = 1e-10) -> MixtureState:
-    """Builds a MixtureState, merging components that coincide within tol."""
-    kept: list[tuple[float, np.ndarray, np.ndarray]] = []
-    for w, m, c in zip(weights, means, covs):
-        m = np.asarray(m, dtype=float)
-        c = np.asarray(c, dtype=float)
-        for idx, (kw, km, kc) in enumerate(kept):
-            if np.allclose(m, km, atol=tol) and np.allclose(c, kc, atol=tol):
-                kept[idx] = (kw + w, km, kc)
-                break
-        else:
-            kept.append((w, m, c))
-    total = sum(w for w, _, _ in kept)
-    return MixtureState(
-        tuple(w / total for w, _, _ in kept),
-        tuple(tuple(m) for _, m, _ in kept),
-        tuple(tuple(map(tuple, c)) for _, _, c in kept))
-
-
-def mixture_output(error_cfg: ErrorConfig, code_cfg, error_channel: int,
-                   corrected: bool = True, phase_bins: int = 24) -> MixtureState:
-    """Output-mode mixture: weight 1-gamma on the no-error branch plus gamma
-    spread over the law's components after the correction round.
-
-    With ``corrected`` False the error branch is left unrepaired, exposing the
-    displacement (the non-Gaussian mixture of the raw channel).
-    """
-    from . import code as qec
-
-    weights, means, covs = [], [], []
-    gamma = error_cfg.gamma
-    no_error = qec.closed_form_output(code_cfg, None)
-    if gamma < 1.0:
-        weights.append(1.0 - gamma)
-        means.append(no_error.mean)
-        covs.append(no_error.cov)
-    if gamma > 0.0:
-        for w, dx, dp, extra in error_cfg.law.branch_components(phase_bins):
-            stats = qec.closed_form_output(
-                code_cfg, error_channel, corrected=corrected,
-                displacement=(dx, dp), extra_error_var=extra)
-            weights.append(gamma * w)
-            means.append(stats.mean)
-            covs.append(stats.cov)
-    return merge_components(weights, means, covs)

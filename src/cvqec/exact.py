@@ -66,6 +66,13 @@ class ExactScalar:
         out._init_raw(na, nb, nc, nd, den)
         return out
 
+    @classmethod
+    def surd(cls, num: int, den: int, root: int) -> "ExactScalar":
+        """(num / den) * sqrt(root) for root 1, 2, 3 or 6, from integers."""
+        coords = [0, 0, 0, 0]
+        coords[(1, 2, 3, 6).index(root)] = num
+        return cls._raw(*coords, den)
+
     # rational coordinates on (1, sqrt2, sqrt3, sqrt6)
     @property
     def a(self) -> Fraction:
@@ -221,27 +228,15 @@ INV_SQRT6 = ExactScalar(0, 0, 0, Fraction(1, 6))
 def sqrt_of(v: RationalLike) -> ExactScalar:
     """Exact square root of a non-negative rational whose square-free part is 1, 2, 3 or 6."""
     f = _as_fraction(v)
-    if f < 0:
+    if f.numerator < 0:
         raise ValueError("negative radicand")
-    if f == 0:
+    if f.numerator == 0:
         return ZERO
     n = f.numerator * f.denominator  # sqrt(p/q) = sqrt(p*q)/q
-    square, rest = 1, n
-    k = 2
-    while k * k <= rest:
-        while rest % (k * k) == 0:
-            rest //= k * k
-            square *= k
-        k += 1
-    coeff = Fraction(square, f.denominator)
-    if rest == 1:
-        return ExactScalar(coeff)
-    if rest == 2:
-        return ExactScalar(0, coeff)
-    if rest == 3:
-        return ExactScalar(0, 0, coeff)
-    if rest == 6:
-        return ExactScalar(0, 0, 0, coeff)
+    for rest in (1, 2, 3, 6):                    # n = rest * square^2
+        square = math.isqrt(n // rest)
+        if square * square * rest == n:
+            return ExactScalar.surd(square, f.denominator, rest)
     raise ValueError(f"sqrt({v}) does not lie in Q(sqrt2, sqrt3)")
 
 

@@ -38,13 +38,20 @@ class ModeMatrix:
             raise ValueError("mode matrix must be square")
         object.__setattr__(self, "_rows", tuple(clean))
 
+    @classmethod
+    def _of(cls, rows) -> "ModeMatrix":
+        """A matrix from square rows of ExactScalars, without the checks."""
+        out = cls.__new__(cls)
+        object.__setattr__(out, "_rows", tuple(map(tuple, rows)))
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("ModeMatrix is immutable")
 
     @staticmethod
     def identity(n: int) -> "ModeMatrix":
-        return ModeMatrix([[ONE if i == j else ZERO for j in range(n)]
-                           for i in range(n)])
+        return ModeMatrix._of([[ONE if i == j else ZERO for j in range(n)]
+                               for i in range(n)])
 
     @property
     def n(self) -> int:
@@ -58,30 +65,32 @@ class ModeMatrix:
         return self._rows[i][j]
 
     def transpose(self) -> "ModeMatrix":
-        n = self.n
-        return ModeMatrix([[self._rows[j][i] for j in range(n)] for i in range(n)])
+        return ModeMatrix._of(zip(*self._rows))
 
     def __matmul__(self, other: "ModeMatrix") -> "ModeMatrix":
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        n = self.n
+        # only products of two non-zero entries are formed; the shared ZERO
+        # and ONE of the sparse element matrices are known without a test
+        rows = [{k: a for k, a in enumerate(row)
+                 if a is not ZERO and (a is ONE or not a.is_zero())} for row in self._rows]
+        cols = [[(k, b) for k, b in enumerate(col)
+                 if b is not ZERO and (b is ONE or not b.is_zero())]
+                for col in zip(*other._rows)]
         out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
+        for row in rows:
+            out_row = []
+            for col in cols:
                 acc = None
-                for k in range(n):
-                    a = self._rows[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other._rows[k][j]
-                    if b.is_zero():
+                for k, b in col:
+                    a = row.get(k)
+                    if a is None:
                         continue
                     term = b if a is ONE else (a if b is ONE else a * b)
                     acc = term if acc is None else acc + term
-                row.append(ZERO if acc is None else acc)
-            out.append(row)
-        return ModeMatrix(out)
+                out_row.append(ZERO if acc is None else acc)
+            out.append(out_row)
+        return ModeMatrix._of(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModeMatrix):
@@ -124,8 +133,9 @@ class BeamSplitterElement:
     def block(self) -> tuple[ExactScalar, ExactScalar, ExactScalar, ExactScalar]:
         t = sqrt_of(Fraction(self.T))
         rfl = sqrt_of(1 - Fraction(self.T))
-        s = 1 if self.sign == "+" else -1
-        return rfl, t, t * s, rfl * (-s)
+        if self.sign == "+":
+            return rfl, t, t, -rfl
+        return rfl, t, -t, rfl
 
 
 @dataclass(frozen=True)
@@ -215,7 +225,7 @@ def element_matrix(el: Element, n: int) -> ModeMatrix:
         a, b, c, d = el.block()
         rows[k][k], rows[k][l] = a, b
         rows[l][k], rows[l][l] = c, d
-    return ModeMatrix(rows)
+    return ModeMatrix._of(rows)
 
 
 def compose(spec: NetworkSpec) -> ModeMatrix:
@@ -236,22 +246,18 @@ ENCODER_SPEC = NetworkSpec((
 
 
 def encoder_matrix() -> ModeMatrix:
-    """The exact 5x5 encoding matrix, input ordering (a1, a2, a3, a_in, a4)."""
-    h = Fraction(1, 2)
+    """The exact 5x5 encoding matrix, input ordering (a1, a2, a3, a_in, a4),
+    built from integer coordinates."""
+    q = ExactScalar.surd
     rows = [
-        # 1/sqrt2            sqrt3/(2 sqrt2)          1/(2 sqrt2)            0  0
-        [ExactScalar(0, h), ExactScalar(0, 0, 0, Fraction(1, 4)),
-         ExactScalar(0, Fraction(1, 4)), ZERO, ZERO],
-        [ExactScalar(0, h), ExactScalar(0, 0, 0, Fraction(-1, 4)),
-         ExactScalar(0, Fraction(-1, 4)), ZERO, ZERO],
-        [ZERO, ExactScalar(0, 0, 0, Fraction(1, 6)), ExactScalar(0, -h),
-         ExactScalar(0, 0, Fraction(1, 3)), ZERO],
-        [ZERO, ExactScalar(0, 0, 0, Fraction(1, 12)), ExactScalar(0, Fraction(-1, 4)),
-         ExactScalar(0, 0, Fraction(-1, 3)), ExactScalar(0, h)],
-        [ZERO, ExactScalar(0, 0, 0, Fraction(-1, 12)), ExactScalar(0, Fraction(1, 4)),
-         ExactScalar(0, 0, Fraction(1, 3)), ExactScalar(0, h)],
+        # 1/sqrt2 = sqrt2/2, sqrt3/(2 sqrt2) = sqrt6/4, 1/(2 sqrt2) = sqrt2/4
+        [q(1, 2, 2), q(1, 4, 6), q(1, 4, 2), ZERO, ZERO],
+        [q(1, 2, 2), q(-1, 4, 6), q(-1, 4, 2), ZERO, ZERO],
+        [ZERO, q(1, 6, 6), q(-1, 2, 2), q(1, 3, 3), ZERO],
+        [ZERO, q(1, 12, 6), q(-1, 4, 2), q(-1, 3, 3), q(1, 2, 2)],
+        [ZERO, q(-1, 12, 6), q(1, 4, 2), q(1, 3, 3), q(1, 2, 2)],
     ]
-    return ModeMatrix(rows)
+    return ModeMatrix._of(rows)
 
 
 def inverse(m: ModeMatrix) -> ModeMatrix:

@@ -240,6 +240,23 @@ _GAMMA_SWEEP = {"parameter": "gamma", "values": [0.5, 1.0]}
     ({"seed": "4"}, "seed must be an integer"),
     ({"trials": 1e400}, "trials must be an integer"),
     ({"code": {"r": float("nan")}}, "squeezing parameter must be finite"),
+    ({"code": {"r": True}}, "squeezing parameter must be a number"),
+    ({"code": {"r": [0.1, "0.2", 0.3, 0.4]}}, "squeezing parameter must be a number"),
+    ({"code": {"squeezing_db": "3.5"}}, "code.squeezing_db must be a number"),
+    ({"code": {"input": {"squeeze_db": "3.5"}}}, "code.input.squeeze_db must be a number"),
+    ({"code": {"input": {"antisqueeze_db": False}}},
+     "code.input.antisqueeze_db must be a number"),
+    ({"code": {"channel_loss": "0.9"}}, "code.channel_loss must be a number"),
+    ({"code": {"channel_loss": [1.0, 0.9, True, 0.9, 1.0]}},
+     "code.channel_loss must be a number"),
+    ({"error": {"channel": True}}, "channel must be 1..5 or 'uniform'"),
+    ({"error": {"channel": 3.0}}, "channel must be 1..5 or 'uniform'"),
+    ({"error": {"gamma": True}}, "error.gamma must be a number"),
+    ({"error": {"law": {"magnitude": "5"}}}, "error.law.magnitude must be a number"),
+    ({"experiment": "mc-sweep", "sweep": {"parameter": "gamma", "values": [True, False]}},
+     "sweep value must be a number"),
+    ({"experiment": "mc-sweep", "sweep": {"parameter": "loss", "values": ["1.0", "0.9"]}},
+     "sweep value must be a number"),
 ])
 def test_main_reports_bad_config_as_usage_error(tmp_path, capsys, doc, message):
     """A bad config stops ``cvqec run`` with exit 2 before the runner starts;

@@ -56,8 +56,7 @@ def _result(code):
 
 def _assert_same_columns(a, b):
     for f in dataclasses.fields(a):
-        if f.init:
-            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), f.name)
+        np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), f.name)
 
 
 def test_code_config_validation():
@@ -162,14 +161,17 @@ def test_encode_fourier_mode_matches_symbolic(r):
                channel_loss=(1.0, 0.9, 0.8, 0.95, 0.7)),
 ], ids=["lossless", "loss", "fourier", "fourier-loss", "squeezed", "squeezed-fourier-loss"])
 def test_pipeline_maps_decoded_cov_matches_gaussian_engine(cfg):
-    """PipelineMaps' decoded covariance equals the one the Gaussian-state
-    engine builds step by step, and, without loss, the covariance of the
-    exact decoded forms."""
-    cov = qec.PipelineMaps(cfg, cfg.fourier_mode).decoded_cov()
-    np.testing.assert_allclose(cov, _engine_state(cfg).cov, rtol=0, atol=1e-12)
+    """The readout covariance of PipelineMaps' noise maps, which the sampler
+    draws from, equals the one the Gaussian-state engine builds step by step,
+    and, without loss, the covariance of the exact decoded forms."""
+    maps = qec.PipelineMaps(cfg, cfg.fourier_mode)
+    cov = maps.noise @ maps.noise.T
+    rows = np.ix_(*[qec.readout_rows(cfg.fourier_mode)] * 2)
+    np.testing.assert_allclose(cov, _engine_state(cfg).cov[rows], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(maps.baselines, np.diagonal(cov), rtol=1e-12, atol=0)
     if not cfg.has_loss:
         exact = _form_covariances(decode(encode(cfg)).forms, cfg)
-        np.testing.assert_allclose(cov, exact, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cov, exact[rows], rtol=0, atol=1e-12)
 
 
 def test_inject_null_event_is_identity():
@@ -388,6 +390,9 @@ def test_zero_plan_for_protected_channels():
                    ClassificationResult(CHANNEL, 1),
                    ClassificationResult(CHANNEL, 2)):
         assert correction_plan(result).is_zero()
+    # the round engine's table also leaves indefinite codes uncorrected
+    for code in (0, 1, 2, qec._CODE_AMBIGUOUS, qec._CODE_UNCLASSIFIABLE):
+        np.testing.assert_array_equal(qec.PLAN_TABLE[:, code], [np.eye(2, 6, 4)] * 2)
 
 
 def test_plan_unavailable_for_ambiguous():
@@ -404,6 +409,8 @@ def test_derived_plans_equal_constants(channel, fourier):
     table = correction_plan(ClassificationResult(CHANNEL, channel), fourier)
     assert derived.x_ff == table.x_ff
     assert derived.p_ff == table.p_ff
+    np.testing.assert_array_equal(qec.PLAN_TABLE[int(fourier), channel],
+                                  qec.plan_matrix(derived))
 
 
 def test_corrected_output_channel3_residuals():
@@ -491,12 +498,14 @@ def test_closed_form_uncorrected_branch():
 
 
 def test_closed_form_uniform_loss_keeps_cancellation():
-    """With equal loss on all channels the feedforward still cancels the error."""
-    cfg = CodeConfig(r=R35, channel_loss=0.9)
-    corrected = closed_form_output(cfg, 4, displacement=(7.0, -3.0))
-    assert np.allclose(corrected.mean, 0.0, atol=1e-12)
+    """With equal or unequal loss on the channels the feedforward still
+    cancels the error."""
     lossless = closed_form_output(CodeConfig(r=R35), 4)
-    assert corrected.fidelity < lossless.fidelity
+    for loss in (0.9, (1.0, 0.9, 0.8, 0.95, 0.7)):
+        cfg = CodeConfig(r=R35, channel_loss=loss)
+        corrected = closed_form_output(cfg, 4, displacement=(7.0, -3.0))
+        assert np.allclose(corrected.mean, 0.0, atol=1e-12)
+        assert corrected.fidelity < lossless.fidelity
 
 
 def test_loss_reduces_channel12_fidelity_for_squeezed_input():
@@ -513,12 +522,33 @@ def test_loss_reduces_channel12_fidelity_for_squeezed_input():
 # full rounds
 
 
+def _round_theory(outcome, law):
+    """Closed-form output of each round's branch: the corrected output of a
+    located channel, the error-free output, or the unrepaired hit of an
+    indefinite round, in the configuration of the pass the round reports."""
+    cfg = outcome.cfg
+    reported_rerun = outcome.fourier_used & (outcome.final_codes != qec._CODE_UNCLASSIFIABLE)
+    out = []
+    for code, fourier, channel in zip(outcome.final_codes.tolist(),
+                                      (reported_rerun ^ cfg.fourier_mode).tolist(),
+                                      outcome.channels.tolist()):
+        if code in (1, 2, 3, 4, 5):
+            out.append(closed_form_output(cfg, code, fourier=fourier))
+        elif code == qec._CODE_NO_ERROR:
+            out.append(closed_form_output(cfg, None, fourier=fourier))
+        else:
+            extra = law.quadrature_variances() if channel else (0.0, 0.0)
+            out.append(closed_form_output(cfg, channel or None, corrected=False,
+                                          extra_error_var=extra, fourier=fourier))
+    return out
+
+
 def test_run_round_channel2_near_unit_fidelity(series_sampler):
     cfg = CodeConfig(r=R35)
     ec = ErrorConfig(1.0, 2, ErrorLaw("general", STRONG))
     out = run_rounds(cfg, ec, np.random.default_rng(21), 1)
     assert _result(out.final_codes[0]).channel == 2
-    assert out.fidelity_theory[0] == pytest.approx(1.0, abs=1e-12)
+    assert _round_theory(out, ec.law)[0].fidelity == pytest.approx(1.0, abs=1e-12)
     assert out.fidelity_mc[0] > 0.99
 
 
@@ -538,7 +568,7 @@ def test_run_round_gamma_zero_is_identity_round(series_sampler):
     out = run_rounds(cfg, ec, np.random.default_rng(23), 1)
     assert _result(out.final_codes[0]).kind == NO_ERROR
     assert out.channels[0] == 0
-    assert out.fidelity_theory[0] == pytest.approx(1.0, abs=1e-12)
+    assert _round_theory(out, ec.law)[0].fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_rounds_matches_run_round_semantics():
@@ -594,7 +624,7 @@ def _corrected_series(outcome, passes):
     if len(rerun):
         resolved = outcome.final_codes[rerun] != qec._CODE_UNCLASSIFIABLE
         series[rerun[resolved]] = passes[1][resolved]
-    comb = qec._plan_table()[outcome.fourier_used.astype(np.intp), outcome.final_codes]
+    comb = qec.PLAN_TABLE[outcome.fourier_used.astype(np.intp), outcome.final_codes]
     return series @ comb.transpose(0, 2, 1)
 
 
@@ -700,9 +730,10 @@ def test_statistics_sampler_equals_series_sampler_in_law(case):
 def test_samplers_at_the_extremes(cfg, law, expect, request):
     """Total loss, extreme and zero squeezing and a zero error: both samplers
     give finite fidelities without a numpy warning, and the same certain
-    classification.  At r = 19 and 24 the quiet readouts' variances lie far
-    below the rounding error of the loud source quadratures, and the pure-p
-    law also takes every round through the rotated rerun."""
+    classification; so does the closed form of every round's branch.  At
+    r = 19 and 24 the quiet readouts' variances lie far below the rounding
+    error of the loud source quadratures, and the pure-p law also takes every
+    round through the rotated rerun."""
     ec = ErrorConfig(1.0, "uniform", law)
     outcomes = []
     with warnings.catch_warnings():
@@ -710,9 +741,11 @@ def test_samplers_at_the_extremes(cfg, law, expect, request):
         outcomes.append(run_rounds(cfg, ec, np.random.default_rng(3), 200, window=64))
         request.getfixturevalue("series_sampler")       # the series route from here on
         outcomes.append(run_rounds(cfg, ec, np.random.default_rng(3), 200, window=64))
+        theory = [stats.fidelity for outcome in outcomes
+                  for stats in _round_theory(outcome, law)]
+    assert np.isfinite(theory).all()
     for outcome in outcomes:
         assert np.isfinite(outcome.fidelity_mc).all()
-        assert np.isfinite(outcome.fidelity_theory).all()
         want = np.zeros_like(outcome.channels) if expect == "no-error" else outcome.channels
         np.testing.assert_array_equal(outcome.final_codes, want)
 

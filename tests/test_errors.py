@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from cvqec.code import CodeConfig, closed_form_output, run_rounds
-from cvqec.errors import (ErrorConfig, ErrorLaw, MixtureState, merge_components,
-                          mixture_output)
+from cvqec.code import CodeConfig, closed_form_output, output_mixture, run_rounds
+from cvqec.errors import ErrorConfig, ErrorLaw, MixtureState
 from cvqec.gaussian import db_to_r
 
 R35 = db_to_r(3.5)
@@ -94,8 +93,7 @@ def test_mixture_state_validation():
 
 
 def test_mixture_gamma_zero_single_component():
-    m = mixture_output(ErrorConfig(0.0, 3, ErrorLaw("x", 2.0)),
-                       CodeConfig(r=R35), 3)
+    m = output_mixture(CodeConfig(r=R35), ErrorConfig(0.0, 3, ErrorLaw("x", 2.0)))
     assert len(m) == 1
     assert np.allclose(m.means[0], 0.0)
     inp = CodeConfig(r=R35).input_state()
@@ -104,22 +102,26 @@ def test_mixture_gamma_zero_single_component():
 
 def test_mixture_immunity_collapses_channel1():
     """gamma=1 on a protected channel: both sign branches equal the input."""
-    m = mixture_output(ErrorConfig(1.0, 1, ErrorLaw("x", 3.0)),
-                       CodeConfig(r=R35), 1)
+    m = output_mixture(CodeConfig(r=R35), ErrorConfig(1.0, 1, ErrorLaw("x", 3.0)))
     assert len(m) == 1
     assert np.allclose(np.asarray(m.covs[0]), 0.25 * np.eye(2))
 
 
 def test_mixture_corrected_branch_collapses():
-    """Exact cancellation makes every error-branch component identical."""
+    """Exact cancellation makes every error-branch component identical, so a
+    corrected branch is one component."""
     cfg = CodeConfig(r=R35)
-    m = mixture_output(ErrorConfig(0.5, 3, ErrorLaw("x", 3.0)), cfg, 3)
+    m = output_mixture(cfg, ErrorConfig(0.5, 3, ErrorLaw("x", 3.0)))
     assert len(m) == 2
     th = closed_form_output(cfg, 3)
     assert np.allclose(np.asarray(m.covs[1]), th.cov, atol=1e-12)
-    mg = mixture_output(ErrorConfig(1.0, 4, ErrorLaw("general", 2.0)), cfg, 4,
-                        phase_bins=36)
+    law = ErrorLaw("general", 2.0)
+    mg = output_mixture(cfg, ErrorConfig(1.0, 4, law))
     assert len(mg) == 1
+    for _, dx, dp, extra in law.branch_components():
+        branch = closed_form_output(cfg, 4, displacement=(dx, dp), extra_error_var=extra)
+        assert np.allclose(branch.mean, mg.means[0], atol=1e-12)
+        assert np.allclose(branch.cov, np.asarray(mg.covs[0]), atol=1e-12)
 
 
 def test_mixture_moments_single_component():
@@ -143,27 +145,19 @@ def test_mixture_moments_total_variance():
 def test_uncorrected_branch_mean_shift():
     """An uncorrected channel-3 x displacement lands on the output as A/sqrt3."""
     a = 3.0
-    m = mixture_output(ErrorConfig(1.0, 3, ErrorLaw("x", a)),
-                       CodeConfig(r=R35), 3, corrected=False)
+    m = output_mixture(CodeConfig(r=R35), ErrorConfig(1.0, 3, ErrorLaw("x", a)),
+                       corrected=False)
     shifts = sorted(mu[0] for mu in m.means)
     assert shifts == pytest.approx([-a / math.sqrt(3), a / math.sqrt(3)], rel=1e-12)
 
 
 def test_kurtosis_flags_distinct_branches():
     cfg = CodeConfig(r=R35)
-    uncorrected = mixture_output(ErrorConfig(0.5, 3, ErrorLaw("x", 3.0)), cfg, 3,
+    uncorrected = output_mixture(cfg, ErrorConfig(0.5, 3, ErrorLaw("x", 3.0)),
                                  corrected=False)
     assert abs(uncorrected.quadrature_kurtosis_excess("x")) > 1.0
-    collapsed = mixture_output(ErrorConfig(1.0, 3, ErrorLaw("x", 3.0)), cfg, 3)
+    collapsed = output_mixture(cfg, ErrorConfig(1.0, 3, ErrorLaw("x", 3.0)))
     assert collapsed.quadrature_kurtosis_excess("x") == pytest.approx(0.0, abs=1e-12)
-
-
-def test_merge_components_weights():
-    m = merge_components([0.25, 0.25, 0.5],
-                         [(0, 0), (0, 0), (1, 0)],
-                         [np.eye(2) * 0.25] * 3)
-    assert len(m) == 2
-    assert m.weights[0] == pytest.approx(0.5)
 
 
 def test_monte_carlo_matches_mixture_moments():
@@ -187,13 +181,26 @@ def test_monte_carlo_matches_mixture_moments():
     emp_mean = s1 / n
     emp_var = (s2 - n * emp_mean ** 2) / (n - 1)
     hit = int(np.count_nonzero(outcome.channels))
-    mean, cov = mixture_output(replace(ec, gamma=hit / rounds), cfg, 3).moments()
+    mean, cov = output_mixture(cfg, replace(ec, gamma=hit / rounds)).moments()
     # samples and covariance of the no-error and the error branch
-    branches = [(window * (rounds - hit), mixture_output(replace(ec, gamma=0.0), cfg, 3)),
-                (window * hit, mixture_output(replace(ec, gamma=1.0), cfg, 3))]
+    branches = [(window * (rounds - hit), output_mixture(cfg, replace(ec, gamma=0.0))),
+                (window * hit, output_mixture(cfg, replace(ec, gamma=1.0)))]
     branches = [(n_b, branch.moments()[1]) for n_b, branch in branches]
     for k in (0, 1):
         se_mean = math.sqrt(sum(n_b * c[k, k] for n_b, c in branches)) / n
         se_var = math.sqrt(2.0 * sum(n_b * c[k, k] ** 2 for n_b, c in branches)) / n
         assert abs(emp_mean[k] - mean[k]) < 5 * se_mean
         assert abs(emp_var[k] - cov[k, k]) < 5 * se_var
+
+
+def test_mixture_uniform_policy_shares_gamma():
+    """Under the uniform policy each channel's branch carries gamma / 5, and
+    an uncorrected branch splits over the law's components."""
+    cfg = CodeConfig(r=R35, channel_loss=(1.0, 0.9, 0.8, 0.95, 0.7))
+    law = ErrorLaw("x", 3.0)
+    m = output_mixture(cfg, ErrorConfig(0.5, "uniform", law))
+    assert m.weights == pytest.approx((0.5,) + (0.1,) * 5, rel=1e-15)
+    for ch, cov in zip(range(1, 6), m.covs[1:]):
+        np.testing.assert_allclose(cov, closed_form_output(cfg, ch).cov, rtol=0, atol=0)
+    raw = output_mixture(cfg, ErrorConfig(0.5, "uniform", law), corrected=False)
+    assert raw.weights == pytest.approx((0.5,) + (0.05,) * 10, rel=1e-15)
