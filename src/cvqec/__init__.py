@@ -13,14 +13,11 @@ Monte-Carlo engine, plus a CLI that regenerates the headline tables.
 from .exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol,
                     form_apply_matrix, form_covariance, form_variance,
                     mode_forms_apply_matrix, sqrt_of, symbol_variance)
-from .gaussian import (GaussianState, NonPhysicalStateError, SymplecticOp,
-                       apply, beamsplitter_symplectic, db_to_r, db_to_variance,
-                       fidelity_gaussian, fidelity_from_moments, join,
-                       loss_channel, omega, sample, squeezed_vacuum,
-                       variance_to_db, VACUUM_VAR)
+from .gaussian import (VACUUM_VAR, db_to_r, fidelity_from_moments,
+                       variance_to_db)
 from .network import (BeamSplitterElement, ENCODER_SPEC, ModeMatrix,
-                      NetworkSpec, SwapElement, compose, element_matrix,
-                      encoder_matrix, inverse, lift_to_symplectic)
+                      NetworkSpec, compose, element_matrix, encoder_matrix,
+                      inverse, lift_to_symplectic)
 from .errors import ErrorConfig, ErrorEvent, ErrorLaw, MixtureState
 from .code import (AMBIGUOUS_P, CHANNEL, ClassificationResult, CodeConfig,
                    CorrectionPlan, CorrectionUnavailable, DecodedState,

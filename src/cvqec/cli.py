@@ -108,6 +108,8 @@ class ExperimentConfig:
 
 
 def _reject_unknown(doc: dict, allowed, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, not {doc!r}")
     unknown = set(doc) - set(allowed)
     if unknown:
         raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
@@ -189,12 +191,19 @@ def parse_config(doc: dict) -> ExperimentConfig:
     sweep_parameter, sweep_values = None, ()
     if sweep is not None:
         _reject_unknown(sweep, {"parameter", "values"}, "sweep")
+        if "parameter" not in sweep:
+            raise ValueError("a sweep needs a parameter")
         sweep_parameter = sweep["parameter"]
         if sweep_parameter not in ("r", "gamma", "magnitude", "loss"):
             raise ValueError(f"unknown sweep parameter {sweep_parameter!r}")
+        if not isinstance(sweep.get("values"), list):
+            raise ValueError(f"sweep values must be a list, not {sweep.get('values')!r}")
         sweep_values = tuple(_parse_number(v, "sweep value") for v in sweep["values"])
         if len(sweep_values) < 2:
             raise ValueError("a sweep needs at least two values")
+    out = doc.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ValueError(f"out must be a string, not {out!r}")
     return ExperimentConfig(
         code=code, error=error,
         trials=_parse_count(doc, "trials", 50),
@@ -202,7 +211,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         seed=_parse_count(doc, "seed", 0),
         squeezing_db=squeezing_db,
         sweep_parameter=sweep_parameter, sweep_values=sweep_values,
-        experiment=experiment, out=doc.get("out"), echo=doc)
+        experiment=experiment, out=out, echo=doc)
 
 
 def load_config(path: str | None) -> ExperimentConfig:
@@ -439,9 +448,8 @@ def run_mc_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
         inp = code.input_state()
         # theory assumes correct classification; MC pools every round
         # regardless of class: both are the full channel mixture
-        theory = fidelity_from_moments(inp.mean, inp.cov,
-                                       *output_mixture(code, error).moments())
-        mc = fidelity_from_moments(inp.mean, inp.cov, *pooled_moments(outcome))
+        theory = fidelity_from_moments(*inp, *output_mixture(code, error).moments())
+        mc = fidelity_from_moments(*inp, *pooled_moments(outcome))
         rows.append([repr(float(value)), repr(theory),
                      repr(mc), repr(_mc_stderr(outcome)),
                      repr(outcome.summary.accuracy)])

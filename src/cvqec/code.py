@@ -25,12 +25,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import gaussian
 from .errors import ErrorConfig, ErrorEvent, ErrorLaw, MixtureState
 from .exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol, SQRT2,
                     TAG_ANTISQUEEZED, TAG_SQUEEZED, form_variance,
                     mode_forms_apply_matrix, sqrt_of)
-from .gaussian import GaussianState, VACUUM_VAR, fidelity_from_moments
+from .gaussian import VACUUM_VAR, fidelity_from_moments, variance_to_db
 from .network import encoder_matrix, inverse, lift_to_symplectic
 
 INPUT_POS = 3
@@ -120,9 +119,9 @@ class CodeConfig:
         v_anti = VACUUM_VAR * 10.0 ** (self.input_antisqueeze_db / 10.0)
         return (v_anti, v_sq)   # phase-squeezed input: p is the quiet quadrature
 
-    def input_state(self) -> GaussianState:
-        v_x, v_p = self.input_variances()
-        return GaussianState(1, np.zeros(2), np.diag([v_x, v_p]))
+    def input_state(self) -> tuple[np.ndarray, np.ndarray]:
+        """Mean and covariance of the input mode."""
+        return np.zeros(2), np.diag(self.input_variances())
 
 
 def coherent_ancilla_config(cfg: CodeConfig) -> CodeConfig:
@@ -466,7 +465,7 @@ def _network_symplectics(fourier: bool) -> tuple[np.ndarray, np.ndarray]:
     per flag and read-only."""
     u = encoder_matrix()
     flags = [pos != INPUT_POS for pos in range(5)] if fourier else None
-    pair = (lift_to_symplectic(u, flags).S, lift_to_symplectic(inverse(u)).S)
+    pair = (lift_to_symplectic(u, flags), lift_to_symplectic(inverse(u)))
     for s in pair:
         s.setflags(write=False)
     return pair
@@ -544,7 +543,7 @@ class OutputStats:
         return float(self.cov[1, 1])
 
     def noise_db(self, quad: str) -> float:
-        return gaussian.variance_to_db(self.V_x if quad == "x" else self.V_p)
+        return variance_to_db(self.V_x if quad == "x" else self.V_p)
 
 
 def closed_form_output(cfg: CodeConfig, channel: int | None, corrected: bool = True,
@@ -574,8 +573,7 @@ def closed_form_output(cfg: CodeConfig, channel: int | None, corrected: bool = T
         err = plan @ maps.err_readout[:, 2 * channel - 2:2 * channel]      # (2, 2)
         mean = err @ np.asarray(displacement, dtype=float)
         cov = cov + err @ np.diag(extra_error_var) @ err.T
-    inp = cfg.input_state()
-    fid = fidelity_from_moments(inp.mean, inp.cov, mean, cov)
+    fid = fidelity_from_moments(*cfg.input_state(), mean, cov)
     return OutputStats(mean=mean, cov=cov, fidelity=fid)
 
 
@@ -730,8 +728,7 @@ def summarize_reports(cfg: CodeConfig, rounds: "RoundsOutcome") -> "RoundsSummar
     codes = codes[np.argsort(first)]
     keys = [str(_CODE_TO_RESULT[int(c)]) for c in codes]
     pooled = [pooled_moments(rounds, rounds.final_codes == c) for c in codes]
-    inp = cfg.input_state()
-    fids = fidelity_from_moments(inp.mean, inp.cov, np.array([m for m, _ in pooled]),
+    fids = fidelity_from_moments(*cfg.input_state(), np.array([m for m, _ in pooled]),
                                  np.array([c for _, c in pooled]))
     return RoundsSummary(
         n_rounds=len(rounds.final_codes), window=rounds.window,
@@ -850,7 +847,6 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
     comb = PLAN_TABLE[fourier.astype(np.intp), final]             # (n, 2, 6)
     corrected_mean = (comb @ mean[:, :, None])[:, :, 0]
     cov = comb @ scatter @ comb.transpose(0, 2, 1) / (window - 1)
-    inp = cfg.input_state()
     pair13 = pass1.flags[:, 0] & pass1.flags[:, 2]
     pair34 = pass1.flags[:, 2] & pass1.flags[:, 3]
     relations = np.stack([np.where(pass1.cc13 > 0, 1, -1) * pair13,
@@ -861,7 +857,7 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
         matched=final == channels, flags=pass1.flags, relations=relations.astype(np.int8),
         corrected_mean=corrected_mean, corrected_var=np.diagonal(cov, axis1=1, axis2=2).copy(),
         corrected_cov_xp=cov[:, 0, 1].copy(),
-        fidelity_mc=fidelity_from_moments(inp.mean, inp.cov, corrected_mean, cov))
+        fidelity_mc=fidelity_from_moments(*cfg.input_state(), corrected_mean, cov))
 
 
 def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,

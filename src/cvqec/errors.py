@@ -209,15 +209,3 @@ class MixtureState:
         second = np.einsum("k,kij->ij", w, covs)
         second += np.einsum("k,ki,kj->ij", w, mu, mu)
         return mean, second - np.outer(mean, mean)
-
-    def quadrature_kurtosis_excess(self, quad: str) -> float:
-        """Fourth cumulant of one quadrature marginal; zero iff effectively Gaussian."""
-        q = 0 if quad == "x" else 1
-        w = np.asarray(self.weights)
-        mu = np.asarray(self.means)[:, q]
-        var = np.asarray(self.covs)[:, q, q]
-        mean = float(w @ mu)
-        d = mu - mean
-        m2 = float(w @ (var + d ** 2))
-        m4 = float(w @ (3.0 * var ** 2 + 6.0 * var * d ** 2 + d ** 4))
-        return m4 - 3.0 * m2 ** 2

@@ -410,11 +410,8 @@ class LinearForm:
 
     __rmul__ = __mul__
 
-    def restrict(self, predicate) -> "LinearForm":
-        return LinearForm({s: c for s, c in self._terms.items() if predicate(s)})
-
     def drop_errors(self) -> "LinearForm":
-        return self.restrict(lambda s: s.role != ROLE_ERROR)
+        return LinearForm({s: c for s, c in self._terms.items() if s.role != ROLE_ERROR})
 
     def has_errors(self) -> bool:
         return any(s.role == ROLE_ERROR for s in self._terms)

@@ -7,15 +7,13 @@ exactly orthogonal, so inversion is transposition.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .exact import ExactScalar, ONE, ZERO, sqrt_of
-from .gaussian import SymplecticOp
 
 
 class ModeMatrix:
@@ -139,92 +137,26 @@ class BeamSplitterElement:
 
 
 @dataclass(frozen=True)
-class SwapElement:
-    """Exchange of two mode positions (used to re-route a2 and a3)."""
-
-    k: int
-    l: int
-
-    def __post_init__(self):
-        if self.k == self.l:
-            raise ValueError("swap modes must differ")
-
-
-Element = Union[BeamSplitterElement, SwapElement]
-
-
-def _parse_transmittance(value) -> Fraction:
-    """Transmittance from JSON: a number (snapped to a small exact fraction,
-    so 0.3333... reads back as 1/3) or a fraction string like "1/3"."""
-    if isinstance(value, str):
-        return Fraction(value)
-    exact = Fraction(value).limit_denominator(10 ** 6)
-    return exact
-
-
-@dataclass(frozen=True)
 class NetworkSpec:
     """An ordered beam-splitter circuit; elements are listed first-applied first."""
 
-    elements: tuple[Element, ...] = ()
-    fourier: tuple[bool, ...] = (False,) * 5
+    elements: tuple[BeamSplitterElement, ...] = ()
     n_modes: int = 5
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
-        object.__setattr__(self, "fourier", tuple(bool(f) for f in self.fourier))
-        if len(self.fourier) != self.n_modes:
-            raise ValueError("fourier flag list must have one entry per mode")
         for el in self.elements:
             if not 1 <= el.k <= self.n_modes or not 1 <= el.l <= self.n_modes:
                 raise ValueError("mode labels must lie in 1..n_modes")
 
-    def to_json(self) -> str:
-        elements = []
-        for el in self.elements:
-            if isinstance(el, SwapElement):
-                elements.append({"k": el.k, "l": el.l, "swap": True})
-            else:
-                elements.append({"k": el.k, "l": el.l,
-                                 "T": float(el.T), "sign": el.sign})
-        return json.dumps({"elements": elements, "fourier": list(self.fourier)},
-                          sort_keys=True)
 
-    @staticmethod
-    def from_json(text: str) -> "NetworkSpec":
-        doc = json.loads(text)
-        unknown = set(doc) - {"elements", "fourier"}
-        if unknown:
-            raise ValueError(f"unknown network keys: {sorted(unknown)}")
-        elements = []
-        for item in doc.get("elements", []):
-            if item.get("swap"):
-                unknown = set(item) - {"k", "l", "swap"}
-                if unknown:
-                    raise ValueError(f"unknown swap keys: {sorted(unknown)}")
-                elements.append(SwapElement(item["k"], item["l"]))
-            else:
-                unknown = set(item) - {"k", "l", "T", "sign"}
-                if unknown:
-                    raise ValueError(f"unknown element keys: {sorted(unknown)}")
-                elements.append(BeamSplitterElement(
-                    item["k"], item["l"], _parse_transmittance(item["T"]),
-                    item["sign"]))
-        fourier = tuple(doc.get("fourier", [False] * 5))
-        return NetworkSpec(tuple(elements), fourier)
-
-
-def element_matrix(el: Element, n: int) -> ModeMatrix:
+def element_matrix(el: BeamSplitterElement, n: int) -> ModeMatrix:
     """The element embedded in the n-mode identity (1-based mode labels)."""
     rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     k, l = el.k - 1, el.l - 1
-    if isinstance(el, SwapElement):
-        rows[k][k] = rows[l][l] = ZERO
-        rows[k][l] = rows[l][k] = ONE
-    else:
-        a, b, c, d = el.block()
-        rows[k][k], rows[k][l] = a, b
-        rows[l][k], rows[l][l] = c, d
+    a, b, c, d = el.block()
+    rows[k][k], rows[k][l] = a, b
+    rows[l][k], rows[l][l] = c, d
     return ModeMatrix._of(rows)
 
 
@@ -267,14 +199,17 @@ def inverse(m: ModeMatrix) -> ModeMatrix:
     return m.transpose()
 
 
-def lift_to_symplectic(m: ModeMatrix, fourier_flags: Sequence[bool] | None = None) -> SymplecticOp:
+def lift_to_symplectic(m: ModeMatrix, fourier_flags: Sequence[bool] | None = None) -> np.ndarray:
     """Lifts a mode matrix to the 2n x 2n symplectic acting identically on x and p.
 
     Modes whose flag is set receive a 90-degree rotation (x, p) -> (-p, x)
     before the mixing matrix acts.
     """
-    lift = SymplecticOp.from_mode_matrix(m.as_array())
-    if fourier_flags and any(fourier_flags):
-        rot = SymplecticOp.fourier(m.n, [i for i, f in enumerate(fourier_flags) if f])
-        return rot.then(lift)
-    return lift
+    lift = np.kron(m.as_array(), np.eye(2))
+    if not (fourier_flags and any(fourier_flags)):
+        return lift
+    rot = np.eye(2 * m.n)
+    for i, flag in enumerate(fourier_flags):
+        if flag:
+            rot[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[0.0, -1.0], [1.0, 0.0]]
+    return lift @ rot

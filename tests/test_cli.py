@@ -257,6 +257,17 @@ _GAMMA_SWEEP = {"parameter": "gamma", "values": [0.5, 1.0]}
      "sweep value must be a number"),
     ({"experiment": "mc-sweep", "sweep": {"parameter": "loss", "values": ["1.0", "0.9"]}},
      "sweep value must be a number"),
+    ({"experiment": "mc-sweep", "sweep": {"values": [0.1, 0.2]}}, "a sweep needs a parameter"),
+    ({"experiment": "mc-sweep", "sweep": {"parameter": "gamma", "values": 5}},
+     "sweep values must be a list"),
+    ({"experiment": "mc-sweep", "sweep": {"parameter": "gamma", "values": "ab"}},
+     "sweep values must be a list"),
+    ({"experiment": "mc-sweep", "sweep": {"parameter": "gamma"}}, "sweep values must be a list"),
+    ({"experiment": "mc-sweep", "sweep": 5}, "sweep must be a JSON object"),
+    ({"code": 5}, "code must be a JSON object"),
+    ({"error": 5}, "error must be a JSON object"),
+    ({"error": {"law": 3}}, "error.law must be a JSON object"),
+    ({"out": 5}, "out must be a string"),
 ])
 def test_main_reports_bad_config_as_usage_error(tmp_path, capsys, doc, message):
     """A bad config stops ``cvqec run`` with exit 2 before the runner starts;

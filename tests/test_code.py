@@ -17,7 +17,7 @@ from cvqec.code import (AMBIGUOUS_P, CHANNEL, ClassificationResult, CodeConfig,
 from cvqec.errors import ErrorConfig, ErrorEvent, ErrorLaw
 from cvqec.exact import (ExactScalar, QuadSymbol, SQRT2, TAG_ANTISQUEEZED,
                          TAG_SQUEEZED, form_covariance, sqrt_of)
-from cvqec.gaussian import apply, db_to_r, join, loss_channel, squeezed_vacuum
+from cvqec.gaussian import db_to_r
 from cvqec.network import encoder_matrix, inverse, lift_to_symplectic
 
 R35 = db_to_r(3.5)
@@ -99,20 +99,29 @@ def test_encode_symbolic_channel4():
     assert c4x.coefficient(QuadSymbol.input("x")) == -sqrt_of(frac(1, 3))
 
 
-def _engine_state(cfg, decoded=True):
-    """The pipeline through the Gaussian-state engine: source states, the
-    lifted encoder (ancillas Fourier-rotated in Fourier mode) and, with
-    ``decoded``, per-channel loss and the lifted decoder."""
+def _reference_cov(cfg, decoded=True):
+    """The pipeline covariance built step by step in numpy: source variances
+    from r and the ancilla orientations, the lifted encoder (ancillas
+    Fourier-rotated in Fourier mode) and, with ``decoded``, per-channel loss
+    (sqrt(eta) scaling plus (1 - eta)/4 of vacuum) and the lifted decoder."""
+    var = []
     ancillas = iter(zip(cfg.r_values, qec.ANCILLA_ORIENTATIONS))
-    state = join([cfg.input_state() if pos == qec.INPUT_POS else squeezed_vacuum(*next(ancillas))
-                  for pos in range(5)])
+    for pos in range(5):
+        if pos == qec.INPUT_POS:
+            var += np.diagonal(cfg.input_state()[1]).tolist()
+            continue
+        r, orientation = next(ancillas)
+        quiet, loud = 0.25 * math.exp(-2 * r), 0.25 * math.exp(2 * r)
+        var += [quiet, loud] if orientation == "amplitude" else [loud, quiet]
     flags = [pos != qec.INPUT_POS for pos in range(5)] if cfg.fourier_mode else None
-    state = apply(lift_to_symplectic(encoder_matrix(), flags), state)
+    enc = lift_to_symplectic(encoder_matrix(), flags)
+    cov = enc @ np.diag(var) @ enc.T
     if not decoded:
-        return state
-    for mode, eta in enumerate(cfg.loss_values):
-        state = loss_channel(state, mode, eta)
-    return apply(lift_to_symplectic(inverse(encoder_matrix())), state)
+        return cov
+    eta = np.repeat(cfg.loss_values, 2)
+    cov = np.sqrt(np.outer(eta, eta)) * cov + np.diag(0.25 * (1.0 - eta))
+    dec = lift_to_symplectic(inverse(encoder_matrix()))
+    return dec @ cov @ dec.T
 
 
 def _form_covariances(forms, cfg):
@@ -124,7 +133,7 @@ def _form_covariances(forms, cfg):
 def test_encode_unsqueezed_gives_vacuum_channels():
     cfg = CodeConfig(r=0.0)
     assert np.allclose(_form_covariances(encode(cfg).forms, cfg), 0.25 * np.eye(10), atol=1e-12)
-    assert np.allclose(_engine_state(cfg, decoded=False).cov, 0.25 * np.eye(10), atol=1e-12)
+    assert np.allclose(_reference_cov(cfg, decoded=False), 0.25 * np.eye(10), atol=1e-12)
 
 
 def test_encode_correlation_variance():
@@ -137,17 +146,17 @@ def test_encode_correlation_variance():
 
 
 def test_encode_numeric_matches_symbolic_covariances():
-    """The Gaussian-state engine's encoded covariance equals that of the
-    exact encoded forms."""
+    """The numpy reference's encoded covariance equals that of the exact
+    encoded forms."""
     cfg = CodeConfig(r=(0.2, 0.5, 0.8, 0.1), input_kind="squeezed")
-    np.testing.assert_allclose(_engine_state(cfg, decoded=False).cov,
+    np.testing.assert_allclose(_reference_cov(cfg, decoded=False),
                                _form_covariances(encode(cfg).forms, cfg), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("r", [0.6, (0.2, 0.7, 0.1, 0.9)])
 def test_encode_fourier_mode_matches_symbolic(r):
     cfg = CodeConfig(r=r, fourier_mode=True)
-    np.testing.assert_allclose(_engine_state(cfg, decoded=False).cov,
+    np.testing.assert_allclose(_reference_cov(cfg, decoded=False),
                                _form_covariances(encode(cfg).forms, cfg), rtol=0, atol=1e-12)
 
 
@@ -162,12 +171,12 @@ def test_encode_fourier_mode_matches_symbolic(r):
 ], ids=["lossless", "loss", "fourier", "fourier-loss", "squeezed", "squeezed-fourier-loss"])
 def test_pipeline_maps_decoded_cov_matches_gaussian_engine(cfg):
     """The readout covariance of PipelineMaps' noise maps, which the sampler
-    draws from, equals the one the Gaussian-state engine builds step by step,
+    draws from, equals the one the numpy reference builds step by step,
     and, without loss, the covariance of the exact decoded forms."""
     maps = qec.PipelineMaps(cfg, cfg.fourier_mode)
     cov = maps.noise @ maps.noise.T
     rows = np.ix_(*[qec.readout_rows(cfg.fourier_mode)] * 2)
-    np.testing.assert_allclose(cov, _engine_state(cfg).cov[rows], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(cov, _reference_cov(cfg)[rows], rtol=0, atol=1e-12)
     np.testing.assert_allclose(maps.baselines, np.diagonal(cov), rtol=1e-12, atol=0)
     if not cfg.has_loss:
         exact = _form_covariances(decode(encode(cfg)).forms, cfg)
@@ -652,7 +661,7 @@ def test_round_moments_match_stored_series(case, series_sampler):
         np.testing.assert_allclose(outcome.corrected_var[i], var, **tol)
         np.testing.assert_allclose(outcome.corrected_cov_xp[i], cov[0, 1], **tol)
         np.testing.assert_allclose(
-            outcome.fidelity_mc[i], fidelity_from_moments(inp.mean, inp.cov, mean, cov), **tol)
+            outcome.fidelity_mc[i], fidelity_from_moments(*inp, mean, cov), **tol)
     channels, first, final, reruns, draws = _PINNED_ROUNDS[case]
     assert outcome.channels.tolist() == channels
     assert " ".join(_short(_result(c)) for c in outcome.first_codes) == first
