@@ -539,6 +539,10 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     out_dir = args.out or cfg.out or "cvqec-out"
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"cannot create output directory: {exc}")
     artifacts = run_experiment(args.experiment, cfg, out_dir)
     print(json.dumps({"experiment": args.experiment, "out": str(out_dir),
                       "artifacts": artifacts}, sort_keys=True))

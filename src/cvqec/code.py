@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -546,6 +546,14 @@ class OutputStats:
         return variance_to_db(self.V_x if quad == "x" else self.V_p)
 
 
+@lru_cache(maxsize=1)
+def _theory_maps(cfg: CodeConfig, fourier: bool) -> PipelineMaps:
+    """The closed form's maps, built once for a run of calls on one
+    configuration: the branches of one output mixture, the channels of one
+    table row."""
+    return PipelineMaps(cfg, fourier)
+
+
 def closed_form_output(cfg: CodeConfig, channel: int | None, corrected: bool = True,
                        displacement: tuple[float, float] = (0.0, 0.0),
                        extra_error_var: tuple[float, float] = (0.0, 0.0),
@@ -564,7 +572,7 @@ def closed_form_output(cfg: CodeConfig, channel: int | None, corrected: bool = T
             config's mode).
     """
     fourier = cfg.fourier_mode if fourier is None else fourier
-    maps = PipelineMaps(cfg, fourier)
+    maps = _theory_maps(cfg, fourier)
     plan = PLAN_TABLE[int(fourier), channel if corrected and channel else _CODE_NO_ERROR]
     noise = plan @ maps.noise
     cov = noise @ noise.T
@@ -664,7 +672,9 @@ def _sample_statistics(maps: PipelineMaps, channels: np.ndarray, occurred: np.nd
                        law: ErrorLaw, window: int,
                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Every round's readout mean (n, 6) and centred scatter (n, 6, 6), drawn
-    from their exact joint law without forming a series.
+    from their joint law without forming a series; exact given the error
+    law's ``window_statistics``, which are float32-approximate for the
+    general law.
 
     With readout covariance S = F F^T, error coefficients C (6x2) and error
     series D (window x 2) of mean d and centred Gram K: the mean is

@@ -81,22 +81,32 @@ class ErrorLaw:
 
     def window_statistics(self, rng: np.random.Generator, n: int,
                           window: int) -> tuple[np.ndarray, np.ndarray]:
-        """Mean (n, 2) and centred Gram matrix (n, 2, 2) of n independent
-        ``draw(rng, window)`` series.  The general law reduces its window of
-        phases directly; the others form no series: a +-1 series is a
+        """Mean (n, 2) and centred Gram matrix (n, 2, 2), both float64, of n
+        independent ``draw(rng, window)`` series.  The x/p laws form no
+        series and follow ``draw``'s law exactly: a +-1 series is a
         Binomial(window, 1/2) count, a Gaussian one its independent mean and
-        chi-square(window - 1) sum of squares."""
+        chi-square(window - 1) sum of squares.
+
+        The general law reduces a window of float32 phases, whose ``sin`` and
+        ``cos`` numpy vectorises, and sums them in float64.  Its law is
+        therefore close to ``draw``'s, not exact: the phases lie on a grid of
+        about 2^-24 of a turn, each ``cos``/``sin`` value is off by at most
+        about 7e-8, and a window's sum by at most window * 7e-8 per unit
+        magnitude; the errors mostly cancel, and 512-sample sums were off by
+        at most about 2.4e-6 (4096 windows measured on numpy 2.4)."""
         mean, gram = np.zeros((n, 2)), np.zeros((n, 2, 2))
         a = self.magnitude
         if a == 0 or n == 0:
             return mean, gram
         if self.kind == LAW_GENERAL:
-            phase = rng.uniform(0.0, 2.0 * math.pi, (n, window))
+            phase = rng.random((n, window), dtype=np.float32)
+            phase *= np.float32(2.0 * math.pi)
             sin = np.sin(phase)
             cos = np.cos(phase, out=phase)
-            cc = np.einsum("ij,ij->i", cos, cos)
-            cs = np.einsum("ij,ij->i", cos, sin)
-            mean[:, 0], mean[:, 1] = cos.sum(axis=1), sin.sum(axis=1)
+            cc = np.einsum("ij,ij->i", cos, cos, dtype=np.float64)
+            cs = np.einsum("ij,ij->i", cos, sin, dtype=np.float64)
+            mean[:, 0] = cos.sum(axis=1, dtype=np.float64)
+            mean[:, 1] = sin.sum(axis=1, dtype=np.float64)
             mean *= a / window
             # sum of sin^2 is window - sum of cos^2
             gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1] = cc, cs, window - cc

@@ -282,6 +282,17 @@ def test_main_reports_bad_config_as_usage_error(tmp_path, capsys, doc, message):
     assert not (tmp_path / "out").exists()
 
 
+def test_main_reports_uncreatable_out_as_usage_error(tmp_path, capsys):
+    """An output directory that cannot be created (here below a file) stops
+    ``cvqec run`` with exit 2, not a traceback."""
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "tableC1", "--out", blocker / "x"])
+    assert exc.value.code == 2
+    assert "cannot create output directory" in capsys.readouterr().err
+
+
 def test_main_reports_mc_sweep_without_sweep_as_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["run", "mc-sweep", "--out", tmp_path / "out"])

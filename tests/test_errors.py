@@ -79,6 +79,35 @@ def test_law_quadrature_variances(law, vx, vp):
     assert draws[:, 1].var() == pytest.approx(vp, abs=4 * max(vp, 1.0) * 0.02)
 
 
+@pytest.mark.parametrize("a", (1.0, 5.0))
+@pytest.mark.parametrize("window", (16, 512))
+def test_general_law_float32_trig_matches_float64(window, a):
+    """The general law takes float32 sin/cos of its float32 phases and sums
+    in float64.  On the same phases, float64 sin/cos give mean sums within
+    1e-7 * w * a and centred Gram entries within 1e-7 * w * a^2."""
+    n = 64
+    mean, gram = ErrorLaw("general", a).window_statistics(np.random.default_rng(9), n, window)
+    assert mean.dtype == np.float64 and gram.dtype == np.float64
+    phase = np.random.default_rng(9).random((n, window), dtype=np.float32)
+    phase *= np.float32(2.0 * math.pi)
+    phase = phase.astype(np.float64)
+    series = a * np.stack([np.cos(phase), np.sin(phase)], axis=-1)      # (n, w, 2)
+    total = series.sum(axis=1)
+    centred = series - total[:, None, :] / window
+    np.testing.assert_allclose(mean * window, total, rtol=0, atol=1e-7 * window * a)
+    np.testing.assert_allclose(gram, np.einsum("nwi,nwj->nij", centred, centred),
+                               rtol=0, atol=1e-7 * window * a * a)
+
+
+@pytest.mark.parametrize("law,n", [(ErrorLaw("general", 0.0), 8), (ErrorLaw("general", 2.0), 0),
+                                   (ErrorLaw("x", 0.0), 8), (ErrorLaw("p", 2.0), 0)])
+def test_window_statistics_without_draws_are_float64_zeros(law, n):
+    mean, gram = law.window_statistics(np.random.default_rng(0), n, 64)
+    assert mean.shape == (n, 2) and gram.shape == (n, 2, 2)
+    assert mean.dtype == np.float64 and gram.dtype == np.float64
+    assert not mean.any() and not gram.any()
+
+
 def test_branch_components_normalized():
     for law in (ErrorLaw("general", 2.0), ErrorLaw("x", 2.0),
                 ErrorLaw("p", 2.0, "gaussian")):
