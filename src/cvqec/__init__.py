@@ -19,12 +19,10 @@ from .network import (BeamSplitterElement, ENCODER_SPEC, ModeMatrix,
                       NetworkSpec, compose, element_matrix, encoder_matrix,
                       inverse, lift_to_symplectic)
 from .errors import ErrorConfig, ErrorEvent, ErrorLaw, MixtureState
-from .code import (AMBIGUOUS_P, CHANNEL, ClassificationResult, CodeConfig,
-                   CorrectionPlan, CorrectionUnavailable, DecodedState,
-                   EncodedState, NO_ERROR, OutputStats, RoundsOutcome,
-                   RoundsSummary, SyndromeRecord, UNCLASSIFIABLE,
-                   apply_correction, classify,
-                   closed_form_output, correction_plan, decode,
+from .code import (AMBIGUOUS_P, CODE_NAMES, CodeConfig, DecodedState,
+                   EncodedState, NO_ERROR, OutputStats, PLANS, RoundsOutcome,
+                   RoundsSummary, UNCLASSIFIABLE, apply_correction,
+                   classify_codes, closed_form_output, decode,
                    derive_correction_plan, encode, inject_error, output_mixture,
                    run_rounds, summarize_reports, syndrome_closed_form,
                    syndrome_trace)

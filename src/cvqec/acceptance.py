@@ -61,7 +61,7 @@ def criterion_2_immunity() -> str:
             assert coeff.is_zero(), f"channel {ch} carries the input ({quad})"
     state = qec.encode(cfg)
     for ch in (1, 2):
-        state = qec.inject_error(state, qec.ErrorEvent(True, ch, 1.0, 1.0))
+        state = qec.inject_error(state, qec.ErrorEvent(True, ch))
     out = qec.decode(state).out_form
     assert not out.x.has_errors() and not out.p.has_errors(), \
         "output mode contains channel-1/2 error symbols"
@@ -74,7 +74,7 @@ def _decoded_error_table() -> dict[int, dict[int, ExactScalar]]:
     table = {}
     for ch in range(1, 6):
         decoded = qec.decode(qec.inject_error(qec.encode(cfg),
-                                              qec.ErrorEvent(True, ch, 1.0, 1.0)))
+                                              qec.ErrorEvent(True, ch)))
         table[ch] = {pos: decoded.forms[pos].x.coefficient(QuadSymbol.error(ch, "x"))
                      for pos in range(5)}
     return table
@@ -106,7 +106,7 @@ def criterion_3_decode_identities() -> str:
     sources = qec.source_mode_forms(cfg)
     for ch in range(1, 6):
         decoded = qec.decode(qec.inject_error(qec.encode(cfg),
-                                              qec.ErrorEvent(True, ch, 1.0, 1.0)))
+                                              qec.ErrorEvent(True, ch)))
         for pos in range(5):
             assert decoded.forms[pos].x.drop_errors() == sources[pos].x
             assert decoded.forms[pos].p.drop_errors() == sources[pos].p
@@ -239,7 +239,7 @@ def criterion_8_classifier() -> str:
             bad = np.flatnonzero(~out.matched)
             assert not len(bad), (
                 f"channel {ch} {law.kind}: {len(bad)}/{n} misclassified "
-                f"(first: {qec._CODE_TO_RESULT[int(out.final_codes[bad[0]])]})")
+                f"(first: {qec.CODE_NAMES[out.final_codes[bad[0]]]})")
             if law.kind == "p":
                 assert out.fourier_used.all(), \
                     f"channel {ch}: pure-p rounds skipped the rotated rerun"

@@ -6,8 +6,8 @@ style syndrome traces, witness curves, and Monte-Carlo parameter sweeps.
 Identical config and seed give byte-identical outputs.  ``cvqec verify`` runs
 the acceptance suite and exits non-zero on failure.
 
-The environment variable ``CVQEC_THREADS`` caps how many worker threads may
-process Monte-Carlo chunks; results do not depend on it.
+The environment variable ``CVQEC_THREADS`` (a positive integer, default 1)
+caps the worker threads for Monte-Carlo chunks; results do not depend on it.
 """
 
 from __future__ import annotations
@@ -226,11 +226,11 @@ def load_config(path: str | None) -> ExperimentConfig:
 
 
 def _thread_cap() -> int:
-    raw = os.environ.get("CVQEC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """The CVQEC_THREADS worker cap, 1 when unset or empty."""
+    raw = os.environ.get("CVQEC_THREADS", "")
+    if raw and not (raw.isdecimal() and int(raw) > 0):
+        raise ValueError(f"CVQEC_THREADS must be a positive integer, not {raw!r}")
+    return int(raw or 1)
 
 
 def run_chunked_rounds(code_cfg: CodeConfig, error_cfg: ErrorConfig,
@@ -358,15 +358,15 @@ def run_syndrome_demo(cfg: ExperimentConfig, out_dir: Path) -> dict:
     labels = [f"{qec.measured_quad(det, fourier)}_{det}" for det in qec.DETECTORS]
     for channel in range(1, 6):
         rng = np.random.default_rng(root.spawn(1)[0])
-        traces, result = qec.syndrome_trace(cfg.code, channel, cfg.window, rng,
-                                            cfg.error.law.magnitude)
+        traces, code = qec.syndrome_trace(cfg.code, channel, cfg.window, rng,
+                                          cfg.error.law.magnitude)
         name = f"syndrome_demo_ch{channel}.csv"
         rows = [[t] + [repr(float(traces[det][t])) for det in qec.DETECTORS]
                 for t in range(cfg.window)]
         _write_csv(out_dir / name, ["sample"] + labels, rows)
         files.append(name)
         summary[f"channel-{channel}"] = {
-            "classification": str(result),
+            "classification": qec.CODE_NAMES[code],
             "trace_file": name,
         }
     _write_json(out_dir / "syndrome_demo.json", {
@@ -520,7 +520,10 @@ def main(argv: list[str] | None = None) -> int:
     verp = sub.add_parser("verify", help="run the acceptance suite")
     verp.add_argument("-q", "--quiet", action="store_true")
     args = parser.parse_args(argv)
-
+    try:
+        _thread_cap()
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.command == "verify":
         from .acceptance import run_all
         return 0 if run_all(quiet=args.quiet) else 1

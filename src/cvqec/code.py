@@ -4,11 +4,12 @@ Encode an input mode with four squeezed ancillas, inject a stochastic
 displacement on one channel, decode with the inverse network, recognize the
 error location from the homodyne syndrome pattern, and repair the output by
 feedforward.  The exact quadrature forms (``encode``/``inject_error``/
-``decode``) verify the algebra and the feedforward gains; ``PipelineMaps``,
-the linear maps of one encode/loss/decode pass onto the readouts, is the only
-numeric model and also models channel loss.  Through one feedforward table,
-``PLAN_TABLE``, it drives the Monte-Carlo rounds and gives the closed-form
-output moments.
+``decode``) verify the algebra and the feedforward table ``PLANS``;
+``PipelineMaps``, the linear maps of one encode/loss/decode pass onto the
+readouts, is the only numeric model and also models channel loss.  Through
+``PLAN_TABLE``, built from ``PLANS``, it drives the Monte-Carlo rounds and
+gives the closed-form output moments.  Both routes classify with
+``classify_codes`` into the round codes that ``CODE_NAMES`` names.
 
 Detector/mode layout after decoding (positions 0..4): D1, D2, D3, output, D4.
 In the standard configuration D1/D3/D4 read x and D2 reads p; running with
@@ -27,8 +28,8 @@ import numpy as np
 
 from .errors import ErrorConfig, ErrorEvent, ErrorLaw, MixtureState
 from .exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol, SQRT2,
-                    TAG_ANTISQUEEZED, TAG_SQUEEZED, form_variance,
-                    mode_forms_apply_matrix, sqrt_of)
+                    TAG_ANTISQUEEZED, TAG_SQUEEZED, mode_forms_apply_matrix,
+                    sqrt_of)
 from .gaussian import VACUUM_VAR, fidelity_from_moments, variance_to_db
 from .network import encoder_matrix, inverse, lift_to_symplectic
 
@@ -55,10 +56,6 @@ def readout_rows(fourier: bool) -> list[int]:
     out_x, out_p)."""
     return ([2 * DETECTOR_POS[det] + (measured_quad(det, fourier) == "p") for det in DETECTORS]
             + [2 * OUT_POS, 2 * OUT_POS + 1])
-
-
-class CorrectionUnavailable(RuntimeError):
-    """No feedforward plan exists (ambiguous or unclassifiable syndrome)."""
 
 
 # --------------------------------------------------------------------------
@@ -215,105 +212,55 @@ def decode(state: EncodedState) -> DecodedState:
 # --------------------------------------------------------------------------
 # syndrome measurement and classification
 
-IN_PHASE = "in-phase"
-OUT_OF_PHASE = "out-of-phase"
-NO_RELATION = "n/a"
+# Round codes: 1..5 name the located channel.
+NO_ERROR = 0
+AMBIGUOUS_P = 6
+UNCLASSIFIABLE = 7
+CODE_NAMES = ("no-error", *(f"channel-{k}" for k in range(1, 6)), "ambiguous-p", "unclassifiable")
 
 
-@dataclass(frozen=True)
-class SyndromeRecord:
-    """Detector variances, fluctuation flags and phase relations."""
-
-    mode: str                                  # "standard" | "fourier"
-    variances: dict[str, float]
-    baselines: dict[str, float]
-    flags: dict[str, bool]
-    relation_13: str
-    relation_34: str
-
-
-def _relation_from_sign(value: float) -> str:
-    return IN_PHASE if value > 0 else OUT_OF_PHASE
-
-
-def syndrome_closed_form(decoded: DecodedState) -> SyndromeRecord:
-    """Exact-coefficient syndrome record (no sampling, lossless algebra).
+def syndrome_closed_form(decoded: DecodedState) -> tuple[np.ndarray, np.ndarray]:
+    """Exact-coefficient syndrome (no sampling, lossless algebra) in the
+    encoding of ``RoundsOutcome``: (4,) fluctuation flags of D1..D4 and (2,)
+    D1-D3 / D3-D4 relations, +1 in phase, -1 out of phase, 0 n/a.
 
     A detector is flagged iff its measured quadrature carries a non-zero exact
-    coefficient on an active error quadrature; phase relations come from the
-    signs of the exact coefficients.  An event without a law is a constant
-    displacement: it shifts readout means, adds no variance and raises no flag.
+    coefficient on an error quadrature that its law fluctuates; phase
+    relations come from the signs of the exact coefficients.  An event
+    without a law is a constant displacement: it shifts readout means, adds
+    no variance and raises no flag.
     """
     fourier = decoded.cfg.fourier_mode
-    variances, baselines, flags = {}, {}, {}
-    r = decoded.cfg.r_values
-    input_var = decoded.cfg.input_variances()
-    coeffs: dict[str, float] = {det: 0.0 for det in DETECTORS}
-    for det in DETECTORS:
+    coeffs, flags = np.zeros(4), np.zeros(4, dtype=bool)
+    for i, det in enumerate(DETECTORS):
         form = decoded.readout_form(det)
         quad = measured_quad(det, fourier)
-        base = form_variance(form.drop_errors(), r, input_var)
-        excess = 0.0
         for event in decoded.events:
-            if not event.occurred or event.law is None:
+            if not (event.occurred and event.law is not None
+                    and quad in event.law.active_quadratures()):
                 continue
             coeff = form.coefficient(QuadSymbol.error(event.channel, quad))
-            if quad in event.law.active_quadratures() and not coeff.is_zero():
-                coeffs[det] = float(coeff)
-                var = event.law.quadrature_variances()
-                excess += float(coeff) ** 2 * var[0 if quad == "x" else 1]
-        baselines[det] = base
-        variances[det] = base + excess
-        flags[det] = excess > 0.0
-    relation_13 = relation_34 = NO_RELATION
-    if flags["D1"] and flags["D3"]:
-        relation_13 = _relation_from_sign(coeffs["D1"] * coeffs["D3"])
-    if flags["D3"] and flags["D4"]:
-        relation_34 = _relation_from_sign(coeffs["D3"] * coeffs["D4"])
-    return SyndromeRecord(
-        mode="fourier" if fourier else "standard",
-        variances=variances, baselines=baselines, flags=flags,
-        relation_13=relation_13, relation_34=relation_34)
+            if not coeff.is_zero():
+                coeffs[i] = float(coeff)
+                flags[i] |= event.law.quadrature_variances()[quad == "p"] > 0.0
+    return flags, _relations(flags, coeffs[[0, 2]] * coeffs[[2, 3]])
 
 
-NO_ERROR = "no-error"
-CHANNEL = "channel"
-AMBIGUOUS_P = "ambiguous-p"
-UNCLASSIFIABLE = "unclassifiable"
+def _relations(flags: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """D1-D3 / D3-D4 phase relations: the sign of each (..., 2) cross term
+    where both of its detectors' (..., 4) flags are set, else 0."""
+    pairs = flags[..., [0, 2]] & flags[..., [2, 3]]
+    return (np.where(cross > 0, 1, -1) * pairs).astype(np.int8)
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
-    kind: str
-    channel: int | None = None
-
-    def __str__(self) -> str:
-        return f"channel-{self.channel}" if self.kind == CHANNEL else self.kind
-
-
-# Round codes: 1..5 name the located channel.
-_CODE_NO_ERROR = 0
-_CODE_AMBIGUOUS = 6
-_CODE_UNCLASSIFIABLE = 7
-
-_CODE_TO_RESULT = {
-    _CODE_NO_ERROR: ClassificationResult(NO_ERROR),
-    _CODE_AMBIGUOUS: ClassificationResult(AMBIGUOUS_P),
-    _CODE_UNCLASSIFIABLE: ClassificationResult(UNCLASSIFIABLE),
-    **{k: ClassificationResult(CHANNEL, k) for k in range(1, 6)},
-}
-
-# Sign standing for a phase relation; NaN compares false either way, so a
-# flagged pair without a relation is unclassifiable.
-_RELATION_SIGN = {IN_PHASE: 1.0, OUT_OF_PHASE: -1.0, NO_RELATION: math.nan}
-
-
-def _classify_codes(flags: np.ndarray, cc13: np.ndarray, cc34: np.ndarray) -> np.ndarray:
-    """Round codes from (n, 4) fluctuation flags and the D1-D3 / D3-D4
-    cross-correlations, matched against the syndrome table."""
-    f1, f2, f3, f4 = flags.T
-    codes = np.full(len(flags), _CODE_UNCLASSIFIABLE, dtype=np.int8)
-    codes[~(f1 | f2 | f3 | f4)] = _CODE_NO_ERROR
+def classify_codes(flags: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """Round codes from (..., 4) fluctuation flags and (..., 2) D1-D3 / D3-D4
+    cross-correlations or relation signs, matched against the syndrome
+    table."""
+    f1, f2, f3, f4 = np.moveaxis(flags, -1, 0)
+    cc13, cc34 = np.moveaxis(cross, -1, 0)
+    codes = np.full(flags.shape[:-1], UNCLASSIFIABLE, dtype=np.int8)
+    codes[~(f1 | f2 | f3 | f4)] = NO_ERROR
     m = f1 & f3 & ~f4
     codes[m & (cc13 > 0)] = 1
     codes[m & (cc13 <= 0)] = 2
@@ -321,91 +268,52 @@ def _classify_codes(flags: np.ndarray, cc13: np.ndarray, cc34: np.ndarray) -> np
     m = ~f1 & f3 & f4
     codes[m & (cc34 > 0)] = 5
     codes[m & (cc34 <= 0)] = 4
-    codes[~f1 & ~f3 & ~f4 & f2] = _CODE_AMBIGUOUS
+    codes[~f1 & ~f3 & ~f4 & f2] = AMBIGUOUS_P
     return codes
 
 
-def classify(rec: SyndromeRecord) -> ClassificationResult:
-    """Pattern-matches the fluctuation flags against the syndrome table."""
-    code = _classify_codes(np.array([[rec.flags[d] for d in DETECTORS]]),
-                           np.array([_RELATION_SIGN[rec.relation_13]]),
-                           np.array([_RELATION_SIGN[rec.relation_34]]))[0]
-    return _CODE_TO_RESULT[int(code)]
-
-
 # --------------------------------------------------------------------------
-# feedforward plans
+# feedforward
 
 _G23 = sqrt_of(Fraction(2, 3))
 _TWO_SQRT2 = ExactScalar(0, 2)
 
-# (x feedforward, p feedforward) per channel; each entry is (detector, gain).
-STANDARD_PLANS = {
-    3: (("D3", _G23), ("D2", -SQRT2)),
-    4: (("D4", _G23), ("D2", _TWO_SQRT2)),
-    5: (("D4", -_G23), ("D2", _TWO_SQRT2)),
+# PLANS[fourier][channel] = ((detector, gain) onto out_x, (detector, gain)
+# onto out_p): readout * gain is added to the output quadrature.  Channels 1
+# and 2 need no feedforward, and an indefinite code gets none.
+PLANS = {
+    False: {3: (("D3", _G23), ("D2", -SQRT2)),
+            4: (("D4", _G23), ("D2", _TWO_SQRT2)),
+            5: (("D4", -_G23), ("D2", _TWO_SQRT2))},
+    # With Fourier-rotated ancillas the roles of the two output quadratures
+    # swap: D2 (now reading x) repairs x and D3/D4 (now reading p) repair p.
+    True: {3: (("D2", -SQRT2), ("D3", _G23)),
+           4: (("D2", _TWO_SQRT2), ("D4", _G23)),
+           5: (("D2", _TWO_SQRT2), ("D4", -_G23))},
 }
-# With Fourier-rotated ancillas the roles of the two output quadratures swap:
-# D2 (now reading x) repairs x and D3/D4 (now reading p) repair p.
-FOURIER_PLANS = {
-    3: (("D2", -SQRT2), ("D3", _G23)),
-    4: (("D2", _TWO_SQRT2), ("D4", _G23)),
-    5: (("D2", _TWO_SQRT2), ("D4", -_G23)),
-}
 
 
-@dataclass(frozen=True)
-class CorrectionPlan:
-    """Feedforward gains: readout * gain is added to the output quadrature."""
-
-    x_ff: tuple[str, ExactScalar] | None = None
-    p_ff: tuple[str, ExactScalar] | None = None
-    fourier: bool = False
-
-    def is_zero(self) -> bool:
-        return self.x_ff is None and self.p_ff is None
-
-
-ZERO_PLAN = CorrectionPlan()
-
-
-def correction_plan(result: ClassificationResult, fourier: bool = False) -> CorrectionPlan:
-    """Feedforward plan for a definite classification.
-
-    Raises:
-        CorrectionUnavailable: for ambiguous or unclassifiable results; the
-            caller should rerun with rotated ancillas or give up.
-    """
-    if result.kind == NO_ERROR or (result.kind == CHANNEL and result.channel in (1, 2)):
-        return replace(ZERO_PLAN, fourier=fourier)
-    if result.kind == CHANNEL:
-        x_ff, p_ff = (FOURIER_PLANS if fourier else STANDARD_PLANS)[result.channel]
-        return CorrectionPlan(x_ff, p_ff, fourier)
-    raise CorrectionUnavailable(f"no feedforward plan for {result}")
-
-
-def plan_matrix(plan: CorrectionPlan) -> np.ndarray:
+def plan_matrix(plan: tuple) -> np.ndarray:
     """2x6 linear map from the readouts (D1..D4, out_x, out_p) to the
-    corrected output quadratures: each readout times its gain is added."""
-    rows = np.zeros((2, 6))
-    rows[0, 4] = rows[1, 5] = 1.0
-    for row, ff in ((0, plan.x_ff), (1, plan.p_ff)):
-        if ff is not None:
-            det, gain = ff
-            rows[row, DETECTORS.index(det)] += float(gain)
+    corrected output quadratures of a ``PLANS`` entry (or ``()``): each
+    readout times its gain is added."""
+    rows = np.eye(2, 6, 4)
+    for row, (det, gain) in enumerate(plan):
+        rows[row, DETECTORS.index(det)] += float(gain)
     return rows
 
 
 # plan_matrix of every round code, indexed [fourier, code], for the round engine
-# and the closed form; a code without a plan leaves the output as it is.
-PLAN_TABLE = np.array([[plan_matrix(CorrectionPlan(*plans.get(code, (None, None))))
-                        for code in range(len(_CODE_TO_RESULT))]
-                       for plans in (STANDARD_PLANS, FOURIER_PLANS)])
+# and the closed form.
+PLAN_TABLE = np.array([[plan_matrix(PLANS[fourier].get(code, ()))
+                        for code in range(len(CODE_NAMES))]
+                       for fourier in (False, True)])
 PLAN_TABLE.setflags(write=False)
 
 
-def derive_correction_plan(channel: int, fourier: bool = False) -> CorrectionPlan:
-    """Derives the feedforward plan symbolically by requiring exact cancellation.
+def derive_correction_plan(channel: int, fourier: bool = False) -> tuple:
+    """Derives a channel's ``PLANS`` entry symbolically by requiring exact
+    cancellation; ``()`` for channels 1 and 2.
 
     For each output quadrature the candidate detectors are those whose measured
     quadrature carries the error; the one with the largest coupling is chosen
@@ -413,45 +321,28 @@ def derive_correction_plan(channel: int, fourier: bool = False) -> CorrectionPla
     out_coeff + gain * readout_coeff = 0 exactly.
     """
     if channel in (1, 2):
-        return replace(ZERO_PLAN, fourier=fourier)
-    cfg = CodeConfig(r=0.0, fourier_mode=fourier)
-    decoded = decode(inject_error(encode(cfg), ErrorEvent(True, channel)))
-    ffs = {}
+        return ()
+    decoded = decode(inject_error(encode(CodeConfig(r=0.0, fourier_mode=fourier)),
+                                  ErrorEvent(True, channel)))
+    plan = []
     for quad in ("x", "p"):
-        out_form = decoded.out_form.x if quad == "x" else decoded.out_form.p
-        alpha = out_form.coefficient(QuadSymbol.error(channel, quad))
-        best = None
-        for det in DETECTORS:
-            if measured_quad(det, fourier) != quad:
-                continue
-            beta = decoded.readout_form(det).coefficient(QuadSymbol.error(channel, quad))
-            if beta.is_zero():
-                continue
-            if best is None or abs(float(beta)) > abs(float(best[1])):
-                best = (det, beta)
-        if best is None:
-            raise CorrectionUnavailable(
-                f"no detector sees the channel-{channel} error in {quad}")
-        det, beta = best
-        ffs[quad] = (det, -(alpha / beta))
-    return CorrectionPlan(ffs["x"], ffs["p"], fourier)
+        error = QuadSymbol.error(channel, quad)
+        alpha = getattr(decoded.out_form, quad).coefficient(error)
+        det, beta = max(((d, decoded.readout_form(d).coefficient(error))
+                         for d in DETECTORS if measured_quad(d, fourier) == quad),
+                        key=lambda c: abs(float(c[1])))
+        plan.append((det, -(alpha / beta)))
+    return tuple(plan)
 
 
-# --------------------------------------------------------------------------
-# applying the correction
-
-
-def apply_correction(decoded: DecodedState, plan: CorrectionPlan) -> ModeForm:
-    """The exact forms of the output mode with the gained readouts added;
-    the error symbols cancel for a correct plan."""
-    x_form, p_form = decoded.out_form.x, decoded.out_form.p
-    if plan.x_ff is not None:
-        det, gain = plan.x_ff
-        x_form = x_form + decoded.readout_form(det).scaled(gain)
-    if plan.p_ff is not None:
-        det, gain = plan.p_ff
-        p_form = p_form + decoded.readout_form(det).scaled(gain)
-    return ModeForm(x_form, p_form)
+def apply_correction(decoded: DecodedState, code: int) -> ModeForm:
+    """The exact forms of the output mode with the gained readouts of the
+    code's plan added; the error symbols cancel for the right code, and a
+    code without a plan leaves the output as it is."""
+    forms = [decoded.out_form.x, decoded.out_form.p]
+    for row, (det, gain) in enumerate(PLANS[decoded.cfg.fourier_mode].get(code, ())):
+        forms[row] = forms[row] + decoded.readout_form(det).scaled(gain)
+    return ModeForm(*forms)
 
 
 # --------------------------------------------------------------------------
@@ -516,6 +407,9 @@ class PipelineMaps:
             self.vac = s_dec[rows] * np.sqrt(1.0 - eta ** 2) * math.sqrt(VACUUM_VAR)
             self.noise = np.hstack([self.mix, self.vac])
         self.baselines = np.einsum("ij,ij->i", self.noise, self.noise)
+        for arr in (self.err_readout, self.mix, self.vac, self.noise, self.baselines):
+            if arr is not None:         # read-only: ``_maps`` shares one instance
+                arr.setflags(write=False)
 
     @cached_property
     def readout_factor(self) -> np.ndarray:
@@ -546,11 +440,12 @@ class OutputStats:
         return variance_to_db(self.V_x if quad == "x" else self.V_p)
 
 
-@lru_cache(maxsize=1)
-def _theory_maps(cfg: CodeConfig, fourier: bool) -> PipelineMaps:
-    """The closed form's maps, built once for a run of calls on one
-    configuration: the branches of one output mixture, the channels of one
-    table row."""
+@lru_cache(maxsize=2)
+def _maps(cfg: CodeConfig, fourier: bool) -> PipelineMaps:
+    """The maps of one configuration in one measurement basis, built once for
+    a run of calls on it: every chunk and both passes of one configuration's
+    rounds, the branches of one output mixture, the channels of one table
+    row.  Both bases of a configuration stay cached together."""
     return PipelineMaps(cfg, fourier)
 
 
@@ -572,8 +467,8 @@ def closed_form_output(cfg: CodeConfig, channel: int | None, corrected: bool = T
             config's mode).
     """
     fourier = cfg.fourier_mode if fourier is None else fourier
-    maps = _theory_maps(cfg, fourier)
-    plan = PLAN_TABLE[int(fourier), channel if corrected and channel else _CODE_NO_ERROR]
+    maps = _maps(cfg, fourier)
+    plan = PLAN_TABLE[int(fourier), channel if corrected and channel else NO_ERROR]
     noise = plan @ maps.noise
     cov = noise @ noise.T
     mean = np.zeros(2)
@@ -614,7 +509,7 @@ class _PassData:
     """The syndrome of one batched pass, reduced from every round's readout
     mean 6-vector and centred 6x6 scatter of (D1..D4, out_x, out_p)."""
 
-    __slots__ = ("mean", "scatter", "flags", "cc13", "cc34")
+    __slots__ = ("mean", "scatter", "flags", "cc")
 
     def __init__(self, mean: np.ndarray, scatter: np.ndarray, window: int,
                  baselines: np.ndarray):
@@ -622,8 +517,7 @@ class _PassData:
         self.scatter = scatter
         variances = np.diagonal(scatter, axis1=1, axis2=2)[:, :4] / (window - 1)
         self.flags = variances > (1.0 + FLUCTUATION_FACTOR) * baselines[:4]
-        self.cc13 = scatter[:, 0, 2] / window
-        self.cc34 = scatter[:, 2, 3] / window
+        self.cc = scatter[:, [0, 2], [2, 3]] / window     # D1-D3, D3-D4
 
 
 def _error_columns(maps: PipelineMaps, channels: np.ndarray) -> np.ndarray:
@@ -736,7 +630,7 @@ def summarize_reports(cfg: CodeConfig, rounds: "RoundsOutcome") -> "RoundsSummar
     moments per final class, in order of first appearance."""
     codes, first = np.unique(rounds.final_codes, return_index=True)
     codes = codes[np.argsort(first)]
-    keys = [str(_CODE_TO_RESULT[int(c)]) for c in codes]
+    keys = [CODE_NAMES[c] for c in codes]
     pooled = [pooled_moments(rounds, rounds.final_codes == c) for c in codes]
     fids = fidelity_from_moments(*cfg.input_state(), np.array([m for m, _ in pooled]),
                                  np.array([c for _, c in pooled]))
@@ -769,9 +663,10 @@ class RoundsSummary:
 class RoundsOutcome:
     """Results of a batch of rounds as columns, one entry per round.
 
-    Codes are 0 (no error), 1..5 (the located channel), 6 (ambiguous-p) and
-    7 (unclassifiable).  Flags and relations describe the first pass; the
-    corrected moments and fidelities come from the pass the correction used.
+    Codes are ``NO_ERROR``, 1..5 (the located channel), ``AMBIGUOUS_P`` and
+    ``UNCLASSIFIABLE``, named by ``CODE_NAMES``.  Flags and relations
+    describe the first pass; the corrected moments and fidelities come from
+    the pass the correction used.
     ``summary`` is derived from the columns on first use.  No sample series
     and no closed-form theory is kept.
     """
@@ -835,20 +730,20 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
     if occurred.any():
         injected[occurred] = law.draw(rng, int(occurred.sum()))
 
-    pass1 = _simulate_pass(PipelineMaps(cfg, cfg.fourier_mode), channels, occurred,
+    pass1 = _simulate_pass(_maps(cfg, cfg.fourier_mode), channels, occurred,
                            law, window, rng)
-    first = _classify_codes(pass1.flags, pass1.cc13, pass1.cc34)
+    first = classify_codes(pass1.flags, pass1.cc)
     final = first.copy()
     fourier = np.full(n_rounds, cfg.fourier_mode)
     mean, scatter = pass1.mean, pass1.scatter
-    rerun = np.flatnonzero(first == _CODE_AMBIGUOUS)
+    rerun = np.flatnonzero(first == AMBIGUOUS_P)
     if len(rerun):
-        pass2 = _simulate_pass(PipelineMaps(cfg, not cfg.fourier_mode),
+        pass2 = _simulate_pass(_maps(cfg, not cfg.fourier_mode),
                                channels[rerun], occurred[rerun], law, window, rng)
-        second = _classify_codes(pass2.flags, pass2.cc13, pass2.cc34)
-        second[second == _CODE_AMBIGUOUS] = _CODE_UNCLASSIFIABLE
+        second = classify_codes(pass2.flags, pass2.cc)
+        second[second == AMBIGUOUS_P] = UNCLASSIFIABLE
         final[rerun] = second
-        resolved = second != _CODE_UNCLASSIFIABLE
+        resolved = second != UNCLASSIFIABLE
         used = rerun[resolved]
         fourier[used] = not cfg.fourier_mode
         mean, scatter = mean.copy(), scatter.copy()
@@ -857,14 +752,10 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
     comb = PLAN_TABLE[fourier.astype(np.intp), final]             # (n, 2, 6)
     corrected_mean = (comb @ mean[:, :, None])[:, :, 0]
     cov = comb @ scatter @ comb.transpose(0, 2, 1) / (window - 1)
-    pair13 = pass1.flags[:, 0] & pass1.flags[:, 2]
-    pair34 = pass1.flags[:, 2] & pass1.flags[:, 3]
-    relations = np.stack([np.where(pass1.cc13 > 0, 1, -1) * pair13,
-                          np.where(pass1.cc34 > 0, 1, -1) * pair34], axis=1)
     return RoundsOutcome(
         cfg=cfg, window=window, channels=channels, injected=injected,
-        first_codes=first, final_codes=final, fourier_used=first == _CODE_AMBIGUOUS,
-        matched=final == channels, flags=pass1.flags, relations=relations.astype(np.int8),
+        first_codes=first, final_codes=final, fourier_used=first == AMBIGUOUS_P,
+        matched=final == channels, flags=pass1.flags, relations=_relations(pass1.flags, pass1.cc),
         corrected_mean=corrected_mean, corrected_var=np.diagonal(cov, axis1=1, axis2=2).copy(),
         corrected_cov_xp=cov[:, 0, 1].copy(),
         fidelity_mc=fidelity_from_moments(*cfg.input_state(), corrected_mean, cov))
@@ -872,18 +763,18 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
 
 def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,
                    rng: np.random.Generator, magnitude: float,
-                   cycles: float = 3.0) -> tuple[dict[str, np.ndarray], ClassificationResult]:
+                   cycles: float = 3.0) -> tuple[dict[str, np.ndarray], int]:
     """One oscilloscope-style trace with a slowly swept error phase.
 
     Returns the per-detector readout series (plus the uncorrected output
-    quadratures) and the classification of the trace.  The series is sampled
+    quadratures) and the round code of the trace.  The series is sampled
     with the noise of ``_sample_series``, the series route that the round
     engine's statistics equal in law, and is reduced and classified as a
     round is.
     """
     if window < MIN_SYNDROME_WINDOW:
         raise ValueError(f"syndrome window must be at least {MIN_SYNDROME_WINDOW}")
-    maps = PipelineMaps(cfg, cfg.fourier_mode)
+    maps = _maps(cfg, cfg.fourier_mode)
     series = _readout_noise(maps, 1, window, rng)
     if channel is not None and magnitude > 0:
         phase = (2.0 * math.pi * cycles * np.arange(window) / window
@@ -891,6 +782,6 @@ def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,
         sweep = magnitude * np.stack([np.cos(phase), np.sin(phase)], axis=1)
         series += _error_series(maps, np.array([channel]), sweep[None])
     syndrome = _PassData(*_reduce_series(series), window, maps.baselines)
-    code = _classify_codes(syndrome.flags, syndrome.cc13, syndrome.cc34)[0]
+    code = classify_codes(syndrome.flags, syndrome.cc)[0]
     traces = dict(zip(DETECTORS + ("out_x", "out_p"), series[0].T))
-    return traces, _CODE_TO_RESULT[int(code)]
+    return traces, int(code)

@@ -164,8 +164,7 @@ class ErrorConfig:
 
 @dataclass(frozen=True)
 class ErrorEvent:
-    """One error injected into the exact forms: whether it occurred, where,
-    and a representative displacement.
+    """One error injected into the exact forms: whether it occurred and where.
 
     ``law`` is the generating distribution, re-drawn sample by sample over a
     syndrome window, so the error shows as excess fluctuation:
@@ -176,15 +175,11 @@ class ErrorEvent:
 
     occurred: bool
     channel: int = 0
-    dx: float = 0.0
-    dp: float = 0.0
     law: ErrorLaw | None = None
 
     def __post_init__(self):
         if self.occurred and self.channel not in (1, 2, 3, 4, 5):
             raise ValueError("channel must be 1..5")
-        if not self.occurred and (self.dx or self.dp):
-            raise ValueError("a null event carries zero displacement")
 
 
 # --------------------------------------------------------------------------

@@ -122,6 +122,19 @@ def test_thread_cap_does_not_change_results(tmp_path, monkeypatch):
             np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), f.name)
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_main_reports_bad_thread_cap_as_usage_error(tmp_path, capsys, monkeypatch, value):
+    """A CVQEC_THREADS that is not a positive integer stops ``cvqec run``
+    and ``cvqec verify`` with exit 2 before anything runs."""
+    monkeypatch.setenv("CVQEC_THREADS", value)
+    for args in (["run", "tableC1", "--out", tmp_path / "out"], ["verify"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2
+        assert "CVQEC_THREADS must be a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_tableC1_artifact(tmp_path):
     cfg = cli.parse_config({"seed": 0})
     cli.run_experiment("tableC1", cfg, tmp_path)

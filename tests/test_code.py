@@ -9,11 +9,10 @@ import numpy as np
 import pytest
 
 from cvqec import code as qec
-from cvqec.code import (AMBIGUOUS_P, CHANNEL, ClassificationResult, CodeConfig,
-                        CorrectionUnavailable, NO_ERROR, UNCLASSIFIABLE,
-                        classify, closed_form_output, correction_plan, decode,
-                        derive_correction_plan, encode, inject_error, run_rounds,
-                        syndrome_closed_form, syndrome_trace)
+from cvqec.code import (AMBIGUOUS_P, CODE_NAMES, NO_ERROR, PLANS, UNCLASSIFIABLE,
+                        CodeConfig, apply_correction, classify_codes,
+                        closed_form_output, decode, derive_correction_plan, encode,
+                        inject_error, run_rounds, syndrome_closed_form, syndrome_trace)
 from cvqec.errors import ErrorConfig, ErrorEvent, ErrorLaw
 from cvqec.exact import (ExactScalar, QuadSymbol, SQRT2, TAG_ANTISQUEEZED,
                          TAG_SQUEEZED, form_covariance, sqrt_of)
@@ -48,10 +47,6 @@ def series_sampler(monkeypatch):
 
     monkeypatch.setattr(qec, "_sample_statistics", sample)
     return passes
-
-
-def _result(code):
-    return qec._CODE_TO_RESULT[int(code)]
 
 
 def _assert_same_columns(a, b):
@@ -192,9 +187,7 @@ def test_inject_null_event_is_identity():
 
 def test_error_event_validation():
     with pytest.raises(ValueError):
-        ErrorEvent(True, 7, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        ErrorEvent(False, 0, 1.0, 0.0)
+        ErrorEvent(True, 7)
 
 
 def test_decode_error_free_recovers_input():
@@ -206,7 +199,7 @@ def test_decode_error_free_recovers_input():
 
 def test_decode_channel2_coefficients():
     """d2 = a2 - 3 e2/(2 sqrt6); d1 = a1 + e2/sqrt2; d3 = a3 - e2/(2 sqrt2)."""
-    dec = decode(inject_error(encode(CodeConfig()), ErrorEvent(True, 2, 1.0, 1.0)))
+    dec = decode(inject_error(encode(CodeConfig()), ErrorEvent(True, 2)))
     e2x = QuadSymbol.error(2, "x")
     assert dec.forms[1].x.coefficient(e2x) == -sqrt_of(frac(9, 24))
     assert dec.forms[0].x.coefficient(e2x) == sqrt_of(frac(1, 2))
@@ -216,7 +209,7 @@ def test_decode_channel2_coefficients():
 
 def test_decode_channel4_coefficients():
     """d4 = a4 + e4/sqrt2; out = a_in - e4/sqrt3."""
-    dec = decode(inject_error(encode(CodeConfig()), ErrorEvent(True, 4, 1.0, 1.0)))
+    dec = decode(inject_error(encode(CodeConfig()), ErrorEvent(True, 4)))
     e4 = QuadSymbol.error(4, "x")
     assert dec.forms[4].x.coefficient(e4) == sqrt_of(frac(1, 2))
     assert dec.out_form.x.coefficient(e4) == -sqrt_of(frac(1, 3))
@@ -268,16 +261,20 @@ def test_syndrome_window_floor(series_sampler):
 
 
 def test_syndrome_constant_event_shifts_mean_not_variance():
-    """A law-less DC displacement moves readout means but raises no flag."""
-    dec = decode(inject_error(encode(CodeConfig(r=R35)),
-                              ErrorEvent(True, 3, 4.0, 0.0, law=None)))
-    rec = syndrome_closed_form(dec)
-    assert not any(rec.flags.values())
-    assert rec.variances == rec.baselines
-    assert (rec.relation_13, rec.relation_34) == ("n/a", "n/a")
+    """A law-less DC displacement moves readout means but raises no flag;
+    nor does a law of zero magnitude."""
+    dec = decode(inject_error(encode(CodeConfig(r=R35)), ErrorEvent(True, 3, law=None)))
+    flags, relations = syndrome_closed_form(dec)
+    assert not flags.any()
+    assert relations.tolist() == [0, 0]
+    still = inject_error(encode(CodeConfig(r=R35)), ErrorEvent(True, 1, ErrorLaw("general", 0.0)))
+    assert not syndrome_closed_form(decode(still))[0].any()
     shift = 4.0 * float(dec.readout_form("D3").coefficient(QuadSymbol.error(3, "x")))
     assert shift == pytest.approx(4.0 * float(qec.encoder_matrix().entry(2, 2)), rel=1e-15)
     assert shift != 0.0
+
+
+_RELATION = {"in-phase": 1, "out-of-phase": -1, "n/a": 0}
 
 
 @pytest.mark.parametrize("channel,flags,rel13,rel34", [
@@ -289,66 +286,61 @@ def test_syndrome_constant_event_shifts_mean_not_variance():
 ])
 def test_syndrome_closed_form_table(channel, flags, rel13, rel34):
     dec = decode(inject_error(encode(CodeConfig(r=R35)),
-                              ErrorEvent(True, channel, 1.0, 1.0,
-                                         ErrorLaw("general", 1.0))))
-    rec = syndrome_closed_form(dec)
-    assert (rec.flags["D1"], rec.flags["D2"], rec.flags["D3"], rec.flags["D4"]) == flags
-    assert rec.relation_13 == rel13
-    assert rec.relation_34 == rel34
+                              ErrorEvent(True, channel, ErrorLaw("general", 1.0))))
+    got_flags, relations = syndrome_closed_form(dec)
+    assert got_flags.dtype == bool and relations.dtype == np.int8
+    assert tuple(got_flags.tolist()) == flags
+    assert relations.tolist() == [_RELATION[rel13], _RELATION[rel34]]
+    assert int(classify_codes(got_flags, relations)) == channel
 
 
 def test_syndrome_closed_form_pure_p_flags_only_d2():
     dec = decode(inject_error(encode(CodeConfig(r=R35)),
-                              ErrorEvent(True, 4, 0.0, 1.0, ErrorLaw("p", 1.0))))
-    rec = syndrome_closed_form(dec)
-    assert rec.flags == {"D1": False, "D2": True, "D3": False, "D4": False}
-    assert classify(rec).kind == AMBIGUOUS_P
+                              ErrorEvent(True, 4, ErrorLaw("p", 1.0))))
+    flags, relations = syndrome_closed_form(dec)
+    assert flags.tolist() == [False, True, False, False]
+    assert int(classify_codes(flags, relations)) == AMBIGUOUS_P
 
 
 # --------------------------------------------------------------------------
 # classification
 
 
-def _rec(flags, rel13="n/a", rel34="n/a"):
-    return qec.SyndromeRecord(
-        mode="standard",
-        variances={d: 1.0 for d in qec.DETECTORS},
-        baselines={d: 0.1 for d in qec.DETECTORS},
-        flags=dict(zip(qec.DETECTORS, flags)),
-        relation_13=rel13, relation_34=rel34)
+def _classify(flags, rel13="n/a", rel34="n/a"):
+    """The code of one syndrome in the exact route's encoding."""
+    return int(classify_codes(np.array(flags), np.array([_RELATION[rel13], _RELATION[rel34]])))
 
 
 def test_classify_table():
-    assert classify(_rec((False, False, False, False))).kind == NO_ERROR
-    assert classify(_rec((True, True, True, False), rel13="in-phase")).channel == 1
-    assert classify(_rec((True, True, True, False), rel13="out-of-phase")).channel == 2
-    assert classify(_rec((False, True, True, False))).channel == 3
-    assert classify(_rec((False, False, True, False))).channel == 3
-    assert classify(_rec((False, True, True, True), rel34="out-of-phase")).channel == 4
-    assert classify(_rec((False, True, True, True), rel34="in-phase")).channel == 5
-    assert classify(_rec((False, True, False, False))).kind == AMBIGUOUS_P
+    assert _classify((False, False, False, False)) == NO_ERROR
+    assert _classify((True, True, True, False), rel13="in-phase") == 1
+    assert _classify((True, True, True, False), rel13="out-of-phase") == 2
+    assert _classify((False, True, True, False)) == 3
+    assert _classify((False, False, True, False)) == 3
+    assert _classify((False, True, True, True), rel34="out-of-phase") == 4
+    assert _classify((False, True, True, True), rel34="in-phase") == 5
+    assert _classify((False, True, False, False)) == AMBIGUOUS_P
 
 
 def test_classify_is_total_on_all_patterns():
-    kinds = {NO_ERROR, CHANNEL, AMBIGUOUS_P, UNCLASSIFIABLE}
     for bits in range(16):
         flags = tuple(bool(bits >> k & 1) for k in range(4))
-        for rel13 in ("in-phase", "out-of-phase", "n/a"):
-            for rel34 in ("in-phase", "out-of-phase", "n/a"):
-                assert classify(_rec(flags, rel13, rel34)).kind in kinds
+        for rel13 in _RELATION:
+            for rel34 in _RELATION:
+                assert 0 <= _classify(flags, rel13, rel34) < len(CODE_NAMES)
 
 
 def test_classify_mismatched_patterns_are_unclassifiable():
-    assert classify(_rec((True, False, False, True))).kind == UNCLASSIFIABLE
-    assert classify(_rec((True, True, True, True))).kind == UNCLASSIFIABLE
-    assert classify(_rec((False, False, False, True))).kind == UNCLASSIFIABLE
+    assert _classify((True, False, False, True)) == UNCLASSIFIABLE
+    assert _classify((True, True, True, True)) == UNCLASSIFIABLE
+    assert _classify((False, False, False, True)) == UNCLASSIFIABLE
 
 
 def _reference_classify(flags, rel13, rel34):
     """The syndrome table as a pattern match, one record at a time."""
     f1, f2, f3, f4 = flags
     if not any(flags):
-        return str(ClassificationResult(NO_ERROR))
+        return "no-error"
     if (f1, f3, f4) == (True, True, False):
         return "channel-1" if rel13 == "in-phase" else "channel-2"
     if (f1, f3, f4) == (False, True, False):
@@ -356,25 +348,28 @@ def _reference_classify(flags, rel13, rel34):
     if (f1, f3, f4) == (False, True, True):
         return "channel-5" if rel34 == "in-phase" else "channel-4"
     if (f1, f3, f4) == (False, False, False) and f2:
-        return AMBIGUOUS_P
-    return UNCLASSIFIABLE
+        return "ambiguous-p"
+    return "unclassifiable"
 
 
 def test_scalar_and_array_classifiers_agree():
-    """classify and the batched _classify_codes follow one syndrome table on
-    every flag pattern and both signs of each phase relation."""
+    """classify_codes follows the syndrome table on every flag pattern and
+    both signs of each phase relation, one syndrome at a time in the exact
+    route's relation signs and batched on the round engine's
+    cross-correlations."""
     sign = {"in-phase": 0.7, "out-of-phase": -0.7}
     cases = [(tuple(bool(bits >> k & 1) for k in range(4)), rel13, rel34)
              for bits in range(16) for rel13 in sign for rel34 in sign]
     flags = np.array([c[0] for c in cases])
-    codes = qec._classify_codes(flags, np.array([sign[c[1]] for c in cases]),
-                                np.array([sign[c[2]] for c in cases]))
+    codes = classify_codes(flags, np.array([[sign[c[1]], sign[c[2]]] for c in cases]))
+    assert codes.shape == (len(cases),)
     for (f, rel13, rel34), code in zip(cases, codes):
         want = _reference_classify(f, rel13, rel34)
         # a relation is reported only for a flagged detector pair
-        rec = _rec(f, rel13 if f[0] and f[2] else "n/a", rel34 if f[2] and f[3] else "n/a")
-        assert str(classify(rec)) == want
-        assert str(qec._CODE_TO_RESULT[int(code)]) == want
+        scalar = _classify(f, rel13 if f[0] and f[2] else "n/a",
+                           rel34 if f[2] and f[3] else "n/a")
+        assert CODE_NAMES[scalar] == want
+        assert CODE_NAMES[code] == want
 
 
 # --------------------------------------------------------------------------
@@ -383,49 +378,44 @@ def test_scalar_and_array_classifiers_agree():
 
 def test_plan_gains_match_reference_table():
     g23 = sqrt_of(frac(2, 3))
-    plan3 = correction_plan(ClassificationResult(CHANNEL, 3))
-    assert plan3.x_ff == ("D3", g23)
-    assert plan3.p_ff == ("D2", -SQRT2)
-    plan4 = correction_plan(ClassificationResult(CHANNEL, 4))
-    assert plan4.x_ff == ("D4", g23)
-    assert plan4.p_ff == ("D2", ExactScalar(0, 2))
-    plan5 = correction_plan(ClassificationResult(CHANNEL, 5))
-    assert plan5.x_ff == ("D4", -g23)
-    assert plan5.p_ff == ("D2", ExactScalar(0, 2))
+    assert PLANS[False][3] == (("D3", g23), ("D2", -SQRT2))
+    assert PLANS[False][4] == (("D4", g23), ("D2", ExactScalar(0, 2)))
+    assert PLANS[False][5] == (("D4", -g23), ("D2", ExactScalar(0, 2)))
 
 
 def test_zero_plan_for_protected_channels():
-    for result in (ClassificationResult(NO_ERROR),
-                   ClassificationResult(CHANNEL, 1),
-                   ClassificationResult(CHANNEL, 2)):
-        assert correction_plan(result).is_zero()
+    for fourier in (False, True):
+        assert sorted(PLANS[fourier]) == [3, 4, 5]
     # the round engine's table also leaves indefinite codes uncorrected
-    for code in (0, 1, 2, qec._CODE_AMBIGUOUS, qec._CODE_UNCLASSIFIABLE):
+    for code in (NO_ERROR, 1, 2, AMBIGUOUS_P, UNCLASSIFIABLE):
         np.testing.assert_array_equal(qec.PLAN_TABLE[:, code], [np.eye(2, 6, 4)] * 2)
 
 
-def test_plan_unavailable_for_ambiguous():
-    with pytest.raises(CorrectionUnavailable):
-        correction_plan(ClassificationResult(AMBIGUOUS_P))
-    with pytest.raises(CorrectionUnavailable):
-        correction_plan(ClassificationResult(UNCLASSIFIABLE))
+def test_indefinite_codes_leave_output_unchanged():
+    """An ambiguous or unclassifiable code has no plan: the exact output keeps
+    its error symbols, as the round engine's table keeps the readout."""
+    for fourier in (False, True):
+        dec = decode(inject_error(encode(CodeConfig(r=0.3, fourier_mode=fourier)),
+                                  ErrorEvent(True, 4)))
+        assert dec.out_form.x.has_errors() and dec.out_form.p.has_errors()
+        for code in (AMBIGUOUS_P, UNCLASSIFIABLE):
+            assert apply_correction(dec, code) == dec.out_form
 
 
 @pytest.mark.parametrize("fourier", [False, True])
-@pytest.mark.parametrize("channel", [3, 4, 5])
+@pytest.mark.parametrize("channel", [1, 2, 3, 4, 5])
 def test_derived_plans_equal_constants(channel, fourier):
     derived = derive_correction_plan(channel, fourier)
-    table = correction_plan(ClassificationResult(CHANNEL, channel), fourier)
-    assert derived.x_ff == table.x_ff
-    assert derived.p_ff == table.p_ff
+    assert derived == PLANS[fourier].get(channel, ())
+    assert derived or channel in (1, 2)
     np.testing.assert_array_equal(qec.PLAN_TABLE[int(fourier), channel],
                                   qec.plan_matrix(derived))
 
 
 def test_corrected_output_channel3_residuals():
     """x' = x_in + sqrt(2/3) x3 e^{-r}; p' = p_in - sqrt2 p2 e^{-r}."""
-    dec = decode(inject_error(encode(CodeConfig(r=0.7)), ErrorEvent(True, 3, 1.0, 1.0)))
-    out = qec.apply_correction(dec, correction_plan(ClassificationResult(CHANNEL, 3)))
+    dec = decode(inject_error(encode(CodeConfig(r=0.7)), ErrorEvent(True, 3)))
+    out = apply_correction(dec, 3)
     x_terms = out.x.terms
     assert x_terms == {
         QuadSymbol.input("x"): ExactScalar(1),
@@ -437,8 +427,8 @@ def test_corrected_output_channel3_residuals():
 
 
 def test_corrected_output_channel5_p_residual():
-    dec = decode(inject_error(encode(CodeConfig(r=0.7)), ErrorEvent(True, 5, 1.0, 1.0)))
-    out = qec.apply_correction(dec, correction_plan(ClassificationResult(CHANNEL, 5)))
+    dec = decode(inject_error(encode(CodeConfig(r=0.7)), ErrorEvent(True, 5)))
+    out = apply_correction(dec, 5)
     assert out.p.terms == {
         QuadSymbol.input("p"): ExactScalar(1),
         QuadSymbol.ancilla(2, "p", TAG_SQUEEZED): ExactScalar(0, 2)}
@@ -448,9 +438,8 @@ def test_corrected_output_channel5_p_residual():
 @pytest.mark.parametrize("channel", [3, 4, 5])
 def test_error_symbols_cancel_exactly(channel, fourier):
     cfg = CodeConfig(r=0.42, fourier_mode=fourier)
-    dec = decode(inject_error(encode(cfg), ErrorEvent(True, channel, 2.7, -1.3)))
-    plan = correction_plan(ClassificationResult(CHANNEL, channel), fourier)
-    out = qec.apply_correction(dec, plan)
+    dec = decode(inject_error(encode(cfg), ErrorEvent(True, channel)))
+    out = apply_correction(dec, channel)
     assert not out.x.has_errors()
     assert not out.p.has_errors()
 
@@ -458,7 +447,7 @@ def test_error_symbols_cancel_exactly(channel, fourier):
 def test_immunity_channels_need_no_correction():
     for ch in (1, 2):
         dec = decode(inject_error(encode(CodeConfig(r=0.3)),
-                                  ErrorEvent(True, ch, 9.0, -4.0)))
+                                  ErrorEvent(True, ch)))
         assert not dec.out_form.x.has_errors()
         assert not dec.out_form.p.has_errors()
 
@@ -536,14 +525,14 @@ def _round_theory(outcome, law):
     located channel, the error-free output, or the unrepaired hit of an
     indefinite round, in the configuration of the pass the round reports."""
     cfg = outcome.cfg
-    reported_rerun = outcome.fourier_used & (outcome.final_codes != qec._CODE_UNCLASSIFIABLE)
+    reported_rerun = outcome.fourier_used & (outcome.final_codes != UNCLASSIFIABLE)
     out = []
     for code, fourier, channel in zip(outcome.final_codes.tolist(),
                                       (reported_rerun ^ cfg.fourier_mode).tolist(),
                                       outcome.channels.tolist()):
         if code in (1, 2, 3, 4, 5):
             out.append(closed_form_output(cfg, code, fourier=fourier))
-        elif code == qec._CODE_NO_ERROR:
+        elif code == NO_ERROR:
             out.append(closed_form_output(cfg, None, fourier=fourier))
         else:
             extra = law.quadrature_variances() if channel else (0.0, 0.0)
@@ -556,7 +545,7 @@ def test_run_round_channel2_near_unit_fidelity(series_sampler):
     cfg = CodeConfig(r=R35)
     ec = ErrorConfig(1.0, 2, ErrorLaw("general", STRONG))
     out = run_rounds(cfg, ec, np.random.default_rng(21), 1)
-    assert _result(out.final_codes[0]).channel == 2
+    assert out.final_codes[0] == 2
     assert _round_theory(out, ec.law)[0].fidelity == pytest.approx(1.0, abs=1e-12)
     assert out.fidelity_mc[0] > 0.99
 
@@ -565,9 +554,9 @@ def test_run_round_pure_p_resolved_by_rerun(series_sampler):
     cfg = CodeConfig(r=R35)
     ec = ErrorConfig(1.0, 4, ErrorLaw("p", STRONG))
     out = run_rounds(cfg, ec, np.random.default_rng(22), 1)
-    assert _result(out.first_codes[0]).kind == AMBIGUOUS_P
+    assert out.first_codes[0] == AMBIGUOUS_P
     assert out.fourier_used[0]
-    assert _result(out.final_codes[0]).channel == 4
+    assert out.final_codes[0] == 4
     assert out.matched[0]
 
 
@@ -575,7 +564,7 @@ def test_run_round_gamma_zero_is_identity_round(series_sampler):
     cfg = CodeConfig(r=R35)
     ec = ErrorConfig(0.0, 3, ErrorLaw("general", STRONG))
     out = run_rounds(cfg, ec, np.random.default_rng(23), 1)
-    assert _result(out.final_codes[0]).kind == NO_ERROR
+    assert out.final_codes[0] == NO_ERROR
     assert out.channels[0] == 0
     assert _round_theory(out, ec.law)[0].fidelity == pytest.approx(1.0, abs=1e-12)
 
@@ -619,9 +608,8 @@ _PINNED_ROUNDS = {
 }
 
 
-def _short(result):
-    return {NO_ERROR: "0", AMBIGUOUS_P: "A", UNCLASSIFIABLE: "U"}.get(
-        result.kind, str(result.channel))
+def _short(code):
+    return {NO_ERROR: "0", AMBIGUOUS_P: "A", UNCLASSIFIABLE: "U"}.get(code, str(code))
 
 
 def _corrected_series(outcome, passes):
@@ -631,7 +619,7 @@ def _corrected_series(outcome, passes):
     series = passes[0].copy()
     rerun = np.flatnonzero(outcome.fourier_used)
     if len(rerun):
-        resolved = outcome.final_codes[rerun] != qec._CODE_UNCLASSIFIABLE
+        resolved = outcome.final_codes[rerun] != UNCLASSIFIABLE
         series[rerun[resolved]] = passes[1][resolved]
     comb = qec.PLAN_TABLE[outcome.fourier_used.astype(np.intp), outcome.final_codes]
     return series @ comb.transpose(0, 2, 1)
@@ -664,8 +652,8 @@ def test_round_moments_match_stored_series(case, series_sampler):
             outcome.fidelity_mc[i], fidelity_from_moments(*inp, mean, cov), **tol)
     channels, first, final, reruns, draws = _PINNED_ROUNDS[case]
     assert outcome.channels.tolist() == channels
-    assert " ".join(_short(_result(c)) for c in outcome.first_codes) == first
-    assert " ".join(_short(_result(c)) for c in outcome.final_codes) == final
+    assert " ".join(_short(c) for c in outcome.first_codes.tolist()) == first
+    assert " ".join(_short(c) for c in outcome.final_codes.tolist()) == final
     assert "".join("FT"[int(r)] for r in outcome.fourier_used) == reruns
     assert hashlib.sha256(outcome.injected.tobytes()).hexdigest() == draws
 
@@ -698,7 +686,7 @@ def _pass_statistics(maps, channels, law, window, seed, sample):
         data = qec._PassData(*sample(maps, chunk, chunk > 0, law, window, rng),
                              window, maps.baselines)
         columns.append(np.column_stack([data.mean, data.scatter[:, upper_row, upper_col],
-                                        data.cc13, data.cc34]))
+                                        data.cc]))
         flags.append(data.flags)
     return np.concatenate(columns), np.concatenate(flags)
 
@@ -774,7 +762,7 @@ def test_pooled_moments_match_pooled_series(series_sampler):
     series = np.concatenate(series)
     tol = dict(rtol=1e-12, atol=1e-12)
     for code in np.unique(outcome.final_codes):
-        key = str(qec._CODE_TO_RESULT[int(code)])
+        key = CODE_NAMES[code]
         pooled = series[outcome.final_codes == code].reshape(-1, 2)
         mean, cov = outcome.summary.pooled_moments[key]
         np.testing.assert_allclose(mean, pooled.mean(axis=0), **tol)
@@ -799,16 +787,16 @@ def test_rounds_with_uniform_loss_still_classify():
 
 
 def test_multi_error_is_unclassifiable():
-    """Two simultaneous strong errors confuse the pattern; no plan is issued."""
+    """Two simultaneous strong errors confuse the pattern; no plan is applied."""
     cfg = CodeConfig(r=R35)
     enc = encode(cfg)
     law = ErrorLaw("general", STRONG)
-    enc = inject_error(enc, ErrorEvent(True, 1, STRONG, 0.0, law))
-    enc = inject_error(enc, ErrorEvent(True, 4, STRONG, 0.0, law))
-    result = classify(syndrome_closed_form(decode(enc)))
-    assert result.kind == UNCLASSIFIABLE
-    with pytest.raises(CorrectionUnavailable):
-        correction_plan(result)
+    enc = inject_error(enc, ErrorEvent(True, 1, law))
+    enc = inject_error(enc, ErrorEvent(True, 4, law))
+    dec = decode(enc)
+    code = int(classify_codes(*syndrome_closed_form(dec)))
+    assert code == UNCLASSIFIABLE
+    assert apply_correction(dec, code) == dec.out_form
 
 
 # --------------------------------------------------------------------------
@@ -819,7 +807,7 @@ def test_syndrome_trace_channel1_shape():
     """D4 stays at baseline while D1 and D3 swing together."""
     cfg = CodeConfig(r=R35)
     traces, result = syndrome_trace(cfg, 1, 512, np.random.default_rng(2), STRONG)
-    assert result.channel == 1
+    assert result == 1
     baseline = 0.25 * math.exp(-2 * R35)
     assert np.var(traces["D4"], ddof=1) < 4 * baseline
     corr = np.corrcoef(traces["D1"], traces["D3"])[0, 1]
@@ -829,7 +817,7 @@ def test_syndrome_trace_channel1_shape():
 def test_syndrome_trace_no_error_flat():
     cfg = CodeConfig(r=R35)
     traces, result = syndrome_trace(cfg, None, 256, np.random.default_rng(3), 0.0)
-    assert result.kind == NO_ERROR
+    assert result == NO_ERROR
     baseline = 0.25 * math.exp(-2 * R35)
     for det in ("D1", "D2", "D3", "D4"):
         assert np.var(traces[det], ddof=1) < 4 * baseline
