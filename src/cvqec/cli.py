@@ -404,16 +404,16 @@ def run_spectra(cfg: ExperimentConfig, out_dir: Path) -> dict:
             error = replace(cfg.error, gamma=1.0, channel=channel)
             outcome = run_chunked_rounds(variant, error, root.spawn(1)[0],
                                          cfg.trials, cfg.window)
-            _, mc_cov = outcome.summary.pooled_moments[f"channel-{channel}"]
+            pooled = outcome.summary.pooled_moments.get(f"channel-{channel}")
             before = closed_form_output(
                 variant, channel, corrected=False,
                 extra_error_var=cfg.error.law.quadrature_variances())
             after = closed_form_output(variant, channel)
             for k, quad in enumerate(("x", "p")):
+                mc = float("nan") if pooled is None else variance_to_db(float(pooled[1][k, k]))
                 rows.append([channel, quad, ancilla, repr(0.0),
                              repr(before.noise_db(quad)),
-                             repr(after.noise_db(quad)),
-                             repr(variance_to_db(float(mc_cov[k, k])))])
+                             repr(after.noise_db(quad)), repr(mc)])
     _write_csv(out_dir / "spectra.csv", header, rows)
     _write_json(out_dir / "spectra.json", {
         "experiment": "spectra", "seed": cfg.seed, "trials": cfg.trials,

@@ -253,23 +253,36 @@ def _relations(flags: np.ndarray, cross: np.ndarray) -> np.ndarray:
     return (np.where(cross > 0, 1, -1) * pairs).astype(np.int8)
 
 
+def _syndrome_rule(f1, f2, f3, f4, in13, in34, out13, out34) -> int:
+    """The syndrome table: the round code of four fluctuation flags and the
+    D1-D3 / D3-D4 relations, each in phase, out of phase or neither (NaN)."""
+    if not (f1 or f2 or f3 or f4):
+        return NO_ERROR
+    if f1 and f3 and not f4:
+        return 1 if in13 else 2 if out13 else UNCLASSIFIABLE
+    if not f1 and f3 and not f4:
+        return 3
+    if not f1 and f3 and f4:
+        return 5 if in34 else 4 if out34 else UNCLASSIFIABLE
+    if not (f1 or f3 or f4) and f2:
+        return AMBIGUOUS_P
+    return UNCLASSIFIABLE
+
+
+# _syndrome_rule of every 8-bit index, its arguments in bit order: the flags
+# of D1..D4, cc13 > 0, cc34 > 0, cc13 <= 0 and cc34 <= 0.
+_CODE_TABLE = np.array([_syndrome_rule(*(bool(i >> k & 1) for k in range(8)))
+                        for i in range(256)], dtype=np.int8)
+_CODE_TABLE.setflags(write=False)
+
+
 def classify_codes(flags: np.ndarray, cross: np.ndarray) -> np.ndarray:
     """Round codes from (..., 4) fluctuation flags and (..., 2) D1-D3 / D3-D4
     cross-correlations or relation signs, matched against the syndrome
-    table."""
-    f1, f2, f3, f4 = np.moveaxis(flags, -1, 0)
-    cc13, cc34 = np.moveaxis(cross, -1, 0)
-    codes = np.full(flags.shape[:-1], UNCLASSIFIABLE, dtype=np.int8)
-    codes[~(f1 | f2 | f3 | f4)] = NO_ERROR
-    m = f1 & f3 & ~f4
-    codes[m & (cc13 > 0)] = 1
-    codes[m & (cc13 <= 0)] = 2
-    codes[~f1 & f3 & ~f4] = 3
-    m = ~f1 & f3 & f4
-    codes[m & (cc34 > 0)] = 5
-    codes[m & (cc34 <= 0)] = 4
-    codes[~f1 & ~f3 & ~f4 & f2] = AMBIGUOUS_P
-    return codes
+    table: a cross term > 0 is in phase, one <= 0 out of phase (so the
+    relation 0, n/a, reads as out of phase) and a NaN one neither."""
+    bits = np.concatenate([flags, cross > 0, cross <= 0], axis=-1)
+    return _CODE_TABLE[np.packbits(bits, axis=-1, bitorder="little")[..., 0]]
 
 
 # --------------------------------------------------------------------------
@@ -388,10 +401,10 @@ class PipelineMaps:
     """Precomputed linear maps of one encode/loss/decode pass, on the readouts
     (D1..D4, out_x, out_p).
 
-    The readouts are ``noise`` times standard normals plus ``err_readout``
-    times the per-channel displacements (dx, dp interleaved).  ``noise`` is
-    ``mix``, the ten independent source quadratures through the network,
-    joined by ``vac``, the loss vacua, when a channel is lossy.
+    The readouts are ``noise`` times standard normals plus, for each channel
+    k, ``err_columns[k - 1]`` (6x2) times its displacement (dx, dp).
+    ``noise`` is ``mix``, the ten independent source quadratures through the
+    network, joined by ``vac``, the loss vacua, when a channel is lossy.
     ``baselines`` is the diagonal of the 6x6 readout covariance, and
     ``readout_factor`` F, made on first use, gives the covariance as F F^T.
     """
@@ -400,14 +413,14 @@ class PipelineMaps:
         s_enc, s_dec = _network_symplectics(fourier)
         eta = np.repeat(np.sqrt(cfg.loss_values), 2)
         rows = readout_rows(fourier)
-        self.err_readout = s_dec[rows] * eta
+        self.err_columns = (s_dec[rows] * eta).reshape(6, 5, 2).transpose(1, 0, 2).copy()
         self.mix = self.noise = (s_dec @ (eta[:, None] * s_enc))[rows] * _source_sigma(cfg)
         self.vac = None
         if cfg.has_loss:
             self.vac = s_dec[rows] * np.sqrt(1.0 - eta ** 2) * math.sqrt(VACUUM_VAR)
             self.noise = np.hstack([self.mix, self.vac])
         self.baselines = np.einsum("ij,ij->i", self.noise, self.noise)
-        for arr in (self.err_readout, self.mix, self.vac, self.noise, self.baselines):
+        for arr in (self.err_columns, self.mix, self.vac, self.noise, self.baselines):
             if arr is not None:         # read-only: ``_maps`` shares one instance
                 arr.setflags(write=False)
 
@@ -473,7 +486,7 @@ def closed_form_output(cfg: CodeConfig, channel: int | None, corrected: bool = T
     cov = noise @ noise.T
     mean = np.zeros(2)
     if channel is not None:
-        err = plan @ maps.err_readout[:, 2 * channel - 2:2 * channel]      # (2, 2)
+        err = plan @ maps.err_columns[channel - 1]                   # (2, 2)
         mean = err @ np.asarray(displacement, dtype=float)
         cov = cov + err @ np.diag(extra_error_var) @ err.T
     fid = fidelity_from_moments(*cfg.input_state(), mean, cov)
@@ -520,12 +533,6 @@ class _PassData:
         self.cc = scatter[:, [0, 2], [2, 3]] / window     # D1-D3, D3-D4
 
 
-def _error_columns(maps: PipelineMaps, channels: np.ndarray) -> np.ndarray:
-    """(n, 6, 2) readout coefficients of each round's (dx, dp) error."""
-    cols = 2 * (channels - 1)
-    return maps.err_readout[:, np.stack([cols, cols + 1], axis=1)].transpose(1, 0, 2)
-
-
 def _readout_noise(maps: PipelineMaps, n: int, window: int,
                    rng: np.random.Generator) -> np.ndarray:
     """(n, window, 6) readout noise series: ten normals per sample (twenty
@@ -538,7 +545,7 @@ def _readout_noise(maps: PipelineMaps, n: int, window: int,
 
 def _error_series(maps: PipelineMaps, channels: np.ndarray, draws: np.ndarray) -> np.ndarray:
     """(n, window, 6) readout series of each round's (window, 2) displacements."""
-    coeff = _error_columns(maps, channels)
+    coeff = maps.err_columns[channels - 1]
     return draws[:, :, :1] * coeff[:, None, :, 0] + draws[:, :, 1:] * coeff[:, None, :, 1]
 
 
@@ -562,6 +569,25 @@ def _sample_series(maps: PipelineMaps, channels: np.ndarray, occurred: np.ndarra
     return series
 
 
+# Flat positions in a round's (6, 8) factor block [A | Z^T] of the Bartlett
+# factor's 15 below-diagonal entries, its 6 diagonal ones and the 12 entries
+# of the (2, 6) along-normals Z, each in the order they are drawn.
+_BELOW = np.ravel_multi_index(np.tril_indices(6, -1), (6, 8))
+_DIAGONAL = np.ravel_multi_index((range(6), range(6)), (6, 8))
+_ALONG = (np.arange(2)[:, None] + np.arange(6, 48, 8)).ravel()
+
+
+def _gram_root(gram: np.ndarray) -> np.ndarray:
+    """Symmetric roots R (R^T R = K) of (n, 2, 2) positive semi-definite
+    Grams K in closed form (Levinger, Math. Mag. 53 (1980) 222): (K + s I) / t
+    with s = sqrt(det K) and t = sqrt(tr K + 2 s), 0 where K = 0; a rounding
+    negative det K or tr K + 2 s counts as 0."""
+    s = np.sqrt(np.maximum(gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0], 0.0))
+    t = np.sqrt(np.maximum(np.trace(gram, axis1=1, axis2=2) + 2.0 * s, 0.0))[:, None, None]
+    root = gram + s[:, None, None] * np.eye(2)
+    return np.divide(root, t, out=np.zeros_like(root), where=t > 0.0)
+
+
 def _sample_statistics(maps: PipelineMaps, channels: np.ndarray, occurred: np.ndarray,
                        law: ErrorLaw, window: int,
                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -572,35 +598,32 @@ def _sample_statistics(maps: PipelineMaps, channels: np.ndarray, occurred: np.nd
 
     With readout covariance S = F F^T, error coefficients C (6x2) and error
     series D (window x 2) of mean d and centred Gram K: the mean is
-    F z / sqrt(window) + C d, and the scatter is W + H^T H.  W is the noise
+    F z / sqrt(window) + C d, and the scatter is X X^T with the (6, 8)
+    factor X = F [A | Z^T] + [0 | C R].  F A A^T F^T, with A a Bartlett
+    factor (Smith & Hocking, Appl. Stat. 21 (1972) 341), is the noise
     scatter off the span of the ones vector and the centred error columns,
-    Wishart(S, window - 3), drawn as (F A)(F A)^T with A a Bartlett factor
-    (Smith & Hocking, Appl. Stat. 21 (1972) 341).  H = G + R C^T, where the
-    rows of G (2x6) are the noise along the two centred error directions,
-    N(0, S), and R^T R = K.  A round without error has R = 0, which gives
-    Wishart(S, window - 1).
-    """
+    Wishart(S, window - 3).  The rows of Z F^T (2x6) are the noise along
+    the two centred error directions, N(0, S), and R = ``_gram_root``(K).
+    Any R with R^T R = K gives the same law: two roots differ by a rotation
+    that depends on K alone, which leaves the iid rows of Z F^T in law as
+    they are.  Without error R = 0, which gives Wishart(S, window - 1)."""
     n = len(channels)
     idx = np.flatnonzero(occurred)
     err_mean, err_gram = law.window_statistics(rng, len(idx), window)
     factor = maps.readout_factor
     mean = rng.standard_normal((n, 6)) @ factor.T / math.sqrt(window)
-    bartlett = np.zeros((n, 6, 6))
-    below_row, below_col = np.tril_indices(6, -1)
-    bartlett[:, below_row, below_col] = rng.standard_normal((n, 15))
-    bartlett[:, range(6), range(6)] = np.sqrt(
-        rng.chisquare(window - 3 - np.arange(6), (n, 6)))
-    along = rng.standard_normal((n, 2, 6)) @ factor.T
-    noise = factor @ bartlett
-    scatter = noise @ noise.transpose(0, 2, 1)
+    block = np.zeros((n, 48))
+    block[:, _BELOW] = rng.standard_normal((n, 15))
+    block[:, _DIAGONAL] = np.sqrt(rng.chisquare(window - 3 - np.arange(6), (n, 6)))
+    block[:, _ALONG] = rng.standard_normal((n, 12))
+    x = factor @ block.reshape(n, 6, 8)
     if len(idx):
-        coeff = _error_columns(maps, channels[idx])
+        coeff = maps.err_columns[channels[idx] - 1]
         mean[idx] += (coeff @ err_mean[:, :, None])[:, :, 0]
-        lam, vec = np.linalg.eigh(err_gram)
-        root = np.sqrt(np.clip(lam, 0.0, None))[:, :, None] * vec.transpose(0, 2, 1)
-        along[idx] += root @ coeff.transpose(0, 2, 1)
-    scatter += along.transpose(0, 2, 1) @ along
-    return mean, scatter
+        x[idx, :, 6:] += coeff @ _gram_root(err_gram)
+    # A contiguous transpose keeps the stacked product on numpy's BLAS path;
+    # a strided one takes a loop about three times slower.
+    return mean, x @ x.transpose(0, 2, 1).copy()
 
 
 def _simulate_pass(maps: PipelineMaps, channels: np.ndarray, occurred: np.ndarray,
@@ -751,7 +774,8 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
 
     comb = PLAN_TABLE[fourier.astype(np.intp), final]             # (n, 2, 6)
     corrected_mean = (comb @ mean[:, :, None])[:, :, 0]
-    cov = comb @ scatter @ comb.transpose(0, 2, 1) / (window - 1)
+    # a contiguous transpose keeps the BLAS path, as in ``_sample_statistics``
+    cov = comb @ scatter @ comb.transpose(0, 2, 1).copy() / (window - 1)
     return RoundsOutcome(
         cfg=cfg, window=window, channels=channels, injected=injected,
         first_codes=first, final_codes=final, fourier_used=first == AMBIGUOUS_P,

@@ -14,6 +14,7 @@ and any non-zero squeezing falls below it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,16 +38,16 @@ _TERMS = {
 _DEGENERATE_VAR = 1e-30
 
 
-def _check_vacuum_input(cfg: CodeConfig) -> None:
-    if cfg.input_kind != "vacuum":
-        raise ValueError("the witness is defined for a vacuum input state")
-
-
+@lru_cache(maxsize=8)
 def _encoded_factor(cfg: CodeConfig) -> np.ndarray:
     """F with F F^T the lossless encoded covariance S_enc diag(sigma^2)
-    S_enc^T over the interleaved (x, p) quadratures of channels 1..5."""
-    _check_vacuum_input(cfg)
-    return _network_symplectics(cfg.fourier_mode)[0] * _source_sigma(cfg)
+    S_enc^T over the interleaved (x, p) quadratures of channels 1..5, made
+    once per configuration and read-only."""
+    if cfg.input_kind != "vacuum":
+        raise ValueError("the witness is defined for a vacuum input state")
+    factor = _network_symplectics(cfg.fourier_mode)[0] * _source_sigma(cfg)
+    factor.setflags(write=False)
+    return factor
 
 
 def _index(channel: int, quad: str) -> int:

@@ -188,6 +188,25 @@ def test_spectra_artifact(tmp_path):
             assert float(row["after_db_theory"]) < float(row["before_db_theory"])
 
 
+@pytest.mark.parametrize("doc", [
+    {"trials": 8, "window": 64, "code": {"channel_loss": 0.0}},
+    {"trials": 20, "window": 64, "error": {"law": {"magnitude": 0.05}}},
+], ids=["total-loss", "weak-error"])
+def test_spectra_without_rounds_of_the_hit_channel(tmp_path, capsys, doc):
+    """Total loss and a weak error leave channels with no round classified
+    as the hit channel: ``cvqec run spectra`` exits 0 and writes their
+    Monte-Carlo column as nan, as table2 does."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    assert run_cli(["run", "spectra", "--config", config, "--out", tmp_path / "out"]) == 0
+    capsys.readouterr()
+    rows = json.loads((tmp_path / "out" / "spectra.json").read_text())["rows"]
+    assert len(rows) == 20
+    mc = [float(row["after_db_mc"]) for row in rows]
+    assert any(np.isnan(mc))
+    assert all(np.isfinite(float(row["after_db_theory"])) for row in rows)
+
+
 def test_mc_sweep_r_is_monotone(tmp_path):
     cfg = cli.parse_config({
         "trials": 6, "window": 64, "seed": 2,

@@ -372,6 +372,36 @@ def test_scalar_and_array_classifiers_agree():
         assert CODE_NAMES[code] == want
 
 
+def _expected_code(flags, c13, c34):
+    """The reference code of one flag pattern and two cross terms: > 0 is in
+    phase, <= 0 out of phase, and a NaN term, neither, leaves a pattern that
+    reads it unclassifiable."""
+    def rel(c):
+        return "in-phase" if c > 0 else "out-of-phase" if c <= 0 else None
+    f1, _, f3, f4 = flags
+    if (f1 and f3 and not f4 and rel(c13) is None) or (
+            not f1 and f3 and f4 and rel(c34) is None):
+        return "unclassifiable"
+    return _reference_classify(flags, rel(c13), rel(c34))
+
+
+def test_table_classifier_matches_reference_on_signed_zeros_and_nan():
+    """The table lookup gives the reference code for every flag pattern and
+    every pair of cross terms in {-1.5, -0.0, 0.0, 0.5, NaN}, batched and one
+    syndrome at a time."""
+    values = (-1.5, -0.0, 0.0, 0.5, math.nan)
+    cases = [(tuple(bool(bits >> k & 1) for k in range(4)), c13, c34)
+             for bits in range(16) for c13 in values for c34 in values]
+    flags = np.array([c[0] for c in cases])
+    cross = np.array([c[1:] for c in cases])
+    codes = classify_codes(flags, cross)
+    assert codes.shape == (len(cases),)
+    for i, (f, c13, c34) in enumerate(cases):
+        want = _expected_code(f, c13, c34)
+        assert CODE_NAMES[codes[i]] == want, (f, c13, c34)
+        assert CODE_NAMES[int(classify_codes(flags[i], cross[i]))] == want
+
+
 # --------------------------------------------------------------------------
 # feedforward plans and correction
 
@@ -745,6 +775,40 @@ def test_samplers_at_the_extremes(cfg, law, expect, request):
         assert np.isfinite(outcome.fidelity_mc).all()
         want = np.zeros_like(outcome.channels) if expect == "no-error" else outcome.channels
         np.testing.assert_array_equal(outcome.final_codes, want)
+
+
+def _general_grams(window):
+    return ErrorLaw("general", 2.0).window_statistics(np.random.default_rng(5), 200, window)[1]
+
+
+def _near_singular_grams():
+    v = np.array([[1.0, 1e-9], [3.0, -2.0], [1e-8, 1.0]])
+    eps = np.array([0.0, 1e-15, 1e-30])
+    return np.einsum("ni,nj->nij", v, v) + eps[:, None, None] * np.eye(2)
+
+
+@pytest.mark.parametrize("grams", [
+    lambda: np.zeros((4, 2, 2)),
+    *(lambda law=law: law.window_statistics(np.random.default_rng(4), 200, 64)[1]
+      for law in (ErrorLaw("x", 0.8), ErrorLaw("x", 1.5, "gaussian"),
+                  ErrorLaw("p", 0.8), ErrorLaw("p", 1.5, "gaussian"))),
+    lambda: _general_grams(qec.MIN_SYNDROME_WINDOW),
+    lambda: _general_grams(512),
+    _near_singular_grams,
+], ids=["zero", "x-fixed", "x-gaussian", "p-fixed", "p-gaussian", "general-w30",
+        "general-w512", "near-singular"])
+def test_closed_form_gram_root(grams):
+    """The closed-form root R of each error Gram K has R^T R = K within
+    1e-12 tr K, is 0 where K is 0, and raises no numpy warning."""
+    k = grams()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        root = qec._gram_root(k)
+    assert np.isfinite(root).all()
+    trace = np.trace(k, axis1=1, axis2=2)
+    error = np.abs(root.transpose(0, 2, 1) @ root - k).max(axis=(1, 2))
+    assert (error <= 1e-12 * trace).all()
+    assert not root[trace == 0].any()
 
 
 def test_pooled_moments_match_pooled_series(series_sampler):

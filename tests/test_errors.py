@@ -99,6 +99,21 @@ def test_general_law_float32_trig_matches_float64(window, a):
                                rtol=0, atol=1e-7 * window * a * a)
 
 
+@pytest.mark.parametrize("n,window", [(7, 31), (256, 64)])
+def test_general_law_phases_are_numpy_float32_uniforms(n, window):
+    """From a fresh generator the general law's phases, drawn from raw bits,
+    are numpy's float32 uniforms times float32(2 pi) bit for bit, an odd
+    number of phases included: the window means are exactly those of the
+    ``rng.random(dtype=np.float32)`` phases."""
+    a = 1.5
+    mean, _ = ErrorLaw("general", a).window_statistics(np.random.default_rng(8), n, window)
+    phase = np.random.default_rng(8).random((n, window), dtype=np.float32)
+    phase *= np.float32(2.0 * math.pi)
+    sums = np.stack([np.cos(phase).sum(axis=1, dtype=np.float64),
+                     np.sin(phase).sum(axis=1, dtype=np.float64)], axis=1)
+    np.testing.assert_array_equal(mean, sums * (a / window))
+
+
 @pytest.mark.parametrize("law,n", [(ErrorLaw("general", 0.0), 8), (ErrorLaw("general", 2.0), 0),
                                    (ErrorLaw("x", 0.0), 8), (ErrorLaw("p", 2.0), 0)])
 def test_window_statistics_without_draws_are_float64_zeros(law, n):

@@ -6,7 +6,7 @@ import pytest
 from cvqec.code import CodeConfig, closed_form_output, encode
 from cvqec.exact import form_covariance, form_variance
 from cvqec.gaussian import db_to_r
-from cvqec.witness import (_TERMS, SEPARABLE_BOUND, combination_value,
+from cvqec.witness import (_TERMS, SEPARABLE_BOUND, _encoded_factor, combination_value,
                            evaluate_witness, optimize_gains)
 
 R35 = db_to_r(3.5)
@@ -161,3 +161,11 @@ def test_result_serializes():
     doc = evaluate_witness(CodeConfig(r=R35)).to_dict()
     assert set(doc) == {"values", "gains", "satisfied", "bound", "degenerate_gains"}
     assert doc["bound"] == SEPARABLE_BOUND
+
+
+def test_encoded_factor_is_made_once_per_configuration_and_read_only():
+    factor = _encoded_factor(CodeConfig(r=0.4))
+    assert _encoded_factor(CodeConfig(r=0.4)) is factor
+    assert not factor.flags.writeable
+    with pytest.raises(ValueError):
+        _encoded_factor(CodeConfig(r=0.4, input_kind="squeezed"))
