@@ -18,7 +18,7 @@ from .gaussian import (VACUUM_VAR, db_to_r, fidelity_from_moments,
 from .network import (BeamSplitterElement, ENCODER_SPEC, ModeMatrix,
                       NetworkSpec, compose, element_matrix, encoder_matrix,
                       inverse, lift_to_symplectic)
-from .errors import ErrorConfig, ErrorEvent, ErrorLaw, MixtureState
+from .errors import ErrorConfig, ErrorEvent, ErrorLaw
 from .code import (AMBIGUOUS_P, CODE_NAMES, CodeConfig, DecodedState,
                    EncodedState, NO_ERROR, OutputStats, PLANS, RoundsOutcome,
                    RoundsSummary, UNCLASSIFIABLE, apply_correction,

@@ -5,9 +5,6 @@ the headline tables (output fidelities, output noise powers), oscilloscope-
 style syndrome traces, witness curves, and Monte-Carlo parameter sweeps.
 Identical config and seed give byte-identical outputs.  ``cvqec verify`` runs
 the acceptance suite and exits non-zero on failure.
-
-The environment variable ``CVQEC_THREADS`` (a positive integer, default 1)
-caps the worker threads for Monte-Carlo chunks; results do not depend on it.
 """
 
 from __future__ import annotations
@@ -16,9 +13,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -31,8 +26,6 @@ from .code import (CodeConfig, RoundsOutcome, closed_form_output,
 from .errors import ErrorConfig, ErrorLaw
 from .gaussian import db_to_r, fidelity_from_moments, variance_to_db
 from .witness import evaluate_witness
-
-EXPERIMENTS = ("table2", "tableC1", "syndrome-demo", "spectra", "witness", "mc-sweep")
 
 # Experimentally measured reference values (embedded so emitted tables can be
 # diffed against them; tagged "measured" to separate physical imperfection
@@ -225,38 +218,21 @@ def load_config(path: str | None) -> ExperimentConfig:
 # deterministic chunked Monte-Carlo
 
 
-def _thread_cap() -> int:
-    """The CVQEC_THREADS worker cap, 1 when unset or empty."""
-    raw = os.environ.get("CVQEC_THREADS", "")
-    if raw and not (raw.isdecimal() and int(raw) > 0):
-        raise ValueError(f"CVQEC_THREADS must be a positive integer, not {raw!r}")
-    return int(raw or 1)
-
-
 def run_chunked_rounds(code_cfg: CodeConfig, error_cfg: ErrorConfig,
                        seed_seq: np.random.SeedSequence, trials: int,
                        window: int) -> RoundsOutcome:
-    """Runs trials in fixed-size chunks with per-chunk derived RNG streams.
+    """Runs trials in fixed-size chunks, each with its own RNG stream.
 
-    Chunk seeds are spawned up front in a fixed order, so the outcome is
-    byte-identical for any CVQEC_THREADS setting.
+    The chunk seeds are spawned up front in chunk order, so the outcome
+    depends only on the seed and the trial count, and a chunk bounds the
+    memory of one batch of rounds.
     """
     sizes = [_CHUNK] * (trials // _CHUNK)
     if trials % _CHUNK:
         sizes.append(trials % _CHUNK)
-    children = seed_seq.spawn(len(sizes))
-
-    def job(child, size):
-        return run_rounds(code_cfg, error_cfg, np.random.default_rng(child),
-                          size, window)
-
-    workers = min(_thread_cap(), len(sizes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, children, sizes))
-    else:
-        outcomes = [job(c, s) for c, s in zip(children, sizes)]
-    return RoundsOutcome.concatenate(outcomes)
+    return RoundsOutcome.concatenate([
+        run_rounds(code_cfg, error_cfg, np.random.default_rng(child), size, window)
+        for child, size in zip(seed_seq.spawn(len(sizes)), sizes)])
 
 
 # --------------------------------------------------------------------------
@@ -448,7 +424,7 @@ def run_mc_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
         inp = code.input_state()
         # theory assumes correct classification; MC pools every round
         # regardless of class: both are the full channel mixture
-        theory = fidelity_from_moments(*inp, *output_mixture(code, error).moments())
+        theory = fidelity_from_moments(*inp, *output_mixture(code, error))
         mc = fidelity_from_moments(*inp, *pooled_moments(outcome))
         rows.append([repr(float(value)), repr(theory),
                      repr(mc), repr(_mc_stderr(outcome)),
@@ -469,6 +445,7 @@ _RUNNERS = {
     "witness": run_witness,
     "mc-sweep": run_mc_sweep,
 }
+EXPERIMENTS = tuple(_RUNNERS)
 
 
 _WINDOWED = ("table2", "spectra", "mc-sweep", "syndrome-demo")
@@ -520,10 +497,6 @@ def main(argv: list[str] | None = None) -> int:
     verp = sub.add_parser("verify", help="run the acceptance suite")
     verp.add_argument("-q", "--quiet", action="store_true")
     args = parser.parse_args(argv)
-    try:
-        _thread_cap()
-    except ValueError as exc:
-        parser.error(str(exc))
     if args.command == "verify":
         from .acceptance import run_all
         return 0 if run_all(quiet=args.quiet) else 1

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ErrorConfig, ErrorEvent, ErrorLaw, MixtureState
+from .errors import ErrorConfig, ErrorEvent, ErrorLaw
 from .exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol, SQRT2,
                     TAG_ANTISQUEEZED, TAG_SQUEEZED, mode_forms_apply_matrix,
                     sqrt_of)
@@ -463,23 +463,22 @@ def _maps(cfg: CodeConfig, fourier: bool) -> PipelineMaps:
 
 
 def closed_form_output(cfg: CodeConfig, channel: int | None, corrected: bool = True,
-                       displacement: tuple[float, float] = (0.0, 0.0),
-                       extra_error_var: tuple[float, float] = (0.0, 0.0),
-                       fourier: bool | None = None) -> OutputStats:
-    """Output moments of one branch of the round, computed without sampling
-    from ``PipelineMaps`` and the round engine's ``PLAN_TABLE``.
+                       extra_error_var: tuple[float, float] = (0.0, 0.0)) -> OutputStats:
+    """Output moments of one branch of the round in the config's measurement
+    basis, computed without sampling from ``PipelineMaps`` and the round
+    engine's ``PLAN_TABLE``.  The mean is zero: channels 1 and 2 never reach
+    the output, and the feedforward of channels 3..5 cancels a displacement
+    exactly (``PLAN_TABLE[f, ch] @ err_columns[ch - 1]`` is 0), so only an
+    uncorrected error, through its variance, moves the output.
 
     Args:
         cfg: code configuration.
         channel: hit channel, or None for the error-free branch.
         corrected: apply the channel's feedforward plan (channels 3..5).
-        displacement: the branch's fixed displacement (dx, dp).
-        extra_error_var: additional displacement variance per quadrature
-            (Gaussian-shaped laws).
-        fourier: override the measurement configuration (defaults to the
-            config's mode).
+        extra_error_var: displacement variance per quadrature (the error
+            law's ``quadrature_variances`` for an uncorrected branch).
     """
-    fourier = cfg.fourier_mode if fourier is None else fourier
+    fourier = cfg.fourier_mode
     maps = _maps(cfg, fourier)
     plan = PLAN_TABLE[int(fourier), channel if corrected and channel else NO_ERROR]
     noise = plan @ maps.noise
@@ -487,31 +486,25 @@ def closed_form_output(cfg: CodeConfig, channel: int | None, corrected: bool = T
     mean = np.zeros(2)
     if channel is not None:
         err = plan @ maps.err_columns[channel - 1]                   # (2, 2)
-        mean = err @ np.asarray(displacement, dtype=float)
         cov = cov + err @ np.diag(extra_error_var) @ err.T
     fid = fidelity_from_moments(*cfg.input_state(), mean, cov)
     return OutputStats(mean=mean, cov=cov, fidelity=fid)
 
 
-def output_mixture(cfg: CodeConfig, error_cfg: ErrorConfig,
-                   corrected: bool = True) -> MixtureState:
-    """The output mode over a round's branches, assuming correct
-    classification: 1 - gamma on the no-error branch, gamma shared by the
-    channels of ``error_cfg``'s policy.  The feedforward cancels a
-    displacement exactly at any loss, so a corrected branch is one
-    component; an uncorrected one splits over the law's branch components."""
+def output_mixture(cfg: CodeConfig, error_cfg: ErrorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of the corrected output over a round's branches,
+    assuming correct classification: 1 - gamma on the no-error branch, gamma
+    shared by the channels of ``error_cfg``'s policy.  The feedforward
+    cancels a displacement exactly at any loss, so every branch is one
+    zero-mean Gaussian and the mixture's covariance is the weighted sum of
+    theirs."""
     gamma = error_cfg.gamma
     channels = range(1, 6) if error_cfg.channel == "uniform" else (error_cfg.channel,)
-    parts = ([(1.0, 0.0, 0.0, (0.0, 0.0))] if corrected
-             else error_cfg.law.branch_components())
     branches = [(1.0 - gamma, closed_form_output(cfg, None))] if gamma < 1.0 else []
     if gamma > 0.0:
-        branches += [(gamma / len(channels) * w,
-                      closed_form_output(cfg, ch, corrected, (dx, dp), extra))
-                     for ch in channels for w, dx, dp, extra in parts]
-    return MixtureState(tuple(w for w, _ in branches),
-                        tuple(tuple(s.mean) for _, s in branches),
-                        tuple(tuple(map(tuple, s.cov)) for _, s in branches))
+        branches += [(gamma / len(channels), closed_form_output(cfg, ch)) for ch in channels]
+    weights = np.array([w for w, _ in branches])
+    return np.zeros(2), np.einsum("k,kij->ij", weights, np.array([s.cov for _, s in branches]))
 
 
 # --------------------------------------------------------------------------
@@ -648,14 +641,14 @@ def pooled_moments(rounds: "RoundsOutcome", select=slice(None)) -> tuple[np.ndar
     return pooled, (second - n * np.outer(pooled, pooled)) / (n - 1)
 
 
-def summarize_reports(cfg: CodeConfig, rounds: "RoundsOutcome") -> "RoundsSummary":
+def summarize_reports(rounds: "RoundsOutcome") -> "RoundsSummary":
     """Aggregates a batch of rounds from its columns: counts and pooled
     moments per final class, in order of first appearance."""
     codes, first = np.unique(rounds.final_codes, return_index=True)
     codes = codes[np.argsort(first)]
     keys = [CODE_NAMES[c] for c in codes]
     pooled = [pooled_moments(rounds, rounds.final_codes == c) for c in codes]
-    fids = fidelity_from_moments(*cfg.input_state(), np.array([m for m, _ in pooled]),
+    fids = fidelity_from_moments(*rounds.cfg.input_state(), np.array([m for m, _ in pooled]),
                                  np.array([c for _, c in pooled]))
     return RoundsSummary(
         n_rounds=len(rounds.final_codes), window=rounds.window,
@@ -711,7 +704,7 @@ class RoundsOutcome:
 
     @cached_property
     def summary(self) -> RoundsSummary:
-        return summarize_reports(self.cfg, self)
+        return summarize_reports(self)
 
     @classmethod
     def concatenate(cls, parts: list["RoundsOutcome"]) -> "RoundsOutcome":
@@ -785,10 +778,15 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
         fidelity_mc=fidelity_from_moments(*cfg.input_state(), corrected_mean, cov))
 
 
+# Turns of the error phase over one ``syndrome_trace`` window.
+TRACE_CYCLES = 3.0
+
+
 def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,
-                   rng: np.random.Generator, magnitude: float,
-                   cycles: float = 3.0) -> tuple[dict[str, np.ndarray], int]:
-    """One oscilloscope-style trace with a slowly swept error phase.
+                   rng: np.random.Generator,
+                   magnitude: float) -> tuple[dict[str, np.ndarray], int]:
+    """One oscilloscope-style trace with an error phase swept through
+    ``TRACE_CYCLES`` turns.
 
     Returns the per-detector readout series (plus the uncorrected output
     quadratures) and the round code of the trace.  The series is sampled
@@ -801,7 +799,7 @@ def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,
     maps = _maps(cfg, cfg.fourier_mode)
     series = _readout_noise(maps, 1, window, rng)
     if channel is not None and magnitude > 0:
-        phase = (2.0 * math.pi * cycles * np.arange(window) / window
+        phase = (2.0 * math.pi * TRACE_CYCLES * np.arange(window) / window
                  + rng.uniform(0.0, 2.0 * math.pi))
         sweep = magnitude * np.stack([np.cos(phase), np.sin(phase)], axis=1)
         series += _error_series(maps, np.array([channel]), sweep[None])

@@ -1,11 +1,10 @@
-"""Stochastic displacement errors and the Gaussian-mixture type.
+"""Stochastic displacement errors.
 
 An error hits one channel with probability gamma.  The physical modulation
 (a driven sideband whose phase is slowly swept) is abstracted to a
 displacement law: either a fixed magnitude with uniformly random phase, or a
-single-quadrature displacement with random sign or Gaussian amplitude.
-``MixtureState`` holds a weighted list of Gaussian components; the output
-mixture of a round's branches is ``code.output_mixture``.
+single-quadrature displacement with random sign or Gaussian amplitude.  The
+output mixture of a round's branches is ``code.output_mixture``.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ LAW_P = "p"
 
 SHAPE_FIXED = "fixed"
 SHAPE_GAUSSIAN = "gaussian"
-
-PHASE_BINS = 24            # components of the general law's phase
 
 
 @dataclass(frozen=True)
@@ -129,27 +126,6 @@ class ErrorLaw:
             gram[:, col, col] = a * a * rng.chisquare(window - 1, n)
         return mean, gram
 
-    def branch_components(self):
-        """Finite decomposition ``(weight, dx, dp, (extra_var_x, extra_var_p))``.
-
-        The general law is discretized over ``PHASE_BINS`` equally weighted
-        phase bins; the Gaussian shape is a single zero-mean component whose
-        spread is carried as extra variance on the displaced quadrature.
-        """
-        none = (0.0, 0.0)
-        if self.kind == LAW_GENERAL:
-            w = 1.0 / PHASE_BINS
-            return [(w, self.magnitude * math.cos(t), self.magnitude * math.sin(t), none)
-                    for t in (2.0 * math.pi * (k + 0.5) / PHASE_BINS
-                              for k in range(PHASE_BINS))]
-        if self.shape == SHAPE_GAUSSIAN:
-            extra = ((self.magnitude ** 2, 0.0) if self.kind == LAW_X
-                     else (0.0, self.magnitude ** 2))
-            return [(1.0, 0.0, 0.0, extra)]
-        if self.kind == LAW_X:
-            return [(0.5, self.magnitude, 0.0, none), (0.5, -self.magnitude, 0.0, none)]
-        return [(0.5, 0.0, self.magnitude, none), (0.5, 0.0, -self.magnitude, none)]
-
 
 @dataclass(frozen=True)
 class ErrorConfig:
@@ -185,37 +161,3 @@ class ErrorEvent:
     def __post_init__(self):
         if self.occurred and self.channel not in (1, 2, 3, 4, 5):
             raise ValueError("channel must be 1..5")
-
-
-# --------------------------------------------------------------------------
-# Gaussian mixtures
-
-
-@dataclass(frozen=True)
-class MixtureState:
-    """A normalized weighted list of single-mode Gaussian components."""
-
-    weights: tuple[float, ...]
-    means: tuple[tuple[float, float], ...]
-    covs: tuple[tuple[tuple[float, float], tuple[float, float]], ...]
-
-    def __post_init__(self):
-        if len(self.weights) != len(self.means) or len(self.weights) != len(self.covs):
-            raise ValueError("component lists must have equal length")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("weights must be non-negative")
-        if abs(sum(self.weights) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
-
-    def __len__(self) -> int:
-        return len(self.weights)
-
-    def moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Mixture mean and covariance by the law of total variance."""
-        w = np.asarray(self.weights)
-        mu = np.asarray(self.means)
-        covs = np.asarray(self.covs)
-        mean = w @ mu
-        second = np.einsum("k,kij->ij", w, covs)
-        second += np.einsum("k,ki,kj->ij", w, mu, mu)
-        return mean, second - np.outer(mean, mean)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cvqec import cli
+from cvqec.code import RoundsOutcome, run_rounds
 from cvqec.gaussian import db_to_r
 
 
@@ -106,33 +107,18 @@ def test_table2_deterministic_and_crlf(tmp_path, experiment):
             assert b"\r\n" in (out_a / name).read_bytes()
 
 
-def test_thread_cap_does_not_change_results(tmp_path, monkeypatch):
-    doc = {"trials": 600, "window": 32, "seed": 9,
-           "error": {"channel": 3, "law": {"magnitude": 20.0}}}
-    monkeypatch.setenv("CVQEC_THREADS", "1")
-    a = cli.run_chunked_rounds(cli.parse_config(doc).code,
-                               cli.parse_config(doc).error,
-                               np.random.SeedSequence(9), 600, 32)
-    monkeypatch.setenv("CVQEC_THREADS", "4")
-    b = cli.run_chunked_rounds(cli.parse_config(doc).code,
-                               cli.parse_config(doc).error,
-                               np.random.SeedSequence(9), 600, 32)
-    for f in dataclasses.fields(a):
-        if f.init:
-            np.testing.assert_array_equal(getattr(a, f.name), getattr(b, f.name), f.name)
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
-def test_main_reports_bad_thread_cap_as_usage_error(tmp_path, capsys, monkeypatch, value):
-    """A CVQEC_THREADS that is not a positive integer stops ``cvqec run``
-    and ``cvqec verify`` with exit 2 before anything runs."""
-    monkeypatch.setenv("CVQEC_THREADS", value)
-    for args in (["run", "tableC1", "--out", tmp_path / "out"], ["verify"]):
-        with pytest.raises(SystemExit) as exc:
-            run_cli(args)
-        assert exc.value.code == 2
-        assert "CVQEC_THREADS must be a positive integer" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+def test_chunked_rounds_are_run_rounds_on_spawned_seeds():
+    """run_chunked_rounds runs 256-round chunks in order, the k-th on the k-th
+    child spawned from the seed, so its outcome depends only on the seed and
+    the trial count."""
+    cfg = cli.parse_config({"error": {"gamma": 0.5, "law": {"magnitude": 20.0}}})
+    got = cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(9), 600, 32)
+    want = RoundsOutcome.concatenate([
+        run_rounds(cfg.code, cfg.error, np.random.default_rng(child), size, 32)
+        for child, size in zip(np.random.SeedSequence(9).spawn(3), (256, 256, 88))])
+    assert len(got.channels) == 600
+    for f in dataclasses.fields(got):
+        np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name), f.name)
 
 
 def test_tableC1_artifact(tmp_path):

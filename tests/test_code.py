@@ -216,12 +216,20 @@ def test_decode_channel4_coefficients():
 
 
 def test_decode_mean_shift_through_pipeline():
-    """A channel-3 x displacement of delta moves the output mean by delta/sqrt3."""
-    delta = 0.8
-    out = closed_form_output(CodeConfig(), 3, corrected=False, displacement=(delta, 0.0))
-    assert out.mean[0] == pytest.approx(delta / math.sqrt(3))
-    out = closed_form_output(CodeConfig(), 1, corrected=False, displacement=(5.0, -3.0))
-    assert out.mean == pytest.approx([0.0, 0.0], abs=1e-14)
+    """Without feedforward a channel's displacement reaches the output through
+    its error columns with the exact decoded coefficients, in both bases: a
+    channel-3 x displacement of delta moves the output mean by delta/sqrt3,
+    and channels 1 and 2 do not move it."""
+    for fourier in (False, True):
+        cfg = CodeConfig(fourier_mode=fourier)
+        maps = qec._maps(cfg, fourier)
+        for ch in range(1, 6):
+            out = decode(inject_error(encode(cfg), ErrorEvent(True, ch))).out_form
+            exact = [[float(getattr(out, q).coefficient(QuadSymbol.error(ch, e)))
+                      for e in "xp"] for q in "xp"]
+            shift = qec.PLAN_TABLE[int(fourier), NO_ERROR] @ maps.err_columns[ch - 1]
+            np.testing.assert_array_equal(shift, exact, f"channel {ch}, fourier {fourier}")
+        assert maps.err_columns[2][4, 0] == pytest.approx(1 / math.sqrt(3), rel=1e-15)  # out_x
 
 
 # --------------------------------------------------------------------------
@@ -519,21 +527,34 @@ def test_closed_form_fourier_mode_swaps_residual_quadratures():
 
 
 def test_closed_form_uncorrected_branch():
-    stats = closed_form_output(CodeConfig(r=0.5), 3, corrected=False,
-                               displacement=(1.5, 0.0))
-    assert stats.mean[0] == pytest.approx(1.5 / math.sqrt(3), rel=1e-12)
-    assert stats.V_x == pytest.approx(0.25, abs=1e-12)
+    """An uncorrected channel-3 branch keeps a zero mean and adds the law's
+    variance times the squared coefficient 1/3 to its quadrature."""
+    cfg = CodeConfig(r=0.5)
+    plain = closed_form_output(cfg, 3, corrected=False)
+    stats = closed_form_output(cfg, 3, corrected=False, extra_error_var=(1.5, 0.0))
+    assert not stats.mean.any()
+    assert plain.V_x == pytest.approx(0.25, abs=1e-12)
+    assert stats.V_x == pytest.approx(0.25 + 1.5 / 3, abs=1e-12)
+    assert stats.V_p == plain.V_p
 
 
 def test_closed_form_uniform_loss_keeps_cancellation():
-    """With equal or unequal loss on the channels the feedforward still
-    cancels the error."""
+    """With no, equal, unequal or total loss on the channels, and in both
+    bases, a located channel's plan maps its displacement onto the output as
+    exactly zero: channels 1 and 2 never reach the output and the gains of
+    channels 3..5 cancel theirs.  So every corrected branch, and the output
+    mixture, is zero-mean; the loss only lowers the fidelity."""
+    for fourier in (False, True):
+        for loss in (None, 0.9, (1.0, 0.9, 0.8, 0.95, 0.7), 0.0):
+            maps = qec._maps(CodeConfig(r=R35, fourier_mode=fourier, channel_loss=loss),
+                             fourier)
+            for ch in range(1, 6):
+                residual = qec.PLAN_TABLE[int(fourier), ch] @ maps.err_columns[ch - 1]
+                assert not residual.any(), (fourier, loss, ch, residual)
     lossless = closed_form_output(CodeConfig(r=R35), 4)
     for loss in (0.9, (1.0, 0.9, 0.8, 0.95, 0.7)):
-        cfg = CodeConfig(r=R35, channel_loss=loss)
-        corrected = closed_form_output(cfg, 4, displacement=(7.0, -3.0))
-        assert np.allclose(corrected.mean, 0.0, atol=1e-12)
-        assert corrected.fidelity < lossless.fidelity
+        assert closed_form_output(CodeConfig(r=R35, channel_loss=loss), 4).fidelity \
+            < lossless.fidelity
 
 
 def test_loss_reduces_channel12_fidelity_for_squeezed_input():
@@ -554,20 +575,20 @@ def _round_theory(outcome, law):
     """Closed-form output of each round's branch: the corrected output of a
     located channel, the error-free output, or the unrepaired hit of an
     indefinite round, in the configuration of the pass the round reports."""
-    cfg = outcome.cfg
     reported_rerun = outcome.fourier_used & (outcome.final_codes != UNCLASSIFIABLE)
     out = []
     for code, fourier, channel in zip(outcome.final_codes.tolist(),
-                                      (reported_rerun ^ cfg.fourier_mode).tolist(),
+                                      (reported_rerun ^ outcome.cfg.fourier_mode).tolist(),
                                       outcome.channels.tolist()):
+        cfg = dataclasses.replace(outcome.cfg, fourier_mode=fourier)
         if code in (1, 2, 3, 4, 5):
-            out.append(closed_form_output(cfg, code, fourier=fourier))
+            out.append(closed_form_output(cfg, code))
         elif code == NO_ERROR:
-            out.append(closed_form_output(cfg, None, fourier=fourier))
+            out.append(closed_form_output(cfg, None))
         else:
             extra = law.quadrature_variances() if channel else (0.0, 0.0)
             out.append(closed_form_output(cfg, channel or None, corrected=False,
-                                          extra_error_var=extra, fourier=fourier))
+                                          extra_error_var=extra))
     return out
 
 

@@ -1,4 +1,4 @@
-"""Error laws, event sampling, and the non-Gaussian output mixtures."""
+"""Error laws, event sampling, and the output mixtures."""
 
 import math
 from dataclasses import replace
@@ -8,7 +8,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from cvqec.code import CodeConfig, closed_form_output, output_mixture, run_rounds
-from cvqec.errors import ErrorConfig, ErrorLaw, MixtureState
+from cvqec.errors import ErrorConfig, ErrorLaw
 from cvqec.gaussian import db_to_r
 
 R35 = db_to_r(3.5)
@@ -123,76 +123,32 @@ def test_window_statistics_without_draws_are_float64_zeros(law, n):
     assert not mean.any() and not gram.any()
 
 
-def test_branch_components_normalized():
-    for law in (ErrorLaw("general", 2.0), ErrorLaw("x", 2.0),
-                ErrorLaw("p", 2.0, "gaussian")):
-        comps = law.branch_components()
-        assert sum(w for w, *_ in comps) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_mixture_state_validation():
-    with pytest.raises(ValueError):
-        MixtureState((0.6, 0.6), ((0, 0), (1, 1)),
-                     (((0.25, 0), (0, 0.25)),) * 2)
-
-
 def test_mixture_gamma_zero_single_component():
-    m = output_mixture(CodeConfig(r=R35), ErrorConfig(0.0, 3, ErrorLaw("x", 2.0)))
-    assert len(m) == 1
-    assert np.allclose(m.means[0], 0.0)
+    mean, cov = output_mixture(CodeConfig(r=R35), ErrorConfig(0.0, 3, ErrorLaw("x", 2.0)))
+    assert np.allclose(mean, 0.0)
     _, inp_cov = CodeConfig(r=R35).input_state()
-    assert np.allclose(np.asarray(m.covs[0]), inp_cov)
+    assert np.allclose(cov, inp_cov)
 
 
 def test_mixture_immunity_collapses_channel1():
-    """gamma=1 on a protected channel: both sign branches equal the input."""
-    m = output_mixture(CodeConfig(r=R35), ErrorConfig(1.0, 1, ErrorLaw("x", 3.0)))
-    assert len(m) == 1
-    assert np.allclose(np.asarray(m.covs[0]), 0.25 * np.eye(2))
+    """gamma=1 on a protected channel: the output equals the input."""
+    mean, cov = output_mixture(CodeConfig(r=R35), ErrorConfig(1.0, 1, ErrorLaw("x", 3.0)))
+    assert np.allclose(mean, 0.0)
+    assert np.allclose(cov, 0.25 * np.eye(2))
 
 
 def test_mixture_corrected_branch_collapses():
-    """Exact cancellation makes every error-branch component identical, so a
-    corrected branch is one component."""
+    """Exact cancellation makes a corrected branch one zero-mean Gaussian
+    whatever the law, so the mixture's covariance is the weighted sum of the
+    branches' closed forms."""
     cfg = CodeConfig(r=R35)
-    m = output_mixture(cfg, ErrorConfig(0.5, 3, ErrorLaw("x", 3.0)))
-    assert len(m) == 2
-    th = closed_form_output(cfg, 3)
-    assert np.allclose(np.asarray(m.covs[1]), th.cov, atol=1e-12)
-    law = ErrorLaw("general", 2.0)
-    mg = output_mixture(cfg, ErrorConfig(1.0, 4, law))
-    assert len(mg) == 1
-    for _, dx, dp, extra in law.branch_components():
-        branch = closed_form_output(cfg, 4, displacement=(dx, dp), extra_error_var=extra)
-        assert np.allclose(branch.mean, mg.means[0], atol=1e-12)
-        assert np.allclose(branch.cov, np.asarray(mg.covs[0]), atol=1e-12)
-
-
-def test_mixture_moments_single_component():
-    m = MixtureState((1.0,), ((0.5, -0.5),), (((0.3, 0.0), (0.0, 0.4)),))
-    mean, cov = m.moments()
-    assert np.allclose(mean, [0.5, -0.5])
-    assert np.allclose(cov, [[0.3, 0], [0, 0.4]])
-
-
-def test_mixture_moments_total_variance():
-    """Equal mix of +-A means with shared cov V: mean 0, variance V + A^2."""
-    v, a = 0.3, 2.0
-    m = MixtureState((0.5, 0.5), ((a, 0.0), (-a, 0.0)),
-                     (((v, 0.0), (0.0, v)),) * 2)
-    mean, cov = m.moments()
-    assert np.allclose(mean, 0.0)
-    assert cov[0, 0] == pytest.approx(v + a ** 2, rel=1e-12)
-    assert cov[1, 1] == pytest.approx(v, rel=1e-12)
-
-
-def test_uncorrected_branch_mean_shift():
-    """An uncorrected channel-3 x displacement lands on the output as A/sqrt3."""
-    a = 3.0
-    m = output_mixture(CodeConfig(r=R35), ErrorConfig(1.0, 3, ErrorLaw("x", a)),
-                       corrected=False)
-    shifts = sorted(mu[0] for mu in m.means)
-    assert shifts == pytest.approx([-a / math.sqrt(3), a / math.sqrt(3)], rel=1e-12)
+    mean, cov = output_mixture(cfg, ErrorConfig(0.5, 3, ErrorLaw("x", 3.0)))
+    assert np.allclose(mean, 0.0, atol=1e-12)
+    both = 0.5 * closed_form_output(cfg, None).cov + 0.5 * closed_form_output(cfg, 3).cov
+    assert np.allclose(cov, both, atol=1e-12)
+    mean, cov = output_mixture(cfg, ErrorConfig(1.0, 4, ErrorLaw("general", 2.0)))
+    assert np.allclose(mean, 0.0, atol=1e-12)
+    assert np.allclose(cov, closed_form_output(cfg, 4).cov, atol=1e-12)
 
 
 def test_monte_carlo_matches_mixture_moments():
@@ -216,11 +172,10 @@ def test_monte_carlo_matches_mixture_moments():
     emp_mean = s1 / n
     emp_var = (s2 - n * emp_mean ** 2) / (n - 1)
     hit = int(np.count_nonzero(outcome.channels))
-    mean, cov = output_mixture(cfg, replace(ec, gamma=hit / rounds)).moments()
+    mean, cov = output_mixture(cfg, replace(ec, gamma=hit / rounds))
     # samples and covariance of the no-error and the error branch
-    branches = [(window * (rounds - hit), output_mixture(cfg, replace(ec, gamma=0.0))),
-                (window * hit, output_mixture(cfg, replace(ec, gamma=1.0)))]
-    branches = [(n_b, branch.moments()[1]) for n_b, branch in branches]
+    branches = [(window * (rounds - hit), output_mixture(cfg, replace(ec, gamma=0.0))[1]),
+                (window * hit, output_mixture(cfg, replace(ec, gamma=1.0))[1])]
     for k in (0, 1):
         se_mean = math.sqrt(sum(n_b * c[k, k] for n_b, c in branches)) / n
         se_var = math.sqrt(2.0 * sum(n_b * c[k, k] ** 2 for n_b, c in branches)) / n
@@ -229,13 +184,11 @@ def test_monte_carlo_matches_mixture_moments():
 
 
 def test_mixture_uniform_policy_shares_gamma():
-    """Under the uniform policy each channel's branch carries gamma / 5, and
-    an uncorrected branch splits over the law's components."""
+    """Under the uniform policy each channel's branch carries gamma / 5."""
     cfg = CodeConfig(r=R35, channel_loss=(1.0, 0.9, 0.8, 0.95, 0.7))
-    law = ErrorLaw("x", 3.0)
-    m = output_mixture(cfg, ErrorConfig(0.5, "uniform", law))
-    assert m.weights == pytest.approx((0.5,) + (0.1,) * 5, rel=1e-15)
-    for ch, cov in zip(range(1, 6), m.covs[1:]):
-        np.testing.assert_allclose(cov, closed_form_output(cfg, ch).cov, rtol=0, atol=0)
-    raw = output_mixture(cfg, ErrorConfig(0.5, "uniform", law), corrected=False)
-    assert raw.weights == pytest.approx((0.5,) + (0.05,) * 10, rel=1e-15)
+    mean, cov = output_mixture(cfg, ErrorConfig(0.5, "uniform", ErrorLaw("x", 3.0)))
+    want = 0.5 * closed_form_output(cfg, None).cov
+    for ch in range(1, 6):
+        want = want + 0.1 * closed_form_output(cfg, ch).cov
+    assert not mean.any()
+    np.testing.assert_allclose(cov, want, rtol=1e-15, atol=0)
