@@ -21,11 +21,10 @@ from .network import (BeamSplitterElement, ENCODER_SPEC, ModeMatrix,
 from .errors import ErrorConfig, ErrorEvent, ErrorLaw
 from .code import (AMBIGUOUS_P, CODE_NAMES, CodeConfig, DecodedState,
                    EncodedState, NO_ERROR, OutputStats, PLANS, RoundsOutcome,
-                   RoundsSummary, UNCLASSIFIABLE, apply_correction,
-                   classify_codes, closed_form_output, decode,
-                   derive_correction_plan, encode, inject_error, output_mixture,
-                   run_rounds, summarize_reports, syndrome_closed_form,
-                   syndrome_trace)
+                   RoundsSummary, UNCLASSIFIABLE, classify_codes,
+                   closed_form_output, decode, encode, inject_error,
+                   output_mixture, run_rounds, summarize_reports,
+                   syndrome_closed_form, syndrome_trace)
 from .witness import (WitnessResult, combination_value, evaluate_witness,
                       optimize_gains)
 

@@ -324,40 +324,6 @@ PLAN_TABLE = np.array([[plan_matrix(PLANS[fourier].get(code, ()))
 PLAN_TABLE.setflags(write=False)
 
 
-def derive_correction_plan(channel: int, fourier: bool = False) -> tuple:
-    """Derives a channel's ``PLANS`` entry symbolically by requiring exact
-    cancellation; ``()`` for channels 1 and 2.
-
-    For each output quadrature the candidate detectors are those whose measured
-    quadrature carries the error; the one with the largest coupling is chosen
-    (smallest gain, hence least added ancilla noise) and the gain solves
-    out_coeff + gain * readout_coeff = 0 exactly.
-    """
-    if channel in (1, 2):
-        return ()
-    decoded = decode(inject_error(encode(CodeConfig(r=0.0, fourier_mode=fourier)),
-                                  ErrorEvent(True, channel)))
-    plan = []
-    for quad in ("x", "p"):
-        error = QuadSymbol.error(channel, quad)
-        alpha = getattr(decoded.out_form, quad).coefficient(error)
-        det, beta = max(((d, decoded.readout_form(d).coefficient(error))
-                         for d in DETECTORS if measured_quad(d, fourier) == quad),
-                        key=lambda c: abs(float(c[1])))
-        plan.append((det, -(alpha / beta)))
-    return tuple(plan)
-
-
-def apply_correction(decoded: DecodedState, code: int) -> ModeForm:
-    """The exact forms of the output mode with the gained readouts of the
-    code's plan added; the error symbols cancel for the right code, and a
-    code without a plan leaves the output as it is."""
-    forms = [decoded.out_form.x, decoded.out_form.p]
-    for row, (det, gain) in enumerate(PLANS[decoded.cfg.fourier_mode].get(code, ())):
-        forms[row] = forms[row] + decoded.readout_form(det).scaled(gain)
-    return ModeForm(*forms)
-
-
 # --------------------------------------------------------------------------
 # closed-form pipeline moments (no sampling)
 
@@ -586,8 +552,8 @@ def _sample_statistics(maps: PipelineMaps, channels: np.ndarray, occurred: np.nd
                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Every round's readout mean (n, 6) and centred scatter (n, 6, 6), drawn
     from their joint law without forming a series; exact given the error
-    law's ``window_statistics``, which are float32-approximate for the
-    general law.
+    law's ``window_statistics``, whose general-law phases lie on a 256-point
+    grid and match ``draw``'s in every moment up to order 127.
 
     With readout covariance S = F F^T, error coefficients C (6x2) and error
     series D (window x 2) of mean d and centred Gram K: the mean is
@@ -690,11 +656,10 @@ class RoundsOutcome:
     cfg: CodeConfig
     window: int
     channels: np.ndarray          # hit channel, 0 when no error occurred
-    injected: np.ndarray          # (n, 2) drawn displacement (dx, dp)
     first_codes: np.ndarray
     final_codes: np.ndarray
     fourier_used: np.ndarray      # the rotated rerun ran
-    matched: np.ndarray           # final code names the injected channel
+    matched: np.ndarray           # final code names the hit channel
     flags: np.ndarray             # (n, 4) fluctuation flags of D1..D4
     relations: np.ndarray         # (n, 2) D1-D3, D3-D4: +1 in phase, -1 out of phase, 0 n/a
     corrected_mean: np.ndarray    # (n, 2)
@@ -742,9 +707,6 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
     else:
         channels = np.full(n_rounds, int(error_cfg.channel))
     channels = np.where(occurred, channels, 0)
-    injected = np.zeros((n_rounds, 2))
-    if occurred.any():
-        injected[occurred] = law.draw(rng, int(occurred.sum()))
 
     pass1 = _simulate_pass(_maps(cfg, cfg.fourier_mode), channels, occurred,
                            law, window, rng)
@@ -770,7 +732,7 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
     # a contiguous transpose keeps the BLAS path, as in ``_sample_statistics``
     cov = comb @ scatter @ comb.transpose(0, 2, 1).copy() / (window - 1)
     return RoundsOutcome(
-        cfg=cfg, window=window, channels=channels, injected=injected,
+        cfg=cfg, window=window, channels=channels,
         first_codes=first, final_codes=final, fourier_used=first == AMBIGUOUS_P,
         matched=final == channels, flags=pass1.flags, relations=_relations(pass1.flags, pass1.cc),
         corrected_mean=corrected_mean, corrected_var=np.diagonal(cov, axis1=1, axis2=2).copy(),

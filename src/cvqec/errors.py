@@ -22,6 +22,43 @@ SHAPE_FIXED = "fixed"
 SHAPE_GAUSSIAN = "gaussian"
 
 
+# The general law's phases: the PHASE_GRID points 2 pi k / PHASE_GRID, one raw
+# byte each, with their cos, sin, cos^2 and cos sin.
+PHASE_GRID = 256
+_ANGLE = 2.0 * math.pi / PHASE_GRID * np.arange(PHASE_GRID)
+_PHASE_TRIG = np.column_stack([np.cos(_ANGLE), np.sin(_ANGLE), np.cos(_ANGLE) ** 2,
+                               np.cos(_ANGLE) * np.sin(_ANGLE)])
+_PHASE_TRIG.flags.writeable = False
+_BLOCK_SAMPLES = 32768
+
+
+def _phase_sums(rng: np.random.Generator, n: int, window: int) -> np.ndarray:
+    """(n, 4) sums of ``_PHASE_TRIG`` over n windows of grid phases, drawn as
+    one ``random_raw`` byte stream.  Each block of the stream (``_BLOCK_SAMPLES``
+    phases, or 128 rows when the window is shorter than the grid) counts its
+    rows' phases in one ``bincount``, so memory does not grow with the window.
+    A block's size is a multiple of 8: it ends on a whole 64-bit word, and the
+    blocks' draws concatenate to the unblocked one."""
+    sums = np.zeros((n, 4))
+    size = n * window
+    block = min(_BLOCK_SAMPLES, _BLOCK_SAMPLES // PHASE_GRID * window)
+    for start in range(0, size, block):
+        stop = min(start + block, size)
+        first, last = start // window, -(-stop // window)           # rows [first, last)
+        lengths = np.full(last - first, window)
+        lengths[0] -= start - first * window
+        lengths[-1] -= last * window - stop
+        labels = np.repeat(np.arange(0, (last - first) * PHASE_GRID, PHASE_GRID), lengths)
+        raw = rng.bit_generator.random_raw(-(-(stop - start) // 8))
+        labels += raw.view(np.uint8)[:stop - start]
+        counts = np.bincount(labels, minlength=(last - first) * PHASE_GRID)
+        sums[first:last] += counts.reshape(-1, PHASE_GRID) @ _PHASE_TRIG
+        # Freed before the next block is drawn: with two blocks alive, glibc's
+        # heap trims and re-faults their pages on every call.
+        del labels, raw, counts
+    return sums
+
+
 @dataclass(frozen=True)
 class ErrorLaw:
     """Distribution of the displacement added by one error event.
@@ -84,37 +121,26 @@ class ErrorLaw:
         Binomial(window, 1/2) count, a Gaussian one its independent mean and
         chi-square(window - 1) sum of squares.
 
-        The general law reduces a window of float32 phases, whose ``sin`` and
-        ``cos`` numpy vectorises, and sums them in float64.  A phase is the
-        top 24 bits of a raw 32-bit half-word times 2 pi / 2^24, numpy's own
-        float32 formula: ``rng.random(dtype=np.float32) * np.float32(2 pi)``
-        bit for bit, unless the generator held a buffered half-word.  The
-        law is therefore close to ``draw``'s, not exact: the phases lie on a
-        grid of 2^-24 of a turn, each ``cos``/``sin`` value is off by at most
-        about 7e-8, and a window's sum by at most window * 7e-8 per unit
-        magnitude; the errors mostly cancel, and 512-sample sums were off by
-        at most about 2.4e-6 (4096 windows measured on numpy 2.4)."""
+        The general law puts each phase on the ``PHASE_GRID`` points
+        2 pi k / 256, one byte of ``random_raw`` each, and multiplies each
+        window's phase histogram into ``_PHASE_TRIG``: no sample's cos/sin is
+        formed.  A uniform phase on N points has the continuous law's
+        E[cos^a sin^b] for every a + b < N, and the window mean and Gram are
+        of degree at most 2 in each sample's (cos, sin), so every joint moment
+        of (mean, K) up to order 127 is ``draw``'s.  The sums are within a few
+        1e-16 * window of float64 cos/sin sums over the same phases."""
         mean, gram = np.zeros((n, 2)), np.zeros((n, 2, 2))
         a = self.magnitude
         if a == 0 or n == 0:
             return mean, gram
         if self.kind == LAW_GENERAL:
-            size = n * window
-            bits = rng.bit_generator.random_raw(-(-size // 2)).view(np.uint32)[:size]
-            phase = np.right_shift(bits, 8, out=bits).astype(np.float32).reshape(n, window)
-            phase *= np.float32(2.0 * math.pi / 2 ** 24)
-            sin = np.sin(phase)
-            cos = np.cos(phase, out=phase)
-            cc = np.einsum("ij,ij->i", cos, cos, dtype=np.float64)
-            cs = np.einsum("ij,ij->i", cos, sin, dtype=np.float64)
-            mean[:, 0] = cos.sum(axis=1, dtype=np.float64)
-            mean[:, 1] = sin.sum(axis=1, dtype=np.float64)
-            mean *= a / window
+            cx, sx, cc, cs = _phase_sums(rng, n, window).T
+            mean[:, 0], mean[:, 1] = cx * (a / window), sx * (a / window)
             # sum of sin^2 is window - sum of cos^2
             gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1] = cc, cs, window - cc
-            gram[:, 1, 0] = cs
             gram *= a * a
             gram -= window * mean[:, :, None] * mean[:, None, :]
+            gram[:, 1, 0] = gram[:, 0, 1]
             return mean, gram
         col = 0 if self.kind == LAW_X else 1
         if self.shape == SHAPE_FIXED:

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from cvqec import code as qec
-from cvqec.code import (AMBIGUOUS_P, CODE_NAMES, NO_ERROR, PLANS, UNCLASSIFIABLE,
-                        CodeConfig, apply_correction, classify_codes,
-                        closed_form_output, decode, derive_correction_plan, encode,
-                        inject_error, run_rounds, syndrome_closed_form, syndrome_trace)
+from cvqec.code import (AMBIGUOUS_P, CODE_NAMES, DETECTORS, NO_ERROR, PLANS, UNCLASSIFIABLE,
+                        CodeConfig, classify_codes, closed_form_output, decode, encode,
+                        inject_error, measured_quad, run_rounds, syndrome_closed_form,
+                        syndrome_trace)
 from cvqec.errors import ErrorConfig, ErrorEvent, ErrorLaw
-from cvqec.exact import (ExactScalar, QuadSymbol, SQRT2, TAG_ANTISQUEEZED,
+from cvqec.exact import (ExactScalar, ModeForm, QuadSymbol, SQRT2, TAG_ANTISQUEEZED,
                          TAG_SQUEEZED, form_covariance, sqrt_of)
 from cvqec.gaussian import db_to_r
 from cvqec.network import encoder_matrix, inverse, lift_to_symplectic
@@ -429,6 +429,44 @@ def test_zero_plan_for_protected_channels():
         np.testing.assert_array_equal(qec.PLAN_TABLE[:, code], [np.eye(2, 6, 4)] * 2)
 
 
+# The exact route's cross-checks of ``PLANS``: a plan derived symbolically,
+# and a plan applied to the exact output forms.
+
+
+def derive_correction_plan(channel, fourier=False):
+    """Derives a channel's ``PLANS`` entry symbolically by requiring exact
+    cancellation; ``()`` for channels 1 and 2.
+
+    For each output quadrature the candidate detectors are those whose measured
+    quadrature carries the error; the one with the largest coupling is chosen
+    (smallest gain, hence least added ancilla noise) and the gain solves
+    out_coeff + gain * readout_coeff = 0 exactly.
+    """
+    if channel in (1, 2):
+        return ()
+    decoded = decode(inject_error(encode(CodeConfig(r=0.0, fourier_mode=fourier)),
+                                  ErrorEvent(True, channel)))
+    plan = []
+    for quad in ("x", "p"):
+        error = QuadSymbol.error(channel, quad)
+        alpha = getattr(decoded.out_form, quad).coefficient(error)
+        det, beta = max(((d, decoded.readout_form(d).coefficient(error))
+                         for d in DETECTORS if measured_quad(d, fourier) == quad),
+                        key=lambda c: abs(float(c[1])))
+        plan.append((det, -(alpha / beta)))
+    return tuple(plan)
+
+
+def apply_correction(decoded, code):
+    """The exact forms of the output mode with the gained readouts of the
+    code's plan added; the error symbols cancel for the right code, and a
+    code without a plan leaves the output as it is."""
+    forms = [decoded.out_form.x, decoded.out_form.p]
+    for row, (det, gain) in enumerate(PLANS[decoded.cfg.fourier_mode].get(code, ())):
+        forms[row] = forms[row] + decoded.readout_form(det).scaled(gain)
+    return ModeForm(*forms)
+
+
 def test_indefinite_codes_leave_output_unchanged():
     """An ambiguous or unclassifiable code has no plan: the exact output keeps
     its error symbols, as the round engine's table keeps the readout."""
@@ -641,21 +679,20 @@ def test_run_rounds_deterministic_for_fixed_seed():
     _assert_same_columns(a, b)
 
 
-# Seed 0, 16 rounds of window 64 on the series route, as drawn before the
-# round engine became columnar: (channels, first codes, final codes, reruns,
-# sha256 of the injected (dx, dp) float64 bytes).  Equal values show the RNG
-# stream is unchanged.
+# Seed 0, 16 rounds of window 64 on the series route: (channels, first codes,
+# final codes, reruns, sha256 of the corrected (x, p) means' float64 bytes).
+# Equal values show the RNG stream is unchanged.
 _PINNED_ROUNDS = {
     "general": ([1, 5, 1, 3, 0, 0, 3, 0, 3, 0, 0, 1, 0, 4, 0, 4],
                 "1 5 1 3 0 0 3 0 3 0 0 1 0 4 0 4",
                 "1 5 1 3 0 0 3 0 3 0 0 1 0 4 0 4",
                 "FFFFFFFFFFFFFFFF",
-                "e34db0f1258fe43eb3adbb4bc373b9e0e7fc51035b570ad9e366927cc2ffb103"),
+                "f18ceadc7f61453cfdf90e030b339916c62046ebc14d1ebe56c01b8f0319b67b"),
     "p": ([1, 5, 1, 3, 1, 2, 3, 3, 3, 1, 1, 1, 1, 4, 3, 4],
-          "A 0 A A A A A A 0 A A A A 0 A 0",
-          "U 0 U 3 U U 3 3 0 U U 1 U 0 3 0",
-          "TFTTTTTTFTTTTFTF",
-          "68e29d125d0b3b7777b23cc0c29fd4fe006ce3bb338a26a263258e8b9b516892"),
+          "A 0 A A A A A A A A A A A 0 0 0",
+          "U 0 U 3 U U 3 3 3 U U U U 0 0 0",
+          "TFTTTTTTTTTTTFFF",
+          "95b8e918b7f18051698b26e7219596d566d247bdaf7340e831dc204c5d68fc53"),
 }
 
 
@@ -701,12 +738,12 @@ def test_round_moments_match_stored_series(case, series_sampler):
         np.testing.assert_allclose(outcome.corrected_cov_xp[i], cov[0, 1], **tol)
         np.testing.assert_allclose(
             outcome.fidelity_mc[i], fidelity_from_moments(*inp, mean, cov), **tol)
-    channels, first, final, reruns, draws = _PINNED_ROUNDS[case]
+    channels, first, final, reruns, means = _PINNED_ROUNDS[case]
     assert outcome.channels.tolist() == channels
     assert " ".join(_short(c) for c in outcome.first_codes.tolist()) == first
     assert " ".join(_short(c) for c in outcome.final_codes.tolist()) == final
     assert "".join("FT"[int(r)] for r in outcome.fourier_used) == reruns
-    assert hashlib.sha256(outcome.injected.tobytes()).hexdigest() == draws
+    assert hashlib.sha256(outcome.corrected_mean.tobytes()).hexdigest() == means
 
 
 # Equal-in-law cases: (code config, error config, window).  The general and

@@ -1,14 +1,15 @@
 """Error laws, event sampling, and the output mixtures."""
 
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
 from cvqec.code import CodeConfig, closed_form_output, output_mixture, run_rounds
-from cvqec.errors import ErrorConfig, ErrorLaw
+from cvqec.errors import _BLOCK_SAMPLES, _PHASE_TRIG, PHASE_GRID, ErrorConfig, ErrorLaw
 from cvqec.gaussian import db_to_r
 
 R35 = db_to_r(3.5)
@@ -31,38 +32,41 @@ def test_law_validation():
 
 
 def _drawn_errors(cfg, rounds, seed):
-    """The hit channels (0 for none) and injected (dx, dp) of a batch of rounds."""
-    out = run_rounds(CodeConfig(r=R35), cfg, np.random.default_rng(seed), rounds, window=30)
-    return out.channels, out.injected
+    """The rounds of a batch, run at window 30."""
+    return run_rounds(CodeConfig(r=R35), cfg, np.random.default_rng(seed), rounds, window=30)
 
 
 def test_sample_error_gamma_zero_is_null():
-    channels, injected = _drawn_errors(ErrorConfig(0.0, 3, ErrorLaw("general", 5.0)), 200, 0)
-    assert not channels.any()
-    assert not injected.any()
+    """With gamma 0 no round is hit and no law is drawn: the rounds equal
+    those of an error-free run under any other law."""
+    out = _drawn_errors(ErrorConfig(0.0, 3, ErrorLaw("general", 5.0)), 200, 0)
+    assert not out.channels.any()
+    other = _drawn_errors(ErrorConfig(0.0, 3, ErrorLaw("x", 1.0)), 200, 0)
+    for f in fields(out):
+        np.testing.assert_array_equal(getattr(out, f.name), getattr(other, f.name), f.name)
 
 
 def test_sample_error_general_magnitude_exact():
-    channels, injected = _drawn_errors(ErrorConfig(1.0, 2, ErrorLaw("general", 5.0)), 100, 1)
-    assert (channels == 2).all()
-    np.testing.assert_allclose((injected ** 2).sum(axis=1), 25.0, rtol=1e-12)
+    assert (_drawn_errors(ErrorConfig(1.0, 2, ErrorLaw("general", 5.0)), 100, 1).channels == 2).all()
+    draws = ErrorLaw("general", 5.0).draw(np.random.default_rng(1), 100)
+    np.testing.assert_allclose((draws ** 2).sum(axis=1), 25.0, rtol=1e-12)
 
 
 def test_sample_error_phase_is_uniform():
-    _, injected = _drawn_errors(ErrorConfig(1.0, 1, ErrorLaw("general", 5.0)), 10_000, 2)
-    phases = np.arctan2(injected[:, 1], injected[:, 0]) % (2 * math.pi)
+    draws = ErrorLaw("general", 5.0).draw(np.random.default_rng(2), 10_000)
+    phases = np.arctan2(draws[:, 1], draws[:, 0]) % (2 * math.pi)
     result = scipy_stats.kstest(phases / (2 * math.pi), "uniform")
     assert result.pvalue > 0.01
 
 
 def test_sample_error_occurrence_fraction():
-    channels, _ = _drawn_errors(ErrorConfig(0.3, "uniform", ErrorLaw("x", 1.0)), 10_000, 3)
+    channels = _drawn_errors(ErrorConfig(0.3, "uniform", ErrorLaw("x", 1.0)), 10_000, 3).channels
     ci = 2.576 * math.sqrt(0.3 * 0.7 / 10_000)
     assert abs(np.count_nonzero(channels) / 10_000 - 0.3) <= ci
 
 
 def test_sample_error_uniform_channel_policy():
-    channels, _ = _drawn_errors(ErrorConfig(1.0, "uniform", ErrorLaw("p", 1.0)), 300, 4)
+    channels = _drawn_errors(ErrorConfig(1.0, "uniform", ErrorLaw("p", 1.0)), 300, 4).channels
     assert set(channels.tolist()) == {1, 2, 3, 4, 5}
 
 
@@ -79,39 +83,84 @@ def test_law_quadrature_variances(law, vx, vp):
     assert draws[:, 1].var() == pytest.approx(vp, abs=4 * max(vp, 1.0) * 0.02)
 
 
+def _grid_phase_bytes(seed, n, window):
+    """The (n, window) phase indices that the general law draws from a fresh
+    generator: one byte each of ``random_raw(ceil(n * window / 8))``, and the
+    generator afterwards."""
+    rng = np.random.default_rng(seed)
+    raw = rng.bit_generator.random_raw(-(-n * window // 8))
+    return raw.view(np.uint8)[:n * window].reshape(n, window), rng
+
+
+# Odd n * window, a window shorter than the grid, whole-block rows, rows split
+# across blocks, and one window over three blocks.
+_GRID_SHAPES = [(7, 31), (255, 30), (256, 512), (5, 9001), (2, 100_001)]
+
+
 @pytest.mark.parametrize("a", (1.0, 5.0))
-@pytest.mark.parametrize("window", (16, 512))
-def test_general_law_float32_trig_matches_float64(window, a):
-    """The general law takes float32 sin/cos of its float32 phases and sums
-    in float64.  On the same phases, float64 sin/cos give mean sums within
-    1e-7 * w * a and centred Gram entries within 1e-7 * w * a^2."""
-    n = 64
-    mean, gram = ErrorLaw("general", a).window_statistics(np.random.default_rng(9), n, window)
+@pytest.mark.parametrize("n,window", _GRID_SHAPES)
+def test_general_law_sums_are_float64_trig_of_the_raw_bytes(n, window, a):
+    """The general law's window mean and centred Gram equal those recomputed
+    with float64 cos/sin at the phases 2 pi k / 256 of the same raw bytes,
+    to 1e-12 * window * a (mean sums) and 1e-12 * window * a^2 (Gram), and
+    leave the generator where ``random_raw(ceil(n * window / 8))`` does."""
+    rng = np.random.default_rng(9)
+    mean, gram = ErrorLaw("general", a).window_statistics(rng, n, window)
     assert mean.dtype == np.float64 and gram.dtype == np.float64
-    phase = np.random.default_rng(9).random((n, window), dtype=np.float32)
-    phase *= np.float32(2.0 * math.pi)
-    phase = phase.astype(np.float64)
+    index, fresh = _grid_phase_bytes(9, n, window)
+    assert rng.bit_generator.state == fresh.bit_generator.state
+    phase = 2.0 * math.pi * index / 256
     series = a * np.stack([np.cos(phase), np.sin(phase)], axis=-1)      # (n, w, 2)
     total = series.sum(axis=1)
     centred = series - total[:, None, :] / window
-    np.testing.assert_allclose(mean * window, total, rtol=0, atol=1e-7 * window * a)
+    np.testing.assert_allclose(mean * window, total, rtol=0, atol=1e-12 * window * a)
     np.testing.assert_allclose(gram, np.einsum("nwi,nwj->nij", centred, centred),
-                               rtol=0, atol=1e-7 * window * a * a)
+                               rtol=0, atol=1e-12 * window * a * a)
 
 
-@pytest.mark.parametrize("n,window", [(7, 31), (256, 64)])
-def test_general_law_phases_are_numpy_float32_uniforms(n, window):
-    """From a fresh generator the general law's phases, drawn from raw bits,
-    are numpy's float32 uniforms times float32(2 pi) bit for bit, an odd
-    number of phases included: the window means are exactly those of the
-    ``rng.random(dtype=np.float32)`` phases."""
-    a = 1.5
-    mean, _ = ErrorLaw("general", a).window_statistics(np.random.default_rng(8), n, window)
-    phase = np.random.default_rng(8).random((n, window), dtype=np.float32)
-    phase *= np.float32(2.0 * math.pi)
-    sums = np.stack([np.cos(phase).sum(axis=1, dtype=np.float64),
-                     np.sin(phase).sum(axis=1, dtype=np.float64)], axis=1)
-    np.testing.assert_array_equal(mean, sums * (a / window))
+def test_phase_grid_has_the_continuous_low_moments():
+    """On the 256 grid points cos^a sin^b averages to its continuous value,
+    (a - 1)!! (b - 1)!! / (a + b)!! for even a and b and 0 otherwise, for
+    every a + b <= 8, to 1e-15."""
+    def double_factorial(k):
+        return math.prod(range(k, 0, -2))
+
+    cos, sin = _PHASE_TRIG[:, 0], _PHASE_TRIG[:, 1]
+    assert len(cos) == PHASE_GRID == 256
+    for p in range(9):
+        for q in range(9 - p):
+            want = (double_factorial(p - 1) * double_factorial(q - 1) / double_factorial(p + q)
+                    if p % 2 == q % 2 == 0 else 0.0)
+            assert abs(np.mean(cos ** p * sin ** q) - want) <= 1e-15, (p, q)
+    np.testing.assert_array_equal(_PHASE_TRIG[:, 2:], np.column_stack([cos * cos, cos * sin]))
+    assert not _PHASE_TRIG.flags.writeable
+
+
+_ALL_LAWS = [ErrorLaw("general", 2.0), ErrorLaw("x", 0.8), ErrorLaw("x", 1.5, "gaussian"),
+             ErrorLaw("p", 0.8), ErrorLaw("p", 1.5, "gaussian")]
+
+
+@pytest.mark.parametrize("law", _ALL_LAWS, ids=lambda law: f"{law.kind}-{law.shape}")
+@pytest.mark.parametrize("n,window", [(1, 30), *_GRID_SHAPES[:3]])
+def test_window_gram_is_exactly_symmetric(law, n, window):
+    _, gram = law.window_statistics(np.random.default_rng(12), n, window)
+    np.testing.assert_array_equal(gram[:, 0, 1], gram[:, 1, 0])
+
+
+def test_general_law_memory_does_not_grow_with_the_window():
+    """At n = 16 and window 10^5 the memory traced while the general law
+    reduces its phases stays under 16 bytes per phase of one block, where the
+    labels of one unblocked ``bincount`` alone would take 8 bytes per phase
+    of all n * window."""
+    n, window = 16, 100_000
+    rng = np.random.default_rng(13)
+    tracemalloc.start()
+    try:
+        ErrorLaw("general", 2.0).window_statistics(rng, n, window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * _BLOCK_SAMPLES < 8 * n * window
 
 
 @pytest.mark.parametrize("law,n", [(ErrorLaw("general", 0.0), 8), (ErrorLaw("general", 2.0), 0),
