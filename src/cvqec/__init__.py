@@ -11,8 +11,7 @@ Monte-Carlo engine, plus a CLI that regenerates the headline tables.
 """
 
 from .exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol,
-                    form_apply_matrix, form_covariance, form_variance,
-                    mode_forms_apply_matrix, sqrt_of, symbol_variance)
+                    form_apply_matrix, mode_forms_apply_matrix, sqrt_of)
 from .gaussian import (VACUUM_VAR, db_to_r, fidelity_from_moments,
                        variance_to_db)
 from .network import (BeamSplitterElement, ENCODER_SPEC, ModeMatrix,

@@ -263,6 +263,10 @@ def _input_variants(code: CodeConfig):
 
 
 def _mc_stderr(outcome: RoundsOutcome) -> float:
+    """The sample standard deviation of every round's fidelity over sqrt(n).
+    It is not the standard error of a pooled ``fidelity_mc``, whose moments
+    pool every round of a sweep value but only a table2 row's hit-channel
+    rounds."""
     fids = outcome.fidelity_mc
     if len(fids) < 2:
         return float("nan")

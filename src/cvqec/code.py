@@ -20,7 +20,7 @@ displacements that live purely in p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 
@@ -84,6 +84,12 @@ class CodeConfig:
             raise ValueError("input squeezing in dB must be finite")
         if self.input_kind not in ("vacuum", "squeezed"):
             raise ValueError(f"unknown input kind {self.input_kind!r}")
+        # checked for a vacuum input too: table2 and tableC1 build the
+        # squeezed input of any configuration from the two values
+        if self.input_antisqueeze_db < self.input_squeeze_db:
+            raise ValueError(
+                f"input antisqueezing {self.input_antisqueeze_db} dB is below its squeezing "
+                f"{self.input_squeeze_db} dB: V_x V_p would fall below the vacuum's 1/16")
         if any(not 0.0 <= eta <= 1.0 for eta in self.loss_values):
             raise ValueError("channel transmissivity must lie in [0, 1]")
 
@@ -243,14 +249,7 @@ def syndrome_closed_form(decoded: DecodedState) -> tuple[np.ndarray, np.ndarray]
             if not coeff.is_zero():
                 coeffs[i] = float(coeff)
                 flags[i] |= event.law.quadrature_variances()[quad == "p"] > 0.0
-    return flags, _relations(flags, coeffs[[0, 2]] * coeffs[[2, 3]])
-
-
-def _relations(flags: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    """D1-D3 / D3-D4 phase relations: the sign of each (..., 2) cross term
-    where both of its detectors' (..., 4) flags are set, else 0."""
-    pairs = flags[..., [0, 2]] & flags[..., [2, 3]]
-    return (np.where(cross > 0, 1, -1) * pairs).astype(np.int8)
+    return flags, _RELATION_TABLE[_syndrome_index(flags, coeffs[[0, 2]] * coeffs[[2, 3]])]
 
 
 def _syndrome_rule(f1, f2, f3, f4, in13, in34, out13, out34) -> int:
@@ -269,20 +268,33 @@ def _syndrome_rule(f1, f2, f3, f4, in13, in34, out13, out34) -> int:
     return UNCLASSIFIABLE
 
 
-# _syndrome_rule of every 8-bit index, its arguments in bit order: the flags
-# of D1..D4, cc13 > 0, cc34 > 0, cc13 <= 0 and cc34 <= 0.
+def _syndrome_index(flags: np.ndarray, cross: np.ndarray) -> np.ndarray:
+    """The uint8 syndrome index of (..., 4) fluctuation flags and (..., 2)
+    D1-D3 / D3-D4 cross-correlations or relation signs.  Its bits are the
+    flags of D1..D4, cc13 > 0, cc34 > 0, cc13 <= 0 and cc34 <= 0: a cross
+    term > 0 is in phase, one <= 0 out of phase (so the relation 0, n/a,
+    reads as out of phase) and a NaN one sets neither bit."""
+    bits = np.concatenate([flags, cross > 0, cross <= 0], axis=-1)
+    return np.packbits(bits, axis=-1, bitorder="little")[..., 0]
+
+
+# The round code (_syndrome_rule) and the (D1-D3, D3-D4) relations of every
+# syndrome index.  A relation is 0 unless both detectors of its pair are
+# flagged; then it is +1 for an in-phase bit and -1 without one, so a NaN
+# cross term reads -1.
 _CODE_TABLE = np.array([_syndrome_rule(*(bool(i >> k & 1) for k in range(8)))
                         for i in range(256)], dtype=np.int8)
+_RELATION_TABLE = np.array([[(1 if i >> (4 + j) & 1 else -1) * (i >> a & i >> b & 1)
+                             for j, (a, b) in enumerate(((0, 2), (2, 3)))]
+                            for i in range(256)], dtype=np.int8)
 _CODE_TABLE.setflags(write=False)
+_RELATION_TABLE.setflags(write=False)
 
 
 def classify_codes(flags: np.ndarray, cross: np.ndarray) -> np.ndarray:
     """Round codes from (..., 4) fluctuation flags and (..., 2) D1-D3 / D3-D4
-    cross-correlations or relation signs, matched against the syndrome
-    table: a cross term > 0 is in phase, one <= 0 out of phase (so the
-    relation 0, n/a, reads as out of phase) and a NaN one neither."""
-    bits = np.concatenate([flags, cross > 0, cross <= 0], axis=-1)
-    return _CODE_TABLE[np.packbits(bits, axis=-1, bitorder="little")[..., 0]]
+    cross terms: the syndrome table read at their ``_syndrome_index``."""
+    return _CODE_TABLE[_syndrome_index(flags, cross)]
 
 
 # --------------------------------------------------------------------------
@@ -479,9 +491,12 @@ def output_mixture(cfg: CodeConfig, error_cfg: ErrorConfig) -> tuple[np.ndarray,
 
 class _PassData:
     """The syndrome of one batched pass, reduced from every round's readout
-    mean 6-vector and centred 6x6 scatter of (D1..D4, out_x, out_p)."""
+    mean 6-vector and centred 6x6 scatter of (D1..D4, out_x, out_p): the
+    fluctuation flags, the D1-D3 / D3-D4 cross-correlations and one
+    ``_syndrome_index`` per round, at which ``_CODE_TABLE`` holds the round
+    code and ``_RELATION_TABLE`` its relations."""
 
-    __slots__ = ("mean", "scatter", "flags", "cc")
+    __slots__ = ("mean", "scatter", "flags", "cc", "index")
 
     def __init__(self, mean: np.ndarray, scatter: np.ndarray, window: int,
                  baselines: np.ndarray):
@@ -490,6 +505,7 @@ class _PassData:
         variances = np.diagonal(scatter, axis1=1, axis2=2)[:, :4] / (window - 1)
         self.flags = variances > (1.0 + FLUCTUATION_FACTOR) * baselines[:4]
         self.cc = scatter[:, [0, 2], [2, 3]] / window     # D1-D3, D3-D4
+        self.index = _syndrome_index(self.flags, self.cc)
 
 
 def _readout_noise(maps: PipelineMaps, n: int, window: int,
@@ -593,43 +609,77 @@ def _simulate_pass(maps: PipelineMaps, channels: np.ndarray, occurred: np.ndarra
     return _PassData(mean, scatter, window, maps.baselines)
 
 
-def pooled_moments(rounds: "RoundsOutcome", select=slice(None)) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of the corrected output over the selected rounds'
-    samples, rebuilt exactly from each round's moments (equal windows), so
+# The rows of a round's pooling terms: 1 (its count), its corrected mean
+# (x, p), variances (x, p), x-p covariance and mean products (xx, px, pp).
+# Their sums over a group of rounds are all that pooling needs.
+_N_TERMS = 9
+_VAR_TERMS = np.array([[3, 5], [5, 4]])
+_PRODUCT_TERMS = np.array([[6, 7], [7, 8]])
+
+
+def _group_sums(group: np.ndarray, n_groups: int, mean: np.ndarray, var: np.ndarray,
+                cov_xp: np.ndarray) -> np.ndarray:
+    """(n_groups, _N_TERMS) sums of the pooling terms of the rounds in each
+    group 0..n_groups-1, from one weighted ``np.bincount``, each in round
+    order.  The terms are laid out one row each: contiguous rows keep numpy
+    off its slow loops over length-2 axes."""
+    terms = np.empty((_N_TERMS, len(group)))
+    terms[0], terms[1:3], terms[3:5], terms[5] = 1.0, mean.T, var.T, cov_xp
+    terms[6:8] = terms[1:3] * terms[1]
+    terms[8] = terms[2] * terms[2]
+    labels = group * _N_TERMS + np.arange(_N_TERMS)[:, None]
+    return np.bincount(labels.ravel(), weights=terms.ravel(),
+                       minlength=n_groups * _N_TERMS).reshape(n_groups, _N_TERMS)
+
+
+def _pool(sums: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Means (k, 2) and covariances (k, 2, 2) of the corrected output over
+    the samples of k non-empty groups of rounds, from their ``_group_sums``.
+    They are rebuilt exactly from each round's moments (equal windows), so
     chunked runs merge losslessly."""
-    w = rounds.window
-    mean = rounds.corrected_mean[select]
-    var = rounds.corrected_var[select].sum(axis=0)
-    cxy = rounds.corrected_cov_xp[select].sum()
-    n = w * len(mean)
-    pooled = mean.mean(axis=0)
-    second = (w - 1) * np.array([[var[0], cxy], [cxy, var[1]]]) + w * mean.T @ mean
-    return pooled, (second - n * np.outer(pooled, pooled)) / (n - 1)
+    rounds = sums[:, 0]
+    n = (window * rounds)[:, None, None]
+    mean = sums[:, 1:3] / rounds[:, None]
+    second = (window - 1) * sums[:, _VAR_TERMS] + window * sums[:, _PRODUCT_TERMS]
+    return mean, (second - n * mean[:, :, None] * mean[:, None, :]) / (n - 1)
+
+
+def pooled_moments(rounds: "RoundsOutcome") -> tuple[np.ndarray, np.ndarray]:
+    """Mean and covariance of the corrected output over every round's
+    samples, pooled as ``RoundsSummary`` pools each final class."""
+    sums = _group_sums(np.zeros(len(rounds.final_codes), np.intp), 1, rounds.corrected_mean,
+                       rounds.corrected_var, rounds.corrected_cov_xp)
+    mean, cov = _pool(sums, rounds.window)
+    return mean[0], cov[0]
 
 
 def summarize_reports(rounds: "RoundsOutcome") -> "RoundsSummary":
-    """Aggregates a batch of rounds from its columns: counts and pooled
-    moments per final class, in order of first appearance."""
-    codes, first = np.unique(rounds.final_codes, return_index=True)
-    codes = codes[np.argsort(first)]
-    keys = [CODE_NAMES[c] for c in codes]
-    pooled = [pooled_moments(rounds, rounds.final_codes == c) for c in codes]
-    fids = fidelity_from_moments(*rounds.cfg.input_state(), np.array([m for m, _ in pooled]),
-                                 np.array([c for _, c in pooled]))
+    """Aggregates a batch of rounds from its columns: the counts per final
+    class, in order of first appearance, from one ``np.bincount``, and the
+    three rates.  The summary keeps the columns that its pooled moments are
+    computed from on first read, not the outcome, which caches the summary."""
+    codes = rounds.final_codes
+    n = len(codes)
+    counts = np.bincount(codes, minlength=len(CODE_NAMES))
+    present = np.flatnonzero(counts)
+    order = present[np.argsort((codes == present[:, None]).argmax(axis=1))]
     return RoundsSummary(
-        n_rounds=len(rounds.final_codes), window=rounds.window,
-        counts={k: int(np.count_nonzero(rounds.final_codes == c))
-                for k, c in zip(keys, codes)},
-        occurrence_fraction=float(np.mean(rounds.channels > 0)),
-        accuracy=float(np.mean(rounds.matched)),
-        fourier_rate=float(np.mean(rounds.fourier_used)),
-        pooled_moments=dict(zip(keys, pooled)),
-        pooled_fidelity={k: float(f) for k, f in zip(keys, fids)})
+        n_rounds=n, window=rounds.window,
+        counts={CODE_NAMES[c]: int(counts[c]) for c in order},
+        occurrence_fraction=int(np.count_nonzero(rounds.channels)) / n,
+        accuracy=int(np.count_nonzero(rounds.matched)) / n,
+        fourier_rate=int(np.count_nonzero(rounds.fourier_used)) / n,
+        cfg=rounds.cfg, codes=order, final_codes=codes,
+        corrected_mean=rounds.corrected_mean, corrected_var=rounds.corrected_var,
+        corrected_cov_xp=rounds.corrected_cov_xp)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RoundsSummary:
-    """Aggregate results of a batch of rounds."""
+    """Aggregate results of a batch of rounds.  ``pooled_moments`` and
+    ``pooled_fidelity`` give each final class's corrected output, keyed as
+    ``counts``; they are computed on first read, from one grouped reduction
+    of the rounds' corrected moments."""
 
     n_rounds: int
     window: int
@@ -637,8 +687,28 @@ class RoundsSummary:
     occurrence_fraction: float
     accuracy: float
     fourier_rate: float
-    pooled_moments: dict[str, tuple[np.ndarray, np.ndarray]]
-    pooled_fidelity: dict[str, float]
+    cfg: CodeConfig = field(repr=False)
+    codes: np.ndarray = field(repr=False)     # the final codes of ``counts``' keys
+    final_codes: np.ndarray = field(repr=False)
+    corrected_mean: np.ndarray = field(repr=False)
+    corrected_var: np.ndarray = field(repr=False)
+    corrected_cov_xp: np.ndarray = field(repr=False)
+
+    @cached_property
+    def _pooled(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked means and covariances of the classes of ``counts``."""
+        sums = _group_sums(self.final_codes, len(CODE_NAMES), self.corrected_mean,
+                           self.corrected_var, self.corrected_cov_xp)
+        return _pool(sums[self.codes], self.window)
+
+    @cached_property
+    def pooled_moments(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        return dict(zip(self.counts, zip(*self._pooled)))
+
+    @cached_property
+    def pooled_fidelity(self) -> dict[str, float]:
+        fids = fidelity_from_moments(*self.cfg.input_state(), *self._pooled)
+        return dict(zip(self.counts, fids.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -710,7 +780,7 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
 
     pass1 = _simulate_pass(_maps(cfg, cfg.fourier_mode), channels, occurred,
                            law, window, rng)
-    first = classify_codes(pass1.flags, pass1.cc)
+    first = _CODE_TABLE[pass1.index]
     final = first.copy()
     fourier = np.full(n_rounds, cfg.fourier_mode)
     mean, scatter = pass1.mean, pass1.scatter
@@ -718,7 +788,7 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
     if len(rerun):
         pass2 = _simulate_pass(_maps(cfg, not cfg.fourier_mode),
                                channels[rerun], occurred[rerun], law, window, rng)
-        second = classify_codes(pass2.flags, pass2.cc)
+        second = _CODE_TABLE[pass2.index]
         second[second == AMBIGUOUS_P] = UNCLASSIFIABLE
         final[rerun] = second
         resolved = second != UNCLASSIFIABLE
@@ -734,7 +804,7 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
     return RoundsOutcome(
         cfg=cfg, window=window, channels=channels,
         first_codes=first, final_codes=final, fourier_used=first == AMBIGUOUS_P,
-        matched=final == channels, flags=pass1.flags, relations=_relations(pass1.flags, pass1.cc),
+        matched=final == channels, flags=pass1.flags, relations=_RELATION_TABLE[pass1.index],
         corrected_mean=corrected_mean, corrected_var=np.diagonal(cov, axis1=1, axis2=2).copy(),
         corrected_cov_xp=cov[:, 0, 1].copy(),
         fidelity_mc=fidelity_from_moments(*cfg.input_state(), corrected_mean, cov))
@@ -766,6 +836,6 @@ def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,
         sweep = magnitude * np.stack([np.cos(phase), np.sin(phase)], axis=1)
         series += _error_series(maps, np.array([channel]), sweep[None])
     syndrome = _PassData(*_reduce_series(series), window, maps.baselines)
-    code = classify_codes(syndrome.flags, syndrome.cc)[0]
+    code = _CODE_TABLE[syndrome.index[0]]
     traces = dict(zip(DETECTORS + ("out_x", "out_p"), series[0].T))
     return traces, int(code)

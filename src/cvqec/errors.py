@@ -31,6 +31,16 @@ _PHASE_TRIG = np.column_stack([np.cos(_ANGLE), np.sin(_ANGLE), np.cos(_ANGLE) **
 _PHASE_TRIG.flags.writeable = False
 _BLOCK_SAMPLES = 32768
 
+# The largest error magnitude a.  Overflow alone would allow far more: a
+# window's error sums grow as a^2 * window and their 2x2 determinants as its
+# square, finite for any window below 1e146 samples at a = 1e4.  The tighter
+# limit is the feedforward: it removes an error from the corrected output by
+# cancellation in the readout scatter, which leaves a rounding residue of
+# about 3e-16 * a^2 relative in each round's corrected variance.  That is
+# 3e-8 at 1e4, while by 1e8 corrected covariances lose positivity and
+# fidelities turn NaN.
+MAX_MAGNITUDE = 1e4
+
 
 def _phase_sums(rng: np.random.Generator, n: int, window: int) -> np.ndarray:
     """(n, 4) sums of ``_PHASE_TRIG`` over n windows of grid phases, drawn as
@@ -79,8 +89,9 @@ class ErrorLaw:
             raise ValueError(f"unknown law shape {self.shape!r}")
         if self.kind == LAW_GENERAL and self.shape != SHAPE_FIXED:
             raise ValueError("the general law supports the fixed shape only")
-        if not (math.isfinite(self.magnitude) and self.magnitude >= 0):
-            raise ValueError("magnitude must be finite and non-negative")
+        if not 0 <= self.magnitude <= MAX_MAGNITUDE:
+            raise ValueError(f"magnitude must be finite and within [0, {MAX_MAGNITUDE:g}], "
+                             f"not {self.magnitude!r}")
 
     def quadrature_variances(self) -> tuple[float, float]:
         """Per-sample variance (Var dx, Var dp) of the displacement series."""

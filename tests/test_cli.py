@@ -4,12 +4,14 @@ import csv
 import dataclasses
 import filecmp
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from cvqec import cli
 from cvqec.code import RoundsOutcome, run_rounds
+from cvqec.errors import MAX_MAGNITUDE
 from cvqec.gaussian import db_to_r
 
 
@@ -286,6 +288,11 @@ _GAMMA_SWEEP = {"parameter": "gamma", "values": [0.5, 1.0]}
     ({"error": 5}, "error must be a JSON object"),
     ({"error": {"law": 3}}, "error.law must be a JSON object"),
     ({"out": 5}, "out must be a string"),
+    ({"code": {"input": {"squeeze_db": 3.5, "antisqueeze_db": 1.0}}},
+     "input antisqueezing 1.0 dB is below its squeezing 3.5 dB"),
+    ({"error": {"law": {"magnitude": 1e160}}}, "magnitude must be finite and within [0, 10000]"),
+    ({"experiment": "mc-sweep", "sweep": {"parameter": "magnitude", "values": [5.0, 1e160]}},
+     "sweep magnitude = 1e+160: magnitude must be finite and within"),
 ])
 def test_main_reports_bad_config_as_usage_error(tmp_path, capsys, doc, message):
     """A bad config stops ``cvqec run`` with exit 2 before the runner starts;
@@ -298,6 +305,23 @@ def test_main_reports_bad_config_as_usage_error(tmp_path, capsys, doc, message):
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_largest_magnitude_runs_table2_cleanly(tmp_path):
+    """At the largest accepted error magnitude table2 raises no numpy
+    warning and writes only finite numbers."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"trials": 32, "window": 64,
+                                  "error": {"law": {"magnitude": MAX_MAGNITUDE}}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["run", "table2", "--config", config, "--out", tmp_path / "out"]) == 0
+    with open(tmp_path / "out" / "table2.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 20
+    for row in rows:
+        for key in ("fidelity_theory", "fidelity_mc", "fidelity_mc_stderr"):
+            assert np.isfinite(float(row[key])), (key, row)
 
 
 def test_main_reports_uncreatable_out_as_usage_error(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """End-to-end pipeline: encoding, syndromes, classification, feedforward."""
 
 import dataclasses
+import gc
 import math
 import warnings
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -15,9 +17,10 @@ from cvqec.code import (AMBIGUOUS_P, CODE_NAMES, DETECTORS, NO_ERROR, PLANS, UNC
                         syndrome_trace)
 from cvqec.errors import ErrorConfig, ErrorEvent, ErrorLaw
 from cvqec.exact import (ExactScalar, ModeForm, QuadSymbol, SQRT2, TAG_ANTISQUEEZED,
-                         TAG_SQUEEZED, form_covariance, sqrt_of)
-from cvqec.gaussian import db_to_r
+                         TAG_SQUEEZED, sqrt_of)
+from cvqec.gaussian import db_to_r, fidelity_from_moments
 from cvqec.network import encoder_matrix, inverse, lift_to_symplectic
+from test_exact import form_covariance, form_variance
 
 R35 = db_to_r(3.5)
 Q35 = 10.0 ** -0.35
@@ -71,6 +74,18 @@ def test_code_config_validation():
         with pytest.raises(ValueError, match="finite"):
             CodeConfig(input_kind="squeezed", input_antisqueeze_db=bad)
     assert CodeConfig(r=(0.1, 0.2, 0.3, 0.4)).r_values == (0.1, 0.2, 0.3, 0.4)
+
+
+def test_squeezed_input_obeys_the_uncertainty_relation():
+    """A squeezed input whose antisqueezing is below its squeezing would have
+    V_x V_p < 1/16 and is rejected, also beside a vacuum input, from which
+    table2 builds it; equal values give a pure state."""
+    for kind in ("squeezed", "vacuum"):
+        with pytest.raises(ValueError, match="below the vacuum's 1/16"):
+            CodeConfig(input_kind=kind, input_squeeze_db=3.5, input_antisqueeze_db=1.0)
+    v_x, v_p = CodeConfig(input_kind="squeezed", input_squeeze_db=3.5,
+                          input_antisqueeze_db=3.5).input_variances()
+    assert v_x * v_p == pytest.approx(1 / 16, rel=1e-15)
 
 
 def test_code_config_lists_become_tuples():
@@ -136,7 +151,6 @@ def test_encode_correlation_variance():
     for r in (0.0, R35, 1.2):
         enc = encode(CodeConfig(r=r))
         f = enc.forms[3].x + enc.forms[4].x
-        from cvqec.exact import form_variance
         assert form_variance(f, r) == pytest.approx(0.5 * math.exp(-2 * r), rel=1e-12)
 
 
@@ -408,6 +422,37 @@ def test_table_classifier_matches_reference_on_signed_zeros_and_nan():
         want = _expected_code(f, c13, c34)
         assert CODE_NAMES[codes[i]] == want, (f, c13, c34)
         assert CODE_NAMES[int(classify_codes(flags[i], cross[i]))] == want
+
+
+def _reference_relations(flags, cross):
+    """The relation rule the engine used before its index tables: the sign of
+    each cross term (NaN reading -1) where both of its detectors are flagged,
+    else 0."""
+    pairs = flags[..., [0, 2]] & flags[..., [2, 3]]
+    return (np.where(cross > 0, 1, -1) * pairs).astype(np.int8)
+
+
+def test_syndrome_index_tables_match_the_rules():
+    """On all 256 syndrome indices the code table is ``_syndrome_rule`` and
+    the relation table the reference relation rule; an index built from
+    flags and cross terms has the documented bits, and a NaN cross term sets
+    neither of its bits."""
+    for i in range(256):
+        bits = [bool(i >> k & 1) for k in range(8)]
+        assert qec._CODE_TABLE[i] == qec._syndrome_rule(*bits), i
+        # the cross term an index stands for: in phase, else out of phase, else NaN
+        cross = np.array([1.0 if bits[4 + j] else -1.0 if bits[6 + j] else math.nan
+                          for j in (0, 1)])
+        flags = np.array(bits[:4])
+        assert qec._RELATION_TABLE[i].tolist() == _reference_relations(flags, cross).tolist(), i
+        if not (bits[4] and bits[6] or bits[5] and bits[7]):
+            assert qec._syndrome_index(flags, cross) == i
+    assert qec._RELATION_TABLE.dtype == np.int8
+    flags = np.ones((2, 4), dtype=bool)
+    index = qec._syndrome_index(flags, np.array([[math.nan, 0.5], [-0.5, math.nan]]))
+    assert index.dtype == np.uint8
+    assert index.tolist() == [0b0010_1111, 0b0100_1111]
+    assert qec._RELATION_TABLE[index].tolist() == [[-1, 1], [-1, -1]]
 
 
 # --------------------------------------------------------------------------
@@ -893,6 +938,90 @@ def test_pooled_moments_match_pooled_series(series_sampler):
     mean, cov = qec.pooled_moments(outcome)
     np.testing.assert_allclose(mean, series.reshape(-1, 2).mean(axis=0), **tol)
     np.testing.assert_allclose(cov, np.cov(series.reshape(-1, 2).T, ddof=1), **tol)
+
+
+def _reference_pool(rounds, select):
+    """The pooling of the selected rounds' corrected moments as it was done
+    one class at a time, from masked columns."""
+    w = rounds.window
+    mean = rounds.corrected_mean[select]
+    var = rounds.corrected_var[select].sum(axis=0)
+    cxy = rounds.corrected_cov_xp[select].sum()
+    n = w * len(mean)
+    pooled = mean.mean(axis=0)
+    second = (w - 1) * np.array([[var[0], cxy], [cxy, var[1]]]) + w * mean.T @ mean
+    return pooled, (second - n * np.outer(pooled, pooled)) / (n - 1)
+
+
+def _synthetic_outcome(n=400, window=64, seed=5):
+    """A batch built from synthetic columns in which all eight round codes
+    occur, each class with its own corrected moments of order 1."""
+    rng = np.random.default_rng(seed)
+    final = rng.permutation(np.concatenate([np.arange(8), rng.integers(0, 8, n - 8)]))
+    final = final.astype(np.int8)
+    channels = np.where(rng.random(n) < 0.7, rng.integers(1, 6, n), 0)
+    first = np.where(rng.random(n) < 0.2, AMBIGUOUS_P, final).astype(np.int8)
+    return qec.RoundsOutcome(
+        cfg=CodeConfig(r=R35, input_kind="squeezed"), window=window, channels=channels,
+        first_codes=first, final_codes=final, fourier_used=first == AMBIGUOUS_P,
+        matched=final == channels, flags=rng.random((n, 4)) < 0.5,
+        relations=rng.integers(-1, 2, (n, 2)).astype(np.int8),
+        corrected_mean=rng.normal(0.1 * final[:, None] + [0.3, -0.2], 0.2, (n, 2)),
+        corrected_var=rng.uniform(0.2, 0.4 + 0.1 * final[:, None], (n, 2)),
+        corrected_cov_xp=rng.uniform(0.01, 0.05, n) * (1 + final),
+        fidelity_mc=rng.random(n))
+
+
+def test_summary_equals_per_class_masked_reference():
+    """Counts in order of first appearance, the three rates, and every
+    class's pooled moments and fidelity equal the per-class masked
+    reference, on a batch in which all eight round codes occur; the
+    all-round pool equals the reference over every round."""
+    outcome = _synthetic_outcome()
+    summary = outcome.summary
+    codes, first = np.unique(outcome.final_codes, return_index=True)
+    codes = codes[np.argsort(first)]
+    assert len(codes) == 8
+    assert list(summary.counts.items()) == [
+        (CODE_NAMES[c], int(np.count_nonzero(outcome.final_codes == c))) for c in codes]
+    assert summary.n_rounds == 400 and summary.window == 64
+    assert summary.occurrence_fraction == float(np.mean(outcome.channels > 0))
+    assert summary.accuracy == float(np.mean(outcome.matched))
+    assert summary.fourier_rate == float(np.mean(outcome.fourier_used))
+    inp = outcome.cfg.input_state()
+    tol = dict(rtol=1e-12, atol=0)
+    assert list(summary.pooled_moments) == list(summary.counts)
+    assert list(summary.pooled_fidelity) == list(summary.counts)
+    for c in codes:
+        mean, cov = _reference_pool(outcome, outcome.final_codes == c)
+        got_mean, got_cov = summary.pooled_moments[CODE_NAMES[c]]
+        np.testing.assert_allclose(got_mean, mean, **tol)
+        np.testing.assert_allclose(got_cov, cov, **tol)
+        np.testing.assert_allclose(summary.pooled_fidelity[CODE_NAMES[c]],
+                                   fidelity_from_moments(*inp, mean, cov), **tol)
+    mean, cov = _reference_pool(outcome, slice(None))
+    got_mean, got_cov = qec.pooled_moments(outcome)
+    np.testing.assert_allclose(got_mean, mean, **tol)
+    np.testing.assert_allclose(got_cov, cov, **tol)
+
+
+def test_summary_keeps_no_reference_to_its_outcome():
+    """With the garbage collector off, an outcome whose summary and pooled
+    moments were read is freed by ``del``: the summary holds the columns it
+    needs, not the outcome that caches it, so there is no cycle."""
+    gc.disable()
+    try:
+        outcome = run_rounds(CodeConfig(r=R35), ErrorConfig(1.0, "uniform", ErrorLaw("general", 2.0)),
+                             np.random.default_rng(3), 40, window=64)
+        summary = outcome.summary
+        fidelity = dict(summary.pooled_fidelity)
+        assert summary.pooled_moments.keys() == fidelity.keys()
+        ref = weakref.ref(outcome)
+        del outcome
+        assert ref() is None
+        assert summary.pooled_fidelity == fidelity
+    finally:
+        gc.enable()
 
 
 def test_run_rounds_rejects_empty_batch():

@@ -9,7 +9,8 @@ import pytest
 from scipy import stats as scipy_stats
 
 from cvqec.code import CodeConfig, closed_form_output, output_mixture, run_rounds
-from cvqec.errors import _BLOCK_SAMPLES, _PHASE_TRIG, PHASE_GRID, ErrorConfig, ErrorLaw
+from cvqec.errors import (_BLOCK_SAMPLES, _PHASE_TRIG, MAX_MAGNITUDE, PHASE_GRID, ErrorConfig,
+                          ErrorLaw)
 from cvqec.gaussian import db_to_r
 
 R35 = db_to_r(3.5)
@@ -29,6 +30,16 @@ def test_law_validation():
         ErrorConfig(gamma=1.5)
     with pytest.raises(ValueError):
         ErrorConfig(channel=6)
+
+
+def test_law_magnitude_is_bounded():
+    """Magnitudes up to MAX_MAGNITUDE are accepted, and any larger one, such
+    as 1e160, whose square times a window overflows, is rejected."""
+    for kind in ("general", "x", "p"):
+        assert ErrorLaw(kind, MAX_MAGNITUDE).magnitude == MAX_MAGNITUDE
+        for bad in (np.nextafter(MAX_MAGNITUDE, math.inf), 1e160):
+            with pytest.raises(ValueError, match="within"):
+                ErrorLaw(kind, float(bad))
 
 
 def _drawn_errors(cfg, rounds, seed):

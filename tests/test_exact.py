@@ -1,22 +1,79 @@
 """Exact field arithmetic and symbolic quadrature forms."""
 
 import math
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvqec.exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol,
-                         SQRT2, SQRT3, SQRT6, TAG_SQUEEZED, form_apply_matrix,
-                         form_covariance, form_variance, mode_forms_apply_matrix,
-                         sqrt_of, symbol_variance)
+from cvqec.exact import (ROLE_ERROR, ROLE_INPUT, ExactScalar, LinearForm, ModeForm,
+                         QuadSymbol, SQRT2, SQRT3, SQRT6, TAG_ANTISQUEEZED, TAG_SQUEEZED,
+                         form_apply_matrix, mode_forms_apply_matrix, sqrt_of)
 
 SQRT2_F = math.sqrt(2.0)
 
 
 def frac(n, d=1):
     return Fraction(n, d)
+
+
+# --------------------------------------------------------------------------
+# the independent-symbol Gaussian model of the exact forms, which the tests
+# check ``PipelineMaps`` and the witness against
+
+
+def symbol_variance(sym: QuadSymbol, r, input_var: Sequence[float] = (0.25, 0.25),
+                    error_var=None) -> float:
+    """Variance of one symbol under the independent zero-mean Gaussian model.
+
+    Args:
+        sym: the quadrature symbol.
+        r: ancilla squeezing parameter, a scalar or a length-4 sequence
+            (one value per ancilla).
+        input_var: ``(V_x, V_p)`` of the input mode.
+        error_var: variance assigned to error symbols; a scalar, a mapping
+            ``{(channel, quad): var}``, or None to reject error symbols.
+
+    Raises:
+        ValueError: if an error symbol is present and ``error_var`` is None.
+    """
+    if sym.role == ROLE_INPUT:
+        return float(input_var[0] if sym.quad == "x" else input_var[1])
+    if sym.role == ROLE_ERROR:
+        if error_var is None:
+            raise ValueError(f"no variance defined for error symbol {sym}")
+        if isinstance(error_var, Mapping):
+            return float(error_var.get((sym.index, sym.quad), 0.0))
+        return float(error_var)
+    r_m = r[sym.index - 1] if isinstance(r, (list, tuple)) else r
+    if sym.tag == TAG_SQUEEZED:
+        return 0.25 * math.exp(-2.0 * r_m)
+    if sym.tag == TAG_ANTISQUEEZED:
+        return 0.25 * math.exp(2.0 * r_m)
+    return 0.25
+
+
+def form_variance(form: LinearForm, r, input_var=(0.25, 0.25), error_var=None) -> float:
+    """Variance of a form under independent zero-mean symbols: sum coeff^2 * Var(sym)."""
+    total = 0.0
+    for sym, coeff in form.terms.items():
+        total += float(coeff) ** 2 * symbol_variance(sym, r, input_var, error_var)
+    return total
+
+
+def form_covariance(f: LinearForm, g: LinearForm, r, input_var=(0.25, 0.25),
+                    error_var=None) -> float:
+    """Covariance of two forms under the same independent-symbol model."""
+    total = 0.0
+    small, large = (f, g) if len(f.terms) <= len(g.terms) else (g, f)
+    for sym, coeff in small.terms.items():
+        other = large.coefficient(sym)
+        if other.is_zero():
+            continue
+        total += float(coeff) * float(other) * symbol_variance(sym, r, input_var, error_var)
+    return total
 
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)

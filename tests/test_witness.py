@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from cvqec.code import CodeConfig, closed_form_output, encode
-from cvqec.exact import form_covariance, form_variance
 from cvqec.gaussian import db_to_r
 from cvqec.witness import (_TERMS, SEPARABLE_BOUND, _encoded_factor, combination_value,
                            evaluate_witness, optimize_gains)
+from test_exact import form_covariance, form_variance
 
 R35 = db_to_r(3.5)
 
@@ -33,8 +33,6 @@ def test_combination1_first_term_squeezed():
     full = combination_value(1, gains, cfg)
     # remove the second term by evaluating its parabola vertex independently:
     # the first term is gain-free, so value(any gains) - second(gains) is fixed.
-    from cvqec.code import encode
-    from cvqec.exact import form_variance
     enc = encode(cfg)
     first = form_variance(enc.forms[0].x + enc.forms[1].x, cfg.r_values,
                           cfg.input_variances())
