@@ -26,7 +26,6 @@ from .network import ENCODER_SPEC, compose, encoder_matrix
 from .witness import combination_value, evaluate_witness, optimize_gains
 
 R_35DB = db_to_r(3.5)            # e^{-2r} = 10^{-0.35}
-Q_35DB = 10.0 ** -0.35
 
 FIDELITY_TOL_VACUUM = 0.06
 FIDELITY_TOL_SQUEEZED = 0.07
@@ -268,9 +267,8 @@ def criterion_9_mc_equivalence() -> str:
     for ch in range(1, 6):
         out = run_rounds(cfg, ErrorConfig(1.0, ch, ErrorLaw("general", amp)),
                          np.random.default_rng(9000 + ch), rounds, window)
-        key = f"channel-{ch}"
-        assert out.summary.counts.get(key) == rounds
-        mean, cov = out.summary.pooled_moments[key]
+        assert out.summary.counts.get(f"channel-{ch}") == rounds
+        mean, cov = qec.pooled_moments(out, ch)
         theory = closed_form_output(cfg, ch)
         for k in (0, 1):
             v = theory.cov[k, k]

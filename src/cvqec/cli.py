@@ -252,9 +252,19 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _ancilla_variants(cfg: ExperimentConfig):
-    return (("coherent", coherent_ancilla_config(cfg.code)),
-            ("squeezed", cfg.code))
+def _write_table(out_dir: Path, stem: str, header: list[str], rows: list[list],
+                 **meta) -> dict:
+    """Writes ``stem``.csv and ``stem``.json, whose rows are keyed by the
+    header beside the ``meta`` entries, and returns the artifact dict."""
+    _write_csv(out_dir / f"{stem}.csv", header, rows)
+    _write_json(out_dir / f"{stem}.json",
+                {**meta, "rows": [dict(zip(header, row)) for row in rows]})
+    return {"csv": f"{stem}.csv", "json": f"{stem}.json"}
+
+
+def _ancilla_variants(code: CodeConfig):
+    return (("coherent", coherent_ancilla_config(code)),
+            ("squeezed", code))
 
 
 def _input_variants(code: CodeConfig):
@@ -284,25 +294,22 @@ def run_table2(cfg: ExperimentConfig, out_dir: Path) -> dict:
               "fidelity_mc_stderr", "fidelity_measured", "source"]
     rows = []
     for input_kind, base in _input_variants(cfg.code):
-        for ancilla, variant in _ancilla_variants(replace(cfg, code=base)):
+        for ancilla, variant in _ancilla_variants(base):
             for channel in range(1, 6):
                 theory = closed_form_output(variant, channel).fidelity
                 error = replace(cfg.error, gamma=1.0, channel=channel)
                 outcome = run_chunked_rounds(variant, error, root.spawn(1)[0],
                                              cfg.trials, cfg.window)
-                key = f"channel-{channel}"
-                mc = outcome.summary.pooled_fidelity.get(key, float("nan"))
+                pooled = pooled_moments(outcome, channel)
+                mc = (float("nan") if pooled is None
+                      else fidelity_from_moments(*variant.input_state(), *pooled))
                 rows.append([channel, input_kind, ancilla,
                              repr(theory), repr(mc),
                              repr(_mc_stderr(outcome)),
                              MEASURED_FIDELITY[(input_kind, ancilla)][channel],
                              "measured"])
-    _write_csv(out_dir / "table2.csv", header, rows)
-    _write_json(out_dir / "table2.json", {
-        "experiment": "table2", "seed": cfg.seed, "trials": cfg.trials,
-        "window": cfg.window,
-        "rows": [dict(zip(header, row)) for row in rows]})
-    return {"csv": "table2.csv", "json": "table2.json"}
+    return _write_table(out_dir, "table2", header, rows, experiment="table2",
+                        seed=cfg.seed, trials=cfg.trials, window=cfg.window)
 
 
 def run_tableC1(cfg: ExperimentConfig, out_dir: Path) -> dict:
@@ -311,7 +318,7 @@ def run_tableC1(cfg: ExperimentConfig, out_dir: Path) -> dict:
               "noise_db_measured", "noise_db_measured_err", "source"]
     rows = []
     for input_kind, base in _input_variants(cfg.code):
-        for ancilla, variant in _ancilla_variants(replace(cfg, code=base)):
+        for ancilla, variant in _ancilla_variants(base):
             for channel in range(1, 6):
                 stats = closed_form_output(variant, channel)
                 for quad in ("x", "p"):
@@ -322,11 +329,8 @@ def run_tableC1(cfg: ExperimentConfig, out_dir: Path) -> dict:
                                  "" if measured is None else measured[0],
                                  "" if measured is None else measured[1],
                                  "measured"])
-    _write_csv(out_dir / "tableC1.csv", header, rows)
-    _write_json(out_dir / "tableC1.json", {
-        "experiment": "tableC1", "seed": cfg.seed,
-        "rows": [dict(zip(header, row)) for row in rows]})
-    return {"csv": "tableC1.csv", "json": "tableC1.json"}
+    return _write_table(out_dir, "tableC1", header, rows, experiment="tableC1",
+                        seed=cfg.seed)
 
 
 def run_syndrome_demo(cfg: ExperimentConfig, out_dir: Path) -> dict:
@@ -379,27 +383,22 @@ def run_spectra(cfg: ExperimentConfig, out_dir: Path) -> dict:
     header = ["channel", "quadrature", "ancilla", "snl_db", "before_db_theory",
               "after_db_theory", "after_db_mc"]
     rows = []
-    for ancilla, variant in _ancilla_variants(cfg):
+    for ancilla, variant in _ancilla_variants(cfg.code):
         for channel in range(1, 6):
             error = replace(cfg.error, gamma=1.0, channel=channel)
             outcome = run_chunked_rounds(variant, error, root.spawn(1)[0],
                                          cfg.trials, cfg.window)
-            pooled = outcome.summary.pooled_moments.get(f"channel-{channel}")
-            before = closed_form_output(
-                variant, channel, corrected=False,
-                extra_error_var=cfg.error.law.quadrature_variances())
+            pooled = pooled_moments(outcome, channel)
+            before = closed_form_output(variant, channel,
+                                        error_var=cfg.error.law.quadrature_variances())
             after = closed_form_output(variant, channel)
             for k, quad in enumerate(("x", "p")):
                 mc = float("nan") if pooled is None else variance_to_db(float(pooled[1][k, k]))
                 rows.append([channel, quad, ancilla, repr(0.0),
                              repr(before.noise_db(quad)),
                              repr(after.noise_db(quad)), repr(mc)])
-    _write_csv(out_dir / "spectra.csv", header, rows)
-    _write_json(out_dir / "spectra.json", {
-        "experiment": "spectra", "seed": cfg.seed, "trials": cfg.trials,
-        "window": cfg.window,
-        "rows": [dict(zip(header, row)) for row in rows]})
-    return {"csv": "spectra.csv", "json": "spectra.json"}
+    return _write_table(out_dir, "spectra", header, rows, experiment="spectra",
+                        seed=cfg.seed, trials=cfg.trials, window=cfg.window)
 
 
 def _sweep_apply(cfg: ExperimentConfig, value: float) -> tuple[CodeConfig, ErrorConfig]:
@@ -433,12 +432,9 @@ def run_mc_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
         rows.append([repr(float(value)), repr(theory),
                      repr(mc), repr(_mc_stderr(outcome)),
                      repr(outcome.summary.accuracy)])
-    _write_csv(out_dir / "mc_sweep.csv", header, rows)
-    _write_json(out_dir / "mc_sweep.json", {
-        "experiment": "mc-sweep", "seed": cfg.seed, "trials": cfg.trials,
-        "window": cfg.window, "parameter": cfg.sweep_parameter,
-        "rows": [dict(zip(header, row)) for row in rows]})
-    return {"csv": "mc_sweep.csv", "json": "mc_sweep.json"}
+    return _write_table(out_dir, "mc_sweep", header, rows, experiment="mc-sweep",
+                        seed=cfg.seed, trials=cfg.trials, window=cfg.window,
+                        parameter=cfg.sweep_parameter)
 
 
 _RUNNERS = {

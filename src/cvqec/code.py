@@ -20,7 +20,7 @@ displacements that live purely in p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 
@@ -440,31 +440,32 @@ def _maps(cfg: CodeConfig, fourier: bool) -> PipelineMaps:
     return PipelineMaps(cfg, fourier)
 
 
-def closed_form_output(cfg: CodeConfig, channel: int | None, corrected: bool = True,
-                       extra_error_var: tuple[float, float] = (0.0, 0.0)) -> OutputStats:
+def closed_form_output(cfg: CodeConfig, channel: int | None,
+                       error_var: tuple[float, float] | None = None) -> OutputStats:
     """Output moments of one branch of the round in the config's measurement
     basis, computed without sampling from ``PipelineMaps`` and the round
     engine's ``PLAN_TABLE``.  The mean is zero: channels 1 and 2 never reach
     the output, and the feedforward of channels 3..5 cancels a displacement
     exactly (``PLAN_TABLE[f, ch] @ err_columns[ch - 1]`` is 0), so only an
-    uncorrected error, through its variance, moves the output.
+    unrepaired error, through its variance, moves the output.
 
     Args:
         cfg: code configuration.
         channel: hit channel, or None for the error-free branch.
-        corrected: apply the channel's feedforward plan (channels 3..5).
-        extra_error_var: displacement variance per quadrature (the error
-            law's ``quadrature_variances`` for an uncorrected branch).
+        error_var: None for the corrected branch, which applies the
+            channel's feedforward plan (channels 3..5); otherwise the
+            unrepaired branch, whose displacement has this variance per
+            quadrature (the error law's ``quadrature_variances``).
     """
     fourier = cfg.fourier_mode
     maps = _maps(cfg, fourier)
-    plan = PLAN_TABLE[int(fourier), channel if corrected and channel else NO_ERROR]
+    plan = PLAN_TABLE[int(fourier), channel if error_var is None and channel else NO_ERROR]
     noise = plan @ maps.noise
     cov = noise @ noise.T
     mean = np.zeros(2)
-    if channel is not None:
+    if channel is not None and error_var is not None:
         err = plan @ maps.err_columns[channel - 1]                   # (2, 2)
-        cov = cov + err @ np.diag(extra_error_var) @ err.T
+        cov = cov + err @ np.diag(error_var) @ err.T
     fid = fidelity_from_moments(*cfg.input_state(), mean, cov)
     return OutputStats(mean=mean, cov=cov, fidelity=fid)
 
@@ -609,55 +610,47 @@ def _simulate_pass(maps: PipelineMaps, channels: np.ndarray, occurred: np.ndarra
     return _PassData(mean, scatter, window, maps.baselines)
 
 
-# The rows of a round's pooling terms: 1 (its count), its corrected mean
-# (x, p), variances (x, p), x-p covariance and mean products (xx, px, pp).
-# Their sums over a group of rounds are all that pooling needs.
-_N_TERMS = 9
-_VAR_TERMS = np.array([[3, 5], [5, 4]])
-_PRODUCT_TERMS = np.array([[6, 7], [7, 8]])
+# The rows of a round's pooling terms: its corrected mean (x, p), variances
+# (x, p), x-p covariance and mean products (xx, px, pp).  Their sums over the
+# pooled rounds, with the round count, are all that pooling needs.
+_N_TERMS = 8
+_VAR_TERMS = np.array([[2, 4], [4, 3]])
+_PRODUCT_TERMS = np.array([[5, 6], [6, 7]])
 
 
-def _group_sums(group: np.ndarray, n_groups: int, mean: np.ndarray, var: np.ndarray,
-                cov_xp: np.ndarray) -> np.ndarray:
-    """(n_groups, _N_TERMS) sums of the pooling terms of the rounds in each
-    group 0..n_groups-1, from one weighted ``np.bincount``, each in round
-    order.  The terms are laid out one row each: contiguous rows keep numpy
-    off its slow loops over length-2 axes."""
-    terms = np.empty((_N_TERMS, len(group)))
-    terms[0], terms[1:3], terms[3:5], terms[5] = 1.0, mean.T, var.T, cov_xp
-    terms[6:8] = terms[1:3] * terms[1]
-    terms[8] = terms[2] * terms[2]
-    labels = group * _N_TERMS + np.arange(_N_TERMS)[:, None]
-    return np.bincount(labels.ravel(), weights=terms.ravel(),
-                       minlength=n_groups * _N_TERMS).reshape(n_groups, _N_TERMS)
+def pooled_moments(rounds: "RoundsOutcome",
+                   code: int | None = None) -> tuple[np.ndarray, np.ndarray] | None:
+    """Mean and covariance of the corrected output over the samples of the
+    rounds whose final code is ``code``, or of every round when it is None;
+    None when no round has the code.
 
-
-def _pool(sums: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Means (k, 2) and covariances (k, 2, 2) of the corrected output over
-    the samples of k non-empty groups of rounds, from their ``_group_sums``.
     They are rebuilt exactly from each round's moments (equal windows), so
-    chunked runs merge losslessly."""
-    rounds = sums[:, 0]
-    n = (window * rounds)[:, None, None]
-    mean = sums[:, 1:3] / rounds[:, None]
-    second = (window - 1) * sums[:, _VAR_TERMS] + window * sums[:, _PRODUCT_TERMS]
-    return mean, (second - n * mean[:, :, None] * mean[:, None, :]) / (n - 1)
-
-
-def pooled_moments(rounds: "RoundsOutcome") -> tuple[np.ndarray, np.ndarray]:
-    """Mean and covariance of the corrected output over every round's
-    samples, pooled as ``RoundsSummary`` pools each final class."""
-    sums = _group_sums(np.zeros(len(rounds.final_codes), np.intp), 1, rounds.corrected_mean,
-                       rounds.corrected_var, rounds.corrected_cov_xp)
-    mean, cov = _pool(sums, rounds.window)
-    return mean[0], cov[0]
+    chunked runs merge losslessly.  One weighted ``np.bincount`` sums each
+    pooling term over the selected rounds in round order; the terms are laid
+    out one row each, as contiguous rows keep numpy off its slow loops over
+    length-2 axes."""
+    select = slice(None) if code is None else rounds.final_codes == code
+    means = rounds.corrected_mean[select]
+    k = len(means)
+    if not k:
+        return None
+    terms = np.empty((_N_TERMS, k))
+    terms[0:2], terms[2:4] = means.T, rounds.corrected_var[select].T
+    terms[4] = rounds.corrected_cov_xp[select]
+    terms[5:7] = terms[0:2] * terms[0]
+    terms[7] = terms[1] * terms[1]
+    sums = np.bincount(np.repeat(np.arange(_N_TERMS), k), weights=terms.ravel())
+    w = rounds.window
+    n = w * k
+    mean = sums[0:2] / k
+    second = (w - 1) * sums[_VAR_TERMS] + w * sums[_PRODUCT_TERMS]
+    return mean, (second - n * mean[:, None] * mean[None, :]) / (n - 1)
 
 
 def summarize_reports(rounds: "RoundsOutcome") -> "RoundsSummary":
     """Aggregates a batch of rounds from its columns: the counts per final
     class, in order of first appearance, from one ``np.bincount``, and the
-    three rates.  The summary keeps the columns that its pooled moments are
-    computed from on first read, not the outcome, which caches the summary."""
+    three rates."""
     codes = rounds.final_codes
     n = len(codes)
     counts = np.bincount(codes, minlength=len(CODE_NAMES))
@@ -668,18 +661,13 @@ def summarize_reports(rounds: "RoundsOutcome") -> "RoundsSummary":
         counts={CODE_NAMES[c]: int(counts[c]) for c in order},
         occurrence_fraction=int(np.count_nonzero(rounds.channels)) / n,
         accuracy=int(np.count_nonzero(rounds.matched)) / n,
-        fourier_rate=int(np.count_nonzero(rounds.fourier_used)) / n,
-        cfg=rounds.cfg, codes=order, final_codes=codes,
-        corrected_mean=rounds.corrected_mean, corrected_var=rounds.corrected_var,
-        corrected_cov_xp=rounds.corrected_cov_xp)
+        fourier_rate=int(np.count_nonzero(rounds.fourier_used)) / n)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RoundsSummary:
-    """Aggregate results of a batch of rounds.  ``pooled_moments`` and
-    ``pooled_fidelity`` give each final class's corrected output, keyed as
-    ``counts``; they are computed on first read, from one grouped reduction
-    of the rounds' corrected moments."""
+    """Counts per final class and rates of a batch of rounds.
+    ``pooled_moments`` pools the rounds' corrected output."""
 
     n_rounds: int
     window: int
@@ -687,28 +675,6 @@ class RoundsSummary:
     occurrence_fraction: float
     accuracy: float
     fourier_rate: float
-    cfg: CodeConfig = field(repr=False)
-    codes: np.ndarray = field(repr=False)     # the final codes of ``counts``' keys
-    final_codes: np.ndarray = field(repr=False)
-    corrected_mean: np.ndarray = field(repr=False)
-    corrected_var: np.ndarray = field(repr=False)
-    corrected_cov_xp: np.ndarray = field(repr=False)
-
-    @cached_property
-    def _pooled(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked means and covariances of the classes of ``counts``."""
-        sums = _group_sums(self.final_codes, len(CODE_NAMES), self.corrected_mean,
-                           self.corrected_var, self.corrected_cov_xp)
-        return _pool(sums[self.codes], self.window)
-
-    @cached_property
-    def pooled_moments(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        return dict(zip(self.counts, zip(*self._pooled)))
-
-    @cached_property
-    def pooled_fidelity(self) -> dict[str, float]:
-        fids = fidelity_from_moments(*self.cfg.input_state(), *self._pooled)
-        return dict(zip(self.counts, fids.tolist()))
 
 
 @dataclass(frozen=True, eq=False)

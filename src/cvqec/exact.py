@@ -220,9 +220,6 @@ ONE = ExactScalar(1)
 SQRT2 = ExactScalar(0, 1)
 SQRT3 = ExactScalar(0, 0, 1)
 SQRT6 = ExactScalar(0, 0, 0, 1)
-INV_SQRT2 = ExactScalar(0, Fraction(1, 2))      # 1/sqrt2 = sqrt2/2
-INV_SQRT3 = ExactScalar(0, 0, Fraction(1, 3))   # 1/sqrt3 = sqrt3/3
-INV_SQRT6 = ExactScalar(0, 0, 0, Fraction(1, 6))
 
 
 def sqrt_of(v: RationalLike) -> ExactScalar:
@@ -336,9 +333,6 @@ class LinearForm:
     def terms(self) -> Mapping[QuadSymbol, ExactScalar]:
         return dict(self._terms)
 
-    def symbols(self):
-        return self._terms.keys()
-
     def coefficient(self, sym: QuadSymbol) -> ExactScalar:
         return self._terms.get(sym, ZERO)
 
@@ -373,11 +367,6 @@ class LinearForm:
         if factor.is_zero():
             return LinearForm()
         return LinearForm({sym: c * factor for sym, c in self._terms.items()})
-
-    def __mul__(self, factor) -> "LinearForm":
-        return self.scaled(factor)
-
-    __rmul__ = __mul__
 
     def drop_errors(self) -> "LinearForm":
         return LinearForm({s: c for s, c in self._terms.items() if s.role != ROLE_ERROR})
@@ -444,12 +433,6 @@ class ModeForm:
 
     def __add__(self, other: "ModeForm") -> "ModeForm":
         return ModeForm(self.x + other.x, self.p + other.p)
-
-    def __sub__(self, other: "ModeForm") -> "ModeForm":
-        return ModeForm(self.x - other.x, self.p - other.p)
-
-    def scaled(self, factor) -> "ModeForm":
-        return ModeForm(self.x.scaled(factor), self.p.scaled(factor))
 
     def __str__(self) -> str:
         return f"x: {self.x}\np: {self.p}"

@@ -15,6 +15,8 @@ import numpy as np
 
 from .exact import ExactScalar, ONE, ZERO, sqrt_of
 
+N_MODES = 5
+
 
 class ModeMatrix:
     """A real mode-mixing matrix with exact entries and a float view."""
@@ -141,13 +143,12 @@ class NetworkSpec:
     """An ordered beam-splitter circuit; elements are listed first-applied first."""
 
     elements: tuple[BeamSplitterElement, ...] = ()
-    n_modes: int = 5
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
         for el in self.elements:
-            if not 1 <= el.k <= self.n_modes or not 1 <= el.l <= self.n_modes:
-                raise ValueError("mode labels must lie in 1..n_modes")
+            if not 1 <= el.k <= N_MODES or not 1 <= el.l <= N_MODES:
+                raise ValueError(f"mode labels must lie in 1..{N_MODES}")
 
 
 def element_matrix(el: BeamSplitterElement, n: int) -> ModeMatrix:
@@ -162,9 +163,9 @@ def element_matrix(el: BeamSplitterElement, n: int) -> ModeMatrix:
 
 def compose(spec: NetworkSpec) -> ModeMatrix:
     """Ordered product of the network's elements (first element acts first)."""
-    out = ModeMatrix.identity(spec.n_modes)
+    out = ModeMatrix.identity(N_MODES)
     for el in spec.elements:
-        out = element_matrix(el, spec.n_modes) @ out
+        out = element_matrix(el, N_MODES) @ out
     return out
 
 

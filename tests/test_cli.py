@@ -176,23 +176,31 @@ def test_spectra_artifact(tmp_path):
             assert float(row["after_db_theory"]) < float(row["before_db_theory"])
 
 
-@pytest.mark.parametrize("doc", [
-    {"trials": 8, "window": 64, "code": {"channel_loss": 0.0}},
-    {"trials": 20, "window": 64, "error": {"law": {"magnitude": 0.05}}},
-], ids=["total-loss", "weak-error"])
-def test_spectra_without_rounds_of_the_hit_channel(tmp_path, capsys, doc):
+_TOTAL_LOSS = {"trials": 8, "window": 64, "code": {"channel_loss": 0.0}}
+_WEAK_ERROR = {"trials": 20, "window": 64, "error": {"law": {"magnitude": 0.05}}}
+# The Monte-Carlo and theory columns of each experiment's rows.
+_MC_COLUMNS = {"spectra": ("after_db_mc", "after_db_theory"),
+               "table2": ("fidelity_mc", "fidelity_theory")}
+
+
+@pytest.mark.parametrize("experiment,doc", [
+    ("spectra", _TOTAL_LOSS), ("spectra", _WEAK_ERROR),
+    ("table2", _TOTAL_LOSS), ("table2", _WEAK_ERROR),
+], ids=["total-loss", "weak-error", "table2-total-loss", "table2-weak-error"])
+def test_spectra_without_rounds_of_the_hit_channel(tmp_path, capsys, experiment, doc):
     """Total loss and a weak error leave channels with no round classified
-    as the hit channel: ``cvqec run spectra`` exits 0 and writes their
-    Monte-Carlo column as nan, as table2 does."""
+    as the hit channel: ``cvqec run spectra`` and ``cvqec run table2`` exit
+    0 and write their Monte-Carlo column as nan beside a finite theory."""
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(doc))
-    assert run_cli(["run", "spectra", "--config", config, "--out", tmp_path / "out"]) == 0
+    assert run_cli(["run", experiment, "--config", config, "--out", tmp_path / "out"]) == 0
     capsys.readouterr()
-    rows = json.loads((tmp_path / "out" / "spectra.json").read_text())["rows"]
+    rows = json.loads((tmp_path / "out" / f"{experiment}.json").read_text())["rows"]
     assert len(rows) == 20
-    mc = [float(row["after_db_mc"]) for row in rows]
+    mc_column, theory_column = _MC_COLUMNS[experiment]
+    mc = [float(row[mc_column]) for row in rows]
     assert any(np.isnan(mc))
-    assert all(np.isfinite(float(row["after_db_theory"])) for row in rows)
+    assert all(np.isfinite(float(row[theory_column])) for row in rows)
 
 
 def test_mc_sweep_r_is_monotone(tmp_path):

@@ -613,8 +613,8 @@ def test_closed_form_uncorrected_branch():
     """An uncorrected channel-3 branch keeps a zero mean and adds the law's
     variance times the squared coefficient 1/3 to its quadrature."""
     cfg = CodeConfig(r=0.5)
-    plain = closed_form_output(cfg, 3, corrected=False)
-    stats = closed_form_output(cfg, 3, corrected=False, extra_error_var=(1.5, 0.0))
+    plain = closed_form_output(cfg, 3, error_var=(0.0, 0.0))
+    stats = closed_form_output(cfg, 3, error_var=(1.5, 0.0))
     assert not stats.mean.any()
     assert plain.V_x == pytest.approx(0.25, abs=1e-12)
     assert stats.V_x == pytest.approx(0.25 + 1.5 / 3, abs=1e-12)
@@ -669,9 +669,8 @@ def _round_theory(outcome, law):
         elif code == NO_ERROR:
             out.append(closed_form_output(cfg, None))
         else:
-            extra = law.quadrature_variances() if channel else (0.0, 0.0)
-            out.append(closed_form_output(cfg, channel or None, corrected=False,
-                                          extra_error_var=extra))
+            error_var = law.quadrature_variances() if channel else (0.0, 0.0)
+            out.append(closed_form_output(cfg, channel or None, error_var=error_var))
     return out
 
 
@@ -710,7 +709,7 @@ def test_run_rounds_matches_run_round_semantics():
     assert outcome.matched.all()
     assert outcome.summary.counts == {"channel-5": 40}
     th = closed_form_output(cfg, 5)
-    mean, cov = outcome.summary.pooled_moments["channel-5"]
+    mean, cov = qec.pooled_moments(outcome, 5)
     n = 40 * 256
     for k in (0, 1):
         assert abs(cov[k, k] - th.cov[k, k]) < 5 * th.cov[k, k] * math.sqrt(2 / (n - 1))
@@ -931,7 +930,7 @@ def test_pooled_moments_match_pooled_series(series_sampler):
     for code in np.unique(outcome.final_codes):
         key = CODE_NAMES[code]
         pooled = series[outcome.final_codes == code].reshape(-1, 2)
-        mean, cov = outcome.summary.pooled_moments[key]
+        mean, cov = qec.pooled_moments(outcome, code)
         np.testing.assert_allclose(mean, pooled.mean(axis=0), **tol)
         np.testing.assert_allclose(cov, np.cov(pooled.T, ddof=1), **tol)
         assert outcome.summary.counts[key] == np.count_nonzero(outcome.final_codes == code)
@@ -973,10 +972,10 @@ def _synthetic_outcome(n=400, window=64, seed=5):
 
 
 def test_summary_equals_per_class_masked_reference():
-    """Counts in order of first appearance, the three rates, and every
-    class's pooled moments and fidelity equal the per-class masked
-    reference, on a batch in which all eight round codes occur; the
-    all-round pool equals the reference over every round."""
+    """Counts in order of first appearance and the three rates of the
+    summary, and every class's pooled moments and fidelity, equal the
+    per-class masked reference, on a batch in which all eight round codes
+    occur; the all-round pool equals the reference over every round."""
     outcome = _synthetic_outcome()
     summary = outcome.summary
     codes, first = np.unique(outcome.final_codes, return_index=True)
@@ -990,14 +989,12 @@ def test_summary_equals_per_class_masked_reference():
     assert summary.fourier_rate == float(np.mean(outcome.fourier_used))
     inp = outcome.cfg.input_state()
     tol = dict(rtol=1e-12, atol=0)
-    assert list(summary.pooled_moments) == list(summary.counts)
-    assert list(summary.pooled_fidelity) == list(summary.counts)
     for c in codes:
         mean, cov = _reference_pool(outcome, outcome.final_codes == c)
-        got_mean, got_cov = summary.pooled_moments[CODE_NAMES[c]]
+        got_mean, got_cov = qec.pooled_moments(outcome, c)
         np.testing.assert_allclose(got_mean, mean, **tol)
         np.testing.assert_allclose(got_cov, cov, **tol)
-        np.testing.assert_allclose(summary.pooled_fidelity[CODE_NAMES[c]],
+        np.testing.assert_allclose(fidelity_from_moments(*inp, got_mean, got_cov),
                                    fidelity_from_moments(*inp, mean, cov), **tol)
     mean, cov = _reference_pool(outcome, slice(None))
     got_mean, got_cov = qec.pooled_moments(outcome)
@@ -1007,21 +1004,40 @@ def test_summary_equals_per_class_masked_reference():
 
 def test_summary_keeps_no_reference_to_its_outcome():
     """With the garbage collector off, an outcome whose summary and pooled
-    moments were read is freed by ``del``: the summary holds the columns it
-    needs, not the outcome that caches it, so there is no cycle."""
+    moments were read is freed by ``del``: neither the summary, which the
+    outcome caches, nor pooling refers back to the outcome, so there is no
+    cycle."""
     gc.disable()
     try:
         outcome = run_rounds(CodeConfig(r=R35), ErrorConfig(1.0, "uniform", ErrorLaw("general", 2.0)),
                              np.random.default_rng(3), 40, window=64)
         summary = outcome.summary
-        fidelity = dict(summary.pooled_fidelity)
-        assert summary.pooled_moments.keys() == fidelity.keys()
+        counts = dict(summary.counts)
+        pooled = {key: qec.pooled_moments(outcome, CODE_NAMES.index(key)) for key in counts}
+        assert None not in pooled.values()
         ref = weakref.ref(outcome)
         del outcome
         assert ref() is None
-        assert summary.pooled_fidelity == fidelity
+        assert summary.counts == counts
     finally:
         gc.enable()
+
+
+def test_pooled_moments_of_an_absent_code_is_none():
+    """Pooling a final class with no round gives None, and no numpy warning
+    from an empty reduction; the present class still pools."""
+    outcome = run_rounds(CodeConfig(r=R35), ErrorConfig(1.0, 5, ErrorLaw("general", STRONG)),
+                         np.random.default_rng(24), 40, window=64)
+    assert outcome.summary.counts == {"channel-5": 40}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        absent = [qec.pooled_moments(outcome, code) for code in range(len(CODE_NAMES))
+                  if code != 5]
+        mean, cov = qec.pooled_moments(outcome, 5)
+    assert absent == [None] * 7
+    all_mean, all_cov = qec.pooled_moments(outcome)
+    np.testing.assert_array_equal(mean, all_mean)
+    np.testing.assert_array_equal(cov, all_cov)
 
 
 def test_run_rounds_rejects_empty_batch():
