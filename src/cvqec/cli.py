@@ -345,8 +345,8 @@ def run_syndrome_demo(cfg: ExperimentConfig, out_dir: Path) -> dict:
         traces, code = qec.syndrome_trace(cfg.code, channel, cfg.window, rng,
                                           cfg.error.law.magnitude)
         name = f"syndrome_demo_ch{channel}.csv"
-        rows = [[t] + [repr(float(traces[det][t])) for det in qec.DETECTORS]
-                for t in range(cfg.window)]
+        series = np.column_stack([traces[det] for det in qec.DETECTORS]).tolist()
+        rows = [[t, *vals] for t, vals in enumerate(series)]
         _write_csv(out_dir / name, ["sample"] + labels, rows)
         files.append(name)
         summary[f"channel-{channel}"] = {

@@ -62,18 +62,26 @@ def _weights(quad: str, parts) -> np.ndarray:
     return v
 
 
-def combination_value(idx: int, gains, cfg: CodeConfig) -> float:
-    """Left-hand side of one witness inequality (separable bound is 1)."""
+def combination_value(idx: int, gains, cfg: CodeConfig):
+    """Left-hand side of one witness inequality (separable bound is 1).
+
+    ``gains`` is one vector g1..g6, giving a float, or a batch of shape
+    (..., 6), giving an array of shape (...).  Each term's variance is
+    |w F|^2 for its (..., 10) weight vectors w.
+    """
     if idx not in _TERMS:
         raise ValueError("combination index must be 1..4")
+    gains = np.asarray(gains, dtype=float)
+    if gains.ndim == 0 or gains.shape[-1] != 6:
+        raise ValueError("gains must have shape (6,) or (..., 6)")
     factor = _encoded_factor(cfg)
     total = 0.0
     for quad, fixed, slot, gained in _TERMS[idx]:
-        parts = list(fixed)
+        weights = np.broadcast_to(_weights(quad, fixed), gains.shape[:-1] + (10,)).copy()
         if slot is not None:
-            parts.append((gained[0] * float(gains[slot]), gained[1]))
-        total += float(np.sum((_weights(quad, parts) @ factor) ** 2))
-    return total
+            weights[..., _index(gained[1], quad)] += gained[0] * gains[..., slot]
+        total = total + np.sum((weights @ factor) ** 2, axis=-1)
+    return float(total) if gains.ndim == 1 else total
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cvqec import acceptance, cli
 from cvqec.acceptance import CRITERIA
 
 
@@ -15,3 +16,34 @@ def test_criterion(name, criterion, capsys):
         raise
     with capsys.disabled():
         print(f"PASS  {name}: {detail}")
+
+
+@pytest.mark.parametrize("slot", range(6))
+def test_witness_grid_scan_catches_a_shifted_gain(slot, monkeypatch):
+    """Criterion 10's batched scan fails when one closed-form gain is off by 0.1."""
+    optimize = acceptance.optimize_gains
+
+    def shifted(cfg):
+        gains, degenerate = optimize(cfg)
+        gains = list(gains)
+        gains[slot] += 0.1
+        return tuple(gains), degenerate
+
+    monkeypatch.setattr(acceptance, "optimize_gains", shifted)
+    with pytest.raises(AssertionError,
+                       match=f"grid scan beat the closed-form gain g{slot + 1}"):
+        acceptance.criterion_10_witness()
+
+
+def test_verify_reports_a_criterion_that_raises_and_runs_the_rest(monkeypatch, capsys):
+    def broken():
+        raise ValueError("broken criterion")
+
+    criteria = list(CRITERIA)
+    criteria[0] = (criteria[0][0], broken)
+    monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+    assert cli.main(["verify"]) == 1
+    out = capsys.readouterr().out
+    assert f"FAIL  {CRITERIA[0][0]}: ValueError: broken criterion" in out
+    for name, _ in CRITERIA[1:]:
+        assert f"PASS  {name}: " in out

@@ -111,6 +111,32 @@ def test_combination_index_validation():
         combination_value(5, [0] * 6, CodeConfig())
 
 
+@pytest.mark.parametrize("r", [0.0, 0.2, R35, 1.6])
+def test_batched_combination_value_equals_scalar_calls(r):
+    """A (..., 6) batch of gains gives the per-row scalar values, and a single
+    gain vector gives a float."""
+    cfg = CodeConfig(r=r)
+    gains, _ = optimize_gains(cfg)
+    rng = np.random.default_rng(15)
+    flat = np.asarray(gains) + rng.uniform(-1.0, 1.0, size=(401, 6))
+    cube = rng.normal(scale=2.0, size=(3, 7, 6))
+    for idx in _TERMS:
+        for batch in (flat, cube):
+            got = combination_value(idx, batch, cfg)
+            assert got.shape == batch.shape[:-1]
+            want = [combination_value(idx, row, cfg) for row in batch.reshape(-1, 6)]
+            np.testing.assert_allclose(got, np.reshape(want, batch.shape[:-1]),
+                                       rtol=1e-14, atol=0.0)
+        assert type(combination_value(idx, flat[0], cfg)) is float
+    with pytest.raises(ValueError):
+        combination_value(5, flat, cfg)
+    with pytest.raises(ValueError):
+        combination_value(1, flat, CodeConfig(r=r, input_kind="squeezed"))
+    for bad in (flat[:, :5], 0.5):
+        with pytest.raises(ValueError):
+            combination_value(1, bad, cfg)
+
+
 def _exact_term(forms, cfg, term):
     """Var(base), Cov(base, part) and Var(part) of one witness term on the
     exact encoded forms; part is the gained channel's quadrature."""
