@@ -23,7 +23,7 @@ from .code import (AMBIGUOUS_P, CODE_NAMES, CodeConfig, DecodedState,
                    RoundsSummary, UNCLASSIFIABLE, classify_codes,
                    closed_form_output, decode, encode, inject_error,
                    output_mixture, run_rounds, summarize_reports,
-                   syndrome_closed_form, syndrome_trace)
+                   syndrome_trace)
 from .witness import (WitnessResult, combination_value, evaluate_witness,
                       optimize_gains)
 

@@ -246,6 +246,18 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
+def _write_trace_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Writes a header of plain names and rows of ints and floats as
+    ``csv.writer`` does, with one ``repr`` of the row list: the reprs of ints
+    and floats need no quoting, and the list's ", " and "], [" separators
+    become "," and "\r\n"."""
+    lines = [",".join(header)]
+    if rows:
+        lines.append(repr(rows)[2:-2].replace("], [", "\r\n").replace(", ", ","))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
+
+
 def _write_json(path: Path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
@@ -347,7 +359,7 @@ def run_syndrome_demo(cfg: ExperimentConfig, out_dir: Path) -> dict:
         name = f"syndrome_demo_ch{channel}.csv"
         series = np.column_stack([traces[det] for det in qec.DETECTORS]).tolist()
         rows = [[t, *vals] for t, vals in enumerate(series)]
-        _write_csv(out_dir / name, ["sample"] + labels, rows)
+        _write_trace_csv(out_dir / name, ["sample"] + labels, rows)
         files.append(name)
         summary[f"channel-{channel}"] = {
             "classification": qec.CODE_NAMES[code],

@@ -8,7 +8,7 @@ feedforward.  The exact quadrature forms (``encode``/``inject_error``/
 ``PipelineMaps``, the linear maps of one encode/loss/decode pass onto the
 readouts, is the only numeric model and also models channel loss.  Through
 ``PLAN_TABLE``, built from ``PLANS``, it drives the Monte-Carlo rounds and
-gives the closed-form output moments.  Both routes classify with
+gives the closed-form output moments.  Rounds are classified with
 ``classify_codes`` into the round codes that ``CODE_NAMES`` names.
 
 Detector/mode layout after decoding (positions 0..4): D1, D2, D3, output, D4.
@@ -31,7 +31,7 @@ from .exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol, SQRT2,
                     TAG_ANTISQUEEZED, TAG_SQUEEZED, mode_forms_apply_matrix,
                     sqrt_of)
 from .gaussian import VACUUM_VAR, fidelity_from_moments, variance_to_db
-from .network import encoder_matrix, inverse, lift_to_symplectic
+from .network import ModeMatrix, encoder_matrix, inverse, lift_to_symplectic
 
 INPUT_POS = 3
 ANCILLA_ORIENTATIONS = ("amplitude", "phase", "amplitude", "amplitude")
@@ -42,6 +42,16 @@ _STANDARD_BASIS = {"D1": "x", "D2": "p", "D3": "x", "D4": "x"}
 
 MIN_SYNDROME_WINDOW = 30
 FLUCTUATION_FACTOR = 3.0   # flag when excess variance exceeds 3x the baseline
+
+# The largest ancilla squeezing parameter r.  Without loss the decoder undoes
+# the encoder exactly, but in floats ``s_dec @ s_enc`` misses its signed
+# permutation by up to 2.2e-16, and that residue carries the anti-squeezed
+# noise, of order e^r, into the output and the detectors.  The closed-form
+# output variances of channels 1-5, for both inputs, deviate from acceptance
+# criterion 4's formula (V_in plus {2/3, 2, 8} e^{-2r} / 4 on channels 3-5,
+# V_in alone on 1-2) by at most 2.5e-11 relative at r = 25, 1.9e-10 at 26,
+# 1.0e-8 at 28 and 5.6e-7 at 30; from r = 36 the theory is plainly wrong.
+MAX_R = 25.0
 
 
 def measured_quad(detector: str, fourier: bool) -> str:
@@ -77,8 +87,9 @@ class CodeConfig:
         for name in ("r", "channel_loss"):       # lists would make the config unhashable
             if isinstance(getattr(self, name), list):
                 object.__setattr__(self, name, tuple(getattr(self, name)))
-        if not all(math.isfinite(v) and v >= 0 for v in self.r_values):
-            raise ValueError("squeezing parameter must be finite and non-negative")
+        if not all(0.0 <= v <= MAX_R for v in self.r_values):
+            raise ValueError(f"squeezing parameter must be finite and within [0, {MAX_R:g}], "
+                             f"not {self.r!r}")
         if not (math.isfinite(self.input_squeeze_db)
                 and math.isfinite(self.input_antisqueeze_db)):
             raise ValueError("input squeezing in dB must be finite")
@@ -199,10 +210,11 @@ class DecodedState:
     def out_form(self) -> ModeForm:
         return self.forms[OUT_POS]
 
-    def readout_form(self, detector: str) -> LinearForm:
-        """The quadrature form actually measured by one detector."""
-        form = self.forms[DETECTOR_POS[detector]]
-        return form.x if measured_quad(detector, self.cfg.fourier_mode) == "x" else form.p
+
+@cache
+def _decoder() -> ModeMatrix:
+    """The exact inverse network, proved orthogonal once."""
+    return inverse(encoder_matrix())
 
 
 def decode(state: EncodedState) -> DecodedState:
@@ -211,7 +223,7 @@ def decode(state: EncodedState) -> DecodedState:
     The forms describe the lossless algebra; channel loss is modelled by
     ``PipelineMaps`` only.
     """
-    forms = mode_forms_apply_matrix(state.forms, inverse(encoder_matrix()).rows)
+    forms = mode_forms_apply_matrix(state.forms, _decoder().rows)
     return DecodedState(tuple(forms), state.cfg, state.events)
 
 
@@ -223,33 +235,6 @@ NO_ERROR = 0
 AMBIGUOUS_P = 6
 UNCLASSIFIABLE = 7
 CODE_NAMES = ("no-error", *(f"channel-{k}" for k in range(1, 6)), "ambiguous-p", "unclassifiable")
-
-
-def syndrome_closed_form(decoded: DecodedState) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-coefficient syndrome (no sampling, lossless algebra) in the
-    encoding of ``RoundsOutcome``: (4,) fluctuation flags of D1..D4 and (2,)
-    D1-D3 / D3-D4 relations, +1 in phase, -1 out of phase, 0 n/a.
-
-    A detector is flagged iff its measured quadrature carries a non-zero exact
-    coefficient on an error quadrature that its law fluctuates; phase
-    relations come from the signs of the exact coefficients.  An event
-    without a law is a constant displacement: it shifts readout means, adds
-    no variance and raises no flag.
-    """
-    fourier = decoded.cfg.fourier_mode
-    coeffs, flags = np.zeros(4), np.zeros(4, dtype=bool)
-    for i, det in enumerate(DETECTORS):
-        form = decoded.readout_form(det)
-        quad = measured_quad(det, fourier)
-        for event in decoded.events:
-            if not (event.occurred and event.law is not None
-                    and quad in event.law.active_quadratures()):
-                continue
-            coeff = form.coefficient(QuadSymbol.error(event.channel, quad))
-            if not coeff.is_zero():
-                coeffs[i] = float(coeff)
-                flags[i] |= event.law.quadrature_variances()[quad == "p"] > 0.0
-    return flags, _RELATION_TABLE[_syndrome_index(flags, coeffs[[0, 2]] * coeffs[[2, 3]])]
 
 
 def _syndrome_rule(f1, f2, f3, f4, in13, in34, out13, out34) -> int:
@@ -345,9 +330,8 @@ def _network_symplectics(fourier: bool) -> tuple[np.ndarray, np.ndarray]:
     """Encoder (with the ancillas' Fourier rotation when ``fourier``) and
     decoder as 10x10 symplectic matrices, lifted from the exact network once
     per flag and read-only."""
-    u = encoder_matrix()
     flags = [pos != INPUT_POS for pos in range(5)] if fourier else None
-    pair = (lift_to_symplectic(u, flags), lift_to_symplectic(inverse(u)))
+    pair = (lift_to_symplectic(encoder_matrix(), flags), lift_to_symplectic(_decoder()))
     for s in pair:
         s.setflags(write=False)
     return pair
@@ -383,7 +367,8 @@ class PipelineMaps:
     k, ``err_columns[k - 1]`` (6x2) times its displacement (dx, dp).
     ``noise`` is ``mix``, the ten independent source quadratures through the
     network, joined by ``vac``, the loss vacua, when a channel is lossy.
-    ``baselines`` is the diagonal of the 6x6 readout covariance, and
+    ``baselines`` is the diagonal of the 6x6 readout covariance,
+    ``thresholds`` the variances above which D1..D4 are flagged, and
     ``readout_factor`` F, made on first use, gives the covariance as F F^T.
     """
 
@@ -398,7 +383,9 @@ class PipelineMaps:
             self.vac = s_dec[rows] * np.sqrt(1.0 - eta ** 2) * math.sqrt(VACUUM_VAR)
             self.noise = np.hstack([self.mix, self.vac])
         self.baselines = np.einsum("ij,ij->i", self.noise, self.noise)
-        for arr in (self.err_columns, self.mix, self.vac, self.noise, self.baselines):
+        self.thresholds = (1.0 + FLUCTUATION_FACTOR) * self.baselines[:4]
+        for arr in (self.err_columns, self.mix, self.vac, self.noise, self.baselines,
+                    self.thresholds):
             if arr is not None:         # read-only: ``_maps`` shares one instance
                 arr.setflags(write=False)
 
@@ -489,6 +476,9 @@ def output_mixture(cfg: CodeConfig, error_cfg: ErrorConfig) -> tuple[np.ndarray,
 # --------------------------------------------------------------------------
 # full correction rounds
 
+# Scatter entries (row, column) of the D1-D3 and D3-D4 cross terms.
+_CC_ROWS, _CC_COLS = np.array([0, 2]), np.array([2, 3])
+
 
 class _PassData:
     """The syndrome of one batched pass, reduced from every round's readout
@@ -500,12 +490,11 @@ class _PassData:
     __slots__ = ("mean", "scatter", "flags", "cc", "index")
 
     def __init__(self, mean: np.ndarray, scatter: np.ndarray, window: int,
-                 baselines: np.ndarray):
+                 thresholds: np.ndarray):
         self.mean = mean
         self.scatter = scatter
-        variances = np.diagonal(scatter, axis1=1, axis2=2)[:, :4] / (window - 1)
-        self.flags = variances > (1.0 + FLUCTUATION_FACTOR) * baselines[:4]
-        self.cc = scatter[:, [0, 2], [2, 3]] / window     # D1-D3, D3-D4
+        self.flags = scatter.diagonal(0, 1, 2)[:, :4] / (window - 1) > thresholds
+        self.cc = scatter[:, _CC_ROWS, _CC_COLS] / window
         self.index = _syndrome_index(self.flags, self.cc)
 
 
@@ -532,25 +521,15 @@ def _reduce_series(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, centred.transpose(0, 2, 1) @ centred
 
 
-def _sample_series(maps: PipelineMaps, channels: np.ndarray, occurred: np.ndarray,
-                   law: ErrorLaw, window: int, rng: np.random.Generator) -> np.ndarray:
-    """(n, window, 6) readout series: the noise plus each hit round's error
-    series drawn from the law.  Reduced by ``_reduce_series``, it is the
-    reference that ``_sample_statistics`` equals in law."""
-    series = _readout_noise(maps, len(channels), window, rng)
-    idx = np.flatnonzero(occurred)
-    if len(idx):
-        draws = law.draw(rng, len(idx) * window).reshape(len(idx), window, 2)
-        series[idx] += _error_series(maps, channels[idx], draws)
-    return series
-
-
 # Flat positions in a round's (6, 8) factor block [A | Z^T] of the Bartlett
 # factor's 15 below-diagonal entries, its 6 diagonal ones and the 12 entries
 # of the (2, 6) along-normals Z, each in the order they are drawn.
 _BELOW = np.ravel_multi_index(np.tril_indices(6, -1), (6, 8))
 _DIAGONAL = np.ravel_multi_index((range(6), range(6)), (6, 8))
 _ALONG = (np.arange(2)[:, None] + np.arange(6, 48, 8)).ravel()
+# The Bartlett factor's diagonal degrees of freedom are window - 3 - i.
+_DOF_DROP = 3 + np.arange(6)
+_EYE2 = np.eye(2)
 
 
 def _gram_root(gram: np.ndarray) -> np.ndarray:
@@ -558,9 +537,10 @@ def _gram_root(gram: np.ndarray) -> np.ndarray:
     Grams K in closed form (Levinger, Math. Mag. 53 (1980) 222): (K + s I) / t
     with s = sqrt(det K) and t = sqrt(tr K + 2 s), 0 where K = 0; a rounding
     negative det K or tr K + 2 s counts as 0."""
-    s = np.sqrt(np.maximum(gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0], 0.0))
-    t = np.sqrt(np.maximum(np.trace(gram, axis1=1, axis2=2) + 2.0 * s, 0.0))[:, None, None]
-    root = gram + s[:, None, None] * np.eye(2)
+    k00, k11 = gram[:, 0, 0], gram[:, 1, 1]
+    s = np.sqrt(np.maximum(k00 * k11 - gram[:, 0, 1] * gram[:, 1, 0], 0.0))
+    t = np.sqrt(np.maximum(k00 + k11 + 2.0 * s, 0.0))[:, None, None]
+    root = gram + s[:, None, None] * _EYE2
     return np.divide(root, t, out=np.zeros_like(root), where=t > 0.0)
 
 
@@ -584,19 +564,22 @@ def _sample_statistics(maps: PipelineMaps, channels: np.ndarray, occurred: np.nd
     that depends on K alone, which leaves the iid rows of Z F^T in law as
     they are.  Without error R = 0, which gives Wishart(S, window - 1)."""
     n = len(channels)
-    idx = np.flatnonzero(occurred)
-    err_mean, err_gram = law.window_statistics(rng, len(idx), window)
+    hit = occurred.nonzero()[0]
+    n_hit = len(hit)
+    err_mean, err_gram = law.window_statistics(rng, n_hit, window)
     factor = maps.readout_factor
     mean = rng.standard_normal((n, 6)) @ factor.T / math.sqrt(window)
     block = np.zeros((n, 48))
     block[:, _BELOW] = rng.standard_normal((n, 15))
-    block[:, _DIAGONAL] = np.sqrt(rng.chisquare(window - 3 - np.arange(6), (n, 6)))
+    block[:, _DIAGONAL] = np.sqrt(rng.chisquare(window - _DOF_DROP, (n, 6)))
     block[:, _ALONG] = rng.standard_normal((n, 12))
     x = factor @ block.reshape(n, 6, 8)
-    if len(idx):
-        coeff = maps.err_columns[channels[idx] - 1]
-        mean[idx] += (coeff @ err_mean[:, :, None])[:, :, 0]
-        x[idx, :, 6:] += coeff @ _gram_root(err_gram)
+    if n_hit:
+        if n_hit == n:              # every round hit: views, not gathered copies
+            hit = slice(None)
+        coeff = maps.err_columns[channels[hit] - 1]
+        mean[hit] += (coeff @ err_mean[:, :, None])[:, :, 0]
+        x[hit, :, 6:] += coeff @ _gram_root(err_gram)
     # A contiguous transpose keeps the stacked product on numpy's BLAS path;
     # a strided one takes a loop about three times slower.
     return mean, x @ x.transpose(0, 2, 1).copy()
@@ -607,7 +590,7 @@ def _simulate_pass(maps: PipelineMaps, channels: np.ndarray, occurred: np.ndarra
     """The syndrome of one pass over a batch of rounds, from directly drawn
     round statistics."""
     mean, scatter = _sample_statistics(maps, channels, occurred, law, window, rng)
-    return _PassData(mean, scatter, window, maps.baselines)
+    return _PassData(mean, scatter, window, maps.thresholds)
 
 
 # The rows of a round's pooling terms: its corrected mean (x, p), variances
@@ -654,7 +637,7 @@ def summarize_reports(rounds: "RoundsOutcome") -> "RoundsSummary":
     codes = rounds.final_codes
     n = len(codes)
     counts = np.bincount(codes, minlength=len(CODE_NAMES))
-    present = np.flatnonzero(counts)
+    present = counts.nonzero()[0]
     order = present[np.argsort((codes == present[:, None]).argmax(axis=1))]
     return RoundsSummary(
         n_rounds=n, window=rounds.window,
@@ -709,7 +692,10 @@ class RoundsOutcome:
 
     @classmethod
     def concatenate(cls, parts: list["RoundsOutcome"]) -> "RoundsOutcome":
-        """One outcome holding the rounds of ``parts`` in order."""
+        """One outcome holding the rounds of ``parts`` in order; a single
+        part is returned as it is."""
+        if len(parts) == 1:
+            return parts[0]
         columns = {f.name: np.concatenate([getattr(p, f.name) for p in parts])
                    for f in fields(cls) if f.name not in ("cfg", "window")}
         return cls(parts[0].cfg, parts[0].window, **columns)
@@ -726,8 +712,8 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
     those statistics.  The statistics are drawn directly from their joint
     law (a Wishart scatter; see ``_sample_statistics``), at a cost that does
     not grow with the window beyond the error law's own draws; no sample
-    series is formed.  ``_sample_series`` is the series route they equal in
-    law.  The feedforward is ``PLAN_TABLE``; rounds carry no closed-form theory.
+    series is formed (the tests hold the series route they equal in law).
+    The feedforward is ``PLAN_TABLE``; rounds carry no closed-form theory.
     Ambiguous rounds are rerun with rotated ancillas; a resolved rerun reports
     the second pass, an unresolved one the first.  All rounds draw from one
     generator in a fixed order, so a fixed seed gives identical results.
@@ -748,9 +734,10 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
                            law, window, rng)
     first = _CODE_TABLE[pass1.index]
     final = first.copy()
-    fourier = np.full(n_rounds, cfg.fourier_mode)
+    ambiguous = first == AMBIGUOUS_P
+    # pass 1's statistics are this call's own, so a rerun overwrites them
     mean, scatter = pass1.mean, pass1.scatter
-    rerun = np.flatnonzero(first == AMBIGUOUS_P)
+    rerun = ambiguous.nonzero()[0]
     if len(rerun):
         pass2 = _simulate_pass(_maps(cfg, not cfg.fourier_mode),
                                channels[rerun], occurred[rerun], law, window, rng)
@@ -759,19 +746,23 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
         final[rerun] = second
         resolved = second != UNCLASSIFIABLE
         used = rerun[resolved]
-        fourier[used] = not cfg.fourier_mode
-        mean, scatter = mean.copy(), scatter.copy()
-        mean[used], scatter[used] = pass2.mean[resolved], pass2.scatter[resolved]
+        if len(used) == n_rounds:
+            mean, scatter = pass2.mean, pass2.scatter
+        else:
+            mean[used], scatter[used] = pass2.mean[resolved], pass2.scatter[resolved]
 
-    comb = PLAN_TABLE[fourier.astype(np.intp), final]             # (n, 2, 6)
+    basis = int(cfg.fourier_mode)
+    comb = PLAN_TABLE[basis][final]                               # (n, 2, 6)
+    if len(rerun):                  # a resolved rerun is corrected in the other basis
+        comb[used] = PLAN_TABLE[1 - basis][final[used]]
     corrected_mean = (comb @ mean[:, :, None])[:, :, 0]
     # a contiguous transpose keeps the BLAS path, as in ``_sample_statistics``
     cov = comb @ scatter @ comb.transpose(0, 2, 1).copy() / (window - 1)
     return RoundsOutcome(
         cfg=cfg, window=window, channels=channels,
-        first_codes=first, final_codes=final, fourier_used=first == AMBIGUOUS_P,
+        first_codes=first, final_codes=final, fourier_used=ambiguous,
         matched=final == channels, flags=pass1.flags, relations=_RELATION_TABLE[pass1.index],
-        corrected_mean=corrected_mean, corrected_var=np.diagonal(cov, axis1=1, axis2=2).copy(),
+        corrected_mean=corrected_mean, corrected_var=cov.diagonal(0, 1, 2).copy(),
         corrected_cov_xp=cov[:, 0, 1].copy(),
         fidelity_mc=fidelity_from_moments(*cfg.input_state(), corrected_mean, cov))
 
@@ -788,7 +779,7 @@ def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,
 
     Returns the per-detector readout series (plus the uncorrected output
     quadratures) and the round code of the trace.  The series is sampled
-    with the noise of ``_sample_series``, the series route that the round
+    with ``_readout_noise``, the noise of the series route that the round
     engine's statistics equal in law, and is reduced and classified as a
     round is.
     """
@@ -801,7 +792,7 @@ def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,
                  + rng.uniform(0.0, 2.0 * math.pi))
         sweep = magnitude * np.stack([np.cos(phase), np.sin(phase)], axis=1)
         series += _error_series(maps, np.array([channel]), sweep[None])
-    syndrome = _PassData(*_reduce_series(series), window, maps.baselines)
+    syndrome = _PassData(*_reduce_series(series), window, maps.thresholds)
     code = _CODE_TABLE[syndrome.index[0]]
     traces = dict(zip(DETECTORS + ("out_x", "out_p"), series[0].T))
     return traces, int(code)

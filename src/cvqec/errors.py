@@ -102,11 +102,6 @@ class ErrorLaw:
             return a2, 0.0
         return 0.0, a2
 
-    def active_quadratures(self) -> tuple[str, ...]:
-        if self.kind == LAW_GENERAL:
-            return ("x", "p")
-        return ("x",) if self.kind == LAW_X else ("p",)
-
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Samples a (size, 2) series of displacements (dx, dp)."""
         out = np.zeros((size, 2))
@@ -185,10 +180,10 @@ class ErrorEvent:
     """One error injected into the exact forms: whether it occurred and where.
 
     ``law`` is the generating distribution, re-drawn sample by sample over a
-    syndrome window, so the error shows as excess fluctuation:
-    ``syndrome_closed_form`` flags the detectors that see the law's active
-    quadratures.  An event without a law is a constant (DC) displacement: it
-    shifts readout means and raises no flag.
+    syndrome window, so the error shows as excess fluctuation on the
+    detectors that see the quadratures it displaces.  An event without a law
+    is a constant (DC) displacement: it shifts readout means and raises no
+    flag.
     """
 
     occurred: bool

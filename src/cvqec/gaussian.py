@@ -53,12 +53,13 @@ def fidelity_from_moments(mean1, cov1, mean2, cov2):
     a1 = 4.0 * np.asarray(cov1, dtype=float)
     a2 = 4.0 * np.asarray(cov2, dtype=float)
     total = a1 + a2
-    delta = _det2(total)
+    t00, t01, t10, t11 = total[..., 0, 0], total[..., 0, 1], total[..., 1, 0], total[..., 1, 1]
+    delta = t00 * t11 - t01 * t10
     lam = np.maximum((_det2(a1) - 1.0) * (_det2(a2) - 1.0), 0.0)
     beta = 2.0 * (np.asarray(mean2, dtype=float) - np.asarray(mean1, dtype=float))
     b0, b1 = beta[..., 0], beta[..., 1]
     # b^T total^{-1} b through the 2x2 adjugate
-    quad = (total[..., 1, 1] * b0 * b0 - (total[..., 0, 1] + total[..., 1, 0]) * b0 * b1
-            + total[..., 0, 0] * b1 * b1) / delta
-    f = np.clip(2.0 / (np.sqrt(delta + lam) - np.sqrt(lam)) * np.exp(-0.5 * quad), 0.0, 1.0)
+    quad = (t11 * b0 * b0 - (t01 + t10) * b0 * b1 + t00 * b1 * b1) / delta
+    f = 2.0 / (np.sqrt(delta + lam) - np.sqrt(lam)) * np.exp(-0.5 * quad)
+    f = np.minimum(np.maximum(f, 0.0), 1.0)          # np.clip, without its wrapper
     return float(f) if f.ndim == 0 else f

@@ -123,6 +123,24 @@ def test_chunked_rounds_are_run_rounds_on_spawned_seeds():
         np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name), f.name)
 
 
+def test_trace_csv_matches_csv_writer_byte_for_byte(tmp_path):
+    """The trace writer's one-repr rows are what ``csv.writer`` writes, CRLF
+    line ends and no space after a comma included, for awkward floats too."""
+    header = ["sample", "x_D1", "p_D2", "x_D3", "x_D4"]
+    rows = [[0, -0.0, 5e-324, 1e-05, 1e16],
+            [1, -1e300, float("nan"), float("inf"), -float("inf")],
+            [2, 0.1, -2.5, 1.0, 123456789.123]]
+    cli._write_trace_csv(tmp_path / "fast.csv", header, rows)
+    cli._write_csv(tmp_path / "reference.csv", header, rows)
+    got = (tmp_path / "fast.csv").read_bytes()
+    assert got == (tmp_path / "reference.csv").read_bytes()
+    assert got.count(b"\r\n") == len(rows) + 1 and b", " not in got
+    assert b"0,-0.0,5e-324,1e-05,1e+16\r\n" in got
+    cli._write_trace_csv(tmp_path / "empty.csv", header, [])
+    cli._write_csv(tmp_path / "empty_reference.csv", header, [])
+    assert (tmp_path / "empty.csv").read_bytes() == (tmp_path / "empty_reference.csv").read_bytes()
+
+
 def test_tableC1_artifact(tmp_path):
     cfg = cli.parse_config({"seed": 0})
     cli.run_experiment("tableC1", cfg, tmp_path)
@@ -301,6 +319,9 @@ _GAMMA_SWEEP = {"parameter": "gamma", "values": [0.5, 1.0]}
     ({"error": {"law": {"magnitude": 1e160}}}, "magnitude must be finite and within [0, 10000]"),
     ({"experiment": "mc-sweep", "sweep": {"parameter": "magnitude", "values": [5.0, 1e160]}},
      "sweep magnitude = 1e+160: magnitude must be finite and within"),
+    ({"code": {"squeezing_db": 400}}, "squeezing parameter must be finite and within [0, 25]"),
+    ({"experiment": "mc-sweep", "sweep": {"parameter": "r", "values": [0.4, 10.0, 30.0]}},
+     "sweep r = 30.0: squeezing parameter must be finite and within [0, 25]"),
 ])
 def test_main_reports_bad_config_as_usage_error(tmp_path, capsys, doc, message):
     """A bad config stops ``cvqec run`` with exit 2 before the runner starts;

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from cvqec import code as qec
-from cvqec.code import (AMBIGUOUS_P, CODE_NAMES, DETECTORS, NO_ERROR, PLANS, UNCLASSIFIABLE,
-                        CodeConfig, classify_codes, closed_form_output, decode, encode,
-                        inject_error, measured_quad, run_rounds, syndrome_closed_form,
+from cvqec.code import (AMBIGUOUS_P, CODE_NAMES, DETECTOR_POS, DETECTORS, NO_ERROR, PLANS,
+                        UNCLASSIFIABLE, CodeConfig, classify_codes, closed_form_output,
+                        decode, encode, inject_error, measured_quad, run_rounds,
                         syndrome_trace)
 from cvqec.errors import ErrorConfig, ErrorEvent, ErrorLaw
 from cvqec.exact import (ExactScalar, ModeForm, QuadSymbol, SQRT2, TAG_ANTISQUEEZED,
-                         TAG_SQUEEZED, sqrt_of)
+                         TAG_SQUEEZED, mode_forms_apply_matrix, sqrt_of)
 from cvqec.gaussian import db_to_r, fidelity_from_moments
 from cvqec.network import encoder_matrix, inverse, lift_to_symplectic
 from test_exact import form_covariance, form_variance
@@ -31,10 +31,22 @@ def frac(n, d=1):
     return Fraction(n, d)
 
 
+def _sample_series(maps, channels, occurred, law, window, rng):
+    """(n, window, 6) readout series: the noise plus each hit round's error
+    series drawn from the law's ``draw``.  Reduced by ``_reduce_series``, it
+    is the reference that ``_sample_statistics`` equals in law."""
+    series = qec._readout_noise(maps, len(channels), window, rng)
+    idx = np.flatnonzero(occurred)
+    if len(idx):
+        draws = law.draw(rng, len(idx) * window).reshape(len(idx), window, 2)
+        series[idx] += qec._error_series(maps, channels[idx], draws)
+    return series
+
+
 def _series_statistics(maps, channels, occurred, law, window, rng):
     """The round statistics reduced from sampled readout series: the series
     route that ``_sample_statistics`` equals in law."""
-    return qec._reduce_series(qec._sample_series(maps, channels, occurred, law, window, rng))
+    return qec._reduce_series(_sample_series(maps, channels, occurred, law, window, rng))
 
 
 @pytest.fixture
@@ -44,7 +56,7 @@ def series_sampler(monkeypatch):
     passes = []
 
     def sample(maps, channels, occurred, law, window, rng):
-        series = qec._sample_series(maps, channels, occurred, law, window, rng)
+        series = _sample_series(maps, channels, occurred, law, window, rng)
         passes.append(series)
         return qec._reduce_series(series)
 
@@ -74,6 +86,31 @@ def test_code_config_validation():
         with pytest.raises(ValueError, match="finite"):
             CodeConfig(input_kind="squeezed", input_antisqueeze_db=bad)
     assert CodeConfig(r=(0.1, 0.2, 0.3, 0.4)).r_values == (0.1, 0.2, 0.3, 0.4)
+
+
+def test_squeezing_above_max_r_is_rejected():
+    """r is bounded by ``MAX_R``, for all ancillas or any one of them, and the
+    message names the bound."""
+    assert CodeConfig(r=qec.MAX_R).r_values == (qec.MAX_R,) * 4
+    for bad in (qec.MAX_R + 1e-4, 46.0, (0.4, 0.4, qec.MAX_R + 1e-4, 0.4)):
+        with pytest.raises(ValueError, match=r"within \[0, 25\]"):
+            CodeConfig(r=bad)
+
+
+@pytest.mark.parametrize("r", [0.0, 10.0, 20.0, qec.MAX_R])
+def test_accepted_squeezing_meets_the_noise_formula(r):
+    """Every accepted r keeps criterion 4's output variances, V_in plus
+    {0, 0, 2/3, 2/3, 2/3} e^{-2r}/4 in x and {0, 0, 2, 8, 8} e^{-2r}/4 in p
+    over channels 1-5, within 1e-10 relative for both inputs."""
+    quiet = 0.25 * math.exp(-2.0 * r)
+    units = {1: (0.0, 0.0), 2: (0.0, 0.0), 3: (2 / 3, 2.0), 4: (2 / 3, 8.0), 5: (2 / 3, 8.0)}
+    for input_kind in ("vacuum", "squeezed"):
+        cfg = CodeConfig(r=r, input_kind=input_kind)
+        v_in = cfg.input_variances()
+        for channel, (ux, up) in units.items():
+            stats = closed_form_output(cfg, channel)
+            assert stats.V_x == pytest.approx(v_in[0] + ux * quiet, rel=1e-10, abs=0)
+            assert stats.V_p == pytest.approx(v_in[1] + up * quiet, rel=1e-10, abs=0)
 
 
 def test_squeezed_input_obeys_the_uncertainty_relation():
@@ -204,6 +241,30 @@ def test_error_event_validation():
         ErrorEvent(True, 7)
 
 
+def test_decode_proves_the_inverse_orthogonal_once(monkeypatch):
+    """``decode`` applies the exact inverse network, built and proved
+    orthogonal by ``network.inverse`` once, not on every call."""
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return inverse(m)
+
+    monkeypatch.setattr(qec, "inverse", counted)
+    qec._decoder.cache_clear()
+    try:
+        states = [encode(CodeConfig(r=0.3)),
+                  inject_error(encode(CodeConfig(r=0.7, fourier_mode=True)), ErrorEvent(True, 4)),
+                  encode(CodeConfig())]
+        for state in states:
+            want = mode_forms_apply_matrix(state.forms, inverse(encoder_matrix()).rows)
+            assert decode(state).forms == tuple(want)
+            assert decode(state).forms == tuple(want)
+        assert len(calls) == 1
+    finally:
+        qec._decoder.cache_clear()
+
+
 def test_decode_error_free_recovers_input():
     dec = decode(encode(CodeConfig(r=0.9)))
     src = qec.source_mode_forms(CodeConfig(r=0.9))
@@ -282,6 +343,47 @@ def test_syndrome_window_floor(series_sampler):
         syndrome_trace(CodeConfig(), 1, 10, np.random.default_rng(0), 1.0)
 
 
+def readout_form(decoded, detector):
+    """The exact quadrature form that one detector measures."""
+    form = decoded.forms[DETECTOR_POS[detector]]
+    return form.x if measured_quad(detector, decoded.cfg.fourier_mode) == "x" else form.p
+
+
+def active_quadratures(law):
+    """The quadratures an error law displaces."""
+    if law.kind == "general":
+        return ("x", "p")
+    return ("x",) if law.kind == "x" else ("p",)
+
+
+def syndrome_closed_form(decoded):
+    """Exact-coefficient syndrome (no sampling, lossless algebra) in the
+    encoding of ``RoundsOutcome``: (4,) fluctuation flags of D1..D4 and (2,)
+    D1-D3 / D3-D4 relations, +1 in phase, -1 out of phase, 0 n/a.
+
+    A detector is flagged iff its measured quadrature carries a non-zero exact
+    coefficient on an error quadrature that its law fluctuates; phase
+    relations come from the signs of the exact coefficients.  An event
+    without a law is a constant displacement: it shifts readout means, adds
+    no variance and raises no flag.
+    """
+    fourier = decoded.cfg.fourier_mode
+    coeffs, flags = np.zeros(4), np.zeros(4, dtype=bool)
+    for i, det in enumerate(DETECTORS):
+        form = readout_form(decoded, det)
+        quad = measured_quad(det, fourier)
+        for event in decoded.events:
+            if not (event.occurred and event.law is not None
+                    and quad in active_quadratures(event.law)):
+                continue
+            coeff = form.coefficient(QuadSymbol.error(event.channel, quad))
+            if not coeff.is_zero():
+                coeffs[i] = float(coeff)
+                flags[i] |= event.law.quadrature_variances()[quad == "p"] > 0.0
+    index = qec._syndrome_index(flags, coeffs[[0, 2]] * coeffs[[2, 3]])
+    return flags, qec._RELATION_TABLE[index]
+
+
 def test_syndrome_constant_event_shifts_mean_not_variance():
     """A law-less DC displacement moves readout means but raises no flag;
     nor does a law of zero magnitude."""
@@ -291,7 +393,7 @@ def test_syndrome_constant_event_shifts_mean_not_variance():
     assert relations.tolist() == [0, 0]
     still = inject_error(encode(CodeConfig(r=R35)), ErrorEvent(True, 1, ErrorLaw("general", 0.0)))
     assert not syndrome_closed_form(decode(still))[0].any()
-    shift = 4.0 * float(dec.readout_form("D3").coefficient(QuadSymbol.error(3, "x")))
+    shift = 4.0 * float(readout_form(dec, "D3").coefficient(QuadSymbol.error(3, "x")))
     assert shift == pytest.approx(4.0 * float(qec.encoder_matrix().entry(2, 2)), rel=1e-15)
     assert shift != 0.0
 
@@ -495,7 +597,7 @@ def derive_correction_plan(channel, fourier=False):
     for quad in ("x", "p"):
         error = QuadSymbol.error(channel, quad)
         alpha = getattr(decoded.out_form, quad).coefficient(error)
-        det, beta = max(((d, decoded.readout_form(d).coefficient(error))
+        det, beta = max(((d, readout_form(decoded, d).coefficient(error))
                          for d in DETECTORS if measured_quad(d, fourier) == quad),
                         key=lambda c: abs(float(c[1])))
         plan.append((det, -(alpha / beta)))
@@ -508,7 +610,7 @@ def apply_correction(decoded, code):
     code without a plan leaves the output as it is."""
     forms = [decoded.out_form.x, decoded.out_form.p]
     for row, (det, gain) in enumerate(PLANS[decoded.cfg.fourier_mode].get(code, ())):
-        forms[row] = forms[row] + decoded.readout_form(det).scaled(gain)
+        forms[row] = forms[row] + readout_form(decoded, det).scaled(gain)
     return ModeForm(*forms)
 
 
@@ -816,7 +918,7 @@ def _pass_statistics(maps, channels, law, window, seed, sample):
     columns, flags = [], []
     for chunk in np.split(channels, len(channels) // 1000):
         data = qec._PassData(*sample(maps, chunk, chunk > 0, law, window, rng),
-                             window, maps.baselines)
+                             window, maps.thresholds)
         columns.append(np.column_stack([data.mean, data.scatter[:, upper_row, upper_col],
                                         data.cc]))
         flags.append(data.flags)
