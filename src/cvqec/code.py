@@ -418,12 +418,13 @@ class OutputStats:
         return variance_to_db(self.V_x if quad == "x" else self.V_p)
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=16)
 def _maps(cfg: CodeConfig, fourier: bool) -> PipelineMaps:
     """The maps of one configuration in one measurement basis, built once for
-    a run of calls on it: every chunk and both passes of one configuration's
+    every call on it: every chunk and both passes of one configuration's
     rounds, the branches of one output mixture, the channels of one table
-    row.  Both bases of a configuration stay cached together."""
+    row.  The bound holds the 11 (configuration, basis) keys of one
+    ``cvqec verify`` and stays bounded for sweeps of many configurations."""
     return PipelineMaps(cfg, fourier)
 
 

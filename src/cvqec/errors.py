@@ -44,28 +44,39 @@ MAX_MAGNITUDE = 1e4
 
 def _phase_sums(rng: np.random.Generator, n: int, window: int) -> np.ndarray:
     """(n, 4) sums of ``_PHASE_TRIG`` over n windows of grid phases, drawn as
-    one ``random_raw`` byte stream.  Each block of the stream (``_BLOCK_SAMPLES``
-    phases, or 128 rows when the window is shorter than the grid) counts its
-    rows' phases in one ``bincount``, so memory does not grow with the window.
-    A block's size is a multiple of 8: it ends on a whole 64-bit word, and the
-    blocks' draws concatenate to the unblocked one."""
+    one ``random_raw`` byte stream.  The stream is cut into blocks of whole
+    rows, as many as fit in ``_BLOCK_SAMPLES`` phases with a row counted as
+    at least its ``PHASE_GRID`` histogram bins, or, once the window exceeds
+    ``_BLOCK_SAMPLES``, into pieces of one row; so memory does not grow with
+    the window.  A block's uint16 labels, its row's offset plus its phase
+    byte, are written into one buffer per call and counted by one
+    ``bincount``, whose counts are cast to float64 before their product with
+    ``_PHASE_TRIG``.  A block draws whole 64-bit words, and the at most 7
+    bytes past its end open the next block, so the blocks' draws concatenate
+    to the unblocked one."""
     sums = np.zeros((n, 4))
-    size = n * window
-    block = min(_BLOCK_SAMPLES, _BLOCK_SAMPLES // PHASE_GRID * window)
-    for start in range(0, size, block):
-        stop = min(start + block, size)
-        first, last = start // window, -(-stop // window)           # rows [first, last)
-        lengths = np.full(last - first, window)
-        lengths[0] -= start - first * window
-        lengths[-1] -= last * window - stop
-        labels = np.repeat(np.arange(0, (last - first) * PHASE_GRID, PHASE_GRID), lengths)
-        raw = rng.bit_generator.random_raw(-(-(stop - start) // 8))
-        labels += raw.view(np.uint8)[:stop - start]
-        counts = np.bincount(labels, minlength=(last - first) * PHASE_GRID)
-        sums[first:last] += counts.reshape(-1, PHASE_GRID) @ _PHASE_TRIG
-        # Freed before the next block is drawn: with two blocks alive, glibc's
-        # heap trims and re-faults their pages on every call.
-        del labels, raw, counts
+    rows = min(n, max(1, _BLOCK_SAMPLES // max(window, PHASE_GRID)))   # per block
+    piece = min(window, _BLOCK_SAMPLES)                                 # of a row, per block
+    offsets = np.arange(0, rows * PHASE_GRID, PHASE_GRID, dtype=np.uint16)[:, None]
+    # One call's buffers, reused by every block: labels or float counts
+    # allocated per block let glibc's heap trim and re-fault their pages.
+    stream = np.empty(rows * piece + 8, np.uint8)                       # carried bytes first
+    labels = np.empty((rows, piece), np.uint16)
+    hist = np.empty((rows, PHASE_GRID))
+    carried = 0
+    for first in range(0, n, rows):
+        k = min(rows, n - first)
+        for start in range(0, window, piece):
+            size = k * min(piece, window - start)
+            raw = rng.bit_generator.random_raw(-(-(size - carried) // 8)).view(np.uint8)
+            drawn = carried + len(raw)
+            stream[carried:drawn] = raw
+            block = labels[:k, :size // k]
+            np.add(stream[:size].reshape(block.shape), offsets[:k], out=block)
+            hist[:k] = np.bincount(block.ravel(), minlength=k * PHASE_GRID).reshape(k, PHASE_GRID)
+            sums[first:first + k] += hist[:k] @ _PHASE_TRIG
+            carried = drawn - size
+            stream[:carried] = stream[size:drawn]
     return sums
 
 

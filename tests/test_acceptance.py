@@ -2,7 +2,7 @@
 
 import pytest
 
-from cvqec import acceptance, cli
+from cvqec import acceptance, cli, code
 from cvqec.acceptance import CRITERIA
 
 
@@ -47,3 +47,23 @@ def test_verify_reports_a_criterion_that_raises_and_runs_the_rest(monkeypatch, c
     assert f"FAIL  {CRITERIA[0][0]}: ValueError: broken criterion" in out
     for name, _ in CRITERIA[1:]:
         assert f"PASS  {name}: " in out
+
+
+def test_verify_builds_each_pipeline_maps_once(monkeypatch):
+    """One ``run_all`` builds the maps of each (configuration, basis) key once:
+    ``code._maps`` holds every key that verify uses."""
+    built = []
+
+    class Counted(code.PipelineMaps):
+        def __init__(self, cfg, fourier):
+            built.append((cfg, fourier))
+            super().__init__(cfg, fourier)
+
+    code._maps.cache_clear()
+    monkeypatch.setattr(code, "PipelineMaps", Counted)
+    try:
+        assert acceptance.run_all(quiet=True)
+    finally:
+        code._maps.cache_clear()
+    assert built and len(built) == len(set(built))
+    assert len(built) <= code._maps.cache_info().maxsize

@@ -10,7 +10,7 @@ from scipy import stats as scipy_stats
 
 from cvqec.code import CodeConfig, closed_form_output, output_mixture, run_rounds
 from cvqec.errors import (_BLOCK_SAMPLES, _PHASE_TRIG, MAX_MAGNITUDE, PHASE_GRID, ErrorConfig,
-                          ErrorLaw)
+                          ErrorLaw, _phase_sums)
 from cvqec.gaussian import db_to_r
 
 R35 = db_to_r(3.5)
@@ -127,6 +127,49 @@ def test_general_law_sums_are_float64_trig_of_the_raw_bytes(n, window, a):
     np.testing.assert_allclose(mean * window, total, rtol=0, atol=1e-12 * window * a)
     np.testing.assert_allclose(gram, np.einsum("nwi,nwj->nij", centred, centred),
                                rtol=0, atol=1e-12 * window * a * a)
+
+
+def _reference_phase_sums(rng, n, window):
+    """The general law's phase sums, blocked for reference: the flat stream
+    cut every ``_BLOCK_SAMPLES`` phases (every 128 rows below a window of
+    256), a row split across two blocks where a cut falls inside it, and each
+    block's int64 labels counted and multiplied into ``_PHASE_TRIG``."""
+    sums = np.zeros((n, 4))
+    size = n * window
+    block = min(_BLOCK_SAMPLES, _BLOCK_SAMPLES // PHASE_GRID * window)
+    for start in range(0, size, block):
+        stop = min(start + block, size)
+        first, last = start // window, -(-stop // window)           # rows [first, last)
+        lengths = np.full(last - first, window)
+        lengths[0] -= start - first * window
+        lengths[-1] -= last * window - stop
+        labels = np.repeat(np.arange(0, (last - first) * PHASE_GRID, PHASE_GRID), lengths)
+        raw = rng.bit_generator.random_raw(-(-(stop - start) // 8))
+        labels += raw.view(np.uint8)[:stop - start]
+        counts = np.bincount(labels, minlength=(last - first) * PHASE_GRID)
+        sums[first:last] += counts.reshape(-1, PHASE_GRID) @ _PHASE_TRIG
+    return sums
+
+
+# Windows below, at and above the grid and the block budget.  At 257 a block of
+# the reference touches up to 129 rows, one more than the 128 that fit a block
+# of whole rows.
+@pytest.mark.parametrize("n", (1, 7, 129, 256))
+@pytest.mark.parametrize("window", (30, 64, 255, 256, 257, 500, 512, 32767, 32768, 32769,
+                                    40_000, 100_001))
+def test_phase_sums_of_whole_row_blocks_match_the_reference(window, n):
+    """Blocks of whole rows give the reference's sums bit for bit wherever its
+    blocks held whole rows too (windows up to 256 and those dividing
+    ``_BLOCK_SAMPLES``), within 1e-12 * window elsewhere, and leave the
+    generator where one unblocked ``random_raw(ceil(n * window / 8))`` does."""
+    rng, ref_rng, fresh = (np.random.default_rng(17) for _ in range(3))
+    sums, want = _phase_sums(rng, n, window), _reference_phase_sums(ref_rng, n, window)
+    if window <= PHASE_GRID or _BLOCK_SAMPLES % window == 0:
+        np.testing.assert_array_equal(sums, want)
+    else:
+        np.testing.assert_allclose(sums, want, rtol=0, atol=1e-12 * window)
+    fresh.bit_generator.random_raw(-(-n * window // 8))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state == fresh.bit_generator.state
 
 
 def test_phase_grid_has_the_continuous_low_moments():
