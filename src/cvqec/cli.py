@@ -93,7 +93,6 @@ class ExperimentConfig:
     sweep_values: tuple[float, ...] = ()
     experiment: str | None = None
     out: str | None = None
-    echo: dict | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -204,7 +203,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         seed=_parse_count(doc, "seed", 0),
         squeezing_db=squeezing_db,
         sweep_parameter=sweep_parameter, sweep_values=sweep_values,
-        experiment=experiment, out=out, echo=doc)
+        experiment=experiment, out=out)
 
 
 def load_config(path: str | None) -> ExperimentConfig:

@@ -477,26 +477,19 @@ def output_mixture(cfg: CodeConfig, error_cfg: ErrorConfig) -> tuple[np.ndarray,
 # --------------------------------------------------------------------------
 # full correction rounds
 
-# Scatter entries (row, column) of the D1-D3 and D3-D4 cross terms.
-_CC_ROWS, _CC_COLS = np.array([0, 2]), np.array([2, 3])
-
-
-class _PassData:
-    """The syndrome of one batched pass, reduced from every round's readout
-    mean 6-vector and centred 6x6 scatter of (D1..D4, out_x, out_p): the
-    fluctuation flags, the D1-D3 / D3-D4 cross-correlations and one
-    ``_syndrome_index`` per round, at which ``_CODE_TABLE`` holds the round
-    code and ``_RELATION_TABLE`` its relations."""
-
-    __slots__ = ("mean", "scatter", "flags", "cc", "index")
-
-    def __init__(self, mean: np.ndarray, scatter: np.ndarray, window: int,
-                 thresholds: np.ndarray):
-        self.mean = mean
-        self.scatter = scatter
-        self.flags = scatter.diagonal(0, 1, 2)[:, :4] / (window - 1) > thresholds
-        self.cc = scatter[:, _CC_ROWS, _CC_COLS] / window
-        self.index = _syndrome_index(self.flags, self.cc)
+def _syndrome(factor: np.ndarray, window: int,
+              thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fluctuation flags (n, 4) and ``_syndrome_index`` of one pass, from
+    every round's centred readout factor X (n, 6, k) of (D1..D4, out_x,
+    out_p), whose scatter is X X^T: a flag is a squared row norm of D1..D4
+    over window - 1 above its threshold, and the D1-D3 / D3-D4
+    cross-correlations are the dot products of rows 0 and 2 and of rows 2
+    and 3 over the window.
+    ``_CODE_TABLE`` holds each index's round code and ``_RELATION_TABLE`` its
+    relations."""
+    flags = np.einsum("nij,nij->ni", factor[:, :4], factor[:, :4]) / (window - 1) > thresholds
+    cc = np.einsum("nij,nij->ni", factor[:, [0, 2]], factor[:, 2:4]) / window
+    return flags, _syndrome_index(flags, cc)
 
 
 def _readout_noise(maps: PipelineMaps, n: int, window: int,
@@ -516,10 +509,11 @@ def _error_series(maps: PipelineMaps, channels: np.ndarray, draws: np.ndarray) -
 
 
 def _reduce_series(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every round's readout mean and centred scatter of (n, window, 6) series."""
+    """Every round's readout mean (n, 6) and centred factor (n, 6, window) of
+    (n, window, 6) series: the transposed centred series, whose scatter is
+    its product with its transpose."""
     mean = series.mean(axis=1)
-    centred = series - mean[:, None, :]
-    return mean, centred.transpose(0, 2, 1) @ centred
+    return mean, (series - mean[:, None, :]).transpose(0, 2, 1)
 
 
 # Flat positions in a round's (6, 8) factor block [A | Z^T] of the Bartlett
@@ -548,22 +542,23 @@ def _gram_root(gram: np.ndarray) -> np.ndarray:
 def _sample_statistics(maps: PipelineMaps, channels: np.ndarray, occurred: np.ndarray,
                        law: ErrorLaw, window: int,
                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Every round's readout mean (n, 6) and centred scatter (n, 6, 6), drawn
-    from their joint law without forming a series; exact given the error
-    law's ``window_statistics``, whose general-law phases lie on a 256-point
-    grid and match ``draw``'s in every moment up to order 127.
+    """Every round's readout mean (n, 6) and centred factor X (n, 6, 8), whose
+    scatter is X X^T, drawn from their joint law without forming a series;
+    exact given the error law's ``window_statistics``, whose general-law
+    phases lie on a 256-point grid and match ``draw``'s in every moment up to
+    order 127.
 
     With readout covariance S = F F^T, error coefficients C (6x2) and error
     series D (window x 2) of mean d and centred Gram K: the mean is
-    F z / sqrt(window) + C d, and the scatter is X X^T with the (6, 8)
-    factor X = F [A | Z^T] + [0 | C R].  F A A^T F^T, with A a Bartlett
-    factor (Smith & Hocking, Appl. Stat. 21 (1972) 341), is the noise
-    scatter off the span of the ones vector and the centred error columns,
-    Wishart(S, window - 3).  The rows of Z F^T (2x6) are the noise along
-    the two centred error directions, N(0, S), and R = ``_gram_root``(K).
-    Any R with R^T R = K gives the same law: two roots differ by a rotation
-    that depends on K alone, which leaves the iid rows of Z F^T in law as
-    they are.  Without error R = 0, which gives Wishart(S, window - 1)."""
+    F z / sqrt(window) + C d, and X = F [A | Z^T] + [0 | C R].
+    F A A^T F^T, with A a Bartlett factor (Smith & Hocking, Appl. Stat. 21
+    (1972) 341), is the noise scatter off the span of the ones vector and
+    the centred error columns, Wishart(S, window - 3).  The rows of Z F^T
+    (2x6) are the noise along the two centred error directions, N(0, S), and
+    R = ``_gram_root``(K).  Any R with R^T R = K gives the same law: two
+    roots differ by a rotation that depends on K alone, which leaves the iid
+    rows of Z F^T in law as they are.  Without error R = 0, which gives
+    Wishart(S, window - 1)."""
     n = len(channels)
     hit = occurred.nonzero()[0]
     n_hit = len(hit)
@@ -581,17 +576,7 @@ def _sample_statistics(maps: PipelineMaps, channels: np.ndarray, occurred: np.nd
         coeff = maps.err_columns[channels[hit] - 1]
         mean[hit] += (coeff @ err_mean[:, :, None])[:, :, 0]
         x[hit, :, 6:] += coeff @ _gram_root(err_gram)
-    # A contiguous transpose keeps the stacked product on numpy's BLAS path;
-    # a strided one takes a loop about three times slower.
-    return mean, x @ x.transpose(0, 2, 1).copy()
-
-
-def _simulate_pass(maps: PipelineMaps, channels: np.ndarray, occurred: np.ndarray,
-                   law: ErrorLaw, window: int, rng: np.random.Generator) -> _PassData:
-    """The syndrome of one pass over a batch of rounds, from directly drawn
-    round statistics."""
-    mean, scatter = _sample_statistics(maps, channels, occurred, law, window, rng)
-    return _PassData(mean, scatter, window, maps.thresholds)
+    return mean, x
 
 
 # The rows of a round's pooling terms: its corrected mean (x, p), variances
@@ -708,13 +693,17 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
 
     Every round draws its error, measures the syndrome window, is classified
     and has its output repaired by feedforward.  Each pass yields every
-    round's readout mean and centred scatter, and classification,
-    feedforward, corrected moments and fidelities are array operations on
-    those statistics.  The statistics are drawn directly from their joint
-    law (a Wishart scatter; see ``_sample_statistics``), at a cost that does
-    not grow with the window beyond the error law's own draws; no sample
-    series is formed (the tests hold the series route they equal in law).
-    The feedforward is ``PLAN_TABLE``; rounds carry no closed-form theory.
+    round's readout mean and centred (6, 8) factor X, and classification
+    (``_syndrome``), feedforward, corrected moments and fidelities are array
+    operations on those statistics.  The statistics are drawn directly from
+    their joint law (X X^T is a Wishart scatter; see ``_sample_statistics``),
+    at a cost that does not grow with the window beyond the error law's own
+    draws; no sample series is formed (the tests hold the series route they
+    equal in law).  The feedforward is ``PLAN_TABLE``; rounds carry no
+    closed-form theory.  With a round's plan P, the corrected covariance is
+    (P X)(P X)^T / (window - 1): P maps the error's columns of X to zero
+    before any product, so the error's a^2 * window scatter is never formed
+    and never has to cancel.
     Ambiguous rounds are rerun with rotated ancillas; a resolved rerun reports
     the second pass, an unresolved one the first.  All rounds draw from one
     generator in a fixed order, so a fixed seed gives identical results.
@@ -731,38 +720,41 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
         channels = np.full(n_rounds, int(error_cfg.channel))
     channels = np.where(occurred, channels, 0)
 
-    pass1 = _simulate_pass(_maps(cfg, cfg.fourier_mode), channels, occurred,
-                           law, window, rng)
-    first = _CODE_TABLE[pass1.index]
+    maps = _maps(cfg, cfg.fourier_mode)
+    # pass 1's statistics are this call's own, so a rerun overwrites them
+    mean, x = _sample_statistics(maps, channels, occurred, law, window, rng)
+    flags, index = _syndrome(x, window, maps.thresholds)
+    first = _CODE_TABLE[index]
     final = first.copy()
     ambiguous = first == AMBIGUOUS_P
-    # pass 1's statistics are this call's own, so a rerun overwrites them
-    mean, scatter = pass1.mean, pass1.scatter
     rerun = ambiguous.nonzero()[0]
     if len(rerun):
-        pass2 = _simulate_pass(_maps(cfg, not cfg.fourier_mode),
-                               channels[rerun], occurred[rerun], law, window, rng)
-        second = _CODE_TABLE[pass2.index]
+        rotated = _maps(cfg, not cfg.fourier_mode)
+        mean2, x2 = _sample_statistics(rotated, channels[rerun], occurred[rerun], law, window,
+                                       rng)
+        second = _CODE_TABLE[_syndrome(x2, window, rotated.thresholds)[1]]
         second[second == AMBIGUOUS_P] = UNCLASSIFIABLE
         final[rerun] = second
         resolved = second != UNCLASSIFIABLE
         used = rerun[resolved]
         if len(used) == n_rounds:
-            mean, scatter = pass2.mean, pass2.scatter
+            mean, x = mean2, x2
         else:
-            mean[used], scatter[used] = pass2.mean[resolved], pass2.scatter[resolved]
+            mean[used], x[used] = mean2[resolved], x2[resolved]
 
     basis = int(cfg.fourier_mode)
     comb = PLAN_TABLE[basis][final]                               # (n, 2, 6)
     if len(rerun):                  # a resolved rerun is corrected in the other basis
         comb[used] = PLAN_TABLE[1 - basis][final[used]]
     corrected_mean = (comb @ mean[:, :, None])[:, :, 0]
-    # a contiguous transpose keeps the BLAS path, as in ``_sample_statistics``
-    cov = comb @ scatter @ comb.transpose(0, 2, 1).copy() / (window - 1)
+    corrected = comb @ x                                          # (n, 2, k)
+    # A contiguous transpose keeps the stacked product on numpy's BLAS path;
+    # a strided one falls back to a slower loop.
+    cov = corrected @ corrected.transpose(0, 2, 1).copy() / (window - 1)
     return RoundsOutcome(
         cfg=cfg, window=window, channels=channels,
         first_codes=first, final_codes=final, fourier_used=ambiguous,
-        matched=final == channels, flags=pass1.flags, relations=_RELATION_TABLE[pass1.index],
+        matched=final == channels, flags=flags, relations=_RELATION_TABLE[index],
         corrected_mean=corrected_mean, corrected_var=cov.diagonal(0, 1, 2).copy(),
         corrected_cov_xp=cov[:, 0, 1].copy(),
         fidelity_mc=fidelity_from_moments(*cfg.input_state(), corrected_mean, cov))
@@ -793,7 +785,6 @@ def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,
                  + rng.uniform(0.0, 2.0 * math.pi))
         sweep = magnitude * np.stack([np.cos(phase), np.sin(phase)], axis=1)
         series += _error_series(maps, np.array([channel]), sweep[None])
-    syndrome = _PassData(*_reduce_series(series), window, maps.thresholds)
-    code = _CODE_TABLE[syndrome.index[0]]
+    index = _syndrome(_reduce_series(series)[1], window, maps.thresholds)[1]
     traces = dict(zip(DETECTORS + ("out_x", "out_p"), series[0].T))
-    return traces, int(code)
+    return traces, int(_CODE_TABLE[index[0]])

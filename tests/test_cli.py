@@ -316,7 +316,7 @@ _GAMMA_SWEEP = {"parameter": "gamma", "values": [0.5, 1.0]}
     ({"out": 5}, "out must be a string"),
     ({"code": {"input": {"squeeze_db": 3.5, "antisqueeze_db": 1.0}}},
      "input antisqueezing 1.0 dB is below its squeezing 3.5 dB"),
-    ({"error": {"law": {"magnitude": 1e160}}}, "magnitude must be finite and within [0, 10000]"),
+    ({"error": {"law": {"magnitude": 1e160}}}, "magnitude must be finite and within [0, 1e+06]"),
     ({"experiment": "mc-sweep", "sweep": {"parameter": "magnitude", "values": [5.0, 1e160]}},
      "sweep magnitude = 1e+160: magnitude must be finite and within"),
     ({"code": {"squeezing_db": 400}}, "squeezing parameter must be finite and within [0, 25]"),

@@ -1,10 +1,15 @@
-"""The README's library sketch runs against the public API."""
+"""The README's library sketch runs against the public API, and its stated
+input limits are the code's."""
 
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+from cvqec.code import MAX_R
+from cvqec.errors import MAX_MAGNITUDE
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -16,3 +21,14 @@ def test_readme_python_sketch_runs():
     done = subprocess.run([sys.executable, "-c", blocks[0]], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def test_readme_input_limits_match_the_code():
+    """Every README limit "at most <value> (`<bound>`" equals its bound, and
+    the squeezing limit's "about <n> dB" is MAX_R in dB, rounded."""
+    text = " ".join((ROOT / "README.md").read_text().split())
+    for bound, value in (("errors.MAX_MAGNITUDE", MAX_MAGNITUDE), ("code.MAX_R", MAX_R)):
+        stated = re.findall(rf"at most (\S+) \(`{re.escape(bound)}`", text)
+        assert stated and all(float(v) == value for v in stated), (bound, stated)
+    db = re.findall(r"\(`code\.MAX_R`, about (\d+) dB\)", text)
+    assert db == [str(round(20.0 * MAX_R / math.log(10.0)))], db
