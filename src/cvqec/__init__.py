@@ -17,13 +17,12 @@ from .gaussian import (VACUUM_VAR, db_to_r, fidelity_from_moments,
 from .network import (BeamSplitterElement, ENCODER_SPEC, ModeMatrix,
                       NetworkSpec, compose, element_matrix, encoder_matrix,
                       inverse, lift_to_symplectic)
-from .errors import ErrorConfig, ErrorEvent, ErrorLaw
-from .code import (AMBIGUOUS_P, CODE_NAMES, CodeConfig, DecodedState,
-                   EncodedState, NO_ERROR, OutputStats, PLANS, RoundsOutcome,
-                   RoundsSummary, UNCLASSIFIABLE, classify_codes,
-                   closed_form_output, decode, encode, inject_error,
-                   output_mixture, run_rounds, summarize_reports,
-                   syndrome_trace)
+from .errors import ErrorConfig, ErrorLaw
+from .code import (AMBIGUOUS_P, CODE_NAMES, CodeConfig, NO_ERROR, OUT_POS,
+                   OutputStats, PLANS, RoundsOutcome, RoundsSummary,
+                   UNCLASSIFIABLE, classify_codes, closed_form_output, decode,
+                   encode, inject_error, output_mixture, run_rounds,
+                   summarize_reports, syndrome_trace)
 from .witness import (WitnessResult, combination_value, evaluate_witness,
                       optimize_gains)
 

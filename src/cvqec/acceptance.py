@@ -54,14 +54,13 @@ def criterion_2_immunity() -> str:
     cfg = CodeConfig(r=0.5)
     enc = qec.encode(cfg)
     for ch in (1, 2):
-        form = enc.forms[ch - 1]
+        form = enc[ch - 1]
         for quad_form, quad in ((form.x, "x"), (form.p, "p")):
             coeff = quad_form.coefficient(QuadSymbol.input(quad))
             assert coeff.is_zero(), f"channel {ch} carries the input ({quad})"
-    state = enc
     for ch in (1, 2):
-        state = qec.inject_error(state, qec.ErrorEvent(True, ch))
-    out = qec.decode(state).out_form
+        enc = qec.inject_error(enc, ch)
+    out = qec.decode(enc)[qec.OUT_POS]
     assert not out.x.has_errors() and not out.p.has_errors(), \
         "output mode contains channel-1/2 error symbols"
     return "exact zero coefficients on both protected channels"
@@ -85,10 +84,9 @@ def criterion_3_decode_identities() -> str:
     }
     cfg = CodeConfig(r=0.0)
     enc = qec.encode(cfg)
-    hits = {ch: qec.decode(qec.inject_error(enc, qec.ErrorEvent(True, ch)))
-            for ch in range(1, 6)}
+    hits = {ch: qec.decode(qec.inject_error(enc, ch)) for ch in range(1, 6)}
     for ch, expected in s.items():
-        forms = hits[ch].forms
+        forms = hits[ch]
         for pos, coeff in expected.items():
             assert forms[pos].x.coefficient(QuadSymbol.error(ch, "x")) == coeff, \
                 f"error coefficient mismatch: channel {ch}, position {pos}"
@@ -96,12 +94,12 @@ def criterion_3_decode_identities() -> str:
     sources = qec.source_mode_forms(cfg)
     for decoded in hits.values():
         for pos in range(5):
-            assert decoded.forms[pos].x.drop_errors() == sources[pos].x
-            assert decoded.forms[pos].p.drop_errors() == sources[pos].p
+            assert decoded[pos].x.drop_errors() == sources[pos].x
+            assert decoded[pos].p.drop_errors() == sources[pos].p
 
     enc = qec.encode(CodeConfig(r=0.5))
-    x = [m.x for m in enc.forms]
-    p = [m.p for m in enc.forms]
+    x = [m.x for m in enc]
+    p = [m.p for m in enc]
     sq2 = ExactScalar(0, 1)
     anc = QuadSymbol.ancilla
     identities = [

@@ -88,7 +88,6 @@ class ExperimentConfig:
     trials: int
     window: int
     seed: int
-    squeezing_db: float
     sweep_parameter: str | None = None
     sweep_values: tuple[float, ...] = ()
     experiment: str | None = None
@@ -107,12 +106,13 @@ def _reject_unknown(doc: dict, allowed, where: str) -> None:
         raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
 
 
-def _parse_code(doc: dict) -> tuple[CodeConfig, float]:
+def _parse_code(doc: dict) -> CodeConfig:
     _reject_unknown(doc, {"squeezing_db", "r", "input", "fourier", "channel_loss"},
                     "code")
-    squeezing_db = _parse_number(doc.get("squeezing_db", 3.5), "code.squeezing_db")
+    if "r" in doc and "squeezing_db" in doc:
+        raise ValueError("code sets both r and squeezing_db; give one of them")
     r = (_parse_number(doc["r"], "squeezing parameter", allow_list=True) if "r" in doc
-         else db_to_r(squeezing_db))
+         else db_to_r(_parse_number(doc.get("squeezing_db", 3.5), "code.squeezing_db")))
     inp = doc.get("input", "vacuum")
     kwargs = {}
     if inp == "vacuum":
@@ -132,8 +132,7 @@ def _parse_code(doc: dict) -> tuple[CodeConfig, float]:
     fourier = doc.get("fourier", False)
     if not isinstance(fourier, bool):
         raise ValueError(f"code.fourier must be true or false, not {fourier!r}")
-    cfg = CodeConfig(r=r, fourier_mode=fourier, **kwargs)
-    return cfg, squeezing_db
+    return CodeConfig(r=r, fourier_mode=fourier, **kwargs)
 
 
 def _parse_error(doc: dict) -> ErrorConfig:
@@ -177,7 +176,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     experiment = doc.get("experiment")
     if experiment is not None and experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}")
-    code, squeezing_db = _parse_code(doc.get("code", {}))
+    code = _parse_code(doc.get("code", {}))
     error = _parse_error(doc.get("error", {}))
     sweep = doc.get("sweep")
     sweep_parameter, sweep_values = None, ()
@@ -201,7 +200,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
         trials=_parse_count(doc, "trials", 50),
         window=_parse_count(doc, "window", 512),
         seed=_parse_count(doc, "seed", 0),
-        squeezing_db=squeezing_db,
         sweep_parameter=sweep_parameter, sweep_values=sweep_values,
         experiment=experiment, out=out)
 
@@ -371,8 +369,9 @@ def run_syndrome_demo(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 
 def run_witness(cfg: ExperimentConfig, out_dir: Path) -> dict:
-    """Witness combination values and optimal gains over a squeezing grid."""
-    values = cfg.sweep_values or (0.0, 0.2, 0.4, db_to_r(cfg.squeezing_db), 0.8, 1.6)
+    """Witness combination values and optimal gains over a squeezing grid:
+    the r sweep, or a default grid around the configuration's r."""
+    values = cfg.sweep_values or (0.0, 0.2, 0.4, cfg.code.r, 0.8, 1.6)
     header = (["r"] + [f"combination_{i}" for i in (1, 2, 3, 4)]
               + [f"g{i}" for i in range(1, 7)] + ["all_satisfied"])
     rows = []
@@ -465,7 +464,8 @@ _WINDOWED = ("table2", "spectra", "mc-sweep", "syndrome-demo")
 def check_experiment(name: str, cfg: ExperimentConfig) -> None:
     """Raises ValueError if the experiment is unknown or cannot run with the
     config: a negative seed, a window below the syndrome floor, a missing or
-    unsuitable sweep section, or a sweep value that makes an invalid config."""
+    unsuitable sweep section, a witness grid around a per-ancilla r, or a
+    sweep value that makes an invalid config."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown experiment {name!r}")
     if cfg.seed < 0:
@@ -476,6 +476,8 @@ def check_experiment(name: str, cfg: ExperimentConfig) -> None:
         raise ValueError("mc-sweep requires a sweep section in the config")
     if name == "witness" and cfg.sweep_parameter not in (None, "r"):
         raise ValueError("the witness experiment sweeps r only")
+    if name == "witness" and cfg.sweep_parameter is None and isinstance(cfg.code.r, tuple):
+        raise ValueError("the witness experiment needs one r for all ancillas, or an r sweep")
     for value in cfg.sweep_values:
         try:
             _sweep_apply(cfg, value)

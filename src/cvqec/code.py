@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ErrorConfig, ErrorEvent, ErrorLaw
+from .errors import ErrorConfig, ErrorLaw
 from .exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol, SQRT2,
                     TAG_ANTISQUEEZED, TAG_SQUEEZED, mode_forms_apply_matrix,
                     sqrt_of)
@@ -174,41 +174,16 @@ def error_mode_form(channel: int) -> ModeForm:
                     LinearForm.of(QuadSymbol.error(channel, "p")))
 
 
-@dataclass(frozen=True)
-class EncodedState:
-    """The exact quadrature forms of the five channel modes."""
-
-    forms: tuple[ModeForm, ...]
-    cfg: CodeConfig
-    events: tuple[ErrorEvent, ...] = ()
+def encode(cfg: CodeConfig) -> tuple[ModeForm, ...]:
+    """The exact forms of the five channel modes: the encoder run on the
+    input and ancilla modes."""
+    return tuple(mode_forms_apply_matrix(source_mode_forms(cfg), encoder_matrix().rows))
 
 
-def encode(cfg: CodeConfig) -> EncodedState:
-    """Runs the encoder on the input and ancilla modes."""
-    forms = mode_forms_apply_matrix(source_mode_forms(cfg), encoder_matrix().rows)
-    return EncodedState(tuple(forms), cfg)
-
-
-def inject_error(state: EncodedState, event: ErrorEvent) -> EncodedState:
+def inject_error(forms: tuple[ModeForm, ...], channel: int) -> tuple[ModeForm, ...]:
     """Adds the error symbols of one channel's displacement to its mode."""
-    forms = list(state.forms)
-    if event.occurred:
-        forms[event.channel - 1] = forms[event.channel - 1] + error_mode_form(event.channel)
-    return EncodedState(tuple(forms), state.cfg, state.events + (event,))
-
-
-@dataclass(frozen=True)
-class DecodedState:
-    """Exact forms of the modes after the inverse network: (D1, D2, D3,
-    output, D4)."""
-
-    forms: tuple[ModeForm, ...]
-    cfg: CodeConfig
-    events: tuple[ErrorEvent, ...] = ()
-
-    @property
-    def out_form(self) -> ModeForm:
-        return self.forms[OUT_POS]
+    error = error_mode_form(channel)        # first: it rejects a channel outside 1..5
+    return forms[:channel - 1] + (forms[channel - 1] + error,) + forms[channel:]
 
 
 @cache
@@ -217,14 +192,14 @@ def _decoder() -> ModeMatrix:
     return inverse(encoder_matrix())
 
 
-def decode(state: EncodedState) -> DecodedState:
-    """Applies the inverse network to the exact forms.
+def decode(forms: tuple[ModeForm, ...]) -> tuple[ModeForm, ...]:
+    """Applies the inverse network to the exact channel forms, giving those
+    at (D1, D2, D3, output, D4); the output is at ``OUT_POS``.
 
     The forms describe the lossless algebra; channel loss is modelled by
     ``PipelineMaps`` only.
     """
-    forms = mode_forms_apply_matrix(state.forms, _decoder().rows)
-    return DecodedState(tuple(forms), state.cfg, state.events)
+    return tuple(mode_forms_apply_matrix(forms, _decoder().rows))
 
 
 # --------------------------------------------------------------------------
@@ -291,16 +266,12 @@ _TWO_SQRT2 = ExactScalar(0, 2)
 # PLANS[fourier][channel] = ((detector, gain) onto out_x, (detector, gain)
 # onto out_p): readout * gain is added to the output quadrature.  Channels 1
 # and 2 need no feedforward, and an indefinite code gets none.
-PLANS = {
-    False: {3: (("D3", _G23), ("D2", -SQRT2)),
-            4: (("D4", _G23), ("D2", _TWO_SQRT2)),
-            5: (("D4", -_G23), ("D2", _TWO_SQRT2))},
-    # With Fourier-rotated ancillas the roles of the two output quadratures
-    # swap: D2 (now reading x) repairs x and D3/D4 (now reading p) repair p.
-    True: {3: (("D2", -SQRT2), ("D3", _G23)),
-           4: (("D2", _TWO_SQRT2), ("D4", _G23)),
-           5: (("D2", _TWO_SQRT2), ("D4", -_G23))},
-}
+PLANS = {False: {3: (("D3", _G23), ("D2", -SQRT2)),
+                 4: (("D4", _G23), ("D2", _TWO_SQRT2)),
+                 5: (("D4", -_G23), ("D2", _TWO_SQRT2))}}
+# With Fourier-rotated ancillas the roles of the two output quadratures swap:
+# D2 (now reading x) repairs x and D3/D4 (now reading p) repair p.
+PLANS[True] = {ch: (on_p, on_x) for ch, (on_x, on_p) in PLANS[False].items()}
 
 
 def plan_matrix(plan: tuple) -> np.ndarray:
@@ -603,9 +574,9 @@ def pooled_moments(rounds: "RoundsOutcome",
     k = len(means)
     if not k:
         return None
+    cov = rounds.corrected_cov[select]
     terms = np.empty((_N_TERMS, k))
-    terms[0:2], terms[2:4] = means.T, rounds.corrected_var[select].T
-    terms[4] = rounds.corrected_cov_xp[select]
+    terms[0:2], terms[2:4], terms[4] = means.T, cov.diagonal(0, 1, 2).T, cov[:, 0, 1]
     terms[5:7] = terms[0:2] * terms[0]
     terms[7] = terms[1] * terms[1]
     sums = np.bincount(np.repeat(np.arange(_N_TERMS), k), weights=terms.ravel())
@@ -651,26 +622,28 @@ class RoundsOutcome:
     """Results of a batch of rounds as columns, one entry per round.
 
     Codes are ``NO_ERROR``, 1..5 (the located channel), ``AMBIGUOUS_P`` and
-    ``UNCLASSIFIABLE``, named by ``CODE_NAMES``.  Flags and relations
-    describe the first pass; the corrected moments and fidelities come from
-    the pass the correction used.
+    ``UNCLASSIFIABLE``, named by ``CODE_NAMES``.  A round's first-pass code
+    is ``AMBIGUOUS_P`` where the rotated rerun ran and its final code
+    elsewhere.  Flags and relations describe the first pass; the corrected
+    moments and fidelities come from the pass the correction used.
     ``summary`` is derived from the columns on first use.  No sample series
     and no closed-form theory is kept.
     """
 
-    cfg: CodeConfig
     window: int
     channels: np.ndarray          # hit channel, 0 when no error occurred
-    first_codes: np.ndarray
     final_codes: np.ndarray
     fourier_used: np.ndarray      # the rotated rerun ran
-    matched: np.ndarray           # final code names the hit channel
     flags: np.ndarray             # (n, 4) fluctuation flags of D1..D4
     relations: np.ndarray         # (n, 2) D1-D3, D3-D4: +1 in phase, -1 out of phase, 0 n/a
     corrected_mean: np.ndarray    # (n, 2)
-    corrected_var: np.ndarray     # (n, 2), ddof=1
-    corrected_cov_xp: np.ndarray
+    corrected_cov: np.ndarray     # (n, 2, 2), ddof=1
     fidelity_mc: np.ndarray
+
+    @property
+    def matched(self) -> np.ndarray:
+        """Whether each round's final code names its hit channel."""
+        return self.final_codes == self.channels
 
     @cached_property
     def summary(self) -> RoundsSummary:
@@ -683,8 +656,8 @@ class RoundsOutcome:
         if len(parts) == 1:
             return parts[0]
         columns = {f.name: np.concatenate([getattr(p, f.name) for p in parts])
-                   for f in fields(cls) if f.name not in ("cfg", "window")}
-        return cls(parts[0].cfg, parts[0].window, **columns)
+                   for f in fields(cls) if f.name != "window"}
+        return cls(parts[0].window, **columns)
 
 
 def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator,
@@ -724,9 +697,8 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
     # pass 1's statistics are this call's own, so a rerun overwrites them
     mean, x = _sample_statistics(maps, channels, occurred, law, window, rng)
     flags, index = _syndrome(x, window, maps.thresholds)
-    first = _CODE_TABLE[index]
-    final = first.copy()
-    ambiguous = first == AMBIGUOUS_P
+    final = _CODE_TABLE[index]
+    ambiguous = final == AMBIGUOUS_P
     rerun = ambiguous.nonzero()[0]
     if len(rerun):
         rotated = _maps(cfg, not cfg.fourier_mode)
@@ -752,11 +724,9 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
     # a strided one falls back to a slower loop.
     cov = corrected @ corrected.transpose(0, 2, 1).copy() / (window - 1)
     return RoundsOutcome(
-        cfg=cfg, window=window, channels=channels,
-        first_codes=first, final_codes=final, fourier_used=ambiguous,
-        matched=final == channels, flags=flags, relations=_RELATION_TABLE[index],
-        corrected_mean=corrected_mean, corrected_var=cov.diagonal(0, 1, 2).copy(),
-        corrected_cov_xp=cov[:, 0, 1].copy(),
+        window=window, channels=channels, final_codes=final, fourier_used=ambiguous,
+        flags=flags, relations=_RELATION_TABLE[index], corrected_mean=corrected_mean,
+        corrected_cov=cov,
         fidelity_mc=fidelity_from_moments(*cfg.input_state(), corrected_mean, cov))
 
 

@@ -186,22 +186,3 @@ class ErrorConfig:
                                           or not 1 <= self.channel <= 5):
             raise ValueError(f"channel must be 1..5 or 'uniform', not {self.channel!r}")
 
-
-@dataclass(frozen=True)
-class ErrorEvent:
-    """One error injected into the exact forms: whether it occurred and where.
-
-    ``law`` is the generating distribution, re-drawn sample by sample over a
-    syndrome window, so the error shows as excess fluctuation on the
-    detectors that see the quadratures it displaces.  An event without a law
-    is a constant (DC) displacement: it shifts readout means and raises no
-    flag.
-    """
-
-    occurred: bool
-    channel: int = 0
-    law: ErrorLaw | None = None
-
-    def __post_init__(self):
-        if self.occurred and self.channel not in (1, 2, 3, 4, 5):
-            raise ValueError("channel must be 1..5")

@@ -183,6 +183,14 @@ def test_witness_artifact(tmp_path):
     assert rows[2][-1] == "True"
 
 
+def test_witness_default_grid_holds_the_configured_r(tmp_path):
+    """Without an r sweep the witness grid holds the code's r, set directly
+    or through ``squeezing_db``."""
+    for code, r in (({"r": 1.0}, 1.0), ({"squeezing_db": 6.0}, db_to_r(6.0))):
+        cli.run_experiment("witness", cli.parse_config({"code": code}), tmp_path)
+        assert r in [float(row[0]) for row in _read_csv(tmp_path / "witness.csv")[1:]]
+
+
 def test_spectra_artifact(tmp_path):
     cfg = cli.parse_config({"trials": 4, "window": 64, "seed": 1,
                             "error": {"law": {"magnitude": 5.0}}})
@@ -322,6 +330,9 @@ _GAMMA_SWEEP = {"parameter": "gamma", "values": [0.5, 1.0]}
     ({"code": {"squeezing_db": 400}}, "squeezing parameter must be finite and within [0, 25]"),
     ({"experiment": "mc-sweep", "sweep": {"parameter": "r", "values": [0.4, 10.0, 30.0]}},
      "sweep r = 30.0: squeezing parameter must be finite and within [0, 25]"),
+    ({"code": {"r": 0.5, "squeezing_db": 3.5}}, "code sets both r and squeezing_db"),
+    ({"experiment": "witness", "code": {"r": [0.1, 0.2, 0.3, 0.4]}},
+     "the witness experiment needs one r for all ancillas"),
 ])
 def test_main_reports_bad_config_as_usage_error(tmp_path, capsys, doc, message):
     """A bad config stops ``cvqec run`` with exit 2 before the runner starts;

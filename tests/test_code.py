@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from cvqec import code as qec
-from cvqec.code import (AMBIGUOUS_P, CODE_NAMES, DETECTOR_POS, DETECTORS, NO_ERROR, PLANS,
-                        UNCLASSIFIABLE, CodeConfig, classify_codes, closed_form_output,
+from cvqec.code import (AMBIGUOUS_P, CODE_NAMES, DETECTOR_POS, DETECTORS, NO_ERROR, OUT_POS,
+                        PLANS, UNCLASSIFIABLE, CodeConfig, classify_codes, closed_form_output,
                         decode, encode, inject_error, measured_quad, run_rounds,
                         syndrome_trace)
-from cvqec.errors import MAX_MAGNITUDE, ErrorConfig, ErrorEvent, ErrorLaw
+from cvqec.errors import MAX_MAGNITUDE, ErrorConfig, ErrorLaw
 from cvqec.exact import (ExactScalar, ModeForm, QuadSymbol, SQRT2, TAG_ANTISQUEEZED,
                          TAG_SQUEEZED, mode_forms_apply_matrix, sqrt_of)
 from cvqec.gaussian import db_to_r, fidelity_from_moments
@@ -136,7 +136,7 @@ def test_code_config_lists_become_tuples():
 def test_encode_symbolic_channel4():
     """c4 = a2/(2 sqrt6) - a3/(2 sqrt2) + a4/sqrt2 - a_in/sqrt3."""
     enc = encode(CodeConfig(r=0.5))
-    c4x = enc.forms[3].x
+    c4x = enc[3].x
     assert c4x.coefficient(QuadSymbol.ancilla(2, "x", TAG_ANTISQUEEZED)) == \
         sqrt_of(frac(1, 24))
     assert c4x.coefficient(QuadSymbol.ancilla(3, "x", TAG_SQUEEZED)) == \
@@ -179,7 +179,7 @@ def _form_covariances(forms, cfg):
 
 def test_encode_unsqueezed_gives_vacuum_channels():
     cfg = CodeConfig(r=0.0)
-    assert np.allclose(_form_covariances(encode(cfg).forms, cfg), 0.25 * np.eye(10), atol=1e-12)
+    assert np.allclose(_form_covariances(encode(cfg), cfg), 0.25 * np.eye(10), atol=1e-12)
     assert np.allclose(_reference_cov(cfg, decoded=False), 0.25 * np.eye(10), atol=1e-12)
 
 
@@ -187,7 +187,7 @@ def test_encode_correlation_variance():
     """Var(x_c4 + x_c5) = 2 (1/4) e^{-2r}."""
     for r in (0.0, R35, 1.2):
         enc = encode(CodeConfig(r=r))
-        f = enc.forms[3].x + enc.forms[4].x
+        f = enc[3].x + enc[4].x
         assert form_variance(f, r) == pytest.approx(0.5 * math.exp(-2 * r), rel=1e-12)
 
 
@@ -196,14 +196,14 @@ def test_encode_numeric_matches_symbolic_covariances():
     encoded forms."""
     cfg = CodeConfig(r=(0.2, 0.5, 0.8, 0.1), input_kind="squeezed")
     np.testing.assert_allclose(_reference_cov(cfg, decoded=False),
-                               _form_covariances(encode(cfg).forms, cfg), rtol=0, atol=1e-12)
+                               _form_covariances(encode(cfg), cfg), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("r", [0.6, (0.2, 0.7, 0.1, 0.9)])
 def test_encode_fourier_mode_matches_symbolic(r):
     cfg = CodeConfig(r=r, fourier_mode=True)
     np.testing.assert_allclose(_reference_cov(cfg, decoded=False),
-                               _form_covariances(encode(cfg).forms, cfg), rtol=0, atol=1e-12)
+                               _form_covariances(encode(cfg), cfg), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -225,20 +225,16 @@ def test_pipeline_maps_decoded_cov_matches_gaussian_engine(cfg):
     np.testing.assert_allclose(cov, _reference_cov(cfg)[rows], rtol=0, atol=1e-12)
     np.testing.assert_allclose(maps.baselines, np.diagonal(cov), rtol=1e-12, atol=0)
     if not cfg.has_loss:
-        exact = _form_covariances(decode(encode(cfg)).forms, cfg)
+        exact = _form_covariances(decode(encode(cfg)), cfg)
         np.testing.assert_allclose(cov, exact[rows], rtol=0, atol=1e-12)
 
 
-def test_inject_null_event_is_identity():
-    enc = encode(CodeConfig())
-    out = inject_error(enc, ErrorEvent(False))
-    assert out.forms == enc.forms
-    assert out.events == (ErrorEvent(False),)
-
-
-def test_error_event_validation():
-    with pytest.raises(ValueError):
-        ErrorEvent(True, 7)
+@pytest.mark.parametrize("channel", [0, 6, 7])
+def test_inject_error_rejects_channels_outside_1_to_5(channel):
+    """A channel outside 1..5 is rejected before the forms are indexed, so
+    channel 0 does not reach channel 5 through index -1."""
+    with pytest.raises(ValueError, match="1..5"):
+        inject_error(encode(CodeConfig()), channel)
 
 
 def test_decode_proves_the_inverse_orthogonal_once(monkeypatch):
@@ -254,12 +250,12 @@ def test_decode_proves_the_inverse_orthogonal_once(monkeypatch):
     qec._decoder.cache_clear()
     try:
         states = [encode(CodeConfig(r=0.3)),
-                  inject_error(encode(CodeConfig(r=0.7, fourier_mode=True)), ErrorEvent(True, 4)),
+                  inject_error(encode(CodeConfig(r=0.7, fourier_mode=True)), 4),
                   encode(CodeConfig())]
         for state in states:
-            want = mode_forms_apply_matrix(state.forms, inverse(encoder_matrix()).rows)
-            assert decode(state).forms == tuple(want)
-            assert decode(state).forms == tuple(want)
+            want = mode_forms_apply_matrix(state, inverse(encoder_matrix()).rows)
+            assert decode(state) == tuple(want)
+            assert decode(state) == tuple(want)
         assert len(calls) == 1
     finally:
         qec._decoder.cache_clear()
@@ -268,26 +264,25 @@ def test_decode_proves_the_inverse_orthogonal_once(monkeypatch):
 def test_decode_error_free_recovers_input():
     dec = decode(encode(CodeConfig(r=0.9)))
     src = qec.source_mode_forms(CodeConfig(r=0.9))
-    assert dec.out_form.x == src[3].x
-    assert dec.out_form.p == src[3].p
+    assert dec[OUT_POS] == src[qec.INPUT_POS]
 
 
 def test_decode_channel2_coefficients():
     """d2 = a2 - 3 e2/(2 sqrt6); d1 = a1 + e2/sqrt2; d3 = a3 - e2/(2 sqrt2)."""
-    dec = decode(inject_error(encode(CodeConfig()), ErrorEvent(True, 2)))
+    dec = decode(inject_error(encode(CodeConfig()), 2))
     e2x = QuadSymbol.error(2, "x")
-    assert dec.forms[1].x.coefficient(e2x) == -sqrt_of(frac(9, 24))
-    assert dec.forms[0].x.coefficient(e2x) == sqrt_of(frac(1, 2))
-    assert dec.forms[2].x.coefficient(e2x) == -sqrt_of(frac(1, 8))
-    assert dec.out_form.x.coefficient(e2x).is_zero()
+    assert dec[1].x.coefficient(e2x) == -sqrt_of(frac(9, 24))
+    assert dec[0].x.coefficient(e2x) == sqrt_of(frac(1, 2))
+    assert dec[2].x.coefficient(e2x) == -sqrt_of(frac(1, 8))
+    assert dec[OUT_POS].x.coefficient(e2x).is_zero()
 
 
 def test_decode_channel4_coefficients():
     """d4 = a4 + e4/sqrt2; out = a_in - e4/sqrt3."""
-    dec = decode(inject_error(encode(CodeConfig()), ErrorEvent(True, 4)))
+    dec = decode(inject_error(encode(CodeConfig()), 4))
     e4 = QuadSymbol.error(4, "x")
-    assert dec.forms[4].x.coefficient(e4) == sqrt_of(frac(1, 2))
-    assert dec.out_form.x.coefficient(e4) == -sqrt_of(frac(1, 3))
+    assert dec[4].x.coefficient(e4) == sqrt_of(frac(1, 2))
+    assert dec[OUT_POS].x.coefficient(e4) == -sqrt_of(frac(1, 3))
 
 
 def test_decode_mean_shift_through_pipeline():
@@ -299,7 +294,7 @@ def test_decode_mean_shift_through_pipeline():
         cfg = CodeConfig(fourier_mode=fourier)
         maps = qec._maps(cfg, fourier)
         for ch in range(1, 6):
-            out = decode(inject_error(encode(cfg), ErrorEvent(True, ch))).out_form
+            out = decode(inject_error(encode(cfg), ch))[OUT_POS]
             exact = [[float(getattr(out, q).coefficient(QuadSymbol.error(ch, e)))
                       for e in "xp"] for q in "xp"]
             shift = qec.PLAN_TABLE[int(fourier), NO_ERROR] @ maps.err_columns[ch - 1]
@@ -343,10 +338,11 @@ def test_syndrome_window_floor(series_sampler):
         syndrome_trace(CodeConfig(), 1, 10, np.random.default_rng(0), 1.0)
 
 
-def readout_form(decoded, detector):
-    """The exact quadrature form that one detector measures."""
-    form = decoded.forms[DETECTOR_POS[detector]]
-    return form.x if measured_quad(detector, decoded.cfg.fourier_mode) == "x" else form.p
+def readout_form(decoded, detector, fourier):
+    """The exact quadrature form that one detector measures in the basis of
+    ``fourier``."""
+    form = decoded[DETECTOR_POS[detector]]
+    return form.x if measured_quad(detector, fourier) == "x" else form.p
 
 
 def active_quadratures(law):
@@ -356,30 +352,30 @@ def active_quadratures(law):
     return ("x",) if law.kind == "x" else ("p",)
 
 
-def syndrome_closed_form(decoded):
+def syndrome_closed_form(decoded, fourier, laws):
     """Exact-coefficient syndrome (no sampling, lossless algebra) in the
     encoding of ``RoundsOutcome``: (4,) fluctuation flags of D1..D4 and (2,)
-    D1-D3 / D3-D4 relations, +1 in phase, -1 out of phase, 0 n/a.
+    D1-D3 / D3-D4 relations, +1 in phase, -1 out of phase, 0 n/a, of decoded
+    forms in the basis of ``fourier`` whose hit channels map to their error
+    laws in ``laws``.
 
     A detector is flagged iff its measured quadrature carries a non-zero exact
     coefficient on an error quadrature that its law fluctuates; phase
-    relations come from the signs of the exact coefficients.  An event
-    without a law is a constant displacement: it shifts readout means, adds
-    no variance and raises no flag.
+    relations come from the signs of the exact coefficients.  A hit without a
+    law (None) is a constant displacement: it shifts readout means, adds no
+    variance and raises no flag.
     """
-    fourier = decoded.cfg.fourier_mode
     coeffs, flags = np.zeros(4), np.zeros(4, dtype=bool)
     for i, det in enumerate(DETECTORS):
-        form = readout_form(decoded, det)
+        form = readout_form(decoded, det, fourier)
         quad = measured_quad(det, fourier)
-        for event in decoded.events:
-            if not (event.occurred and event.law is not None
-                    and quad in active_quadratures(event.law)):
+        for channel, law in laws.items():
+            if law is None or quad not in active_quadratures(law):
                 continue
-            coeff = form.coefficient(QuadSymbol.error(event.channel, quad))
+            coeff = form.coefficient(QuadSymbol.error(channel, quad))
             if not coeff.is_zero():
                 coeffs[i] = float(coeff)
-                flags[i] |= event.law.quadrature_variances()[quad == "p"] > 0.0
+                flags[i] |= law.quadrature_variances()[quad == "p"] > 0.0
     index = qec._syndrome_index(flags, coeffs[[0, 2]] * coeffs[[2, 3]])
     return flags, qec._RELATION_TABLE[index]
 
@@ -387,13 +383,13 @@ def syndrome_closed_form(decoded):
 def test_syndrome_constant_event_shifts_mean_not_variance():
     """A law-less DC displacement moves readout means but raises no flag;
     nor does a law of zero magnitude."""
-    dec = decode(inject_error(encode(CodeConfig(r=R35)), ErrorEvent(True, 3, law=None)))
-    flags, relations = syndrome_closed_form(dec)
+    dec = decode(inject_error(encode(CodeConfig(r=R35)), 3))
+    flags, relations = syndrome_closed_form(dec, False, {3: None})
     assert not flags.any()
     assert relations.tolist() == [0, 0]
-    still = inject_error(encode(CodeConfig(r=R35)), ErrorEvent(True, 1, ErrorLaw("general", 0.0)))
-    assert not syndrome_closed_form(decode(still))[0].any()
-    shift = 4.0 * float(readout_form(dec, "D3").coefficient(QuadSymbol.error(3, "x")))
+    still = decode(inject_error(encode(CodeConfig(r=R35)), 1))
+    assert not syndrome_closed_form(still, False, {1: ErrorLaw("general", 0.0)})[0].any()
+    shift = 4.0 * float(readout_form(dec, "D3", False).coefficient(QuadSymbol.error(3, "x")))
     assert shift == pytest.approx(4.0 * float(qec.encoder_matrix().entry(2, 2)), rel=1e-15)
     assert shift != 0.0
 
@@ -409,9 +405,8 @@ _RELATION = {"in-phase": 1, "out-of-phase": -1, "n/a": 0}
     (5, (False, True, True, True), "n/a", "in-phase"),
 ])
 def test_syndrome_closed_form_table(channel, flags, rel13, rel34):
-    dec = decode(inject_error(encode(CodeConfig(r=R35)),
-                              ErrorEvent(True, channel, ErrorLaw("general", 1.0))))
-    got_flags, relations = syndrome_closed_form(dec)
+    dec = decode(inject_error(encode(CodeConfig(r=R35)), channel))
+    got_flags, relations = syndrome_closed_form(dec, False, {channel: ErrorLaw("general", 1.0)})
     assert got_flags.dtype == bool and relations.dtype == np.int8
     assert tuple(got_flags.tolist()) == flags
     assert relations.tolist() == [_RELATION[rel13], _RELATION[rel34]]
@@ -419,9 +414,8 @@ def test_syndrome_closed_form_table(channel, flags, rel13, rel34):
 
 
 def test_syndrome_closed_form_pure_p_flags_only_d2():
-    dec = decode(inject_error(encode(CodeConfig(r=R35)),
-                              ErrorEvent(True, 4, ErrorLaw("p", 1.0))))
-    flags, relations = syndrome_closed_form(dec)
+    dec = decode(inject_error(encode(CodeConfig(r=R35)), 4))
+    flags, relations = syndrome_closed_form(dec, False, {4: ErrorLaw("p", 1.0)})
     assert flags.tolist() == [False, True, False, False]
     assert int(classify_codes(flags, relations)) == AMBIGUOUS_P
 
@@ -591,26 +585,26 @@ def derive_correction_plan(channel, fourier=False):
     """
     if channel in (1, 2):
         return ()
-    decoded = decode(inject_error(encode(CodeConfig(r=0.0, fourier_mode=fourier)),
-                                  ErrorEvent(True, channel)))
+    decoded = decode(inject_error(encode(CodeConfig(r=0.0, fourier_mode=fourier)), channel))
     plan = []
     for quad in ("x", "p"):
         error = QuadSymbol.error(channel, quad)
-        alpha = getattr(decoded.out_form, quad).coefficient(error)
-        det, beta = max(((d, readout_form(decoded, d).coefficient(error))
+        alpha = getattr(decoded[OUT_POS], quad).coefficient(error)
+        det, beta = max(((d, readout_form(decoded, d, fourier).coefficient(error))
                          for d in DETECTORS if measured_quad(d, fourier) == quad),
                         key=lambda c: abs(float(c[1])))
         plan.append((det, -(alpha / beta)))
     return tuple(plan)
 
 
-def apply_correction(decoded, code):
+def apply_correction(decoded, code, fourier=False):
     """The exact forms of the output mode with the gained readouts of the
-    code's plan added; the error symbols cancel for the right code, and a
-    code without a plan leaves the output as it is."""
-    forms = [decoded.out_form.x, decoded.out_form.p]
-    for row, (det, gain) in enumerate(PLANS[decoded.cfg.fourier_mode].get(code, ())):
-        forms[row] = forms[row] + readout_form(decoded, det).scaled(gain)
+    code's plan in the basis of ``fourier`` added; the error symbols cancel
+    for the right code, and a code without a plan leaves the output as it
+    is."""
+    forms = [decoded[OUT_POS].x, decoded[OUT_POS].p]
+    for row, (det, gain) in enumerate(PLANS[fourier].get(code, ())):
+        forms[row] = forms[row] + readout_form(decoded, det, fourier).scaled(gain)
     return ModeForm(*forms)
 
 
@@ -618,11 +612,10 @@ def test_indefinite_codes_leave_output_unchanged():
     """An ambiguous or unclassifiable code has no plan: the exact output keeps
     its error symbols, as the round engine's table keeps the readout."""
     for fourier in (False, True):
-        dec = decode(inject_error(encode(CodeConfig(r=0.3, fourier_mode=fourier)),
-                                  ErrorEvent(True, 4)))
-        assert dec.out_form.x.has_errors() and dec.out_form.p.has_errors()
+        dec = decode(inject_error(encode(CodeConfig(r=0.3, fourier_mode=fourier)), 4))
+        assert dec[OUT_POS].x.has_errors() and dec[OUT_POS].p.has_errors()
         for code in (AMBIGUOUS_P, UNCLASSIFIABLE):
-            assert apply_correction(dec, code) == dec.out_form
+            assert apply_correction(dec, code, fourier) == dec[OUT_POS]
 
 
 @pytest.mark.parametrize("fourier", [False, True])
@@ -637,7 +630,7 @@ def test_derived_plans_equal_constants(channel, fourier):
 
 def test_corrected_output_channel3_residuals():
     """x' = x_in + sqrt(2/3) x3 e^{-r}; p' = p_in - sqrt2 p2 e^{-r}."""
-    dec = decode(inject_error(encode(CodeConfig(r=0.7)), ErrorEvent(True, 3)))
+    dec = decode(inject_error(encode(CodeConfig(r=0.7)), 3))
     out = apply_correction(dec, 3)
     x_terms = out.x.terms
     assert x_terms == {
@@ -650,7 +643,7 @@ def test_corrected_output_channel3_residuals():
 
 
 def test_corrected_output_channel5_p_residual():
-    dec = decode(inject_error(encode(CodeConfig(r=0.7)), ErrorEvent(True, 5)))
+    dec = decode(inject_error(encode(CodeConfig(r=0.7)), 5))
     out = apply_correction(dec, 5)
     assert out.p.terms == {
         QuadSymbol.input("p"): ExactScalar(1),
@@ -661,18 +654,17 @@ def test_corrected_output_channel5_p_residual():
 @pytest.mark.parametrize("channel", [3, 4, 5])
 def test_error_symbols_cancel_exactly(channel, fourier):
     cfg = CodeConfig(r=0.42, fourier_mode=fourier)
-    dec = decode(inject_error(encode(cfg), ErrorEvent(True, channel)))
-    out = apply_correction(dec, channel)
+    dec = decode(inject_error(encode(cfg), channel))
+    out = apply_correction(dec, channel, fourier)
     assert not out.x.has_errors()
     assert not out.p.has_errors()
 
 
 def test_immunity_channels_need_no_correction():
     for ch in (1, 2):
-        dec = decode(inject_error(encode(CodeConfig(r=0.3)),
-                                  ErrorEvent(True, ch)))
-        assert not dec.out_form.x.has_errors()
-        assert not dec.out_form.p.has_errors()
+        out = decode(inject_error(encode(CodeConfig(r=0.3)), ch))[OUT_POS]
+        assert not out.x.has_errors()
+        assert not out.p.has_errors()
 
 
 def test_perfect_squeezing_limit_recovers_input():
@@ -756,23 +748,24 @@ def test_loss_reduces_channel12_fidelity_for_squeezed_input():
 # full rounds
 
 
-def _round_theory(outcome, law):
-    """Closed-form output of each round's branch: the corrected output of a
-    located channel, the error-free output, or the unrepaired hit of an
-    indefinite round, in the configuration of the pass the round reports."""
+def _round_theory(outcome, cfg, law):
+    """Closed-form output of each round's branch in a run of ``cfg``: the
+    corrected output of a located channel, the error-free output, or the
+    unrepaired hit of an indefinite round, in the configuration of the pass
+    the round reports."""
     reported_rerun = outcome.fourier_used & (outcome.final_codes != UNCLASSIFIABLE)
     out = []
     for code, fourier, channel in zip(outcome.final_codes.tolist(),
-                                      (reported_rerun ^ outcome.cfg.fourier_mode).tolist(),
+                                      (reported_rerun ^ cfg.fourier_mode).tolist(),
                                       outcome.channels.tolist()):
-        cfg = dataclasses.replace(outcome.cfg, fourier_mode=fourier)
+        branch = dataclasses.replace(cfg, fourier_mode=fourier)
         if code in (1, 2, 3, 4, 5):
-            out.append(closed_form_output(cfg, code))
+            out.append(closed_form_output(branch, code))
         elif code == NO_ERROR:
-            out.append(closed_form_output(cfg, None))
+            out.append(closed_form_output(branch, None))
         else:
             error_var = law.quadrature_variances() if channel else (0.0, 0.0)
-            out.append(closed_form_output(cfg, channel or None, error_var=error_var))
+            out.append(closed_form_output(branch, channel or None, error_var=error_var))
     return out
 
 
@@ -781,7 +774,7 @@ def test_run_round_channel2_near_unit_fidelity(series_sampler):
     ec = ErrorConfig(1.0, 2, ErrorLaw("general", STRONG))
     out = run_rounds(cfg, ec, np.random.default_rng(21), 1)
     assert out.final_codes[0] == 2
-    assert _round_theory(out, ec.law)[0].fidelity == pytest.approx(1.0, abs=1e-12)
+    assert _round_theory(out, cfg, ec.law)[0].fidelity == pytest.approx(1.0, abs=1e-12)
     assert out.fidelity_mc[0] > 0.99
 
 
@@ -789,7 +782,6 @@ def test_run_round_pure_p_resolved_by_rerun(series_sampler):
     cfg = CodeConfig(r=R35)
     ec = ErrorConfig(1.0, 4, ErrorLaw("p", STRONG))
     out = run_rounds(cfg, ec, np.random.default_rng(22), 1)
-    assert out.first_codes[0] == AMBIGUOUS_P
     assert out.fourier_used[0]
     assert out.final_codes[0] == 4
     assert out.matched[0]
@@ -801,7 +793,7 @@ def test_run_round_gamma_zero_is_identity_round(series_sampler):
     out = run_rounds(cfg, ec, np.random.default_rng(23), 1)
     assert out.final_codes[0] == NO_ERROR
     assert out.channels[0] == 0
-    assert _round_theory(out, ec.law)[0].fidelity == pytest.approx(1.0, abs=1e-12)
+    assert _round_theory(out, cfg, ec.law)[0].fidelity == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_rounds_matches_run_round_semantics():
@@ -877,16 +869,15 @@ def test_round_moments_match_stored_series(case, series_sampler):
     tol = dict(rtol=1e-12, atol=1e-12)
     for i, series in enumerate(_corrected_series(outcome, series_sampler)):
         mean = series.mean(axis=0)
-        var = series.var(axis=0, ddof=1)
         cov = np.cov(series.T, ddof=1)
         np.testing.assert_allclose(outcome.corrected_mean[i], mean, **tol)
-        np.testing.assert_allclose(outcome.corrected_var[i], var, **tol)
-        np.testing.assert_allclose(outcome.corrected_cov_xp[i], cov[0, 1], **tol)
+        np.testing.assert_allclose(outcome.corrected_cov[i], cov, **tol)
         np.testing.assert_allclose(
             outcome.fidelity_mc[i], fidelity_from_moments(*inp, mean, cov), **tol)
     channels, first, final, reruns, means = _PINNED_ROUNDS[case]
     assert outcome.channels.tolist() == channels
-    assert " ".join(_short(c) for c in outcome.first_codes.tolist()) == first
+    first_codes = np.where(outcome.fourier_used, AMBIGUOUS_P, outcome.final_codes)
+    assert " ".join(_short(c) for c in first_codes.tolist()) == first
     assert " ".join(_short(c) for c in outcome.final_codes.tolist()) == final
     assert "".join("FT"[int(r)] for r in outcome.fourier_used) == reruns
     assert hashlib.sha256(outcome.corrected_mean.tobytes()).hexdigest() == means
@@ -973,7 +964,7 @@ def test_samplers_at_the_extremes(cfg, law, expect, request):
         request.getfixturevalue("series_sampler")       # the series route from here on
         outcomes.append(run_rounds(cfg, ec, np.random.default_rng(3), 200, window=64))
         theory = [stats.fidelity for outcome in outcomes
-                  for stats in _round_theory(outcome, law)]
+                  for stats in _round_theory(outcome, cfg, law)]
     assert np.isfinite(theory).all()
     for outcome in outcomes:
         assert np.isfinite(outcome.fidelity_mc).all()
@@ -1000,7 +991,8 @@ def test_corrected_variances_do_not_depend_on_the_magnitude(law):
                     runs.append(run_rounds(CodeConfig(r=R35), ec, np.random.default_rng(9),
                                            200, window))
             np.testing.assert_array_equal(runs[1].final_codes, runs[0].final_codes)
-            np.testing.assert_allclose(runs[1].corrected_var, runs[0].corrected_var,
+            np.testing.assert_allclose(runs[1].corrected_cov.diagonal(0, 1, 2),
+                                       runs[0].corrected_cov.diagonal(0, 1, 2),
                                        rtol=1e-9, atol=0)
 
 
@@ -1093,8 +1085,8 @@ def _reference_pool(rounds, select):
     one class at a time, from masked columns."""
     w = rounds.window
     mean = rounds.corrected_mean[select]
-    var = rounds.corrected_var[select].sum(axis=0)
-    cxy = rounds.corrected_cov_xp[select].sum()
+    var = rounds.corrected_cov[select].diagonal(0, 1, 2).sum(axis=0)
+    cxy = rounds.corrected_cov[select][:, 0, 1].sum()
     n = w * len(mean)
     pooled = mean.mean(axis=0)
     second = (w - 1) * np.array([[var[0], cxy], [cxy, var[1]]]) + w * mean.T @ mean
@@ -1108,15 +1100,16 @@ def _synthetic_outcome(n=400, window=64, seed=5):
     final = rng.permutation(np.concatenate([np.arange(8), rng.integers(0, 8, n - 8)]))
     final = final.astype(np.int8)
     channels = np.where(rng.random(n) < 0.7, rng.integers(1, 6, n), 0)
-    first = np.where(rng.random(n) < 0.2, AMBIGUOUS_P, final).astype(np.int8)
+    fourier_used = (rng.random(n) < 0.2) | (final == AMBIGUOUS_P)
+    flags = rng.random((n, 4)) < 0.5
+    relations = rng.integers(-1, 2, (n, 2)).astype(np.int8)
+    corrected_mean = rng.normal(0.1 * final[:, None] + [0.3, -0.2], 0.2, (n, 2))
+    cov = np.empty((n, 2, 2))
+    cov[:, [0, 1], [0, 1]] = rng.uniform(0.2, 0.4 + 0.1 * final[:, None], (n, 2))
+    cov[:, 0, 1] = cov[:, 1, 0] = rng.uniform(0.01, 0.05, n) * (1 + final)
     return qec.RoundsOutcome(
-        cfg=CodeConfig(r=R35, input_kind="squeezed"), window=window, channels=channels,
-        first_codes=first, final_codes=final, fourier_used=first == AMBIGUOUS_P,
-        matched=final == channels, flags=rng.random((n, 4)) < 0.5,
-        relations=rng.integers(-1, 2, (n, 2)).astype(np.int8),
-        corrected_mean=rng.normal(0.1 * final[:, None] + [0.3, -0.2], 0.2, (n, 2)),
-        corrected_var=rng.uniform(0.2, 0.4 + 0.1 * final[:, None], (n, 2)),
-        corrected_cov_xp=rng.uniform(0.01, 0.05, n) * (1 + final),
+        window=window, channels=channels, final_codes=final, fourier_used=fourier_used,
+        flags=flags, relations=relations, corrected_mean=corrected_mean, corrected_cov=cov,
         fidelity_mc=rng.random(n))
 
 
@@ -1136,7 +1129,7 @@ def test_summary_equals_per_class_masked_reference():
     assert summary.occurrence_fraction == float(np.mean(outcome.channels > 0))
     assert summary.accuracy == float(np.mean(outcome.matched))
     assert summary.fourier_rate == float(np.mean(outcome.fourier_used))
-    inp = outcome.cfg.input_state()
+    inp = CodeConfig(r=R35, input_kind="squeezed").input_state()
     tol = dict(rtol=1e-12, atol=0)
     for c in codes:
         mean, cov = _reference_pool(outcome, outcome.final_codes == c)
@@ -1205,14 +1198,11 @@ def test_rounds_with_uniform_loss_still_classify():
 def test_multi_error_is_unclassifiable():
     """Two simultaneous strong errors confuse the pattern; no plan is applied."""
     cfg = CodeConfig(r=R35)
-    enc = encode(cfg)
     law = ErrorLaw("general", STRONG)
-    enc = inject_error(enc, ErrorEvent(True, 1, law))
-    enc = inject_error(enc, ErrorEvent(True, 4, law))
-    dec = decode(enc)
-    code = int(classify_codes(*syndrome_closed_form(dec)))
+    dec = decode(inject_error(inject_error(encode(cfg), 1), 4))
+    code = int(classify_codes(*syndrome_closed_form(dec, False, {1: law, 4: law})))
     assert code == UNCLASSIFIABLE
-    assert apply_correction(dec, code) == dec.out_form
+    assert apply_correction(dec, code) == dec[OUT_POS]
 
 
 # --------------------------------------------------------------------------

@@ -269,7 +269,7 @@ def test_monte_carlo_matches_mixture_moments():
     n = rounds * window
     s1 = np.zeros(2)
     s2 = np.zeros(2)
-    for mean, var in zip(outcome.corrected_mean, outcome.corrected_var):
+    for mean, var in zip(outcome.corrected_mean, outcome.corrected_cov.diagonal(0, 1, 2)):
         s1 += window * mean
         s2 += (window - 1) * var + window * mean ** 2
     emp_mean = s1 / n

@@ -15,12 +15,22 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_readme_python_sketch_runs():
+    """The sketch runs and prints one line per ``print`` line, and each print
+    line whose comment is a number prints that number to its digits."""
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     assert len(blocks) == 1
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "-c", blocks[0]], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+    prints = [line for line in blocks[0].splitlines() if line.startswith("print(")]
+    printed = done.stdout.splitlines()
+    assert len(printed) == len(prints), printed
+    stated = [(m, out) for line, out in zip(prints, printed)
+              if (m := re.search(r"#\s*(-?\d+\.(\d+))\s*$", line))]
+    assert len(stated) >= 2
+    for m, out in stated:
+        assert f"{float(out):.{len(m.group(2))}f}" == m.group(1), (m.group(0), out)
 
 
 def test_readme_input_limits_match_the_code():

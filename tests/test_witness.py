@@ -34,7 +34,7 @@ def test_combination1_first_term_squeezed():
     # remove the second term by evaluating its parabola vertex independently:
     # the first term is gain-free, so value(any gains) - second(gains) is fixed.
     enc = encode(cfg)
-    first = form_variance(enc.forms[0].x + enc.forms[1].x, cfg.r_values,
+    first = form_variance(enc[0].x + enc[1].x, cfg.r_values,
                           cfg.input_variances())
     assert first == pytest.approx(0.5 * 10 ** -0.35, rel=1e-12)
     assert full > first
@@ -163,7 +163,7 @@ def test_witness_matches_exact_forms(r, fourier):
     """Combination values at fixed gains and the optimal gains equal their
     evaluation on the exact encoded forms."""
     cfg = CodeConfig(r=r, fourier_mode=fourier)
-    forms = encode(cfg).forms
+    forms = encode(cfg)
     fixed_gains = (0.37, -1.21, 0.88, 2.5, -0.06, 1.13)
     want_gains = [0.0] * 6
     for idx, terms in _TERMS.items():
