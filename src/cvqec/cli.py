@@ -23,7 +23,7 @@ from . import code as qec
 from .code import (CodeConfig, RoundsOutcome, closed_form_output,
                    coherent_ancilla_config, output_mixture, pooled_moments,
                    run_rounds)
-from .errors import ErrorConfig, ErrorLaw
+from .errors import LAW_GENERAL, ErrorConfig, ErrorLaw
 from .gaussian import db_to_r, fidelity_from_moments, variance_to_db
 from .witness import evaluate_witness
 
@@ -243,14 +243,12 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _write_trace_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Writes a header of plain names and rows of ints and floats as
-    ``csv.writer`` does, with one ``repr`` of the row list: the reprs of ints
-    and floats need no quoting, and the list's ", " and "], [" separators
-    become "," and "\r\n"."""
+def _write_trace_csv(path: Path, header: list[str], series: list[list[float]]) -> None:
+    """Writes a header of plain names and one row per sample, its index and
+    then its floats, as ``csv.writer`` does: the reprs of ints and floats
+    need no quoting."""
     lines = [",".join(header)]
-    if rows:
-        lines.append(repr(rows)[2:-2].replace("], [", "\r\n").replace(", ", ","))
+    lines += [f"{t}," + ",".join(map(repr, vals)) for t, vals in enumerate(series)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
 
@@ -355,8 +353,7 @@ def run_syndrome_demo(cfg: ExperimentConfig, out_dir: Path) -> dict:
                                           cfg.error.law.magnitude)
         name = f"syndrome_demo_ch{channel}.csv"
         series = np.column_stack([traces[det] for det in qec.DETECTORS]).tolist()
-        rows = [[t, *vals] for t, vals in enumerate(series)]
-        _write_trace_csv(out_dir / name, ["sample"] + labels, rows)
+        _write_trace_csv(out_dir / name, ["sample"] + labels, series)
         files.append(name)
         summary[f"channel-{channel}"] = {
             "classification": qec.CODE_NAMES[code],
@@ -464,8 +461,9 @@ _WINDOWED = ("table2", "spectra", "mc-sweep", "syndrome-demo")
 def check_experiment(name: str, cfg: ExperimentConfig) -> None:
     """Raises ValueError if the experiment is unknown or cannot run with the
     config: a negative seed, a window below the syndrome floor, a missing or
-    unsuitable sweep section, a witness grid around a per-ancilla r, or a
-    sweep value that makes an invalid config."""
+    unsuitable sweep section, a witness grid around a per-ancilla r or on a
+    lossy code, a syndrome demo of a single-quadrature law, or a sweep value
+    that makes an invalid config."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown experiment {name!r}")
     if cfg.seed < 0:
@@ -478,6 +476,12 @@ def check_experiment(name: str, cfg: ExperimentConfig) -> None:
         raise ValueError("the witness experiment sweeps r only")
     if name == "witness" and cfg.sweep_parameter is None and isinstance(cfg.code.r, tuple):
         raise ValueError("the witness experiment needs one r for all ancillas, or an r sweep")
+    if name == "witness" and cfg.code.has_loss:
+        raise ValueError("the witness experiment models a lossless code: "
+                         "code.channel_loss must be 1")
+    if name == "syndrome-demo" and cfg.error.law.kind != LAW_GENERAL:
+        raise ValueError("the syndrome-demo experiment sweeps a general-law phase: "
+                         "error.law.kind must be 'general'")
     for value in cfg.sweep_values:
         try:
             _sweep_apply(cfg, value)

@@ -409,14 +409,17 @@ def form_apply_matrix(forms: Sequence[LinearForm], matrix) -> list[LinearForm]:
         raise ValueError("matrix column count must equal number of forms")
     out = []
     for row in rows:
-        acc = LinearForm()
+        acc: dict[QuadSymbol, ExactScalar] = {}
         for entry, form in zip(row, forms):
             entry = _coerce(entry)
             if entry is NotImplemented:
                 raise TypeError("matrix entries must be ExactScalar or rational")
             if not entry.is_zero():
-                acc = acc + form.scaled(entry)
-        out.append(acc)
+                for sym, coeff in form._terms.items():
+                    term = coeff * entry
+                    cur = acc.get(sym)
+                    acc[sym] = term if cur is None else cur + term
+        out.append(LinearForm(acc))                # drops the terms that cancelled
     return out
 
 

@@ -29,8 +29,17 @@ def db_to_r(squeeze_db: float) -> float:
     return squeeze_db * math.log(10.0) / 20.0
 
 
-def _det2(a: np.ndarray) -> np.ndarray:
-    return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+def _entries(mean, cov):
+    """The two mean and four covariance entries: floats for single moments,
+    views of the last axes for stacked ones."""
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    m = mean.tolist() if mean.ndim == 1 else (mean[..., 0], mean[..., 1])
+    if cov.ndim == 2:
+        (c00, c01), (c10, c11) = cov.tolist()
+    else:
+        c00, c01, c10, c11 = cov[..., 0, 0], cov[..., 0, 1], cov[..., 1, 0], cov[..., 1, 1]
+    return m, (c00, c01, c10, c11)
 
 
 def fidelity_from_moments(mean1, cov1, mean2, cov2):
@@ -50,16 +59,20 @@ def fidelity_from_moments(mean1, cov1, mean2, cov2):
     broadcast against each other; the result is then an array of n
     fidelities, and a float for single moments.
     """
-    a1 = 4.0 * np.asarray(cov1, dtype=float)
-    a2 = 4.0 * np.asarray(cov2, dtype=float)
-    total = a1 + a2
-    t00, t01, t10, t11 = total[..., 0, 0], total[..., 0, 1], total[..., 1, 0], total[..., 1, 1]
-    delta = t00 * t11 - t01 * t10
-    lam = np.maximum((_det2(a1) - 1.0) * (_det2(a2) - 1.0), 0.0)
-    beta = 2.0 * (np.asarray(mean2, dtype=float) - np.asarray(mean1, dtype=float))
-    b0, b1 = beta[..., 0], beta[..., 1]
-    # b^T total^{-1} b through the 2x2 adjugate
-    quad = (t11 * b0 * b0 - (t01 + t10) * b0 * b1 + t00 * b1 * b1) / delta
-    f = 2.0 / (np.sqrt(delta + lam) - np.sqrt(lam)) * np.exp(-0.5 * quad)
+    (m10, m11), (p00, p01, p10, p11) = _entries(mean1, cov1)
+    (m20, m21), (q00, q01, q10, q11) = _entries(mean2, cov2)
+    # On the unscaled entries, with s = cov1 + cov2 and d = mean2 - mean1:
+    # the rescalings by 4 (covariances) and 2 (means) are powers of two,
+    # exact in floating point away from overflow and underflow, so
+    # D = 16 det s, L = (16 det cov1 - 1)(16 det cov2 - 1) and
+    # b^T (A1 + A2)^{-1} b = d^T s^{-1} d, through the 2x2 adjugate.
+    s00, s01, s10, s11 = p00 + q00, p01 + q01, p10 + q10, p11 + q11
+    det_s = s00 * s11 - s01 * s10
+    lam = np.maximum((16.0 * (p00 * p11 - p01 * p10) - 1.0)
+                     * (16.0 * (q00 * q11 - q01 * q10) - 1.0), 0.0)
+    d0, d1 = m20 - m10, m21 - m11
+    # np.divide: a singular s gives numpy's inf/nan on single moments too
+    quad = np.divide(s11 * d0 * d0 - (s01 + s10) * d0 * d1 + s00 * d1 * d1, det_s)
+    f = 2.0 / (np.sqrt(16.0 * det_s + lam) - np.sqrt(lam)) * np.exp(-0.5 * quad)
     f = np.minimum(np.maximum(f, 0.0), 1.0)          # np.clip, without its wrapper
     return float(f) if f.ndim == 0 else f

@@ -124,13 +124,14 @@ def test_chunked_rounds_are_run_rounds_on_spawned_seeds():
 
 
 def test_trace_csv_matches_csv_writer_byte_for_byte(tmp_path):
-    """The trace writer's one-repr rows are what ``csv.writer`` writes, CRLF
-    line ends and no space after a comma included, for awkward floats too."""
+    """The trace writer's numbered rows of float reprs are what ``csv.writer``
+    writes, CRLF line ends and no space after a comma included, for awkward
+    floats too."""
     header = ["sample", "x_D1", "p_D2", "x_D3", "x_D4"]
     rows = [[0, -0.0, 5e-324, 1e-05, 1e16],
             [1, -1e300, float("nan"), float("inf"), -float("inf")],
             [2, 0.1, -2.5, 1.0, 123456789.123]]
-    cli._write_trace_csv(tmp_path / "fast.csv", header, rows)
+    cli._write_trace_csv(tmp_path / "fast.csv", header, [row[1:] for row in rows])
     cli._write_csv(tmp_path / "reference.csv", header, rows)
     got = (tmp_path / "fast.csv").read_bytes()
     assert got == (tmp_path / "reference.csv").read_bytes()
@@ -333,6 +334,10 @@ _GAMMA_SWEEP = {"parameter": "gamma", "values": [0.5, 1.0]}
     ({"code": {"r": 0.5, "squeezing_db": 3.5}}, "code sets both r and squeezing_db"),
     ({"experiment": "witness", "code": {"r": [0.1, 0.2, 0.3, 0.4]}},
      "the witness experiment needs one r for all ancillas"),
+    ({"experiment": "witness", "code": {"channel_loss": 0.5}},
+     "the witness experiment models a lossless code: code.channel_loss must be 1"),
+    ({"experiment": "syndrome-demo", "error": {"law": {"kind": "p"}}},
+     "error.law.kind must be 'general'"),
 ])
 def test_main_reports_bad_config_as_usage_error(tmp_path, capsys, doc, message):
     """A bad config stops ``cvqec run`` with exit 2 before the runner starts;

@@ -244,6 +244,73 @@ def test_form_apply_matrix_dimension_mismatch():
         form_apply_matrix(basis, [[1, 0], [0, 1]])
 
 
+def _quadratic_form_apply_matrix(forms, matrix):
+    """The row accumulation as form sums: one ``LinearForm`` per nonzero entry."""
+    rows = list(matrix)
+    if any(len(row) != len(forms) for row in rows):
+        raise ValueError("matrix column count must equal number of forms")
+    out = []
+    for row in rows:
+        acc = LinearForm()
+        for entry, form in zip(row, forms):
+            entry = entry if isinstance(entry, ExactScalar) else (
+                ExactScalar(entry) if isinstance(entry, (int, Fraction)) else None)
+            if entry is None:
+                raise TypeError("matrix entries must be ExactScalar or rational")
+            if not entry.is_zero():
+                acc = acc + form.scaled(entry)
+        out.append(acc)
+    return out
+
+
+@pytest.mark.parametrize("fourier", [False, True])
+def test_form_apply_matrix_equals_the_quadratic_accumulation(fourier):
+    """One dict per output row gives the forms that summing a scaled form per
+    nonzero entry gives, on both bases' source forms, for the encoder, the
+    decoder (with an injected error, whose symbols reach the output), the
+    identity and a matrix with zero entries whose terms cancel."""
+    from cvqec.code import CodeConfig, _decoder, error_mode_form, source_mode_forms
+    from cvqec.network import encoder_matrix
+    sources = source_mode_forms(CodeConfig(r=0.4, fourier_mode=fourier))
+    identity = [[int(i == j) for j in range(5)] for i in range(5)]
+    sparse = [[0, SQRT2, 0, frac(-1, 3), 0],
+              [1, -1, 0, 0, 0],
+              [0, 0, 0, 0, 0],
+              [SQRT6, 0, SQRT3, 0, -SQRT2 * SQRT3],
+              [frac(1, 2), frac(-1, 2), 0, 0, frac(1, 2)]]
+    for quad in ("x", "p"):
+        forms = [getattr(m, quad) for m in sources]
+        encoded = _quadratic_form_apply_matrix(forms, encoder_matrix().rows)
+        assert form_apply_matrix(forms, encoder_matrix().rows) == encoded
+        hit = list(encoded)
+        hit[2] = hit[2] + getattr(error_mode_form(3), quad)
+        decoded = _quadratic_form_apply_matrix(hit, _decoder().rows)
+        assert form_apply_matrix(hit, _decoder().rows) == decoded
+        assert decoded[3].has_errors()
+        assert form_apply_matrix(forms, identity) == forms
+        # on a vector that repeats a form, row 1 cancels to zero, row 3
+        # cancels one form's terms and row 4 cancels them and adds them back
+        repeats = [forms[0], forms[0], forms[1], forms[3], forms[0]]
+        got = form_apply_matrix(repeats, sparse)
+        assert got == _quadratic_form_apply_matrix(repeats, sparse)
+        assert got[1].is_zero() and got[2].is_zero()
+        assert got[3] == forms[1].scaled(SQRT3) and got[4] == forms[0].scaled(frac(1, 2))
+        assert all(all(not c.is_zero() for c in f.terms.values()) for f in got)
+
+
+def test_form_apply_matrix_errors_match_the_quadratic_accumulation():
+    """A column count that differs from the forms' raises ValueError, and a
+    float entry TypeError, as the quadratic accumulation does."""
+    basis = [LinearForm.of(QuadSymbol.input("x")), LinearForm.of(QuadSymbol.input("p"))]
+    for matrix, error in (([[1, 0, 0], [0, 1, 0]], ValueError), ([[1], [0]], ValueError),
+                          ([[1, 0], [0, 0.5]], TypeError), ([[0, "1"], [1, 0]], TypeError)):
+        with pytest.raises(error) as want:
+            _quadratic_form_apply_matrix(basis, matrix)
+        with pytest.raises(error) as got:
+            form_apply_matrix(basis, matrix)
+        assert str(got.value) == str(want.value)
+
+
 def test_form_variance_squeezed_pair():
     """Var(sqrt2 x1 e^{-r}) = 2 (1/4) e^{-2r}."""
     f = LinearForm({QuadSymbol.ancilla(1, "x", TAG_SQUEEZED): SQRT2})

@@ -208,6 +208,69 @@ def test_fidelity_from_moments_stacked_matches_reference():
         assert single == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
+def _scaled_fidelity(mean1, cov1, mean2, cov2):
+    """The closed form on 2x2 arrays rescaled by 4, with the adjugate solve:
+    the float operations the entry-wise form must reproduce bit for bit."""
+    a1 = 4.0 * np.asarray(cov1, dtype=float)
+    a2 = 4.0 * np.asarray(cov2, dtype=float)
+    total = a1 + a2
+    t00, t01, t10, t11 = total[..., 0, 0], total[..., 0, 1], total[..., 1, 0], total[..., 1, 1]
+    delta = t00 * t11 - t01 * t10
+
+    def det(a):
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+
+    lam = np.maximum((det(a1) - 1.0) * (det(a2) - 1.0), 0.0)
+    beta = 2.0 * (np.asarray(mean2, dtype=float) - np.asarray(mean1, dtype=float))
+    b0, b1 = beta[..., 0], beta[..., 1]
+    quad = (t11 * b0 * b0 - (t01 + t10) * b0 * b1 + t00 * b1 * b1) / delta
+    f = 2.0 / (np.sqrt(delta + lam) - np.sqrt(lam)) * np.exp(-0.5 * quad)
+    f = np.minimum(np.maximum(f, 0.0), 1.0)
+    return float(f) if f.ndim == 0 else f
+
+
+def _random_moments(rng, n):
+    means = rng.normal(0.0, 0.5, (n, 2))
+    factors = rng.normal(0.0, 0.6, (n, 2, 2))
+    return means, 0.2 * np.eye(2) + factors @ factors.transpose(0, 2, 1)
+
+
+def test_fidelity_from_moments_is_the_scaled_closed_form_bit_for_bit():
+    """Reading the entries once and folding the exact factors 4 and 16 leaves
+    every fidelity equal, with ``==``, to the scaled 2x2 form: stacked,
+    single, one input against stacked outputs, non-zero means, the L clamp
+    and the F <= 1 clamp."""
+    rng = np.random.default_rng(4)
+    inp_mean, inp_cov = np.zeros(2), np.diag([0.25 * 10 ** 0.89, 0.25 * 10 ** -0.35])
+    means, covs = _random_moments(rng, 50)
+    means1, covs1 = _random_moments(rng, 50)
+    stacked = fidelity_from_moments(means1, covs1, means, covs)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (50,)
+    assert np.array_equal(stacked, _scaled_fidelity(means1, covs1, means, covs))
+    broadcast = fidelity_from_moments(inp_mean, inp_cov, means, covs)
+    assert isinstance(broadcast, np.ndarray) and broadcast.shape == (50,)
+    assert np.array_equal(broadcast, _scaled_fidelity(inp_mean, inp_cov, means, covs))
+    for k in range(50):
+        single = fidelity_from_moments(means1[k], covs1[k], means[k], covs[k])
+        assert type(single) is float
+        assert single == _scaled_fidelity(means1[k], covs1[k], means[k], covs[k])
+        assert single == stacked[k]
+    assert np.all(means != 0.0)
+    # det(4 * 0.24 I) < 1: L clamps at 0
+    assert (fidelity_from_moments(inp_mean, inp_cov, means[0], 0.24 * np.eye(2))
+            == _scaled_fidelity(inp_mean, inp_cov, means[0], 0.24 * np.eye(2)))
+    # identical states: F = 1 up to rounding; the last rounds to 1 + 2^-52
+    # before the clamp caps it
+    for mean, cov in ((means[1], covs[1]), VACUUM, (inp_mean, inp_cov),
+                      (means[2], np.array([[0.7, 0.1], [0.1, 0.3]]))):
+        f = fidelity_from_moments(mean, cov, mean, cov)
+        assert f == _scaled_fidelity(mean, cov, mean, cov) and f <= 1.0
+    assert f == 1.0
+    # lists of ints are read as floats
+    assert (fidelity_from_moments([0, 1], [[1, 0], [0, 2]], [2, 0], [[3, 1], [1, 1]])
+            == _scaled_fidelity([0, 1], [[1, 0], [0, 2]], [2, 0], [[3, 1], [1, 1]]))
+
+
 # --------------------------------------------------------------------------
 # dB
 
