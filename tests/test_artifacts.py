@@ -1,0 +1,151 @@
+"""Characterization test: the exact bytes that ``cvqec run`` writes.
+
+Each case runs one experiment through the CLI and compares the SHA-256
+digest of its output directory, hashed as ``perfbench/workloads.digest``
+does (every file's name, a NUL byte and its bytes, in name order), with a
+pinned value.  On a mismatch the failure names the files whose own digest
+moved.  The digests hold for numpy 2.4.6 and its bundled BLAS; a change
+that moves an artifact byte re-pins them and says why.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from cvqec import cli
+
+_SMALL = {"trials": 32, "window": 64}
+_FOURIER_SQUEEZED = {"squeezing_db": 4, "fourier": True,
+                     "input": {"squeeze_db": 3.5, "antisqueeze_db": 8.9}}
+_R_SWEEP = {"parameter": "r", "values": [0.0, 0.4, 1.0]}
+
+# config name -> (config document, experiments that accept it)
+CONFIGS = {
+    "seed0": ({**_SMALL, "seed": 0}, cli.EXPERIMENTS),
+    "seed3-fourier": ({**_SMALL, "seed": 3, "code": _FOURIER_SQUEEZED, "sweep": _R_SWEEP},
+                      cli.EXPERIMENTS),
+    "seed3-fourier-loss": ({**_SMALL, "seed": 3, "sweep": _R_SWEEP,
+                            "code": {**_FOURIER_SQUEEZED,
+                                     "channel_loss": [1.0, 0.95, 0.9, 0.85, 0.8]}},
+                           tuple(e for e in cli.EXPERIMENTS if e != "witness")),
+}
+CASES = [f"{config}/{experiment}" for config, (_, experiments) in CONFIGS.items()
+         for experiment in experiments]
+
+
+def config_doc(config: str, experiment: str) -> dict:
+    """The config document of one case; the seed-0 mc-sweep sweeps gamma."""
+    doc = CONFIGS[config][0]
+    if experiment == "mc-sweep" and "sweep" not in doc:
+        doc = {**doc, "sweep": {"parameter": "gamma", "values": [0.1, 0.5]}}
+    return doc
+
+
+def digest(out_dir: Path) -> str:
+    h = hashlib.sha256()
+    for path in sorted(out_dir.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+# case -> (digest of the output directory, {file: SHA-256 of its bytes})
+_DIGESTS = {
+    "seed0/table2": ("dc23c58070a2afe25b2115657f4e8026eb813abfe4679f0d2917de9d0f4362ad", {
+        "table2.csv": "d29b274a47dd02d77dbeda62f9cd6f4281fd026c2ddaf26df1c6d60629588b86",
+        "table2.json": "c47f80f79765d6612e4417f9d3c5e853c194a8077fad3a91b17cdf2183494782",
+    }),
+    "seed0/tableC1": ("511f0bb53fecf0346983e83949f223f51c511d77173ff61d69018d623f3b30cc", {
+        "tableC1.csv": "96be08af111e274370ce155298c0274e49529d1a60dcdfef56115d6c83c7b51d",
+        "tableC1.json": "0392365ee0e9d2e92c36065d887591f62fab9bfdb51e965f233968a03eb32678",
+    }),
+    "seed0/syndrome-demo": ("b5f8a6651ad8cd496758c95b58b6582a481f6aef28457f665a3a788b35ebb0df", {
+        "syndrome_demo.json": "72b64c3032e280face94dac08afabf2cfb2b07957455f3bc5cd47e7e4588cbf4",
+        "syndrome_demo_ch1.csv": "44c32c9c1236b89c4467bfaad033275c252f2e6e92bffea9043d85b9c2cc756b",
+        "syndrome_demo_ch2.csv": "5e403b3df5d86b925d2cd3a5e877d347c7342f0b2324b56db26c829e67a677b5",
+        "syndrome_demo_ch3.csv": "ead6378c8bf47b94374ba28485e6817d5640aa4d5acce4b957f3e00f04052ae5",
+        "syndrome_demo_ch4.csv": "317168c7e33351335f01634ae160a2c55373111ccc146ca9f78f93a94cdde9a3",
+        "syndrome_demo_ch5.csv": "2be12d9523b678b27b78bb39ed9762c0289fe9a42addc9f00ac330b9b7680575",
+    }),
+    "seed0/spectra": ("923e31092dc53b2986b829869c97ec588a8868470b27568d89df3bc5377a3730", {
+        "spectra.csv": "aa122e3c009077c07d2018638ce2528718ed5440a9b8ba6088f86df4b15c81c8",
+        "spectra.json": "24bdad85db5f8fb79c5ba797d0c83e4a49da5d77a353fc72032bb29504d1cae5",
+    }),
+    "seed0/witness": ("fbec7ebf2c8dc7705a11e72ccf027fefea4285d8d22dab4b96276124aec865af", {
+        "witness.csv": "dac9ce53b72cd2d187dca462c498c51f5a4de52c4dbe1618ed689e05374117c8",
+        "witness.json": "3ea38fa2280ee02787175f73adf60660c1c9e014e90b7a81ad73c5719ec955ec",
+    }),
+    "seed0/mc-sweep": ("d7b3d6018c9a7a48421ae3a5315d9a67ae939f2f27e99826e3d7fb244c209137", {
+        "mc_sweep.csv": "113a753a19b3d060a1fa733dc1a8424cb3e91ec4ab4dc9f6994a9bb3ce7ba291",
+        "mc_sweep.json": "080735bbcc13dcee4b0ed53c028204e6f9b2b918780ce70ccc6f7e295c1d07fe",
+    }),
+    "seed3-fourier/table2": ("da07a2e3a65a74bcd2400cd6bedce9f4cd468aef3a6e85a862a8dc7aed9c5f09", {
+        "table2.csv": "a5f1c9c90a63837765ad7b41682c44efd52dddb0c8c97b22ab925aa83bea3f60",
+        "table2.json": "f901d34ed703160dfa18fd94ad531663344b4a9360de9ffe71726c1eaf6fba5e",
+    }),
+    "seed3-fourier/tableC1": ("ac1e11d188a45688fee691ceb8c91d60623c770053bbed531299fe83296bac81", {
+        "tableC1.csv": "74ac5b70ee488216bcc526eebd03f87b75c9bd89e078fddb1535be609aa52bdc",
+        "tableC1.json": "e5ff6c20ca7f0d6d9d2d58c062405cfc4e4fe0a8cefb2f4f4f2a968002e1cd4f",
+    }),
+    "seed3-fourier/syndrome-demo": ("4879e0e1d6dc73da93616df8303b0699b12a2cdbbd0b970426ae1cd5cefd2119", {
+        "syndrome_demo.json": "d0f62c10008b156608bd385e7975294cb6d32f385347e160af6de7786b6c8d27",
+        "syndrome_demo_ch1.csv": "471d2757f11c8d60a86d4b90c48878339d8a6f7f4a23c60c5fbb45d1f0fab618",
+        "syndrome_demo_ch2.csv": "ccbaa0badc5a4eb179cda4c30eb676aafd01b67f47e2ff8e19237a8af53ab110",
+        "syndrome_demo_ch3.csv": "ecd54d0cb04c0ea5a9de0f47b4a7e0c34170d632a04a38514c6bdc97c1167f71",
+        "syndrome_demo_ch4.csv": "74b3c933f72b8484bef8519c19ebb5899e5433bd01273885b049b8131fe25a41",
+        "syndrome_demo_ch5.csv": "f8c089fe590882663dfe80d91a009a2a81a6b0fcc842ee1e19d61711ecae7244",
+    }),
+    "seed3-fourier/spectra": ("ddca6a21d27881f222ea06ee296b1bdf1d4f8e339b6b1fe4f27c76de9eea845a", {
+        "spectra.csv": "579647ca6593c944540c7be94d3030adec9672918d49cae1cc2277efabc42bf4",
+        "spectra.json": "591a696ca472ad79a76033336228634e7f5a8ca117899744ae1bc53e582b0ace",
+    }),
+    "seed3-fourier/witness": ("8181fc1e9de595e1b21abfc15227c2edb006ae88b3d2b4f039520ffd270a67fa", {
+        "witness.csv": "203f4e1dec16afd5bdc69bf5ac4ec963c4e51a39f2ace5f5782318bdcab846b0",
+        "witness.json": "3deae5674c3e1b41146e6269b8b0eb6981317f0fc530c7e1e6a150f630403e19",
+    }),
+    "seed3-fourier/mc-sweep": ("279acabb3fb2cc225376753057c673a590f87a9a634ba718f35d98bd3d63f6d8", {
+        "mc_sweep.csv": "222066368de67aa8cd3e06e67391dd53bd5c6dcdf6a1b3baf7ac982fa21c905c",
+        "mc_sweep.json": "4ba4d5ad4588f5a220fbe858cb10a77c5a4d5c98ecf6af70cfe9f91e65e12c42",
+    }),
+    "seed3-fourier-loss/table2": ("557b3c75093c25a1e78079cdaf7ac64d36500f8b3b929fa99b67e5d996c9bd6a", {
+        "table2.csv": "7fee6d3439cd870f1cebb50db8e5206c91ce8ab5a3f1da01d2404dfccd16dcab",
+        "table2.json": "86ebbeef6d35838cefd615f45b252475864c36f8f4142269a523641b6929736b",
+    }),
+    "seed3-fourier-loss/tableC1": ("68b73a99e7ff68403ec8527cb043c5e9d72ca2eaea5147fb9f054dffcdd4acc5", {
+        "tableC1.csv": "323da114605615eb135e0ef4da0775282e698802fc7a947a9e2ebaddb541e5fb",
+        "tableC1.json": "8c8cea670899d6c5cddf647b270fad87bf73ea380eae361a388e2d76afcfd6ef",
+    }),
+    "seed3-fourier-loss/syndrome-demo": ("4f8ad3d2296c82d8e8183e0c06931c7cd0612241757bd082eaea59cf62a3eb4a", {
+        "syndrome_demo.json": "d0f62c10008b156608bd385e7975294cb6d32f385347e160af6de7786b6c8d27",
+        "syndrome_demo_ch1.csv": "5c8db2b852159db62e3d35465a1595341ebcac29b57afc3ac0ae26306f9509f4",
+        "syndrome_demo_ch2.csv": "7491d5f15957f27a117118394ad16f5ad4f81332c2639c85842525a2f917e6f5",
+        "syndrome_demo_ch3.csv": "d38ffedb0bf38979748d37f1ed1ab3ee790ccd76e2defc75744765e3a0b873c0",
+        "syndrome_demo_ch4.csv": "e95689f55e3fcf8ecbf2bfd7995e256def03668de2fdcaa93c745cf73c75dfe9",
+        "syndrome_demo_ch5.csv": "b566bd7845dd284bd185ef604fb68067297e46fa1355fe29813302ee8faf39bb",
+    }),
+    "seed3-fourier-loss/spectra": ("7a4c2910f865ef4936ee6bd8a755bb408924caa07cfced74f9523becd0628232", {
+        "spectra.csv": "2d39fc1c205c8694cb0461bf8b22091f66b2652c527e751f1726d35859041b67",
+        "spectra.json": "afcf883ac0f88bda7bfd958e688657937e6442ccbe3084cdffc808c55f766478",
+    }),
+    "seed3-fourier-loss/mc-sweep": ("d3d399859bcac36b9029e81fa817a076d827c90d8c94742debf5a4b98b5dbb35", {
+        "mc_sweep.csv": "874bb3a58f7626804ee927fb66473cc4f0d4c8a63b9fb9484ed280fa03b3d76f",
+        "mc_sweep.json": "eec0d1b98ee3e413b504aa5df5af5f3f77226705b55f70004c6c0d7a13d53ef4",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_artifacts_match_their_pinned_digests(case, tmp_path):
+    config, experiment = case.split("/")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config_doc(config, experiment)))
+    out = tmp_path / "out"
+    assert cli.main(["run", experiment, "--config", str(path), "--out", str(out)]) == 0
+    want_dir, want_files = _DIGESTS[case]
+    if digest(out) != want_dir:
+        got_files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                     for p in out.iterdir()}
+        moved = sorted(name for name in got_files.keys() | want_files.keys()
+                       if got_files.get(name) != want_files.get(name))
+        pytest.fail(f"{experiment} ({config}): the digest of {', '.join(moved)} moved")
