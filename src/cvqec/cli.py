@@ -279,14 +279,14 @@ def _input_variants(code: CodeConfig):
             ("squeezed", replace(code, input_kind="squeezed")))
 
 
-def _mc_stderr(outcome: RoundsOutcome) -> float:
-    """The sample standard deviation of every round's fidelity over sqrt(n).
-    It is not the standard error of a pooled ``fidelity_mc``, whose moments
-    pool every round of a sweep value but only a table2 row's hit-channel
+def _mc_stderr(outcome: RoundsOutcome, code: CodeConfig) -> float:
+    """The sample standard deviation of every round's fidelity, that of its
+    corrected moments against the input of ``code``, over sqrt(n).  It is
+    not the standard error of a pooled ``fidelity_mc``, whose moments pool
+    every round of a sweep value but only a table2 row's hit-channel
     rounds."""
-    fids = outcome.fidelity_mc
-    if len(fids) < 2:
-        return float("nan")
+    fids = fidelity_from_moments(*code.input_state(), outcome.corrected_mean,
+                                 outcome.corrected_cov)
     return float(np.std(fids, ddof=1) / math.sqrt(len(fids)))
 
 
@@ -312,7 +312,7 @@ def run_table2(cfg: ExperimentConfig, out_dir: Path) -> dict:
                       else fidelity_from_moments(*variant.input_state(), *pooled))
                 rows.append([channel, input_kind, ancilla,
                              repr(theory), repr(mc),
-                             repr(_mc_stderr(outcome)),
+                             repr(_mc_stderr(outcome, variant)),
                              MEASURED_FIDELITY[(input_kind, ancilla)][channel],
                              "measured"])
     return _write_table(out_dir, "table2", header, rows, experiment="table2",
@@ -437,7 +437,7 @@ def run_mc_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
         theory = fidelity_from_moments(*inp, *output_mixture(code, error))
         mc = fidelity_from_moments(*inp, *pooled_moments(outcome))
         rows.append([repr(float(value)), repr(theory),
-                     repr(mc), repr(_mc_stderr(outcome)),
+                     repr(mc), repr(_mc_stderr(outcome, code)),
                      repr(outcome.summary.accuracy)])
     return _write_table(out_dir, "mc_sweep", header, rows, experiment="mc-sweep",
                         seed=cfg.seed, trials=cfg.trials, window=cfg.window,
@@ -456,20 +456,25 @@ EXPERIMENTS = tuple(_RUNNERS)
 
 
 _WINDOWED = ("table2", "spectra", "mc-sweep", "syndrome-demo")
+_WITH_STDERR = ("table2", "mc-sweep")      # write fidelity_mc_stderr, a spread over rounds
 
 
 def check_experiment(name: str, cfg: ExperimentConfig) -> None:
     """Raises ValueError if the experiment is unknown or cannot run with the
-    config: a negative seed, a window below the syndrome floor, a missing or
-    unsuitable sweep section, a witness grid around a per-ancilla r or on a
-    lossy code, a syndrome demo of a single-quadrature law, or a sweep value
-    that makes an invalid config."""
+    config: a negative seed, a window below the syndrome floor, a single
+    trial where a row's stderr needs two, a missing or unsuitable sweep
+    section, a witness grid around a per-ancilla r or on a lossy code, a
+    syndrome demo of a single-quadrature law, or a sweep value that makes an
+    invalid config."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown experiment {name!r}")
     if cfg.seed < 0:
         raise ValueError(f"seed must be non-negative, not {cfg.seed}")
     if name in _WINDOWED and cfg.window < qec.MIN_SYNDROME_WINDOW:
         raise ValueError(f"window must be at least {qec.MIN_SYNDROME_WINDOW}")
+    if name in _WITH_STDERR and cfg.trials < 2:
+        raise ValueError(f"the {name} experiment needs trials of at least 2: "
+                         "fidelity_mc_stderr is a spread over its rounds")
     if name == "mc-sweep" and cfg.sweep_parameter is None:
         raise ValueError("mc-sweep requires a sweep section in the config")
     if name == "witness" and cfg.sweep_parameter not in (None, "r"):
@@ -490,6 +495,7 @@ def check_experiment(name: str, cfg: ExperimentConfig) -> None:
 
 
 def run_experiment(name: str, cfg: ExperimentConfig, out_dir: str | Path) -> dict:
+    """The library entry: checks the config, creates ``out_dir`` and runs."""
     check_experiment(name, cfg)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -536,7 +542,7 @@ def main(argv: list[str] | None = None) -> int:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         parser.error(f"cannot create output directory: {exc}")
-    artifacts = run_experiment(args.experiment, cfg, out_dir)
+    artifacts = _RUNNERS[args.experiment](cfg, Path(out_dir))
     print(json.dumps({"experiment": args.experiment, "out": str(out_dir),
                       "artifacts": artifacts}, sort_keys=True))
     return 0

@@ -238,17 +238,10 @@ def _syndrome_index(flags: np.ndarray, cross: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=-1, bitorder="little")[..., 0]
 
 
-# The round code (_syndrome_rule) and the (D1-D3, D3-D4) relations of every
-# syndrome index.  A relation is 0 unless both detectors of its pair are
-# flagged; then it is +1 for an in-phase bit and -1 without one, so a NaN
-# cross term reads -1.
+# The round code (_syndrome_rule) of every syndrome index.
 _CODE_TABLE = np.array([_syndrome_rule(*(bool(i >> k & 1) for k in range(8)))
                         for i in range(256)], dtype=np.int8)
-_RELATION_TABLE = np.array([[(1 if i >> (4 + j) & 1 else -1) * (i >> a & i >> b & 1)
-                             for j, (a, b) in enumerate(((0, 2), (2, 3)))]
-                            for i in range(256)], dtype=np.int8)
 _CODE_TABLE.setflags(write=False)
-_RELATION_TABLE.setflags(write=False)
 
 
 def classify_codes(flags: np.ndarray, cross: np.ndarray) -> np.ndarray:
@@ -448,19 +441,16 @@ def output_mixture(cfg: CodeConfig, error_cfg: ErrorConfig) -> tuple[np.ndarray,
 # --------------------------------------------------------------------------
 # full correction rounds
 
-def _syndrome(factor: np.ndarray, window: int,
-              thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The fluctuation flags (n, 4) and ``_syndrome_index`` of one pass, from
-    every round's centred readout factor X (n, 6, k) of (D1..D4, out_x,
-    out_p), whose scatter is X X^T: a flag is a squared row norm of D1..D4
-    over window - 1 above its threshold, and the D1-D3 / D3-D4
-    cross-correlations are the dot products of rows 0 and 2 and of rows 2
-    and 3 over the window.
-    ``_CODE_TABLE`` holds each index's round code and ``_RELATION_TABLE`` its
-    relations."""
+def _syndrome(factor: np.ndarray, window: int, thresholds: np.ndarray) -> np.ndarray:
+    """The ``_syndrome_index`` of one pass, from every round's centred readout
+    factor X (n, 6, k) of (D1..D4, out_x, out_p), whose scatter is X X^T: a
+    flag is a squared row norm of D1..D4 over window - 1 above its
+    threshold, and the D1-D3 / D3-D4 cross-correlations are the dot products
+    of rows 0 and 2 and of rows 2 and 3 over the window.  ``_CODE_TABLE``
+    holds each index's round code."""
     flags = np.einsum("nij,nij->ni", factor[:, :4], factor[:, :4]) / (window - 1) > thresholds
     cc = np.einsum("nij,nij->ni", factor[:, [0, 2]], factor[:, 2:4]) / window
-    return flags, _syndrome_index(flags, cc)
+    return _syndrome_index(flags, cc)
 
 
 def _readout_noise(maps: PipelineMaps, n: int, window: int,
@@ -588,17 +578,15 @@ def pooled_moments(rounds: "RoundsOutcome",
 
 
 def summarize_reports(rounds: "RoundsOutcome") -> "RoundsSummary":
-    """Aggregates a batch of rounds from its columns: the counts per final
-    class, in order of first appearance, from one ``np.bincount``, and the
-    three rates."""
+    """Aggregates a batch of rounds from its columns: the counts of the final
+    classes that occur, in ``CODE_NAMES`` order, from one ``np.bincount``,
+    and the three rates."""
     codes = rounds.final_codes
     n = len(codes)
     counts = np.bincount(codes, minlength=len(CODE_NAMES))
-    present = counts.nonzero()[0]
-    order = present[np.argsort((codes == present[:, None]).argmax(axis=1))]
     return RoundsSummary(
         n_rounds=n, window=rounds.window,
-        counts={CODE_NAMES[c]: int(counts[c]) for c in order},
+        counts={CODE_NAMES[c]: int(counts[c]) for c in counts.nonzero()[0]},
         occurrence_fraction=int(np.count_nonzero(rounds.channels)) / n,
         accuracy=int(np.count_nonzero(rounds.matched)) / n,
         fourier_rate=int(np.count_nonzero(rounds.fourier_used)) / n)
@@ -622,28 +610,32 @@ class RoundsOutcome:
     """Results of a batch of rounds as columns, one entry per round.
 
     Codes are ``NO_ERROR``, 1..5 (the located channel), ``AMBIGUOUS_P`` and
-    ``UNCLASSIFIABLE``, named by ``CODE_NAMES``.  A round's first-pass code
-    is ``AMBIGUOUS_P`` where the rotated rerun ran and its final code
-    elsewhere.  Flags and relations describe the first pass; the corrected
-    moments and fidelities come from the pass the correction used.
-    ``summary`` is derived from the columns on first use.  No sample series
-    and no closed-form theory is kept.
+    ``UNCLASSIFIABLE``, named by ``CODE_NAMES``.  ``syndrome`` is the first
+    pass's ``_syndrome_index``, whose bits 0-3 are the fluctuation flags of
+    D1..D4; its code, ``_CODE_TABLE[syndrome]``, is ``AMBIGUOUS_P`` where
+    the rotated rerun ran and the final code elsewhere.  The corrected
+    moments come from the pass the correction used.  ``summary`` is derived
+    from the columns on first use.  No sample series and no closed-form
+    theory is kept.
     """
 
     window: int
     channels: np.ndarray          # hit channel, 0 when no error occurred
     final_codes: np.ndarray
-    fourier_used: np.ndarray      # the rotated rerun ran
-    flags: np.ndarray             # (n, 4) fluctuation flags of D1..D4
-    relations: np.ndarray         # (n, 2) D1-D3, D3-D4: +1 in phase, -1 out of phase, 0 n/a
+    syndrome: np.ndarray          # uint8 first-pass syndrome index
     corrected_mean: np.ndarray    # (n, 2)
     corrected_cov: np.ndarray     # (n, 2, 2), ddof=1
-    fidelity_mc: np.ndarray
 
     @property
     def matched(self) -> np.ndarray:
         """Whether each round's final code names its hit channel."""
         return self.final_codes == self.channels
+
+    @property
+    def fourier_used(self) -> np.ndarray:
+        """Whether each round ran the rotated rerun: its first pass was
+        ambiguous."""
+        return _CODE_TABLE[self.syndrome] == AMBIGUOUS_P
 
     @cached_property
     def summary(self) -> RoundsSummary:
@@ -667,8 +659,8 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
     Every round draws its error, measures the syndrome window, is classified
     and has its output repaired by feedforward.  Each pass yields every
     round's readout mean and centred (6, 8) factor X, and classification
-    (``_syndrome``), feedforward, corrected moments and fidelities are array
-    operations on those statistics.  The statistics are drawn directly from
+    (``_syndrome``), feedforward and corrected moments are array operations
+    on those statistics.  The statistics are drawn directly from
     their joint law (X X^T is a Wishart scatter; see ``_sample_statistics``),
     at a cost that does not grow with the window beyond the error law's own
     draws; no sample series is formed (the tests hold the series route they
@@ -696,15 +688,14 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
     maps = _maps(cfg, cfg.fourier_mode)
     # pass 1's statistics are this call's own, so a rerun overwrites them
     mean, x = _sample_statistics(maps, channels, occurred, law, window, rng)
-    flags, index = _syndrome(x, window, maps.thresholds)
+    index = _syndrome(x, window, maps.thresholds)
     final = _CODE_TABLE[index]
-    ambiguous = final == AMBIGUOUS_P
-    rerun = ambiguous.nonzero()[0]
+    rerun = (final == AMBIGUOUS_P).nonzero()[0]
     if len(rerun):
         rotated = _maps(cfg, not cfg.fourier_mode)
         mean2, x2 = _sample_statistics(rotated, channels[rerun], occurred[rerun], law, window,
                                        rng)
-        second = _CODE_TABLE[_syndrome(x2, window, rotated.thresholds)[1]]
+        second = _CODE_TABLE[_syndrome(x2, window, rotated.thresholds)]
         second[second == AMBIGUOUS_P] = UNCLASSIFIABLE
         final[rerun] = second
         resolved = second != UNCLASSIFIABLE
@@ -723,11 +714,8 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
     # A contiguous transpose keeps the stacked product on numpy's BLAS path;
     # a strided one falls back to a slower loop.
     cov = corrected @ corrected.transpose(0, 2, 1).copy() / (window - 1)
-    return RoundsOutcome(
-        window=window, channels=channels, final_codes=final, fourier_used=ambiguous,
-        flags=flags, relations=_RELATION_TABLE[index], corrected_mean=corrected_mean,
-        corrected_cov=cov,
-        fidelity_mc=fidelity_from_moments(*cfg.input_state(), corrected_mean, cov))
+    return RoundsOutcome(window=window, channels=channels, final_codes=final, syndrome=index,
+                         corrected_mean=corrected_mean, corrected_cov=cov)
 
 
 # Turns of the error phase over one ``syndrome_trace`` window.
@@ -755,6 +743,6 @@ def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,
                  + rng.uniform(0.0, 2.0 * math.pi))
         sweep = magnitude * np.stack([np.cos(phase), np.sin(phase)], axis=1)
         series += _error_series(maps, np.array([channel]), sweep[None])
-    index = _syndrome(_reduce_series(series)[1], window, maps.thresholds)[1]
+    index = _syndrome(_reduce_series(series)[1], window, maps.thresholds)
     traces = dict(zip(DETECTORS + ("out_x", "out_p"), series[0].T))
     return traces, int(_CODE_TABLE[index[0]])

@@ -360,14 +360,6 @@ class LinearForm:
     def __neg__(self) -> "LinearForm":
         return LinearForm({sym: -c for sym, c in self._terms.items()})
 
-    def scaled(self, factor) -> "LinearForm":
-        factor = _coerce(factor)
-        if factor is NotImplemented:
-            raise TypeError("scale factor must be ExactScalar or rational")
-        if factor.is_zero():
-            return LinearForm()
-        return LinearForm({sym: c * factor for sym, c in self._terms.items()})
-
     def drop_errors(self) -> "LinearForm":
         return LinearForm({s: c for s, c in self._terms.items() if s.role != ROLE_ERROR})
 

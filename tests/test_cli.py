@@ -338,6 +338,9 @@ _GAMMA_SWEEP = {"parameter": "gamma", "values": [0.5, 1.0]}
      "the witness experiment models a lossless code: code.channel_loss must be 1"),
     ({"experiment": "syndrome-demo", "error": {"law": {"kind": "p"}}},
      "error.law.kind must be 'general'"),
+    ({"trials": 1}, "the table2 experiment needs trials of at least 2"),
+    ({"experiment": "mc-sweep", "trials": 1, "sweep": _GAMMA_SWEEP},
+     "the mc-sweep experiment needs trials of at least 2"),
 ])
 def test_main_reports_bad_config_as_usage_error(tmp_path, capsys, doc, message):
     """A bad config stops ``cvqec run`` with exit 2 before the runner starts;
@@ -350,6 +353,12 @@ def test_main_reports_bad_config_as_usage_error(tmp_path, capsys, doc, message):
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_spectra_runs_one_trial(tmp_path):
+    """spectra writes no stderr column, so a single trial is a valid run."""
+    cli.run_experiment("spectra", cli.parse_config({"trials": 1, "window": 64}), tmp_path)
+    assert (tmp_path / "spectra.csv").exists()
 
 
 def test_largest_magnitude_runs_table2_cleanly(tmp_path):

@@ -20,7 +20,7 @@ from cvqec.exact import (ExactScalar, ModeForm, QuadSymbol, SQRT2, TAG_ANTISQUEE
                          TAG_SQUEEZED, mode_forms_apply_matrix, sqrt_of)
 from cvqec.gaussian import db_to_r, fidelity_from_moments
 from cvqec.network import encoder_matrix, inverse, lift_to_symplectic
-from test_exact import form_covariance, form_variance
+from test_exact import form_covariance, form_variance, scaled
 
 R35 = db_to_r(3.5)
 Q35 = 10.0 ** -0.35
@@ -313,22 +313,31 @@ def _measured(cfg, channel, law, seed=0, window=512):
     return run_rounds(cfg, ec, np.random.default_rng(seed), 1, window)
 
 
+def _syndrome_bits(index):
+    """The (..., 8) bits of syndrome indices (...,): the flags of D1..D4,
+    cc13 > 0, cc34 > 0, cc13 <= 0 and cc34 <= 0."""
+    return np.unpackbits(np.asarray(index, dtype=np.uint8)[..., None], axis=-1,
+                         bitorder="little").astype(bool)
+
+
 def test_syndrome_channel1_pattern(series_sampler):
     out = _measured(CodeConfig(r=R35), 1, ErrorLaw("general", STRONG))
-    assert out.flags[0].tolist() == [True, True, True, False]
-    assert out.relations[0, 0] == 1                  # D1-D3 in phase
+    bits = _syndrome_bits(out.syndrome[0])
+    assert bits[:4].tolist() == [True, True, True, False]
+    assert bits[4]                                   # D1-D3 in phase
 
 
 def test_syndrome_channel2_pattern(series_sampler):
     out = _measured(CodeConfig(r=R35), 2, ErrorLaw("general", STRONG))
-    d1, _, d3, d4 = out.flags[0]
+    bits = _syndrome_bits(out.syndrome[0])
+    d1, _, d3, d4 = bits[:4]
     assert d1 and d3 and not d4
-    assert out.relations[0, 0] == -1                 # D1-D3 out of phase
+    assert bits[6]                                   # D1-D3 out of phase
 
 
 def test_syndrome_no_error_large_squeezing(series_sampler):
     out = _measured(CodeConfig(r=2.0), None, ErrorLaw("general", 0.0))
-    assert not out.flags.any()
+    assert not _syndrome_bits(out.syndrome[0])[:4].any()
 
 
 def test_syndrome_window_floor(series_sampler):
@@ -352,12 +361,18 @@ def active_quadratures(law):
     return ("x",) if law.kind == "x" else ("p",)
 
 
+def _reference_relations(flags, cross):
+    """The D1-D3 / D3-D4 relation rule: the sign of each cross term (NaN
+    reading -1) where both of its detectors are flagged, else 0."""
+    pairs = flags[..., [0, 2]] & flags[..., [2, 3]]
+    return (np.where(cross > 0, 1, -1) * pairs).astype(np.int8)
+
+
 def syndrome_closed_form(decoded, fourier, laws):
-    """Exact-coefficient syndrome (no sampling, lossless algebra) in the
-    encoding of ``RoundsOutcome``: (4,) fluctuation flags of D1..D4 and (2,)
-    D1-D3 / D3-D4 relations, +1 in phase, -1 out of phase, 0 n/a, of decoded
-    forms in the basis of ``fourier`` whose hit channels map to their error
-    laws in ``laws``.
+    """Exact-coefficient syndrome (no sampling, lossless algebra): (4,)
+    fluctuation flags of D1..D4 and (2,) D1-D3 / D3-D4 relations, +1 in
+    phase, -1 out of phase, 0 n/a, of decoded forms in the basis of
+    ``fourier`` whose hit channels map to their error laws in ``laws``.
 
     A detector is flagged iff its measured quadrature carries a non-zero exact
     coefficient on an error quadrature that its law fluctuates; phase
@@ -376,8 +391,7 @@ def syndrome_closed_form(decoded, fourier, laws):
             if not coeff.is_zero():
                 coeffs[i] = float(coeff)
                 flags[i] |= law.quadrature_variances()[quad == "p"] > 0.0
-    index = qec._syndrome_index(flags, coeffs[[0, 2]] * coeffs[[2, 3]])
-    return flags, qec._RELATION_TABLE[index]
+    return flags, _reference_relations(flags, coeffs[[0, 2]] * coeffs[[2, 3]])
 
 
 def test_syndrome_constant_event_shifts_mean_not_variance():
@@ -520,19 +534,10 @@ def test_table_classifier_matches_reference_on_signed_zeros_and_nan():
         assert CODE_NAMES[int(classify_codes(flags[i], cross[i]))] == want
 
 
-def _reference_relations(flags, cross):
-    """The relation rule the engine used before its index tables: the sign of
-    each cross term (NaN reading -1) where both of its detectors are flagged,
-    else 0."""
-    pairs = flags[..., [0, 2]] & flags[..., [2, 3]]
-    return (np.where(cross > 0, 1, -1) * pairs).astype(np.int8)
-
-
 def test_syndrome_index_tables_match_the_rules():
-    """On all 256 syndrome indices the code table is ``_syndrome_rule`` and
-    the relation table the reference relation rule; an index built from
-    flags and cross terms has the documented bits, and a NaN cross term sets
-    neither of its bits."""
+    """On all 256 syndrome indices the code table is ``_syndrome_rule``; an
+    index built from flags and cross terms has the documented bits, and a
+    NaN cross term sets neither of its bits."""
     for i in range(256):
         bits = [bool(i >> k & 1) for k in range(8)]
         assert qec._CODE_TABLE[i] == qec._syndrome_rule(*bits), i
@@ -540,15 +545,12 @@ def test_syndrome_index_tables_match_the_rules():
         cross = np.array([1.0 if bits[4 + j] else -1.0 if bits[6 + j] else math.nan
                           for j in (0, 1)])
         flags = np.array(bits[:4])
-        assert qec._RELATION_TABLE[i].tolist() == _reference_relations(flags, cross).tolist(), i
         if not (bits[4] and bits[6] or bits[5] and bits[7]):
             assert qec._syndrome_index(flags, cross) == i
-    assert qec._RELATION_TABLE.dtype == np.int8
     flags = np.ones((2, 4), dtype=bool)
     index = qec._syndrome_index(flags, np.array([[math.nan, 0.5], [-0.5, math.nan]]))
     assert index.dtype == np.uint8
     assert index.tolist() == [0b0010_1111, 0b0100_1111]
-    assert qec._RELATION_TABLE[index].tolist() == [[-1, 1], [-1, -1]]
 
 
 # --------------------------------------------------------------------------
@@ -604,7 +606,7 @@ def apply_correction(decoded, code, fourier=False):
     is."""
     forms = [decoded[OUT_POS].x, decoded[OUT_POS].p]
     for row, (det, gain) in enumerate(PLANS[fourier].get(code, ())):
-        forms[row] = forms[row] + readout_form(decoded, det, fourier).scaled(gain)
+        forms[row] = forms[row] + scaled(readout_form(decoded, det, fourier), gain)
     return ModeForm(*forms)
 
 
@@ -775,7 +777,8 @@ def test_run_round_channel2_near_unit_fidelity(series_sampler):
     out = run_rounds(cfg, ec, np.random.default_rng(21), 1)
     assert out.final_codes[0] == 2
     assert _round_theory(out, cfg, ec.law)[0].fidelity == pytest.approx(1.0, abs=1e-12)
-    assert out.fidelity_mc[0] > 0.99
+    assert fidelity_from_moments(*cfg.input_state(), out.corrected_mean,
+                                 out.corrected_cov)[0] > 0.99
 
 
 def test_run_round_pure_p_resolved_by_rerun(series_sampler):
@@ -853,30 +856,29 @@ def _corrected_series(outcome, passes):
 
 @pytest.mark.parametrize("case", sorted(_PINNED_ROUNDS))
 def test_round_moments_match_stored_series(case, series_sampler):
-    """Every round's corrected moments and fidelity equal those recomputed
-    from its corrected series.  The general case has no-error rounds
-    and channels 1 and 3-5; the gaussian p case has resolved reruns and
-    unresolved ones, which report the first pass."""
+    """Every round's corrected moments, and its fidelity as
+    ``cli._mc_stderr`` computes it from them, equal those recomputed from its
+    corrected series.  The general case has no-error rounds and channels 1
+    and 3-5; the gaussian p case has resolved reruns and unresolved ones,
+    which report the first pass."""
     import hashlib
-
-    from cvqec.gaussian import fidelity_from_moments
 
     ec = {"general": ErrorConfig(0.7, "uniform", ErrorLaw("general", STRONG)),
           "p": ErrorConfig(1.0, "uniform", ErrorLaw("p", 1.5, "gaussian"))}[case]
     cfg = CodeConfig(r=R35)
     outcome = run_rounds(cfg, ec, np.random.default_rng(0), 16, window=64)
     inp = cfg.input_state()
+    fids = fidelity_from_moments(*inp, outcome.corrected_mean, outcome.corrected_cov)
     tol = dict(rtol=1e-12, atol=1e-12)
     for i, series in enumerate(_corrected_series(outcome, series_sampler)):
         mean = series.mean(axis=0)
         cov = np.cov(series.T, ddof=1)
         np.testing.assert_allclose(outcome.corrected_mean[i], mean, **tol)
         np.testing.assert_allclose(outcome.corrected_cov[i], cov, **tol)
-        np.testing.assert_allclose(
-            outcome.fidelity_mc[i], fidelity_from_moments(*inp, mean, cov), **tol)
+        np.testing.assert_allclose(fids[i], fidelity_from_moments(*inp, mean, cov), **tol)
     channels, first, final, reruns, means = _PINNED_ROUNDS[case]
     assert outcome.channels.tolist() == channels
-    first_codes = np.where(outcome.fourier_used, AMBIGUOUS_P, outcome.final_codes)
+    first_codes = qec._CODE_TABLE[outcome.syndrome]
     assert " ".join(_short(c) for c in first_codes.tolist()) == first
     assert " ".join(_short(c) for c in outcome.final_codes.tolist()) == final
     assert "".join("FT"[int(r)] for r in outcome.fourier_used) == reruns
@@ -912,7 +914,7 @@ def _pass_statistics(maps, channels, law, window, seed, sample):
         scatter = factor @ factor.transpose(0, 2, 1)
         columns.append(np.column_stack([mean, scatter[:, upper_row, upper_col],
                                         scatter[:, [0, 2], [2, 3]] / window]))
-        flags.append(qec._syndrome(factor, window, maps.thresholds)[0])
+        flags.append(_syndrome_bits(qec._syndrome(factor, window, maps.thresholds))[:, :4])
     return np.concatenate(columns), np.concatenate(flags)
 
 
@@ -965,9 +967,11 @@ def test_samplers_at_the_extremes(cfg, law, expect, request):
         outcomes.append(run_rounds(cfg, ec, np.random.default_rng(3), 200, window=64))
         theory = [stats.fidelity for outcome in outcomes
                   for stats in _round_theory(outcome, cfg, law)]
+        fids = [fidelity_from_moments(*cfg.input_state(), outcome.corrected_mean,
+                                      outcome.corrected_cov) for outcome in outcomes]
     assert np.isfinite(theory).all()
+    assert np.isfinite(fids).all()
     for outcome in outcomes:
-        assert np.isfinite(outcome.fidelity_mc).all()
         want = np.zeros_like(outcome.channels) if expect == "no-error" else outcome.channels
         np.testing.assert_array_equal(outcome.final_codes, want)
 
@@ -999,10 +1003,10 @@ def test_corrected_variances_do_not_depend_on_the_magnitude(law):
 @pytest.mark.parametrize("k", ["drawn", "series"])
 def test_syndrome_equals_the_scatter_rule(k):
     """``_syndrome`` of random factors X, (n, 6, 8) as drawn and (n, 6,
-    window) as reduced from a series, gives the flags and index of the
-    scatter rule: diag(X X^T)[:4] / (window - 1) above the thresholds, and
-    ``_syndrome_index`` of the D1-D3 / D3-D4 entries of X X^T over the
-    window."""
+    window) as reduced from a series, gives the index of the scatter rule,
+    whose bits 0-3 are its flags: ``_syndrome_index`` of diag(X X^T)[:4] /
+    (window - 1) above the thresholds and of the D1-D3 / D3-D4 entries of
+    X X^T over the window."""
     window, n = 64, 4000
     rng = np.random.default_rng(17)
     scale = rng.uniform(0.5, 2.0, (n, 6))
@@ -1014,8 +1018,8 @@ def test_syndrome_equals_the_scatter_rule(k):
     scatter = factor @ factor.transpose(0, 2, 1)
     want_flags = scatter.diagonal(0, 1, 2)[:, :4] / (window - 1) > thresholds
     want_index = qec._syndrome_index(want_flags, scatter[:, [0, 2], [2, 3]] / window)
-    flags, index = qec._syndrome(factor, window, thresholds)
-    np.testing.assert_array_equal(flags, want_flags)
+    index = qec._syndrome(factor, window, thresholds)
+    np.testing.assert_array_equal(_syndrome_bits(index)[:, :4], want_flags)
     np.testing.assert_array_equal(index, want_index)
     assert len(np.unique(want_index)) == 64       # every flag pattern and sign pair
 
@@ -1100,28 +1104,28 @@ def _synthetic_outcome(n=400, window=64, seed=5):
     final = rng.permutation(np.concatenate([np.arange(8), rng.integers(0, 8, n - 8)]))
     final = final.astype(np.int8)
     channels = np.where(rng.random(n) < 0.7, rng.integers(1, 6, n), 0)
-    fourier_used = (rng.random(n) < 0.2) | (final == AMBIGUOUS_P)
-    flags = rng.random((n, 4)) < 0.5
-    relations = rng.integers(-1, 2, (n, 2)).astype(np.int8)
+    # an ambiguous first pass where the rerun ran, and a definite one elsewhere
+    rerun = (rng.random(n) < 0.2) | (final == AMBIGUOUS_P)
+    ambiguous = qec._CODE_TABLE == AMBIGUOUS_P
+    syndrome = np.where(rerun, rng.choice(np.flatnonzero(ambiguous), n),
+                        rng.choice(np.flatnonzero(~ambiguous), n)).astype(np.uint8)
     corrected_mean = rng.normal(0.1 * final[:, None] + [0.3, -0.2], 0.2, (n, 2))
     cov = np.empty((n, 2, 2))
     cov[:, [0, 1], [0, 1]] = rng.uniform(0.2, 0.4 + 0.1 * final[:, None], (n, 2))
     cov[:, 0, 1] = cov[:, 1, 0] = rng.uniform(0.01, 0.05, n) * (1 + final)
     return qec.RoundsOutcome(
-        window=window, channels=channels, final_codes=final, fourier_used=fourier_used,
-        flags=flags, relations=relations, corrected_mean=corrected_mean, corrected_cov=cov,
-        fidelity_mc=rng.random(n))
+        window=window, channels=channels, final_codes=final, syndrome=syndrome,
+        corrected_mean=corrected_mean, corrected_cov=cov)
 
 
 def test_summary_equals_per_class_masked_reference():
-    """Counts in order of first appearance and the three rates of the
-    summary, and every class's pooled moments and fidelity, equal the
-    per-class masked reference, on a batch in which all eight round codes
-    occur; the all-round pool equals the reference over every round."""
+    """Counts in ``CODE_NAMES`` order and the three rates of the summary,
+    and every class's pooled moments and fidelity, equal the per-class
+    masked reference, on a batch in which all eight round codes occur; the
+    all-round pool equals the reference over every round."""
     outcome = _synthetic_outcome()
     summary = outcome.summary
-    codes, first = np.unique(outcome.final_codes, return_index=True)
-    codes = codes[np.argsort(first)]
+    codes = np.unique(outcome.final_codes)
     assert len(codes) == 8
     assert list(summary.counts.items()) == [
         (CODE_NAMES[c], int(np.count_nonzero(outcome.final_codes == c))) for c in codes]

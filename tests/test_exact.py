@@ -76,6 +76,11 @@ def form_covariance(f: LinearForm, g: LinearForm, r, input_var=(0.25, 0.25),
     return total
 
 
+def scaled(form: LinearForm, factor) -> LinearForm:
+    """The form with every coefficient times an exact or rational factor."""
+    return LinearForm({sym: c * factor for sym, c in form.terms.items()})
+
+
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 scalars = st.builds(ExactScalar, rationals, rationals, rationals, rationals)
 
@@ -209,7 +214,7 @@ def test_form_addition_and_scaling():
     a, b = QuadSymbol.input("x"), QuadSymbol.input("p")
     f = LinearForm({a: ExactScalar(1)}) + LinearForm({a: ExactScalar(2), b: SQRT3})
     assert f.coefficient(a) == ExactScalar(3)
-    g = f.scaled(frac(1, 3))
+    g = scaled(f, frac(1, 3))
     assert g.coefficient(a) == ExactScalar(1)
     assert g.coefficient(b) == SQRT3 * ExactScalar(frac(1, 3))
 
@@ -258,7 +263,7 @@ def _quadratic_form_apply_matrix(forms, matrix):
             if entry is None:
                 raise TypeError("matrix entries must be ExactScalar or rational")
             if not entry.is_zero():
-                acc = acc + form.scaled(entry)
+                acc = acc + scaled(form, entry)
         out.append(acc)
     return out
 
@@ -294,7 +299,7 @@ def test_form_apply_matrix_equals_the_quadratic_accumulation(fourier):
         got = form_apply_matrix(repeats, sparse)
         assert got == _quadratic_form_apply_matrix(repeats, sparse)
         assert got[1].is_zero() and got[2].is_zero()
-        assert got[3] == forms[1].scaled(SQRT3) and got[4] == forms[0].scaled(frac(1, 2))
+        assert got[3] == scaled(forms[1], SQRT3) and got[4] == scaled(forms[0], frac(1, 2))
         assert all(all(not c.is_zero() for c in f.terms.values()) for f in got)
 
 

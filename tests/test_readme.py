@@ -1,6 +1,7 @@
 """The README's library sketch runs against the public API, and its stated
-input limits are the code's."""
+input limits and result columns are the code's."""
 
+import dataclasses
 import math
 import os
 import re
@@ -8,7 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from cvqec.code import MAX_R
+from cvqec.code import MAX_R, RoundsOutcome
 from cvqec.errors import MAX_MAGNITUDE
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -42,3 +43,13 @@ def test_readme_input_limits_match_the_code():
         assert stated and all(float(v) == value for v in stated), (bound, stated)
     db = re.findall(r"\(`code\.MAX_R`, about (\d+) dB\)", text)
     assert db == [str(round(20.0 * MAX_R / math.log(10.0)))], db
+
+
+def test_readme_lists_the_outcome_columns():
+    """The README's backticked list of the columns a ``RoundsOutcome``
+    stores is its dataclass fields, in order."""
+    text = " ".join((ROOT / "README.md").read_text().split())
+    stated = re.findall(r"`RoundsOutcome`, whose stored columns are ([^:]*):", text)
+    assert len(stated) == 1, stated
+    assert (re.findall(r"`(\w+)`", stated[0])
+            == [f.name for f in dataclasses.fields(RoundsOutcome)])
