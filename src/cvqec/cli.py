@@ -367,17 +367,18 @@ def run_syndrome_demo(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 def run_witness(cfg: ExperimentConfig, out_dir: Path) -> dict:
     """Witness combination values and optimal gains over a squeezing grid:
-    the r sweep, or a default grid around the configuration's r."""
-    values = cfg.sweep_values or (0.0, 0.2, 0.4, cfg.code.r, 0.8, 1.6)
+    the r sweep, or a default grid with the configuration's r in sorted
+    place; one row per distinct r, at its first occurrence."""
+    values = cfg.sweep_values or sorted((0.0, 0.2, 0.4, 0.8, 1.6, cfg.code.r[0]))
     header = (["r"] + [f"combination_{i}" for i in (1, 2, 3, 4)]
               + [f"g{i}" for i in range(1, 7)] + ["all_satisfied"])
     rows = []
     results = {}
-    for r in values:
-        res = evaluate_witness(replace(cfg.code, r=float(r), input_kind="vacuum"))
-        rows.append([repr(float(r))] + [repr(v) for v in res.values]
+    for r in dict.fromkeys(map(float, values)):
+        res = evaluate_witness(replace(cfg.code, r=r, input_kind="vacuum"))
+        rows.append([repr(r)] + [repr(v) for v in res.values]
                     + [repr(g) for g in res.gains] + [res.all_satisfied()])
-        results[repr(float(r))] = res.to_dict()
+        results[repr(r)] = res.to_dict()
     _write_csv(out_dir / "witness.csv", header, rows)
     _write_json(out_dir / "witness.json", {
         "experiment": "witness", "results": results})
@@ -479,7 +480,7 @@ def check_experiment(name: str, cfg: ExperimentConfig) -> None:
         raise ValueError("mc-sweep requires a sweep section in the config")
     if name == "witness" and cfg.sweep_parameter not in (None, "r"):
         raise ValueError("the witness experiment sweeps r only")
-    if name == "witness" and cfg.sweep_parameter is None and isinstance(cfg.code.r, tuple):
+    if name == "witness" and cfg.sweep_parameter is None and len(set(cfg.code.r)) > 1:
         raise ValueError("the witness experiment needs one r for all ancillas, or an r sweep")
     if name == "witness" and cfg.code.has_loss:
         raise ValueError("the witness experiment models a lossless code: "

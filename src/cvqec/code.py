@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ErrorConfig, ErrorLaw
 from .exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol, SQRT2,
-                    TAG_ANTISQUEEZED, TAG_SQUEEZED, mode_forms_apply_matrix,
+                    TAG_ANTISQUEEZED, TAG_NONE, TAG_SQUEEZED, mode_forms_apply_matrix,
                     sqrt_of)
 from .gaussian import VACUUM_VAR, fidelity_from_moments, variance_to_db
 from .network import ModeMatrix, encoder_matrix, inverse, lift_to_symplectic
@@ -74,22 +74,29 @@ def readout_rows(fourier: bool) -> list[int]:
 
 @dataclass(frozen=True)
 class CodeConfig:
-    """Squeezing, input choice and optional channel loss for one code instance."""
+    """Squeezing, input choice and optional channel loss for one code instance.
 
-    r: float | tuple[float, float, float, float] = 0.0
+    ``r`` is stored as one squeezing parameter per ancilla and
+    ``channel_loss`` as one transmissivity per channel (None is no loss); a
+    single value is given to every ancilla or channel, so equal
+    configurations compare and hash equal however they were spelled."""
+
+    r: tuple[float, float, float, float] = 0.0
     input_kind: str = "vacuum"                 # "vacuum" | "squeezed"
     input_squeeze_db: float = 3.5
     input_antisqueeze_db: float = 8.9
     fourier_mode: bool = False
-    channel_loss: float | tuple[float, ...] | None = None
+    channel_loss: tuple[float, float, float, float, float] = None
 
     def __post_init__(self):
-        for name in ("r", "channel_loss"):       # lists would make the config unhashable
-            if isinstance(getattr(self, name), list):
-                object.__setattr__(self, name, tuple(getattr(self, name)))
-        if not all(0.0 <= v <= MAX_R for v in self.r_values):
+        r = _per_mode(self.r, 4, "per-ancilla squeezing")
+        if not all(0.0 <= v <= MAX_R for v in r):
             raise ValueError(f"squeezing parameter must be finite and within [0, {MAX_R:g}], "
                              f"not {self.r!r}")
+        loss = _per_mode(1.0 if self.channel_loss is None else self.channel_loss, 5,
+                         "per-channel loss")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "channel_loss", loss)
         if not (math.isfinite(self.input_squeeze_db)
                 and math.isfinite(self.input_antisqueeze_db)):
             raise ValueError("input squeezing in dB must be finite")
@@ -101,30 +108,12 @@ class CodeConfig:
             raise ValueError(
                 f"input antisqueezing {self.input_antisqueeze_db} dB is below its squeezing "
                 f"{self.input_squeeze_db} dB: V_x V_p would fall below the vacuum's 1/16")
-        if any(not 0.0 <= eta <= 1.0 for eta in self.loss_values):
+        if any(not 0.0 <= eta <= 1.0 for eta in loss):
             raise ValueError("channel transmissivity must lie in [0, 1]")
 
     @property
-    def r_values(self) -> tuple[float, float, float, float]:
-        if isinstance(self.r, tuple):
-            if len(self.r) != 4:
-                raise ValueError("per-ancilla squeezing needs 4 values")
-            return tuple(float(v) for v in self.r)
-        return (float(self.r),) * 4
-
-    @property
-    def loss_values(self) -> tuple[float, float, float, float, float]:
-        if self.channel_loss is None:
-            return (1.0,) * 5
-        if isinstance(self.channel_loss, tuple):
-            if len(self.channel_loss) != 5:
-                raise ValueError("per-channel loss needs 5 values")
-            return tuple(float(v) for v in self.channel_loss)
-        return (float(self.channel_loss),) * 5
-
-    @property
     def has_loss(self) -> bool:
-        return any(eta < 1.0 for eta in self.loss_values)
+        return any(eta < 1.0 for eta in self.channel_loss)
 
     def input_variances(self) -> tuple[float, float]:
         if self.input_kind == "vacuum":
@@ -138,6 +127,15 @@ class CodeConfig:
         return np.zeros(2), np.diag(self.input_variances())
 
 
+def _per_mode(value, n: int, what: str) -> tuple[float, ...]:
+    """One float per mode: a sequence of ``n`` values, or one value for all."""
+    if isinstance(value, (tuple, list)):
+        if len(value) != n:
+            raise ValueError(f"{what} needs {n} values")
+        return tuple(float(v) for v in value)
+    return (float(value),) * n
+
+
 def coherent_ancilla_config(cfg: CodeConfig) -> CodeConfig:
     """The classical-limit twin of a configuration: unsqueezed ancillas."""
     return replace(cfg, r=0.0)
@@ -147,26 +145,35 @@ def coherent_ancilla_config(cfg: CodeConfig) -> CodeConfig:
 # exact encoding and decoding
 
 
-def source_mode_forms(cfg: CodeConfig) -> list[ModeForm]:
-    """Quadrature forms of (a1, a2, a3, a_in, a4) before the network."""
-    modes: list[ModeForm] = []
-    anc = 0
+def _source_symbols() -> tuple[QuadSymbol, ...]:
+    """The ten source quadratures, interleaved (x, p), of (a1, a2, a3, a_in,
+    a4) before the network: the input's and each ancilla's, an amplitude-
+    squeezed ancilla quiet in x and a phase-squeezed one quiet in p."""
+    symbols = []
+    ancillas = enumerate(ANCILLA_ORIENTATIONS, start=1)
     for pos in range(5):
         if pos == INPUT_POS:
-            modes.append(ModeForm(LinearForm.of(QuadSymbol.input("x")),
-                                  LinearForm.of(QuadSymbol.input("p"))))
+            symbols += [QuadSymbol.input("x"), QuadSymbol.input("p")]
             continue
-        anc += 1
-        if ANCILLA_ORIENTATIONS[anc - 1] == "amplitude":
-            x_tag, p_tag = TAG_SQUEEZED, TAG_ANTISQUEEZED
-        else:
-            x_tag, p_tag = TAG_ANTISQUEEZED, TAG_SQUEEZED
-        form = ModeForm(LinearForm.of(QuadSymbol.ancilla(anc, "x", x_tag)),
-                        LinearForm.of(QuadSymbol.ancilla(anc, "p", p_tag)))
-        if cfg.fourier_mode:
-            form = form.fourier()
-        modes.append(form)
-    return modes
+        index, orientation = next(ancillas)
+        tags = ((TAG_SQUEEZED, TAG_ANTISQUEEZED) if orientation == "amplitude"
+                else (TAG_ANTISQUEEZED, TAG_SQUEEZED))
+        symbols += [QuadSymbol.ancilla(index, q, tag) for q, tag in zip("xp", tags)]
+    return tuple(symbols)
+
+
+# The one table of the source modes, read by the exact route
+# (``source_mode_forms``) and the numeric model (``_source_sigma``).
+SOURCE_SYMBOLS = _source_symbols()
+
+
+def source_mode_forms(cfg: CodeConfig) -> list[ModeForm]:
+    """Quadrature forms of (a1, a2, a3, a_in, a4) before the network: the
+    ``SOURCE_SYMBOLS``, with the ancillas Fourier-rotated in Fourier mode."""
+    forms = [ModeForm(LinearForm.of(x), LinearForm.of(p))
+             for x, p in zip(SOURCE_SYMBOLS[::2], SOURCE_SYMBOLS[1::2])]
+    return [form.fourier() if cfg.fourier_mode and pos != INPUT_POS else form
+            for pos, form in enumerate(forms)]
 
 
 def error_mode_form(channel: int) -> ModeForm:
@@ -301,26 +308,19 @@ def _network_symplectics(fourier: bool) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
+# The factor of r in the exponent of a squeezed and an antisqueezed quadrature's
+# variance, (1/4) e^{-2r} and (1/4) e^{+2r}.
+_TAG_SIGN = {TAG_SQUEEZED: -2.0, TAG_ANTISQUEEZED: 2.0}
+
+
 def _source_sigma(cfg: CodeConfig) -> np.ndarray:
-    """Standard deviations of the independent source quadratures, interleaved
-    (x, p) of (a1, a2, a3, a_in, a4): the input's and each ancilla's quiet
-    and loud quadrature."""
-    sigma = np.empty(10)
-    v_x, v_p = cfg.input_variances()
-    anc = 0
-    for pos in range(5):
-        if pos == INPUT_POS:
-            sigma[2 * pos], sigma[2 * pos + 1] = math.sqrt(v_x), math.sqrt(v_p)
-            continue
-        r_m = cfg.r_values[anc]
-        quiet = VACUUM_VAR * math.exp(-2.0 * r_m)
-        loud = VACUUM_VAR * math.exp(2.0 * r_m)
-        if ANCILLA_ORIENTATIONS[anc] == "amplitude":
-            sigma[2 * pos], sigma[2 * pos + 1] = math.sqrt(quiet), math.sqrt(loud)
-        else:
-            sigma[2 * pos], sigma[2 * pos + 1] = math.sqrt(loud), math.sqrt(quiet)
-        anc += 1
-    return sigma
+    """Standard deviations of the ``SOURCE_SYMBOLS``: the input's V_x and
+    V_p, and each ancilla's (1/4) e^{-2r} quiet and (1/4) e^{+2r} loud
+    quadrature."""
+    v_in = dict(zip("xp", cfg.input_variances()))
+    return np.sqrt([v_in[s.quad] if s.tag == TAG_NONE
+                    else VACUUM_VAR * math.exp(_TAG_SIGN[s.tag] * cfg.r[s.index - 1])
+                    for s in SOURCE_SYMBOLS])
 
 
 class PipelineMaps:
@@ -329,29 +329,27 @@ class PipelineMaps:
 
     The readouts are ``noise`` times standard normals plus, for each channel
     k, ``err_columns[k - 1]`` (6x2) times its displacement (dx, dp).
-    ``noise`` is ``mix``, the ten independent source quadratures through the
-    network, joined by ``vac``, the loss vacua, when a channel is lossy.
-    ``baselines`` is the diagonal of the 6x6 readout covariance,
-    ``thresholds`` the variances above which D1..D4 are flagged, and
-    ``readout_factor`` F, made on first use, gives the covariance as F F^T.
+    ``noise`` holds one column per independent normal: the ten source
+    quadratures through the network (``_source_sigma``) and, when a channel
+    is lossy, ten more for the vacua that the loss mixes in.  ``baselines``
+    is the diagonal of the 6x6 readout covariance, ``thresholds`` the
+    variances above which D1..D4 are flagged, and ``readout_factor`` F, made
+    on first use, gives the covariance as F F^T.
     """
 
     def __init__(self, cfg: CodeConfig, fourier: bool):
         s_enc, s_dec = _network_symplectics(fourier)
-        eta = np.repeat(np.sqrt(cfg.loss_values), 2)
+        eta = np.repeat(np.sqrt(cfg.channel_loss), 2)
         rows = readout_rows(fourier)
         self.err_columns = (s_dec[rows] * eta).reshape(6, 5, 2).transpose(1, 0, 2).copy()
-        self.mix = self.noise = (s_dec @ (eta[:, None] * s_enc))[rows] * _source_sigma(cfg)
-        self.vac = None
+        self.noise = (s_dec @ (eta[:, None] * s_enc))[rows] * _source_sigma(cfg)
         if cfg.has_loss:
-            self.vac = s_dec[rows] * np.sqrt(1.0 - eta ** 2) * math.sqrt(VACUUM_VAR)
-            self.noise = np.hstack([self.mix, self.vac])
+            vacua = s_dec[rows] * np.sqrt(1.0 - eta ** 2) * math.sqrt(VACUUM_VAR)
+            self.noise = np.hstack([self.noise, vacua])
         self.baselines = np.einsum("ij,ij->i", self.noise, self.noise)
         self.thresholds = (1.0 + FLUCTUATION_FACTOR) * self.baselines[:4]
-        for arr in (self.err_columns, self.mix, self.vac, self.noise, self.baselines,
-                    self.thresholds):
-            if arr is not None:         # read-only: ``_maps`` shares one instance
-                arr.setflags(write=False)
+        for arr in (self.err_columns, self.noise, self.baselines, self.thresholds):
+            arr.setflags(write=False)       # read-only: ``_maps`` shares one instance
 
     @cached_property
     def readout_factor(self) -> np.ndarray:
@@ -364,9 +362,9 @@ class PipelineMaps:
 
 @dataclass(frozen=True)
 class OutputStats:
-    """Closed-form output moments and the resulting fidelity."""
+    """Closed-form output covariance and the resulting fidelity; the output
+    mean is zero (see ``closed_form_output``)."""
 
-    mean: np.ndarray
     cov: np.ndarray
     fidelity: float
 
@@ -414,12 +412,11 @@ def closed_form_output(cfg: CodeConfig, channel: int | None,
     plan = PLAN_TABLE[int(fourier), channel if error_var is None and channel else NO_ERROR]
     noise = plan @ maps.noise
     cov = noise @ noise.T
-    mean = np.zeros(2)
     if channel is not None and error_var is not None:
         err = plan @ maps.err_columns[channel - 1]                   # (2, 2)
         cov = cov + err @ np.diag(error_var) @ err.T
-    fid = fidelity_from_moments(*cfg.input_state(), mean, cov)
-    return OutputStats(mean=mean, cov=cov, fidelity=fid)
+    mean, cov_in = cfg.input_state()                # the output mean equals the input's
+    return OutputStats(cov=cov, fidelity=fidelity_from_moments(mean, cov_in, mean, cov))
 
 
 def output_mixture(cfg: CodeConfig, error_cfg: ErrorConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -455,12 +452,9 @@ def _syndrome(factor: np.ndarray, window: int, thresholds: np.ndarray) -> np.nda
 
 def _readout_noise(maps: PipelineMaps, n: int, window: int,
                    rng: np.random.Generator) -> np.ndarray:
-    """(n, window, 6) readout noise series: ten normals per sample (twenty
-    with loss) through the network."""
-    series = rng.standard_normal((n, window, 10)) @ maps.mix.T
-    if maps.vac is not None:
-        series += rng.standard_normal((n, window, 10)) @ maps.vac.T
-    return series
+    """(n, window, 6) readout noise series: one normal per ``noise`` column
+    and sample (ten, or twenty with loss) through the network."""
+    return rng.standard_normal((n, window, maps.noise.shape[1])) @ maps.noise.T
 
 
 def _error_series(maps: PipelineMaps, channels: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -500,14 +494,14 @@ def _gram_root(gram: np.ndarray) -> np.ndarray:
     return np.divide(root, t, out=np.zeros_like(root), where=t > 0.0)
 
 
-def _sample_statistics(maps: PipelineMaps, channels: np.ndarray, occurred: np.ndarray,
-                       law: ErrorLaw, window: int,
+def _sample_statistics(maps: PipelineMaps, channels: np.ndarray, law: ErrorLaw, window: int,
                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Every round's readout mean (n, 6) and centred factor X (n, 6, 8), whose
     scatter is X X^T, drawn from their joint law without forming a series;
     exact given the error law's ``window_statistics``, whose general-law
     phases lie on a 256-point grid and match ``draw``'s in every moment up to
-    order 127.
+    order 127.  ``channels`` holds each round's hit channel, 0 for a round
+    without error.
 
     With readout covariance S = F F^T, error coefficients C (6x2) and error
     series D (window x 2) of mean d and centred Gram K: the mean is
@@ -521,7 +515,7 @@ def _sample_statistics(maps: PipelineMaps, channels: np.ndarray, occurred: np.nd
     rows of Z F^T in law as they are.  Without error R = 0, which gives
     Wishart(S, window - 1)."""
     n = len(channels)
-    hit = occurred.nonzero()[0]
+    hit = channels.nonzero()[0]
     n_hit = len(hit)
     err_mean, err_gram = law.window_statistics(rng, n_hit, window)
     factor = maps.readout_factor
@@ -687,14 +681,13 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
 
     maps = _maps(cfg, cfg.fourier_mode)
     # pass 1's statistics are this call's own, so a rerun overwrites them
-    mean, x = _sample_statistics(maps, channels, occurred, law, window, rng)
+    mean, x = _sample_statistics(maps, channels, law, window, rng)
     index = _syndrome(x, window, maps.thresholds)
     final = _CODE_TABLE[index]
     rerun = (final == AMBIGUOUS_P).nonzero()[0]
     if len(rerun):
         rotated = _maps(cfg, not cfg.fourier_mode)
-        mean2, x2 = _sample_statistics(rotated, channels[rerun], occurred[rerun], law, window,
-                                       rng)
+        mean2, x2 = _sample_statistics(rotated, channels[rerun], law, window, rng)
         second = _CODE_TABLE[_syndrome(x2, window, rotated.thresholds)]
         second[second == AMBIGUOUS_P] = UNCLASSIFIABLE
         final[rerun] = second

@@ -4,7 +4,8 @@ Each case runs one experiment through the CLI and compares the SHA-256
 digest of its output directory, hashed as ``perfbench/workloads.digest``
 does (every file's name, a NUL byte and its bytes, in name order), with a
 pinned value.  On a mismatch the failure names the files whose own digest
-moved.  The digests hold for numpy 2.4.6 and its bundled BLAS; a change
+moved and prints the new directory digest and each moved file's SHA-256, in
+the form of the pins below.  The digests hold for numpy 2.4.6 and its bundled BLAS; a change
 that moves an artifact byte re-pins them and says why.
 """
 
@@ -116,13 +117,15 @@ _DIGESTS = {
         "tableC1.csv": "323da114605615eb135e0ef4da0775282e698802fc7a947a9e2ebaddb541e5fb",
         "tableC1.json": "8c8cea670899d6c5cddf647b270fad87bf73ea380eae361a388e2d76afcfd6ef",
     }),
-    "seed3-fourier-loss/syndrome-demo": ("4f8ad3d2296c82d8e8183e0c06931c7cd0612241757bd082eaea59cf62a3eb4a", {
+    # A lossy trace's noise is one draw of twenty normals per sample, the
+    # source quadratures and the loss vacua together.
+    "seed3-fourier-loss/syndrome-demo": ("b568af585366ccdc0d1372b66ce0270b03e186b68c6fcba1c33cc4b54e7cf66a", {
         "syndrome_demo.json": "d0f62c10008b156608bd385e7975294cb6d32f385347e160af6de7786b6c8d27",
-        "syndrome_demo_ch1.csv": "5c8db2b852159db62e3d35465a1595341ebcac29b57afc3ac0ae26306f9509f4",
-        "syndrome_demo_ch2.csv": "7491d5f15957f27a117118394ad16f5ad4f81332c2639c85842525a2f917e6f5",
-        "syndrome_demo_ch3.csv": "d38ffedb0bf38979748d37f1ed1ab3ee790ccd76e2defc75744765e3a0b873c0",
-        "syndrome_demo_ch4.csv": "e95689f55e3fcf8ecbf2bfd7995e256def03668de2fdcaa93c745cf73c75dfe9",
-        "syndrome_demo_ch5.csv": "b566bd7845dd284bd185ef604fb68067297e46fa1355fe29813302ee8faf39bb",
+        "syndrome_demo_ch1.csv": "372e8a2b7816083b0d6bcb22e0043aff730f45ec19b291e9fdeb4430e3562070",
+        "syndrome_demo_ch2.csv": "08a9e88c282af66fabbf98adbc928eaf3ce89c1d6e37dcee5c7754b195367c07",
+        "syndrome_demo_ch3.csv": "e84c64c0c8662de853508d338cc333636508faa6501b8c667c73c7eba5075995",
+        "syndrome_demo_ch4.csv": "674efdd78ddfef0c20e45e292569e4af3f3953d79d8468008ee1fc1865486931",
+        "syndrome_demo_ch5.csv": "be5efd6fe35b3f999bfa5b0c8fdb55af4f181d2b454140396036f3f47460b3a6",
     }),
     "seed3-fourier-loss/spectra": ("7a4c2910f865ef4936ee6bd8a755bb408924caa07cfced74f9523becd0628232", {
         "spectra.csv": "2d39fc1c205c8694cb0461bf8b22091f66b2652c527e751f1726d35859041b67",
@@ -148,4 +151,6 @@ def test_artifacts_match_their_pinned_digests(case, tmp_path):
                      for p in out.iterdir()}
         moved = sorted(name for name in got_files.keys() | want_files.keys()
                        if got_files.get(name) != want_files.get(name))
-        pytest.fail(f"{experiment} ({config}): the digest of {', '.join(moved)} moved")
+        pins = "".join(f"\n    {name!r}: {got_files.get(name)!r}," for name in moved)
+        pytest.fail(f"{experiment} ({config}): the digest of {', '.join(moved)} moved; "
+                    f"directory digest now {digest(out)!r}, moved files now:{pins}")

@@ -22,7 +22,7 @@ def run_cli(args):
 def test_parse_config_defaults():
     cfg = cli.parse_config({})
     assert cfg.code.input_kind == "vacuum"
-    assert cfg.code.r == pytest.approx(db_to_r(3.5))
+    assert cfg.code.r == pytest.approx((db_to_r(3.5),) * 4)
     assert cfg.error.gamma == 1.0
     assert cfg.trials == 50 and cfg.window == 512 and cfg.seed == 0
 
@@ -185,11 +185,31 @@ def test_witness_artifact(tmp_path):
 
 
 def test_witness_default_grid_holds_the_configured_r(tmp_path):
-    """Without an r sweep the witness grid holds the code's r, set directly
-    or through ``squeezing_db``."""
-    for code, r in (({"r": 1.0}, 1.0), ({"squeezing_db": 6.0}, db_to_r(6.0))):
+    """Without an r sweep the witness grid holds the code's r, set directly,
+    as four equal per-ancilla values or through ``squeezing_db``."""
+    for code, r in (({"r": 1.0}, 1.0), ({"squeezing_db": 6.0}, db_to_r(6.0)),
+                    ({"r": [0.7] * 4}, 0.7)):
         cli.run_experiment("witness", cli.parse_config({"code": code}), tmp_path)
         assert r in [float(row[0]) for row in _read_csv(tmp_path / "witness.csv")[1:]]
+
+
+@pytest.mark.parametrize("r", [0.4, 0.0, 1.0])
+def test_witness_default_grid_writes_each_r_once(tmp_path, r):
+    """A configured r already on the default grid gives one row, not two, so
+    the CSV and the JSON hold the same r values, in sorted order."""
+    cli.run_experiment("witness", cli.parse_config({"code": {"r": r}}), tmp_path)
+    csv_r = [row[0] for row in _read_csv(tmp_path / "witness.csv")[1:]]
+    json_r = list(json.loads((tmp_path / "witness.json").read_text())["results"])
+    assert csv_r == json_r == sorted(json_r, key=float)
+    assert len(csv_r) == (5 if r in (0.0, 0.4) else 6)
+    assert repr(r) in csv_r
+
+
+def test_witness_sweep_writes_each_r_once(tmp_path):
+    """A repeated sweep value gives one row, at its first occurrence."""
+    doc = {"sweep": {"parameter": "r", "values": [0.4, 0.0, 0.4, 0]}}
+    cli.run_experiment("witness", cli.parse_config(doc), tmp_path)
+    assert [row[0] for row in _read_csv(tmp_path / "witness.csv")[1:]] == ["0.4", "0.0"]
 
 
 def test_spectra_artifact(tmp_path):

@@ -6,9 +6,12 @@ import math
 import warnings
 import weakref
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvqec import code as qec
 from cvqec.code import (AMBIGUOUS_P, CODE_NAMES, DETECTOR_POS, DETECTORS, NO_ERROR, OUT_POS,
@@ -31,22 +34,22 @@ def frac(n, d=1):
     return Fraction(n, d)
 
 
-def _sample_series(maps, channels, occurred, law, window, rng):
+def _sample_series(maps, channels, law, window, rng):
     """(n, window, 6) readout series: the noise plus each hit round's error
     series drawn from the law's ``draw``.  Reduced by ``_reduce_series``, it
     is the reference that ``_sample_statistics`` equals in law."""
     series = qec._readout_noise(maps, len(channels), window, rng)
-    idx = np.flatnonzero(occurred)
+    idx = np.flatnonzero(channels)
     if len(idx):
         draws = law.draw(rng, len(idx) * window).reshape(len(idx), window, 2)
         series[idx] += qec._error_series(maps, channels[idx], draws)
     return series
 
 
-def _series_statistics(maps, channels, occurred, law, window, rng):
+def _series_statistics(maps, channels, law, window, rng):
     """The round statistics reduced from sampled readout series: the series
     route that ``_sample_statistics`` equals in law."""
-    return qec._reduce_series(_sample_series(maps, channels, occurred, law, window, rng))
+    return qec._reduce_series(_sample_series(maps, channels, law, window, rng))
 
 
 @pytest.fixture
@@ -55,8 +58,8 @@ def series_sampler(monkeypatch):
     Returns the list to which each pass's (n, window, 6) series is appended."""
     passes = []
 
-    def sample(maps, channels, occurred, law, window, rng):
-        series = _sample_series(maps, channels, occurred, law, window, rng)
+    def sample(maps, channels, law, window, rng):
+        series = _sample_series(maps, channels, law, window, rng)
         passes.append(series)
         return qec._reduce_series(series)
 
@@ -85,13 +88,13 @@ def test_code_config_validation():
             CodeConfig(input_kind="squeezed", input_squeeze_db=bad)
         with pytest.raises(ValueError, match="finite"):
             CodeConfig(input_kind="squeezed", input_antisqueeze_db=bad)
-    assert CodeConfig(r=(0.1, 0.2, 0.3, 0.4)).r_values == (0.1, 0.2, 0.3, 0.4)
+    assert CodeConfig(r=(0.1, 0.2, 0.3, 0.4)).r == (0.1, 0.2, 0.3, 0.4)
 
 
 def test_squeezing_above_max_r_is_rejected():
     """r is bounded by ``MAX_R``, for all ancillas or any one of them, and the
     message names the bound."""
-    assert CodeConfig(r=qec.MAX_R).r_values == (qec.MAX_R,) * 4
+    assert CodeConfig(r=qec.MAX_R).r == (qec.MAX_R,) * 4
     for bad in (qec.MAX_R + 1e-4, 46.0, (0.4, 0.4, qec.MAX_R + 1e-4, 0.4)):
         with pytest.raises(ValueError, match=r"within \[0, 25\]"):
             CodeConfig(r=bad)
@@ -133,6 +136,29 @@ def test_code_config_lists_become_tuples():
     assert hash(cfg) == hash(same)
 
 
+@pytest.mark.parametrize("spellings", [
+    (CodeConfig(r=0.4), CodeConfig(r=[0.4] * 4), CodeConfig(r=(0.4, 0.4, 0.4, 0.4))),
+    (CodeConfig(), CodeConfig(channel_loss=1.0), CodeConfig(channel_loss=[1.0] * 5)),
+], ids=["r", "loss"])
+def test_code_config_spellings_share_one_normal_form(spellings):
+    """A single value and the same value per mode are one configuration: it
+    stores r per ancilla and the transmissivity per channel, compares and
+    hashes equal, and ``_maps`` builds one instance for it."""
+    first = spellings[0]
+    assert len(first.r) == 4 and len(first.channel_loss) == 5
+    for cfg in spellings[1:]:
+        assert cfg == first
+        assert hash(cfg) == hash(first)
+        assert qec._maps(cfg, False) is qec._maps(first, False)
+
+
+def test_code_config_rejects_a_wrong_mode_count():
+    with pytest.raises(ValueError, match="per-ancilla squeezing needs 4 values"):
+        CodeConfig(r=(0.1, 0.2, 0.3))
+    with pytest.raises(ValueError, match="per-channel loss needs 5 values"):
+        CodeConfig(channel_loss=[1.0] * 4)
+
+
 def test_encode_symbolic_channel4():
     """c4 = a2/(2 sqrt6) - a3/(2 sqrt2) + a4/sqrt2 - a_in/sqrt3."""
     enc = encode(CodeConfig(r=0.5))
@@ -152,7 +178,7 @@ def _reference_cov(cfg, decoded=True):
     Fourier-rotated in Fourier mode) and, with ``decoded``, per-channel loss
     (sqrt(eta) scaling plus (1 - eta)/4 of vacuum) and the lifted decoder."""
     var = []
-    ancillas = iter(zip(cfg.r_values, qec.ANCILLA_ORIENTATIONS))
+    ancillas = iter(zip(cfg.r, qec.ANCILLA_ORIENTATIONS))
     for pos in range(5):
         if pos == qec.INPUT_POS:
             var += np.diagonal(cfg.input_state()[1]).tolist()
@@ -165,7 +191,7 @@ def _reference_cov(cfg, decoded=True):
     cov = enc @ np.diag(var) @ enc.T
     if not decoded:
         return cov
-    eta = np.repeat(cfg.loss_values, 2)
+    eta = np.repeat(cfg.channel_loss, 2)
     cov = np.sqrt(np.outer(eta, eta)) * cov + np.diag(0.25 * (1.0 - eta))
     dec = lift_to_symplectic(inverse(encoder_matrix()))
     return dec @ cov @ dec.T
@@ -173,7 +199,7 @@ def _reference_cov(cfg, decoded=True):
 
 def _form_covariances(forms, cfg):
     quads = [f for m in forms for f in (m.x, m.p)]
-    return np.array([[form_covariance(f, g, cfg.r_values, cfg.input_variances())
+    return np.array([[form_covariance(f, g, cfg.r, cfg.input_variances())
                       for g in quads] for f in quads])
 
 
@@ -227,6 +253,58 @@ def test_pipeline_maps_decoded_cov_matches_gaussian_engine(cfg):
     if not cfg.has_loss:
         exact = _form_covariances(decode(encode(cfg)), cfg)
         np.testing.assert_allclose(cov, exact[rows], rtol=0, atol=1e-12)
+
+
+@cache
+def _exact_forms(fourier):
+    """The exact encoded and decoded forms of the lossless code; they do not
+    depend on r or the input, whose variances enter only through
+    ``form_covariance``."""
+    encoded = encode(CodeConfig(fourier_mode=fourier))
+    return encoded, decode(encoded)
+
+
+_squeezing = st.floats(0.0, qec.MAX_R)
+
+
+@given(r=st.tuples(*[_squeezing] * 4), fourier=st.booleans(),
+       input_kind=st.sampled_from(["vacuum", "squeezed"]))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_exact_route_and_pipeline_maps_agree_on_the_readout_covariance(r, fourier, input_kind):
+    """The two routes read one source table: the covariance of the exact
+    decoded forms equals ``PipelineMaps``' noise @ noise.T on the readouts,
+    for any per-ancilla r up to ``MAX_R``, both bases and both inputs.  The
+    lossless readouts see only quiet quadratures, so the encoded covariance,
+    which holds the loud ones, is compared too, relative to its largest
+    entry."""
+    cfg = CodeConfig(r=r, fourier_mode=fourier, input_kind=input_kind)
+    encoded, decoded = _exact_forms(fourier)
+    maps = qec.PipelineMaps(cfg, fourier)
+    rows = np.ix_(*[qec.readout_rows(fourier)] * 2)
+    exact = _form_covariances(decoded, cfg)[rows]
+    np.testing.assert_allclose(maps.noise @ maps.noise.T, exact, rtol=0, atol=1e-12)
+    factor = qec._network_symplectics(fourier)[0] * qec._source_sigma(cfg)
+    exact = _form_covariances(encoded, cfg)
+    np.testing.assert_allclose(factor @ factor.T, exact, rtol=0,
+                               atol=1e-12 * np.abs(exact).max())
+
+
+@given(r=_squeezing, fourier=st.booleans(), input_kind=st.sampled_from(["vacuum", "squeezed"]))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_closed_form_output_meets_the_noise_formula(r, fourier, input_kind):
+    """Criterion 4's output variances for a single r: V_in on channels 1-2,
+    and V_in plus {2/3, 2, 8} e^{-2r}/4 (x: 2/3, p: 2, 8, 8 on channels 3-5)
+    with the x and p terms swapped under Fourier-rotated ancillas."""
+    cfg = CodeConfig(r=r, fourier_mode=fourier, input_kind=input_kind)
+    quiet = 0.25 * math.exp(-2.0 * r)
+    units = {1: (0.0, 0.0), 2: (0.0, 0.0), 3: (2 / 3, 2.0), 4: (2 / 3, 8.0), 5: (2 / 3, 8.0)}
+    v_x, v_p = cfg.input_variances()
+    for channel, (ux, up) in units.items():
+        if fourier:
+            ux, up = up, ux
+        stats = closed_form_output(cfg, channel)
+        assert stats.V_x == pytest.approx(v_x + ux * quiet, rel=1e-9, abs=0)
+        assert stats.V_p == pytest.approx(v_p + up * quiet, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("channel", [0, 6, 7])
@@ -706,12 +784,11 @@ def test_closed_form_fourier_mode_swaps_residual_quadratures():
 
 
 def test_closed_form_uncorrected_branch():
-    """An uncorrected channel-3 branch keeps a zero mean and adds the law's
-    variance times the squared coefficient 1/3 to its quadrature."""
+    """An uncorrected channel-3 branch adds the law's variance times the
+    squared coefficient 1/3 to its quadrature."""
     cfg = CodeConfig(r=0.5)
     plain = closed_form_output(cfg, 3, error_var=(0.0, 0.0))
     stats = closed_form_output(cfg, 3, error_var=(1.5, 0.0))
-    assert not stats.mean.any()
     assert plain.V_x == pytest.approx(0.25, abs=1e-12)
     assert stats.V_x == pytest.approx(0.25 + 1.5 / 3, abs=1e-12)
     assert stats.V_p == plain.V_p
@@ -910,7 +987,7 @@ def _pass_statistics(maps, channels, law, window, seed, sample):
     upper_row, upper_col = np.triu_indices(6)
     columns, flags = [], []
     for chunk in np.split(channels, len(channels) // 1000):
-        mean, factor = sample(maps, chunk, chunk > 0, law, window, rng)
+        mean, factor = sample(maps, chunk, law, window, rng)
         scatter = factor @ factor.transpose(0, 2, 1)
         columns.append(np.column_stack([mean, scatter[:, upper_row, upper_col],
                                         scatter[:, [0, 2], [2, 3]] / window]))

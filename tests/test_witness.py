@@ -34,7 +34,7 @@ def test_combination1_first_term_squeezed():
     # remove the second term by evaluating its parabola vertex independently:
     # the first term is gain-free, so value(any gains) - second(gains) is fixed.
     enc = encode(cfg)
-    first = form_variance(enc[0].x + enc[1].x, cfg.r_values,
+    first = form_variance(enc[0].x + enc[1].x, cfg.r,
                           cfg.input_variances())
     assert first == pytest.approx(0.5 * 10 ** -0.35, rel=1e-12)
     assert full > first
@@ -149,7 +149,7 @@ def _exact_term(forms, cfg, term):
     for weight, ch in fixed:
         f = form(ch) if weight > 0 else -form(ch)
         base = f if base is None else base + f
-    stats = cfg.r_values, cfg.input_variances()
+    stats = cfg.r, cfg.input_variances()
     if slot is None:
         return form_variance(base, *stats), 0.0, 0.0
     part = form(gained[1])
