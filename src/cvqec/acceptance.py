@@ -175,13 +175,14 @@ def criterion_5_fidelity_table() -> str:
 def criterion_6_noise_power() -> str:
     """Theory noise powers agree with the cited measured entries within 0.6 dB."""
     cases = [
-        # (channel, quad, r, measured dB): the cited comparisons
-        (4, "p", 0.0, 9.13),
-        (3, "x", R_35DB, 1.37),
-        (5, "x", R_35DB, 1.14),
+        # (channel, quad, ancilla, r): the cited comparisons
+        (4, "p", "coherent", 0.0),
+        (3, "x", "squeezed", R_35DB),
+        (5, "x", "squeezed", R_35DB),
     ]
     gaps = []
-    for ch, quad, r, measured in cases:
+    for ch, quad, ancilla, r in cases:
+        measured = cli.MEASURED_NOISE_DB[(ch, quad, ancilla, "vacuum")][0]
         theory = closed_form_output(CodeConfig(r=r), ch).noise_db(quad)
         gap = abs(theory - measured)
         gaps.append(gap)
@@ -281,7 +282,7 @@ def criterion_10_witness() -> str:
                 f"witness value increased between r grid points at r={r}"
         prev = vals
     cfg = CodeConfig(r=R_35DB)
-    gains, _ = optimize_gains(cfg)
+    gains = optimize_gains(cfg)
     slots = {1: (2,), 2: (0, 3), 3: (1, 4), 4: (5,)}
     for idx, gain_slots in slots.items():
         v_opt = combination_value(idx, gains, cfg)

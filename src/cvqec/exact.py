@@ -188,24 +188,6 @@ class ExactScalar:
     def __repr__(self) -> str:
         return f"ExactScalar({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
 
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for num, root in ((self._na, ""), (self._nb, "√2"),
-                          (self._nc, "√3"), (self._nd, "√6")):
-            if num == 0:
-                continue
-            mag = abs(num)
-            body = root if (root and mag == 1) else (f"{mag}{root}" if root else str(mag))
-            if self._den != 1:
-                body = f"{body}/{self._den}"
-            parts.append((num < 0, body))
-        out = ("-" if parts[0][0] else "") + parts[0][1]
-        for neg, body in parts[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
-
 
 def _coerce(v) -> "ExactScalar":
     if isinstance(v, ExactScalar):
@@ -289,18 +271,6 @@ class QuadSymbol:
     def error(index: int, quad: str) -> "QuadSymbol":
         return QuadSymbol(ROLE_ERROR, index, quad)
 
-    def __str__(self) -> str:
-        if self.role == ROLE_INPUT:
-            return f"{self.quad}_in"
-        if self.role == ROLE_ERROR:
-            return f"{self.quad}_e{self.index}"
-        base = f"{self.quad}{self.index}⁰"
-        return base if self.tag == TAG_NONE else f"{base}·{self.tag}"
-
-
-def _sort_key(sym: QuadSymbol):
-    return (_VALID_ROLES.index(sym.role), sym.index, sym.quad, sym.tag)
-
 
 # --------------------------------------------------------------------------
 # linear forms
@@ -366,29 +336,8 @@ class LinearForm:
     def has_errors(self) -> bool:
         return any(s.role == ROLE_ERROR for s in self._terms)
 
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        chunks = []
-        for sym in sorted(self._terms, key=_sort_key):
-            coeff = self._terms[sym]
-            text = str(coeff)
-            if text.startswith("-"):
-                sign, text = "-", text[1:]
-            else:
-                sign = "+"
-            if text == "1":
-                chunk = f"{sym}"
-            else:
-                chunk = f"{text}·{sym}" if " " not in text else f"({text})·{sym}"
-            chunks.append((sign, chunk))
-        first_sign, first = chunks[0]
-        out = (("-" if first_sign == "-" else "") + first)
-        for sign, chunk in chunks[1:]:
-            out += f" {sign} {chunk}"
-        return out
-
-    __repr__ = __str__
+    def __repr__(self) -> str:
+        return f"LinearForm({self._terms!r})"
 
 
 def form_apply_matrix(forms: Sequence[LinearForm], matrix) -> list[LinearForm]:
@@ -428,9 +377,6 @@ class ModeForm:
 
     def __add__(self, other: "ModeForm") -> "ModeForm":
         return ModeForm(self.x + other.x, self.p + other.p)
-
-    def __str__(self) -> str:
-        return f"x: {self.x}\np: {self.p}"
 
 
 def mode_forms_apply_matrix(modes: Sequence[ModeForm], matrix) -> list[ModeForm]:

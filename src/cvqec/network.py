@@ -109,9 +109,6 @@ class ModeMatrix:
     def as_array(self) -> np.ndarray:
         return np.array([[float(e) for e in row] for row in self._rows])
 
-    def __str__(self) -> str:
-        return "\n".join("  ".join(str(e) for e in row) for row in self._rows)
-
 
 @dataclass(frozen=True)
 class BeamSplitterElement:

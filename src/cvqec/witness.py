@@ -35,8 +35,6 @@ _TERMS = {
         ("x", ((1, 4), (1, 5)), None, None)),
 }
 
-_DEGENERATE_VAR = 1e-30
-
 
 @lru_cache(maxsize=8)
 def _encoded_factor(cfg: CodeConfig) -> np.ndarray:
@@ -90,8 +88,10 @@ class WitnessResult:
 
     values: tuple[float, float, float, float]
     gains: tuple[float, float, float, float, float, float]
-    satisfied: tuple[bool, bool, bool, bool]
-    degenerate_gains: tuple[int, ...] = ()
+
+    @property
+    def satisfied(self) -> tuple[bool, ...]:
+        return tuple(v < SEPARABLE_BOUND for v in self.values)
 
     def all_satisfied(self) -> bool:
         return all(self.satisfied)
@@ -102,21 +102,18 @@ class WitnessResult:
             "gains": list(self.gains),
             "satisfied": list(self.satisfied),
             "bound": SEPARABLE_BOUND,
-            "degenerate_gains": list(self.degenerate_gains),
         }
 
 
-def optimize_gains(cfg: CodeConfig) -> tuple[tuple[float, ...], tuple[int, ...]]:
+def optimize_gains(cfg: CodeConfig) -> tuple[float, ...]:
     """Closed-form minimizing gains g1..g6.
 
     Each gained term is Var(base + s*g*m), a parabola in g with vertex
     g* = -s Cov(base, m) / Var(m), i.e. -s (b^T C m) / (m^T C m) on the
-    encoded covariance.  Returns the gains and the slots (if any)
-    that were degenerate and pinned to zero.
+    encoded covariance, where Var(m) >= 3/32 for every valid configuration.
     """
     factor = _encoded_factor(cfg)
     gains = [0.0] * 6
-    degenerate = []
     for terms in _TERMS.values():
         for quad, fixed, slot, gained in terms:
             if slot is None:
@@ -124,18 +121,11 @@ def optimize_gains(cfg: CodeConfig) -> tuple[tuple[float, ...], tuple[int, ...]]
             sign, ch = gained
             base = _weights(quad, fixed) @ factor
             part = factor[_index(ch, quad)]
-            var_m = float(part @ part)
-            if var_m < _DEGENERATE_VAR:
-                degenerate.append(slot)
-                gains[slot] = 0.0
-                continue
-            gains[slot] = -sign * float(base @ part) / var_m
-    return tuple(gains), tuple(degenerate)
+            gains[slot] = -sign * float(base @ part) / float(part @ part)
+    return tuple(gains)
 
 
 def evaluate_witness(cfg: CodeConfig) -> WitnessResult:
     """Optimizes the gains and evaluates all four combinations."""
-    gains, degenerate = optimize_gains(cfg)
-    values = tuple(combination_value(i, gains, cfg) for i in (1, 2, 3, 4))
-    satisfied = tuple(v < SEPARABLE_BOUND for v in values)
-    return WitnessResult(values, gains, satisfied, degenerate)
+    gains = optimize_gains(cfg)
+    return WitnessResult(tuple(combination_value(i, gains, cfg) for i in (1, 2, 3, 4)), gains)

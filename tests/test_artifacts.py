@@ -73,9 +73,9 @@ _DIGESTS = {
         "spectra.csv": "aa122e3c009077c07d2018638ce2528718ed5440a9b8ba6088f86df4b15c81c8",
         "spectra.json": "24bdad85db5f8fb79c5ba797d0c83e4a49da5d77a353fc72032bb29504d1cae5",
     }),
-    "seed0/witness": ("fbec7ebf2c8dc7705a11e72ccf027fefea4285d8d22dab4b96276124aec865af", {
+    "seed0/witness": ("6aab95cade46eeb51f63b6e4dc4b0112f5faea7aec3fa9d1c56c6c68766a594d", {
         "witness.csv": "dac9ce53b72cd2d187dca462c498c51f5a4de52c4dbe1618ed689e05374117c8",
-        "witness.json": "3ea38fa2280ee02787175f73adf60660c1c9e014e90b7a81ad73c5719ec955ec",
+        "witness.json": "9da8251fbadce7c4df6140aab42ba1c0e715b8d66f5c7e39b503e23100b50e2b",
     }),
     "seed0/mc-sweep": ("d7b3d6018c9a7a48421ae3a5315d9a67ae939f2f27e99826e3d7fb244c209137", {
         "mc_sweep.csv": "113a753a19b3d060a1fa733dc1a8424cb3e91ec4ab4dc9f6994a9bb3ce7ba291",
@@ -101,9 +101,9 @@ _DIGESTS = {
         "spectra.csv": "579647ca6593c944540c7be94d3030adec9672918d49cae1cc2277efabc42bf4",
         "spectra.json": "591a696ca472ad79a76033336228634e7f5a8ca117899744ae1bc53e582b0ace",
     }),
-    "seed3-fourier/witness": ("8181fc1e9de595e1b21abfc15227c2edb006ae88b3d2b4f039520ffd270a67fa", {
+    "seed3-fourier/witness": ("733ae3259ac91fb566dcf3ab668b2751e30c5691d42f517831a00fab5e35b4d5", {
         "witness.csv": "203f4e1dec16afd5bdc69bf5ac4ec963c4e51a39f2ace5f5782318bdcab846b0",
-        "witness.json": "3deae5674c3e1b41146e6269b8b0eb6981317f0fc530c7e1e6a150f630403e19",
+        "witness.json": "5c452995af9e399300ddd8eb10eef6d9db340290bc6ea80082e00b4d576290eb",
     }),
     "seed3-fourier/mc-sweep": ("279acabb3fb2cc225376753057c673a590f87a9a634ba718f35d98bd3d63f6d8", {
         "mc_sweep.csv": "222066368de67aa8cd3e06e67391dd53bd5c6dcdf6a1b3baf7ac982fa21c905c",

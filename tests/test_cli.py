@@ -361,6 +361,10 @@ _GAMMA_SWEEP = {"parameter": "gamma", "values": [0.5, 1.0]}
     ({"trials": 1}, "the table2 experiment needs trials of at least 2"),
     ({"experiment": "mc-sweep", "trials": 1, "sweep": _GAMMA_SWEEP},
      "the mc-sweep experiment needs trials of at least 2"),
+    ({"experiment": "tableC1", "code": {"input": {"squeeze_db": 1e308, "antisqueeze_db": 1e308}}},
+     "input squeezing in dB must be finite and within [0, 30]"),
+    ({"code": {"input": {"squeeze_db": -300, "antisqueeze_db": 300}}},
+     "input squeezing in dB must be finite and within [0, 30]"),
 ])
 def test_main_reports_bad_config_as_usage_error(tmp_path, capsys, doc, message):
     """A bad config stops ``cvqec run`` with exit 2 before the runner starts;

@@ -89,6 +89,36 @@ def test_code_config_validation():
         with pytest.raises(ValueError, match="finite"):
             CodeConfig(input_kind="squeezed", input_antisqueeze_db=bad)
     assert CodeConfig(r=(0.1, 0.2, 0.3, 0.4)).r == (0.1, 0.2, 0.3, 0.4)
+    assert CodeConfig(r=np.array([0.1, 0.2, 0.3, 0.4])).r == (0.1, 0.2, 0.3, 0.4)
+    # a per-mode value is a real number, not a bool, string or other array
+    for field, bad in (("r", "0.4"), ("r", True), ("r", np.array(0.4)),
+                       ("r", np.ones((1, 4))), ("r", [0.1, None, 0.3, 0.4]),
+                       ("r", 10 ** 400), ("channel_loss", [1.0, 1.0, True, 1.0, 1.0]),
+                       ("channel_loss", np.bool_(True)), ("channel_loss", "1")):
+        what = "squeezing parameter" if field == "r" else "channel transmissivity"
+        with pytest.raises(ValueError, match=what):
+            CodeConfig(**{field: bad})
+    for field in ("input_squeeze_db", "input_antisqueeze_db"):
+        for bad in ("3.5", False, 10 ** 400):
+            with pytest.raises(ValueError, match=r"input (anti)?squeezing in dB must be finite"):
+                CodeConfig(**{field: bad})
+
+
+def test_input_squeezing_is_bounded_by_max_input_db():
+    """Both input dB values lie in [0, ``MAX_INPUT_DB``], for a vacuum input
+    too, and the message names the bound.  At the worst accepted corner, a
+    pure input squeezed by the bound beside r = ``MAX_R`` ancillas, whose
+    outputs are the input to 1e-18, every fidelity is 1 within 2.9e-9."""
+    bound = qec.MAX_INPUT_DB
+    for fourier in (False, True):
+        cfg = CodeConfig(r=qec.MAX_R, input_kind="squeezed", input_squeeze_db=bound,
+                         input_antisqueeze_db=bound, fourier_mode=fourier)
+        for channel in range(1, 6):
+            assert closed_form_output(cfg, channel).fidelity == pytest.approx(1.0, abs=2.9e-9)
+    for sq, anti in ((-300.0, 300.0), (-1e-9, 8.9), (3.5, bound + 1e-9), (1e308, 1e308)):
+        for kind in ("vacuum", "squeezed"):
+            with pytest.raises(ValueError, match=r"finite and within \[0, 30\]"):
+                CodeConfig(input_kind=kind, input_squeeze_db=sq, input_antisqueeze_db=anti)
 
 
 def test_squeezing_above_max_r_is_rejected():
@@ -98,6 +128,71 @@ def test_squeezing_above_max_r_is_rejected():
     for bad in (qec.MAX_R + 1e-4, 46.0, (0.4, 0.4, qec.MAX_R + 1e-4, 0.4)):
         with pytest.raises(ValueError, match=r"within \[0, 25\]"):
             CodeConfig(r=bad)
+
+
+def _in_range(high):
+    return st.one_of(st.floats(0.0, high), st.sampled_from([0.0, high]))
+
+
+def _any_value(high):
+    """A value for a config number whose range is [0, high]: in range, at or
+    just beyond a bound, non-finite, huge, or not a real number at all."""
+    return st.one_of(
+        _in_range(high),
+        st.sampled_from([float(np.nextafter(high, np.inf)), -1e-300, 1e308, math.nan,
+                         math.inf, -math.inf, 10 ** 400, -(10 ** 400), np.float64(high)]),
+        st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, 40),
+        st.booleans(), st.text(max_size=3), st.just(np.array(high)), st.none())
+
+
+def _per_mode_spelling(values, n):
+    """One value for every mode, or ``n`` values as a list, tuple or 1-D
+    array; ``values`` may also give a wrong count or a 2-D array."""
+    return st.one_of(values, st.lists(values, min_size=n, max_size=n),
+                     st.lists(values, min_size=n, max_size=n).map(tuple),
+                     st.lists(values, min_size=n, max_size=n).map(np.array))
+
+
+@st.composite
+def _code_config_args(draw):
+    """In-range ``CodeConfig`` arguments, with none or one of the drawn
+    fields replaced by an arbitrary value."""
+    squeeze = draw(_in_range(qec.MAX_INPUT_DB))
+    args = {"r": draw(_per_mode_spelling(_in_range(qec.MAX_R), 4)),
+            "channel_loss": draw(st.none() | _per_mode_spelling(_in_range(1.0), 5)),
+            "input_squeeze_db": squeeze,
+            "input_antisqueeze_db": draw(st.floats(squeeze, qec.MAX_INPUT_DB)),
+            "fourier_mode": draw(st.booleans())}
+    field = draw(st.sampled_from([None, "r", "channel_loss", "input_squeeze_db",
+                                  "input_antisqueeze_db"]))
+    if field == "r":
+        args[field] = draw(_per_mode_spelling(_any_value(qec.MAX_R), 4)
+                           | st.lists(_in_range(qec.MAX_R), min_size=3, max_size=5)
+                           | st.just(np.full((1, 4), 0.4)))
+    elif field == "channel_loss":
+        args[field] = draw(_per_mode_spelling(_any_value(1.0), 5)
+                           | st.lists(_in_range(1.0), min_size=4, max_size=6).map(np.array))
+    elif field is not None:
+        args[field] = draw(_any_value(qec.MAX_INPUT_DB))
+    return args
+
+
+@given(args=_code_config_args())
+@settings(max_examples=120, derandomize=True, deadline=None)
+def test_code_config_accepts_only_what_the_model_runs(args):
+    """A config either raises ValueError, never TypeError or OverflowError, or
+    its vacuum and squeezed twins give a fidelity in [0, 1] and a finite noise
+    power on every channel (any RuntimeWarning fails the test)."""
+    try:
+        cfg = CodeConfig(**args)
+    except ValueError:
+        return
+    for kind in ("vacuum", "squeezed"):
+        twin = dataclasses.replace(cfg, input_kind=kind)
+        for channel in range(1, 6):
+            stats = closed_form_output(twin, channel)
+            assert 0.0 <= stats.fidelity <= 1.0
+            assert math.isfinite(stats.noise_db("x")) and math.isfinite(stats.noise_db("p"))
 
 
 @pytest.mark.parametrize("r", [0.0, 10.0, 20.0, qec.MAX_R])
@@ -138,10 +233,14 @@ def test_code_config_lists_become_tuples():
 
 @pytest.mark.parametrize("spellings", [
     (CodeConfig(r=0.4), CodeConfig(r=[0.4] * 4), CodeConfig(r=(0.4, 0.4, 0.4, 0.4))),
-    (CodeConfig(), CodeConfig(channel_loss=1.0), CodeConfig(channel_loss=[1.0] * 5)),
-], ids=["r", "loss"])
+    (CodeConfig(), CodeConfig(channel_loss=1.0), CodeConfig(channel_loss=[1.0] * 5),
+     CodeConfig(channel_loss=np.ones(5)), CodeConfig(channel_loss=np.float64(1.0))),
+    (CodeConfig(r=(0.1, 0.2, 0.3, 0.4)), CodeConfig(r=np.array([0.1, 0.2, 0.3, 0.4])),
+     CodeConfig(r=[np.float64(0.1), 0.2, Fraction(3, 10), 0.4])),
+], ids=["r", "loss", "array"])
 def test_code_config_spellings_share_one_normal_form(spellings):
-    """A single value and the same value per mode are one configuration: it
+    """A single value and the same value per mode, and a tuple, list or 1-D
+    array of any real number types, are one configuration: it
     stores r per ancilla and the transmissivity per channel, compares and
     hashes equal, and ``_maps`` builds one instance for it."""
     first = spellings[0]

@@ -9,7 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from cvqec.code import MAX_R, RoundsOutcome
+from cvqec.code import MAX_INPUT_DB, MAX_R, RoundsOutcome
 from cvqec.errors import MAX_MAGNITUDE
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,7 +38,8 @@ def test_readme_input_limits_match_the_code():
     """Every README limit "at most <value> (`<bound>`" equals its bound, and
     the squeezing limit's "about <n> dB" is MAX_R in dB, rounded."""
     text = " ".join((ROOT / "README.md").read_text().split())
-    for bound, value in (("errors.MAX_MAGNITUDE", MAX_MAGNITUDE), ("code.MAX_R", MAX_R)):
+    for bound, value in (("errors.MAX_MAGNITUDE", MAX_MAGNITUDE), ("code.MAX_R", MAX_R),
+                         ("code.MAX_INPUT_DB", MAX_INPUT_DB)):
         stated = re.findall(rf"at most (\S+) \(`{re.escape(bound)}`", text)
         assert stated and all(float(v) == value for v in stated), (bound, stated)
     db = re.findall(r"\(`code\.MAX_R`, about (\d+) dB\)", text)

@@ -1,12 +1,14 @@
 """Inseparability witness: boundary behavior, optimization, monotonicity."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from cvqec.code import CodeConfig, closed_form_output, encode
+from cvqec.code import MAX_R, CodeConfig, closed_form_output, encode
 from cvqec.gaussian import db_to_r
-from cvqec.witness import (_TERMS, SEPARABLE_BOUND, _encoded_factor, combination_value,
-                           evaluate_witness, optimize_gains)
+from cvqec.witness import (_TERMS, SEPARABLE_BOUND, _encoded_factor, _index,
+                           combination_value, evaluate_witness, optimize_gains)
 from test_exact import form_covariance, form_variance
 
 R35 = db_to_r(3.5)
@@ -29,7 +31,7 @@ def test_combination1_with_unit_gain_at_r0():
 def test_combination1_first_term_squeezed():
     """The gain-free first term alone is 2 (1/4) e^{-2r}."""
     cfg = CodeConfig(r=R35)
-    gains, _ = optimize_gains(cfg)
+    gains = optimize_gains(cfg)
     full = combination_value(1, gains, cfg)
     # remove the second term by evaluating its parabola vertex independently:
     # the first term is gain-free, so value(any gains) - second(gains) is fixed.
@@ -63,7 +65,7 @@ def test_values_non_increasing_in_r():
 
 def test_each_combination_is_convex_in_its_gain():
     cfg = CodeConfig(r=0.35)
-    gains, _ = optimize_gains(cfg)
+    gains = optimize_gains(cfg)
     slots = {1: (2,), 2: (0, 3), 3: (1, 4), 4: (5,)}
     for idx, gain_slots in slots.items():
         for slot in gain_slots:
@@ -78,8 +80,7 @@ def test_each_combination_is_convex_in_its_gain():
 
 def test_vertex_beats_grid_scan():
     cfg = CodeConfig(r=R35)
-    gains, degenerate = optimize_gains(cfg)
-    assert degenerate == ()
+    gains = optimize_gains(cfg)
     slots = {1: (2,), 2: (0, 3), 3: (1, 4), 4: (5,)}
     for idx, gain_slots in slots.items():
         v_opt = combination_value(idx, gains, cfg)
@@ -116,7 +117,7 @@ def test_batched_combination_value_equals_scalar_calls(r):
     """A (..., 6) batch of gains gives the per-row scalar values, and a single
     gain vector gives a float."""
     cfg = CodeConfig(r=r)
-    gains, _ = optimize_gains(cfg)
+    gains = optimize_gains(cfg)
     rng = np.random.default_rng(15)
     flat = np.asarray(gains) + rng.uniform(-1.0, 1.0, size=(401, 6))
     cube = rng.normal(scale=2.0, size=(3, 7, 6))
@@ -176,14 +177,33 @@ def test_witness_matches_exact_forms(r, fourier):
             if slot is not None:
                 want_gains[slot] = -sign * cov_bm / var_m
         assert combination_value(idx, fixed_gains, cfg) == pytest.approx(want, rel=1e-12)
-    gains, degenerate = optimize_gains(cfg)
-    assert degenerate == ()
+    gains = optimize_gains(cfg)
     np.testing.assert_allclose(gains, want_gains, rtol=1e-12, atol=1e-12)
+
+
+def test_gain_denominators_stay_away_from_zero():
+    """Every gained term's Var(m), the vertex denominator, is at least 3/32
+    (reached in float to one ulp) over per-ancilla r in {0, 0.5, MAX_R}^4 and
+    a uniform r grid on [0, MAX_R], in both bases: no vacuum-input config
+    makes a gain degenerate."""
+    configs = [CodeConfig(r=r, fourier_mode=fourier)
+               for fourier in (False, True)
+               for r in [*itertools.product((0.0, 0.5, MAX_R), repeat=4),
+                         *np.linspace(0.0, MAX_R, 501)]]
+    smallest = np.inf
+    for cfg in configs:
+        factor = _encoded_factor(cfg)
+        for terms in _TERMS.values():
+            for quad, _, slot, gained in terms:
+                if slot is not None:
+                    part = factor[_index(gained[1], quad)]
+                    smallest = min(smallest, float(part @ part))
+    assert smallest == pytest.approx(3 / 32, rel=1e-12)
 
 
 def test_result_serializes():
     doc = evaluate_witness(CodeConfig(r=R35)).to_dict()
-    assert set(doc) == {"values", "gains", "satisfied", "bound", "degenerate_gains"}
+    assert set(doc) == {"values", "gains", "satisfied", "bound"}
     assert doc["bound"] == SEPARABLE_BOUND
 
 
