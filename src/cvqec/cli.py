@@ -20,10 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import code as qec
-from .code import (CodeConfig, RoundsOutcome, closed_form_output,
-                   coherent_ancilla_config, output_mixture, pooled_moments,
-                   run_rounds)
-from .errors import LAW_GENERAL, ErrorConfig, ErrorLaw
+from .code import (CodeConfig, RoundsOutcome, closed_form_output, output_mixture,
+                   pooled_moments, run_rounds)
+from .errors import LAW_GENERAL, ErrorConfig, ErrorLaw, _bounded
 from .gaussian import db_to_r, fidelity_from_moments, variance_to_db
 from .witness import evaluate_witness
 
@@ -90,12 +89,15 @@ class ExperimentConfig:
     seed: int
     sweep_parameter: str | None = None
     sweep_values: tuple[float, ...] = ()
-    experiment: str | None = None
-    out: str | None = None
 
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+
+# The largest trial count and syndrome window, sized so that a run peaks
+# below 1 GB of resident memory: a run keeps every round's moments, and a
+# syndrome trace every sample.  Measured with getrusage (Linux x86-64, numpy
+# 2.4): table2 at MAX_TRIALS peaks at 0.69 GB and syndrome-demo at MAX_WINDOW
+# at 0.66 GB, while mc-sweep at 2**22 trials reaches 1.04 GB.
+MAX_TRIALS = 2 ** 21
+MAX_WINDOW = 2 ** 20
 
 
 def _reject_unknown(doc: dict, allowed, where: str) -> None:
@@ -111,8 +113,8 @@ def _parse_code(doc: dict) -> CodeConfig:
                     "code")
     if "r" in doc and "squeezing_db" in doc:
         raise ValueError("code sets both r and squeezing_db; give one of them")
-    r = (_parse_number(doc["r"], "squeezing parameter", allow_list=True) if "r" in doc
-         else db_to_r(_parse_number(doc.get("squeezing_db", 3.5), "code.squeezing_db")))
+    r = doc["r"] if "r" in doc else db_to_r(
+        _bounded(doc.get("squeezing_db", 3.5), "ancilla squeezing in dB", qec.MAX_R_DB))
     inp = doc.get("input", "vacuum")
     kwargs = {}
     if inp == "vacuum":
@@ -120,19 +122,15 @@ def _parse_code(doc: dict) -> CodeConfig:
     elif isinstance(inp, dict):
         _reject_unknown(inp, {"squeeze_db", "antisqueeze_db"}, "code.input")
         kwargs["input_kind"] = "squeezed"
-        kwargs["input_squeeze_db"] = _parse_number(inp.get("squeeze_db", 3.5),
-                                                   "code.input.squeeze_db")
-        kwargs["input_antisqueeze_db"] = _parse_number(inp.get("antisqueeze_db", 8.9),
-                                                       "code.input.antisqueeze_db")
+        kwargs["input_squeeze_db"] = inp.get("squeeze_db", 3.5)
+        kwargs["input_antisqueeze_db"] = inp.get("antisqueeze_db", 8.9)
     else:
         raise ValueError(f"unknown input spec {inp!r}")
-    if doc.get("channel_loss") is not None:
-        kwargs["channel_loss"] = _parse_number(doc["channel_loss"], "code.channel_loss",
-                                               allow_list=True)
     fourier = doc.get("fourier", False)
     if not isinstance(fourier, bool):
         raise ValueError(f"code.fourier must be true or false, not {fourier!r}")
-    return CodeConfig(r=r, fourier_mode=fourier, **kwargs)
+    return CodeConfig(r=r, fourier_mode=fourier, channel_loss=doc.get("channel_loss"),
+                      **kwargs)
 
 
 def _parse_error(doc: dict) -> ErrorConfig:
@@ -140,42 +138,27 @@ def _parse_error(doc: dict) -> ErrorConfig:
     law_doc = doc.get("law", {})
     _reject_unknown(law_doc, {"kind", "magnitude", "shape"}, "error.law")
     law = ErrorLaw(kind=law_doc.get("kind", "general"),
-                   magnitude=_parse_number(law_doc.get("magnitude", 5.0),
-                                           "error.law.magnitude"),
+                   magnitude=law_doc.get("magnitude", 5.0),
                    shape=law_doc.get("shape", "fixed"))
-    return ErrorConfig(gamma=_parse_number(doc.get("gamma", 1.0), "error.gamma"),
-                       channel=doc.get("channel", "uniform"), law=law)
+    return ErrorConfig(gamma=doc.get("gamma", 1.0), channel=doc.get("channel", "uniform"),
+                       law=law)
 
 
-def _parse_number(value, name: str, allow_list: bool = False):
-    """A finite real number, or with ``allow_list`` a list of them as a
-    tuple; a bool, string or non-finite value is rejected, not converted."""
-    if allow_list and isinstance(value, list):
-        return tuple(_parse_number(v, name) for v in value)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, not {value!r}")
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, not {value!r}")
-    return float(value)
-
-
-def _parse_count(doc: dict, key: str, default: int) -> int:
-    """An integer entry; a bool, string or non-integral number is rejected,
-    not truncated."""
+def _parse_count(doc: dict, key: str, default: int, high: float = math.inf) -> int:
+    """An integer entry of at most ``high``; a bool, string or non-integral
+    number is rejected, not truncated."""
     value = doc.get(key, default)
     if isinstance(value, bool) or not (
             isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{key} must be an integer, not {value!r}")
+    if value > high:
+        raise ValueError(f"{key} must be at most {high}, not {value}")
     return int(value)
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
     """Parses an experiment config document; unknown keys are rejected."""
-    _reject_unknown(doc, {"code", "error", "trials", "window", "seed", "sweep",
-                          "experiment", "out"}, "config")
-    experiment = doc.get("experiment")
-    if experiment is not None and experiment not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {experiment!r}")
+    _reject_unknown(doc, {"code", "error", "trials", "window", "seed", "sweep"}, "config")
     code = _parse_code(doc.get("code", {}))
     error = _parse_error(doc.get("error", {}))
     sweep = doc.get("sweep")
@@ -189,19 +172,17 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ValueError(f"unknown sweep parameter {sweep_parameter!r}")
         if not isinstance(sweep.get("values"), list):
             raise ValueError(f"sweep values must be a list, not {sweep.get('values')!r}")
-        sweep_values = tuple(_parse_number(v, "sweep value") for v in sweep["values"])
+        # one scalar each; its model checks its range
+        sweep_values = tuple(_bounded(v, "sweep value", sys.float_info.max)
+                             for v in sweep["values"])
         if len(sweep_values) < 2:
             raise ValueError("a sweep needs at least two values")
-    out = doc.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ValueError(f"out must be a string, not {out!r}")
     return ExperimentConfig(
         code=code, error=error,
-        trials=_parse_count(doc, "trials", 50),
-        window=_parse_count(doc, "window", 512),
+        trials=_parse_count(doc, "trials", 50, MAX_TRIALS),
+        window=_parse_count(doc, "window", 512, MAX_WINDOW),
         seed=_parse_count(doc, "seed", 0),
-        sweep_parameter=sweep_parameter, sweep_values=sweep_values,
-        experiment=experiment, out=out)
+        sweep_parameter=sweep_parameter, sweep_values=sweep_values)
 
 
 def load_config(path: str | None) -> ExperimentConfig:
@@ -270,7 +251,8 @@ def _write_table(out_dir: Path, stem: str, header: list[str], rows: list[list],
 
 
 def _ancilla_variants(code: CodeConfig):
-    return (("coherent", coherent_ancilla_config(code)),
+    # the coherent variant is the classical-limit twin: unsqueezed ancillas
+    return (("coherent", replace(code, r=0.0)),
             ("squeezed", code))
 
 
@@ -462,13 +444,15 @@ _WITH_STDERR = ("table2", "mc-sweep")      # write fidelity_mc_stderr, a spread 
 
 def check_experiment(name: str, cfg: ExperimentConfig) -> None:
     """Raises ValueError if the experiment is unknown or cannot run with the
-    config: a negative seed, a window below the syndrome floor, a single
-    trial where a row's stderr needs two, a missing or unsuitable sweep
-    section, a witness grid around a per-ancilla r or on a lossy code, a
-    syndrome demo of a single-quadrature law, or a sweep value that makes an
-    invalid config."""
+    config: no trial, a negative seed, a window below the syndrome floor, a
+    single trial where a row's stderr needs two, a missing or unsuitable
+    sweep section, a witness grid around a per-ancilla r or on a lossy code,
+    a syndrome demo of a single-quadrature law, or a sweep value that makes
+    an invalid config."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown experiment {name!r}")
+    if cfg.trials < 1:
+        raise ValueError("trials must be at least 1")
     if cfg.seed < 0:
         raise ValueError(f"seed must be non-negative, not {cfg.seed}")
     if name in _WINDOWED and cfg.window < qec.MIN_SYNDROME_WINDOW:
@@ -517,7 +501,7 @@ def main(argv: list[str] | None = None) -> int:
     runp.add_argument("--config", default=None, help="JSON config path")
     runp.add_argument("--seed", type=int, default=None,
                       help="override the config seed")
-    runp.add_argument("--out", default=None, help="output directory")
+    runp.add_argument("--out", default="cvqec-out", help="output directory")
     verp = sub.add_parser("verify", help="run the acceptance suite")
     verp.add_argument("-q", "--quiet", action="store_true")
     args = parser.parse_args(argv)
@@ -529,22 +513,18 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
     except (OSError, ValueError) as exc:
         parser.error(f"bad config: {exc}")
-    if cfg.experiment is not None and cfg.experiment != args.experiment:
-        parser.error(f"config names experiment {cfg.experiment!r} but "
-                     f"{args.experiment!r} was requested")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     try:
         check_experiment(args.experiment, cfg)
     except ValueError as exc:
         parser.error(str(exc))
-    out_dir = args.out or cfg.out or "cvqec-out"
     try:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         parser.error(f"cannot create output directory: {exc}")
-    artifacts = _RUNNERS[args.experiment](cfg, Path(out_dir))
-    print(json.dumps({"experiment": args.experiment, "out": str(out_dir),
+    artifacts = _RUNNERS[args.experiment](cfg, Path(args.out))
+    print(json.dumps({"experiment": args.experiment, "out": args.out,
                       "artifacts": artifacts}, sort_keys=True))
     return 0
 

@@ -20,14 +20,13 @@ displacements that live purely in p.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ErrorConfig, ErrorLaw
+from .errors import ErrorConfig, ErrorLaw, _bounded
 from .exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol, SQRT2,
                     TAG_ANTISQUEEZED, TAG_NONE, TAG_SQUEEZED, mode_forms_apply_matrix,
                     sqrt_of)
@@ -53,6 +52,7 @@ FLUCTUATION_FACTOR = 3.0   # flag when excess variance exceeds 3x the baseline
 # V_in alone on 1-2) by at most 2.5e-11 relative at r = 25, 1.9e-10 at 26,
 # 1.0e-8 at 28 and 5.6e-7 at 30; from r = 36 the theory is plainly wrong.
 MAX_R = 25.0
+MAX_R_DB = 20.0 * MAX_R / math.log(10.0)   # MAX_R as ancilla squeezing in dB, about 217
 
 # The largest input squeezing or anti-squeezing in dB.  The residue above adds
 # a fixed variance to the input's quiet quadrature: over 0 <= squeeze <=
@@ -103,8 +103,10 @@ class CodeConfig:
             1.0 if self.channel_loss is None else self.channel_loss, 5, "per-channel loss"))
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "channel_loss", loss)
-        _bounded(self.input_squeeze_db, "input squeezing in dB", MAX_INPUT_DB)
-        _bounded(self.input_antisqueeze_db, "input antisqueezing in dB", MAX_INPUT_DB)
+        object.__setattr__(self, "input_squeeze_db", _bounded(
+            self.input_squeeze_db, "input squeezing in dB", MAX_INPUT_DB))
+        object.__setattr__(self, "input_antisqueeze_db", _bounded(
+            self.input_antisqueeze_db, "input antisqueezing in dB", MAX_INPUT_DB))
         if self.input_kind not in ("vacuum", "squeezed"):
             raise ValueError(f"unknown input kind {self.input_kind!r}")
         # checked for a vacuum input too: table2 and tableC1 build the
@@ -138,19 +140,6 @@ def _per_mode(value, n: int, what: str) -> tuple:
             raise ValueError(f"{what} needs {n} values")
         return tuple(value)
     return (value,) * n
-
-
-def _bounded(value, what: str, high: float) -> float:
-    """A real number in [0, high] as a float; NaN, a bool, a string, an array
-    or any other value is a ValueError naming ``what``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= high:
-        raise ValueError(f"{what} must be finite and within [0, {high:g}], not {value!r}")
-    return float(value)
-
-
-def coherent_ancilla_config(cfg: CodeConfig) -> CodeConfig:
-    """The classical-limit twin of a configuration: unsqueezed ancillas."""
-    return replace(cfg, r=0.0)
 
 
 # --------------------------------------------------------------------------

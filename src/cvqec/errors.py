@@ -10,6 +10,7 @@ output mixture of a round's branches is ``code.output_mixture``.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,14 @@ _BLOCK_SAMPLES = 32768
 # the general, fixed-x and gaussian-p laws) the corrected variances deviate
 # by at most 1.6e-12 relative at a = 1e4, 2.4e-10 at 1e6 and 2.0e-8 at 1e8.
 MAX_MAGNITUDE = 1e6
+
+
+def _bounded(value, what: str, high: float) -> float:
+    """A real number in [0, high] as a float; NaN, a bool, a string, an array
+    or any other value is a ValueError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= high:
+        raise ValueError(f"{what} must be finite and within [0, {high:g}], not {value!r}")
+    return float(value)
 
 
 def _phase_sums(rng: np.random.Generator, n: int, window: int) -> np.ndarray:
@@ -101,9 +110,7 @@ class ErrorLaw:
             raise ValueError(f"unknown law shape {self.shape!r}")
         if self.kind == LAW_GENERAL and self.shape != SHAPE_FIXED:
             raise ValueError("the general law supports the fixed shape only")
-        if not 0 <= self.magnitude <= MAX_MAGNITUDE:
-            raise ValueError(f"magnitude must be finite and within [0, {MAX_MAGNITUDE:g}], "
-                             f"not {self.magnitude!r}")
+        object.__setattr__(self, "magnitude", _bounded(self.magnitude, "magnitude", MAX_MAGNITUDE))
 
     def quadrature_variances(self) -> tuple[float, float]:
         """Per-sample variance (Var dx, Var dp) of the displacement series."""
@@ -180,8 +187,7 @@ class ErrorConfig:
     law: ErrorLaw = ErrorLaw()
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must lie in [0, 1]")
+        object.__setattr__(self, "gamma", _bounded(self.gamma, "gamma", 1.0))
         if self.channel != "uniform" and (type(self.channel) is not int
                                           or not 1 <= self.channel <= 5):
             raise ValueError(f"channel must be 1..5 or 'uniform', not {self.channel!r}")

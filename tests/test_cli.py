@@ -1,13 +1,21 @@
 """CLI harness: config validation, experiment artifacts, determinism."""
 
+import contextlib
+import copy
 import csv
 import dataclasses
 import filecmp
+import io
 import json
+import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvqec import cli
 from cvqec.code import RoundsOutcome, run_rounds
@@ -298,82 +306,113 @@ def test_main_runs_and_overrides_seed(tmp_path, capsys):
 _GAMMA_SWEEP = {"parameter": "gamma", "values": [0.5, 1.0]}
 
 
-@pytest.mark.parametrize("doc,message", [
-    ({"trials": 0}, "trials must be at least 1"),
-    ({"code": {"squeeze": 3.5}}, "unknown code keys"),
-    ({"window": 29}, "window must be at least 30"),
-    ({"experiment": "spectra", "window": 16}, "window must be at least 30"),
-    ({"experiment": "mc-sweep", "window": 16, "sweep": _GAMMA_SWEEP},
-     "window must be at least 30"),
-    ({"experiment": "syndrome-demo", "window": 16}, "window must be at least 30"),
-    ({"seed": -1}, "seed must be non-negative"),
-    ({"experiment": "mc-sweep", "sweep": {"parameter": "gamma", "values": [0.5, 1.5]}},
-     "sweep gamma = 1.5: gamma must lie in [0, 1]"),
-    ({"code": {"fourier": "false"}}, "code.fourier must be true or false"),
-    ({"window": 64.9}, "window must be an integer"),
-    ({"trials": True}, "trials must be an integer"),
-    ({"seed": "4"}, "seed must be an integer"),
-    ({"trials": 1e400}, "trials must be an integer"),
-    ({"code": {"r": float("nan")}}, "squeezing parameter must be finite"),
-    ({"code": {"r": True}}, "squeezing parameter must be a number"),
-    ({"code": {"r": [0.1, "0.2", 0.3, 0.4]}}, "squeezing parameter must be a number"),
-    ({"code": {"squeezing_db": "3.5"}}, "code.squeezing_db must be a number"),
-    ({"code": {"input": {"squeeze_db": "3.5"}}}, "code.input.squeeze_db must be a number"),
-    ({"code": {"input": {"antisqueeze_db": False}}},
-     "code.input.antisqueeze_db must be a number"),
-    ({"code": {"channel_loss": "0.9"}}, "code.channel_loss must be a number"),
-    ({"code": {"channel_loss": [1.0, 0.9, True, 0.9, 1.0]}},
-     "code.channel_loss must be a number"),
-    ({"error": {"channel": True}}, "channel must be 1..5 or 'uniform'"),
-    ({"error": {"channel": 3.0}}, "channel must be 1..5 or 'uniform'"),
-    ({"error": {"gamma": True}}, "error.gamma must be a number"),
-    ({"error": {"law": {"magnitude": "5"}}}, "error.law.magnitude must be a number"),
-    ({"experiment": "mc-sweep", "sweep": {"parameter": "gamma", "values": [True, False]}},
-     "sweep value must be a number"),
-    ({"experiment": "mc-sweep", "sweep": {"parameter": "loss", "values": ["1.0", "0.9"]}},
-     "sweep value must be a number"),
-    ({"experiment": "mc-sweep", "sweep": {"values": [0.1, 0.2]}}, "a sweep needs a parameter"),
-    ({"experiment": "mc-sweep", "sweep": {"parameter": "gamma", "values": 5}},
+_HUGE = 10 ** 400          # a JSON integer beyond the float range
+
+_BAD_CONFIGS = [
+    ("table2", {"trials": 0}, "trials must be at least 1"),
+    ("table2", {"code": {"squeeze": 3.5}}, "unknown code keys"),
+    ("table2", {"window": 29}, "window must be at least 30"),
+    ("spectra", {"window": 16}, "window must be at least 30"),
+    ("mc-sweep", {"window": 16, "sweep": _GAMMA_SWEEP}, "window must be at least 30"),
+    ("syndrome-demo", {"window": 16}, "window must be at least 30"),
+    ("table2", {"seed": -1}, "seed must be non-negative"),
+    ("mc-sweep", {"sweep": {"parameter": "gamma", "values": [0.5, 1.5]}},
+     "sweep gamma = 1.5: gamma must be finite and within [0, 1]"),
+    ("table2", {"code": {"fourier": "false"}}, "code.fourier must be true or false"),
+    ("table2", {"window": 64.9}, "window must be an integer"),
+    ("table2", {"trials": True}, "trials must be an integer"),
+    ("table2", {"seed": "4"}, "seed must be an integer"),
+    ("table2", {"trials": 1e400}, "trials must be an integer"),
+    ("table2", {"code": {"r": float("nan")}}, "squeezing parameter must be finite"),
+    ("table2", {"code": {"r": True}},
+     "squeezing parameter must be finite and within [0, 25], not True"),
+    ("table2", {"code": {"r": [0.1, "0.2", 0.3, 0.4]}},
+     "squeezing parameter must be finite and within [0, 25], not '0.2'"),
+    ("table2", {"code": {"squeezing_db": "3.5"}},
+     "ancilla squeezing in dB must be finite and within [0, 217.147], not '3.5'"),
+    ("table2", {"code": {"input": {"squeeze_db": "3.5"}}},
+     "input squeezing in dB must be finite and within [0, 30], not '3.5'"),
+    ("table2", {"code": {"input": {"antisqueeze_db": False}}},
+     "antisqueezing in dB must be finite and within [0, 30], not False"),
+    ("table2", {"code": {"channel_loss": "0.9"}},
+     "channel transmissivity must be finite and within [0, 1], not '0.9'"),
+    ("table2", {"code": {"channel_loss": [1.0, 0.9, True, 0.9, 1.0]}},
+     "channel transmissivity must be finite and within [0, 1], not True"),
+    ("table2", {"error": {"channel": True}}, "channel must be 1..5 or 'uniform'"),
+    ("table2", {"error": {"channel": 3.0}}, "channel must be 1..5 or 'uniform'"),
+    ("table2", {"error": {"gamma": True}}, "gamma must be finite and within [0, 1], not True"),
+    ("table2", {"error": {"law": {"magnitude": "5"}}},
+     "magnitude must be finite and within [0, 1e+06], not '5'"),
+    ("mc-sweep", {"sweep": {"parameter": "gamma", "values": [True, False]}},
+     "sweep value must be finite and within [0, 1.79769e+308], not True"),
+    ("mc-sweep", {"sweep": {"parameter": "loss", "values": ["1.0", "0.9"]}},
+     "sweep value must be finite and within [0, 1.79769e+308], not '1.0'"),
+    ("mc-sweep", {"sweep": {"values": [0.1, 0.2]}}, "a sweep needs a parameter"),
+    ("mc-sweep", {"sweep": {"parameter": "gamma", "values": 5}}, "sweep values must be a list"),
+    ("mc-sweep", {"sweep": {"parameter": "gamma", "values": "ab"}},
      "sweep values must be a list"),
-    ({"experiment": "mc-sweep", "sweep": {"parameter": "gamma", "values": "ab"}},
-     "sweep values must be a list"),
-    ({"experiment": "mc-sweep", "sweep": {"parameter": "gamma"}}, "sweep values must be a list"),
-    ({"experiment": "mc-sweep", "sweep": 5}, "sweep must be a JSON object"),
-    ({"code": 5}, "code must be a JSON object"),
-    ({"error": 5}, "error must be a JSON object"),
-    ({"error": {"law": 3}}, "error.law must be a JSON object"),
-    ({"out": 5}, "out must be a string"),
-    ({"code": {"input": {"squeeze_db": 3.5, "antisqueeze_db": 1.0}}},
+    ("mc-sweep", {"sweep": {"parameter": "gamma"}}, "sweep values must be a list"),
+    ("mc-sweep", {"sweep": 5}, "sweep must be a JSON object"),
+    ("table2", {"code": 5}, "code must be a JSON object"),
+    ("table2", {"error": 5}, "error must be a JSON object"),
+    ("table2", {"error": {"law": 3}}, "error.law must be a JSON object"),
+    ("table2", {"out": "elsewhere"}, "unknown config keys: ['out']"),
+    ("table2", {"code": {"input": {"squeeze_db": 3.5, "antisqueeze_db": 1.0}}},
      "input antisqueezing 1.0 dB is below its squeezing 3.5 dB"),
-    ({"error": {"law": {"magnitude": 1e160}}}, "magnitude must be finite and within [0, 1e+06]"),
-    ({"experiment": "mc-sweep", "sweep": {"parameter": "magnitude", "values": [5.0, 1e160]}},
+    ("table2", {"error": {"law": {"magnitude": 1e160}}},
+     "magnitude must be finite and within [0, 1e+06]"),
+    ("mc-sweep", {"sweep": {"parameter": "magnitude", "values": [5.0, 1e160]}},
      "sweep magnitude = 1e+160: magnitude must be finite and within"),
-    ({"code": {"squeezing_db": 400}}, "squeezing parameter must be finite and within [0, 25]"),
-    ({"experiment": "mc-sweep", "sweep": {"parameter": "r", "values": [0.4, 10.0, 30.0]}},
+    ("table2", {"code": {"squeezing_db": 400}},
+     "ancilla squeezing in dB must be finite and within [0, 217.147]"),
+    ("mc-sweep", {"sweep": {"parameter": "r", "values": [0.4, 10.0, 30.0]}},
      "sweep r = 30.0: squeezing parameter must be finite and within [0, 25]"),
-    ({"code": {"r": 0.5, "squeezing_db": 3.5}}, "code sets both r and squeezing_db"),
-    ({"experiment": "witness", "code": {"r": [0.1, 0.2, 0.3, 0.4]}},
+    ("table2", {"code": {"r": 0.5, "squeezing_db": 3.5}}, "code sets both r and squeezing_db"),
+    ("witness", {"code": {"r": [0.1, 0.2, 0.3, 0.4]}},
      "the witness experiment needs one r for all ancillas"),
-    ({"experiment": "witness", "code": {"channel_loss": 0.5}},
+    ("witness", {"code": {"channel_loss": 0.5}},
      "the witness experiment models a lossless code: code.channel_loss must be 1"),
-    ({"experiment": "syndrome-demo", "error": {"law": {"kind": "p"}}},
-     "error.law.kind must be 'general'"),
-    ({"trials": 1}, "the table2 experiment needs trials of at least 2"),
-    ({"experiment": "mc-sweep", "trials": 1, "sweep": _GAMMA_SWEEP},
+    ("syndrome-demo", {"error": {"law": {"kind": "p"}}}, "error.law.kind must be 'general'"),
+    ("table2", {"trials": 1}, "the table2 experiment needs trials of at least 2"),
+    ("mc-sweep", {"trials": 1, "sweep": _GAMMA_SWEEP},
      "the mc-sweep experiment needs trials of at least 2"),
-    ({"experiment": "tableC1", "code": {"input": {"squeeze_db": 1e308, "antisqueeze_db": 1e308}}},
+    ("tableC1", {"code": {"input": {"squeeze_db": 1e308, "antisqueeze_db": 1e308}}},
      "input squeezing in dB must be finite and within [0, 30]"),
-    ({"code": {"input": {"squeeze_db": -300, "antisqueeze_db": 300}}},
+    ("table2", {"code": {"input": {"squeeze_db": -300, "antisqueeze_db": 300}}},
      "input squeezing in dB must be finite and within [0, 30]"),
-])
-def test_main_reports_bad_config_as_usage_error(tmp_path, capsys, doc, message):
-    """A bad config stops ``cvqec run`` with exit 2 before the runner starts;
-    the experiment is the one the config names, else table2."""
+    ("table2", {"code": {"r": _HUGE}}, "squeezing parameter must be finite and within [0, 25]"),
+    ("table2", {"code": {"squeezing_db": _HUGE}},
+     "ancilla squeezing in dB must be finite and within [0, 217.147]"),
+    ("tableC1", {"code": {"input": {"squeeze_db": _HUGE, "antisqueeze_db": _HUGE}}},
+     "input squeezing in dB must be finite and within [0, 30]"),
+    ("tableC1", {"code": {"input": {"antisqueeze_db": _HUGE}}},
+     "antisqueezing in dB must be finite and within [0, 30]"),
+    ("spectra", {"code": {"channel_loss": _HUGE}},
+     "channel transmissivity must be finite and within [0, 1]"),
+    ("table2", {"error": {"gamma": _HUGE}}, "gamma must be finite and within [0, 1]"),
+    ("spectra", {"error": {"law": {"magnitude": _HUGE}}},
+     "magnitude must be finite and within [0, 1e+06]"),
+    ("mc-sweep", {"sweep": {"parameter": "loss", "values": [1.0, _HUGE]}},
+     "sweep value must be finite and within"),
+    ("mc-sweep", {"sweep": {"parameter": "loss", "values": [1.0, [1.0, 0.9, 0.9, 0.9, 1.0]]}},
+     "sweep value must be finite and within"),
+    ("table2", {"trials": _HUGE}, f"trials must be at most {cli.MAX_TRIALS}"),
+    ("table2", {"trials": cli.MAX_TRIALS + 1}, f"trials must be at most {cli.MAX_TRIALS}"),
+    ("syndrome-demo", {"window": 10 ** 11}, f"window must be at most {cli.MAX_WINDOW}"),
+    ("table2", {"window": cli.MAX_WINDOW + 1}, f"window must be at most {cli.MAX_WINDOW}"),
+    ("tableC1", {"experiment": "tableC1"}, "unknown config keys: ['experiment']"),
+]
+
+
+@pytest.mark.parametrize("experiment,doc,message", _BAD_CONFIGS,
+                         ids=[f"doc{i}-{m}" for i, (_, _, m) in enumerate(_BAD_CONFIGS)])
+def test_main_reports_bad_config_as_usage_error(tmp_path, capsys, experiment, doc, message):
+    """A bad config stops ``cvqec run <experiment>`` with exit 2 before the
+    runner starts."""
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(doc))
     with pytest.raises(SystemExit) as exc:
-        run_cli(["run", doc.get("experiment", "table2"), "--config", config,
-                 "--out", tmp_path / "out"])
+        run_cli(["run", experiment, "--config", config, "--out", tmp_path / "out"])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -436,15 +475,114 @@ def test_main_rejects_unknown_experiment(tmp_path):
         run_cli(["run", "tableX", "--out", tmp_path])
 
 
-def test_config_experiment_and_out_keys(tmp_path, capsys):
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({
-        "experiment": "tableC1", "out": str(tmp_path / "from-config"),
-        "trials": 2, "window": 64}))
-    assert run_cli(["run", "tableC1", "--config", config]) == 0
-    assert (tmp_path / "from-config" / "tableC1.csv").exists()
-    capsys.readouterr()
-    with pytest.raises(SystemExit):
-        run_cli(["run", "table2", "--config", config])
-    with pytest.raises(ValueError):
-        cli.parse_config({"experiment": "not-a-thing"})
+def test_main_writes_to_cvqec_out_by_default(tmp_path, monkeypatch, capsys):
+    """The output directory is set by ``--out`` alone, and is ``cvqec-out``
+    without it."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["run", "tableC1"]) == 0
+    assert json.loads(capsys.readouterr().out)["out"] == "cvqec-out"
+    assert (tmp_path / "cvqec-out" / "tableC1.csv").exists()
+
+
+# Valid values of each schema entry, its bounds among them, each taken in one
+# sampled draw: float ranges cost far more to draw, and the model tests draw
+# them.  Runs stay tiny: at most 40 trials and 100 samples per window.
+_TRIALS, _WINDOW = st.sampled_from([1, 2, 3, 40]), st.sampled_from([30, 30, 64, 100])
+_UNIT = [0.0, 0.3, 0.9, 1.0]
+_SCHEMA = {
+    ("code", "r"): [0.0, 0.4, 25.0, [0.0, 0.4, 2.0, 25.0], [25.0] * 4],
+    ("code", "squeezing_db"): [0.0, 3.5, 217.0],
+    ("code", "input"): ["vacuum", {"squeeze_db": 3.5, "antisqueeze_db": 8.9},
+                        {"squeeze_db": 0.0, "antisqueeze_db": 30.0},
+                        {"squeeze_db": 30.0, "antisqueeze_db": 30.0}],
+    ("code", "fourier"): [False, True],
+    ("code", "channel_loss"): [None, 0.0, 0.3, 1.0, [1.0, 0.9, 0.0, 0.5, 1.0]],
+    ("error", "gamma"): _UNIT,
+    ("error", "channel"): ["uniform", 1, 2, 3, 4, 5],
+    ("error", "law"): [{}, {"magnitude": 0.05}, {"magnitude": MAX_MAGNITUDE}]
+    + [{"kind": kind, "shape": shape, "magnitude": magnitude} for kind in ("x", "p")
+       for shape in ("fixed", "gaussian") for magnitude in (0.0, 5.0, MAX_MAGNITUDE)],
+    ("seed",): [0, 7, 2 ** 64, 10 ** 400],
+    ("sweep",): [{"parameter": p, "values": v} for p in ("r", "gamma", "magnitude", "loss")
+                 for v in ([0.0, 1.0], [1.0, 0.3, 0.0])],
+}
+# A value in place of an entry.  A size takes only values that are rejected
+# or tiny; any other entry also takes out-of-range and odd values.
+_SIZE_WILD = st.sampled_from([
+    10 ** 400, -(10 ** 400), math.nan, math.inf, -math.inf, -1, 0, 1, 29, 64.5, 1e400,
+    cli.MAX_TRIALS + 1, cli.MAX_WINDOW + 1, 10 ** 11, True, False, "1", None, [], [0.5, 0.5], {}])
+_WILD = _SIZE_WILD | st.sampled_from([
+    -1e-300, 5e-324, 0.5, 1.0000001, 25.000001, 50.0, 217.2, 30.5, 1e6, 1e6 + 1, 1e7, 1e308,
+    -0.0, "general", "gaussian", "uniform", "vacuum", [1.0] * 5, [0.4] * 4, [[0.4] * 4] * 4])
+_WILD_PATHS = [*_SCHEMA, ("trials",), ("window",), ("code",), ("error",),
+               ("error", "law", "magnitude"), ("error", "law", "kind"), ("sweep", "values"),
+               ("sweep", "parameter"), ("code", "input", "antisqueeze_db"), ("out",)]
+
+
+def _set_in(doc, path, value):
+    """Sets the entry at ``path``, unless a wild value replaced a section on it."""
+    for key in path[:-1]:
+        doc = doc.setdefault(key, {})
+        if not isinstance(doc, dict):
+            return
+    doc[path[-1]] = value
+
+
+_ABSENT = object()
+_ENTRIES = [(path, st.sampled_from([_ABSENT, *values])) for path, values in _SCHEMA.items()]
+_WILD_ENTRIES = st.lists(st.sampled_from(_WILD_PATHS), max_size=2)
+
+
+@st.composite
+def _cli_docs(draw):
+    """A config document of tiny sizes and schema entries, each present or
+    not (r or squeezing_db, not both), with up to two entries or sections
+    replaced by a wild value, or an unknown key added."""
+    doc = {"trials": draw(_TRIALS), "window": draw(_WINDOW)}
+    for path, values in _ENTRIES:
+        value = draw(values)
+        both_r = path[-1] == "squeezing_db" and "r" in doc.get("code", {})
+        if value is not _ABSENT and not both_r:
+            _set_in(doc, path, copy.deepcopy(value))
+    for path in draw(_WILD_ENTRIES):
+        _set_in(doc, path, draw(_SIZE_WILD if path in (("trials",), ("window",)) else _WILD))
+    return doc
+
+
+# The Monte-Carlo columns the README allows to read nan.
+_NAN_COLUMNS = {"fidelity_mc", "after_db_mc"}
+
+
+@given(experiment=st.sampled_from(cli.EXPERIMENTS), doc=_cli_docs())
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_cli_ends_in_a_usage_error_or_finite_tables(experiment, doc):
+    """``cvqec run`` on any config either exits 2 with a message and no
+    output directory, or exits 0 and writes CSV columns whose numbers are
+    finite, but for a documented nan column; any warning fails the draw."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        config.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            try:
+                code = run_cli(["run", experiment, "--config", config, "--out", out])
+            except SystemExit as exc:
+                code = exc.code
+        if code == 2:
+            assert "error:" in err.getvalue() and not out.exists()
+            return
+        assert code == 0
+        tables = list(out.glob("*.csv"))
+        assert tables
+        for path in tables:
+            header, *rows = _read_csv(path)
+            for row in rows:
+                for key, cell in zip(header, row):
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue                    # a label, a flag or no measured value
+                    assert math.isfinite(value) or key in _NAN_COLUMNS and math.isnan(value), \
+                        (path.name, key, row)

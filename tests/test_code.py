@@ -187,12 +187,36 @@ def test_code_config_accepts_only_what_the_model_runs(args):
         cfg = CodeConfig(**args)
     except ValueError:
         return
+    assert all(type(v) is float for v in (*cfg.r, *cfg.channel_loss, cfg.input_squeeze_db,
+                                          cfg.input_antisqueeze_db))
     for kind in ("vacuum", "squeezed"):
         twin = dataclasses.replace(cfg, input_kind=kind)
         for channel in range(1, 6):
             stats = closed_form_output(twin, channel)
             assert 0.0 <= stats.fidelity <= 1.0
             assert math.isfinite(stats.noise_db("x")) and math.isfinite(stats.noise_db("p"))
+
+
+def _any_number(high):
+    """``_any_value`` or a list or 1-D array of in-range values."""
+    values = st.lists(_in_range(high), min_size=1, max_size=2)
+    return _any_value(high) | values | values.map(np.array)
+
+
+@given(magnitude=_any_number(MAX_MAGNITUDE), gamma=_any_number(1.0))
+@settings(max_examples=120, derandomize=True, deadline=None)
+def test_error_models_store_a_float_in_range(magnitude, gamma):
+    """``ErrorLaw(magnitude=...)`` and ``ErrorConfig(gamma=...)`` either
+    raise ValueError, never TypeError or OverflowError, or store the value
+    as a float in [0, MAX_MAGNITUDE] and [0, 1]."""
+    for build, value, high in ((lambda v: ErrorLaw(magnitude=v).magnitude, magnitude,
+                                MAX_MAGNITUDE),
+                               (lambda v: ErrorConfig(gamma=v).gamma, gamma, 1.0)):
+        try:
+            stored = build(value)
+        except ValueError:
+            continue
+        assert type(stored) is float and 0.0 <= stored <= high and stored == value
 
 
 @pytest.mark.parametrize("r", [0.0, 10.0, 20.0, qec.MAX_R])

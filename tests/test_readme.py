@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from cvqec.cli import MAX_TRIALS, MAX_WINDOW
 from cvqec.code import MAX_INPUT_DB, MAX_R, RoundsOutcome
 from cvqec.errors import MAX_MAGNITUDE
 
@@ -39,7 +40,8 @@ def test_readme_input_limits_match_the_code():
     the squeezing limit's "about <n> dB" is MAX_R in dB, rounded."""
     text = " ".join((ROOT / "README.md").read_text().split())
     for bound, value in (("errors.MAX_MAGNITUDE", MAX_MAGNITUDE), ("code.MAX_R", MAX_R),
-                         ("code.MAX_INPUT_DB", MAX_INPUT_DB)):
+                         ("code.MAX_INPUT_DB", MAX_INPUT_DB), ("cli.MAX_TRIALS", MAX_TRIALS),
+                         ("cli.MAX_WINDOW", MAX_WINDOW)):
         stated = re.findall(rf"at most (\S+) \(`{re.escape(bound)}`", text)
         assert stated and all(float(v) == value for v in stated), (bound, stated)
     db = re.findall(r"\(`code\.MAX_R`, about (\d+) dB\)", text)
