@@ -20,9 +20,9 @@ from .network import (BeamSplitterElement, ENCODER_SPEC, ModeMatrix,
 from .errors import ErrorConfig, ErrorLaw
 from .code import (AMBIGUOUS_P, CODE_NAMES, CodeConfig, NO_ERROR, OUT_POS,
                    OutputStats, PLANS, RoundsOutcome, RoundsSummary,
-                   UNCLASSIFIABLE, classify_codes, closed_form_output, decode,
-                   encode, inject_error, output_mixture, run_rounds,
-                   summarize_reports, syndrome_trace)
+                   UNCLASSIFIABLE, closed_form_output, decode, encode,
+                   inject_error, output_mixture, run_rounds, summarize_reports,
+                   syndrome_trace)
 from .witness import (WitnessResult, combination_value, evaluate_witness,
                       optimize_gains)
 

@@ -20,9 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from . import code as qec
-from .code import (CodeConfig, RoundsOutcome, closed_form_output, output_mixture,
-                   pooled_moments, run_rounds)
-from .errors import LAW_GENERAL, ErrorConfig, ErrorLaw, _bounded
+from .code import (CodeConfig, closed_form_output, moments_from_sums, output_mixture,
+                   pooling_sums, run_rounds)
+from .errors import LAW_GENERAL, ErrorConfig, ErrorLaw, _bounded, _echo
 from .gaussian import db_to_r, fidelity_from_moments, variance_to_db
 from .witness import evaluate_witness
 
@@ -74,6 +74,7 @@ MEASURED_NOISE_DB = {
 }
 
 _CHUNK = 256
+_TRACE_ROWS = 4096          # trace rows turned into text at a time
 
 
 # --------------------------------------------------------------------------
@@ -91,21 +92,21 @@ class ExperimentConfig:
     sweep_values: tuple[float, ...] = ()
 
 
-# The largest trial count and syndrome window, sized so that a run peaks
-# below 1 GB of resident memory: a run keeps every round's moments, and a
-# syndrome trace every sample.  Measured with getrusage (Linux x86-64, numpy
-# 2.4): table2 at MAX_TRIALS peaks at 0.69 GB and syndrome-demo at MAX_WINDOW
-# at 0.66 GB, while mc-sweep at 2**22 trials reaches 1.04 GB.
+# The largest trial count and syndrome window.  A run keeps 8 bytes a round
+# and a syndrome trace every sample, so at either bound it peaks below 300 MB
+# of resident memory: measured with getrusage (2-vCPU x86-64 host, numpy 2.4),
+# table2 at MAX_TRIALS (window 30) peaks at 74 MB in 240 s and syndrome-demo
+# at MAX_WINDOW at 272 MB in 43 s.
 MAX_TRIALS = 2 ** 21
 MAX_WINDOW = 2 ** 20
 
 
 def _reject_unknown(doc: dict, allowed, where: str) -> None:
     if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object, not {doc!r}")
+        raise ValueError(f"{where} must be a JSON object, not {_echo(doc)}")
     unknown = set(doc) - set(allowed)
     if unknown:
-        raise ValueError(f"unknown {where} keys: {sorted(unknown)}")
+        raise ValueError(f"unknown {where} keys: {_echo(sorted(unknown))}")
 
 
 def _parse_code(doc: dict) -> CodeConfig:
@@ -125,10 +126,10 @@ def _parse_code(doc: dict) -> CodeConfig:
         kwargs["input_squeeze_db"] = inp.get("squeeze_db", 3.5)
         kwargs["input_antisqueeze_db"] = inp.get("antisqueeze_db", 8.9)
     else:
-        raise ValueError(f"unknown input spec {inp!r}")
+        raise ValueError(f"unknown input spec {_echo(inp)}")
     fourier = doc.get("fourier", False)
     if not isinstance(fourier, bool):
-        raise ValueError(f"code.fourier must be true or false, not {fourier!r}")
+        raise ValueError(f"code.fourier must be true or false, not {_echo(fourier)}")
     return CodeConfig(r=r, fourier_mode=fourier, channel_loss=doc.get("channel_loss"),
                       **kwargs)
 
@@ -150,9 +151,9 @@ def _parse_count(doc: dict, key: str, default: int, high: float = math.inf) -> i
     value = doc.get(key, default)
     if isinstance(value, bool) or not (
             isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"{key} must be an integer, not {value!r}")
+        raise ValueError(f"{key} must be an integer, not {_echo(value)}")
     if value > high:
-        raise ValueError(f"{key} must be at most {high}, not {value}")
+        raise ValueError(f"{key} must be at most {high}, not {_echo(value)}")
     return int(value)
 
 
@@ -169,9 +170,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ValueError("a sweep needs a parameter")
         sweep_parameter = sweep["parameter"]
         if sweep_parameter not in ("r", "gamma", "magnitude", "loss"):
-            raise ValueError(f"unknown sweep parameter {sweep_parameter!r}")
+            raise ValueError(f"unknown sweep parameter {_echo(sweep_parameter)}")
         if not isinstance(sweep.get("values"), list):
-            raise ValueError(f"sweep values must be a list, not {sweep.get('values')!r}")
+            raise ValueError(f"sweep values must be a list, not {_echo(sweep.get('values'))}")
         # one scalar each; its model checks its range
         sweep_values = tuple(_bounded(v, "sweep value", sys.float_info.max)
                              for v in sweep["values"])
@@ -197,20 +198,26 @@ def load_config(path: str | None) -> ExperimentConfig:
 
 
 def run_chunked_rounds(code_cfg: CodeConfig, error_cfg: ErrorConfig,
-                       seed_seq: np.random.SeedSequence, trials: int,
-                       window: int) -> RoundsOutcome:
-    """Runs trials in fixed-size chunks, each with its own RNG stream.
-
-    The chunk seeds are spawned up front in chunk order, so the outcome
-    depends only on the seed and the trial count, and a chunk bounds the
-    memory of one batch of rounds.
-    """
-    sizes = [_CHUNK] * (trials // _CHUNK)
-    if trials % _CHUNK:
-        sizes.append(trials % _CHUNK)
-    return RoundsOutcome.concatenate([
-        run_rounds(code_cfg, error_cfg, np.random.default_rng(child), size, window)
-        for child, size in zip(seed_seq.spawn(len(sizes)), sizes)])
+                       seed_seq: np.random.SeedSequence, trials: int, window: int,
+                       pool: int | None = None) -> tuple:
+    """Runs trials in fixed-size chunks, each with its own RNG stream, and
+    folds each chunk into the results as soon as it is drawn: the pooled
+    moments of the rounds whose final code is ``pool`` (every round when
+    None; None when no round has it), every round's fidelity against the
+    input of ``code_cfg`` and the matched fraction.  The chunk seeds are
+    spawned up front in chunk order, so the results depend only on the seed
+    and the trial count; the carried ``pooling_sums`` are one batch's."""
+    fidelities = np.empty(trials)
+    sums, matched = None, 0
+    for start, child in zip(range(0, trials, _CHUNK), seed_seq.spawn(-(-trials // _CHUNK))):
+        size = min(_CHUNK, trials - start)
+        part = run_rounds(code_cfg, error_cfg, np.random.default_rng(child), size, window)
+        fidelities[start:start + size] = fidelity_from_moments(
+            *code_cfg.input_state(), part.corrected_mean, part.corrected_cov)
+        sums = pooling_sums(part, pool, sums)
+        matched += int(np.count_nonzero(part.matched))
+        del part                        # one chunk's outcome at a time
+    return moments_from_sums(sums, window), fidelities, matched / trials
 
 
 # --------------------------------------------------------------------------
@@ -224,14 +231,16 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _write_trace_csv(path: Path, header: list[str], series: list[list[float]]) -> None:
-    """Writes a header of plain names and one row per sample, its index and
-    then its floats, as ``csv.writer`` does: the reprs of ints and floats
-    need no quoting."""
-    lines = [",".join(header)]
-    lines += [f"{t}," + ",".join(map(repr, vals)) for t, vals in enumerate(series)]
+def _write_trace_csv(path: Path, header: list[str], series: np.ndarray) -> None:
+    """Writes a header of plain names and one row per sample of the 2-D
+    ``series``, its index and then its floats, as ``csv.writer`` does (the
+    reprs of ints and floats need no quoting), ``_TRACE_ROWS`` at a time."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, len(series), _TRACE_ROWS):
+            rows = series[start:start + _TRACE_ROWS].tolist()
+            fh.write("".join(f"{t}," + ",".join(map(repr, vals)) + "\r\n"
+                             for t, vals in enumerate(rows, start)))
 
 
 def _write_json(path: Path, obj) -> None:
@@ -261,15 +270,12 @@ def _input_variants(code: CodeConfig):
             ("squeezed", replace(code, input_kind="squeezed")))
 
 
-def _mc_stderr(outcome: RoundsOutcome, code: CodeConfig) -> float:
-    """The sample standard deviation of every round's fidelity, that of its
-    corrected moments against the input of ``code``, over sqrt(n).  It is
-    not the standard error of a pooled ``fidelity_mc``, whose moments pool
-    every round of a sweep value but only a table2 row's hit-channel
+def _stderr(fidelities: np.ndarray) -> float:
+    """The sample standard deviation of every round's fidelity over sqrt(n).
+    It is not the standard error of a pooled ``fidelity_mc``, whose moments
+    pool every round of a sweep value but only a table2 row's hit-channel
     rounds."""
-    fids = fidelity_from_moments(*code.input_state(), outcome.corrected_mean,
-                                 outcome.corrected_cov)
-    return float(np.std(fids, ddof=1) / math.sqrt(len(fids)))
+    return float(np.std(fidelities, ddof=1) / math.sqrt(len(fidelities)))
 
 
 # --------------------------------------------------------------------------
@@ -287,14 +293,12 @@ def run_table2(cfg: ExperimentConfig, out_dir: Path) -> dict:
             for channel in range(1, 6):
                 theory = closed_form_output(variant, channel).fidelity
                 error = replace(cfg.error, gamma=1.0, channel=channel)
-                outcome = run_chunked_rounds(variant, error, root.spawn(1)[0],
-                                             cfg.trials, cfg.window)
-                pooled = pooled_moments(outcome, channel)
+                pooled, fidelities, _ = run_chunked_rounds(
+                    variant, error, root.spawn(1)[0], cfg.trials, cfg.window, channel)
                 mc = (float("nan") if pooled is None
                       else fidelity_from_moments(*variant.input_state(), *pooled))
                 rows.append([channel, input_kind, ancilla,
-                             repr(theory), repr(mc),
-                             repr(_mc_stderr(outcome, variant)),
+                             repr(theory), repr(mc), repr(_stderr(fidelities)),
                              MEASURED_FIDELITY[(input_kind, ancilla)][channel],
                              "measured"])
     return _write_table(out_dir, "table2", header, rows, experiment="table2",
@@ -334,8 +338,8 @@ def run_syndrome_demo(cfg: ExperimentConfig, out_dir: Path) -> dict:
         traces, code = qec.syndrome_trace(cfg.code, channel, cfg.window, rng,
                                           cfg.error.law.magnitude)
         name = f"syndrome_demo_ch{channel}.csv"
-        series = np.column_stack([traces[det] for det in qec.DETECTORS]).tolist()
-        _write_trace_csv(out_dir / name, ["sample"] + labels, series)
+        _write_trace_csv(out_dir / name, ["sample"] + labels,
+                         np.column_stack([traces[det] for det in qec.DETECTORS]))
         files.append(name)
         summary[f"channel-{channel}"] = {
             "classification": qec.CODE_NAMES[code],
@@ -376,9 +380,8 @@ def run_spectra(cfg: ExperimentConfig, out_dir: Path) -> dict:
     for ancilla, variant in _ancilla_variants(cfg.code):
         for channel in range(1, 6):
             error = replace(cfg.error, gamma=1.0, channel=channel)
-            outcome = run_chunked_rounds(variant, error, root.spawn(1)[0],
-                                         cfg.trials, cfg.window)
-            pooled = pooled_moments(outcome, channel)
+            pooled = run_chunked_rounds(variant, error, root.spawn(1)[0],
+                                        cfg.trials, cfg.window, channel)[0]
             before = closed_form_output(variant, channel,
                                         error_var=cfg.error.law.quadrature_variances())
             after = closed_form_output(variant, channel)
@@ -412,16 +415,15 @@ def run_mc_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
     rows = []
     for value in cfg.sweep_values:
         code, error = _sweep_apply(cfg, value)
-        outcome = run_chunked_rounds(code, error, root.spawn(1)[0],
-                                     cfg.trials, cfg.window)
+        pooled, fidelities, accuracy = run_chunked_rounds(
+            code, error, root.spawn(1)[0], cfg.trials, cfg.window)
         inp = code.input_state()
         # theory assumes correct classification; MC pools every round
         # regardless of class: both are the full channel mixture
         theory = fidelity_from_moments(*inp, *output_mixture(code, error))
-        mc = fidelity_from_moments(*inp, *pooled_moments(outcome))
+        mc = fidelity_from_moments(*inp, *pooled)
         rows.append([repr(float(value)), repr(theory),
-                     repr(mc), repr(_mc_stderr(outcome, code)),
-                     repr(outcome.summary.accuracy)])
+                     repr(mc), repr(_stderr(fidelities)), repr(accuracy)])
     return _write_table(out_dir, "mc_sweep", header, rows, experiment="mc-sweep",
                         seed=cfg.seed, trials=cfg.trials, window=cfg.window,
                         parameter=cfg.sweep_parameter)
@@ -450,11 +452,11 @@ def check_experiment(name: str, cfg: ExperimentConfig) -> None:
     a syndrome demo of a single-quadrature law, or a sweep value that makes
     an invalid config."""
     if name not in _RUNNERS:
-        raise ValueError(f"unknown experiment {name!r}")
+        raise ValueError(f"unknown experiment {_echo(name)}")
     if cfg.trials < 1:
         raise ValueError("trials must be at least 1")
     if cfg.seed < 0:
-        raise ValueError(f"seed must be non-negative, not {cfg.seed}")
+        raise ValueError(f"seed must be non-negative, not {_echo(cfg.seed)}")
     if name in _WINDOWED and cfg.window < qec.MIN_SYNDROME_WINDOW:
         raise ValueError(f"window must be at least {qec.MIN_SYNDROME_WINDOW}")
     if name in _WITH_STDERR and cfg.trials < 2:

@@ -8,8 +8,9 @@ feedforward.  The exact quadrature forms (``encode``/``inject_error``/
 ``PipelineMaps``, the linear maps of one encode/loss/decode pass onto the
 readouts, is the only numeric model and also models channel loss.  Through
 ``PLAN_TABLE``, built from ``PLANS``, it drives the Monte-Carlo rounds and
-gives the closed-form output moments.  Rounds are classified with
-``classify_codes`` into the round codes that ``CODE_NAMES`` names.
+gives the closed-form output moments.  Rounds are classified by the
+syndrome table ``_CODE_TABLE`` into the round codes that ``CODE_NAMES``
+names.
 
 Detector/mode layout after decoding (positions 0..4): D1, D2, D3, output, D4.
 In the standard configuration D1/D3/D4 read x and D2 reads p; running with
@@ -20,13 +21,13 @@ displacements that live purely in p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import ErrorConfig, ErrorLaw, _bounded
+from .errors import ErrorConfig, ErrorLaw, _bounded, _echo
 from .exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol, SQRT2,
                     TAG_ANTISQUEEZED, TAG_NONE, TAG_SQUEEZED, mode_forms_apply_matrix,
                     sqrt_of)
@@ -108,7 +109,7 @@ class CodeConfig:
         object.__setattr__(self, "input_antisqueeze_db", _bounded(
             self.input_antisqueeze_db, "input antisqueezing in dB", MAX_INPUT_DB))
         if self.input_kind not in ("vacuum", "squeezed"):
-            raise ValueError(f"unknown input kind {self.input_kind!r}")
+            raise ValueError(f"unknown input kind {_echo(self.input_kind)}")
         # checked for a vacuum input too: table2 and tableC1 build the
         # squeezed input of any configuration from the two values
         if self.input_antisqueeze_db < self.input_squeeze_db:
@@ -250,12 +251,6 @@ def _syndrome_index(flags: np.ndarray, cross: np.ndarray) -> np.ndarray:
 _CODE_TABLE = np.array([_syndrome_rule(*(bool(i >> k & 1) for k in range(8)))
                         for i in range(256)], dtype=np.int8)
 _CODE_TABLE.setflags(write=False)
-
-
-def classify_codes(flags: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    """Round codes from (..., 4) fluctuation flags and (..., 2) D1-D3 / D3-D4
-    cross terms: the syndrome table read at their ``_syndrome_index``."""
-    return _CODE_TABLE[_syndrome_index(flags, cross)]
 
 
 # --------------------------------------------------------------------------
@@ -536,40 +531,48 @@ def _sample_statistics(maps: PipelineMaps, channels: np.ndarray, law: ErrorLaw, 
 
 
 # The rows of a round's pooling terms: its corrected mean (x, p), variances
-# (x, p), x-p covariance and mean products (xx, px, pp).  Their sums over the
-# pooled rounds, with the round count, are all that pooling needs.
-_N_TERMS = 8
+# (x, p), x-p covariance, mean products (xx, px, pp) and 1, which counts it.
+# Their sums over the pooled rounds are all that pooling needs.
+_N_TERMS = 9
 _VAR_TERMS = np.array([[2, 4], [4, 3]])
 _PRODUCT_TERMS = np.array([[5, 6], [6, 7]])
 
 
-def pooled_moments(rounds: "RoundsOutcome",
-                   code: int | None = None) -> tuple[np.ndarray, np.ndarray] | None:
-    """Mean and covariance of the corrected output over the samples of the
-    rounds whose final code is ``code``, or of every round when it is None;
-    None when no round has the code.
-
-    They are rebuilt exactly from each round's moments (equal windows), so
-    chunked runs merge losslessly.  One weighted ``np.bincount`` sums each
-    pooling term over the selected rounds in round order; the terms are laid
-    out one row each, as contiguous rows keep numpy off its slow loops over
-    length-2 axes."""
+def pooling_sums(rounds: "RoundsOutcome", code: int | None = None,
+                 carried: np.ndarray | None = None) -> np.ndarray:
+    """The sums of the pooling terms of the rounds whose final code is
+    ``code`` (every round when None), added onto ``carried`` in round order
+    by one weighted ``np.bincount``: carried over chunks, they are one
+    batch's bit for bit.  Each term is a contiguous row, as numpy's loops
+    over length-2 axes are slow."""
     select = slice(None) if code is None else rounds.final_codes == code
     means = rounds.corrected_mean[select]
-    k = len(means)
-    if not k:
-        return None
     cov = rounds.corrected_cov[select]
-    terms = np.empty((_N_TERMS, k))
+    terms = np.ones((_N_TERMS, len(means)))
     terms[0:2], terms[2:4], terms[4] = means.T, cov.diagonal(0, 1, 2).T, cov[:, 0, 1]
     terms[5:7] = terms[0:2] * terms[0]
     terms[7] = terms[1] * terms[1]
-    sums = np.bincount(np.repeat(np.arange(_N_TERMS), k), weights=terms.ravel())
-    w = rounds.window
-    n = w * k
+    weights = np.column_stack([np.zeros(_N_TERMS) if carried is None else carried, terms])
+    return np.bincount(np.repeat(np.arange(_N_TERMS), len(means) + 1), weights=weights.ravel())
+
+
+def moments_from_sums(sums: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Mean and covariance of the corrected output over the samples of the
+    rounds with these ``pooling_sums``, exactly; None for no round."""
+    k = sums[8]                     # the count term
+    if not k:
+        return None
+    n = window * k
     mean = sums[0:2] / k
-    second = (w - 1) * sums[_VAR_TERMS] + w * sums[_PRODUCT_TERMS]
+    second = (window - 1) * sums[_VAR_TERMS] + window * sums[_PRODUCT_TERMS]
     return mean, (second - n * mean[:, None] * mean[None, :]) / (n - 1)
+
+
+def pooled_moments(rounds: "RoundsOutcome",
+                   code: int | None = None) -> tuple[np.ndarray, np.ndarray] | None:
+    """``moments_from_sums`` of one batch's rounds whose final code is
+    ``code``, or of every round when it is None."""
+    return moments_from_sums(pooling_sums(rounds, code), rounds.window)
 
 
 def summarize_reports(rounds: "RoundsOutcome") -> "RoundsSummary":
@@ -635,16 +638,6 @@ class RoundsOutcome:
     @cached_property
     def summary(self) -> RoundsSummary:
         return summarize_reports(self)
-
-    @classmethod
-    def concatenate(cls, parts: list["RoundsOutcome"]) -> "RoundsOutcome":
-        """One outcome holding the rounds of ``parts`` in order; a single
-        part is returned as it is."""
-        if len(parts) == 1:
-            return parts[0]
-        columns = {f.name: np.concatenate([getattr(p, f.name) for p in parts])
-                   for f in fields(cls) if f.name != "window"}
-        return cls(parts[0].window, **columns)
 
 
 def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +45,15 @@ _BLOCK_SAMPLES = 32768
 MAX_MAGNITUDE = 1e6
 
 
+# An error message's repr of an outside value: a long one is cut short.
+_echo = reprlib.Repr().repr
+
+
 def _bounded(value, what: str, high: float) -> float:
     """A real number in [0, high] as a float; NaN, a bool, a string, an array
     or any other value is a ValueError naming ``what``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= high:
-        raise ValueError(f"{what} must be finite and within [0, {high:g}], not {value!r}")
+        raise ValueError(f"{what} must be finite and within [0, {high:g}], not {_echo(value)}")
     return float(value)
 
 
@@ -105,9 +110,9 @@ class ErrorLaw:
 
     def __post_init__(self):
         if self.kind not in (LAW_GENERAL, LAW_X, LAW_P):
-            raise ValueError(f"unknown law kind {self.kind!r}")
+            raise ValueError(f"unknown law kind {_echo(self.kind)}")
         if self.shape not in (SHAPE_FIXED, SHAPE_GAUSSIAN):
-            raise ValueError(f"unknown law shape {self.shape!r}")
+            raise ValueError(f"unknown law shape {_echo(self.shape)}")
         if self.kind == LAW_GENERAL and self.shape != SHAPE_FIXED:
             raise ValueError("the general law supports the fixed shape only")
         object.__setattr__(self, "magnitude", _bounded(self.magnitude, "magnitude", MAX_MAGNITUDE))
@@ -190,5 +195,5 @@ class ErrorConfig:
         object.__setattr__(self, "gamma", _bounded(self.gamma, "gamma", 1.0))
         if self.channel != "uniform" and (type(self.channel) is not int
                                           or not 1 <= self.channel <= 5):
-            raise ValueError(f"channel must be 1..5 or 'uniform', not {self.channel!r}")
+            raise ValueError(f"channel must be 1..5 or 'uniform', not {_echo(self.channel)}")
 

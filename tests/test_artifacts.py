@@ -5,14 +5,17 @@ digest of its output directory, hashed as ``perfbench/workloads.digest``
 does (every file's name, a NUL byte and its bytes, in name order), with a
 pinned value.  On a mismatch the failure names the files whose own digest
 moved and prints the new directory digest and each moved file's SHA-256, in
-the form of the pins below.  The digests hold for numpy 2.4.6 and its bundled BLAS; a change
-that moves an artifact byte re-pins them and says why.
+the form of the pins below, and this host's numpy, OpenBLAS core and
+AVX-512 dispatch beside ``PINNED_HOST``'s.  A change that moves an artifact
+byte re-pins them and says why.
 """
 
+import ctypes
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cvqec import cli
@@ -42,6 +45,41 @@ def config_doc(config: str, experiment: str) -> dict:
     if experiment == "mc-sweep" and "sweep" not in doc:
         doc = {**doc, "sweep": {"parameter": "gamma", "values": [0.1, 0.5]}}
     return doc
+
+
+# What the digests were pinned on: numpy 2.4.6, the SkylakeX core of its
+# bundled OpenBLAS and numpy's AVX-512 loops.  Another numpy, BLAS core or
+# SIMD dispatch can move the last bits of a float, and so a digest.
+PINNED_HOST = "numpy 2.4.6, OpenBLAS core SkylakeX, AVX-512 dispatch X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def host() -> str:
+    """This host's numpy version, the core its bundled OpenBLAS picked (read
+    through ctypes) and the AVX-512 targets numpy dispatches to, as in
+    ``PINNED_HOST``."""
+    cores = []
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        cores.append(corename().decode())
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        avx512 = ["unknown"]
+    else:
+        avx512 = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)
+                  and (t == "X86_V4" or t.startswith("AVX512"))]
+    return (f"numpy {np.__version__}, OpenBLAS core {'/'.join(cores) or 'unknown'}, "
+            f"AVX-512 dispatch {' '.join(avx512) or 'none'}")
+
+
+def test_host_names_what_the_digests_pin():
+    """``host`` reads the three things ``PINNED_HOST`` names."""
+    assert host().startswith(f"numpy {np.__version__}, OpenBLAS core ")
+    assert " AVX-512 dispatch " in host()
 
 
 def digest(out_dir: Path) -> str:
@@ -153,4 +191,5 @@ def test_artifacts_match_their_pinned_digests(case, tmp_path):
                        if got_files.get(name) != want_files.get(name))
         pins = "".join(f"\n    {name!r}: {got_files.get(name)!r}," for name in moved)
         pytest.fail(f"{experiment} ({config}): the digest of {', '.join(moved)} moved; "
-                    f"directory digest now {digest(out)!r}, moved files now:{pins}")
+                    f"directory digest now {digest(out)!r}, moved files now:{pins}\n"
+                    f"pinned on {PINNED_HOST}\nthis host {host()}")

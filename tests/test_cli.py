@@ -9,6 +9,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvqec import cli
-from cvqec.code import RoundsOutcome, run_rounds
+from cvqec.code import AMBIGUOUS_P, NO_ERROR, pooled_moments, run_rounds
 from cvqec.errors import MAX_MAGNITUDE
-from cvqec.gaussian import db_to_r
+from cvqec.gaussian import db_to_r, fidelity_from_moments
+from test_code import concatenate_outcomes
 
 
 def run_cli(args):
@@ -119,16 +121,48 @@ def test_table2_deterministic_and_crlf(tmp_path, experiment):
 
 def test_chunked_rounds_are_run_rounds_on_spawned_seeds():
     """run_chunked_rounds runs 256-round chunks in order, the k-th on the k-th
-    child spawned from the seed, so its outcome depends only on the seed and
-    the trial count."""
+    child spawned from the seed, so its results depend only on the seed and
+    the trial count: its pooled moments (of every round, of a class and of
+    an absent class), fidelities and matched fraction are bit for bit those
+    of one outcome holding every chunk's rounds."""
     cfg = cli.parse_config({"error": {"gamma": 0.5, "law": {"magnitude": 20.0}}})
-    got = cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(9), 600, 32)
-    want = RoundsOutcome.concatenate([
+    want = concatenate_outcomes([
         run_rounds(cfg.code, cfg.error, np.random.default_rng(child), size, 32)
         for child, size in zip(np.random.SeedSequence(9).spawn(3), (256, 256, 88))])
-    assert len(got.channels) == 600
-    for f in dataclasses.fields(got):
-        np.testing.assert_array_equal(getattr(got, f.name), getattr(want, f.name), f.name)
+    want_fidelities = fidelity_from_moments(*cfg.code.input_state(), want.corrected_mean,
+                                            want.corrected_cov)
+    assert AMBIGUOUS_P not in want.final_codes
+    for pool in (None, NO_ERROR, 3, AMBIGUOUS_P):
+        pooled, fidelities, accuracy = cli.run_chunked_rounds(
+            cfg.code, cfg.error, np.random.SeedSequence(9), 600, 32, pool)
+        want_pooled = pooled_moments(want, pool)
+        if pool == AMBIGUOUS_P:
+            assert pooled is None and want_pooled is None
+        else:
+            for got_part, want_part in zip(pooled, want_pooled, strict=True):
+                np.testing.assert_array_equal(got_part, want_part)
+        assert len(fidelities) == 600
+        np.testing.assert_array_equal(fidelities, want_fidelities)
+        assert accuracy == want.summary.accuracy
+
+
+def test_chunked_rounds_memory_is_flat_in_trials():
+    """A run's traced peak memory does not grow with its trials beyond the
+    8 bytes a round of its fidelities: 65,536 trials (256 chunks) peak
+    within 1 MB plus 8 B a trial of 2,048."""
+    cfg = cli.parse_config({"error": {"channel": 3}})
+
+    def peak(trials):
+        tracemalloc.start()
+        try:
+            cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(1), trials, 30, 3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1)                                 # the config's maps, built once
+    small, large = peak(2048), peak(65536)
+    assert large <= small + 2 ** 20 + 8 * 65536, (small, large)
 
 
 def test_trace_csv_matches_csv_writer_byte_for_byte(tmp_path):
@@ -139,13 +173,13 @@ def test_trace_csv_matches_csv_writer_byte_for_byte(tmp_path):
     rows = [[0, -0.0, 5e-324, 1e-05, 1e16],
             [1, -1e300, float("nan"), float("inf"), -float("inf")],
             [2, 0.1, -2.5, 1.0, 123456789.123]]
-    cli._write_trace_csv(tmp_path / "fast.csv", header, [row[1:] for row in rows])
+    cli._write_trace_csv(tmp_path / "fast.csv", header, np.array([row[1:] for row in rows]))
     cli._write_csv(tmp_path / "reference.csv", header, rows)
     got = (tmp_path / "fast.csv").read_bytes()
     assert got == (tmp_path / "reference.csv").read_bytes()
     assert got.count(b"\r\n") == len(rows) + 1 and b", " not in got
     assert b"0,-0.0,5e-324,1e-05,1e+16\r\n" in got
-    cli._write_trace_csv(tmp_path / "empty.csv", header, [])
+    cli._write_trace_csv(tmp_path / "empty.csv", header, np.empty((0, 4)))
     cli._write_csv(tmp_path / "empty_reference.csv", header, [])
     assert (tmp_path / "empty.csv").read_bytes() == (tmp_path / "empty_reference.csv").read_bytes()
 
@@ -401,6 +435,11 @@ _BAD_CONFIGS = [
     ("syndrome-demo", {"window": 10 ** 11}, f"window must be at most {cli.MAX_WINDOW}"),
     ("table2", {"window": cli.MAX_WINDOW + 1}, f"window must be at most {cli.MAX_WINDOW}"),
     ("tableC1", {"experiment": "tableC1"}, "unknown config keys: ['experiment']"),
+    ("table2", {"error": {"channel": "u" * 10 ** 4}}, "channel must be 1..5 or 'uniform', not 'uuu"),
+    ("table2", {"code": {"r": -_HUGE}}, "squeezing parameter must be finite and within [0, 25], not -1"),
+    ("table2", {"seed": -_HUGE}, "seed must be non-negative, not -1000"),
+    ("table2", {"code": {"input": "v" * 10 ** 4}}, "unknown input spec 'vvv"),
+    ("table2", {"code": {"x" * 10 ** 4: 1}}, "unknown code keys: ['xxx"),
 ]
 
 
@@ -408,13 +447,16 @@ _BAD_CONFIGS = [
                          ids=[f"doc{i}-{m}" for i, (_, _, m) in enumerate(_BAD_CONFIGS)])
 def test_main_reports_bad_config_as_usage_error(tmp_path, capsys, experiment, doc, message):
     """A bad config stops ``cvqec run <experiment>`` with exit 2 before the
-    runner starts."""
+    runner starts, and its message echoes a huge number or a long string
+    shortened: stderr stays below 300 bytes."""
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps(doc))
     with pytest.raises(SystemExit) as exc:
         run_cli(["run", experiment, "--config", config, "--out", tmp_path / "out"])
     assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert len(err.encode()) < 300, err
     assert not (tmp_path / "out").exists()
 
 

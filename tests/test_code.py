@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from cvqec import code as qec
 from cvqec.code import (AMBIGUOUS_P, CODE_NAMES, DETECTOR_POS, DETECTORS, NO_ERROR, OUT_POS,
-                        PLANS, UNCLASSIFIABLE, CodeConfig, classify_codes, closed_form_output,
+                        PLANS, UNCLASSIFIABLE, CodeConfig, closed_form_output,
                         decode, encode, inject_error, measured_quad, run_rounds,
                         syndrome_trace)
 from cvqec.errors import MAX_MAGNITUDE, ErrorConfig, ErrorLaw
@@ -28,6 +28,12 @@ from test_exact import form_covariance, form_variance, scaled
 R35 = db_to_r(3.5)
 Q35 = 10.0 ** -0.35
 STRONG = 10.0 * math.sqrt(0.25 * math.exp(-2 * R35))
+
+
+def classify_codes(flags, cross):
+    """Round codes from (..., 4) fluctuation flags and (..., 2) D1-D3 / D3-D4
+    cross terms: the syndrome table read at their ``_syndrome_index``."""
+    return qec._CODE_TABLE[qec._syndrome_index(flags, cross)]
 
 
 def frac(n, d=1):
@@ -1057,10 +1063,10 @@ def _corrected_series(outcome, passes):
 @pytest.mark.parametrize("case", sorted(_PINNED_ROUNDS))
 def test_round_moments_match_stored_series(case, series_sampler):
     """Every round's corrected moments, and its fidelity as
-    ``cli._mc_stderr`` computes it from them, equal those recomputed from its
-    corrected series.  The general case has no-error rounds and channels 1
-    and 3-5; the gaussian p case has resolved reruns and unresolved ones,
-    which report the first pass."""
+    ``cli.run_chunked_rounds`` computes it from them, equal those recomputed
+    from its corrected series.  The general case has no-error rounds and
+    channels 1 and 3-5; the gaussian p case has resolved reruns and
+    unresolved ones, which report the first pass."""
     import hashlib
 
     ec = {"general": ErrorConfig(0.7, "uniform", ErrorLaw("general", STRONG)),
@@ -1258,6 +1264,13 @@ def test_closed_form_gram_root(grams):
     assert not root[trace == 0].any()
 
 
+def concatenate_outcomes(parts):
+    """One outcome holding the rounds of ``parts`` in order."""
+    columns = {f.name: np.concatenate([getattr(p, f.name) for p in parts])
+               for f in dataclasses.fields(qec.RoundsOutcome) if f.name != "window"}
+    return qec.RoundsOutcome(parts[0].window, **columns)
+
+
 def test_pooled_moments_match_pooled_series(series_sampler):
     """Per-class and all-round pooled moments equal the moments of the
     concatenated corrected series, also across chunks."""
@@ -1268,7 +1281,7 @@ def test_pooled_moments_match_pooled_series(series_sampler):
         series_sampler.clear()
         chunks.append(run_rounds(cfg, ec, np.random.default_rng(k), 16, window=64))
         series.append(_corrected_series(chunks[-1], series_sampler))
-    outcome = qec.RoundsOutcome.concatenate(chunks)
+    outcome = concatenate_outcomes(chunks)
     assert outcome.summary.n_rounds == 32
     series = np.concatenate(series)
     tol = dict(rtol=1e-12, atol=1e-12)
