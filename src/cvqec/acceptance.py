@@ -51,8 +51,7 @@ def criterion_1_matrix_identity() -> str:
 
 def criterion_2_immunity() -> str:
     """Output mode carries no channel-1/2 error; channels 1/2 carry no input."""
-    cfg = CodeConfig(r=0.5)
-    enc = qec.encode(cfg)
+    enc = qec.encode(fourier=False)
     for ch in (1, 2):
         form = enc[ch - 1]
         for quad_form, quad in ((form.x, "x"), (form.p, "p")):
@@ -82,8 +81,7 @@ def criterion_3_decode_identities() -> str:
         5: {0: ExactScalar(), 1: -sqrt_of(Fraction(1, 24)), 2: ExactScalar(0, Fraction(1, 4)),
             3: sqrt_of(Fraction(1, 3)), 4: inv_sqrt2},
     }
-    cfg = CodeConfig(r=0.0)
-    enc = qec.encode(cfg)
+    enc = qec.encode(fourier=False)
     hits = {ch: qec.decode(qec.inject_error(enc, ch)) for ch in range(1, 6)}
     for ch, expected in s.items():
         forms = hits[ch]
@@ -91,13 +89,12 @@ def criterion_3_decode_identities() -> str:
             assert forms[pos].x.coefficient(QuadSymbol.error(ch, "x")) == coeff, \
                 f"error coefficient mismatch: channel {ch}, position {pos}"
     # stripping the error symbols must leave exactly the source modes
-    sources = qec.source_mode_forms(cfg)
+    sources = qec.source_mode_forms(fourier=False)
     for decoded in hits.values():
         for pos in range(5):
             assert decoded[pos].x.drop_errors() == sources[pos].x
             assert decoded[pos].p.drop_errors() == sources[pos].p
 
-    enc = qec.encode(CodeConfig(r=0.5))
     x = [m.x for m in enc]
     p = [m.p for m in enc]
     sq2 = ExactScalar(0, 1)
@@ -234,11 +231,11 @@ def criterion_8_classifier() -> str:
     gamma = 0.3
     out = run_rounds(cfg, ErrorConfig(gamma, "uniform", ErrorLaw("general", amp)),
                      np.random.default_rng(77), 2000, 256)
-    frac = out.summary.occurrence_fraction
+    frac = np.count_nonzero(out.channels) / len(out.channels)
     ci = 2.576 * math.sqrt(gamma * (1.0 - gamma) / 2000)
     assert abs(frac - gamma) <= ci, \
         f"occurrence {frac:.3f} outside 99% CI {gamma}±{ci:.3f}"
-    assert out.summary.accuracy == 1.0, "mixture rounds misclassified"
+    assert out.matched.all(), "mixture rounds misclassified"
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0, f"classifier run took {elapsed:.1f} s"
     return (f"5000/5000 localized ({pure_p_ok} via rotated rerun), "
@@ -255,7 +252,7 @@ def criterion_9_mc_equivalence() -> str:
     for ch in range(1, 6):
         out = run_rounds(cfg, ErrorConfig(1.0, ch, ErrorLaw("general", amp)),
                          np.random.default_rng(9000 + ch), rounds, window)
-        assert out.summary.counts.get(f"channel-{ch}") == rounds
+        assert (out.final_codes == ch).all()
         mean, cov = qec.pooled_moments(out, ch)
         theory = closed_form_output(cfg, ch)
         for k in (0, 1):

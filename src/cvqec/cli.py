@@ -96,7 +96,7 @@ class ExperimentConfig:
 # and a syndrome trace every sample, so at either bound it peaks below 300 MB
 # of resident memory: measured with getrusage (2-vCPU x86-64 host, numpy 2.4),
 # table2 at MAX_TRIALS (window 30) peaks at 74 MB in 240 s and syndrome-demo
-# at MAX_WINDOW at 272 MB in 43 s.
+# at MAX_WINDOW at 226 MB in 27-33 s.
 MAX_TRIALS = 2 ** 21
 MAX_WINDOW = 2 ** 20
 
@@ -335,11 +335,11 @@ def run_syndrome_demo(cfg: ExperimentConfig, out_dir: Path) -> dict:
     labels = [f"{qec.measured_quad(det, fourier)}_{det}" for det in qec.DETECTORS]
     for channel in range(1, 6):
         rng = np.random.default_rng(root.spawn(1)[0])
-        traces, code = qec.syndrome_trace(cfg.code, channel, cfg.window, rng,
-                                          cfg.error.law.magnitude)
+        trace, code = qec.syndrome_trace(cfg.code, channel, cfg.window, rng,
+                                         cfg.error.law.magnitude)
         name = f"syndrome_demo_ch{channel}.csv"
-        _write_trace_csv(out_dir / name, ["sample"] + labels,
-                         np.column_stack([traces[det] for det in qec.DETECTORS]))
+        _write_trace_csv(out_dir / name, ["sample"] + labels, trace)
+        del trace                       # one trace at a time
         files.append(name)
         summary[f"channel-{channel}"] = {
             "classification": qec.CODE_NAMES[code],
@@ -513,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         cfg = load_config(args.config)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:    # json recurses per nesting level
         parser.error(f"bad config: {exc}")
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)

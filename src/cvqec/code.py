@@ -169,12 +169,12 @@ def _source_symbols() -> tuple[QuadSymbol, ...]:
 SOURCE_SYMBOLS = _source_symbols()
 
 
-def source_mode_forms(cfg: CodeConfig) -> list[ModeForm]:
+def source_mode_forms(*, fourier: bool) -> list[ModeForm]:
     """Quadrature forms of (a1, a2, a3, a_in, a4) before the network: the
-    ``SOURCE_SYMBOLS``, with the ancillas Fourier-rotated in Fourier mode."""
+    ``SOURCE_SYMBOLS``, with the ancillas Fourier-rotated when ``fourier``."""
     forms = [ModeForm(LinearForm.of(x), LinearForm.of(p))
              for x, p in zip(SOURCE_SYMBOLS[::2], SOURCE_SYMBOLS[1::2])]
-    return [form.fourier() if cfg.fourier_mode and pos != INPUT_POS else form
+    return [form.fourier() if fourier and pos != INPUT_POS else form
             for pos, form in enumerate(forms)]
 
 
@@ -183,10 +183,12 @@ def error_mode_form(channel: int) -> ModeForm:
                     LinearForm.of(QuadSymbol.error(channel, "p")))
 
 
-def encode(cfg: CodeConfig) -> tuple[ModeForm, ...]:
+def encode(*, fourier: bool) -> tuple[ModeForm, ...]:
     """The exact forms of the five channel modes: the encoder run on the
-    input and ancilla modes."""
-    return tuple(mode_forms_apply_matrix(source_mode_forms(cfg), encoder_matrix().rows))
+    input and ancilla modes.  Squeezing and input enter only when a form's
+    variance is taken, so the forms depend on the Fourier flag alone."""
+    return tuple(mode_forms_apply_matrix(source_mode_forms(fourier=fourier),
+                                         encoder_matrix().rows))
 
 
 def inject_error(forms: tuple[ModeForm, ...], channel: int) -> tuple[ModeForm, ...]:
@@ -576,29 +578,20 @@ def pooled_moments(rounds: "RoundsOutcome",
 
 
 def summarize_reports(rounds: "RoundsOutcome") -> "RoundsSummary":
-    """Aggregates a batch of rounds from its columns: the counts of the final
-    classes that occur, in ``CODE_NAMES`` order, from one ``np.bincount``,
-    and the three rates."""
-    codes = rounds.final_codes
-    n = len(codes)
-    counts = np.bincount(codes, minlength=len(CODE_NAMES))
-    return RoundsSummary(
-        n_rounds=n, window=rounds.window,
-        counts={CODE_NAMES[c]: int(counts[c]) for c in counts.nonzero()[0]},
-        occurrence_fraction=int(np.count_nonzero(rounds.channels)) / n,
-        accuracy=int(np.count_nonzero(rounds.matched)) / n,
-        fourier_rate=int(np.count_nonzero(rounds.fourier_used)) / n)
+    """The size and two rates of a batch of rounds, from its columns."""
+    n = len(rounds.final_codes)
+    return RoundsSummary(n_rounds=n, window=rounds.window,
+                         accuracy=int(np.count_nonzero(rounds.matched)) / n,
+                         fourier_rate=int(np.count_nonzero(rounds.fourier_used)) / n)
 
 
 @dataclass(frozen=True)
 class RoundsSummary:
-    """Counts per final class and rates of a batch of rounds.
-    ``pooled_moments`` pools the rounds' corrected output."""
+    """The size, matched fraction and rerun rate of a batch of rounds: the
+    four numbers the benchmark's counting hook reads."""
 
     n_rounds: int
     window: int
-    counts: dict[str, int]
-    occurrence_fraction: float
     accuracy: float
     fourier_rate: float
 
@@ -687,10 +680,7 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
         final[rerun] = second
         resolved = second != UNCLASSIFIABLE
         used = rerun[resolved]
-        if len(used) == n_rounds:
-            mean, x = mean2, x2
-        else:
-            mean[used], x[used] = mean2[resolved], x2[resolved]
+        mean[used], x[used] = mean2[resolved], x2[resolved]
 
     basis = int(cfg.fourier_mode)
     comb = PLAN_TABLE[basis][final]                               # (n, 2, 6)
@@ -711,15 +701,14 @@ TRACE_CYCLES = 3.0
 
 def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,
                    rng: np.random.Generator,
-                   magnitude: float) -> tuple[dict[str, np.ndarray], int]:
+                   magnitude: float) -> tuple[np.ndarray, int]:
     """One oscilloscope-style trace with an error phase swept through
     ``TRACE_CYCLES`` turns.
 
-    Returns the per-detector readout series (plus the uncorrected output
-    quadratures) and the round code of the trace.  The series is sampled
-    with ``_readout_noise``, the noise of the series route that the round
-    engine's statistics equal in law, and is reduced and classified as a
-    round is.
+    Returns the (window, 4) readout series of D1..D4 and the round code of
+    the trace.  The series is sampled with ``_readout_noise``, the noise of
+    the series route that the round engine's statistics equal in law, and is
+    reduced and classified as a round is.
     """
     if window < MIN_SYNDROME_WINDOW:
         raise ValueError(f"syndrome window must be at least {MIN_SYNDROME_WINDOW}")
@@ -731,5 +720,4 @@ def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,
         sweep = magnitude * np.stack([np.cos(phase), np.sin(phase)], axis=1)
         series += _error_series(maps, np.array([channel]), sweep[None])
     index = _syndrome(_reduce_series(series)[1], window, maps.thresholds)
-    traces = dict(zip(DETECTORS + ("out_x", "out_p"), series[0].T))
-    return traces, int(_CODE_TABLE[index[0]])
+    return series[0, :, :4], int(_CODE_TABLE[index[0]])

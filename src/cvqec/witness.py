@@ -43,6 +43,8 @@ def _encoded_factor(cfg: CodeConfig) -> np.ndarray:
     once per configuration and read-only."""
     if cfg.input_kind != "vacuum":
         raise ValueError("the witness is defined for a vacuum input state")
+    if cfg.has_loss:
+        raise ValueError("the witness models a lossless code: channel_loss must be 1")
     factor = _network_symplectics(cfg.fourier_mode)[0] * _source_sigma(cfg)
     factor.setflags(write=False)
     return factor

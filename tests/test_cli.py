@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvqec import cli
-from cvqec.code import AMBIGUOUS_P, NO_ERROR, pooled_moments, run_rounds
+from cvqec.code import AMBIGUOUS_P, NO_ERROR, pooled_moments, run_rounds, syndrome_trace
 from cvqec.errors import MAX_MAGNITUDE
 from cvqec.gaussian import db_to_r, fidelity_from_moments
 from test_code import concatenate_outcomes
@@ -163,6 +163,26 @@ def test_chunked_rounds_memory_is_flat_in_trials():
     peak(1)                                 # the config's maps, built once
     small, large = peak(2048), peak(65536)
     assert large <= small + 2 ** 20 + 8 * 65536, (small, large)
+
+
+def test_syndrome_demo_holds_one_trace_at_a_time(tmp_path):
+    """The demo writes each channel's trace as ``syndrome_trace`` returns it
+    and drops it before the next channel's draw, so at a 2^16-sample window
+    its traced peak is within 10 % of one ``syndrome_trace`` call's."""
+    cfg = cli.parse_config({"window": 2 ** 16})
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(lambda: syndrome_trace(cfg.code, 1, cfg.window, np.random.default_rng(0),
+                                      cfg.error.law.magnitude))
+    demo = peak(lambda: cli.run_syndrome_demo(cfg, tmp_path))
+    assert demo <= 1.1 * one, (demo, one)
 
 
 def test_trace_csv_matches_csv_writer_byte_for_byte(tmp_path):
@@ -440,6 +460,10 @@ _BAD_CONFIGS = [
     ("table2", {"seed": -_HUGE}, "seed must be non-negative, not -1000"),
     ("table2", {"code": {"input": "v" * 10 ** 4}}, "unknown input spec 'vvv"),
     ("table2", {"code": {"x" * 10 ** 4: 1}}, "unknown code keys: ['xxx"),
+    # deeper than json's recursion limit, written as text: json.dumps recurses too
+    ("table2", "[" * 2000 + "]" * 2000, "bad config: maximum recursion depth exceeded"),
+    ("table2", '{"code": {"r": ' + "[" * 2000 + "]" * 2000 + "}}",
+     "bad config: maximum recursion depth exceeded"),
 ]
 
 
@@ -450,7 +474,7 @@ def test_main_reports_bad_config_as_usage_error(tmp_path, capsys, experiment, do
     runner starts, and its message echoes a huge number or a long string
     shortened: stderr stays below 300 bytes."""
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps(doc))
+    config.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     with pytest.raises(SystemExit) as exc:
         run_cli(["run", experiment, "--config", config, "--out", tmp_path / "out"])
     assert exc.value.code == 2

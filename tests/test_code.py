@@ -290,7 +290,7 @@ def test_code_config_rejects_a_wrong_mode_count():
 
 def test_encode_symbolic_channel4():
     """c4 = a2/(2 sqrt6) - a3/(2 sqrt2) + a4/sqrt2 - a_in/sqrt3."""
-    enc = encode(CodeConfig(r=0.5))
+    enc = encode(fourier=False)
     c4x = enc[3].x
     assert c4x.coefficient(QuadSymbol.ancilla(2, "x", TAG_ANTISQUEEZED)) == \
         sqrt_of(frac(1, 24))
@@ -334,14 +334,15 @@ def _form_covariances(forms, cfg):
 
 def test_encode_unsqueezed_gives_vacuum_channels():
     cfg = CodeConfig(r=0.0)
-    assert np.allclose(_form_covariances(encode(cfg), cfg), 0.25 * np.eye(10), atol=1e-12)
+    assert np.allclose(_form_covariances(encode(fourier=cfg.fourier_mode), cfg),
+                       0.25 * np.eye(10), atol=1e-12)
     assert np.allclose(_reference_cov(cfg, decoded=False), 0.25 * np.eye(10), atol=1e-12)
 
 
 def test_encode_correlation_variance():
     """Var(x_c4 + x_c5) = 2 (1/4) e^{-2r}."""
     for r in (0.0, R35, 1.2):
-        enc = encode(CodeConfig(r=r))
+        enc = encode(fourier=False)
         f = enc[3].x + enc[4].x
         assert form_variance(f, r) == pytest.approx(0.5 * math.exp(-2 * r), rel=1e-12)
 
@@ -351,14 +352,16 @@ def test_encode_numeric_matches_symbolic_covariances():
     encoded forms."""
     cfg = CodeConfig(r=(0.2, 0.5, 0.8, 0.1), input_kind="squeezed")
     np.testing.assert_allclose(_reference_cov(cfg, decoded=False),
-                               _form_covariances(encode(cfg), cfg), rtol=0, atol=1e-12)
+                               _form_covariances(encode(fourier=cfg.fourier_mode), cfg),
+                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("r", [0.6, (0.2, 0.7, 0.1, 0.9)])
 def test_encode_fourier_mode_matches_symbolic(r):
     cfg = CodeConfig(r=r, fourier_mode=True)
     np.testing.assert_allclose(_reference_cov(cfg, decoded=False),
-                               _form_covariances(encode(cfg), cfg), rtol=0, atol=1e-12)
+                               _form_covariances(encode(fourier=cfg.fourier_mode), cfg),
+                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -380,7 +383,7 @@ def test_pipeline_maps_decoded_cov_matches_gaussian_engine(cfg):
     np.testing.assert_allclose(cov, _reference_cov(cfg)[rows], rtol=0, atol=1e-12)
     np.testing.assert_allclose(maps.baselines, np.diagonal(cov), rtol=1e-12, atol=0)
     if not cfg.has_loss:
-        exact = _form_covariances(decode(encode(cfg)), cfg)
+        exact = _form_covariances(decode(encode(fourier=cfg.fourier_mode)), cfg)
         np.testing.assert_allclose(cov, exact[rows], rtol=0, atol=1e-12)
 
 
@@ -389,7 +392,7 @@ def _exact_forms(fourier):
     """The exact encoded and decoded forms of the lossless code; they do not
     depend on r or the input, whose variances enter only through
     ``form_covariance``."""
-    encoded = encode(CodeConfig(fourier_mode=fourier))
+    encoded = encode(fourier=fourier)
     return encoded, decode(encoded)
 
 
@@ -436,12 +439,22 @@ def test_closed_form_output_meets_the_noise_formula(r, fourier, input_kind):
         assert stats.V_p == pytest.approx(v_p + up * quiet, rel=1e-9, abs=0)
 
 
+def test_exact_forms_take_only_the_fourier_flag():
+    """The exact forms read no squeezing or input, only the ancillas'
+    Fourier rotation, given by keyword: a positional config is an error
+    rather than a flag that reads as true."""
+    for fn in (encode, qec.source_mode_forms):
+        with pytest.raises(TypeError):
+            fn(CodeConfig())
+    assert encode(fourier=True) != encode(fourier=False)
+
+
 @pytest.mark.parametrize("channel", [0, 6, 7])
 def test_inject_error_rejects_channels_outside_1_to_5(channel):
     """A channel outside 1..5 is rejected before the forms are indexed, so
     channel 0 does not reach channel 5 through index -1."""
     with pytest.raises(ValueError, match="1..5"):
-        inject_error(encode(CodeConfig()), channel)
+        inject_error(encode(fourier=False), channel)
 
 
 def test_decode_proves_the_inverse_orthogonal_once(monkeypatch):
@@ -456,9 +469,9 @@ def test_decode_proves_the_inverse_orthogonal_once(monkeypatch):
     monkeypatch.setattr(qec, "inverse", counted)
     qec._decoder.cache_clear()
     try:
-        states = [encode(CodeConfig(r=0.3)),
-                  inject_error(encode(CodeConfig(r=0.7, fourier_mode=True)), 4),
-                  encode(CodeConfig())]
+        states = [encode(fourier=False),
+                  inject_error(encode(fourier=True), 4),
+                  encode(fourier=False)]
         for state in states:
             want = mode_forms_apply_matrix(state, inverse(encoder_matrix()).rows)
             assert decode(state) == tuple(want)
@@ -469,14 +482,14 @@ def test_decode_proves_the_inverse_orthogonal_once(monkeypatch):
 
 
 def test_decode_error_free_recovers_input():
-    dec = decode(encode(CodeConfig(r=0.9)))
-    src = qec.source_mode_forms(CodeConfig(r=0.9))
+    dec = decode(encode(fourier=False))
+    src = qec.source_mode_forms(fourier=False)
     assert dec[OUT_POS] == src[qec.INPUT_POS]
 
 
 def test_decode_channel2_coefficients():
     """d2 = a2 - 3 e2/(2 sqrt6); d1 = a1 + e2/sqrt2; d3 = a3 - e2/(2 sqrt2)."""
-    dec = decode(inject_error(encode(CodeConfig()), 2))
+    dec = decode(inject_error(encode(fourier=False), 2))
     e2x = QuadSymbol.error(2, "x")
     assert dec[1].x.coefficient(e2x) == -sqrt_of(frac(9, 24))
     assert dec[0].x.coefficient(e2x) == sqrt_of(frac(1, 2))
@@ -486,7 +499,7 @@ def test_decode_channel2_coefficients():
 
 def test_decode_channel4_coefficients():
     """d4 = a4 + e4/sqrt2; out = a_in - e4/sqrt3."""
-    dec = decode(inject_error(encode(CodeConfig()), 4))
+    dec = decode(inject_error(encode(fourier=False), 4))
     e4 = QuadSymbol.error(4, "x")
     assert dec[4].x.coefficient(e4) == sqrt_of(frac(1, 2))
     assert dec[OUT_POS].x.coefficient(e4) == -sqrt_of(frac(1, 3))
@@ -501,7 +514,7 @@ def test_decode_mean_shift_through_pipeline():
         cfg = CodeConfig(fourier_mode=fourier)
         maps = qec._maps(cfg, fourier)
         for ch in range(1, 6):
-            out = decode(inject_error(encode(cfg), ch))[OUT_POS]
+            out = decode(inject_error(encode(fourier=fourier), ch))[OUT_POS]
             exact = [[float(getattr(out, q).coefficient(QuadSymbol.error(ch, e)))
                       for e in "xp"] for q in "xp"]
             shift = qec.PLAN_TABLE[int(fourier), NO_ERROR] @ maps.err_columns[ch - 1]
@@ -604,11 +617,11 @@ def syndrome_closed_form(decoded, fourier, laws):
 def test_syndrome_constant_event_shifts_mean_not_variance():
     """A law-less DC displacement moves readout means but raises no flag;
     nor does a law of zero magnitude."""
-    dec = decode(inject_error(encode(CodeConfig(r=R35)), 3))
+    dec = decode(inject_error(encode(fourier=False), 3))
     flags, relations = syndrome_closed_form(dec, False, {3: None})
     assert not flags.any()
     assert relations.tolist() == [0, 0]
-    still = decode(inject_error(encode(CodeConfig(r=R35)), 1))
+    still = decode(inject_error(encode(fourier=False), 1))
     assert not syndrome_closed_form(still, False, {1: ErrorLaw("general", 0.0)})[0].any()
     shift = 4.0 * float(readout_form(dec, "D3", False).coefficient(QuadSymbol.error(3, "x")))
     assert shift == pytest.approx(4.0 * float(qec.encoder_matrix().entry(2, 2)), rel=1e-15)
@@ -626,7 +639,7 @@ _RELATION = {"in-phase": 1, "out-of-phase": -1, "n/a": 0}
     (5, (False, True, True, True), "n/a", "in-phase"),
 ])
 def test_syndrome_closed_form_table(channel, flags, rel13, rel34):
-    dec = decode(inject_error(encode(CodeConfig(r=R35)), channel))
+    dec = decode(inject_error(encode(fourier=False), channel))
     got_flags, relations = syndrome_closed_form(dec, False, {channel: ErrorLaw("general", 1.0)})
     assert got_flags.dtype == bool and relations.dtype == np.int8
     assert tuple(got_flags.tolist()) == flags
@@ -635,7 +648,7 @@ def test_syndrome_closed_form_table(channel, flags, rel13, rel34):
 
 
 def test_syndrome_closed_form_pure_p_flags_only_d2():
-    dec = decode(inject_error(encode(CodeConfig(r=R35)), 4))
+    dec = decode(inject_error(encode(fourier=False), 4))
     flags, relations = syndrome_closed_form(dec, False, {4: ErrorLaw("p", 1.0)})
     assert flags.tolist() == [False, True, False, False]
     assert int(classify_codes(flags, relations)) == AMBIGUOUS_P
@@ -794,7 +807,7 @@ def derive_correction_plan(channel, fourier=False):
     """
     if channel in (1, 2):
         return ()
-    decoded = decode(inject_error(encode(CodeConfig(r=0.0, fourier_mode=fourier)), channel))
+    decoded = decode(inject_error(encode(fourier=fourier), channel))
     plan = []
     for quad in ("x", "p"):
         error = QuadSymbol.error(channel, quad)
@@ -821,7 +834,7 @@ def test_indefinite_codes_leave_output_unchanged():
     """An ambiguous or unclassifiable code has no plan: the exact output keeps
     its error symbols, as the round engine's table keeps the readout."""
     for fourier in (False, True):
-        dec = decode(inject_error(encode(CodeConfig(r=0.3, fourier_mode=fourier)), 4))
+        dec = decode(inject_error(encode(fourier=fourier), 4))
         assert dec[OUT_POS].x.has_errors() and dec[OUT_POS].p.has_errors()
         for code in (AMBIGUOUS_P, UNCLASSIFIABLE):
             assert apply_correction(dec, code, fourier) == dec[OUT_POS]
@@ -839,7 +852,7 @@ def test_derived_plans_equal_constants(channel, fourier):
 
 def test_corrected_output_channel3_residuals():
     """x' = x_in + sqrt(2/3) x3 e^{-r}; p' = p_in - sqrt2 p2 e^{-r}."""
-    dec = decode(inject_error(encode(CodeConfig(r=0.7)), 3))
+    dec = decode(inject_error(encode(fourier=False), 3))
     out = apply_correction(dec, 3)
     x_terms = out.x.terms
     assert x_terms == {
@@ -852,7 +865,7 @@ def test_corrected_output_channel3_residuals():
 
 
 def test_corrected_output_channel5_p_residual():
-    dec = decode(inject_error(encode(CodeConfig(r=0.7)), 5))
+    dec = decode(inject_error(encode(fourier=False), 5))
     out = apply_correction(dec, 5)
     assert out.p.terms == {
         QuadSymbol.input("p"): ExactScalar(1),
@@ -862,8 +875,7 @@ def test_corrected_output_channel5_p_residual():
 @pytest.mark.parametrize("fourier", [False, True])
 @pytest.mark.parametrize("channel", [3, 4, 5])
 def test_error_symbols_cancel_exactly(channel, fourier):
-    cfg = CodeConfig(r=0.42, fourier_mode=fourier)
-    dec = decode(inject_error(encode(cfg), channel))
+    dec = decode(inject_error(encode(fourier=fourier), channel))
     out = apply_correction(dec, channel, fourier)
     assert not out.x.has_errors()
     assert not out.p.has_errors()
@@ -871,7 +883,7 @@ def test_error_symbols_cancel_exactly(channel, fourier):
 
 def test_immunity_channels_need_no_correction():
     for ch in (1, 2):
-        out = decode(inject_error(encode(CodeConfig(r=0.3)), ch))[OUT_POS]
+        out = decode(inject_error(encode(fourier=False), ch))[OUT_POS]
         assert not out.x.has_errors()
         assert not out.p.has_errors()
 
@@ -1010,7 +1022,7 @@ def test_run_rounds_matches_run_round_semantics():
     ec = ErrorConfig(1.0, 5, ErrorLaw("general", STRONG))
     outcome = run_rounds(cfg, ec, np.random.default_rng(24), 40, window=256)
     assert outcome.matched.all()
-    assert outcome.summary.counts == {"channel-5": 40}
+    assert np.bincount(outcome.final_codes).tolist() == [0] * 5 + [40]
     th = closed_form_output(cfg, 5)
     mean, cov = qec.pooled_moments(outcome, 5)
     n = 40 * 256
@@ -1286,12 +1298,11 @@ def test_pooled_moments_match_pooled_series(series_sampler):
     series = np.concatenate(series)
     tol = dict(rtol=1e-12, atol=1e-12)
     for code in np.unique(outcome.final_codes):
-        key = CODE_NAMES[code]
         pooled = series[outcome.final_codes == code].reshape(-1, 2)
         mean, cov = qec.pooled_moments(outcome, code)
         np.testing.assert_allclose(mean, pooled.mean(axis=0), **tol)
         np.testing.assert_allclose(cov, np.cov(pooled.T, ddof=1), **tol)
-        assert outcome.summary.counts[key] == np.count_nonzero(outcome.final_codes == code)
+        assert qec.pooling_sums(outcome, code)[8] * 64 == len(pooled)    # the count term
     mean, cov = qec.pooled_moments(outcome)
     np.testing.assert_allclose(mean, series.reshape(-1, 2).mean(axis=0), **tol)
     np.testing.assert_allclose(cov, np.cov(series.reshape(-1, 2).T, ddof=1), **tol)
@@ -1332,23 +1343,23 @@ def _synthetic_outcome(n=400, window=64, seed=5):
 
 
 def test_summary_equals_per_class_masked_reference():
-    """Counts in ``CODE_NAMES`` order and the three rates of the summary,
-    and every class's pooled moments and fidelity, equal the per-class
-    masked reference, on a batch in which all eight round codes occur; the
-    all-round pool equals the reference over every round."""
+    """The summary's four numbers, and every class's round count, pooled
+    moments and fidelity, equal the per-class masked reference, on a batch
+    in which all eight round codes occur; the all-round pool equals the
+    reference over every round."""
     outcome = _synthetic_outcome()
     summary = outcome.summary
     codes = np.unique(outcome.final_codes)
     assert len(codes) == 8
-    assert list(summary.counts.items()) == [
-        (CODE_NAMES[c], int(np.count_nonzero(outcome.final_codes == c))) for c in codes]
+    assert [f.name for f in dataclasses.fields(summary)] == [
+        "n_rounds", "window", "accuracy", "fourier_rate"]
     assert summary.n_rounds == 400 and summary.window == 64
-    assert summary.occurrence_fraction == float(np.mean(outcome.channels > 0))
     assert summary.accuracy == float(np.mean(outcome.matched))
     assert summary.fourier_rate == float(np.mean(outcome.fourier_used))
     inp = CodeConfig(r=R35, input_kind="squeezed").input_state()
     tol = dict(rtol=1e-12, atol=0)
     for c in codes:
+        assert qec.pooling_sums(outcome, c)[8] == np.count_nonzero(outcome.final_codes == c)
         mean, cov = _reference_pool(outcome, outcome.final_codes == c)
         got_mean, got_cov = qec.pooled_moments(outcome, c)
         np.testing.assert_allclose(got_mean, mean, **tol)
@@ -1368,16 +1379,17 @@ def test_summary_keeps_no_reference_to_its_outcome():
     cycle."""
     gc.disable()
     try:
-        outcome = run_rounds(CodeConfig(r=R35), ErrorConfig(1.0, "uniform", ErrorLaw("general", 2.0)),
+        outcome = run_rounds(CodeConfig(r=R35),
+                             ErrorConfig(1.0, "uniform", ErrorLaw("general", 2.0)),
                              np.random.default_rng(3), 40, window=64)
         summary = outcome.summary
-        counts = dict(summary.counts)
-        pooled = {key: qec.pooled_moments(outcome, CODE_NAMES.index(key)) for key in counts}
+        pooled = {code: qec.pooled_moments(outcome, code)
+                  for code in np.unique(outcome.final_codes)}
         assert None not in pooled.values()
         ref = weakref.ref(outcome)
         del outcome
         assert ref() is None
-        assert summary.counts == counts
+        assert summary.n_rounds == 40 and summary.window == 64
     finally:
         gc.enable()
 
@@ -1387,7 +1399,7 @@ def test_pooled_moments_of_an_absent_code_is_none():
     from an empty reduction; the present class still pools."""
     outcome = run_rounds(CodeConfig(r=R35), ErrorConfig(1.0, 5, ErrorLaw("general", STRONG)),
                          np.random.default_rng(24), 40, window=64)
-    assert outcome.summary.counts == {"channel-5": 40}
+    assert np.bincount(outcome.final_codes).tolist() == [0] * 5 + [40]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         absent = [qec.pooled_moments(outcome, code) for code in range(len(CODE_NAMES))
@@ -1414,9 +1426,8 @@ def test_rounds_with_uniform_loss_still_classify():
 
 def test_multi_error_is_unclassifiable():
     """Two simultaneous strong errors confuse the pattern; no plan is applied."""
-    cfg = CodeConfig(r=R35)
     law = ErrorLaw("general", STRONG)
-    dec = decode(inject_error(inject_error(encode(cfg), 1), 4))
+    dec = decode(inject_error(inject_error(encode(fourier=False), 1), 4))
     code = int(classify_codes(*syndrome_closed_form(dec, False, {1: law, 4: law})))
     assert code == UNCLASSIFIABLE
     assert apply_correction(dec, code) == dec[OUT_POS]
@@ -1431,9 +1442,10 @@ def test_syndrome_trace_channel1_shape():
     cfg = CodeConfig(r=R35)
     traces, result = syndrome_trace(cfg, 1, 512, np.random.default_rng(2), STRONG)
     assert result == 1
+    assert traces.shape == (512, 4)
     baseline = 0.25 * math.exp(-2 * R35)
-    assert np.var(traces["D4"], ddof=1) < 4 * baseline
-    corr = np.corrcoef(traces["D1"], traces["D3"])[0, 1]
+    assert np.var(traces[:, 3], ddof=1) < 4 * baseline
+    corr = np.corrcoef(traces[:, 0], traces[:, 2])[0, 1]
     assert corr > 0.5
 
 
@@ -1441,6 +1453,7 @@ def test_syndrome_trace_no_error_flat():
     cfg = CodeConfig(r=R35)
     traces, result = syndrome_trace(cfg, None, 256, np.random.default_rng(3), 0.0)
     assert result == NO_ERROR
+    assert traces.shape == (256, 4)
     baseline = 0.25 * math.exp(-2 * R35)
-    for det in ("D1", "D2", "D3", "D4"):
-        assert np.var(traces[det], ddof=1) < 4 * baseline
+    for det in range(4):
+        assert np.var(traces[:, det], ddof=1) < 4 * baseline

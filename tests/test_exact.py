@@ -268,9 +268,9 @@ def test_form_apply_matrix_equals_the_quadratic_accumulation(fourier):
     nonzero entry gives, on both bases' source forms, for the encoder, the
     decoder (with an injected error, whose symbols reach the output), the
     identity and a matrix with zero entries whose terms cancel."""
-    from cvqec.code import CodeConfig, _decoder, error_mode_form, source_mode_forms
+    from cvqec.code import _decoder, error_mode_form, source_mode_forms
     from cvqec.network import encoder_matrix
-    sources = source_mode_forms(CodeConfig(r=0.4, fourier_mode=fourier))
+    sources = source_mode_forms(fourier=fourier)
     identity = [[int(i == j) for j in range(5)] for i in range(5)]
     sparse = [[0, SQRT2, 0, frac(-1, 3), 0],
               [1, -1, 0, 0, 0],

@@ -35,7 +35,7 @@ def test_combination1_first_term_squeezed():
     full = combination_value(1, gains, cfg)
     # remove the second term by evaluating its parabola vertex independently:
     # the first term is gain-free, so value(any gains) - second(gains) is fixed.
-    enc = encode(cfg)
+    enc = encode(fourier=cfg.fourier_mode)
     first = form_variance(enc[0].x + enc[1].x, cfg.r,
                           cfg.input_variances())
     assert first == pytest.approx(0.5 * 10 ** -0.35, rel=1e-12)
@@ -107,6 +107,15 @@ def test_rejects_non_vacuum_input():
         combination_value(1, [0] * 6, CodeConfig(input_kind="squeezed"))
 
 
+def test_rejects_a_lossy_code():
+    """The witness models the lossless encoded state, so a lossy config is
+    an error rather than the lossless values."""
+    with pytest.raises(ValueError, match="lossless"):
+        evaluate_witness(CodeConfig(r=0.4, channel_loss=0.5))
+    with pytest.raises(ValueError, match="lossless"):
+        optimize_gains(CodeConfig(channel_loss=(1.0, 1.0, 0.9, 1.0, 1.0)))
+
+
 def test_combination_index_validation():
     with pytest.raises(ValueError):
         combination_value(5, [0] * 6, CodeConfig())
@@ -164,7 +173,7 @@ def test_witness_matches_exact_forms(r, fourier):
     """Combination values at fixed gains and the optimal gains equal their
     evaluation on the exact encoded forms."""
     cfg = CodeConfig(r=r, fourier_mode=fourier)
-    forms = encode(cfg)
+    forms = encode(fourier=fourier)
     fixed_gains = (0.37, -1.21, 0.88, 2.5, -0.06, 1.13)
     want_gains = [0.0] * 6
     for idx, terms in _TERMS.items():
