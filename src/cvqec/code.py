@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ErrorConfig, ErrorLaw, _bounded, _echo
+from .errors import MAX_MAGNITUDE, ErrorConfig, ErrorLaw, _bounded, _channel, _echo
 from .exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol, SQRT2,
                     TAG_ANTISQUEEZED, TAG_NONE, TAG_SQUEEZED, mode_forms_apply_matrix,
                     sqrt_of)
@@ -193,8 +193,9 @@ def encode(*, fourier: bool) -> tuple[ModeForm, ...]:
 
 def inject_error(forms: tuple[ModeForm, ...], channel: int) -> tuple[ModeForm, ...]:
     """Adds the error symbols of one channel's displacement to its mode."""
-    error = error_mode_form(channel)        # first: it rejects a channel outside 1..5
-    return forms[:channel - 1] + (forms[channel - 1] + error,) + forms[channel:]
+    _channel(channel)
+    hit = forms[channel - 1] + error_mode_form(channel)
+    return forms[:channel - 1] + (hit,) + forms[channel:]
 
 
 @cache
@@ -331,8 +332,11 @@ class PipelineMaps:
     quadratures through the network (``_source_sigma``) and, when a channel
     is lossy, ten more for the vacua that the loss mixes in.  ``baselines``
     is the diagonal of the 6x6 readout covariance, ``thresholds`` the
-    variances above which D1..D4 are flagged, and ``readout_factor`` F, made
-    on first use, gives the covariance as F F^T.
+    variances above which D1..D4 are flagged.  ``readout_factor`` F, the
+    transposed R of a QR factorization of the stacked noise maps, gives the
+    covariance as F F^T, which is never formed: its quiet readouts lie below
+    the rounding error of its loud ones under extreme squeezing, and a
+    singular covariance is safe.
     """
 
     def __init__(self, cfg: CodeConfig, fourier: bool):
@@ -346,16 +350,10 @@ class PipelineMaps:
             self.noise = np.hstack([self.noise, vacua])
         self.baselines = np.einsum("ij,ij->i", self.noise, self.noise)
         self.thresholds = (1.0 + FLUCTUATION_FACTOR) * self.baselines[:4]
-        for arr in (self.err_columns, self.noise, self.baselines, self.thresholds):
+        self.readout_factor = np.linalg.qr(self.noise.T, mode="r").T
+        for arr in (self.err_columns, self.noise, self.baselines, self.thresholds,
+                    self.readout_factor):
             arr.setflags(write=False)       # read-only: ``_maps`` shares one instance
-
-    @cached_property
-    def readout_factor(self) -> np.ndarray:
-        """The transposed R of a QR factorization of the stacked noise maps.
-        The covariance, whose quiet readouts lie below the rounding error of
-        its loud ones under extreme squeezing, is never formed, and a
-        singular covariance is safe."""
-        return np.linalg.qr(self.noise.T, mode="r").T
 
 
 @dataclass(frozen=True)
@@ -399,12 +397,13 @@ def closed_form_output(cfg: CodeConfig, channel: int | None,
 
     Args:
         cfg: code configuration.
-        channel: hit channel, or None for the error-free branch.
+        channel: hit channel 1..5, or None for the error-free branch.
         error_var: None for the corrected branch, which applies the
             channel's feedforward plan (channels 3..5); otherwise the
             unrepaired branch, whose displacement has this variance per
             quadrature (the error law's ``quadrature_variances``).
     """
+    _channel(channel, None)
     fourier = cfg.fourier_mode
     maps = _maps(cfg, fourier)
     plan = PLAN_TABLE[int(fourier), channel if error_var is None and channel else NO_ERROR]
@@ -544,18 +543,20 @@ def pooling_sums(rounds: "RoundsOutcome", code: int | None = None,
                  carried: np.ndarray | None = None) -> np.ndarray:
     """The sums of the pooling terms of the rounds whose final code is
     ``code`` (every round when None), added onto ``carried`` in round order
-    by one weighted ``np.bincount``: carried over chunks, they are one
-    batch's bit for bit.  Each term is a contiguous row, as numpy's loops
-    over length-2 axes are slow."""
+    by an in-place ``np.cumsum`` along each term's row, whose first column
+    holds the carried sums: carried over chunks, they are one batch's bit for
+    bit.  Each term is a contiguous row, as numpy's loops over length-2 axes
+    are slow."""
     select = slice(None) if code is None else rounds.final_codes == code
     means = rounds.corrected_mean[select]
     cov = rounds.corrected_cov[select]
-    terms = np.ones((_N_TERMS, len(means)))
-    terms[0:2], terms[2:4], terms[4] = means.T, cov.diagonal(0, 1, 2).T, cov[:, 0, 1]
-    terms[5:7] = terms[0:2] * terms[0]
-    terms[7] = terms[1] * terms[1]
-    weights = np.column_stack([np.zeros(_N_TERMS) if carried is None else carried, terms])
-    return np.bincount(np.repeat(np.arange(_N_TERMS), len(means) + 1), weights=weights.ravel())
+    terms = np.ones((_N_TERMS, len(means) + 1))
+    terms[:, 0] = 0.0 if carried is None else carried
+    body = terms[:, 1:]
+    body[0:2], body[2:4], body[4] = means.T, cov.diagonal(0, 1, 2).T, cov[:, 0, 1]
+    body[5:7] = body[0:2] * body[0]
+    body[7] = body[1] * body[1]
+    return np.cumsum(terms, axis=1, out=terms)[:, -1].copy()
 
 
 def moments_from_sums(sums: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -705,13 +706,17 @@ def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,
     """One oscilloscope-style trace with an error phase swept through
     ``TRACE_CYCLES`` turns.
 
-    Returns the (window, 4) readout series of D1..D4 and the round code of
-    the trace.  The series is sampled with ``_readout_noise``, the noise of
-    the series route that the round engine's statistics equal in law, and is
-    reduced and classified as a round is.
+    ``channel`` is the hit channel 1..5, or None for no error, and
+    ``magnitude`` the error's, within [0, ``MAX_MAGNITUDE``].  Returns the
+    (window, 4) readout series of D1..D4 and the round code of the trace.
+    The series is sampled with ``_readout_noise``, the noise of the series
+    route that the round engine's statistics equal in law, and is reduced
+    and classified as a round is.
     """
     if window < MIN_SYNDROME_WINDOW:
         raise ValueError(f"syndrome window must be at least {MIN_SYNDROME_WINDOW}")
+    _channel(channel, None)
+    magnitude = _bounded(magnitude, "magnitude", MAX_MAGNITUDE)
     maps = _maps(cfg, cfg.fourier_mode)
     series = _readout_noise(maps, 1, window, rng)
     if channel is not None and magnitude > 0:

@@ -57,6 +57,15 @@ def _bounded(value, what: str, high: float) -> float:
     return float(value)
 
 
+def _channel(value, *others) -> None:
+    """Checks a hit channel: an int 1..5 and not a bool, or one of the str or
+    None ``others``, such as None for no error or the policy 'uniform'."""
+    if not (type(value) is int and 1 <= value <= 5
+            or isinstance(value, (str, type(None))) and value in others):
+        raise ValueError(f"channel must be {' or '.join(['1..5', *map(repr, others)])}, "
+                         f"not {_echo(value)}")
+
+
 def _phase_sums(rng: np.random.Generator, n: int, window: int) -> np.ndarray:
     """(n, 4) sums of ``_PHASE_TRIG`` over n windows of grid phases, drawn as
     one ``random_raw`` byte stream.  The stream is cut into blocks of whole
@@ -193,7 +202,5 @@ class ErrorConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", _bounded(self.gamma, "gamma", 1.0))
-        if self.channel != "uniform" and (type(self.channel) is not int
-                                          or not 1 <= self.channel <= 5):
-            raise ValueError(f"channel must be 1..5 or 'uniform', not {_echo(self.channel)}")
+        _channel(self.channel, "uniform")
 

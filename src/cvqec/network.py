@@ -1,4 +1,5 @@
-"""The five-mode encoding network: exact matrix, factorization, inverse, lift.
+"""The paper's five-mode encoding network: exact matrix, factorization,
+inverse, lift.
 
 The encoder mixes the ordered modes (a1, a2, a3, a_in, a4); column 4 is the
 input mode.  All matrix entries lie in Q(sqrt2, sqrt3) and the encoder is
@@ -19,43 +20,21 @@ N_MODES = 5
 
 
 class ModeMatrix:
-    """A real mode-mixing matrix with exact entries and a float view."""
+    """A real five-mode mixing matrix with exact entries and a float view."""
 
     __slots__ = ("_rows",)
 
-    def __init__(self, rows: Sequence[Sequence]):
-        clean = []
-        width = None
-        for row in rows:
-            entries = tuple(e if isinstance(e, ExactScalar) else ExactScalar(e)
-                            for e in row)
-            if width is None:
-                width = len(entries)
-            elif len(entries) != width:
-                raise ValueError("ragged matrix")
-            clean.append(entries)
-        if width != len(clean):
-            raise ValueError("mode matrix must be square")
-        object.__setattr__(self, "_rows", tuple(clean))
-
-    @classmethod
-    def _of(cls, rows) -> "ModeMatrix":
-        """A matrix from square rows of ExactScalars, without the checks."""
-        out = cls.__new__(cls)
-        object.__setattr__(out, "_rows", tuple(map(tuple, rows)))
-        return out
+    def __init__(self, rows):
+        """A matrix from square rows of ExactScalars, stored as tuples."""
+        object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
 
     def __setattr__(self, name, value):
         raise AttributeError("ModeMatrix is immutable")
 
     @staticmethod
-    def identity(n: int) -> "ModeMatrix":
-        return ModeMatrix._of([[ONE if i == j else ZERO for j in range(n)]
-                               for i in range(n)])
-
-    @property
-    def n(self) -> int:
-        return len(self._rows)
+    def identity() -> "ModeMatrix":
+        return ModeMatrix([[ONE if i == j else ZERO for j in range(N_MODES)]
+                           for i in range(N_MODES)])
 
     @property
     def rows(self):
@@ -65,11 +44,9 @@ class ModeMatrix:
         return self._rows[i][j]
 
     def transpose(self) -> "ModeMatrix":
-        return ModeMatrix._of(zip(*self._rows))
+        return ModeMatrix(zip(*self._rows))
 
     def __matmul__(self, other: "ModeMatrix") -> "ModeMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
         # only products of two non-zero entries are formed; the shared ZERO
         # and ONE of the sparse element matrices are known without a test
         rows = [{k: a for k, a in enumerate(row)
@@ -90,21 +67,15 @@ class ModeMatrix:
                     acc = term if acc is None else acc + term
                 out_row.append(ZERO if acc is None else acc)
             out.append(out_row)
-        return ModeMatrix._of(out)
+        return ModeMatrix(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModeMatrix):
             return NotImplemented
         return self._rows == other._rows
 
-    def __hash__(self):
-        return hash(self._rows)
-
     def is_orthogonal(self) -> bool:
-        prod = self @ self.transpose()
-        n = self.n
-        return all(prod.entry(i, j) == (ONE if i == j else ZERO)
-                   for i in range(n) for j in range(n))
+        return self @ self.transpose() == ModeMatrix.identity()
 
     def as_array(self) -> np.ndarray:
         return np.array([[float(e) for e in row] for row in self._rows])
@@ -112,20 +83,13 @@ class ModeMatrix:
 
 @dataclass(frozen=True)
 class BeamSplitterElement:
-    """One beam-splitter B_{kl}^{sign}(T); mode labels k, l are 1-based."""
+    """One beam-splitter B_{kl}^{sign}(T) on modes k != l (1-based), sign '+'
+    or '-'; a transmittance outside [0, 1] fails in ``block``."""
 
     k: int
     l: int
     T: Fraction
     sign: str
-
-    def __post_init__(self):
-        if self.k == self.l:
-            raise ValueError("beam-splitter modes must differ")
-        if not 0 <= self.T <= 1:
-            raise ValueError("transmittance must lie in [0, 1]")
-        if self.sign not in ("+", "-"):
-            raise ValueError("sign must be '+' or '-'")
 
     def block(self) -> tuple[ExactScalar, ExactScalar, ExactScalar, ExactScalar]:
         t = sqrt_of(Fraction(self.T))
@@ -135,44 +99,32 @@ class BeamSplitterElement:
         return rfl, t, -t, rfl
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
-    """An ordered beam-splitter circuit; elements are listed first-applied first."""
-
-    elements: tuple[BeamSplitterElement, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "elements", tuple(self.elements))
-        for el in self.elements:
-            if not 1 <= el.k <= N_MODES or not 1 <= el.l <= N_MODES:
-                raise ValueError(f"mode labels must lie in 1..{N_MODES}")
-
-
-def element_matrix(el: BeamSplitterElement, n: int) -> ModeMatrix:
-    """The element embedded in the n-mode identity (1-based mode labels)."""
-    rows = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+def element_matrix(el: BeamSplitterElement) -> ModeMatrix:
+    """The element embedded in the five-mode identity."""
+    rows = [list(row) for row in ModeMatrix.identity().rows]
     k, l = el.k - 1, el.l - 1
     a, b, c, d = el.block()
     rows[k][k], rows[k][l] = a, b
     rows[l][k], rows[l][l] = c, d
-    return ModeMatrix._of(rows)
+    return ModeMatrix(rows)
 
 
-def compose(spec: NetworkSpec) -> ModeMatrix:
-    """Ordered product of the network's elements (first element acts first)."""
-    out = ModeMatrix.identity(N_MODES)
-    for el in spec.elements:
-        out = element_matrix(el, N_MODES) @ out
+def compose(elements: Sequence[BeamSplitterElement]) -> ModeMatrix:
+    """Ordered product of beam-splitter elements (the first acts first)."""
+    out = ModeMatrix.identity()
+    for el in elements:
+        out = element_matrix(el) @ out
     return out
 
 
-# The encoder: B45^-(1/2) B34^+(1/3) B12^+(1/2) B23^+(1/4), rightmost first.
-ENCODER_SPEC = NetworkSpec((
+# The encoder: B45^-(1/2) B34^+(1/3) B12^+(1/2) B23^+(1/4), rightmost first,
+# so listed first-applied first.
+ENCODER_SPEC = (
     BeamSplitterElement(2, 3, Fraction(1, 4), "+"),
     BeamSplitterElement(1, 2, Fraction(1, 2), "+"),
     BeamSplitterElement(3, 4, Fraction(1, 3), "+"),
     BeamSplitterElement(4, 5, Fraction(1, 2), "-"),
-))
+)
 
 
 def encoder_matrix() -> ModeMatrix:
@@ -187,7 +139,7 @@ def encoder_matrix() -> ModeMatrix:
         [ZERO, q(1, 12, 6), q(-1, 4, 2), q(-1, 3, 3), q(1, 2, 2)],
         [ZERO, q(-1, 12, 6), q(1, 4, 2), q(1, 3, 3), q(1, 2, 2)],
     ]
-    return ModeMatrix._of(rows)
+    return ModeMatrix(rows)
 
 
 def inverse(m: ModeMatrix) -> ModeMatrix:
@@ -198,7 +150,7 @@ def inverse(m: ModeMatrix) -> ModeMatrix:
 
 
 def lift_to_symplectic(m: ModeMatrix, fourier_flags: Sequence[bool] | None = None) -> np.ndarray:
-    """Lifts a mode matrix to the 2n x 2n symplectic acting identically on x and p.
+    """Lifts a mode matrix to the 10 x 10 symplectic acting identically on x and p.
 
     Modes whose flag is set receive a 90-degree rotation (x, p) -> (-p, x)
     before the mixing matrix acts.
@@ -206,7 +158,7 @@ def lift_to_symplectic(m: ModeMatrix, fourier_flags: Sequence[bool] | None = Non
     lift = np.kron(m.as_array(), np.eye(2))
     if not (fourier_flags and any(fourier_flags)):
         return lift
-    rot = np.eye(2 * m.n)
+    rot = np.eye(2 * N_MODES)
     for i, flag in enumerate(fourier_flags):
         if flag:
             rot[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[0.0, -1.0], [1.0, 0.0]]

@@ -439,6 +439,28 @@ def test_closed_form_output_meets_the_noise_formula(r, fourier, input_kind):
         assert stats.V_p == pytest.approx(v_p + up * quiet, rel=1e-9, abs=0)
 
 
+@pytest.mark.parametrize("error_var", [None, (1.0, 1.0)])
+@pytest.mark.parametrize("channel", [0, 6, 7, -1, True])
+def test_closed_form_output_rejects_channels_outside_1_to_5(channel, error_var):
+    """Channel 0 would read channel 5's unrepaired output through index -1,
+    and a repaired channel 0, 6 or 7 the plan of a round code."""
+    with pytest.raises(ValueError, match=r"channel must be 1\.\.5 or None, not"):
+        closed_form_output(CodeConfig(r=0.4), channel, error_var=error_var)
+
+
+@pytest.mark.parametrize("cfg", [CodeConfig(r=0.4), CodeConfig(r=0.4, channel_loss=0.8)],
+                         ids=["lossless", "lossy"])
+@pytest.mark.parametrize("fourier", [False, True])
+def test_maps_arrays_are_read_only(cfg, fourier):
+    """``_maps`` shares one instance with every caller, so none of its arrays
+    can be written in place."""
+    maps = qec._maps(cfg, fourier)
+    arrays = [getattr(maps, name) for name in dir(maps) if not name.startswith("__")]
+    arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+    assert len(arrays) == 5
+    assert not any(a.flags.writeable for a in arrays)
+
+
 def test_exact_forms_take_only_the_fourier_flag():
     """The exact forms read no squeezing or input, only the ancillas'
     Fourier rotation, given by keyword: a positional config is an error
@@ -449,7 +471,7 @@ def test_exact_forms_take_only_the_fourier_flag():
     assert encode(fourier=True) != encode(fourier=False)
 
 
-@pytest.mark.parametrize("channel", [0, 6, 7])
+@pytest.mark.parametrize("channel", [0, 6, 7, -1, True, 3.0])
 def test_inject_error_rejects_channels_outside_1_to_5(channel):
     """A channel outside 1..5 is rejected before the forms are indexed, so
     channel 0 does not reach channel 5 through index -1."""
@@ -1457,3 +1479,18 @@ def test_syndrome_trace_no_error_flat():
     baseline = 0.25 * math.exp(-2 * R35)
     for det in range(4):
         assert np.var(traces[:, det], ddof=1) < 4 * baseline
+
+
+@pytest.mark.parametrize("channel", [0, 6, 7, -1, True])
+def test_syndrome_trace_rejects_channels_outside_1_to_5(channel):
+    """Channel 0 would draw channel 5's error through index -1, and -1
+    channel 4's."""
+    with pytest.raises(ValueError, match=r"channel must be 1\.\.5 or None, not"):
+        syndrome_trace(CodeConfig(r=0.4), channel, 64, np.random.default_rng(0), 5.0)
+
+
+@pytest.mark.parametrize("magnitude", [-1.0, math.nan, math.inf, 10 * MAX_MAGNITUDE, True])
+def test_syndrome_trace_rejects_magnitudes_outside_the_law_bound(magnitude):
+    """A negative or NaN magnitude would give a silent no-error trace."""
+    with pytest.raises(ValueError, match="magnitude must be finite"):
+        syndrome_trace(CodeConfig(r=0.4), 1, 64, np.random.default_rng(0), magnitude)

@@ -58,25 +58,22 @@ def test_squeezed_vacuum_rejects_negative_r():
 
 
 def test_beamsplitter_balanced():
-    m = element_matrix(BeamSplitterElement(1, 2, Fraction(1, 2), "+"), 2).as_array()
+    m = element_matrix(BeamSplitterElement(1, 2, Fraction(1, 2), "+")).as_array()
     s = 1 / math.sqrt(2)
-    assert np.allclose(m, [[s, s], [s, -s]])
+    assert np.allclose(m[:2, :2], [[s, s], [s, -s]])
+    assert np.array_equal(m[2:, 2:], np.eye(3))
 
 
 def test_beamsplitter_zero_transmission():
-    m = element_matrix(BeamSplitterElement(1, 2, Fraction(0), "+"), 2).as_array()
-    assert np.allclose(m, [[1, 0], [0, -1]])
-
-
-def test_apply_dimension_mismatch():
-    with pytest.raises(ValueError):
-        ModeMatrix.identity(2) @ ModeMatrix.identity(1)
+    m = element_matrix(BeamSplitterElement(1, 2, Fraction(0), "+")).as_array()
+    assert np.allclose(m[:2, :2], [[1, 0], [0, -1]])
 
 
 def test_fourier_rotation_swaps_squeezing():
     quiet, loud = 0.25 * math.exp(-1.4), 0.25 * math.exp(1.4)
-    s = lift_to_symplectic(ModeMatrix.identity(1), [True])
-    assert np.allclose(s @ np.diag([quiet, loud]) @ s.T, np.diag([loud, quiet]))
+    s = lift_to_symplectic(ModeMatrix.identity(), [True, False, False, False, False])
+    cov = np.diag([quiet, loud] + [0.25] * 8)
+    assert np.allclose(s @ cov @ s.T, np.diag([loud, quiet] + [0.25] * 8))
 
 
 def test_lift_preserves_purity():
