@@ -96,7 +96,7 @@ class ExperimentConfig:
 # and a syndrome trace every sample, so at either bound it peaks below 300 MB
 # of resident memory: measured with getrusage (2-vCPU x86-64 host, numpy 2.4),
 # table2 at MAX_TRIALS (window 30) peaks at 74 MB in 240 s and syndrome-demo
-# at MAX_WINDOW at 226 MB in 27-33 s.
+# at MAX_WINDOW at 170 MB in 31-42 s.
 MAX_TRIALS = 2 ** 21
 MAX_WINDOW = 2 ** 20
 

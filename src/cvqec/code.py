@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import MAX_MAGNITUDE, ErrorConfig, ErrorLaw, _bounded, _channel, _echo
+from .errors import MAX_MAGNITUDE, ErrorConfig, ErrorLaw, _bounded, _channel, _count, _echo
 from .exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol, SQRT2,
                     TAG_ANTISQUEEZED, TAG_NONE, TAG_SQUEEZED, mode_forms_apply_matrix,
                     sqrt_of)
@@ -330,9 +330,9 @@ class PipelineMaps:
     k, ``err_columns[k - 1]`` (6x2) times its displacement (dx, dp).
     ``noise`` holds one column per independent normal: the ten source
     quadratures through the network (``_source_sigma``) and, when a channel
-    is lossy, ten more for the vacua that the loss mixes in.  ``baselines``
-    is the diagonal of the 6x6 readout covariance, ``thresholds`` the
-    variances above which D1..D4 are flagged.  ``readout_factor`` F, the
+    is lossy, ten more for the vacua that the loss mixes in.  ``thresholds``
+    flag D1..D4: 1 + ``FLUCTUATION_FACTOR`` times the squared norm of each
+    one's ``noise`` row, its baseline variance.  ``readout_factor`` F, the
     transposed R of a QR factorization of the stacked noise maps, gives the
     covariance as F F^T, which is never formed: its quiet readouts lie below
     the rounding error of its loud ones under extreme squeezing, and a
@@ -348,11 +348,10 @@ class PipelineMaps:
         if cfg.has_loss:
             vacua = s_dec[rows] * np.sqrt(1.0 - eta ** 2) * math.sqrt(VACUUM_VAR)
             self.noise = np.hstack([self.noise, vacua])
-        self.baselines = np.einsum("ij,ij->i", self.noise, self.noise)
-        self.thresholds = (1.0 + FLUCTUATION_FACTOR) * self.baselines[:4]
+        detectors = self.noise[:4]
+        self.thresholds = (1.0 + FLUCTUATION_FACTOR) * np.einsum("ij,ij->i", detectors, detectors)
         self.readout_factor = np.linalg.qr(self.noise.T, mode="r").T
-        for arr in (self.err_columns, self.noise, self.baselines, self.thresholds,
-                    self.readout_factor):
+        for arr in (self.err_columns, self.noise, self.thresholds, self.readout_factor):
             arr.setflags(write=False)       # read-only: ``_maps`` shares one instance
 
 
@@ -400,16 +399,23 @@ def closed_form_output(cfg: CodeConfig, channel: int | None,
         channel: hit channel 1..5, or None for the error-free branch.
         error_var: None for the corrected branch, which applies the
             channel's feedforward plan (channels 3..5); otherwise the
-            unrepaired branch, whose displacement has this variance per
-            quadrature (the error law's ``quadrature_variances``).
+            unrepaired branch of a hit channel, whose displacement has these
+            two variances, x and p, each within [0, ``MAX_MAGNITUDE``^2]
+            (the error law's ``quadrature_variances``).
     """
     _channel(channel, None)
+    if error_var is not None:
+        if channel is None:
+            raise ValueError("error_var needs a hit channel, not None")
+        if not isinstance(error_var, (tuple, list)) or len(error_var) != 2:
+            raise ValueError(f"error_var must be two variances (x, p), not {_echo(error_var)}")
+        error_var = [_bounded(v, "error variance", MAX_MAGNITUDE ** 2) for v in error_var]
     fourier = cfg.fourier_mode
     maps = _maps(cfg, fourier)
     plan = PLAN_TABLE[int(fourier), channel if error_var is None and channel else NO_ERROR]
     noise = plan @ maps.noise
     cov = noise @ noise.T
-    if channel is not None and error_var is not None:
+    if error_var is not None:
         err = plan @ maps.err_columns[channel - 1]                   # (2, 2)
         cov = cov + err @ np.diag(error_var) @ err.T
     mean, cov_in = cfg.input_state()                # the output mean equals the input's
@@ -437,35 +443,14 @@ def output_mixture(cfg: CodeConfig, error_cfg: ErrorConfig) -> tuple[np.ndarray,
 
 def _syndrome(factor: np.ndarray, window: int, thresholds: np.ndarray) -> np.ndarray:
     """The ``_syndrome_index`` of one pass, from every round's centred readout
-    factor X (n, 6, k) of (D1..D4, out_x, out_p), whose scatter is X X^T: a
-    flag is a squared row norm of D1..D4 over window - 1 above its
+    factor X (n, m, k), whose first four rows are D1..D4 and whose scatter is
+    X X^T: a flag is a squared row norm of D1..D4 over window - 1 above its
     threshold, and the D1-D3 / D3-D4 cross-correlations are the dot products
     of rows 0 and 2 and of rows 2 and 3 over the window.  ``_CODE_TABLE``
     holds each index's round code."""
     flags = np.einsum("nij,nij->ni", factor[:, :4], factor[:, :4]) / (window - 1) > thresholds
     cc = np.einsum("nij,nij->ni", factor[:, [0, 2]], factor[:, 2:4]) / window
     return _syndrome_index(flags, cc)
-
-
-def _readout_noise(maps: PipelineMaps, n: int, window: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    """(n, window, 6) readout noise series: one normal per ``noise`` column
-    and sample (ten, or twenty with loss) through the network."""
-    return rng.standard_normal((n, window, maps.noise.shape[1])) @ maps.noise.T
-
-
-def _error_series(maps: PipelineMaps, channels: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """(n, window, 6) readout series of each round's (window, 2) displacements."""
-    coeff = maps.err_columns[channels - 1]
-    return draws[:, :, :1] * coeff[:, None, :, 0] + draws[:, :, 1:] * coeff[:, None, :, 1]
-
-
-def _reduce_series(series: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every round's readout mean (n, 6) and centred factor (n, 6, window) of
-    (n, window, 6) series: the transposed centred series, whose scatter is
-    its product with its transpose."""
-    mean = series.mean(axis=1)
-    return mean, (series - mean[:, None, :]).transpose(0, 2, 1)
 
 
 # Flat positions in a round's (6, 8) factor block [A | Z^T] of the Bartlett
@@ -655,10 +640,8 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
     the second pass, an unresolved one the first.  All rounds draw from one
     generator in a fixed order, so a fixed seed gives identical results.
     """
-    if n_rounds < 1:
-        raise ValueError("n_rounds must be at least 1")
-    if window < MIN_SYNDROME_WINDOW:
-        raise ValueError(f"syndrome window must be at least {MIN_SYNDROME_WINDOW}")
+    n_rounds = _count(n_rounds, "n_rounds", 1)
+    window = _count(window, "syndrome window", MIN_SYNDROME_WINDOW)
     law = error_cfg.law
     occurred = rng.random(n_rounds) < error_cfg.gamma
     if error_cfg.channel == "uniform":
@@ -709,20 +692,21 @@ def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,
     ``channel`` is the hit channel 1..5, or None for no error, and
     ``magnitude`` the error's, within [0, ``MAX_MAGNITUDE``].  Returns the
     (window, 4) readout series of D1..D4 and the round code of the trace.
-    The series is sampled with ``_readout_noise``, the noise of the series
-    route that the round engine's statistics equal in law, and is reduced
-    and classified as a round is.
+    The series is the D1..D4 rows of the series route, which the round
+    engine's statistics equal in law, and is centred and classified as a
+    round is.
     """
-    if window < MIN_SYNDROME_WINDOW:
-        raise ValueError(f"syndrome window must be at least {MIN_SYNDROME_WINDOW}")
+    window = _count(window, "syndrome window", MIN_SYNDROME_WINDOW)
     _channel(channel, None)
     magnitude = _bounded(magnitude, "magnitude", MAX_MAGNITUDE)
     maps = _maps(cfg, cfg.fourier_mode)
-    series = _readout_noise(maps, 1, window, rng)
+    trace = rng.standard_normal((window, maps.noise.shape[1])) @ maps.noise[:4].T
     if channel is not None and magnitude > 0:
         phase = (2.0 * math.pi * TRACE_CYCLES * np.arange(window) / window
                  + rng.uniform(0.0, 2.0 * math.pi))
-        sweep = magnitude * np.stack([np.cos(phase), np.sin(phase)], axis=1)
-        series += _error_series(maps, np.array([channel]), sweep[None])
-    index = _syndrome(_reduce_series(series)[1], window, maps.thresholds)
-    return series[0, :, :4], int(_CODE_TABLE[index[0]])
+        dx, dp = magnitude * np.cos(phase), magnitude * np.sin(phase)
+        del phase                       # not held beside the error's two (window, 4) terms
+        c = maps.err_columns[channel - 1, :4]
+        trace += dx[:, None] * c[:, 0] + dp[:, None] * c[:, 1]
+    index = _syndrome((trace - trace.mean(axis=0)).T[None], window, maps.thresholds)
+    return trace, int(_CODE_TABLE[index[0]])

@@ -57,6 +57,14 @@ def _bounded(value, what: str, high: float) -> float:
     return float(value)
 
 
+def _count(value, what: str, low: int) -> int:
+    """An integer of at least ``low`` as an int; NaN, a bool, a float, even
+    a whole one, or any other value is a ValueError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{what} must be at least {low} and an integer, not {_echo(value)}")
+    return int(value)
+
+
 def _channel(value, *others) -> None:
     """Checks a hit channel: an int 1..5 and not a bool, or one of the str or
     None ``others``, such as None for no error or the policy 'uniform'."""

@@ -40,22 +40,42 @@ def frac(n, d=1):
     return Fraction(n, d)
 
 
+def _readout_noise(maps, n, window, rng):
+    """(n, window, 6) readout noise series: one normal per ``noise`` column
+    and sample (ten, or twenty with loss) through the network."""
+    return rng.standard_normal((n, window, maps.noise.shape[1])) @ maps.noise.T
+
+
+def _error_series(maps, channels, draws):
+    """(n, window, 6) readout series of each round's (window, 2) displacements."""
+    coeff = maps.err_columns[channels - 1]
+    return draws[:, :, :1] * coeff[:, None, :, 0] + draws[:, :, 1:] * coeff[:, None, :, 1]
+
+
+def _reduce_series(series):
+    """Every round's readout mean (n, 6) and centred factor (n, 6, window) of
+    (n, window, 6) series: the transposed centred series, whose scatter is
+    its product with its transpose."""
+    mean = series.mean(axis=1)
+    return mean, (series - mean[:, None, :]).transpose(0, 2, 1)
+
+
 def _sample_series(maps, channels, law, window, rng):
     """(n, window, 6) readout series: the noise plus each hit round's error
     series drawn from the law's ``draw``.  Reduced by ``_reduce_series``, it
     is the reference that ``_sample_statistics`` equals in law."""
-    series = qec._readout_noise(maps, len(channels), window, rng)
+    series = _readout_noise(maps, len(channels), window, rng)
     idx = np.flatnonzero(channels)
     if len(idx):
         draws = law.draw(rng, len(idx) * window).reshape(len(idx), window, 2)
-        series[idx] += qec._error_series(maps, channels[idx], draws)
+        series[idx] += _error_series(maps, channels[idx], draws)
     return series
 
 
 def _series_statistics(maps, channels, law, window, rng):
     """The round statistics reduced from sampled readout series: the series
     route that ``_sample_statistics`` equals in law."""
-    return qec._reduce_series(_sample_series(maps, channels, law, window, rng))
+    return _reduce_series(_sample_series(maps, channels, law, window, rng))
 
 
 @pytest.fixture
@@ -67,7 +87,7 @@ def series_sampler(monkeypatch):
     def sample(maps, channels, law, window, rng):
         series = _sample_series(maps, channels, law, window, rng)
         passes.append(series)
-        return qec._reduce_series(series)
+        return _reduce_series(series)
 
     monkeypatch.setattr(qec, "_sample_statistics", sample)
     return passes
@@ -381,7 +401,8 @@ def test_pipeline_maps_decoded_cov_matches_gaussian_engine(cfg):
     cov = maps.noise @ maps.noise.T
     rows = np.ix_(*[qec.readout_rows(cfg.fourier_mode)] * 2)
     np.testing.assert_allclose(cov, _reference_cov(cfg)[rows], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(maps.baselines, np.diagonal(cov), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(maps.thresholds / (1.0 + qec.FLUCTUATION_FACTOR),
+                               np.diagonal(cov)[:4], rtol=1e-12, atol=0)
     if not cfg.has_loss:
         exact = _form_covariances(decode(encode(fourier=cfg.fourier_mode)), cfg)
         np.testing.assert_allclose(cov, exact[rows], rtol=0, atol=1e-12)
@@ -448,6 +469,44 @@ def test_closed_form_output_rejects_channels_outside_1_to_5(channel, error_var):
         closed_form_output(CodeConfig(r=0.4), channel, error_var=error_var)
 
 
+@pytest.mark.parametrize("error_var, match", [
+    ((-0.05, -0.05), "error variance must be finite"),
+    ((-5.0, -5.0), "error variance must be finite"),
+    ((math.nan, 1.0), "error variance must be finite"),
+    ((True, True), "error variance must be finite"),
+    (("1", 1.0), "error variance must be finite"),
+    ((np.nextafter(MAX_MAGNITUDE ** 2, math.inf), 0.0), r"error variance .* within \[0, 1e\+12\]"),
+    ((1.0,), r"error_var must be two variances \(x, p\), not \(1\.0,\)"),
+    ((1.0, 1.0, 1.0), "error_var must be two variances"),
+    (1.0, "error_var must be two variances"),
+], ids=["small-negative", "negative", "nan", "bool", "str", "above-the-law", "one-value",
+        "three-values", "scalar"])
+def test_closed_form_output_rejects_bad_error_variances(error_var, match):
+    """An unrepaired branch's variances are two reals in [0, MAX_MAGNITUDE^2],
+    the range of the error law's ``quadrature_variances``; a negative one
+    gave fidelity 1.0 or 0.43 from an unphysical covariance, NaN a silent
+    NaN, a bool 0.600, and a wrong count or a string a numpy error."""
+    with pytest.raises(ValueError, match=match):
+        closed_form_output(CodeConfig(r=0.4), 3, error_var=error_var)
+
+
+def test_closed_form_output_takes_error_variances_up_to_the_law_bound():
+    """The variances of an x law at ``MAX_MAGNITUDE`` are taken, and numpy
+    floats are as Python's."""
+    cfg = CodeConfig(r=0.4)
+    top = ErrorLaw("x", MAX_MAGNITUDE).quadrature_variances()
+    assert np.isfinite(closed_form_output(cfg, 3, error_var=top).fidelity)
+    assert (closed_form_output(cfg, 3, error_var=(np.float64(1.0), np.float64(1.0))).fidelity
+            == closed_form_output(cfg, 3, error_var=(1.0, 1.0)).fidelity)
+
+
+def test_closed_form_output_rejects_an_error_variance_without_a_channel():
+    """The error-free branch has no displacement: a variance with channel
+    None returned the error-free 1.0."""
+    with pytest.raises(ValueError, match="error_var needs a hit channel"):
+        closed_form_output(CodeConfig(r=0.4), None, error_var=(1.0, 1.0))
+
+
 @pytest.mark.parametrize("cfg", [CodeConfig(r=0.4), CodeConfig(r=0.4, channel_loss=0.8)],
                          ids=["lossless", "lossy"])
 @pytest.mark.parametrize("fourier", [False, True])
@@ -457,7 +516,7 @@ def test_maps_arrays_are_read_only(cfg, fourier):
     maps = qec._maps(cfg, fourier)
     arrays = [getattr(maps, name) for name in dir(maps) if not name.startswith("__")]
     arrays = [a for a in arrays if isinstance(a, np.ndarray)]
-    assert len(arrays) == 5
+    assert len(arrays) == 4
     assert not any(a.flags.writeable for a in arrays)
 
 
@@ -587,6 +646,42 @@ def test_syndrome_window_floor(series_sampler):
         _measured(CodeConfig(), 1, ErrorLaw("general", 1.0), window=10)
     with pytest.raises(ValueError):
         syndrome_trace(CodeConfig(), 1, 10, np.random.default_rng(0), 1.0)
+
+
+_ROUND_ARGS = dict(cfg=CodeConfig(r=0.4), error_cfg=ErrorConfig(1.0, 3, ErrorLaw("general", 5.0)))
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    (dict(n_rounds=4, window=math.nan), "syndrome window must be at least 30 and an integer"),
+    (dict(n_rounds=4, window=64.0), "syndrome window must be at least 30 and an integer"),
+    (dict(n_rounds=2.5, window=64), "n_rounds must be at least 1 and an integer"),
+    (dict(n_rounds=True, window=64), "n_rounds must be at least 1 and an integer"),
+    (dict(n_rounds=0, window=64), "n_rounds must be at least 1"),
+    (dict(n_rounds=4, window=29), "syndrome window must be at least 30"),
+], ids=["window-nan", "window-float", "rounds-float", "rounds-bool", "rounds-zero",
+        "window-29"])
+def test_run_rounds_counts_are_integers(kwargs, match):
+    """A NaN window passed the floor check and a whole float reached numpy's
+    shape check; ``True`` ran one round.  Each is a ValueError naming the
+    count."""
+    with pytest.raises(ValueError, match=match):
+        run_rounds(rng=np.random.default_rng(0), **_ROUND_ARGS, **kwargs)
+
+
+@pytest.mark.parametrize("window", [64.0, math.nan, True, "64"])
+def test_syndrome_trace_window_is_an_integer(window):
+    with pytest.raises(ValueError, match="syndrome window must be at least 30 and an integer"):
+        syndrome_trace(CodeConfig(r=0.4), 1, window, np.random.default_rng(0), 5.0)
+
+
+def test_numpy_integer_counts_pass():
+    """numpy integers are counts too, and run as the equal ints do."""
+    runs = [run_rounds(rng=np.random.default_rng(0), **_ROUND_ARGS, n_rounds=n, window=w)
+            for n, w in ((4, 64), (np.int64(4), np.uint16(64)))]
+    _assert_same_columns(runs[0], runs[1])
+    traces = [syndrome_trace(CodeConfig(r=0.4), 1, w, np.random.default_rng(0), 5.0)
+              for w in (64, np.int32(64))]
+    np.testing.assert_array_equal(traces[0][0], traces[1][0])
 
 
 def readout_form(decoded, detector, fourier):
@@ -1253,7 +1348,7 @@ def test_syndrome_equals_the_scatter_rule(k):
     if k == "drawn":
         factor = rng.standard_normal((n, 6, 8)) * scale[:, :, None]
     else:
-        factor = qec._reduce_series(rng.standard_normal((n, window, 6)) * scale[:, None])[1]
+        factor = _reduce_series(rng.standard_normal((n, window, 6)) * scale[:, None])[1]
     thresholds = factor.shape[2] / (window - 1) * np.array([0.8, 1.0, 1.2, 1.5])
     scatter = factor @ factor.transpose(0, 2, 1)
     want_flags = scatter.diagonal(0, 1, 2)[:, :4] / (window - 1) > thresholds
@@ -1494,3 +1589,59 @@ def test_syndrome_trace_rejects_magnitudes_outside_the_law_bound(magnitude):
     """A negative or NaN magnitude would give a silent no-error trace."""
     with pytest.raises(ValueError, match="magnitude must be finite"):
         syndrome_trace(CodeConfig(r=0.4), 1, 64, np.random.default_rng(0), magnitude)
+
+
+def _series_trace(cfg, channel, window, rng, magnitude):
+    """``syndrome_trace`` on the series route: the six readout rows of one
+    round drawn with the test helpers, reduced, classified, and their D1..D4
+    rows returned."""
+    maps = qec._maps(cfg, cfg.fourier_mode)
+    series = _readout_noise(maps, 1, window, rng)
+    if channel is not None and magnitude > 0:
+        phase = (2.0 * math.pi * qec.TRACE_CYCLES * np.arange(window) / window
+                 + rng.uniform(0.0, 2.0 * math.pi))
+        sweep = magnitude * np.stack([np.cos(phase), np.sin(phase)], axis=1)
+        series += _error_series(maps, np.array([channel]), sweep[None])
+    index = qec._syndrome(_reduce_series(series)[1], window, maps.thresholds)
+    return series[0, :, :4], int(qec._CODE_TABLE[index[0]])
+
+
+@pytest.mark.parametrize("channel", [None, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("cfg", [
+    CodeConfig(r=R35),
+    CodeConfig(r=R35, channel_loss=(1.0, 0.9, 0.8, 0.95, 0.7)),
+    CodeConfig(r=R35, fourier_mode=True),
+    CodeConfig(r=R35, input_kind="squeezed"),
+], ids=["lossless", "per-channel-loss", "fourier", "squeezed"])
+def test_syndrome_trace_is_the_series_route_bit_for_bit(cfg, channel):
+    """The trace draws only the D1..D4 rows, and equals the series route's
+    D1..D4 rows bit for bit, with the same code, on the same seed."""
+    for window in (30, 64, 512):
+        for magnitude in (0.0, STRONG):
+            seed = (window, int(magnitude > 0), channel or 0)
+            trace, code = syndrome_trace(cfg, channel, window, np.random.default_rng(seed),
+                                         magnitude)
+            want, want_code = _series_trace(cfg, channel, window, np.random.default_rng(seed),
+                                            magnitude)
+            assert np.array_equal(trace, want)
+            assert code == want_code
+            assert trace.shape == (window, 4) and trace.flags.c_contiguous
+
+
+def test_syndrome_trace_memory_is_a_few_traces():
+    """At a 2^16-sample window the traced peak is at most 4x the returned
+    trace's bytes: 3.56x, the (window, 10) normal block beside the trace, or
+    the trace beside the error's two terms; 5.3x when the six-row series was
+    drawn and reduced."""
+    import tracemalloc
+
+    cfg = CodeConfig(r=R35)
+    qec._maps(cfg, cfg.fourier_mode)                # built before tracing,
+    rng = np.random.default_rng(0)                  # as is the generator
+    tracemalloc.start()
+    try:
+        trace, _ = syndrome_trace(cfg, 3, 2 ** 16, rng, 5.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * trace.nbytes, peak / trace.nbytes

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cvqec.code import CodeConfig, PipelineMaps, _source_sigma
+from cvqec.code import FLUCTUATION_FACTOR, CodeConfig, PipelineMaps, _source_sigma
 from cvqec.gaussian import db_to_r, fidelity_from_moments, variance_to_db
 from cvqec.network import (BeamSplitterElement, ModeMatrix, element_matrix,
                            encoder_matrix, lift_to_symplectic)
@@ -101,8 +101,9 @@ def test_loss_on_squeezed_mode():
     eta = 0.96 * 0.95
     maps = PipelineMaps(CodeConfig(r=R35, channel_loss=eta), False)
     want = 0.25 * (eta * Q35 + 1 - eta)
-    assert maps.baselines[0] == pytest.approx(want, rel=1e-12)
-    assert maps.baselines[1] == pytest.approx(want, rel=1e-12)
+    baselines = maps.thresholds / (1.0 + FLUCTUATION_FACTOR)
+    assert baselines[0] == pytest.approx(want, rel=1e-12)
+    assert baselines[1] == pytest.approx(want, rel=1e-12)
 
 
 def test_loss_validation():
