@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import code as qec
-from .code import (CodeConfig, closed_form_output, moments_from_sums, output_mixture,
-                   pooling_sums, run_rounds)
+from .code import (CodeConfig, RoundsOutcome, closed_form_output, moments_from_sums,
+                   output_mixture, pooling_sums, run_rounds)
 from .errors import LAW_GENERAL, ErrorConfig, ErrorLaw, _bounded, _echo
 from .gaussian import db_to_r, fidelity_from_moments, variance_to_db
 from .witness import evaluate_witness
@@ -73,7 +73,13 @@ MEASURED_NOISE_DB = {
     (5, "p", "squeezed", "squeezed"): (6.10, 0.33),
 }
 
+# Rounds per ``run_rounds`` call.  The benchmark's ``perfbench/workloads.py``
+# mirrors it as ``CHUNK``, and ``perfbench/run.py``'s ``check_counts`` requires
+# exactly ceil(trials / 256) ``run_rounds`` calls per configuration, so a
+# change of ``_CHUNK`` alone fails every benchmark run: larger chunks (ROADMAP
+# item 1) wait on the benchmark's count check (item 7).
 _CHUNK = 256
+_GROUP = 4                  # chunks folded at once: 1,024 rounds
 _TRACE_ROWS = 4096          # trace rows turned into text at a time
 
 
@@ -200,24 +206,39 @@ def load_config(path: str | None) -> ExperimentConfig:
 def run_chunked_rounds(code_cfg: CodeConfig, error_cfg: ErrorConfig,
                        seed_seq: np.random.SeedSequence, trials: int, window: int,
                        pool: int | None = None) -> tuple:
-    """Runs trials in fixed-size chunks, each with its own RNG stream, and
-    folds each chunk into the results as soon as it is drawn: the pooled
-    moments of the rounds whose final code is ``pool`` (every round when
-    None; None when no round has it), every round's fidelity against the
-    input of ``code_cfg`` and the matched fraction.  The chunk seeds are
-    spawned up front in chunk order, so the results depend only on the seed
-    and the trial count; the carried ``pooling_sums`` are one batch's."""
+    """Runs trials in chunks of ``_CHUNK`` rounds, each with its own RNG
+    stream, and folds each group of up to ``_GROUP`` chunks into the results
+    as soon as it is drawn: the pooled moments of the rounds whose final code
+    is ``pool`` (every round when None; None when no round has it), every
+    round's fidelity against the input of ``code_cfg`` and the matched
+    fraction.  The chunk seeds are spawned up front in chunk order, so the
+    results depend only on the seed and the trial count; the carried
+    ``pooling_sums`` add in round order and the fidelity is elementwise, so
+    both are one batch's bit for bit however the chunks are grouped."""
     fidelities = np.empty(trials)
     sums, matched = None, 0
-    for start, child in zip(range(0, trials, _CHUNK), seed_seq.spawn(-(-trials // _CHUNK))):
-        size = min(_CHUNK, trials - start)
-        part = run_rounds(code_cfg, error_cfg, np.random.default_rng(child), size, window)
-        fidelities[start:start + size] = fidelity_from_moments(
-            *code_cfg.input_state(), part.corrected_mean, part.corrected_cov)
-        sums = pooling_sums(part, pool, sums)
-        matched += int(np.count_nonzero(part.matched))
-        del part                        # one chunk's outcome at a time
+    children = seed_seq.spawn(-(-trials // _CHUNK))
+    for first in range(0, len(children), _GROUP):
+        start = first * _CHUNK
+        parts = [run_rounds(code_cfg, error_cfg, np.random.default_rng(child),
+                            min(_CHUNK, trials - begin), window)
+                 for begin, child in zip(range(start, trials, _CHUNK),
+                                         children[first:first + _GROUP])]
+        group = parts[0] if len(parts) == 1 else _joined(parts)
+        del parts                       # one group's outcome at a time
+        fidelities[start:start + len(group.final_codes)] = fidelity_from_moments(
+            *code_cfg.input_state(), group.corrected_mean, group.corrected_cov)
+        sums = pooling_sums(group, pool, sums)
+        matched += int(np.count_nonzero(group.matched))
+        del group
     return moments_from_sums(sums, window), fidelities, matched / trials
+
+
+def _joined(parts: list[RoundsOutcome]) -> RoundsOutcome:
+    """One outcome holding the rounds of ``parts`` in order."""
+    return RoundsOutcome(parts[0].window, *(np.concatenate(column) for column in zip(
+        *((p.channels, p.final_codes, p.syndrome, p.corrected_mean, p.corrected_cov)
+          for p in parts))))
 
 
 # --------------------------------------------------------------------------

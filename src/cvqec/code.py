@@ -240,14 +240,21 @@ def _syndrome_rule(f1, f2, f3, f4, in13, in34, out13, out34) -> int:
     return UNCLASSIFIABLE
 
 
+# The weights of the index bits: the flags of D1..D4, then the two in-phase
+# and the two out-of-phase relations.  A bool stack times uint8 weights sums
+# in uint8, and no index exceeds 255.
+_FLAG_BITS = np.array([1, 2, 4, 8], dtype=np.uint8)
+_IN_PHASE_BITS = np.array([16, 32], dtype=np.uint8)
+_OUT_PHASE_BITS = np.array([64, 128], dtype=np.uint8)
+
+
 def _syndrome_index(flags: np.ndarray, cross: np.ndarray) -> np.ndarray:
     """The uint8 syndrome index of (..., 4) fluctuation flags and (..., 2)
     D1-D3 / D3-D4 cross-correlations or relation signs.  Its bits are the
     flags of D1..D4, cc13 > 0, cc34 > 0, cc13 <= 0 and cc34 <= 0: a cross
     term > 0 is in phase, one <= 0 out of phase (so the relation 0, n/a,
     reads as out of phase) and a NaN one sets neither bit."""
-    bits = np.concatenate([flags, cross > 0, cross <= 0], axis=-1)
-    return np.packbits(bits, axis=-1, bitorder="little")[..., 0]
+    return flags @ _FLAG_BITS + (cross > 0) @ _IN_PHASE_BITS + (cross <= 0) @ _OUT_PHASE_BITS
 
 
 # The round code (_syndrome_rule) of every syndrome index.
@@ -449,7 +456,7 @@ def _syndrome(factor: np.ndarray, window: int, thresholds: np.ndarray) -> np.nda
     of rows 0 and 2 and of rows 2 and 3 over the window.  ``_CODE_TABLE``
     holds each index's round code."""
     flags = np.einsum("nij,nij->ni", factor[:, :4], factor[:, :4]) / (window - 1) > thresholds
-    cc = np.einsum("nij,nij->ni", factor[:, [0, 2]], factor[:, 2:4]) / window
+    cc = np.einsum("nij,nij->ni", factor[:, 0:3:2], factor[:, 2:4]) / window
     return _syndrome_index(flags, cc)
 
 
@@ -501,9 +508,11 @@ def _sample_statistics(maps: PipelineMaps, channels: np.ndarray, law: ErrorLaw, 
     n_hit = len(hit)
     err_mean, err_gram = law.window_statistics(rng, n_hit, window)
     factor = maps.readout_factor
-    mean = rng.standard_normal((n, 6)) @ factor.T / math.sqrt(window)
+    # the mean's normals and then the below-diagonal ones, as one draw
+    normals = rng.standard_normal(21 * n)
+    mean = normals[:6 * n].reshape(n, 6) @ factor.T / math.sqrt(window)
     block = np.zeros((n, 48))
-    block[:, _BELOW] = rng.standard_normal((n, 15))
+    block[:, _BELOW] = normals[6 * n:].reshape(n, 15)
     block[:, _DIAGONAL] = np.sqrt(rng.chisquare(window - _DOF_DROP, (n, 6)))
     block[:, _ALONG] = rng.standard_normal((n, 12))
     x = factor @ block.reshape(n, 6, 8)

@@ -175,7 +175,9 @@ class ErrorLaw:
         E[cos^a sin^b] for every a + b < N, and the window mean and Gram are
         of degree at most 2 in each sample's (cos, sin), so every joint moment
         of (mean, K) up to order 127 is ``draw``'s.  The sums are within a few
-        1e-16 * window of float64 cos/sin sums over the same phases."""
+        1e-16 * window of float64 cos/sin sums over the same phases.  ``n``
+        must be an integer of at least 0 and ``window`` one of at least 2."""
+        n, window = _count(n, "n", 0), _count(window, "window", 2)
         mean, gram = np.zeros((n, 2)), np.zeros((n, 2, 2))
         a = self.magnitude
         if a == 0 or n == 0:

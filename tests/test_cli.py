@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvqec import cli
-from cvqec.code import AMBIGUOUS_P, NO_ERROR, pooled_moments, run_rounds, syndrome_trace
+from cvqec.code import (AMBIGUOUS_P, NO_ERROR, moments_from_sums, pooled_moments,
+                        pooling_sums, run_rounds, syndrome_trace)
 from cvqec.errors import MAX_MAGNITUDE
 from cvqec.gaussian import db_to_r, fidelity_from_moments
 from test_code import concatenate_outcomes
@@ -144,6 +145,60 @@ def test_chunked_rounds_are_run_rounds_on_spawned_seeds():
         assert len(fidelities) == 600
         np.testing.assert_array_equal(fidelities, want_fidelities)
         assert accuracy == want.summary.accuracy
+
+
+def _fold_chunk_by_chunk(cfg, seed, trials, window, pool):
+    """The fold of ``run_chunked_rounds``, one 256-round chunk at a time:
+    each chunk's fidelities, its ``pooling_sums`` carried onto the previous
+    chunks' and its matched count."""
+    fidelities, sums, matched = [], None, 0
+    children = np.random.SeedSequence(seed).spawn(-(-trials // 256))
+    for start, child in zip(range(0, trials, 256), children, strict=True):
+        part = run_rounds(cfg.code, cfg.error, np.random.default_rng(child),
+                          min(256, trials - start), window)
+        fidelities.append(fidelity_from_moments(*cfg.code.input_state(), part.corrected_mean,
+                                                part.corrected_cov))
+        sums = pooling_sums(part, pool, sums)
+        matched += int(np.count_nonzero(part.matched))
+    return moments_from_sums(sums, window), np.concatenate(fidelities), matched / trials
+
+
+def test_chunked_rounds_fold_groups_as_chunk_by_chunk():
+    """At 1,100 trials (five chunks: a group of four, then one chunk alone)
+    the grouped fold gives the chunk-by-chunk fold's pooled moments (of every
+    round, of one class and of an absent class), fidelities and matched
+    fraction bit for bit, on a lossy gaussian-p sweep point whose rounds
+    rerun in the rotated basis."""
+    cfg = cli.parse_config({"code": {"channel_loss": 0.9},
+                            "error": {"gamma": 0.5, "law": {"kind": "p", "shape": "gaussian"}}})
+    for pool in (None, 3, AMBIGUOUS_P):
+        got = cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(4), 1100, 30,
+                                     pool)
+        want = _fold_chunk_by_chunk(cfg, 4, 1100, 30, pool)
+        if pool == AMBIGUOUS_P:
+            assert got[0] is None and want[0] is None
+        else:
+            for got_part, want_part in zip(got[0], want[0], strict=True):
+                np.testing.assert_array_equal(got_part, want_part)
+        np.testing.assert_array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("trials", (1, 255, 256, 257, 1024, 1025, 1100, 2049))
+def test_chunked_rounds_run_one_call_per_chunk(monkeypatch, trials):
+    """``run_rounds`` runs exactly ceil(trials / 256) times, on 256 rounds
+    each but the last, however the chunks are grouped for the fold."""
+    sizes = []
+
+    def counted(code_cfg, error_cfg, rng, n_rounds, window):
+        sizes.append(n_rounds)
+        return run_rounds(code_cfg, error_cfg, rng, n_rounds, window)
+
+    monkeypatch.setattr(cli, "run_rounds", counted)
+    cfg = cli.parse_config({})
+    cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(2), trials, 30)
+    assert len(sizes) == math.ceil(trials / 256)
+    assert sizes == [256] * (len(sizes) - 1) + [trials - 256 * (len(sizes) - 1)]
 
 
 def test_chunked_rounds_memory_is_flat_in_trials():

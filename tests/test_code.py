@@ -890,6 +890,32 @@ def test_syndrome_index_tables_match_the_rules():
     assert index.tolist() == [0b0010_1111, 0b0100_1111]
 
 
+_cross_terms = st.one_of(st.sampled_from([math.nan, 0.0, -0.0, 1.0, -1.0]), st.floats())
+
+
+def _index_bits(flags, c13, c34) -> int:
+    """Sum of bit_k 2^k over the documented bits of one syndrome index."""
+    bits = [*flags, c13 > 0, c34 > 0, c13 <= 0, c34 <= 0]
+    return sum(2 ** k for k, bit in enumerate(bits) if bit)
+
+
+@given(rows=st.lists(st.tuples(st.tuples(*[st.booleans()] * 4), _cross_terms, _cross_terms),
+                     min_size=1, max_size=12))
+def test_syndrome_index_is_its_weighted_bits(rows):
+    """On stacked (n, 4) flags and (n, 2) cross terms, and on each 1-D row,
+    ``_syndrome_index`` is the uint8 sum of bit_k 2^k: NaN sets neither
+    relation bit and +-0.0 reads as out of phase."""
+    flags = np.array([r[0] for r in rows], dtype=bool)
+    cross = np.array([r[1:] for r in rows], dtype=float)
+    want = [_index_bits(*r) for r in rows]
+    index = qec._syndrome_index(flags, cross)
+    assert index.dtype == np.uint8 and index.shape == (len(rows),)
+    assert index.tolist() == want
+    for i, w in enumerate(want):
+        one = qec._syndrome_index(flags[i], cross[i])
+        assert one.dtype == np.uint8 and one.ndim == 0 and int(one) == w
+
+
 # --------------------------------------------------------------------------
 # feedforward plans and correction
 

@@ -226,6 +226,41 @@ def test_window_statistics_without_draws_are_float64_zeros(law, n):
     assert not mean.any() and not gram.any()
 
 
+@pytest.mark.parametrize("law", _ALL_LAWS, ids=lambda law: f"{law.kind}-{law.shape}")
+@pytest.mark.parametrize("n,window,match", [
+    (True, 64, "^n must be at least 0 and an integer"),
+    (2.0, 64, "^n must be at least 0 and an integer"),
+    (-1, 64, "^n must be at least 0 and an integer"),
+    (4, False, "^window must be at least 2 and an integer"),
+    (4, 64.0, "^window must be at least 2 and an integer"),
+    (4, math.nan, "^window must be at least 2 and an integer"),
+    (4, -64, "^window must be at least 2 and an integer"),
+    (4, 1, "^window must be at least 2 and an integer"),
+])
+def test_window_statistics_rejects_bad_counts(law, n, window, match):
+    """``n`` is an integer of at least 0 and ``window`` one of at least 2 (a
+    Gaussian law's sum of squares has window - 1 degrees of freedom); a bool,
+    a float, even a whole one, or a value below the floor is a ValueError
+    naming the argument."""
+    with pytest.raises(ValueError, match=match):
+        law.window_statistics(np.random.default_rng(0), n, window)
+
+
+@pytest.mark.parametrize("law", _ALL_LAWS, ids=lambda law: f"{law.kind}-{law.shape}")
+def test_window_statistics_take_numpy_integers(law):
+    """A ``np.uint16`` window of 512 and a ``np.int64`` n of 3 give the
+    results of the ints 512 and 3 bit for bit, leaving the generator in the
+    same state; a uint16 window used to overflow in the general law's byte
+    count."""
+    for n, window in ((3, np.uint16(512)), (np.int64(3), 512)):
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        got = law.window_statistics(rng, n, window)
+        want = law.window_statistics(ref, 3, 512)
+        for got_part, want_part in zip(got, want, strict=True):
+            np.testing.assert_array_equal(got_part, want_part)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_mixture_gamma_zero_single_component():
     mean, cov = output_mixture(CodeConfig(r=R35), ErrorConfig(0.0, 3, ErrorLaw("x", 2.0)))
     assert np.allclose(mean, 0.0)
