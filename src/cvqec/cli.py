@@ -73,11 +73,14 @@ MEASURED_NOISE_DB = {
     (5, "p", "squeezed", "squeezed"): (6.10, 0.33),
 }
 
-# Rounds per ``run_rounds`` call.  The benchmark's ``perfbench/workloads.py``
-# mirrors it as ``CHUNK``, and ``perfbench/run.py``'s ``check_counts`` requires
-# exactly ceil(trials / 256) ``run_rounds`` calls per configuration, so a
-# change of ``_CHUNK`` alone fails every benchmark run: larger chunks (ROADMAP
-# item 1) wait on the benchmark's count check (item 7).
+# Rounds per ``run_rounds`` call.  Each call also pays a cost that barely
+# grows with its rounds, about 150 us outside its draws at 8 rounds of the
+# sweep's shape on a 2-vCPU x86-64 host, which larger chunks would pay less
+# often.  The benchmark's ``perfbench/workloads.py`` mirrors it as ``CHUNK``,
+# and ``perfbench/run.py``'s ``check_counts`` requires exactly
+# ceil(trials / 256) ``run_rounds`` calls per configuration, so a change of
+# ``_CHUNK`` alone fails every benchmark run: larger chunks (ROADMAP item 1)
+# wait on the benchmark's count check (item 7).
 _CHUNK = 256
 _GROUP = 4                  # chunks folded at once: 1,024 rounds
 _TRACE_ROWS = 4096          # trace rows turned into text at a time
@@ -316,10 +319,12 @@ def run_table2(cfg: ExperimentConfig, out_dir: Path) -> dict:
                 error = replace(cfg.error, gamma=1.0, channel=channel)
                 pooled, fidelities, _ = run_chunked_rounds(
                     variant, error, root.spawn(1)[0], cfg.trials, cfg.window, channel)
-                mc = (float("nan") if pooled is None
-                      else fidelity_from_moments(*variant.input_state(), *pooled))
+                # a row that pooled no round has no estimate, and so no error bar
+                mc, stderr = ((math.nan, math.nan) if pooled is None else
+                              (fidelity_from_moments(*variant.input_state(), *pooled),
+                               _stderr(fidelities)))
                 rows.append([channel, input_kind, ancilla,
-                             repr(theory), repr(mc), repr(_stderr(fidelities)),
+                             repr(theory), repr(mc), repr(stderr),
                              MEASURED_FIDELITY[(input_kind, ancilla)][channel],
                              "measured"])
     return _write_table(out_dir, "table2", header, rows, experiment="table2",

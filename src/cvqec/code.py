@@ -27,7 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import MAX_MAGNITUDE, ErrorConfig, ErrorLaw, _bounded, _channel, _count, _echo
+from .errors import (LAW_GENERAL, LAW_X, MAX_MAGNITUDE, ErrorConfig, ErrorLaw, _bounded,
+                     _channel, _count, _echo)
 from .exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol, SQRT2,
                     TAG_ANTISQUEEZED, TAG_NONE, TAG_SQUEEZED, mode_forms_apply_matrix,
                     sqrt_of)
@@ -241,20 +242,24 @@ def _syndrome_rule(f1, f2, f3, f4, in13, in34, out13, out34) -> int:
 
 
 # The weights of the index bits: the flags of D1..D4, then the two in-phase
-# and the two out-of-phase relations.  A bool stack times uint8 weights sums
-# in uint8, and no index exceeds 255.
-_FLAG_BITS = np.array([1, 2, 4, 8], dtype=np.uint8)
-_IN_PHASE_BITS = np.array([16, 32], dtype=np.uint8)
-_OUT_PHASE_BITS = np.array([64, 128], dtype=np.uint8)
+# and the two out-of-phase relations.  Bits times uint8 weights sum in uint8,
+# and no index exceeds 255.
+_INDEX_BITS = np.array([1, 2, 4, 8, 16, 32, 64, 128], dtype=np.uint8)
 
 
 def _syndrome_index(flags: np.ndarray, cross: np.ndarray) -> np.ndarray:
-    """The uint8 syndrome index of (..., 4) fluctuation flags and (..., 2)
-    D1-D3 / D3-D4 cross-correlations or relation signs.  Its bits are the
-    flags of D1..D4, cc13 > 0, cc34 > 0, cc13 <= 0 and cc34 <= 0: a cross
-    term > 0 is in phase, one <= 0 out of phase (so the relation 0, n/a,
-    reads as out of phase) and a NaN one sets neither bit."""
-    return flags @ _FLAG_BITS + (cross > 0) @ _IN_PHASE_BITS + (cross <= 0) @ _OUT_PHASE_BITS
+    """The uint8 syndrome index of (n, 4) fluctuation flags and (n, 2) D1-D3 /
+    D3-D4 cross-correlations or relation signs, or of one round's (4,) and
+    (2,).  Its bits are the flags of D1..D4, cc13 > 0, cc34 > 0, cc13 <= 0
+    and cc34 <= 0: a cross term > 0 is in phase, one <= 0 out of phase (so
+    the relation 0, n/a, reads as out of phase) and a NaN one sets neither
+    bit.  The eight bits are written bit-major, one contiguous row each, and
+    weighed by one matmul, so the cost barely grows with the batch."""
+    bits = np.empty((8,) + np.shape(cross)[:-1], dtype=bool)
+    bits[:4] = flags.T
+    np.greater(cross.T, 0.0, out=bits[4:6])
+    np.less_equal(cross.T, 0.0, out=bits[6:])
+    return _INDEX_BITS @ bits.view(np.uint8)
 
 
 # The round code (_syndrome_rule) of every syndrome index.
@@ -450,22 +455,28 @@ def output_mixture(cfg: CodeConfig, error_cfg: ErrorConfig) -> tuple[np.ndarray,
 
 def _syndrome(factor: np.ndarray, window: int, thresholds: np.ndarray) -> np.ndarray:
     """The ``_syndrome_index`` of one pass, from every round's centred readout
-    factor X (n, m, k), whose first four rows are D1..D4 and whose scatter is
-    X X^T: a flag is a squared row norm of D1..D4 over window - 1 above its
-    threshold, and the D1-D3 / D3-D4 cross-correlations are the dot products
-    of rows 0 and 2 and of rows 2 and 3 over the window.  ``_CODE_TABLE``
-    holds each index's round code."""
-    flags = np.einsum("nij,nij->ni", factor[:, :4], factor[:, :4]) / (window - 1) > thresholds
-    cc = np.einsum("nij,nij->ni", factor[:, 0:3:2], factor[:, 2:4]) / window
-    return _syndrome_index(flags, cc)
+    factor X, detector-major (m, n, k): row i of round r is ``factor[i, r]``,
+    the first four rows are D1..D4 and a round's scatter is X X^T.  A flag is
+    a squared row norm of D1..D4 over window - 1 above its threshold, and the
+    D1-D3 / D3-D4 cross-correlations are the dot products of rows 0 and 2
+    and of rows 2 and 3 over the window.  ``_CODE_TABLE`` holds each index's
+    round code."""
+    rows = factor[:4]
+    flags = np.einsum("inj,inj->in", rows, rows) / (window - 1) > thresholds[:, None]
+    cc = np.einsum("inj,inj->in", factor[0:3:2], factor[2:4]) / window
+    return _syndrome_index(flags.T, cc.T)
 
 
-# Flat positions in a round's (6, 8) factor block [A | Z^T] of the Bartlett
-# factor's 15 below-diagonal entries, its 6 diagonal ones and the 12 entries
-# of the (2, 6) along-normals Z, each in the order they are drawn.
-_BELOW = np.ravel_multi_index(np.tril_indices(6, -1), (6, 8))
-_DIAGONAL = np.ravel_multi_index((range(6), range(6)), (6, 8))
-_ALONG = (np.arange(2)[:, None] + np.arange(6, 48, 8)).ravel()
+# The rows and columns in a round's (6, 9) statistics block [A | Z^T | z] of
+# the Bartlett factor's 15 below-diagonal entries, its 6 diagonal ones and the
+# 12 entries of the (2, 6) along-normals Z, each in the order they are drawn.
+_BELOW = np.tril_indices(6, -1)
+_DIAGONAL = (np.arange(6), np.arange(6))
+_ALONG = (np.tile(np.arange(6), 2), np.repeat([6, 7], 6))
+# The rows and columns of a round's error terms [C R | C d], its block's last
+# three columns, in row-major order.
+_TERM_ROWS = np.repeat(np.arange(6), 3)
+_TERM_COLUMNS = np.tile(np.arange(6, 9), 6)
 # The Bartlett factor's diagonal degrees of freedom are window - 3 - i.
 _DOF_DROP = 3 + np.arange(6)
 _EYE2 = np.eye(2)
@@ -484,13 +495,14 @@ def _gram_root(gram: np.ndarray) -> np.ndarray:
 
 
 def _sample_statistics(maps: PipelineMaps, channels: np.ndarray, law: ErrorLaw, window: int,
-                       rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Every round's readout mean (n, 6) and centred factor X (n, 6, 8), whose
-    scatter is X X^T, drawn from their joint law without forming a series;
-    exact given the error law's ``window_statistics``, whose general-law
-    phases lie on a 256-point grid and match ``draw``'s in every moment up to
-    order 127.  ``channels`` holds each round's hit channel, 0 for a round
-    without error.
+                       rng: np.random.Generator) -> np.ndarray:
+    """Every round's centred readout factor X (6, 8), whose scatter is X X^T,
+    with its readout mean m (6,) as a ninth column, drawn from the joint law
+    of X and m without forming a series: the statistics block [X | m] of the
+    n rounds, detector-major (6, n, 9).  Exact given the error law's
+    ``window_statistics``, whose general-law phases lie on a 256-point grid
+    and match ``draw``'s in every moment up to order 127.  ``channels`` holds
+    each round's hit channel, 0 for a round without error.
 
     With readout covariance S = F F^T, error coefficients C (6x2) and error
     series D (window x 2) of mean d and centred Gram K: the mean is
@@ -502,27 +514,56 @@ def _sample_statistics(maps: PipelineMaps, channels: np.ndarray, law: ErrorLaw, 
     R = ``_gram_root``(K).  Any R with R^T R = K gives the same law: two
     roots differ by a rotation that depends on K alone, which leaves the iid
     rows of Z F^T in law as they are.  Without error R = 0, which gives
-    Wishart(S, window - 1)."""
+    Wishart(S, window - 1).
+
+    The draws fill one detector-major block [A | Z^T | z], so a single
+    product with F forms every round's X and F z; a hit round's error terms
+    C R and C d are then added to its last three columns at once."""
     n = len(channels)
     hit = channels.nonzero()[0]
     n_hit = len(hit)
     err_mean, err_gram = law.window_statistics(rng, n_hit, window)
-    factor = maps.readout_factor
     # the mean's normals and then the below-diagonal ones, as one draw
     normals = rng.standard_normal(21 * n)
-    mean = normals[:6 * n].reshape(n, 6) @ factor.T / math.sqrt(window)
-    block = np.zeros((n, 48))
-    block[:, _BELOW] = normals[6 * n:].reshape(n, 15)
-    block[:, _DIAGONAL] = np.sqrt(rng.chisquare(window - _DOF_DROP, (n, 6)))
-    block[:, _ALONG] = rng.standard_normal((n, 12))
-    x = factor @ block.reshape(n, 6, 8)
+    block = np.zeros((6, n, 9))
+    block[:, :, 8] = normals[:6 * n].reshape(n, 6).T
+    block[_BELOW[0], :, _BELOW[1]] = normals[6 * n:].reshape(n, 15).T
+    block[_DIAGONAL[0], :, _DIAGONAL[1]] = np.sqrt(rng.chisquare(window - _DOF_DROP, (n, 6))).T
+    block[_ALONG[0], :, _ALONG[1]] = rng.standard_normal((n, 12)).T
+    stats = (maps.readout_factor @ block.reshape(6, 9 * n)).reshape(6, n, 9)
+    stats[:, :, 8] /= math.sqrt(window)
     if n_hit:
-        if n_hit == n:              # every round hit: views, not gathered copies
-            hit = slice(None)
-        coeff = maps.err_columns[channels[hit] - 1]
-        mean[hit] += (coeff @ err_mean[:, :, None])[:, :, 0]
-        x[hit, :, 6:] += coeff @ _gram_root(err_gram)
-    return mean, x
+        terms = _error_terms(maps.err_columns.take(channels[hit] - 1, axis=0), law,
+                             err_mean, err_gram)
+        # the flat positions of the hit rounds' last three columns
+        at = np.add.outer(9 * hit, 9 * n * _TERM_ROWS + _TERM_COLUMNS)
+        stats.reshape(-1)[at] += terms.reshape(n_hit, 18)
+    return stats
+
+
+def _error_terms(coeff: np.ndarray, law: ErrorLaw, mean: np.ndarray,
+                 gram: np.ndarray) -> np.ndarray:
+    """Each hit round's error terms [C R | C d] (n, 6, 3), from its error
+    coefficients C (n, 6, 2) and its window's mean d and centred Gram K.
+    The general law's are matmuls, with R = ``_gram_root``(K).  A
+    single-quadrature law's d and K are zero but in its quadrature q, where K
+    holds g: there ``_gram_root`` is g / sqrt(g), 0 where g <= 0, and each
+    matmul has one nonzero product, so its terms are those exact products
+    formed elementwise; the column of the quadrature it leaves still gets
+    0.0, as the matmuls gave it."""
+    terms = np.zeros((len(coeff), 6, 3))
+    if law.kind == LAW_GENERAL:
+        np.matmul(coeff, _gram_root(gram), out=terms[:, :, :2])
+        np.matmul(coeff, mean[:, :, None], out=terms[:, :, 2:])
+        return terms
+    q = 0 if law.kind == LAW_X else 1
+    g = gram[:, q, q]
+    t = np.sqrt(np.maximum(g, 0.0))
+    root = np.divide(g, t, out=np.zeros_like(g), where=t > 0.0)
+    c = coeff[:, :, q]
+    np.multiply(c, root[:, None], out=terms[:, :, q])
+    np.multiply(c, mean[:, q, None], out=terms[:, :, 2])
+    return terms
 
 
 # The rows of a round's pooling terms: its corrected mean (x, p), variances
@@ -628,26 +669,41 @@ class RoundsOutcome:
         return summarize_reports(self)
 
 
+def _corrected_pass(cfg: CodeConfig, fourier: bool, channels: np.ndarray, law: ErrorLaw,
+                    window: int, rng: np.random.Generator) -> tuple:
+    """One pass of rounds in one measurement basis: every round's syndrome
+    index, its round code and its output corrected by that code's plan P,
+    (n, 2, k + 1).  P applied to the statistics block [X | m] gives the
+    corrected factor P X and, as a last column, the corrected mean P m."""
+    maps = _maps(cfg, fourier)
+    stats = _sample_statistics(maps, channels, law, window, rng)
+    index = _syndrome(stats[:, :, :-1], window, maps.thresholds)
+    codes = _CODE_TABLE.take(index)
+    return index, codes, PLAN_TABLE[int(fourier)].take(codes, axis=0) @ stats.transpose(1, 0, 2)
+
+
 def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator,
                n_rounds: int, window: int = 512) -> RoundsOutcome:
     """Batched correction rounds.
 
     Every round draws its error, measures the syndrome window, is classified
     and has its output repaired by feedforward.  Each pass yields every
-    round's readout mean and centred (6, 8) factor X, and classification
-    (``_syndrome``), feedforward and corrected moments are array operations
-    on those statistics.  The statistics are drawn directly from
-    their joint law (X X^T is a Wishart scatter; see ``_sample_statistics``),
-    at a cost that does not grow with the window beyond the error law's own
-    draws; no sample series is formed (the tests hold the series route they
-    equal in law).  The feedforward is ``PLAN_TABLE``; rounds carry no
-    closed-form theory.  With a round's plan P, the corrected covariance is
-    (P X)(P X)^T / (window - 1): P maps the error's columns of X to zero
-    before any product, so the error's a^2 * window scatter is never formed
-    and never has to cancel.
+    round's centred (6, 8) readout factor X and readout mean m as one
+    statistics block, and classification (``_syndrome``), feedforward and
+    corrected moments are array operations on it.  The statistics are drawn
+    directly from their joint law (X X^T is a Wishart scatter; see
+    ``_sample_statistics``), at a cost that does not grow with the window
+    beyond the error law's own draws; no sample series is formed (the tests
+    hold the series route they equal in law).  The feedforward is
+    ``PLAN_TABLE``; rounds carry no closed-form theory.  With a round's plan
+    P, the corrected covariance is (P X)(P X)^T / (window - 1): P maps the
+    error's columns of X to zero before any product, so the error's
+    a^2 * window scatter is never formed and never has to cancel.
     Ambiguous rounds are rerun with rotated ancillas; a resolved rerun reports
-    the second pass, an unresolved one the first.  All rounds draw from one
-    generator in a fixed order, so a fixed seed gives identical results.
+    the second pass, an unresolved one the first, whose plan for
+    ``AMBIGUOUS_P`` is that of ``UNCLASSIFIABLE``: none.  All rounds draw
+    from one generator in a fixed order, so a fixed seed gives identical
+    results.
     """
     n_rounds = _count(n_rounds, "n_rounds", 1)
     window = _count(window, "syndrome window", MIN_SYNDROME_WINDOW)
@@ -659,33 +715,21 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
         channels = np.full(n_rounds, int(error_cfg.channel))
     channels = np.where(occurred, channels, 0)
 
-    maps = _maps(cfg, cfg.fourier_mode)
-    # pass 1's statistics are this call's own, so a rerun overwrites them
-    mean, x = _sample_statistics(maps, channels, law, window, rng)
-    index = _syndrome(x, window, maps.thresholds)
-    final = _CODE_TABLE[index]
+    index, final, corrected = _corrected_pass(cfg, cfg.fourier_mode, channels, law, window, rng)
     rerun = (final == AMBIGUOUS_P).nonzero()[0]
     if len(rerun):
-        rotated = _maps(cfg, not cfg.fourier_mode)
-        mean2, x2 = _sample_statistics(rotated, channels[rerun], law, window, rng)
-        second = _CODE_TABLE[_syndrome(x2, window, rotated.thresholds)]
+        _, second, rotated = _corrected_pass(cfg, not cfg.fourier_mode, channels[rerun], law,
+                                             window, rng)
         second[second == AMBIGUOUS_P] = UNCLASSIFIABLE
         final[rerun] = second
-        resolved = second != UNCLASSIFIABLE
-        used = rerun[resolved]
-        mean[used], x[used] = mean2[resolved], x2[resolved]
-
-    basis = int(cfg.fourier_mode)
-    comb = PLAN_TABLE[basis][final]                               # (n, 2, 6)
-    if len(rerun):                  # a resolved rerun is corrected in the other basis
-        comb[used] = PLAN_TABLE[1 - basis][final[used]]
-    corrected_mean = (comb @ mean[:, :, None])[:, :, 0]
-    corrected = comb @ x                                          # (n, 2, k)
+        resolved = (second != UNCLASSIFIABLE).nonzero()[0]
+        corrected[rerun.take(resolved)] = rotated.take(resolved, axis=0)
+    factor = corrected[:, :, :-1]                                 # (n, 2, k)
     # A contiguous transpose keeps the stacked product on numpy's BLAS path;
     # a strided one falls back to a slower loop.
-    cov = corrected @ corrected.transpose(0, 2, 1).copy() / (window - 1)
+    cov = factor @ factor.transpose(0, 2, 1).copy() / (window - 1)
     return RoundsOutcome(window=window, channels=channels, final_codes=final, syndrome=index,
-                         corrected_mean=corrected_mean, corrected_cov=cov)
+                         corrected_mean=corrected[:, :, -1].copy(), corrected_cov=cov)
 
 
 # Turns of the error phase over one ``syndrome_trace`` window.
@@ -717,5 +761,5 @@ def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,
         del phase                       # not held beside the error's two (window, 4) terms
         c = maps.err_columns[channel - 1, :4]
         trace += dx[:, None] * c[:, 0] + dp[:, None] * c[:, 1]
-    index = _syndrome((trace - trace.mean(axis=0)).T[None], window, maps.thresholds)
+    index = _syndrome((trace - trace.mean(axis=0)).T[:, None], window, maps.thresholds)
     return trace, int(_CODE_TABLE[index[0]])

@@ -60,6 +60,8 @@ def _bounded(value, what: str, high: float) -> float:
 def _count(value, what: str, low: int) -> int:
     """An integer of at least ``low`` as an int; NaN, a bool, a float, even
     a whole one, or any other value is a ValueError naming ``what``."""
+    if type(value) is int and value >= low:
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValueError(f"{what} must be at least {low} and an integer, not {_echo(value)}")
     return int(value)

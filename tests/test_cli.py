@@ -367,6 +367,27 @@ def test_spectra_without_rounds_of_the_hit_channel(tmp_path, capsys, experiment,
     assert all(np.isfinite(float(row[theory_column])) for row in rows)
 
 
+def test_table2_stderr_is_nan_beside_a_nan_estimate(tmp_path, capsys):
+    """Under total loss some table2 rows pool no round of the hit channel
+    (channel 1 with a vacuum input and coherent ancillas among them): such a
+    row writes ``fidelity_mc_stderr`` as nan beside its nan ``fidelity_mc``,
+    and every row with an estimate writes a finite error bar."""
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(_TOTAL_LOSS))
+    assert run_cli(["run", "table2", "--config", config, "--out", tmp_path / "out"]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "out" / "table2.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    pooled_none = [row for row in rows if row["fidelity_mc"] == "nan"]
+    assert pooled_none
+    assert ("1", "vacuum", "coherent") in {(r["channel"], r["input"], r["ancilla"])
+                                           for r in pooled_none}
+    for row in rows:
+        stderr = float(row["fidelity_mc_stderr"])
+        assert math.isnan(stderr) == (row["fidelity_mc"] == "nan"), row
+        assert math.isnan(stderr) or stderr >= 0.0
+
+
 def test_mc_sweep_r_is_monotone(tmp_path):
     cfg = cli.parse_config({
         "trials": 6, "window": 64, "seed": 2,
@@ -670,8 +691,10 @@ def _cli_docs(draw):
     return doc
 
 
-# The Monte-Carlo columns the README allows to read nan.
+# The Monte-Carlo columns the README allows to read nan, and the error bar
+# that reads nan beside a nan estimate.
 _NAN_COLUMNS = {"fidelity_mc", "after_db_mc"}
+_NAN_BESIDE = {"fidelity_mc_stderr": "fidelity_mc"}
 
 
 @given(experiment=st.sampled_from(cli.EXPERIMENTS), doc=_cli_docs())
@@ -700,10 +723,13 @@ def test_cli_ends_in_a_usage_error_or_finite_tables(experiment, doc):
         for path in tables:
             header, *rows = _read_csv(path)
             for row in rows:
-                for key, cell in zip(header, row):
+                cells = dict(zip(header, row))
+                for key, cell in cells.items():
                     try:
                         value = float(cell)
                     except ValueError:
                         continue                    # a label, a flag or no measured value
-                    assert math.isfinite(value) or key in _NAN_COLUMNS and math.isnan(value), \
+                    allowed = (key in _NAN_COLUMNS
+                               or key in _NAN_BESIDE and cells[_NAN_BESIDE[key]] == "nan")
+                    assert math.isfinite(value) or allowed and math.isnan(value), \
                         (path.name, key, row)

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvqec import code as qec
+from cvqec import errors as qec_errors
 from cvqec.code import (AMBIGUOUS_P, CODE_NAMES, DETECTOR_POS, DETECTORS, NO_ERROR, OUT_POS,
                         PLANS, UNCLASSIFIABLE, CodeConfig, closed_form_output,
                         decode, encode, inject_error, measured_quad, run_rounds,
@@ -60,6 +61,12 @@ def _reduce_series(series):
     return mean, (series - mean[:, None, :]).transpose(0, 2, 1)
 
 
+def _statistics_block(mean, factor):
+    """The round engine's detector-major statistics block: each round's
+    factor with its mean as a last column, (6, n, k + 1)."""
+    return np.concatenate([factor, mean[:, :, None]], axis=2).transpose(1, 0, 2)
+
+
 def _sample_series(maps, channels, law, window, rng):
     """(n, window, 6) readout series: the noise plus each hit round's error
     series drawn from the law's ``draw``.  Reduced by ``_reduce_series``, it
@@ -73,9 +80,9 @@ def _sample_series(maps, channels, law, window, rng):
 
 
 def _series_statistics(maps, channels, law, window, rng):
-    """The round statistics reduced from sampled readout series: the series
-    route that ``_sample_statistics`` equals in law."""
-    return _reduce_series(_sample_series(maps, channels, law, window, rng))
+    """The round statistics block reduced from sampled readout series: the
+    series route that ``_sample_statistics`` equals in law."""
+    return _statistics_block(*_reduce_series(_sample_series(maps, channels, law, window, rng)))
 
 
 @pytest.fixture
@@ -87,7 +94,7 @@ def series_sampler(monkeypatch):
     def sample(maps, channels, law, window, rng):
         series = _sample_series(maps, channels, law, window, rng)
         passes.append(series)
-        return _reduce_series(series)
+        return _statistics_block(*_reduce_series(series))
 
     monkeypatch.setattr(qec, "_sample_statistics", sample)
     return passes
@@ -1181,6 +1188,152 @@ def test_run_rounds_deterministic_for_fixed_seed():
     _assert_same_columns(a, b)
 
 
+# A reference round pass in round-major arrays: separate readout means and
+# factors, matmuls for every law's error terms, plans gathered round by round
+# and a syndrome index of three matmuls.  ``run_rounds`` must equal it bit for
+# bit, generator state too.
+_REF_BELOW = np.ravel_multi_index(np.tril_indices(6, -1), (6, 8))
+_REF_DIAGONAL = np.ravel_multi_index((range(6), range(6)), (6, 8))
+_REF_ALONG = (np.arange(2)[:, None] + np.arange(6, 48, 8)).ravel()
+_REF_FLAG_BITS = np.array([1, 2, 4, 8], dtype=np.uint8)
+_REF_IN_PHASE_BITS = np.array([16, 32], dtype=np.uint8)
+_REF_OUT_PHASE_BITS = np.array([64, 128], dtype=np.uint8)
+
+
+def _reference_syndrome(factor, window, thresholds):
+    flags = np.einsum("nij,nij->ni", factor[:, :4], factor[:, :4]) / (window - 1) > thresholds
+    cc = np.einsum("nij,nij->ni", factor[:, 0:3:2], factor[:, 2:4]) / window
+    return (flags @ _REF_FLAG_BITS + (cc > 0) @ _REF_IN_PHASE_BITS
+            + (cc <= 0) @ _REF_OUT_PHASE_BITS)
+
+
+def _reference_window_statistics(law, rng, n, window):
+    mean, gram = np.zeros((n, 2)), np.zeros((n, 2, 2))
+    a = law.magnitude
+    if a == 0 or n == 0:
+        return mean, gram
+    if law.kind == "general":
+        cx, sx, cc, cs = qec_errors._phase_sums(rng, n, window).T
+        mean[:, 0], mean[:, 1] = cx * (a / window), sx * (a / window)
+        gram[:, 0, 0], gram[:, 0, 1], gram[:, 1, 1] = cc, cs, window - cc
+        gram *= a * a
+        gram -= window * mean[:, :, None] * mean[:, None, :]
+        gram[:, 1, 0] = gram[:, 0, 1]
+        return mean, gram
+    col = 0 if law.kind == "x" else 1
+    if law.shape == "fixed":
+        total = a * (2.0 * rng.binomial(window, 0.5, n) - window)
+        mean[:, col] = total / window
+        gram[:, col, col] = window * a * a - total * total / window
+    else:
+        mean[:, col] = rng.normal(0.0, a / math.sqrt(window), n)
+        gram[:, col, col] = a * a * rng.chisquare(window - 1, n)
+    return mean, gram
+
+
+def _reference_gram_root(gram):
+    k00, k11 = gram[:, 0, 0], gram[:, 1, 1]
+    s = np.sqrt(np.maximum(k00 * k11 - gram[:, 0, 1] * gram[:, 1, 0], 0.0))
+    t = np.sqrt(np.maximum(k00 + k11 + 2.0 * s, 0.0))[:, None, None]
+    root = gram + s[:, None, None] * np.eye(2)
+    return np.divide(root, t, out=np.zeros_like(root), where=t > 0.0)
+
+
+def _reference_statistics(maps, channels, law, window, rng):
+    n = len(channels)
+    hit = channels.nonzero()[0]
+    n_hit = len(hit)
+    err_mean, err_gram = _reference_window_statistics(law, rng, n_hit, window)
+    factor = maps.readout_factor
+    normals = rng.standard_normal(21 * n)
+    mean = normals[:6 * n].reshape(n, 6) @ factor.T / math.sqrt(window)
+    block = np.zeros((n, 48))
+    block[:, _REF_BELOW] = normals[6 * n:].reshape(n, 15)
+    block[:, _REF_DIAGONAL] = np.sqrt(rng.chisquare(window - 3 - np.arange(6), (n, 6)))
+    block[:, _REF_ALONG] = rng.standard_normal((n, 12))
+    x = factor @ block.reshape(n, 6, 8)
+    if n_hit:
+        if n_hit == n:
+            hit = slice(None)
+        coeff = maps.err_columns[channels[hit] - 1]
+        mean[hit] += (coeff @ err_mean[:, :, None])[:, :, 0]
+        x[hit, :, 6:] += coeff @ _reference_gram_root(err_gram)
+    return mean, x
+
+
+def _reference_run_rounds(cfg, error_cfg, rng, n_rounds, window):
+    occurred = rng.random(n_rounds) < error_cfg.gamma
+    if error_cfg.channel == "uniform":
+        channels = rng.integers(1, 6, n_rounds)
+    else:
+        channels = np.full(n_rounds, int(error_cfg.channel))
+    channels = np.where(occurred, channels, 0)
+    maps = qec._maps(cfg, cfg.fourier_mode)
+    mean, x = _reference_statistics(maps, channels, error_cfg.law, window, rng)
+    index = _reference_syndrome(x, window, maps.thresholds)
+    final = qec._CODE_TABLE[index]
+    rerun = (final == AMBIGUOUS_P).nonzero()[0]
+    if len(rerun):
+        rotated = qec._maps(cfg, not cfg.fourier_mode)
+        mean2, x2 = _reference_statistics(rotated, channels[rerun], error_cfg.law, window, rng)
+        second = qec._CODE_TABLE[_reference_syndrome(x2, window, rotated.thresholds)]
+        second[second == AMBIGUOUS_P] = UNCLASSIFIABLE
+        final[rerun] = second
+        resolved = second != UNCLASSIFIABLE
+        used = rerun[resolved]
+        mean[used], x[used] = mean2[resolved], x2[resolved]
+    basis = int(cfg.fourier_mode)
+    comb = qec.PLAN_TABLE[basis][final]
+    if len(rerun):
+        comb[used] = qec.PLAN_TABLE[1 - basis][final[used]]
+    corrected_mean = (comb @ mean[:, :, None])[:, :, 0]
+    corrected = comb @ x
+    cov = corrected @ corrected.transpose(0, 2, 1).copy() / (window - 1)
+    return qec.RoundsOutcome(window=window, channels=channels, final_codes=final,
+                             syndrome=index, corrected_mean=corrected_mean, corrected_cov=cov)
+
+
+_PASS_CONFIGS = {
+    "lossless": CodeConfig(r=R35),
+    "per-channel-loss": CodeConfig(r=R35, channel_loss=(1.0, 0.9, 0.8, 0.95, 0.7)),
+    "fourier": CodeConfig(r=R35, fourier_mode=True),
+    "fourier-loss": CodeConfig(r=R35, fourier_mode=True, channel_loss=(0.7, 1.0, 0.9, 0.8, 0.95)),
+    "squeezed-input": CodeConfig(r=R35, input_kind="squeezed"),
+}
+_PASS_LAWS = {"general": ErrorLaw("general", 2.0), "x-fixed": ErrorLaw("x", 1.5),
+              "p-gaussian": ErrorLaw("p", 1.5, "gaussian")}
+
+
+@pytest.mark.parametrize("law", sorted(_PASS_LAWS))
+@pytest.mark.parametrize("cfg", sorted(_PASS_CONFIGS))
+def test_run_rounds_is_the_reference_pass_bit_for_bit(cfg, law):
+    """``run_rounds`` equals the reference pass on every ``RoundsOutcome``
+    column, dtype included, and leaves the generator in the same state, at
+    gamma 0, 0.5 and 1, under the uniform policy and a fixed channel, at
+    windows 30, 64 and 512 and at 1, 8 and 256 rounds.  Some rounds run the
+    rotated rerun wherever the law displaces only the quadrature that the
+    basis reads at D2 alone."""
+    code_cfg = _PASS_CONFIGS[cfg]
+    reruns = []
+    for gamma in (0.0, 0.5, 1.0):
+        for channel in ("uniform", 4):
+            error_cfg = ErrorConfig(gamma, channel, _PASS_LAWS[law])
+            for window in (qec.MIN_SYNDROME_WINDOW, 64, 512):
+                for n_rounds in (1, 8, 256):
+                    seed = (n_rounds, window, int(10 * gamma), channel == "uniform")
+                    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = run_rounds(code_cfg, error_cfg, got_rng, n_rounds, window)
+                    want = _reference_run_rounds(code_cfg, error_cfg, want_rng, n_rounds, window)
+                    for f in dataclasses.fields(want):
+                        a, b = getattr(got, f.name), getattr(want, f.name)
+                        assert np.array_equal(a, b), (f.name, gamma, channel, window, n_rounds)
+                        assert np.asarray(a).dtype == np.asarray(b).dtype, f.name
+                    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+                    reruns.append(got.fourier_used.any())
+    blind = law != "general" and (law == "p-gaussian") != code_cfg.fourier_mode
+    assert any(reruns) == blind and not all(reruns)
+
+
 # Seed 0, 16 rounds of window 64 on the series route: (channels, first codes,
 # final codes, reruns, sha256 of the corrected (x, p) means' float64 bytes).
 # Equal values show the RNG stream is unchanged.
@@ -1271,11 +1424,13 @@ def _pass_statistics(maps, channels, law, window, seed, sample):
     upper_row, upper_col = np.triu_indices(6)
     columns, flags = [], []
     for chunk in np.split(channels, len(channels) // 1000):
-        mean, factor = sample(maps, chunk, law, window, rng)
+        block = sample(maps, chunk, law, window, rng).transpose(1, 0, 2)
+        mean, factor = block[:, :, -1], block[:, :, :-1]
         scatter = factor @ factor.transpose(0, 2, 1)
         columns.append(np.column_stack([mean, scatter[:, upper_row, upper_col],
                                         scatter[:, [0, 2], [2, 3]] / window]))
-        flags.append(_syndrome_bits(qec._syndrome(factor, window, maps.thresholds))[:, :4])
+        flags.append(_syndrome_bits(qec._syndrome(factor.transpose(1, 0, 2), window,
+                                                  maps.thresholds))[:, :4])
     return np.concatenate(columns), np.concatenate(flags)
 
 
@@ -1379,7 +1534,7 @@ def test_syndrome_equals_the_scatter_rule(k):
     scatter = factor @ factor.transpose(0, 2, 1)
     want_flags = scatter.diagonal(0, 1, 2)[:, :4] / (window - 1) > thresholds
     want_index = qec._syndrome_index(want_flags, scatter[:, [0, 2], [2, 3]] / window)
-    index = qec._syndrome(factor, window, thresholds)
+    index = qec._syndrome(factor.transpose(1, 0, 2), window, thresholds)
     np.testing.assert_array_equal(_syndrome_bits(index)[:, :4], want_flags)
     np.testing.assert_array_equal(index, want_index)
     assert len(np.unique(want_index)) == 64       # every flag pattern and sign pair
@@ -1417,6 +1572,40 @@ def test_closed_form_gram_root(grams):
     error = np.abs(root.transpose(0, 2, 1) @ root - k).max(axis=(1, 2))
     assert (error <= 1e-12 * trace).all()
     assert not root[trace == 0].any()
+
+
+def _all_same_sign_windows(law, window):
+    """Window statistics of a fixed x/p law in which every sample has one
+    sign, so the centred Gram entry g is 0 or a rounding residue around it."""
+    total = law.magnitude * np.array([window, -window], dtype=float)
+    mean, gram = np.zeros((2, 2)), np.zeros((2, 2, 2))
+    q = 0 if law.kind == "x" else 1
+    mean[:, q] = total / window
+    gram[:, q, q] = window * law.magnitude ** 2 - total * total / window
+    return mean, gram
+
+
+@pytest.mark.parametrize("law", [ErrorLaw(kind, a, shape) for kind in ("x", "p")
+                                 for shape in ("fixed", "gaussian") for a in (0.0, 0.8, 5.0)],
+                         ids=lambda law: f"{law.kind}-{law.shape}-{law.magnitude}")
+def test_single_quadrature_error_terms_are_the_matmuls(law):
+    """A single-quadrature law's elementwise error terms equal the general
+    matmuls C ``_gram_root``(K) and C d on the same windows, at windows 30
+    and 64 and on windows whose Gram entry is 0 or a rounding residue, and
+    added to a statistics block they give the block the matmuls give, bit
+    for bit."""
+    rng = np.random.default_rng(6)
+    maps = qec._maps(CodeConfig(r=R35, channel_loss=0.9), False)
+    windows = [law.window_statistics(rng, 40, w) for w in (qec.MIN_SYNDROME_WINDOW, 64)]
+    if law.shape == "fixed" and law.magnitude:
+        windows.append(_all_same_sign_windows(law, 33))
+    for mean, gram in windows:
+        coeff = maps.err_columns.take(rng.integers(0, 5, len(mean)), axis=0)
+        terms = qec._error_terms(coeff, law, mean, gram)
+        want = np.concatenate([coeff @ qec._gram_root(gram), coeff @ mean[:, :, None]], axis=2)
+        np.testing.assert_array_equal(terms, want)
+        block = rng.standard_normal((len(mean), 6, 3))
+        assert np.array_equal((block + terms).view(np.uint64), (block + want).view(np.uint64))
 
 
 def concatenate_outcomes(parts):
@@ -1628,7 +1817,7 @@ def _series_trace(cfg, channel, window, rng, magnitude):
                  + rng.uniform(0.0, 2.0 * math.pi))
         sweep = magnitude * np.stack([np.cos(phase), np.sin(phase)], axis=1)
         series += _error_series(maps, np.array([channel]), sweep[None])
-    index = qec._syndrome(_reduce_series(series)[1], window, maps.thresholds)
+    index = qec._syndrome(_reduce_series(series)[1].transpose(1, 0, 2), window, maps.thresholds)
     return series[0, :, :4], int(qec._CODE_TABLE[index[0]])
 
 
