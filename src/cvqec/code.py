@@ -194,7 +194,7 @@ def encode(*, fourier: bool) -> tuple[ModeForm, ...]:
 
 def inject_error(forms: tuple[ModeForm, ...], channel: int) -> tuple[ModeForm, ...]:
     """Adds the error symbols of one channel's displacement to its mode."""
-    _channel(channel)
+    channel = _channel(channel)
     hit = forms[channel - 1] + error_mode_form(channel)
     return forms[:channel - 1] + (hit,) + forms[channel:]
 
@@ -415,7 +415,7 @@ def closed_form_output(cfg: CodeConfig, channel: int | None,
             two variances, x and p, each within [0, ``MAX_MAGNITUDE``^2]
             (the error law's ``quadrature_variances``).
     """
-    _channel(channel, None)
+    channel = _channel(channel, None)
     if error_var is not None:
         if channel is None:
             raise ValueError("error_var needs a hit channel, not None")
@@ -712,7 +712,7 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
     if error_cfg.channel == "uniform":
         channels = rng.integers(1, 6, n_rounds)
     else:
-        channels = np.full(n_rounds, int(error_cfg.channel))
+        channels = np.full(n_rounds, error_cfg.channel)
     channels = np.where(occurred, channels, 0)
 
     index, final, corrected = _corrected_pass(cfg, cfg.fourier_mode, channels, law, window, rng)
@@ -750,7 +750,7 @@ def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,
     round is.
     """
     window = _count(window, "syndrome window", MIN_SYNDROME_WINDOW)
-    _channel(channel, None)
+    channel = _channel(channel, None)
     magnitude = _bounded(magnitude, "magnitude", MAX_MAGNITUDE)
     maps = _maps(cfg, cfg.fourier_mode)
     trace = rng.standard_normal((window, maps.noise.shape[1])) @ maps.noise[:4].T

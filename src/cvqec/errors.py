@@ -67,13 +67,16 @@ def _count(value, what: str, low: int) -> int:
     return int(value)
 
 
-def _channel(value, *others) -> None:
-    """Checks a hit channel: an int 1..5 and not a bool, or one of the str or
-    None ``others``, such as None for no error or the policy 'uniform'."""
-    if not (type(value) is int and 1 <= value <= 5
+def _channel(value, *others) -> int | str | None:
+    """A hit channel: an integer 1..5, numpy's too but not a bool, as an int,
+    or one of the str or None ``others``, such as None for no error or 'uniform'."""
+    if (type(value) is int and 1 <= value <= 5
             or isinstance(value, (str, type(None))) and value in others):
-        raise ValueError(f"channel must be {' or '.join(['1..5', *map(repr, others)])}, "
-                         f"not {_echo(value)}")
+        return value
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and 1 <= value <= 5:
+        return int(value)
+    raise ValueError(f"channel must be {' or '.join(['1..5', *map(repr, others)])}, "
+                     f"not {_echo(value)}")
 
 
 def _phase_sums(rng: np.random.Generator, n: int, window: int) -> np.ndarray:
@@ -214,5 +217,5 @@ class ErrorConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", _bounded(self.gamma, "gamma", 1.0))
-        _channel(self.channel, "uniform")
+        object.__setattr__(self, "channel", _channel(self.channel, "uniform"))
 

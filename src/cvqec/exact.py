@@ -4,6 +4,12 @@ Every constant in the five-channel encoder and its derived identities lives in
 Q(sqrt2, sqrt3), so encoded/decoded modes can be manipulated with zero
 floating-point error.  A value is stored as integer coordinates on the basis
 (1, sqrt2, sqrt3, sqrt6) over a common positive denominator.
+
+The module holds what the code's exact route uses: ``ExactScalar`` with +,
+unary -, *, /, exact equality, a zero test, its conjugations and a float
+view; ``LinearForm`` with +, -, equality, ``coefficient`` and the error-symbol
+filters; and matrices applied to forms and to ``ModeForm`` pairs.  Neither
+type is hashable, and a form is read one symbol's coefficient at a time.
 """
 
 from __future__ import annotations
@@ -29,8 +35,10 @@ def _as_fraction(v: RationalLike) -> Fraction:
 class ExactScalar:
     """An element a + b*sqrt2 + c*sqrt3 + d*sqrt6 with rational a, b, c, d.
 
-    Instances are immutable and hashable; equality is exact.  Python integers
-    are arbitrary precision, so products never overflow.
+    Instances are immutable, equality is exact and the repr shows the four
+    coordinates as Fractions.  There is no binary minus: ``a + -b``
+    subtracts.  Python integers are arbitrary precision, so products never
+    overflow.
     """
 
     __slots__ = ("_na", "_nb", "_nc", "_nd", "_den")
@@ -73,23 +81,6 @@ class ExactScalar:
         coords[(1, 2, 3, 6).index(root)] = num
         return cls._raw(*coords, den)
 
-    # rational coordinates on (1, sqrt2, sqrt3, sqrt6)
-    @property
-    def a(self) -> Fraction:
-        return Fraction(self._na, self._den)
-
-    @property
-    def b(self) -> Fraction:
-        return Fraction(self._nb, self._den)
-
-    @property
-    def c(self) -> Fraction:
-        return Fraction(self._nc, self._den)
-
-    @property
-    def d(self) -> Fraction:
-        return Fraction(self._nd, self._den)
-
     def is_zero(self) -> bool:
         return self._na == 0 and self._nb == 0 and self._nc == 0 and self._nd == 0
 
@@ -107,9 +98,6 @@ class ExactScalar:
                 and self._nc == other._nc and self._nd == other._nd
                 and self._den == other._den)
 
-    def __hash__(self) -> int:
-        return hash((self._na, self._nb, self._nc, self._nd, self._den))
-
     def __neg__(self) -> "ExactScalar":
         return ExactScalar._raw(-self._na, -self._nb, -self._nc, -self._nd, self._den)
 
@@ -124,18 +112,6 @@ class ExactScalar:
                                 self._nd * d2 + other._nd * d1, d1 * d2)
 
     __radd__ = __add__
-
-    def __sub__(self, other) -> "ExactScalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.__add__(other.__neg__())
-
-    def __rsub__(self, other) -> "ExactScalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other.__sub__(self)
 
     def __mul__(self, other) -> "ExactScalar":
         other = _coerce(other)
@@ -186,7 +162,8 @@ class ExactScalar:
                 + self._nd * _SQRT6) / self._den
 
     def __repr__(self) -> str:
-        return f"ExactScalar({self.a!r}, {self.b!r}, {self.c!r}, {self.d!r})"
+        coords = (Fraction(n, self._den) for n in (self._na, self._nb, self._nc, self._nd))
+        return f"ExactScalar({', '.join(map(repr, coords))})"
 
 
 def _coerce(v) -> "ExactScalar":
@@ -299,23 +276,13 @@ class LinearForm:
     def of(sym: QuadSymbol, coeff=ONE) -> "LinearForm":
         return LinearForm({sym: coeff})
 
-    @property
-    def terms(self) -> Mapping[QuadSymbol, ExactScalar]:
-        return dict(self._terms)
-
     def coefficient(self, sym: QuadSymbol) -> ExactScalar:
         return self._terms.get(sym, ZERO)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearForm):
             return NotImplemented
         return self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "LinearForm") -> "LinearForm":
         merged = dict(self._terms)

@@ -40,9 +40,6 @@ class ModeMatrix:
     def rows(self):
         return self._rows
 
-    def entry(self, i: int, j: int) -> ExactScalar:
-        return self._rows[i][j]
-
     def transpose(self) -> "ModeMatrix":
         return ModeMatrix(zip(*self._rows))
 

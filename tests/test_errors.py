@@ -28,8 +28,17 @@ def test_law_validation():
             ErrorLaw("general", bad)
     with pytest.raises(ValueError):
         ErrorConfig(gamma=1.5)
-    with pytest.raises(ValueError):
-        ErrorConfig(channel=6)
+    for bad in (6, np.int64(6), np.bool_(True), True):
+        with pytest.raises(ValueError, match="channel must be 1..5 or 'uniform'"):
+            ErrorConfig(channel=bad)
+
+
+def test_error_config_stores_a_numpy_integer_channel_as_an_int():
+    """A numpy integer channel is taken, as counts are, and kept as a plain int."""
+    for channel in (np.int64(3), np.uint8(3), np.int32(3)):
+        cfg = ErrorConfig(1.0, channel)
+        assert type(cfg.channel) is int and cfg == ErrorConfig(1.0, 3)
+        assert repr(cfg) == repr(ErrorConfig(1.0, 3))
 
 
 def test_law_magnitude_is_bounded():

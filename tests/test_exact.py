@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvqec.code import SOURCE_SYMBOLS
 from cvqec.exact import (ROLE_ERROR, ROLE_INPUT, ExactScalar, LinearForm, ModeForm,
                          QuadSymbol, SQRT2, SQRT3, SQRT6, TAG_ANTISQUEEZED, TAG_SQUEEZED,
                          form_apply_matrix, mode_forms_apply_matrix, sqrt_of)
@@ -22,6 +23,19 @@ def frac(n, d=1):
 # --------------------------------------------------------------------------
 # the independent-symbol Gaussian model of the exact forms, which the tests
 # check ``PipelineMaps`` and the witness against
+
+
+# The 20 symbols the code's forms are written in: the input's and each
+# ancilla's source quadratures, then the errors of channels 1..5.
+BASIS = SOURCE_SYMBOLS + tuple(QuadSymbol.error(k, q) for k in range(1, 6) for q in "xp")
+
+
+def coefficients(form: LinearForm) -> dict[QuadSymbol, ExactScalar]:
+    """The form's non-zero coefficients in ``BASIS`` order; the map must
+    rebuild the form, so a symbol outside the basis or a stored zero fails."""
+    coeffs = {sym: c for sym in BASIS if (c := form.coefficient(sym))}
+    assert LinearForm(coeffs) == form, f"{form!r} is not written in BASIS"
+    return coeffs
 
 
 def symbol_variance(sym: QuadSymbol, r, input_var: Sequence[float] = (0.25, 0.25),
@@ -58,7 +72,7 @@ def symbol_variance(sym: QuadSymbol, r, input_var: Sequence[float] = (0.25, 0.25
 def form_variance(form: LinearForm, r, input_var=(0.25, 0.25), error_var=None) -> float:
     """Variance of a form under independent zero-mean symbols: sum coeff^2 * Var(sym)."""
     total = 0.0
-    for sym, coeff in form.terms.items():
+    for sym, coeff in coefficients(form).items():
         total += float(coeff) ** 2 * symbol_variance(sym, r, input_var, error_var)
     return total
 
@@ -67,22 +81,22 @@ def form_covariance(f: LinearForm, g: LinearForm, r, input_var=(0.25, 0.25),
                     error_var=None) -> float:
     """Covariance of two forms under the same independent-symbol model."""
     total = 0.0
-    small, large = (f, g) if len(f.terms) <= len(g.terms) else (g, f)
-    for sym, coeff in small.terms.items():
-        other = large.coefficient(sym)
-        if other.is_zero():
-            continue
-        total += float(coeff) * float(other) * symbol_variance(sym, r, input_var, error_var)
+    g_coeffs = coefficients(g)
+    for sym, coeff in coefficients(f).items():
+        if sym in g_coeffs:
+            total += float(coeff) * float(g_coeffs[sym]) * symbol_variance(
+                sym, r, input_var, error_var)
     return total
 
 
 def scaled(form: LinearForm, factor) -> LinearForm:
     """The form with every coefficient times an exact or rational factor."""
-    return LinearForm({sym: c * factor for sym, c in form.terms.items()})
+    return LinearForm({sym: c * factor for sym, c in coefficients(form).items()})
 
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
-scalars = st.builds(ExactScalar, rationals, rationals, rationals, rationals)
+coordinates = st.tuples(rationals, rationals, rationals, rationals)   # on (1, sqrt2, sqrt3, sqrt6)
+scalars = coordinates.map(lambda coords: ExactScalar(*coords))
 
 
 def test_inv_sqrt2_squared_is_half():
@@ -134,19 +148,21 @@ def test_ring_distributes(a, b, c):
     assert (a * b) * c == a * (b * c)
 
 
-@given(scalars)
+@given(coordinates)
 @settings(max_examples=80)
-def test_zero_test_is_exact(a):
-    assert (a - a).is_zero()
-    assert a.is_zero() == (a.a == a.b == a.c == a.d == 0)
+def test_zero_test_is_exact(coords):
+    a = ExactScalar(*coords)
+    assert (a + -a).is_zero()
+    assert a.is_zero() == (coords == (0, 0, 0, 0))
+    assert bool(a) != a.is_zero()
 
 
-@given(scalars)
+@given(coordinates)
 @settings(max_examples=80)
-def test_float_round_trip(a):
-    expect = (float(a.a) + float(a.b) * SQRT2_F
-              + float(a.c) * math.sqrt(3.0) + float(a.d) * math.sqrt(6.0))
-    assert float(a) == pytest.approx(expect, rel=1e-14, abs=1e-14)
+def test_float_round_trip(coords):
+    a, b, c, d = map(float, coords)
+    expect = a + b * SQRT2_F + c * math.sqrt(3.0) + d * math.sqrt(6.0)
+    assert float(ExactScalar(*coords)) == pytest.approx(expect, rel=1e-14, abs=1e-14)
 
 
 @given(scalars)
@@ -164,6 +180,13 @@ def test_conjugations_are_multiplicative():
     b = ExactScalar(0, 3, frac(1, 5), frac(-1, 7))
     assert (a * b).conj_sqrt2() == a.conj_sqrt2() * b.conj_sqrt2()
     assert (a * b).conj_sqrt3() == a.conj_sqrt3() * b.conj_sqrt3()
+
+
+def test_scalar_repr_shows_its_coordinates():
+    """The repr, which failed comparisons print, is the four Fractions."""
+    a = ExactScalar(1, frac(1, 2), frac(-1, 3), 2)
+    assert repr(a) == ("ExactScalar(Fraction(1, 1), Fraction(1, 2), Fraction(-1, 3), "
+                       "Fraction(2, 1))")
 
 
 def test_division():
@@ -195,13 +218,15 @@ def test_symbol_basis_is_twenty():
         for q in "xp":
             syms.add(QuadSymbol.error(k, q))
     assert len(syms) == 20
+    assert len(set(BASIS)) == 20
 
 
 def test_linear_form_drops_zero_coefficients():
     sym = QuadSymbol.input("x")
     f = LinearForm({sym: SQRT2}) - LinearForm({sym: SQRT2})
-    assert f.is_zero()
-    assert sym not in f.terms
+    assert f == LinearForm()
+    assert f == LinearForm({sym: 0})
+    assert repr(f) == "LinearForm({})"
 
 
 def test_form_addition_and_scaling():
@@ -292,9 +317,9 @@ def test_form_apply_matrix_equals_the_quadratic_accumulation(fourier):
         repeats = [forms[0], forms[0], forms[1], forms[3], forms[0]]
         got = form_apply_matrix(repeats, sparse)
         assert got == _quadratic_form_apply_matrix(repeats, sparse)
-        assert got[1].is_zero() and got[2].is_zero()
+        assert got[1] == LinearForm() and got[2] == LinearForm()
         assert got[3] == scaled(forms[1], SQRT3) and got[4] == scaled(forms[0], frac(1, 2))
-        assert all(all(not c.is_zero() for c in f.terms.values()) for f in got)
+        assert all(f == LinearForm(coefficients(f)) for f in got)     # no zero is stored
 
 
 def test_form_apply_matrix_errors_match_the_quadratic_accumulation():

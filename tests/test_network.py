@@ -12,10 +12,10 @@ from cvqec.network import (BeamSplitterElement, ENCODER_SPEC, ModeMatrix, compos
 
 def test_encoder_entries():
     u = encoder_matrix()
-    assert u.entry(0, 0) == sqrt_of(Fraction(1, 2))
-    assert u.entry(2, 3) == sqrt_of(Fraction(1, 3))
+    assert u.rows[0][0] == sqrt_of(Fraction(1, 2))
+    assert u.rows[2][3] == sqrt_of(Fraction(1, 3))
     for i, j in ((0, 3), (0, 4), (1, 3), (1, 4)):
-        assert u.entry(i, j).is_zero()
+        assert u.rows[i][j].is_zero()
 
 
 def test_encoder_is_exactly_orthogonal():
@@ -38,11 +38,11 @@ def test_empty_spec_is_identity():
 def test_single_element_block():
     """B23^+(1/4) has block [[sqrt3/2, 1/2], [1/2, -sqrt3/2]] on modes 2, 3."""
     m = compose((BeamSplitterElement(2, 3, Fraction(1, 4), "+"),))
-    assert m.entry(1, 1) == sqrt_of(Fraction(3, 4))
-    assert m.entry(1, 2) == ExactScalar(Fraction(1, 2))
-    assert m.entry(2, 1) == ExactScalar(Fraction(1, 2))
-    assert m.entry(2, 2) == -sqrt_of(Fraction(3, 4))
-    assert m.entry(0, 0) == ExactScalar(1)
+    assert m.rows[1][1] == sqrt_of(Fraction(3, 4))
+    assert m.rows[1][2] == ExactScalar(Fraction(1, 2))
+    assert m.rows[2][1] == ExactScalar(Fraction(1, 2))
+    assert m.rows[2][2] == -sqrt_of(Fraction(3, 4))
+    assert m.rows[0][0] == ExactScalar(1)
 
 
 def test_inverse_is_exact_transpose():
