@@ -19,10 +19,9 @@ from .network import (BeamSplitterElement, ENCODER_SPEC, ModeMatrix, compose,
                       lift_to_symplectic)
 from .errors import ErrorConfig, ErrorLaw
 from .code import (AMBIGUOUS_P, CODE_NAMES, CodeConfig, NO_ERROR, OUT_POS,
-                   OutputStats, PLANS, RoundsOutcome, RoundsSummary,
-                   UNCLASSIFIABLE, closed_form_output, decode, encode,
-                   inject_error, output_mixture, run_rounds, summarize_reports,
-                   syndrome_trace)
+                   PLANS, RoundsOutcome, RoundsSummary, UNCLASSIFIABLE,
+                   closed_form_output, decode, encode, inject_error,
+                   output_mixture, run_rounds, summarize_reports, syndrome_trace)
 from .witness import (WitnessResult, combination_value, evaluate_witness,
                       optimize_gains)
 

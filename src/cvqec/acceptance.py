@@ -21,7 +21,7 @@ from . import code as qec
 from .code import CodeConfig, closed_form_output, run_rounds
 from .errors import ErrorConfig, ErrorLaw
 from .exact import ExactScalar, LinearForm, QuadSymbol, TAG_SQUEEZED, sqrt_of
-from .gaussian import db_to_r
+from .gaussian import db_to_r, fidelity_from_moments, variance_to_db
 from .network import ENCODER_SPEC, compose, encoder_matrix
 from .witness import combination_value, evaluate_witness, optimize_gains
 
@@ -125,12 +125,11 @@ def criterion_4_noise_formulas() -> str:
             cfg = CodeConfig(r=r, input_kind=input_kind)
             v_x_in, v_p_in = cfg.input_variances()
             for ch in (3, 4, 5):
-                stats = closed_form_output(cfg, ch)
+                cov = closed_form_output(cfg, ch)[1]
                 p_units = 2.0 if ch == 3 else 8.0
                 expect_x = v_x_in + (2.0 / 3.0) * 0.25 * q
                 expect_p = v_p_in + p_units * 0.25 * q
-                worst = max(worst, abs(stats.V_x - expect_x),
-                            abs(stats.V_p - expect_p))
+                worst = max(worst, abs(cov[0, 0] - expect_x), abs(cov[1, 1] - expect_p))
     assert worst <= NOISE_PATTERN_TOL, f"noise pattern deviates by {worst:.2e}"
     return f"max deviation {worst:.1e}"
 
@@ -150,7 +149,7 @@ def criterion_5_fidelity_table() -> str:
         for ancilla, r in (("coherent", 0.0), ("squeezed", R_35DB)):
             cfg = CodeConfig(r=r, input_kind=input_kind)
             for ch in range(1, 6):
-                theory = closed_form_output(cfg, ch).fidelity
+                theory = fidelity_from_moments(*cfg.input_state(), *closed_form_output(cfg, ch))
                 measured = cli.MEASURED_FIDELITY[(input_kind, ancilla)][ch]
                 gap = abs(theory - measured)
                 worst = max(worst, gap)
@@ -163,7 +162,8 @@ def criterion_5_fidelity_table() -> str:
                         f"theory value drifted: {theory:.4f} vs pinned {pin}"
     elapsed = time.perf_counter() - t0
     # the squeezed-input headline value: channel 3 with squeezed ancillas
-    head = closed_form_output(CodeConfig(r=R_35DB, input_kind="squeezed"), 3).fidelity
+    head_cfg = CodeConfig(r=R_35DB, input_kind="squeezed")
+    head = fidelity_from_moments(*head_cfg.input_state(), *closed_form_output(head_cfg, 3))
     assert abs(head - 0.860) < 1e-3
     assert elapsed < 1.0, f"fidelity table took {elapsed:.2f} s"
     return f"worst theory-vs-measured gap {worst:.3f}, {elapsed * 1e3:.0f} ms"
@@ -180,15 +180,16 @@ def criterion_6_noise_power() -> str:
     gaps = []
     for ch, quad, ancilla, r in cases:
         measured = cli.MEASURED_NOISE_DB[(ch, quad, ancilla, "vacuum")][0]
-        theory = closed_form_output(CodeConfig(r=r), ch).noise_db(quad)
+        k = "xp".index(quad)
+        theory = variance_to_db(float(closed_form_output(CodeConfig(r=r), ch)[1][k, k]))
         gap = abs(theory - measured)
         gaps.append(gap)
         assert gap <= NOISE_TOL_DB, (
             f"channel {ch} {quad}: theory {theory:.2f} dB vs measured "
             f"{measured} dB (gap {gap:.2f})")
-    pinned = closed_form_output(CodeConfig(r=0.0), 4).noise_db("p")
+    pinned = variance_to_db(float(closed_form_output(CodeConfig(r=0.0), 4)[1][1, 1]))
     assert abs(pinned - 9.54) < 5e-3, f"theory 9.54 dB drifted: {pinned:.3f}"
-    pinned = closed_form_output(CodeConfig(r=R_35DB), 3).noise_db("x")
+    pinned = variance_to_db(float(closed_form_output(CodeConfig(r=R_35DB), 3)[1][0, 0]))
     assert abs(pinned - 1.13) < 5e-3, f"theory 1.13 dB drifted: {pinned:.3f}"
     return "gaps " + ", ".join(f"{g:.2f} dB" for g in gaps)
 
@@ -199,7 +200,7 @@ def criterion_7_perfect_squeezing() -> str:
     for input_kind in ("vacuum", "squeezed"):
         cfg = CodeConfig(r=10.0, input_kind=input_kind)
         for ch in range(1, 6):
-            f = closed_form_output(cfg, ch).fidelity
+            f = fidelity_from_moments(*cfg.input_state(), *closed_form_output(cfg, ch))
             worst = min(worst, f)
             assert f > 0.999, f"{input_kind} channel {ch}: F={f:.6f}"
     return f"minimum fidelity {worst:.6f}"
@@ -254,9 +255,9 @@ def criterion_9_mc_equivalence() -> str:
                          np.random.default_rng(9000 + ch), rounds, window)
         assert (out.final_codes == ch).all()
         mean, cov = qec.pooled_moments(out, ch)
-        theory = closed_form_output(cfg, ch)
+        theory_cov = closed_form_output(cfg, ch)[1]
         for k in (0, 1):
-            v = theory.cov[k, k]
+            v = theory_cov[k, k]
             se_mean = math.sqrt(v / n)
             se_var = v * math.sqrt(2.0 / (n - 1))
             dev_mean = abs(mean[k]) / se_mean

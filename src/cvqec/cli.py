@@ -154,15 +154,13 @@ def _parse_error(doc: dict) -> ErrorConfig:
                        law=law)
 
 
-def _parse_count(doc: dict, key: str, default: int, high: float = math.inf) -> int:
-    """An integer entry of at most ``high``; a bool, string or non-integral
-    number is rejected, not truncated."""
+def _parse_count(doc: dict, key: str, default: int) -> int:
+    """An integer entry, as an int; a bool, string or non-integral number is
+    rejected, not truncated.  ``check_experiment`` checks its range."""
     value = doc.get(key, default)
     if isinstance(value, bool) or not (
             isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{key} must be an integer, not {_echo(value)}")
-    if value > high:
-        raise ValueError(f"{key} must be at most {high}, not {_echo(value)}")
     return int(value)
 
 
@@ -189,8 +187,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise ValueError("a sweep needs at least two values")
     return ExperimentConfig(
         code=code, error=error,
-        trials=_parse_count(doc, "trials", 50, MAX_TRIALS),
-        window=_parse_count(doc, "window", 512, MAX_WINDOW),
+        trials=_parse_count(doc, "trials", 50),
+        window=_parse_count(doc, "window", 512),
         seed=_parse_count(doc, "seed", 0),
         sweep_parameter=sweep_parameter, sweep_values=sweep_values)
 
@@ -315,7 +313,8 @@ def run_table2(cfg: ExperimentConfig, out_dir: Path) -> dict:
     for input_kind, base in _input_variants(cfg.code):
         for ancilla, variant in _ancilla_variants(base):
             for channel in range(1, 6):
-                theory = closed_form_output(variant, channel).fidelity
+                theory = fidelity_from_moments(*variant.input_state(),
+                                               *closed_form_output(variant, channel))
                 error = replace(cfg.error, gamma=1.0, channel=channel)
                 pooled, fidelities, _ = run_chunked_rounds(
                     variant, error, root.spawn(1)[0], cfg.trials, cfg.window, channel)
@@ -339,12 +338,12 @@ def run_tableC1(cfg: ExperimentConfig, out_dir: Path) -> dict:
     for input_kind, base in _input_variants(cfg.code):
         for ancilla, variant in _ancilla_variants(base):
             for channel in range(1, 6):
-                stats = closed_form_output(variant, channel)
-                for quad in ("x", "p"):
+                cov = closed_form_output(variant, channel)[1]
+                for k, quad in enumerate(("x", "p")):
                     measured = MEASURED_NOISE_DB.get(
                         (channel, quad, ancilla, input_kind))
                     rows.append([channel, quad, input_kind, ancilla,
-                                 repr(stats.noise_db(quad)),
+                                 repr(variance_to_db(float(cov[k, k]))),
                                  "" if measured is None else measured[0],
                                  "" if measured is None else measured[1],
                                  "measured"])
@@ -409,13 +408,13 @@ def run_spectra(cfg: ExperimentConfig, out_dir: Path) -> dict:
             pooled = run_chunked_rounds(variant, error, root.spawn(1)[0],
                                         cfg.trials, cfg.window, channel)[0]
             before = closed_form_output(variant, channel,
-                                        error_var=cfg.error.law.quadrature_variances())
-            after = closed_form_output(variant, channel)
+                                        error_var=cfg.error.law.quadrature_variances())[1]
+            after = closed_form_output(variant, channel)[1]
             for k, quad in enumerate(("x", "p")):
                 mc = float("nan") if pooled is None else variance_to_db(float(pooled[1][k, k]))
                 rows.append([channel, quad, ancilla, repr(0.0),
-                             repr(before.noise_db(quad)),
-                             repr(after.noise_db(quad)), repr(mc)])
+                             repr(variance_to_db(float(before[k, k]))),
+                             repr(variance_to_db(float(after[k, k]))), repr(mc)])
     return _write_table(out_dir, "spectra", header, rows, experiment="spectra",
                         seed=cfg.seed, trials=cfg.trials, window=cfg.window)
 
@@ -472,13 +471,20 @@ _WITH_STDERR = ("table2", "mc-sweep")      # write fidelity_mc_stderr, a spread 
 
 def check_experiment(name: str, cfg: ExperimentConfig) -> None:
     """Raises ValueError if the experiment is unknown or cannot run with the
-    config: no trial, a negative seed, a window below the syndrome floor, a
-    single trial where a row's stderr needs two, a missing or unsuitable
-    sweep section, a witness grid around a per-ancilla r or on a lossy code,
-    a syndrome demo of a single-quadrature law, or a sweep value that makes
-    an invalid config."""
+    config: trials, window or seed not an int (a bool is not one), no trial
+    or more than ``MAX_TRIALS``, a negative seed, a window above
+    ``MAX_WINDOW`` or below the syndrome floor, a single trial where a row's
+    stderr needs two, a missing or unsuitable sweep section, a witness grid
+    around a per-ancilla r or on a lossy code, a syndrome demo of a
+    single-quadrature law, or a sweep value that makes an invalid config."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown experiment {_echo(name)}")
+    for key, high in (("trials", MAX_TRIALS), ("window", MAX_WINDOW), ("seed", math.inf)):
+        value = getattr(cfg, key)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{key} must be an integer, not {_echo(value)}")
+        if value > high:
+            raise ValueError(f"{key} must be at most {high}, not {_echo(value)}")
     if cfg.trials < 1:
         raise ValueError("trials must be at least 1")
     if cfg.seed < 0:

@@ -32,7 +32,7 @@ from .errors import (LAW_GENERAL, LAW_X, MAX_MAGNITUDE, ErrorConfig, ErrorLaw, _
 from .exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol, SQRT2,
                     TAG_ANTISQUEEZED, TAG_NONE, TAG_SQUEEZED, mode_forms_apply_matrix,
                     sqrt_of)
-from .gaussian import VACUUM_VAR, fidelity_from_moments, variance_to_db
+from .gaussian import VACUUM_VAR
 from .network import ModeMatrix, encoder_matrix, inverse, lift_to_symplectic
 
 INPUT_POS = 3
@@ -367,26 +367,6 @@ class PipelineMaps:
             arr.setflags(write=False)       # read-only: ``_maps`` shares one instance
 
 
-@dataclass(frozen=True)
-class OutputStats:
-    """Closed-form output covariance and the resulting fidelity; the output
-    mean is zero (see ``closed_form_output``)."""
-
-    cov: np.ndarray
-    fidelity: float
-
-    @property
-    def V_x(self) -> float:
-        return float(self.cov[0, 0])
-
-    @property
-    def V_p(self) -> float:
-        return float(self.cov[1, 1])
-
-    def noise_db(self, quad: str) -> float:
-        return variance_to_db(self.V_x if quad == "x" else self.V_p)
-
-
 @lru_cache(maxsize=16)
 def _maps(cfg: CodeConfig, fourier: bool) -> PipelineMaps:
     """The maps of one configuration in one measurement basis, built once for
@@ -398,10 +378,11 @@ def _maps(cfg: CodeConfig, fourier: bool) -> PipelineMaps:
 
 
 def closed_form_output(cfg: CodeConfig, channel: int | None,
-                       error_var: tuple[float, float] | None = None) -> OutputStats:
-    """Output moments of one branch of the round in the config's measurement
-    basis, computed without sampling from ``PipelineMaps`` and the round
-    engine's ``PLAN_TABLE``.  The mean is zero: channels 1 and 2 never reach
+                       error_var: tuple[float, float] | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Output mean and covariance of one branch of the round in the config's
+    measurement basis, computed without sampling from ``PipelineMaps`` and the
+    round engine's ``PLAN_TABLE``.  The mean is zero: channels 1 and 2 never reach
     the output, and the feedforward of channels 3..5 cancels a displacement
     exactly (``PLAN_TABLE[f, ch] @ err_columns[ch - 1]`` is 0), so only an
     unrepaired error, through its variance, moves the output.
@@ -430,8 +411,7 @@ def closed_form_output(cfg: CodeConfig, channel: int | None,
     if error_var is not None:
         err = plan @ maps.err_columns[channel - 1]                   # (2, 2)
         cov = cov + err @ np.diag(error_var) @ err.T
-    mean, cov_in = cfg.input_state()                # the output mean equals the input's
-    return OutputStats(cov=cov, fidelity=fidelity_from_moments(mean, cov_in, mean, cov))
+    return np.zeros(2), cov
 
 
 def output_mixture(cfg: CodeConfig, error_cfg: ErrorConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -443,11 +423,12 @@ def output_mixture(cfg: CodeConfig, error_cfg: ErrorConfig) -> tuple[np.ndarray,
     theirs."""
     gamma = error_cfg.gamma
     channels = range(1, 6) if error_cfg.channel == "uniform" else (error_cfg.channel,)
-    branches = [(1.0 - gamma, closed_form_output(cfg, None))] if gamma < 1.0 else []
+    branches = [(1.0 - gamma, None)] if gamma < 1.0 else []
     if gamma > 0.0:
-        branches += [(gamma / len(channels), closed_form_output(cfg, ch)) for ch in channels]
+        branches += [(gamma / len(channels), ch) for ch in channels]
     weights = np.array([w for w, _ in branches])
-    return np.zeros(2), np.einsum("k,kij->ij", weights, np.array([s.cov for _, s in branches]))
+    covs = np.array([closed_form_output(cfg, ch)[1] for _, ch in branches])
+    return np.zeros(2), np.einsum("k,kij->ij", weights, covs)
 
 
 # --------------------------------------------------------------------------

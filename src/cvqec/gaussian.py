@@ -17,14 +17,14 @@ VACUUM_VAR = 0.25
 
 def variance_to_db(v: float) -> float:
     """Noise power in dB relative to the shot-noise level (vacuum variance 1/4)."""
-    if v <= 0:
+    if not v > 0:                                   # NaN too
         raise ValueError("variance must be positive")
     return 10.0 * math.log10(v / VACUUM_VAR)
 
 
 def db_to_r(squeeze_db: float) -> float:
     """Squeezing parameter r with e^{-2r} = 10^{-dB/10} (e.g. 3.5 dB -> r=0.403)."""
-    if squeeze_db < 0:
+    if not squeeze_db >= 0:                         # NaN too
         raise ValueError("squeezing level in dB must be non-negative")
     return squeeze_db * math.log(10.0) / 20.0
 

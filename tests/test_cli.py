@@ -8,6 +8,7 @@ import filecmp
 import io
 import json
 import math
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -415,6 +416,45 @@ def test_mc_sweep_loss_is_non_increasing(tmp_path):
 def test_mc_sweep_requires_sweep_section(tmp_path):
     with pytest.raises(ValueError):
         cli.run_experiment("mc-sweep", cli.parse_config({}), tmp_path)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("trials", 2.5, "trials must be an integer, not 2.5"),
+    ("trials", 64.0, "trials must be an integer, not 64.0"),
+    ("trials", True, "trials must be an integer, not True"),
+    ("trials", "40", "trials must be an integer, not '40'"),
+    ("trials", np.int64(40), "trials must be an integer"),
+    ("window", 64.5, "window must be an integer, not 64.5"),
+    ("window", False, "window must be an integer, not False"),
+    ("seed", 1.5, "seed must be an integer, not 1.5"),
+    ("seed", "4", "seed must be an integer, not '4'"),
+    ("trials", cli.MAX_TRIALS + 1, f"trials must be at most {cli.MAX_TRIALS}, not"),
+    ("trials", 2 ** 40, f"trials must be at most {cli.MAX_TRIALS}, not 1099511627776"),
+    ("window", cli.MAX_WINDOW + 1, f"window must be at most {cli.MAX_WINDOW}, not"),
+    ("window", 2 ** 40, f"window must be at most {cli.MAX_WINDOW}, not 1099511627776"),
+])
+def test_check_experiment_rejects_bad_counts_built_in_code(key, value, message):
+    """An ``ExperimentConfig`` built in code, not parsed, gets the parser's
+    count rules from ``check_experiment``, for every experiment: trials,
+    window and seed are ints, not bools, floats or strings, and trials and
+    window are bounded."""
+    cfg = dataclasses.replace(cli.parse_config({"sweep": _GAMMA_SWEEP}), **{key: value})
+    for name in cli.EXPERIMENTS:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cli.check_experiment(name, cfg)
+
+
+def test_check_experiment_takes_counts_at_their_bounds():
+    cfg = cli.parse_config({"trials": cli.MAX_TRIALS, "window": cli.MAX_WINDOW,
+                            "seed": 2 ** 64})
+    cli.check_experiment("table2", cfg)
+
+
+def test_run_experiment_rejects_a_fractional_trial_count_before_it_starts(tmp_path):
+    cfg = dataclasses.replace(cli.parse_config({}), trials=2.5)
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        cli.run_experiment("table2", cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_unknown_experiment_rejected(tmp_path):

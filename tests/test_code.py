@@ -22,7 +22,7 @@ from cvqec.code import (AMBIGUOUS_P, CODE_NAMES, DETECTOR_POS, DETECTORS, NO_ERR
 from cvqec.errors import MAX_MAGNITUDE, ErrorConfig, ErrorLaw
 from cvqec.exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol, SQRT2,
                          TAG_ANTISQUEEZED, TAG_SQUEEZED, mode_forms_apply_matrix, sqrt_of)
-from cvqec.gaussian import db_to_r, fidelity_from_moments
+from cvqec.gaussian import db_to_r, fidelity_from_moments, variance_to_db
 from cvqec.network import encoder_matrix, inverse, lift_to_symplectic
 from test_exact import form_covariance, form_variance, scaled
 
@@ -147,7 +147,8 @@ def test_input_squeezing_is_bounded_by_max_input_db():
         cfg = CodeConfig(r=qec.MAX_R, input_kind="squeezed", input_squeeze_db=bound,
                          input_antisqueeze_db=bound, fourier_mode=fourier)
         for channel in range(1, 6):
-            assert closed_form_output(cfg, channel).fidelity == pytest.approx(1.0, abs=2.9e-9)
+            f = fidelity_from_moments(*cfg.input_state(), *closed_form_output(cfg, channel))
+            assert f == pytest.approx(1.0, abs=2.9e-9)
     for sq, anti in ((-300.0, 300.0), (-1e-9, 8.9), (3.5, bound + 1e-9), (1e308, 1e308)):
         for kind in ("vacuum", "squeezed"):
             with pytest.raises(ValueError, match=r"finite and within \[0, 30\]"):
@@ -225,9 +226,11 @@ def test_code_config_accepts_only_what_the_model_runs(args):
     for kind in ("vacuum", "squeezed"):
         twin = dataclasses.replace(cfg, input_kind=kind)
         for channel in range(1, 6):
-            stats = closed_form_output(twin, channel)
-            assert 0.0 <= stats.fidelity <= 1.0
-            assert math.isfinite(stats.noise_db("x")) and math.isfinite(stats.noise_db("p"))
+            moments = closed_form_output(twin, channel)
+            assert 0.0 <= fidelity_from_moments(*twin.input_state(), *moments) <= 1.0
+            cov = moments[1]
+            assert (math.isfinite(variance_to_db(float(cov[0, 0])))
+                    and math.isfinite(variance_to_db(float(cov[1, 1]))))
 
 
 def _any_number(high):
@@ -263,9 +266,9 @@ def test_accepted_squeezing_meets_the_noise_formula(r):
         cfg = CodeConfig(r=r, input_kind=input_kind)
         v_in = cfg.input_variances()
         for channel, (ux, up) in units.items():
-            stats = closed_form_output(cfg, channel)
-            assert stats.V_x == pytest.approx(v_in[0] + ux * quiet, rel=1e-10, abs=0)
-            assert stats.V_p == pytest.approx(v_in[1] + up * quiet, rel=1e-10, abs=0)
+            cov = closed_form_output(cfg, channel)[1]
+            assert cov[0, 0] == pytest.approx(v_in[0] + ux * quiet, rel=1e-10, abs=0)
+            assert cov[1, 1] == pytest.approx(v_in[1] + up * quiet, rel=1e-10, abs=0)
 
 
 def test_squeezed_input_obeys_the_uncertainty_relation():
@@ -462,9 +465,9 @@ def test_closed_form_output_meets_the_noise_formula(r, fourier, input_kind):
     for channel, (ux, up) in units.items():
         if fourier:
             ux, up = up, ux
-        stats = closed_form_output(cfg, channel)
-        assert stats.V_x == pytest.approx(v_x + ux * quiet, rel=1e-9, abs=0)
-        assert stats.V_p == pytest.approx(v_p + up * quiet, rel=1e-9, abs=0)
+        cov = closed_form_output(cfg, channel)[1]
+        assert cov[0, 0] == pytest.approx(v_x + ux * quiet, rel=1e-9, abs=0)
+        assert cov[1, 1] == pytest.approx(v_p + up * quiet, rel=1e-9, abs=0)
 
 
 @pytest.mark.parametrize("error_var", [None, (1.0, 1.0)])
@@ -482,8 +485,8 @@ def test_numpy_integer_channels_are_taken_as_ints(channel):
     closed form, the exact forms and the syndrome trace."""
     cfg, plain = CodeConfig(r=0.4), int(channel)
     for error_var in (None, (1.0, 2.0)):
-        assert (closed_form_output(cfg, channel, error_var).cov.tolist()
-                == closed_form_output(cfg, plain, error_var).cov.tolist())
+        assert (closed_form_output(cfg, channel, error_var)[1].tolist()
+                == closed_form_output(cfg, plain, error_var)[1].tolist())
     assert inject_error(encode(fourier=False), channel) == inject_error(encode(fourier=False),
                                                                         plain)
     got, want = (syndrome_trace(cfg, ch, 64, np.random.default_rng(1), 5.0)
@@ -517,9 +520,10 @@ def test_closed_form_output_takes_error_variances_up_to_the_law_bound():
     floats are as Python's."""
     cfg = CodeConfig(r=0.4)
     top = ErrorLaw("x", MAX_MAGNITUDE).quadrature_variances()
-    assert np.isfinite(closed_form_output(cfg, 3, error_var=top).fidelity)
-    assert (closed_form_output(cfg, 3, error_var=(np.float64(1.0), np.float64(1.0))).fidelity
-            == closed_form_output(cfg, 3, error_var=(1.0, 1.0)).fidelity)
+    assert np.isfinite(fidelity_from_moments(*cfg.input_state(),
+                                             *closed_form_output(cfg, 3, error_var=top)))
+    assert (closed_form_output(cfg, 3, error_var=(np.float64(1.0), np.float64(1.0)))[1].tolist()
+            == closed_form_output(cfg, 3, error_var=(1.0, 1.0))[1].tolist())
 
 
 def test_closed_form_output_rejects_an_error_variance_without_a_channel():
@@ -1053,9 +1057,9 @@ def test_immunity_channels_need_no_correction():
 
 def test_perfect_squeezing_limit_recovers_input():
     """All residuals carry e^{-r}, so the corrected output tends to the input."""
-    stats = closed_form_output(CodeConfig(r=12.0), 4)
-    assert stats.V_x == pytest.approx(0.25, rel=1e-9)
-    assert stats.V_p == pytest.approx(0.25, rel=1e-9)
+    cov = closed_form_output(CodeConfig(r=12.0), 4)[1]
+    assert cov[0, 0] == pytest.approx(0.25, rel=1e-9)
+    assert cov[1, 1] == pytest.approx(0.25, rel=1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -1063,30 +1067,47 @@ def test_perfect_squeezing_limit_recovers_input():
 
 
 def test_closed_form_fidelity_values():
-    assert closed_form_output(CodeConfig(r=0.0), 3).fidelity == \
-        pytest.approx(0.612, abs=5e-4)
-    assert closed_form_output(CodeConfig(r=db_to_r(3.5)), 4).fidelity == \
-        pytest.approx(0.559, abs=5e-4)
-    sq = CodeConfig(r=0.0, input_kind="squeezed")
-    assert closed_form_output(sq, 4).fidelity == pytest.approx(0.43, abs=5e-3)
+    for cfg, channel, want, tol in ((CodeConfig(r=0.0), 3, 0.612, 5e-4),
+                                    (CodeConfig(r=db_to_r(3.5)), 4, 0.559, 5e-4),
+                                    (CodeConfig(r=0.0, input_kind="squeezed"), 4, 0.43, 5e-3)):
+        f = fidelity_from_moments(*cfg.input_state(), *closed_form_output(cfg, channel))
+        assert f == pytest.approx(want, abs=tol)
 
 
 def test_closed_form_fourier_mode_swaps_residual_quadratures():
     q = math.exp(-2 * 0.5)
-    stats = closed_form_output(CodeConfig(r=0.5, fourier_mode=True), 4)
-    assert stats.V_x == pytest.approx(0.25 + 8 * 0.25 * q, abs=1e-10)
-    assert stats.V_p == pytest.approx(0.25 + (2 / 3) * 0.25 * q, abs=1e-10)
+    cov = closed_form_output(CodeConfig(r=0.5, fourier_mode=True), 4)[1]
+    assert cov[0, 0] == pytest.approx(0.25 + 8 * 0.25 * q, abs=1e-10)
+    assert cov[1, 1] == pytest.approx(0.25 + (2 / 3) * 0.25 * q, abs=1e-10)
 
 
 def test_closed_form_uncorrected_branch():
     """An uncorrected channel-3 branch adds the law's variance times the
     squared coefficient 1/3 to its quadrature."""
     cfg = CodeConfig(r=0.5)
-    plain = closed_form_output(cfg, 3, error_var=(0.0, 0.0))
-    stats = closed_form_output(cfg, 3, error_var=(1.5, 0.0))
-    assert plain.V_x == pytest.approx(0.25, abs=1e-12)
-    assert stats.V_x == pytest.approx(0.25 + 1.5 / 3, abs=1e-12)
-    assert stats.V_p == plain.V_p
+    plain = closed_form_output(cfg, 3, error_var=(0.0, 0.0))[1]
+    hit = closed_form_output(cfg, 3, error_var=(1.5, 0.0))[1]
+    assert plain[0, 0] == pytest.approx(0.25, abs=1e-12)
+    assert hit[0, 0] == pytest.approx(0.25 + 1.5 / 3, abs=1e-12)
+    assert hit[1, 1] == plain[1, 1]
+
+
+@pytest.mark.parametrize("fourier", [False, True])
+@pytest.mark.parametrize("loss", [None, 0.9, (1.0, 0.9, 0.8, 0.95, 0.7)])
+@pytest.mark.parametrize("channel, error_var", [
+    (None, None), (3, None), (4, None), (5, None), (1, (2.0, 0.5)), (4, (2.0, 0.5)),
+], ids=["error-free", "corrected-3", "corrected-4", "corrected-5", "unrepaired-1",
+        "unrepaired-4"])
+def test_closed_form_output_is_zero_mean_moments(fourier, loss, channel, error_var):
+    """Every branch kind, error-free, corrected or unrepaired, returns the
+    mean exactly zero beside a finite, symmetric 2x2 covariance, in both
+    bases and with loss."""
+    cfg = CodeConfig(r=R35, fourier_mode=fourier, channel_loss=loss)
+    mean, cov = closed_form_output(cfg, channel, error_var)
+    assert type(mean) is np.ndarray and mean.dtype == float
+    assert np.array_equal(mean, np.zeros(2)) and not np.signbit(mean).any()
+    assert cov.shape == (2, 2) and np.isfinite(cov).all()
+    np.testing.assert_allclose(cov, cov.T, rtol=1e-15, atol=0)
 
 
 def test_closed_form_uniform_loss_keeps_cancellation():
@@ -1102,18 +1123,20 @@ def test_closed_form_uniform_loss_keeps_cancellation():
             for ch in range(1, 6):
                 residual = qec.PLAN_TABLE[int(fourier), ch] @ maps.err_columns[ch - 1]
                 assert not residual.any(), (fourier, loss, ch, residual)
-    lossless = closed_form_output(CodeConfig(r=R35), 4)
+    lossless = CodeConfig(r=R35)
+    bound = fidelity_from_moments(*lossless.input_state(), *closed_form_output(lossless, 4))
     for loss in (0.9, (1.0, 0.9, 0.8, 0.95, 0.7)):
-        assert closed_form_output(CodeConfig(r=R35, channel_loss=loss), 4).fidelity \
-            < lossless.fidelity
+        lossy = CodeConfig(r=R35, channel_loss=loss)
+        assert fidelity_from_moments(*lossy.input_state(), *closed_form_output(lossy, 4)) < bound
 
 
 def test_loss_reduces_channel12_fidelity_for_squeezed_input():
     """Uniform loss leaves a vacuum input untouched but degrades a squeezed one."""
     vac = CodeConfig(r=R35, channel_loss=0.9)
-    assert closed_form_output(vac, 1).fidelity == pytest.approx(1.0, abs=1e-12)
+    assert fidelity_from_moments(*vac.input_state(), *closed_form_output(vac, 1)) \
+        == pytest.approx(1.0, abs=1e-12)
     sq = CodeConfig(r=R35, input_kind="squeezed", channel_loss=0.9)
-    f = closed_form_output(sq, 1).fidelity
+    f = fidelity_from_moments(*sq.input_state(), *closed_form_output(sq, 1))
     assert f < 1.0
     assert f > 0.9
 
@@ -1123,7 +1146,7 @@ def test_loss_reduces_channel12_fidelity_for_squeezed_input():
 
 
 def _round_theory(outcome, cfg, law):
-    """Closed-form output of each round's branch in a run of ``cfg``: the
+    """Closed-form output moments of each round's branch in a run of ``cfg``: the
     corrected output of a located channel, the error-free output, or the
     unrepaired hit of an indefinite round, in the configuration of the pass
     the round reports."""
@@ -1148,7 +1171,8 @@ def test_run_round_channel2_near_unit_fidelity(series_sampler):
     ec = ErrorConfig(1.0, 2, ErrorLaw("general", STRONG))
     out = run_rounds(cfg, ec, np.random.default_rng(21), 1)
     assert out.final_codes[0] == 2
-    assert _round_theory(out, cfg, ec.law)[0].fidelity == pytest.approx(1.0, abs=1e-12)
+    assert fidelity_from_moments(*cfg.input_state(), *_round_theory(out, cfg, ec.law)[0]) \
+        == pytest.approx(1.0, abs=1e-12)
     assert fidelity_from_moments(*cfg.input_state(), out.corrected_mean,
                                  out.corrected_cov)[0] > 0.99
 
@@ -1168,7 +1192,8 @@ def test_run_round_gamma_zero_is_identity_round(series_sampler):
     out = run_rounds(cfg, ec, np.random.default_rng(23), 1)
     assert out.final_codes[0] == NO_ERROR
     assert out.channels[0] == 0
-    assert _round_theory(out, cfg, ec.law)[0].fidelity == pytest.approx(1.0, abs=1e-12)
+    assert fidelity_from_moments(*cfg.input_state(), *_round_theory(out, cfg, ec.law)[0]) \
+        == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_rounds_matches_run_round_semantics():
@@ -1177,11 +1202,11 @@ def test_run_rounds_matches_run_round_semantics():
     outcome = run_rounds(cfg, ec, np.random.default_rng(24), 40, window=256)
     assert outcome.matched.all()
     assert np.bincount(outcome.final_codes).tolist() == [0] * 5 + [40]
-    th = closed_form_output(cfg, 5)
+    th = closed_form_output(cfg, 5)[1]
     mean, cov = qec.pooled_moments(outcome, 5)
     n = 40 * 256
     for k in (0, 1):
-        assert abs(cov[k, k] - th.cov[k, k]) < 5 * th.cov[k, k] * math.sqrt(2 / (n - 1))
+        assert abs(cov[k, k] - th[k, k]) < 5 * th[k, k] * math.sqrt(2 / (n - 1))
 
 
 def test_run_rounds_deterministic_for_fixed_seed():
@@ -1485,8 +1510,8 @@ def test_samplers_at_the_extremes(cfg, law, expect, request):
         outcomes.append(run_rounds(cfg, ec, np.random.default_rng(3), 200, window=64))
         request.getfixturevalue("series_sampler")       # the series route from here on
         outcomes.append(run_rounds(cfg, ec, np.random.default_rng(3), 200, window=64))
-        theory = [stats.fidelity for outcome in outcomes
-                  for stats in _round_theory(outcome, cfg, law)]
+        theory = [fidelity_from_moments(*cfg.input_state(), *moments) for outcome in outcomes
+                  for moments in _round_theory(outcome, cfg, law)]
         fids = [fidelity_from_moments(*cfg.input_state(), outcome.corrected_mean,
                                       outcome.corrected_cov) for outcome in outcomes]
     assert np.isfinite(theory).all()

@@ -291,11 +291,24 @@ def test_mixture_corrected_branch_collapses():
     cfg = CodeConfig(r=R35)
     mean, cov = output_mixture(cfg, ErrorConfig(0.5, 3, ErrorLaw("x", 3.0)))
     assert np.allclose(mean, 0.0, atol=1e-12)
-    both = 0.5 * closed_form_output(cfg, None).cov + 0.5 * closed_form_output(cfg, 3).cov
+    both = 0.5 * closed_form_output(cfg, None)[1] + 0.5 * closed_form_output(cfg, 3)[1]
     assert np.allclose(cov, both, atol=1e-12)
     mean, cov = output_mixture(cfg, ErrorConfig(1.0, 4, ErrorLaw("general", 2.0)))
     assert np.allclose(mean, 0.0, atol=1e-12)
-    assert np.allclose(cov, closed_form_output(cfg, 4).cov, atol=1e-12)
+    assert np.allclose(cov, closed_form_output(cfg, 4)[1], atol=1e-12)
+
+
+@pytest.mark.parametrize("fourier", [False, True])
+@pytest.mark.parametrize("loss", [None, 0.9, (1.0, 0.9, 0.8, 0.95, 0.7)])
+def test_mixture_of_one_hit_channel_is_its_closed_form(fourier, loss):
+    """At gamma 1 on one channel the mixture is that channel's corrected
+    branch bit for bit, whatever the law: its one weight is 1.0."""
+    cfg = CodeConfig(r=R35, fourier_mode=fourier, channel_loss=loss)
+    for ch in range(1, 6):
+        for law in (ErrorLaw("general", 2.0), ErrorLaw("x", 3.0), ErrorLaw("p", 1.0, "gaussian")):
+            got = output_mixture(cfg, ErrorConfig(1.0, ch, law))
+            want = closed_form_output(cfg, ch)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_monte_carlo_matches_mixture_moments():
@@ -334,8 +347,8 @@ def test_mixture_uniform_policy_shares_gamma():
     """Under the uniform policy each channel's branch carries gamma / 5."""
     cfg = CodeConfig(r=R35, channel_loss=(1.0, 0.9, 0.8, 0.95, 0.7))
     mean, cov = output_mixture(cfg, ErrorConfig(0.5, "uniform", ErrorLaw("x", 3.0)))
-    want = 0.5 * closed_form_output(cfg, None).cov
+    want = 0.5 * closed_form_output(cfg, None)[1]
     for ch in range(1, 6):
-        want = want + 0.1 * closed_form_output(cfg, ch).cov
+        want = want + 0.1 * closed_form_output(cfg, ch)[1]
     assert not mean.any()
     np.testing.assert_allclose(cov, want, rtol=1e-15, atol=0)

@@ -278,9 +278,11 @@ def test_variance_db_conversions():
     assert variance_to_db(0.25 * Q35) == pytest.approx(-3.5, rel=1e-12)
     assert variance_to_db(0.25 * (1 + 8 * Q35)) == pytest.approx(6.60, abs=5e-3)
     assert variance_to_db(0.25 * 9) == pytest.approx(9.542, abs=5e-4)
-    with pytest.raises(ValueError):
-        variance_to_db(0.0)
+    for bad in (0.0, -0.25, math.nan):
+        with pytest.raises(ValueError, match="variance must be positive"):
+            variance_to_db(bad)
     assert db_to_r(3.5) == pytest.approx(0.403, abs=5e-4)
     assert math.exp(-2.0 * db_to_r(3.5)) == pytest.approx(Q35, rel=1e-12)
-    with pytest.raises(ValueError):
-        db_to_r(-1.0)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="squeezing level in dB must be non-negative"):
+            db_to_r(bad)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cvqec.code import MAX_R, CodeConfig, closed_form_output, encode
-from cvqec.gaussian import db_to_r
+from cvqec.gaussian import db_to_r, fidelity_from_moments
 from cvqec.witness import (_TERMS, SEPARABLE_BOUND, _encoded_factor, _index,
                            combination_value, evaluate_witness, optimize_gains)
 from test_exact import form_covariance, form_variance
@@ -93,11 +93,13 @@ def test_vertex_beats_grid_scan():
 
 def test_witness_fidelity_coherence():
     """Whenever the witness is satisfied the channel-3 fidelity beats r=0."""
-    classical = closed_form_output(CodeConfig(r=0.0), 3).fidelity
+    coherent = CodeConfig(r=0.0)
+    classical = fidelity_from_moments(*coherent.input_state(), *closed_form_output(coherent, 3))
     for r in (0.2, 0.4, 0.8, 1.6):
-        res = evaluate_witness(CodeConfig(r=r))
-        if res.all_satisfied():
-            assert closed_form_output(CodeConfig(r=r), 3).fidelity > classical
+        cfg = CodeConfig(r=r)
+        if evaluate_witness(cfg).all_satisfied():
+            assert fidelity_from_moments(*cfg.input_state(), *closed_form_output(cfg, 3)) \
+                > classical
 
 
 def test_rejects_non_vacuum_input():
