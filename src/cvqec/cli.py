@@ -90,8 +90,31 @@ _TRACE_ROWS = 4096          # trace rows turned into text at a time
 # configuration document
 
 
+# The largest trial count and syndrome window.  A run keeps 8 bytes a round
+# and a syndrome trace every sample, so at either bound it peaks below 300 MB
+# of resident memory: measured with getrusage (2-vCPU x86-64 host, numpy 2.4),
+# table2 at MAX_TRIALS (window 30) peaks at 74 MB in 240 s and syndrome-demo
+# at MAX_WINDOW at 170 MB in 31-42 s.
+MAX_TRIALS = 2 ** 21
+MAX_WINDOW = 2 ** 20
+
+# The code and error configs at one value of each sweep parameter.
+_SWEEPS = {
+    "r": lambda code, error, value: (replace(code, r=value), error),
+    "gamma": lambda code, error, value: (code, replace(error, gamma=value)),
+    "magnitude": lambda code, error, value: (
+        code, replace(error, law=replace(error.law, magnitude=value))),
+    "loss": lambda code, error, value: (replace(code, channel_loss=value), error),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A run's configuration, checked when built, parsed or not: ints (not
+    bools) for trials in [1, ``MAX_TRIALS``], window up to ``MAX_WINDOW`` and
+    a non-negative seed; no sweep values, not even [], without a parameter,
+    and a sweep of a ``_SWEEPS`` parameter over two or more real values
+    (kept as floats), each giving a valid code and error config."""
     code: CodeConfig
     error: ErrorConfig
     trials: int
@@ -100,14 +123,37 @@ class ExperimentConfig:
     sweep_parameter: str | None = None
     sweep_values: tuple[float, ...] = ()
 
-
-# The largest trial count and syndrome window.  A run keeps 8 bytes a round
-# and a syndrome trace every sample, so at either bound it peaks below 300 MB
-# of resident memory: measured with getrusage (2-vCPU x86-64 host, numpy 2.4),
-# table2 at MAX_TRIALS (window 30) peaks at 74 MB in 240 s and syndrome-demo
-# at MAX_WINDOW at 170 MB in 31-42 s.
-MAX_TRIALS = 2 ** 21
-MAX_WINDOW = 2 ** 20
+    def __post_init__(self):
+        for key, high in (("trials", MAX_TRIALS), ("window", MAX_WINDOW), ("seed", math.inf)):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{key} must be an integer, not {_echo(value)}")
+            if value > high:
+                raise ValueError(f"{key} must be at most {high}, not {_echo(value)}")
+        if self.trials < 1:
+            raise ValueError("trials must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, not {_echo(self.seed)}")
+        parameter = self.sweep_parameter
+        if parameter is None:
+            if self.sweep_values != ():
+                raise ValueError("a sweep needs a parameter")
+            return
+        if not isinstance(parameter, str) or parameter not in _SWEEPS:
+            raise ValueError(f"unknown sweep parameter {_echo(parameter)}")
+        if not isinstance(self.sweep_values, (list, tuple)):
+            raise ValueError(f"sweep values must be a list, not {_echo(self.sweep_values)}")
+        # one scalar each; its model checks its range
+        values = tuple(_bounded(v, "sweep value", sys.float_info.max)
+                       for v in self.sweep_values)
+        if len(values) < 2:
+            raise ValueError("a sweep needs at least two values")
+        for value in values:
+            try:
+                _SWEEPS[parameter](self.code, self.error, value)
+            except ValueError as exc:
+                raise ValueError(f"sweep {parameter} = {value}: {exc}") from None
+        object.__setattr__(self, "sweep_values", values)
 
 
 def _reject_unknown(doc: dict, allowed, where: str) -> None:
@@ -155,49 +201,36 @@ def _parse_error(doc: dict) -> ErrorConfig:
 
 
 def _parse_count(doc: dict, key: str, default: int) -> int:
-    """An integer entry, as an int; a bool, string or non-integral number is
-    rejected, not truncated.  ``check_experiment`` checks its range."""
+    """An integer entry, which JSON may write as an integral float such as
+    64.0, as an int; ``ExperimentConfig`` rejects every other non-int."""
     value = doc.get(key, default)
-    if isinstance(value, bool) or not (
-            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
-        raise ValueError(f"{key} must be an integer, not {_echo(value)}")
-    return int(value)
+    return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
-def parse_config(doc: dict) -> ExperimentConfig:
-    """Parses an experiment config document; unknown keys are rejected."""
+def parse_config(doc: dict, seed: int | None = None) -> ExperimentConfig:
+    """Parses an experiment config document, with ``seed``, when given, in
+    place of its seed; unknown keys are rejected."""
     _reject_unknown(doc, {"code", "error", "trials", "window", "seed", "sweep"}, "config")
     code = _parse_code(doc.get("code", {}))
     error = _parse_error(doc.get("error", {}))
     sweep = doc.get("sweep")
-    sweep_parameter, sweep_values = None, ()
-    if sweep is not None:
-        _reject_unknown(sweep, {"parameter", "values"}, "sweep")
-        if "parameter" not in sweep:
-            raise ValueError("a sweep needs a parameter")
-        sweep_parameter = sweep["parameter"]
-        if sweep_parameter not in ("r", "gamma", "magnitude", "loss"):
-            raise ValueError(f"unknown sweep parameter {_echo(sweep_parameter)}")
-        if not isinstance(sweep.get("values"), list):
-            raise ValueError(f"sweep values must be a list, not {_echo(sweep.get('values'))}")
-        # one scalar each; its model checks its range
-        sweep_values = tuple(_bounded(v, "sweep value", sys.float_info.max)
-                             for v in sweep["values"])
-        if len(sweep_values) < 2:
-            raise ValueError("a sweep needs at least two values")
+    if sweep is None:                   # no sweep: the config's empty default
+        sweep = {"values": ()}
+    _reject_unknown(sweep, {"parameter", "values"}, "sweep")
     return ExperimentConfig(
         code=code, error=error,
         trials=_parse_count(doc, "trials", 50),
         window=_parse_count(doc, "window", 512),
-        seed=_parse_count(doc, "seed", 0),
-        sweep_parameter=sweep_parameter, sweep_values=sweep_values)
+        seed=_parse_count(doc, "seed", 0) if seed is None else seed,
+        sweep_parameter=sweep.get("parameter"), sweep_values=sweep.get("values"))
 
 
-def load_config(path: str | None) -> ExperimentConfig:
+def load_config(path: str | None, seed: int | None = None) -> ExperimentConfig:
+    """``parse_config`` of the JSON document at ``path``, or of {} when None."""
     if path is None:
-        return parse_config({})
+        return parse_config({}, seed)
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(json.load(fh))
+        return parse_config(json.load(fh), seed)
 
 
 # --------------------------------------------------------------------------
@@ -419,19 +452,6 @@ def run_spectra(cfg: ExperimentConfig, out_dir: Path) -> dict:
                         seed=cfg.seed, trials=cfg.trials, window=cfg.window)
 
 
-def _sweep_apply(cfg: ExperimentConfig, value: float) -> tuple[CodeConfig, ErrorConfig]:
-    code, error = cfg.code, cfg.error
-    if cfg.sweep_parameter == "r":
-        code = replace(code, r=value)
-    elif cfg.sweep_parameter == "gamma":
-        error = replace(error, gamma=value)
-    elif cfg.sweep_parameter == "magnitude":
-        error = replace(error, law=replace(error.law, magnitude=value))
-    elif cfg.sweep_parameter == "loss":
-        code = replace(code, channel_loss=value)
-    return code, error
-
-
 def run_mc_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
     """Fidelity and classification accuracy versus a swept parameter."""
     root = np.random.SeedSequence(cfg.seed)
@@ -439,7 +459,7 @@ def run_mc_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
               "fidelity_mc_stderr", "classification_accuracy"]
     rows = []
     for value in cfg.sweep_values:
-        code, error = _sweep_apply(cfg, value)
+        code, error = _SWEEPS[cfg.sweep_parameter](cfg.code, cfg.error, value)
         pooled, fidelities, accuracy = run_chunked_rounds(
             code, error, root.spawn(1)[0], cfg.trials, cfg.window)
         inp = code.input_state()
@@ -471,24 +491,12 @@ _WITH_STDERR = ("table2", "mc-sweep")      # write fidelity_mc_stderr, a spread 
 
 def check_experiment(name: str, cfg: ExperimentConfig) -> None:
     """Raises ValueError if the experiment is unknown or cannot run with the
-    config: trials, window or seed not an int (a bool is not one), no trial
-    or more than ``MAX_TRIALS``, a negative seed, a window above
-    ``MAX_WINDOW`` or below the syndrome floor, a single trial where a row's
-    stderr needs two, a missing or unsuitable sweep section, a witness grid
-    around a per-ancilla r or on a lossy code, a syndrome demo of a
-    single-quadrature law, or a sweep value that makes an invalid config."""
+    config, which checked itself when it was built: a window below the
+    syndrome floor, a single trial where a row's stderr needs two, a missing
+    or unsuitable sweep, a witness grid around a per-ancilla r or on a lossy
+    code, or a syndrome demo of a single-quadrature law."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown experiment {_echo(name)}")
-    for key, high in (("trials", MAX_TRIALS), ("window", MAX_WINDOW), ("seed", math.inf)):
-        value = getattr(cfg, key)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"{key} must be an integer, not {_echo(value)}")
-        if value > high:
-            raise ValueError(f"{key} must be at most {high}, not {_echo(value)}")
-    if cfg.trials < 1:
-        raise ValueError("trials must be at least 1")
-    if cfg.seed < 0:
-        raise ValueError(f"seed must be non-negative, not {_echo(cfg.seed)}")
     if name in _WINDOWED and cfg.window < qec.MIN_SYNDROME_WINDOW:
         raise ValueError(f"window must be at least {qec.MIN_SYNDROME_WINDOW}")
     if name in _WITH_STDERR and cfg.trials < 2:
@@ -506,11 +514,6 @@ def check_experiment(name: str, cfg: ExperimentConfig) -> None:
     if name == "syndrome-demo" and cfg.error.law.kind != LAW_GENERAL:
         raise ValueError("the syndrome-demo experiment sweeps a general-law phase: "
                          "error.law.kind must be 'general'")
-    for value in cfg.sweep_values:
-        try:
-            _sweep_apply(cfg, value)
-        except ValueError as exc:
-            raise ValueError(f"sweep {cfg.sweep_parameter} = {value}: {exc}") from None
 
 
 def run_experiment(name: str, cfg: ExperimentConfig, out_dir: str | Path) -> dict:
@@ -544,15 +547,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if run_all(quiet=args.quiet) else 1
 
     try:
-        cfg = load_config(args.config)
+        cfg = load_config(args.config, args.seed)
+        check_experiment(args.experiment, cfg)
     except (OSError, ValueError, RecursionError) as exc:    # json recurses per nesting level
         parser.error(f"bad config: {exc}")
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    try:
-        check_experiment(args.experiment, cfg)
-    except ValueError as exc:
-        parser.error(str(exc))
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -122,41 +122,44 @@ def test_table2_deterministic_and_crlf(tmp_path, experiment):
 
 
 def test_chunked_rounds_are_run_rounds_on_spawned_seeds():
-    """run_chunked_rounds runs 256-round chunks in order, the k-th on the k-th
-    child spawned from the seed, so its results depend only on the seed and
-    the trial count: its pooled moments (of every round, of a class and of
-    an absent class), fidelities and matched fraction are bit for bit those
-    of one outcome holding every chunk's rounds."""
+    """run_chunked_rounds runs ``cli._CHUNK``-round chunks in order, the k-th
+    on the k-th child spawned from the seed, so its results depend only on
+    the seed and the trial count: at two full chunks and one of 88 rounds,
+    its pooled moments (of every round, of a class and of an absent class),
+    fidelities and matched fraction are bit for bit those of one outcome
+    holding every chunk's rounds."""
     cfg = cli.parse_config({"error": {"gamma": 0.5, "law": {"magnitude": 20.0}}})
+    sizes = (cli._CHUNK, cli._CHUNK, 88)
+    trials = sum(sizes)
     want = concatenate_outcomes([
         run_rounds(cfg.code, cfg.error, np.random.default_rng(child), size, 32)
-        for child, size in zip(np.random.SeedSequence(9).spawn(3), (256, 256, 88))])
+        for child, size in zip(np.random.SeedSequence(9).spawn(3), sizes)])
     want_fidelities = fidelity_from_moments(*cfg.code.input_state(), want.corrected_mean,
                                             want.corrected_cov)
     assert AMBIGUOUS_P not in want.final_codes
     for pool in (None, NO_ERROR, 3, AMBIGUOUS_P):
         pooled, fidelities, accuracy = cli.run_chunked_rounds(
-            cfg.code, cfg.error, np.random.SeedSequence(9), 600, 32, pool)
+            cfg.code, cfg.error, np.random.SeedSequence(9), trials, 32, pool)
         want_pooled = pooled_moments(want, pool)
         if pool == AMBIGUOUS_P:
             assert pooled is None and want_pooled is None
         else:
             for got_part, want_part in zip(pooled, want_pooled, strict=True):
                 np.testing.assert_array_equal(got_part, want_part)
-        assert len(fidelities) == 600
+        assert len(fidelities) == trials
         np.testing.assert_array_equal(fidelities, want_fidelities)
         assert accuracy == want.summary.accuracy
 
 
 def _fold_chunk_by_chunk(cfg, seed, trials, window, pool):
-    """The fold of ``run_chunked_rounds``, one 256-round chunk at a time:
-    each chunk's fidelities, its ``pooling_sums`` carried onto the previous
-    chunks' and its matched count."""
+    """The fold of ``run_chunked_rounds``, one ``cli._CHUNK``-round chunk at
+    a time: each chunk's fidelities, its ``pooling_sums`` carried onto the
+    previous chunks' and its matched count."""
     fidelities, sums, matched = [], None, 0
-    children = np.random.SeedSequence(seed).spawn(-(-trials // 256))
-    for start, child in zip(range(0, trials, 256), children, strict=True):
+    children = np.random.SeedSequence(seed).spawn(-(-trials // cli._CHUNK))
+    for start, child in zip(range(0, trials, cli._CHUNK), children, strict=True):
         part = run_rounds(cfg.code, cfg.error, np.random.default_rng(child),
-                          min(256, trials - start), window)
+                          min(cli._CHUNK, trials - start), window)
         fidelities.append(fidelity_from_moments(*cfg.code.input_state(), part.corrected_mean,
                                                 part.corrected_cov))
         sums = pooling_sums(part, pool, sums)
@@ -165,17 +168,18 @@ def _fold_chunk_by_chunk(cfg, seed, trials, window, pool):
 
 
 def test_chunked_rounds_fold_groups_as_chunk_by_chunk():
-    """At 1,100 trials (five chunks: a group of four, then one chunk alone)
-    the grouped fold gives the chunk-by-chunk fold's pooled moments (of every
-    round, of one class and of an absent class), fidelities and matched
-    fraction bit for bit, on a lossy gaussian-p sweep point whose rounds
-    rerun in the rotated basis."""
+    """At ``cli._GROUP`` full chunks and 76 rounds more (a group of
+    ``cli._GROUP`` chunks, then one chunk alone) the grouped fold gives the
+    chunk-by-chunk fold's pooled moments (of every round, of one class and of
+    an absent class), fidelities and matched fraction bit for bit, on a
+    lossy gaussian-p sweep point whose rounds rerun in the rotated basis."""
     cfg = cli.parse_config({"code": {"channel_loss": 0.9},
                             "error": {"gamma": 0.5, "law": {"kind": "p", "shape": "gaussian"}}})
+    trials = cli._GROUP * cli._CHUNK + 76
     for pool in (None, 3, AMBIGUOUS_P):
-        got = cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(4), 1100, 30,
+        got = cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(4), trials, 30,
                                      pool)
-        want = _fold_chunk_by_chunk(cfg, 4, 1100, 30, pool)
+        want = _fold_chunk_by_chunk(cfg, 4, trials, 30, pool)
         if pool == AMBIGUOUS_P:
             assert got[0] is None and want[0] is None
         else:
@@ -185,10 +189,16 @@ def test_chunked_rounds_fold_groups_as_chunk_by_chunk():
         assert got[2] == want[2]
 
 
-@pytest.mark.parametrize("trials", (1, 255, 256, 257, 1024, 1025, 1100, 2049))
+_GROUP_ROUNDS = cli._GROUP * cli._CHUNK
+
+
+@pytest.mark.parametrize("trials", (1, cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1,
+                                    _GROUP_ROUNDS, _GROUP_ROUNDS + 1, _GROUP_ROUNDS + 76,
+                                    2 * _GROUP_ROUNDS + 1))
 def test_chunked_rounds_run_one_call_per_chunk(monkeypatch, trials):
-    """``run_rounds`` runs exactly ceil(trials / 256) times, on 256 rounds
-    each but the last, however the chunks are grouped for the fold."""
+    """``run_rounds`` runs exactly ceil(trials / ``cli._CHUNK``) times, on
+    ``cli._CHUNK`` rounds each but the last, however the chunks are grouped
+    for the fold."""
     sizes = []
 
     def counted(code_cfg, error_cfg, rng, n_rounds, window):
@@ -198,14 +208,15 @@ def test_chunked_rounds_run_one_call_per_chunk(monkeypatch, trials):
     monkeypatch.setattr(cli, "run_rounds", counted)
     cfg = cli.parse_config({})
     cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(2), trials, 30)
-    assert len(sizes) == math.ceil(trials / 256)
-    assert sizes == [256] * (len(sizes) - 1) + [trials - 256 * (len(sizes) - 1)]
+    assert len(sizes) == math.ceil(trials / cli._CHUNK)
+    assert sizes == ([cli._CHUNK] * (len(sizes) - 1)
+                     + [trials - cli._CHUNK * (len(sizes) - 1)])
 
 
 def test_chunked_rounds_memory_is_flat_in_trials():
     """A run's traced peak memory does not grow with its trials beyond the
-    8 bytes a round of its fidelities: 65,536 trials (256 chunks) peak
-    within 1 MB plus 8 B a trial of 2,048."""
+    8 bytes a round of its fidelities: 65,536 trials (``65536 / cli._CHUNK``
+    chunks) peak within 1 MB plus 8 B a trial of 2,048."""
     cfg = cli.parse_config({"error": {"channel": 3}})
 
     def peak(trials):
@@ -433,15 +444,12 @@ def test_mc_sweep_requires_sweep_section(tmp_path):
     ("window", cli.MAX_WINDOW + 1, f"window must be at most {cli.MAX_WINDOW}, not"),
     ("window", 2 ** 40, f"window must be at most {cli.MAX_WINDOW}, not 1099511627776"),
 ])
-def test_check_experiment_rejects_bad_counts_built_in_code(key, value, message):
-    """An ``ExperimentConfig`` built in code, not parsed, gets the parser's
-    count rules from ``check_experiment``, for every experiment: trials,
-    window and seed are ints, not bools, floats or strings, and trials and
-    window are bounded."""
-    cfg = dataclasses.replace(cli.parse_config({"sweep": _GAMMA_SWEEP}), **{key: value})
-    for name in cli.EXPERIMENTS:
-        with pytest.raises(ValueError, match=re.escape(message)):
-            cli.check_experiment(name, cfg)
+def test_config_built_in_code_rejects_bad_counts(key, value, message):
+    """An ``ExperimentConfig`` built in code, not parsed, meets the parser's
+    count rules when it is built: trials, window and seed are ints, not
+    bools, floats or strings, and trials and window are bounded."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(cli.parse_config({"sweep": _GAMMA_SWEEP}), **{key: value})
 
 
 def test_check_experiment_takes_counts_at_their_bounds():
@@ -451,9 +459,9 @@ def test_check_experiment_takes_counts_at_their_bounds():
 
 
 def test_run_experiment_rejects_a_fractional_trial_count_before_it_starts(tmp_path):
-    cfg = dataclasses.replace(cli.parse_config({}), trials=2.5)
     with pytest.raises(ValueError, match="trials must be an integer"):
-        cli.run_experiment("table2", cfg, tmp_path / "out")
+        cli.run_experiment("table2", dataclasses.replace(cli.parse_config({}), trials=2.5),
+                           tmp_path / "out")
     assert not (tmp_path / "out").exists()
 
 
@@ -474,6 +482,50 @@ def test_main_runs_and_overrides_seed(tmp_path, capsys):
 
 
 _GAMMA_SWEEP = {"parameter": "gamma", "values": [0.5, 1.0]}
+
+
+def test_main_builds_the_config_once_with_the_seed_override(tmp_path, monkeypatch):
+    """``--seed`` takes the document's seed's place in the one parse, so a
+    sweep run checks its config, sweep values included, once."""
+    built = []
+    check = cli.ExperimentConfig.__post_init__
+    monkeypatch.setattr(cli.ExperimentConfig, "__post_init__",
+                        lambda cfg: (built.append(cfg.seed), check(cfg)))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 1, "sweep": {"parameter": "r", "values": [0.0, 0.4]}}))
+    assert run_cli(["run", "witness", "--config", config, "--seed", 7,
+                    "--out", tmp_path / "out"]) == 0
+    assert built == [7]
+
+
+@pytest.mark.parametrize("experiment, change, sweep, message", [
+    ("mc-sweep", {"sweep_parameter": "foo"}, {"parameter": "foo", "values": [0.5, 1.0]},
+     "unknown sweep parameter 'foo'"),
+    ("mc-sweep", {"sweep_values": (0.5,)}, {"parameter": "gamma", "values": [0.5]},
+     "a sweep needs at least two values"),
+    ("table2", {"sweep_parameter": None}, {"values": [0.5, 1.0]}, "a sweep needs a parameter"),
+    ("witness", {"sweep_parameter": None}, {"values": [0.5, 1.0]},
+     "a sweep needs a parameter"),
+    ("mc-sweep", {"sweep_parameter": ["r"]}, {"parameter": ["r"], "values": [0.5, 1.0]},
+     "unknown sweep parameter ['r']"),
+    ("mc-sweep", {"sweep_values": (True, False)},
+     {"parameter": "gamma", "values": [True, False]},
+     "sweep value must be finite and within [0, 1.79769e+308], not True"),
+])
+def test_config_built_in_code_meets_the_parsed_sweep_rules(tmp_path, experiment, change,
+                                                            sweep, message):
+    """A gamma sweep's config changed in code is rejected when it is built,
+    with the message of a parsed document holding the same sweep, so
+    ``run_experiment`` creates no output directory: an unknown or non-str
+    parameter, one value, values without a parameter and bool values."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cli.parse_config({"sweep": sweep})
+    base = cli.parse_config({"sweep": _GAMMA_SWEEP})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dataclasses.replace(base, **change)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cli.run_experiment(experiment, dataclasses.replace(base, **change), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 _HUGE = 10 ** 400          # a JSON integer beyond the float range

@@ -9,7 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from cvqec.cli import MAX_TRIALS, MAX_WINDOW
+from cvqec.cli import _SWEEPS, MAX_TRIALS, MAX_WINDOW
 from cvqec.code import MAX_INPUT_DB, MAX_R, RoundsOutcome
 from cvqec.errors import MAX_MAGNITUDE
 
@@ -56,3 +56,11 @@ def test_readme_lists_the_outcome_columns():
     assert len(stated) == 1, stated
     assert (re.findall(r"`(\w+)`", stated[0])
             == [f.name for f in dataclasses.fields(RoundsOutcome)])
+
+
+def test_readme_lists_the_sweep_parameters():
+    """The backticked names in the README's mc-sweep row are the sweep
+    parameters of ``cli._SWEEPS``, in order."""
+    rows = re.findall(r"^\| `mc-sweep` +\|(.*)\|$", (ROOT / "README.md").read_text(), re.M)
+    assert len(rows) == 1, rows
+    assert re.findall(r"`(\w+)`", rows[0]) == list(_SWEEPS)
