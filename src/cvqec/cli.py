@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,7 @@ import numpy as np
 from . import code as qec
 from .code import (CodeConfig, RoundsOutcome, closed_form_output, moments_from_sums,
                    output_mixture, pooling_sums, run_rounds)
-from .errors import LAW_GENERAL, ErrorConfig, ErrorLaw, _bounded, _echo
+from .errors import LAW_GENERAL, ErrorConfig, ErrorLaw, _bounded, _count, _echo
 from .gaussian import db_to_r, fidelity_from_moments, variance_to_db
 from .witness import evaluate_witness
 
@@ -79,8 +79,8 @@ MEASURED_NOISE_DB = {
 # often.  The benchmark's ``perfbench/workloads.py`` mirrors it as ``CHUNK``,
 # and ``perfbench/run.py``'s ``check_counts`` requires exactly
 # ceil(trials / 256) ``run_rounds`` calls per configuration, so a change of
-# ``_CHUNK`` alone fails every benchmark run: larger chunks (ROADMAP item 1)
-# wait on the benchmark's count check (item 7).
+# ``_CHUNK`` alone fails every benchmark run: larger chunks wait until that
+# count check no longer fixes the chunk size.
 _CHUNK = 256
 _GROUP = 4                  # chunks folded at once: 1,024 rounds
 _TRACE_ROWS = 4096          # trace rows turned into text at a time
@@ -237,35 +237,75 @@ def load_config(path: str | None, seed: int | None = None) -> ExperimentConfig:
 # deterministic chunked Monte-Carlo
 
 
+@dataclass
+class Fold:
+    """A configuration's Monte-Carlo run as ``add`` folds in its rounds: the
+    ``pooling_sums`` of the rounds of final code ``pool`` (every round when
+    None), added in round order and so one batch's bit for bit however the
+    rounds are grouped; every round's fidelity against the input of
+    ``code``; the matched count.  A fold that pooled no round has no estimate
+    and no error bar: its ``moments`` are None, ``fidelity`` and ``spread`` nan."""
+    code: CodeConfig
+    trials: int
+    window: int
+    pool: int | None = None
+    sums: np.ndarray | None = field(default=None, init=False)
+    fidelities: np.ndarray = field(init=False)
+    rounds: int = field(default=0, init=False)
+    matched: int = field(default=0, init=False)
+
+    def __post_init__(self):
+        self.trials = _count(self.trials, "trials", 1)
+        if self.pool is not None and _count(self.pool, "pool", 0) >= len(qec.CODE_NAMES):
+            raise ValueError(f"pool must be None or a round code 0..7, not {_echo(self.pool)}")
+        self.fidelities = np.empty(self.trials)
+
+    def add(self, outcome: RoundsOutcome) -> None:
+        end = self.rounds + len(outcome.final_codes)
+        self.fidelities[self.rounds:end] = fidelity_from_moments(
+            *self.code.input_state(), outcome.corrected_mean, outcome.corrected_cov)
+        self.rounds = end
+        self.sums = pooling_sums(outcome, self.pool, self.sums)
+        self.matched += int(np.count_nonzero(outcome.matched))
+
+    @property
+    def moments(self) -> tuple[np.ndarray, np.ndarray] | None:
+        return moments_from_sums(self.sums, self.window)
+
+    @property
+    def fidelity(self) -> float:
+        return (math.nan if (moments := self.moments) is None
+                else fidelity_from_moments(*self.code.input_state(), *moments))
+
+    @property
+    def spread(self) -> float:
+        """Every round's fidelity's sample standard deviation over sqrt(n),
+        not the standard error of ``fidelity``, which pools only ``pool``."""
+        return math.nan if self.moments is None else float(
+            np.std(self.fidelities, ddof=1) / math.sqrt(len(self.fidelities)))
+
+    @property
+    def accuracy(self) -> float:
+        return self.matched / self.trials
+
+
 def run_chunked_rounds(code_cfg: CodeConfig, error_cfg: ErrorConfig,
                        seed_seq: np.random.SeedSequence, trials: int, window: int,
-                       pool: int | None = None) -> tuple:
+                       pool: int | None = None) -> Fold:
     """Runs trials in chunks of ``_CHUNK`` rounds, each with its own RNG
-    stream, and folds each group of up to ``_GROUP`` chunks into the results
-    as soon as it is drawn: the pooled moments of the rounds whose final code
-    is ``pool`` (every round when None; None when no round has it), every
-    round's fidelity against the input of ``code_cfg`` and the matched
-    fraction.  The chunk seeds are spawned up front in chunk order, so the
-    results depend only on the seed and the trial count; the carried
-    ``pooling_sums`` add in round order and the fidelity is elementwise, so
-    both are one batch's bit for bit however the chunks are grouped."""
-    fidelities = np.empty(trials)
-    sums, matched = None, 0
-    children = seed_seq.spawn(-(-trials // _CHUNK))
+    stream, and adds each group of up to ``_GROUP`` chunks to the returned
+    ``Fold`` as soon as it is drawn.  The chunk seeds are spawned up front in
+    chunk order, so the fold depends only on the seed and the trial count."""
+    fold = Fold(code_cfg, trials, window, pool)
+    children = seed_seq.spawn(-(-fold.trials // _CHUNK))
     for first in range(0, len(children), _GROUP):
-        start = first * _CHUNK
         parts = [run_rounds(code_cfg, error_cfg, np.random.default_rng(child),
                             min(_CHUNK, trials - begin), window)
-                 for begin, child in zip(range(start, trials, _CHUNK),
+                 for begin, child in zip(range(first * _CHUNK, trials, _CHUNK),
                                          children[first:first + _GROUP])]
-        group = parts[0] if len(parts) == 1 else _joined(parts)
+        fold.add(parts[0] if len(parts) == 1 else _joined(parts))
         del parts                       # one group's outcome at a time
-        fidelities[start:start + len(group.final_codes)] = fidelity_from_moments(
-            *code_cfg.input_state(), group.corrected_mean, group.corrected_cov)
-        sums = pooling_sums(group, pool, sums)
-        matched += int(np.count_nonzero(group.matched))
-        del group
-    return moments_from_sums(sums, window), fidelities, matched / trials
+    return fold
 
 
 def _joined(parts: list[RoundsOutcome]) -> RoundsOutcome:
@@ -325,14 +365,6 @@ def _input_variants(code: CodeConfig):
             ("squeezed", replace(code, input_kind="squeezed")))
 
 
-def _stderr(fidelities: np.ndarray) -> float:
-    """The sample standard deviation of every round's fidelity over sqrt(n).
-    It is not the standard error of a pooled ``fidelity_mc``, whose moments
-    pool every round of a sweep value but only a table2 row's hit-channel
-    rounds."""
-    return float(np.std(fidelities, ddof=1) / math.sqrt(len(fidelities)))
-
-
 # --------------------------------------------------------------------------
 # experiments
 
@@ -349,14 +381,10 @@ def run_table2(cfg: ExperimentConfig, out_dir: Path) -> dict:
                 theory = fidelity_from_moments(*variant.input_state(),
                                                *closed_form_output(variant, channel))
                 error = replace(cfg.error, gamma=1.0, channel=channel)
-                pooled, fidelities, _ = run_chunked_rounds(
-                    variant, error, root.spawn(1)[0], cfg.trials, cfg.window, channel)
-                # a row that pooled no round has no estimate, and so no error bar
-                mc, stderr = ((math.nan, math.nan) if pooled is None else
-                              (fidelity_from_moments(*variant.input_state(), *pooled),
-                               _stderr(fidelities)))
+                fold = run_chunked_rounds(variant, error, root.spawn(1)[0],
+                                          cfg.trials, cfg.window, channel)
                 rows.append([channel, input_kind, ancilla,
-                             repr(theory), repr(mc), repr(stderr),
+                             repr(theory), repr(fold.fidelity), repr(fold.spread),
                              MEASURED_FIDELITY[(input_kind, ancilla)][channel],
                              "measured"])
     return _write_table(out_dir, "table2", header, rows, experiment="table2",
@@ -439,7 +467,7 @@ def run_spectra(cfg: ExperimentConfig, out_dir: Path) -> dict:
         for channel in range(1, 6):
             error = replace(cfg.error, gamma=1.0, channel=channel)
             pooled = run_chunked_rounds(variant, error, root.spawn(1)[0],
-                                        cfg.trials, cfg.window, channel)[0]
+                                        cfg.trials, cfg.window, channel).moments
             before = closed_form_output(variant, channel,
                                         error_var=cfg.error.law.quadrature_variances())[1]
             after = closed_form_output(variant, channel)[1]
@@ -460,15 +488,12 @@ def run_mc_sweep(cfg: ExperimentConfig, out_dir: Path) -> dict:
     rows = []
     for value in cfg.sweep_values:
         code, error = _SWEEPS[cfg.sweep_parameter](cfg.code, cfg.error, value)
-        pooled, fidelities, accuracy = run_chunked_rounds(
-            code, error, root.spawn(1)[0], cfg.trials, cfg.window)
-        inp = code.input_state()
+        fold = run_chunked_rounds(code, error, root.spawn(1)[0], cfg.trials, cfg.window)
         # theory assumes correct classification; MC pools every round
         # regardless of class: both are the full channel mixture
-        theory = fidelity_from_moments(*inp, *output_mixture(code, error))
-        mc = fidelity_from_moments(*inp, *pooled)
+        theory = fidelity_from_moments(*code.input_state(), *output_mixture(code, error))
         rows.append([repr(float(value)), repr(theory),
-                     repr(mc), repr(_stderr(fidelities)), repr(accuracy)])
+                     repr(fold.fidelity), repr(fold.spread), repr(fold.accuracy)])
     return _write_table(out_dir, "mc_sweep", header, rows, experiment="mc-sweep",
                         seed=cfg.seed, trials=cfg.trials, window=cfg.window,
                         parameter=cfg.sweep_parameter)

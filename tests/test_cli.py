@@ -138,17 +138,17 @@ def test_chunked_rounds_are_run_rounds_on_spawned_seeds():
                                             want.corrected_cov)
     assert AMBIGUOUS_P not in want.final_codes
     for pool in (None, NO_ERROR, 3, AMBIGUOUS_P):
-        pooled, fidelities, accuracy = cli.run_chunked_rounds(
-            cfg.code, cfg.error, np.random.SeedSequence(9), trials, 32, pool)
+        fold = cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(9), trials,
+                                      32, pool)
         want_pooled = pooled_moments(want, pool)
         if pool == AMBIGUOUS_P:
-            assert pooled is None and want_pooled is None
+            assert fold.moments is None and want_pooled is None
         else:
-            for got_part, want_part in zip(pooled, want_pooled, strict=True):
+            for got_part, want_part in zip(fold.moments, want_pooled, strict=True):
                 np.testing.assert_array_equal(got_part, want_part)
-        assert len(fidelities) == trials
-        np.testing.assert_array_equal(fidelities, want_fidelities)
-        assert accuracy == want.summary.accuracy
+        assert len(fold.fidelities) == trials
+        np.testing.assert_array_equal(fold.fidelities, want_fidelities)
+        assert fold.accuracy == want.summary.accuracy
 
 
 def _fold_chunk_by_chunk(cfg, seed, trials, window, pool):
@@ -180,13 +180,45 @@ def test_chunked_rounds_fold_groups_as_chunk_by_chunk():
         got = cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(4), trials, 30,
                                      pool)
         want = _fold_chunk_by_chunk(cfg, 4, trials, 30, pool)
+        want_moments, want_fidelities, want_accuracy = want
         if pool == AMBIGUOUS_P:
-            assert got[0] is None and want[0] is None
+            assert got.moments is None and want_moments is None
         else:
-            for got_part, want_part in zip(got[0], want[0], strict=True):
+            for got_part, want_part in zip(got.moments, want_moments, strict=True):
                 np.testing.assert_array_equal(got_part, want_part)
-        np.testing.assert_array_equal(got[1], want[1])
-        assert got[2] == want[2]
+        np.testing.assert_array_equal(got.fidelities, want_fidelities)
+        assert got.accuracy == want_accuracy
+
+
+def test_fold_estimate_is_the_pooled_fidelity_and_the_spread_of_every_round():
+    """A fold that pooled a class reads the fidelity of its pooled moments
+    against the input and every round's fidelity's sample standard deviation
+    over sqrt(n), bit for bit; one that pooled no round reads nan for both."""
+    cfg = cli.parse_config({"error": {"gamma": 0.5, "law": {"magnitude": 20.0}}})
+    trials = cli._CHUNK + 40
+    for pool in (None, 3):
+        fold = cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(5), trials,
+                                      32, pool)
+        assert fold.moments is not None
+        assert fold.fidelity == fidelity_from_moments(*cfg.code.input_state(), *fold.moments)
+        assert fold.spread == float(np.std(fold.fidelities, ddof=1) / math.sqrt(trials))
+    absent = cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(5), trials,
+                                    32, AMBIGUOUS_P)
+    assert absent.moments is None
+    assert math.isnan(absent.fidelity) and math.isnan(absent.spread)
+
+
+@pytest.mark.parametrize("trials, pool", [(0, None), (-1, None), (2.5, None), (8, True),
+                                          (8, "x"), (8, 9), (8, 3.5)])
+def test_chunked_rounds_reject_bad_trials_or_pool(monkeypatch, trials, pool):
+    """A trial count that is not an int of at least 1, or a pool that is not
+    None or a round code 0..7 (a bool included), is a ValueError naming it
+    and its value before any round is drawn."""
+    monkeypatch.setattr(cli, "run_rounds", None)
+    cfg = cli.parse_config({})
+    name, bad = ("pool", pool) if trials == 8 else ("trials", trials)
+    with pytest.raises(ValueError, match=rf"^{name} .*{re.escape(repr(bad))}$"):
+        cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(0), trials, 30, pool)
 
 
 _GROUP_ROUNDS = cli._GROUP * cli._CHUNK

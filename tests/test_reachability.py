@@ -20,9 +20,9 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cvqec"
 
 # Functions kept although no run calls them, by module-qualified name.
 ALLOWLIST = {
-    "code.summarize_reports": "perfbench traces it by name (ROADMAP item 7)",
-    "code.RoundsOutcome.summary": "perfbench traces it by name (ROADMAP item 7)",
-    "errors.ErrorLaw.draw": "perfbench traces it by name (ROADMAP item 7)",
+    "code.summarize_reports": "kept until perfbench stops tracing it by name",
+    "code.RoundsOutcome.summary": "kept until perfbench stops tracing it by name",
+    "errors.ErrorLaw.draw": "kept until perfbench stops tracing it by name",
     "exact.ExactScalar.__setattr__": "the shared ZERO and ONE must not mutate",
     "exact.LinearForm.__setattr__": "forms shared by the cached decoder must not mutate",
     "network.ModeMatrix.__setattr__": "the cached _decoder() and PLANS must not mutate",
