@@ -14,9 +14,8 @@ from .exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol,
                     form_apply_matrix, mode_forms_apply_matrix, sqrt_of)
 from .gaussian import (VACUUM_VAR, db_to_r, fidelity_from_moments,
                        variance_to_db)
-from .network import (BeamSplitterElement, ENCODER_SPEC, ModeMatrix, compose,
-                      element_matrix, encoder_matrix, inverse,
-                      lift_to_symplectic)
+from .network import (BeamSplitterElement, ENCODER_SPEC, compose, element_matrix,
+                      encoder_matrix, inverse, lift_to_symplectic)
 from .errors import ErrorConfig, ErrorLaw
 from .code import (AMBIGUOUS_P, CODE_NAMES, CodeConfig, NO_ERROR, OUT_POS,
                    PLANS, RoundsOutcome, RoundsSummary, UNCLASSIFIABLE,

@@ -42,8 +42,8 @@ def criterion_1_matrix_identity() -> str:
         equal = compose(ENCODER_SPEC) == encoder_matrix()
         best = min(best, time.perf_counter() - t0)
         assert equal, "factorized network differs from the encoder matrix"
-    dev = float(np.abs(compose(ENCODER_SPEC).as_array()
-                       - encoder_matrix().as_array()).max())
+    dev = float(np.abs(np.array(compose(ENCODER_SPEC), dtype=float)
+                       - np.array(encoder_matrix(), dtype=float)).max())
     assert dev <= 1e-12, f"float view deviates by {dev}"
     assert best < 1e-3, f"compose+equality took {best * 1e3:.3f} ms"
     return f"exact equality, float dev {dev:.1e}, {best * 1e3:.3f} ms"

@@ -94,7 +94,7 @@ _TRACE_ROWS = 4096          # trace rows turned into text at a time
 # and a syndrome trace every sample, so at either bound it peaks below 300 MB
 # of resident memory: measured with getrusage (2-vCPU x86-64 host, numpy 2.4),
 # table2 at MAX_TRIALS (window 30) peaks at 74 MB in 240 s and syndrome-demo
-# at MAX_WINDOW at 170 MB in 31-42 s.
+# at MAX_WINDOW at 110 MB in 20-23 s, lossless or at loss 0.9.
 MAX_TRIALS = 2 ** 21
 MAX_WINDOW = 2 ** 20
 
@@ -244,7 +244,9 @@ class Fold:
     None), added in round order and so one batch's bit for bit however the
     rounds are grouped; every round's fidelity against the input of
     ``code``; the matched count.  A fold that pooled no round has no estimate
-    and no error bar: its ``moments`` are None, ``fidelity`` and ``spread`` nan."""
+    and no error bar: its ``moments`` are None, ``fidelity`` and ``spread`` nan.
+    One of fewer than two rounds has no error bar either.  ``trials`` is an
+    int in [1, ``MAX_TRIALS``]."""
     code: CodeConfig
     trials: int
     window: int
@@ -256,6 +258,8 @@ class Fold:
 
     def __post_init__(self):
         self.trials = _count(self.trials, "trials", 1)
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"trials must be at most {MAX_TRIALS}, not {_echo(self.trials)}")
         if self.pool is not None and _count(self.pool, "pool", 0) >= len(qec.CODE_NAMES):
             raise ValueError(f"pool must be None or a round code 0..7, not {_echo(self.pool)}")
         self.fidelities = np.empty(self.trials)
@@ -280,8 +284,9 @@ class Fold:
     @property
     def spread(self) -> float:
         """Every round's fidelity's sample standard deviation over sqrt(n),
-        not the standard error of ``fidelity``, which pools only ``pool``."""
-        return math.nan if self.moments is None else float(
+        not the standard error of ``fidelity``, which pools only ``pool``;
+        nan below two rounds, where no deviation is defined."""
+        return math.nan if self.moments is None or self.trials < 2 else float(
             np.std(self.fidelities, ddof=1) / math.sqrt(len(self.fidelities)))
 
     @property

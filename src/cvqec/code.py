@@ -33,7 +33,7 @@ from .exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol, SQRT2,
                     TAG_ANTISQUEEZED, TAG_NONE, TAG_SQUEEZED, mode_forms_apply_matrix,
                     sqrt_of)
 from .gaussian import VACUUM_VAR
-from .network import ModeMatrix, encoder_matrix, inverse, lift_to_symplectic
+from .network import Matrix, encoder_matrix, inverse, lift_to_symplectic
 
 INPUT_POS = 3
 ANCILLA_ORIENTATIONS = ("amplitude", "phase", "amplitude", "amplitude")
@@ -188,8 +188,7 @@ def encode(*, fourier: bool) -> tuple[ModeForm, ...]:
     """The exact forms of the five channel modes: the encoder run on the
     input and ancilla modes.  Squeezing and input enter only when a form's
     variance is taken, so the forms depend on the Fourier flag alone."""
-    return tuple(mode_forms_apply_matrix(source_mode_forms(fourier=fourier),
-                                         encoder_matrix().rows))
+    return tuple(mode_forms_apply_matrix(source_mode_forms(fourier=fourier), encoder_matrix()))
 
 
 def inject_error(forms: tuple[ModeForm, ...], channel: int) -> tuple[ModeForm, ...]:
@@ -200,7 +199,7 @@ def inject_error(forms: tuple[ModeForm, ...], channel: int) -> tuple[ModeForm, .
 
 
 @cache
-def _decoder() -> ModeMatrix:
+def _decoder() -> Matrix:
     """The exact inverse network, proved orthogonal once."""
     return inverse(encoder_matrix())
 
@@ -212,7 +211,7 @@ def decode(forms: tuple[ModeForm, ...]) -> tuple[ModeForm, ...]:
     The forms describe the lossless algebra; channel loss is modelled by
     ``PipelineMaps`` only.
     """
-    return tuple(mode_forms_apply_matrix(forms, _decoder().rows))
+    return tuple(mode_forms_apply_matrix(forms, _decoder()))
 
 
 # --------------------------------------------------------------------------
@@ -715,6 +714,10 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
 
 # Turns of the error phase over one ``syndrome_trace`` window.
 TRACE_CYCLES = 3.0
+# Trace rows whose normals are drawn at a time.  A 1-row product takes
+# another BLAS path and can move the last bit, so a 1-row tail joins the
+# block before it.
+TRACE_BLOCK = 16384
 
 
 def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,
@@ -728,19 +731,27 @@ def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,
     (window, 4) readout series of D1..D4 and the round code of the trace.
     The series is the D1..D4 rows of the series route, which the round
     engine's statistics equal in law, and is centred and classified as a
-    round is.
+    round is.  The normals are drawn ``TRACE_BLOCK`` rows at a time and the
+    phase offset after them, so the stream and every bit are one draw's.
     """
     window = _count(window, "syndrome window", MIN_SYNDROME_WINDOW)
     channel = _channel(channel, None)
     magnitude = _bounded(magnitude, "magnitude", MAX_MAGNITUDE)
     maps = _maps(cfg, cfg.fourier_mode)
-    trace = rng.standard_normal((window, maps.noise.shape[1])) @ maps.noise[:4].T
+    noise = maps.noise[:4].T
+    starts = range(0, window - 1, TRACE_BLOCK)
+    blocks = [slice(start, stop) for start, stop in zip(starts, [*starts[1:], window])]
+    trace = np.empty((window, 4))
+    for rows in blocks:
+        np.matmul(rng.standard_normal((rows.stop - rows.start, len(noise))), noise,
+                  out=trace[rows])
     if channel is not None and magnitude > 0:
-        phase = (2.0 * math.pi * TRACE_CYCLES * np.arange(window) / window
-                 + rng.uniform(0.0, 2.0 * math.pi))
-        dx, dp = magnitude * np.cos(phase), magnitude * np.sin(phase)
-        del phase                       # not held beside the error's two (window, 4) terms
+        offset = rng.uniform(0.0, 2.0 * math.pi)
         c = maps.err_columns[channel - 1, :4]
-        trace += dx[:, None] * c[:, 0] + dp[:, None] * c[:, 1]
+        for rows in blocks:
+            phase = (2.0 * math.pi * TRACE_CYCLES * np.arange(rows.start, rows.stop) / window
+                     + offset)
+            dx, dp = magnitude * np.cos(phase), magnitude * np.sin(phase)
+            trace[rows] += dx[:, None] * c[:, 0] + dp[:, None] * c[:, 1]
     index = _syndrome((trace - trace.mean(axis=0)).T[:, None], window, maps.thresholds)
     return trace, int(_CODE_TABLE[index[0]])

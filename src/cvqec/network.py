@@ -3,7 +3,9 @@ inverse, lift.
 
 The encoder mixes the ordered modes (a1, a2, a3, a_in, a4); column 4 is the
 input mode.  All matrix entries lie in Q(sqrt2, sqrt3) and the encoder is
-exactly orthogonal, so inversion is transposition.
+exactly orthogonal, so inversion is transposition.  A mode matrix is a tuple
+of row tuples of ExactScalars, immutable by type; ``np.array(m, dtype=float)``
+is its float view and ``tuple(zip(*m))`` its transpose.
 """
 
 from __future__ import annotations
@@ -18,64 +20,36 @@ from .exact import ExactScalar, ONE, ZERO, sqrt_of
 
 N_MODES = 5
 
+Matrix = tuple[tuple[ExactScalar, ...], ...]
 
-class ModeMatrix:
-    """A real five-mode mixing matrix with exact entries and a float view."""
 
-    __slots__ = ("_rows",)
+def identity() -> Matrix:
+    return tuple(tuple(ONE if i == j else ZERO for j in range(N_MODES))
+                 for i in range(N_MODES))
 
-    def __init__(self, rows):
-        """A matrix from square rows of ExactScalars, stored as tuples."""
-        object.__setattr__(self, "_rows", tuple(map(tuple, rows)))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ModeMatrix is immutable")
-
-    @staticmethod
-    def identity() -> "ModeMatrix":
-        return ModeMatrix([[ONE if i == j else ZERO for j in range(N_MODES)]
-                           for i in range(N_MODES)])
-
-    @property
-    def rows(self):
-        return self._rows
-
-    def transpose(self) -> "ModeMatrix":
-        return ModeMatrix(zip(*self._rows))
-
-    def __matmul__(self, other: "ModeMatrix") -> "ModeMatrix":
-        # only products of two non-zero entries are formed; the shared ZERO
-        # and ONE of the sparse element matrices are known without a test
-        rows = [{k: a for k, a in enumerate(row)
-                 if a is not ZERO and (a is ONE or not a.is_zero())} for row in self._rows]
-        cols = [[(k, b) for k, b in enumerate(col)
-                 if b is not ZERO and (b is ONE or not b.is_zero())]
-                for col in zip(*other._rows)]
-        out = []
-        for row in rows:
-            out_row = []
-            for col in cols:
-                acc = None
-                for k, b in col:
-                    a = row.get(k)
-                    if a is None:
-                        continue
-                    term = b if a is ONE else (a if b is ONE else a * b)
-                    acc = term if acc is None else acc + term
-                out_row.append(ZERO if acc is None else acc)
-            out.append(out_row)
-        return ModeMatrix(out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ModeMatrix):
-            return NotImplemented
-        return self._rows == other._rows
-
-    def is_orthogonal(self) -> bool:
-        return self @ self.transpose() == ModeMatrix.identity()
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[float(e) for e in row] for row in self._rows])
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    """The exact product a b."""
+    # only products of two non-zero entries are formed; the shared ZERO
+    # and ONE of the sparse element matrices are known without a test
+    rows = [{k: x for k, x in enumerate(row)
+             if x is not ZERO and (x is ONE or not x.is_zero())} for row in a]
+    cols = [[(k, y) for k, y in enumerate(col)
+             if y is not ZERO and (y is ONE or not y.is_zero())] for col in zip(*b)]
+    out = []
+    for row in rows:
+        out_row = []
+        for col in cols:
+            acc = None
+            for k, y in col:
+                x = row.get(k)
+                if x is None:
+                    continue
+                term = y if x is ONE else (x if y is ONE else x * y)
+                acc = term if acc is None else acc + term
+            out_row.append(ZERO if acc is None else acc)
+        out.append(tuple(out_row))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -96,21 +70,21 @@ class BeamSplitterElement:
         return rfl, t, -t, rfl
 
 
-def element_matrix(el: BeamSplitterElement) -> ModeMatrix:
+def element_matrix(el: BeamSplitterElement) -> Matrix:
     """The element embedded in the five-mode identity."""
-    rows = [list(row) for row in ModeMatrix.identity().rows]
+    rows = [list(row) for row in identity()]
     k, l = el.k - 1, el.l - 1
     a, b, c, d = el.block()
     rows[k][k], rows[k][l] = a, b
     rows[l][k], rows[l][l] = c, d
-    return ModeMatrix(rows)
+    return tuple(map(tuple, rows))
 
 
-def compose(elements: Sequence[BeamSplitterElement]) -> ModeMatrix:
+def compose(elements: Sequence[BeamSplitterElement]) -> Matrix:
     """Ordered product of beam-splitter elements (the first acts first)."""
-    out = ModeMatrix.identity()
+    out = identity()
     for el in elements:
-        out = element_matrix(el) @ out
+        out = matmul(element_matrix(el), out)
     return out
 
 
@@ -124,35 +98,35 @@ ENCODER_SPEC = (
 )
 
 
-def encoder_matrix() -> ModeMatrix:
+def encoder_matrix() -> Matrix:
     """The exact 5x5 encoding matrix, input ordering (a1, a2, a3, a_in, a4),
     built from integer coordinates."""
     q = ExactScalar.surd
-    rows = [
+    return (
         # 1/sqrt2 = sqrt2/2, sqrt3/(2 sqrt2) = sqrt6/4, 1/(2 sqrt2) = sqrt2/4
-        [q(1, 2, 2), q(1, 4, 6), q(1, 4, 2), ZERO, ZERO],
-        [q(1, 2, 2), q(-1, 4, 6), q(-1, 4, 2), ZERO, ZERO],
-        [ZERO, q(1, 6, 6), q(-1, 2, 2), q(1, 3, 3), ZERO],
-        [ZERO, q(1, 12, 6), q(-1, 4, 2), q(-1, 3, 3), q(1, 2, 2)],
-        [ZERO, q(-1, 12, 6), q(1, 4, 2), q(1, 3, 3), q(1, 2, 2)],
-    ]
-    return ModeMatrix(rows)
+        (q(1, 2, 2), q(1, 4, 6), q(1, 4, 2), ZERO, ZERO),
+        (q(1, 2, 2), q(-1, 4, 6), q(-1, 4, 2), ZERO, ZERO),
+        (ZERO, q(1, 6, 6), q(-1, 2, 2), q(1, 3, 3), ZERO),
+        (ZERO, q(1, 12, 6), q(-1, 4, 2), q(-1, 3, 3), q(1, 2, 2)),
+        (ZERO, q(-1, 12, 6), q(1, 4, 2), q(1, 3, 3), q(1, 2, 2)),
+    )
 
 
-def inverse(m: ModeMatrix) -> ModeMatrix:
+def inverse(m: Matrix) -> Matrix:
     """Inverse of an exactly orthogonal mode matrix (its transpose)."""
-    if not m.is_orthogonal():
+    transpose = tuple(zip(*m))
+    if matmul(m, transpose) != identity():
         raise ValueError("mode matrix is not orthogonal")
-    return m.transpose()
+    return transpose
 
 
-def lift_to_symplectic(m: ModeMatrix, fourier_flags: Sequence[bool] | None = None) -> np.ndarray:
+def lift_to_symplectic(m: Matrix, fourier_flags: Sequence[bool] | None = None) -> np.ndarray:
     """Lifts a mode matrix to the 10 x 10 symplectic acting identically on x and p.
 
     Modes whose flag is set receive a 90-degree rotation (x, p) -> (-p, x)
     before the mixing matrix acts.
     """
-    lift = np.kron(m.as_array(), np.eye(2))
+    lift = np.kron(np.array(m, dtype=float), np.eye(2))
     if not (fourier_flags and any(fourier_flags)):
         return lift
     rot = np.eye(2 * N_MODES)

@@ -208,17 +208,33 @@ def test_fold_estimate_is_the_pooled_fidelity_and_the_spread_of_every_round():
     assert math.isnan(absent.fidelity) and math.isnan(absent.spread)
 
 
-@pytest.mark.parametrize("trials, pool", [(0, None), (-1, None), (2.5, None), (8, True),
-                                          (8, "x"), (8, 9), (8, 3.5)])
+def test_one_round_fold_has_an_estimate_but_no_spread():
+    """One round has no sample deviation: ``spread`` is nan without numpy's
+    degrees-of-freedom warning, while a pooled round still gives a finite
+    ``fidelity``."""
+    cfg = cli.parse_config({"error": {"channel": 3, "law": {"magnitude": 20.0}}})
+    for pool in (None, 3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fold = cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(5), 1,
+                                          30, pool)
+            assert math.isnan(fold.spread)
+        assert fold.moments is not None and math.isfinite(fold.fidelity)
+
+
+@pytest.mark.parametrize("trials, pool", [(0, None), (-1, None), (2.5, None),
+                                          (cli.MAX_TRIALS + 1, None), (2 ** 40, None),
+                                          (8, True), (8, "x"), (8, 9), (8, 3.5)])
 def test_chunked_rounds_reject_bad_trials_or_pool(monkeypatch, trials, pool):
-    """A trial count that is not an int of at least 1, or a pool that is not
-    None or a round code 0..7 (a bool included), is a ValueError naming it
-    and its value before any round is drawn."""
+    """A trial count that is not an int in [1, ``cli.MAX_TRIALS``], or a
+    pool that is not None or a round code 0..7 (a bool included), is a
+    ValueError naming it and its value before any seed is spawned (the seed
+    sequence is None, which cannot spawn) or round drawn."""
     monkeypatch.setattr(cli, "run_rounds", None)
     cfg = cli.parse_config({})
     name, bad = ("pool", pool) if trials == 8 else ("trials", trials)
     with pytest.raises(ValueError, match=rf"^{name} .*{re.escape(repr(bad))}$"):
-        cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(0), trials, 30, pool)
+        cli.run_chunked_rounds(cfg.code, cfg.error, None, trials, 30, pool)
 
 
 _GROUP_ROUNDS = cli._GROUP * cli._CHUNK

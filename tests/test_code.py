@@ -580,12 +580,24 @@ def test_decode_proves_the_inverse_orthogonal_once(monkeypatch):
                   inject_error(encode(fourier=True), 4),
                   encode(fourier=False)]
         for state in states:
-            want = mode_forms_apply_matrix(state, inverse(encoder_matrix()).rows)
+            want = mode_forms_apply_matrix(state, inverse(encoder_matrix()))
             assert decode(state) == tuple(want)
             assert decode(state) == tuple(want)
         assert len(calls) == 1
     finally:
         qec._decoder.cache_clear()
+
+
+def test_cached_decoder_rows_cannot_be_assigned():
+    """The cached inverse network is shared by every ``decode``: its rows and
+    their entries are tuples, so no caller can change it in place."""
+    dec = qec._decoder()
+    with pytest.raises(TypeError):
+        dec[0] = dec[1]
+    with pytest.raises(TypeError):
+        dec[0][0] = dec[0][1]
+    assert qec._decoder() is dec
+    assert dec == inverse(encoder_matrix())
 
 
 def test_decode_error_free_recovers_input():
@@ -767,7 +779,7 @@ def test_syndrome_constant_event_shifts_mean_not_variance():
     still = decode(inject_error(encode(fourier=False), 1))
     assert not syndrome_closed_form(still, False, {1: ErrorLaw("general", 0.0)})[0].any()
     shift = 4.0 * float(readout_form(dec, "D3", False).coefficient(QuadSymbol.error(3, "x")))
-    assert shift == pytest.approx(4.0 * float(qec.encoder_matrix().rows[2][2]), rel=1e-15)
+    assert shift == pytest.approx(4.0 * float(qec.encoder_matrix()[2][2]), rel=1e-15)
     assert shift != 0.0
 
 
@@ -1872,14 +1884,47 @@ def test_syndrome_trace_is_the_series_route_bit_for_bit(cfg, channel):
             assert trace.shape == (window, 4) and trace.flags.c_contiguous
 
 
-def test_syndrome_trace_memory_is_a_few_traces():
-    """At a 2^16-sample window the traced peak is at most 4x the returned
-    trace's bytes: 3.56x, the (window, 10) normal block beside the trace, or
-    the trace beside the error's two terms; 5.3x when the six-row series was
-    drawn and reduced."""
+def _one_draw_trace(cfg, channel, window, rng, magnitude):
+    """``syndrome_trace`` as one (window, k) normal draw and one product."""
+    maps = qec._maps(cfg, cfg.fourier_mode)
+    trace = rng.standard_normal((window, maps.noise.shape[1])) @ maps.noise[:4].T
+    if channel is not None and magnitude > 0:
+        phase = (2.0 * math.pi * qec.TRACE_CYCLES * np.arange(window) / window
+                 + rng.uniform(0.0, 2.0 * math.pi))
+        dx, dp = magnitude * np.cos(phase), magnitude * np.sin(phase)
+        c = maps.err_columns[channel - 1, :4]
+        trace += dx[:, None] * c[:, 0] + dp[:, None] * c[:, 1]
+    index = qec._syndrome((trace - trace.mean(axis=0)).T[:, None], window, maps.thresholds)
+    return trace, int(qec._CODE_TABLE[index[0]])
+
+
+@pytest.mark.parametrize("window", [qec.TRACE_BLOCK + 1, 2 * qec.TRACE_BLOCK + 3,
+                                    2 * qec.TRACE_BLOCK],
+                         ids=["1-row-tail", "3-row-tail", "full-blocks"])
+@pytest.mark.parametrize("loss", [1.0, 0.8])
+def test_syndrome_trace_blocks_equal_one_draw(window, loss):
+    """Drawn ``TRACE_BLOCK`` rows at a time, the trace and its code equal one
+    draw's bit for bit, a 1-row tail (joined to the block before it) and a
+    lossy channel included."""
+    cfg = CodeConfig(r=R35, channel_loss=loss)
+    for channel, magnitude in ((None, 0.0), (3, STRONG), (1, 2.0)):
+        trace, code = syndrome_trace(cfg, channel, window, np.random.default_rng(window),
+                                     magnitude)
+        want, want_code = _one_draw_trace(cfg, channel, window, np.random.default_rng(window),
+                                          magnitude)
+        assert np.array_equal(trace, want)
+        assert code == want_code
+
+
+@pytest.mark.parametrize("loss", [1.0, 0.9])
+def test_syndrome_trace_memory_is_a_few_traces(loss):
+    """At a 2^16-sample window, four ``TRACE_BLOCK`` blocks, the traced peak
+    is at most 3x the returned trace's bytes: 2.3x, the trace beside its
+    centred copy or one block's normals; 6x, lossy, when the (window, 20)
+    normals were drawn at once."""
     import tracemalloc
 
-    cfg = CodeConfig(r=R35)
+    cfg = CodeConfig(r=R35, channel_loss=loss)
     qec._maps(cfg, cfg.fourier_mode)                # built before tracing,
     rng = np.random.default_rng(0)                  # as is the generator
     tracemalloc.start()
@@ -1888,4 +1933,5 @@ def test_syndrome_trace_memory_is_a_few_traces():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * trace.nbytes, peak / trace.nbytes
+    assert 2 ** 16 > 2 * qec.TRACE_BLOCK
+    assert peak <= 3 * trace.nbytes, peak / trace.nbytes

@@ -245,8 +245,8 @@ def test_form_apply_matrix_identity_and_inverse():
 
     from cvqec.network import encoder_matrix, inverse
     u = encoder_matrix()
-    mixed = form_apply_matrix(basis, u.rows)
-    back = form_apply_matrix(mixed, inverse(u).rows)
+    mixed = form_apply_matrix(basis, u)
+    back = form_apply_matrix(mixed, inverse(u))
     assert back == basis
 
 
@@ -254,7 +254,7 @@ def test_form_apply_matrix_encoding_row():
     """Row 3 of the encoder: c3 = a2/sqrt6 - a3/sqrt2 + a_in/sqrt3."""
     from cvqec.network import encoder_matrix
     basis = [LinearForm.of(QuadSymbol.error(k, "x")) for k in range(1, 6)]
-    c3 = form_apply_matrix(basis, encoder_matrix().rows)[2]
+    c3 = form_apply_matrix(basis, encoder_matrix())[2]
     assert c3.coefficient(QuadSymbol.error(2, "x")) == sqrt_of(frac(1, 6))
     assert c3.coefficient(QuadSymbol.error(3, "x")) == -sqrt_of(frac(1, 2))
     assert c3.coefficient(QuadSymbol.error(4, "x")) == sqrt_of(frac(1, 3))
@@ -304,12 +304,12 @@ def test_form_apply_matrix_equals_the_quadratic_accumulation(fourier):
               [frac(1, 2), frac(-1, 2), 0, 0, frac(1, 2)]]
     for quad in ("x", "p"):
         forms = [getattr(m, quad) for m in sources]
-        encoded = _quadratic_form_apply_matrix(forms, encoder_matrix().rows)
-        assert form_apply_matrix(forms, encoder_matrix().rows) == encoded
+        encoded = _quadratic_form_apply_matrix(forms, encoder_matrix())
+        assert form_apply_matrix(forms, encoder_matrix()) == encoded
         hit = list(encoded)
         hit[2] = hit[2] + getattr(error_mode_form(3), quad)
-        decoded = _quadratic_form_apply_matrix(hit, _decoder().rows)
-        assert form_apply_matrix(hit, _decoder().rows) == decoded
+        decoded = _quadratic_form_apply_matrix(hit, _decoder())
+        assert form_apply_matrix(hit, _decoder()) == decoded
         assert decoded[3].has_errors()
         assert form_apply_matrix(forms, identity) == forms
         # on a vector that repeats a form, row 1 cancels to zero, row 3

@@ -25,7 +25,6 @@ ALLOWLIST = {
     "errors.ErrorLaw.draw": "kept until perfbench stops tracing it by name",
     "exact.ExactScalar.__setattr__": "the shared ZERO and ONE must not mutate",
     "exact.LinearForm.__setattr__": "forms shared by the cached decoder must not mutate",
-    "network.ModeMatrix.__setattr__": "the cached _decoder() and PLANS must not mutate",
     "exact.ExactScalar.__bool__": "without it a zero scalar would be truthy",
     "exact.ExactScalar.__repr__": "failed exact comparisons print their operands",
     "exact.LinearForm.__repr__": "a failed form comparison names its symbols",
