@@ -102,12 +102,12 @@ def criterion_3_decode_identities() -> str:
     identities = [
         (x[0] + x[1], LinearForm({anc(1, "x", TAG_SQUEEZED): sq2})),
         (p[1] - p[0] - p[2],
-         LinearForm({anc(2, "p", TAG_SQUEEZED): -2 * sq2 / sqrt_of(3),
-                     QuadSymbol.input("p"): -1 / sqrt_of(3)})),
+         LinearForm({anc(2, "p", TAG_SQUEEZED): -2 * sqrt_of(Fraction(2, 3)),
+                     QuadSymbol.input("p"): -sqrt_of(Fraction(1, 3))})),
         (x[2] + x[1] + x[3],
-         LinearForm({anc(1, "x", TAG_SQUEEZED): 1 / sq2,
-                     anc(3, "x", TAG_SQUEEZED): -2 / sq2,
-                     anc(4, "x", TAG_SQUEEZED): 1 / sq2})),
+         LinearForm({anc(1, "x", TAG_SQUEEZED): inv_sqrt2,
+                     anc(3, "x", TAG_SQUEEZED): -sq2,
+                     anc(4, "x", TAG_SQUEEZED): inv_sqrt2})),
         (p[3] - p[2] - p[4], LinearForm({QuadSymbol.input("p"): -sqrt_of(3)})),
         (x[3] + x[4], LinearForm({anc(4, "x", TAG_SQUEEZED): sq2})),
     ]

@@ -6,10 +6,12 @@ floating-point error.  A value is stored as integer coordinates on the basis
 (1, sqrt2, sqrt3, sqrt6) over a common positive denominator.
 
 The module holds what the code's exact route uses: ``ExactScalar`` with +,
-unary -, *, /, exact equality, a zero test, its conjugations and a float
-view; ``LinearForm`` with +, -, equality, ``coefficient`` and the error-symbol
-filters; and matrices applied to forms and to ``ModeForm`` pairs.  Neither
-type is hashable, and a form is read one symbol's coefficient at a time.
+unary -, *, exact equality, a zero test, the ``surd`` and ``sqrt_of``
+constructors and a float view, but no division and no conjugation (every
+constant the route needs is written as a surd); ``LinearForm`` with +, -,
+equality, ``coefficient`` and the error-symbol filters; and matrices applied
+to forms and to ``ModeForm`` pairs.  Neither type is hashable, and a form is
+read one symbol's coefficient at a time.
 """
 
 from __future__ import annotations
@@ -77,15 +79,16 @@ class ExactScalar:
     @classmethod
     def surd(cls, num: int, den: int, root: int) -> "ExactScalar":
         """(num / den) * sqrt(root) for root 1, 2, 3 or 6, from integers."""
+        if den == 0:
+            raise ValueError(f"surd denominator is 0 (num={num}, root={root})")
+        if root not in (1, 2, 3, 6):
+            raise ValueError(f"surd root {root} is not 1, 2, 3 or 6")
         coords = [0, 0, 0, 0]
         coords[(1, 2, 3, 6).index(root)] = num
         return cls._raw(*coords, den)
 
     def is_zero(self) -> bool:
         return self._na == 0 and self._nb == 0 and self._nc == 0 and self._nd == 0
-
-    def is_rational(self) -> bool:
-        return self._nb == 0 and self._nc == 0 and self._nd == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -129,34 +132,6 @@ class ExactScalar:
 
     __rmul__ = __mul__
 
-    def conj_sqrt2(self) -> "ExactScalar":
-        """Field automorphism sqrt2 -> -sqrt2 (negates the sqrt2 and sqrt6 parts)."""
-        return ExactScalar._raw(self._na, -self._nb, self._nc, -self._nd, self._den)
-
-    def conj_sqrt3(self) -> "ExactScalar":
-        """Field automorphism sqrt3 -> -sqrt3 (negates the sqrt3 and sqrt6 parts)."""
-        return ExactScalar._raw(self._na, self._nb, -self._nc, -self._nd, self._den)
-
-    def inverse(self) -> "ExactScalar":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero ExactScalar")
-        conj = self.conj_sqrt2() * self.conj_sqrt3() * self.conj_sqrt2().conj_sqrt3()
-        norm = self * conj
-        assert norm.is_rational()
-        return conj * ExactScalar(Fraction(norm._den, norm._na))
-
-    def __truediv__(self, other) -> "ExactScalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other) -> "ExactScalar":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
-
     def __float__(self) -> float:
         return (self._na + self._nb * _SQRT2 + self._nc * _SQRT3
                 + self._nd * _SQRT6) / self._den
@@ -177,8 +152,6 @@ def _coerce(v) -> "ExactScalar":
 ZERO = ExactScalar()
 ONE = ExactScalar(1)
 SQRT2 = ExactScalar(0, 1)
-SQRT3 = ExactScalar(0, 0, 1)
-SQRT6 = ExactScalar(0, 0, 0, 1)
 
 
 def sqrt_of(v: RationalLike) -> ExactScalar:
@@ -273,8 +246,8 @@ class LinearForm:
         raise AttributeError("LinearForm is immutable")
 
     @staticmethod
-    def of(sym: QuadSymbol, coeff=ONE) -> "LinearForm":
-        return LinearForm({sym: coeff})
+    def of(sym: QuadSymbol) -> "LinearForm":
+        return LinearForm({sym: ONE})
 
     def coefficient(self, sym: QuadSymbol) -> ExactScalar:
         return self._terms.get(sym, ZERO)

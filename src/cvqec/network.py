@@ -54,13 +54,21 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class BeamSplitterElement:
-    """One beam-splitter B_{kl}^{sign}(T) on modes k != l (1-based), sign '+'
-    or '-'; a transmittance outside [0, 1] fails in ``block``."""
+    """One beam-splitter B_{kl}^{sign}(T) on distinct modes k, l in 1..5,
+    sign '+' or '-' and transmittance T in [0, 1], checked when built."""
 
     k: int
     l: int
     T: Fraction
     sign: str
+
+    def __post_init__(self):
+        if self.k == self.l or not (1 <= self.k <= N_MODES and 1 <= self.l <= N_MODES):
+            raise ValueError(f"modes ({self.k}, {self.l}) are not two distinct modes in 1..5")
+        if self.sign not in ("+", "-"):
+            raise ValueError(f"sign {self.sign!r} is not '+' or '-'")
+        if not 0 <= self.T <= 1:
+            raise ValueError(f"transmittance {self.T} is not in [0, 1]")
 
     def block(self) -> tuple[ExactScalar, ExactScalar, ExactScalar, ExactScalar]:
         t = sqrt_of(Fraction(self.T))
@@ -124,8 +132,10 @@ def lift_to_symplectic(m: Matrix, fourier_flags: Sequence[bool] | None = None) -
     """Lifts a mode matrix to the 10 x 10 symplectic acting identically on x and p.
 
     Modes whose flag is set receive a 90-degree rotation (x, p) -> (-p, x)
-    before the mixing matrix acts.
+    before the mixing matrix acts; ``fourier_flags`` holds one flag per mode.
     """
+    if fourier_flags is not None and len(fourier_flags) != N_MODES:
+        raise ValueError(f"{len(fourier_flags)} fourier flags for {N_MODES} modes")
     lift = np.kron(np.array(m, dtype=float), np.eye(2))
     if not (fourier_flags and any(fourier_flags)):
         return lift

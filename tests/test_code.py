@@ -977,27 +977,28 @@ def test_zero_plan_for_protected_channels():
 # and a plan applied to the exact output forms.
 
 
-def derive_correction_plan(channel, fourier=False):
-    """Derives a channel's ``PLANS`` entry symbolically by requiring exact
-    cancellation; ``()`` for channels 1 and 2.
+def plan_couplings(channel, fourier=False):
+    """For each output quadrature of a channel's error, the detector a plan
+    reads with the output's and that detector's coefficients of the error;
+    ``()`` for channels 1 and 2.
 
-    For each output quadrature the candidate detectors are those whose measured
-    quadrature carries the error; the one with the largest coupling is chosen
-    (smallest gain, hence least added ancilla noise) and the gain solves
-    out_coeff + gain * readout_coeff = 0 exactly.
+    The candidate detectors are those whose measured quadrature carries the
+    error; the one with the largest coupling is chosen (smallest gain, hence
+    least added ancilla noise).  The plan's gain for it is the one solution
+    of out_coeff + gain * readout_coeff = 0.
     """
     if channel in (1, 2):
         return ()
     decoded = decode(inject_error(encode(fourier=fourier), channel))
-    plan = []
+    couplings = []
     for quad in ("x", "p"):
         error = QuadSymbol.error(channel, quad)
         alpha = getattr(decoded[OUT_POS], quad).coefficient(error)
         det, beta = max(((d, readout_form(decoded, d, fourier).coefficient(error))
                          for d in DETECTORS if measured_quad(d, fourier) == quad),
                         key=lambda c: abs(float(c[1])))
-        plan.append((det, -(alpha / beta)))
-    return tuple(plan)
+        couplings.append((det, alpha, beta))
+    return tuple(couplings)
 
 
 def apply_correction(decoded, code, fourier=False):
@@ -1024,11 +1025,16 @@ def test_indefinite_codes_leave_output_unchanged():
 @pytest.mark.parametrize("fourier", [False, True])
 @pytest.mark.parametrize("channel", [1, 2, 3, 4, 5])
 def test_derived_plans_equal_constants(channel, fourier):
-    derived = derive_correction_plan(channel, fourier)
-    assert derived == PLANS[fourier].get(channel, ())
-    assert derived or channel in (1, 2)
+    """Each plan reads the strongest-coupled detectors, and each gain cancels
+    the error exactly; a non-zero coupling makes that gain the only one."""
+    couplings = plan_couplings(channel, fourier)
+    plan = PLANS[fourier].get(channel, ())
+    assert [det for det, _, _ in couplings] == [det for det, _ in plan]
+    for (_, alpha, beta), (_, gain) in zip(couplings, plan):
+        assert beta and (alpha + gain * beta).is_zero()
+    assert plan or channel in (1, 2)
     np.testing.assert_array_equal(qec.PLAN_TABLE[int(fourier), channel],
-                                  qec.plan_matrix(derived))
+                                  qec.plan_matrix(plan))
 
 
 def test_corrected_output_channel3_residuals():

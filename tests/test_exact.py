@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvqec.code import SOURCE_SYMBOLS
-from cvqec.exact import (ROLE_ERROR, ROLE_INPUT, ExactScalar, LinearForm, ModeForm,
-                         QuadSymbol, SQRT2, SQRT3, SQRT6, TAG_ANTISQUEEZED, TAG_SQUEEZED,
+from cvqec.exact import (ONE, ROLE_ERROR, ROLE_INPUT, ExactScalar, LinearForm, ModeForm,
+                         QuadSymbol, SQRT2, TAG_ANTISQUEEZED, TAG_SQUEEZED,
                          form_apply_matrix, mode_forms_apply_matrix, sqrt_of)
 
 SQRT2_F = math.sqrt(2.0)
@@ -120,6 +120,7 @@ def test_mixed_radical_product():
     (frac(1, 2), ExactScalar(0, frac(1, 2))),
     (frac(3, 4), ExactScalar(0, 0, frac(1, 2))),
     (frac(2, 3), ExactScalar(0, 0, 0, frac(1, 3))),
+    (frac(1, 3), ExactScalar(0, 0, frac(1, 3))),
     (frac(9, 4), ExactScalar(frac(3, 2))),
     (0, ExactScalar()),
 ])
@@ -132,6 +133,23 @@ def test_sqrt_of_rejects_foreign_radicals():
         sqrt_of(5)
     with pytest.raises(ValueError):
         sqrt_of(-1)
+
+
+def test_surd_rejects_a_zero_denominator():
+    with pytest.raises(ValueError, match="denominator is 0"):
+        ExactScalar.surd(1, 0, 2)
+
+
+@pytest.mark.parametrize("root", [0, 4, 5, -2])
+def test_surd_rejects_a_root_outside_the_basis(root):
+    with pytest.raises(ValueError, match=f"root {root} is not 1, 2, 3 or 6"):
+        ExactScalar.surd(1, 2, root)
+
+
+def test_scalar_has_no_division():
+    """Every constant of the exact route is a surd, so the scalar divides by nothing."""
+    with pytest.raises(TypeError):
+        ONE / SQRT2
 
 
 @given(scalars, scalars)
@@ -165,33 +183,11 @@ def test_float_round_trip(coords):
     assert float(ExactScalar(*coords)) == pytest.approx(expect, rel=1e-14, abs=1e-14)
 
 
-@given(scalars)
-@settings(max_examples=60)
-def test_inverse(a):
-    if a.is_zero():
-        with pytest.raises(ZeroDivisionError):
-            a.inverse()
-    else:
-        assert a * a.inverse() == ExactScalar(1)
-
-
-def test_conjugations_are_multiplicative():
-    a = ExactScalar(1, frac(1, 2), frac(-1, 3), 2)
-    b = ExactScalar(0, 3, frac(1, 5), frac(-1, 7))
-    assert (a * b).conj_sqrt2() == a.conj_sqrt2() * b.conj_sqrt2()
-    assert (a * b).conj_sqrt3() == a.conj_sqrt3() * b.conj_sqrt3()
-
-
 def test_scalar_repr_shows_its_coordinates():
     """The repr, which failed comparisons print, is the four Fractions."""
     a = ExactScalar(1, frac(1, 2), frac(-1, 3), 2)
     assert repr(a) == ("ExactScalar(Fraction(1, 1), Fraction(1, 2), Fraction(-1, 3), "
                        "Fraction(2, 1))")
-
-
-def test_division():
-    assert (SQRT2 / SQRT3) == SQRT6 * ExactScalar(frac(1, 3))
-    assert (ExactScalar(1) / SQRT2) == ExactScalar(0, frac(1, 2))
 
 
 # --------------------------------------------------------------------------
@@ -231,11 +227,11 @@ def test_linear_form_drops_zero_coefficients():
 
 def test_form_addition_and_scaling():
     a, b = QuadSymbol.input("x"), QuadSymbol.input("p")
-    f = LinearForm({a: ExactScalar(1)}) + LinearForm({a: ExactScalar(2), b: SQRT3})
+    f = LinearForm({a: ExactScalar(1)}) + LinearForm({a: ExactScalar(2), b: sqrt_of(3)})
     assert f.coefficient(a) == ExactScalar(3)
     g = scaled(f, frac(1, 3))
     assert g.coefficient(a) == ExactScalar(1)
-    assert g.coefficient(b) == SQRT3 * ExactScalar(frac(1, 3))
+    assert g.coefficient(b) == sqrt_of(3) * ExactScalar(frac(1, 3))
 
 
 def test_form_apply_matrix_identity_and_inverse():
@@ -300,7 +296,7 @@ def test_form_apply_matrix_equals_the_quadratic_accumulation(fourier):
     sparse = [[0, SQRT2, 0, frac(-1, 3), 0],
               [1, -1, 0, 0, 0],
               [0, 0, 0, 0, 0],
-              [SQRT6, 0, SQRT3, 0, -SQRT2 * SQRT3],
+              [sqrt_of(6), 0, sqrt_of(3), 0, -SQRT2 * sqrt_of(3)],
               [frac(1, 2), frac(-1, 2), 0, 0, frac(1, 2)]]
     for quad in ("x", "p"):
         forms = [getattr(m, quad) for m in sources]
@@ -318,7 +314,7 @@ def test_form_apply_matrix_equals_the_quadratic_accumulation(fourier):
         got = form_apply_matrix(repeats, sparse)
         assert got == _quadratic_form_apply_matrix(repeats, sparse)
         assert got[1] == LinearForm() and got[2] == LinearForm()
-        assert got[3] == scaled(forms[1], SQRT3) and got[4] == scaled(forms[0], frac(1, 2))
+        assert got[3] == scaled(forms[1], sqrt_of(3)) and got[4] == scaled(forms[0], frac(1, 2))
         assert all(f == LinearForm(coefficients(f)) for f in got)     # no zero is stored
 
 
@@ -349,7 +345,7 @@ def test_form_variance_vacuum_unit():
 
 def test_form_variance_input_combination():
     """Var(-sqrt3 p_in) = 3/4 for a vacuum input."""
-    f = LinearForm({QuadSymbol.input("p"): -SQRT3})
+    f = LinearForm({QuadSymbol.input("p"): -sqrt_of(3)})
     assert form_variance(f, 0.9) == pytest.approx(0.75, rel=1e-14)
 
 

@@ -79,10 +79,27 @@ def test_inverse_recovers_source_forms():
 
 
 def test_element_validation():
-    """A transmittance above 1 has a negative reflectance radicand, which
-    ``sqrt_of`` rejects when the element is composed."""
-    with pytest.raises(ValueError, match="negative radicand"):
-        compose((BeamSplitterElement(1, 2, Fraction(3, 2), "+"),))
+    """A transmittance outside [0, 1] is rejected when the element is built,
+    before its reflectance radicand turns negative."""
+    for t in (Fraction(3, 2), Fraction(-1, 4)):
+        with pytest.raises(ValueError, match=f"transmittance {t} is not in"):
+            BeamSplitterElement(1, 2, t, "+")
+    for t in (0, 1):
+        BeamSplitterElement(1, 2, Fraction(t), "-").block()
+
+
+@pytest.mark.parametrize("k, l", [(2, 2), (0, 2), (1, 6), (-1, 3)])
+def test_element_rejects_bad_modes(k, l):
+    """Equal modes would give a non-orthogonal matrix, mode 0 would wrap to
+    mode 5 and mode 6 would index past the matrix."""
+    with pytest.raises(ValueError, match=rf"modes \({k}, {l}\) are not"):
+        BeamSplitterElement(k, l, Fraction(1, 2), "+")
+
+
+@pytest.mark.parametrize("sign", ["x", "", "+-", None])
+def test_element_rejects_a_sign_other_than_plus_or_minus(sign):
+    with pytest.raises(ValueError, match=r"is not '\+' or '-'"):
+        BeamSplitterElement(1, 2, Fraction(1, 2), sign)
 
 
 def test_lift_block_structure():
@@ -106,6 +123,14 @@ def test_lift_is_symplectic():
     for flags in (None, [True, True, True, False, True]):
         s = lift_to_symplectic(encoder_matrix(), flags)
         assert np.abs(s @ w @ s.T - w).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", [0, 3, 7])
+def test_lift_rejects_flags_not_one_per_mode(n):
+    """Three flags would rotate part of the modes and seven end in a
+    broadcast error; both, and an empty list, are rejected by name."""
+    with pytest.raises(ValueError, match=f"{n} fourier flags for 5 modes"):
+        lift_to_symplectic(encoder_matrix(), [True] * n)
 
 
 def test_lift_preserves_mean_norm():
