@@ -23,7 +23,7 @@ from .errors import ErrorConfig, ErrorLaw
 from .exact import ExactScalar, LinearForm, QuadSymbol, TAG_SQUEEZED, sqrt_of
 from .gaussian import db_to_r, fidelity_from_moments, variance_to_db
 from .network import ENCODER_SPEC, compose, encoder_matrix
-from .witness import combination_value, evaluate_witness, optimize_gains
+from .witness import R_GRID, combination_value, evaluate_witness, optimize_gains
 
 R_35DB = db_to_r(3.5)            # e^{-2r} = 10^{-0.35}
 
@@ -273,7 +273,7 @@ def criterion_10_witness() -> str:
     res = evaluate_witness(CodeConfig(r=R_35DB))
     assert res.all_satisfied(), f"witness values {res.values} not all below 1"
     prev = None
-    for r in (0.0, 0.2, 0.4, 0.8, 1.6):
+    for r in R_GRID:
         vals = evaluate_witness(CodeConfig(r=r)).values
         if prev is not None:
             assert all(v <= p + 1e-12 for v, p in zip(vals, prev)), \

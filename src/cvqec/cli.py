@@ -24,7 +24,7 @@ from .code import (CodeConfig, RoundsOutcome, closed_form_output, moments_from_s
                    output_mixture, pooling_sums, run_rounds)
 from .errors import LAW_GENERAL, ErrorConfig, ErrorLaw, _bounded, _count, _echo
 from .gaussian import db_to_r, fidelity_from_moments, variance_to_db
-from .witness import evaluate_witness
+from .witness import R_GRID, evaluate_witness
 
 # Experimentally measured reference values (embedded so emitted tables can be
 # diffed against them; tagged "measured" to separate physical imperfection
@@ -108,30 +108,46 @@ _SWEEPS = {
 }
 
 
+def _integer(key: str, value, high: float) -> None:
+    """A ValueError naming ``key`` unless ``value`` is an int, not a bool, up to ``high``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, not {_echo(value)}")
+    if value > high:
+        raise ValueError(f"{key} must be at most {high}, not {_echo(value)}")
+
+
+def _check_trials(trials) -> None:
+    """The trials rule of configs and folds: an int, not a bool, in [1, ``MAX_TRIALS``]."""
+    _integer("trials", trials, MAX_TRIALS)
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, not {_echo(trials)}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A run's configuration, checked when built, parsed or not: ints (not
-    bools) for trials in [1, ``MAX_TRIALS``], window up to ``MAX_WINDOW`` and
-    a non-negative seed; no sweep values, not even [], without a parameter,
-    and a sweep of a ``_SWEEPS`` parameter over two or more real values
-    (kept as floats), each giving a valid code and error config."""
-    code: CodeConfig
-    error: ErrorConfig
-    trials: int
-    window: int
-    seed: int
+    """A run's configuration, checked when built, parsed or not: a
+    ``CodeConfig`` and an ``ErrorConfig``; ints (not bools) for trials in
+    [1, ``MAX_TRIALS``], window up to ``MAX_WINDOW`` and a non-negative
+    seed; no sweep values, not even [], without a parameter, and a sweep of
+    a ``_SWEEPS`` parameter over two or more real values (kept as floats),
+    each giving a valid code and error config.  The defaults are the
+    paper's setting, which ``cvqec run`` runs without a config."""
+    code: CodeConfig = CodeConfig(r=db_to_r(3.5))
+    error: ErrorConfig = ErrorConfig(law=ErrorLaw(magnitude=5.0))
+    trials: int = 50
+    window: int = 512
+    seed: int = 0
     sweep_parameter: str | None = None
     sweep_values: tuple[float, ...] = ()
 
     def __post_init__(self):
-        for key, high in (("trials", MAX_TRIALS), ("window", MAX_WINDOW), ("seed", math.inf)):
-            value = getattr(self, key)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{key} must be an integer, not {_echo(value)}")
-            if value > high:
-                raise ValueError(f"{key} must be at most {high}, not {_echo(value)}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
+        if not isinstance(self.code, CodeConfig):
+            raise ValueError(f"code must be a CodeConfig, not {_echo(self.code)}")
+        if not isinstance(self.error, ErrorConfig):
+            raise ValueError(f"error must be an ErrorConfig, not {_echo(self.error)}")
+        _check_trials(self.trials)
+        _integer("window", self.window, MAX_WINDOW)
+        _integer("seed", self.seed, math.inf)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, not {_echo(self.seed)}")
         parameter = self.sweep_parameter
@@ -164,65 +180,59 @@ def _reject_unknown(doc: dict, allowed, where: str) -> None:
         raise ValueError(f"unknown {where} keys: {_echo(sorted(unknown))}")
 
 
-def _parse_code(doc: dict) -> CodeConfig:
+def _parse_code(doc: dict, code: CodeConfig) -> CodeConfig:
+    """``code`` with the values that ``doc`` sets."""
     _reject_unknown(doc, {"squeezing_db", "r", "input", "fourier", "channel_loss"},
                     "code")
     if "r" in doc and "squeezing_db" in doc:
         raise ValueError("code sets both r and squeezing_db; give one of them")
-    r = doc["r"] if "r" in doc else db_to_r(
-        _bounded(doc.get("squeezing_db", 3.5), "ancilla squeezing in dB", qec.MAX_R_DB))
-    inp = doc.get("input", "vacuum")
-    kwargs = {}
+    changes = {field: doc[key] for key, field in (
+        ("r", "r"), ("fourier", "fourier_mode"), ("channel_loss", "channel_loss")) if key in doc}
+    if "squeezing_db" in doc:
+        changes["r"] = db_to_r(
+            _bounded(doc["squeezing_db"], "ancilla squeezing in dB", qec.MAX_R_DB))
+    inp = doc.get("input")
     if inp == "vacuum":
-        kwargs["input_kind"] = "vacuum"
+        changes["input_kind"] = "vacuum"
     elif isinstance(inp, dict):
         _reject_unknown(inp, {"squeeze_db", "antisqueeze_db"}, "code.input")
-        kwargs["input_kind"] = "squeezed"
-        kwargs["input_squeeze_db"] = inp.get("squeeze_db", 3.5)
-        kwargs["input_antisqueeze_db"] = inp.get("antisqueeze_db", 8.9)
-    else:
+        changes.update({f"input_{key}": value for key, value in inp.items()},
+                       input_kind="squeezed")
+    elif "input" in doc:
         raise ValueError(f"unknown input spec {_echo(inp)}")
-    fourier = doc.get("fourier", False)
-    if not isinstance(fourier, bool):
-        raise ValueError(f"code.fourier must be true or false, not {_echo(fourier)}")
-    return CodeConfig(r=r, fourier_mode=fourier, channel_loss=doc.get("channel_loss"),
-                      **kwargs)
+    return replace(code, **changes)
 
 
-def _parse_error(doc: dict) -> ErrorConfig:
+def _parse_error(doc: dict, error: ErrorConfig) -> ErrorConfig:
+    """``error`` with the values that ``doc`` sets, keyed by field name."""
     _reject_unknown(doc, {"gamma", "channel", "law"}, "error")
-    law_doc = doc.get("law", {})
-    _reject_unknown(law_doc, {"kind", "magnitude", "shape"}, "error.law")
-    law = ErrorLaw(kind=law_doc.get("kind", "general"),
-                   magnitude=law_doc.get("magnitude", 5.0),
-                   shape=law_doc.get("shape", "fixed"))
-    return ErrorConfig(gamma=doc.get("gamma", 1.0), channel=doc.get("channel", "uniform"),
-                       law=law)
+    changes = dict(doc)
+    if "law" in doc:
+        _reject_unknown(doc["law"], {"kind", "magnitude", "shape"}, "error.law")
+        changes["law"] = replace(error.law, **doc["law"])
+    return replace(error, **changes)
 
 
-def _parse_count(doc: dict, key: str, default: int) -> int:
-    """An integer entry, which JSON may write as an integral float such as
-    64.0, as an int; ``ExperimentConfig`` rejects every other non-int."""
-    value = doc.get(key, default)
+def _integral(value):
+    """A whole float such as 64.0, which JSON may write for an integer, as an int."""
     return int(value) if isinstance(value, float) and value.is_integer() else value
 
 
 def parse_config(doc: dict, seed: int | None = None) -> ExperimentConfig:
-    """Parses an experiment config document, with ``seed``, when given, in
-    place of its seed; unknown keys are rejected."""
+    """Parses an experiment config document onto ``ExperimentConfig``'s
+    field defaults, with ``seed``, when given, in place of its seed; unknown
+    keys are rejected.  The config is built once, so a sweep is checked once."""
     _reject_unknown(doc, {"code", "error", "trials", "window", "seed", "sweep"}, "config")
-    code = _parse_code(doc.get("code", {}))
-    error = _parse_error(doc.get("error", {}))
+    changes = {key: _integral(doc[key]) for key in ("trials", "window", "seed") if key in doc}
+    if seed is not None:
+        changes["seed"] = seed
     sweep = doc.get("sweep")
-    if sweep is None:                   # no sweep: the config's empty default
-        sweep = {"values": ()}
-    _reject_unknown(sweep, {"parameter", "values"}, "sweep")
-    return ExperimentConfig(
-        code=code, error=error,
-        trials=_parse_count(doc, "trials", 50),
-        window=_parse_count(doc, "window", 512),
-        seed=_parse_count(doc, "seed", 0) if seed is None else seed,
-        sweep_parameter=sweep.get("parameter"), sweep_values=sweep.get("values"))
+    if sweep is not None:               # a section's missing key is None, never the default
+        _reject_unknown(sweep, {"parameter", "values"}, "sweep")
+        changes.update(sweep_parameter=sweep.get("parameter"), sweep_values=sweep.get("values"))
+    return ExperimentConfig(code=_parse_code(doc.get("code", {}), ExperimentConfig.code),
+                            error=_parse_error(doc.get("error", {}), ExperimentConfig.error),
+                            **changes)
 
 
 def load_config(path: str | None, seed: int | None = None) -> ExperimentConfig:
@@ -239,42 +249,56 @@ def load_config(path: str | None, seed: int | None = None) -> ExperimentConfig:
 
 @dataclass
 class Fold:
-    """A configuration's Monte-Carlo run as ``add`` folds in its rounds: the
-    ``pooling_sums`` of the rounds of final code ``pool`` (every round when
-    None), added in round order and so one batch's bit for bit however the
-    rounds are grouped; every round's fidelity against the input of
-    ``code``; the matched count.  A fold that pooled no round has no estimate
-    and no error bar: its ``moments`` are None, ``fidelity`` and ``spread`` nan.
-    One of fewer than two rounds has no error bar either.  ``trials`` is an
-    int in [1, ``MAX_TRIALS``]."""
+    """A configuration's Monte-Carlo run as ``add`` folds in its rounds, at
+    most ``trials``, at the window of the first ``RoundsOutcome`` added,
+    which every later one shares: the ``pooling_sums`` of the rounds of
+    final code ``pool`` (every round when None), added in round order and so
+    one batch's bit for bit however the rounds are grouped; every round's
+    fidelity against the input of ``code``; the matched count.  Every reading
+    is over the rounds folded so far.  A fold that pooled no round has no
+    estimate and no error bar: its ``moments`` are None, ``fidelity`` and
+    ``spread`` nan.  One of fewer than two rounds has no error bar either,
+    and one of no round no ``accuracy``.  ``trials`` meets
+    ``ExperimentConfig``'s rule."""
     code: CodeConfig
     trials: int
-    window: int
     pool: int | None = None
+    window: int | None = field(default=None, init=False)
     sums: np.ndarray | None = field(default=None, init=False)
-    fidelities: np.ndarray = field(init=False)
     rounds: int = field(default=0, init=False)
     matched: int = field(default=0, init=False)
+    _fidelities: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.trials = _count(self.trials, "trials", 1)
-        if self.trials > MAX_TRIALS:
-            raise ValueError(f"trials must be at most {MAX_TRIALS}, not {_echo(self.trials)}")
+        _check_trials(self.trials)
         if self.pool is not None and _count(self.pool, "pool", 0) >= len(qec.CODE_NAMES):
             raise ValueError(f"pool must be None or a round code 0..7, not {_echo(self.pool)}")
-        self.fidelities = np.empty(self.trials)
+        self._fidelities = np.empty(self.trials)
 
     def add(self, outcome: RoundsOutcome) -> None:
-        end = self.rounds + len(outcome.final_codes)
-        self.fidelities[self.rounds:end] = fidelity_from_moments(
+        """Folds in ``outcome``'s rounds after those folded so far."""
+        n = len(outcome.final_codes)
+        if self.window not in (None, outcome.window):
+            raise ValueError(f"a batch at window {outcome.window} cannot join a fold "
+                             f"at window {self.window}")
+        if self.rounds + n > self.trials:
+            raise ValueError(f"a batch of {n} rounds overfills a fold of {self.trials} "
+                             f"trials that holds {self.rounds}")
+        self.window = outcome.window
+        self._fidelities[self.rounds:self.rounds + n] = fidelity_from_moments(
             *self.code.input_state(), outcome.corrected_mean, outcome.corrected_cov)
-        self.rounds = end
+        self.rounds += n
         self.sums = pooling_sums(outcome, self.pool, self.sums)
         self.matched += int(np.count_nonzero(outcome.matched))
 
     @property
+    def fidelities(self) -> np.ndarray:
+        """Each round's fidelity, in round order."""
+        return self._fidelities[:self.rounds]
+
+    @property
     def moments(self) -> tuple[np.ndarray, np.ndarray] | None:
-        return moments_from_sums(self.sums, self.window)
+        return None if self.sums is None else moments_from_sums(self.sums, self.window)
 
     @property
     def fidelity(self) -> float:
@@ -286,12 +310,12 @@ class Fold:
         """Every round's fidelity's sample standard deviation over sqrt(n),
         not the standard error of ``fidelity``, which pools only ``pool``;
         nan below two rounds, where no deviation is defined."""
-        return math.nan if self.moments is None or self.trials < 2 else float(
-            np.std(self.fidelities, ddof=1) / math.sqrt(len(self.fidelities)))
+        return math.nan if self.moments is None or self.rounds < 2 else float(
+            np.std(self.fidelities, ddof=1) / math.sqrt(self.rounds))
 
     @property
     def accuracy(self) -> float:
-        return self.matched / self.trials
+        return self.matched / self.rounds if self.rounds else math.nan
 
 
 def run_chunked_rounds(code_cfg: CodeConfig, error_cfg: ErrorConfig,
@@ -301,7 +325,7 @@ def run_chunked_rounds(code_cfg: CodeConfig, error_cfg: ErrorConfig,
     stream, and adds each group of up to ``_GROUP`` chunks to the returned
     ``Fold`` as soon as it is drawn.  The chunk seeds are spawned up front in
     chunk order, so the fold depends only on the seed and the trial count."""
-    fold = Fold(code_cfg, trials, window, pool)
+    fold = Fold(code_cfg, trials, pool)
     children = seed_seq.spawn(-(-fold.trials // _CHUNK))
     for first in range(0, len(children), _GROUP):
         parts = [run_rounds(code_cfg, error_cfg, np.random.default_rng(child),
@@ -446,7 +470,7 @@ def run_witness(cfg: ExperimentConfig, out_dir: Path) -> dict:
     """Witness combination values and optimal gains over a squeezing grid:
     the r sweep, or a default grid with the configuration's r in sorted
     place; one row per distinct r, at its first occurrence."""
-    values = cfg.sweep_values or sorted((0.0, 0.2, 0.4, 0.8, 1.6, cfg.code.r[0]))
+    values = cfg.sweep_values or sorted((*R_GRID, cfg.code.r[0]))
     header = (["r"] + [f"combination_{i}" for i in (1, 2, 3, 4)]
               + [f"g{i}" for i in range(1, 7)] + ["all_satisfied"])
     rows = []

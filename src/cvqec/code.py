@@ -86,10 +86,10 @@ def readout_rows(fourier: bool) -> list[int]:
 class CodeConfig:
     """Squeezing, input choice and optional channel loss for one code instance.
 
-    ``r`` is stored as one squeezing parameter per ancilla and
-    ``channel_loss`` as one transmissivity per channel (None is no loss); a
-    single value is given to every ancilla or channel, so equal
-    configurations compare and hash equal however they were spelled."""
+    ``r`` is stored as one squeezing parameter per ancilla, ``channel_loss``
+    as one transmissivity per channel (None is no loss) and a numpy bool
+    ``fourier_mode`` as a bool; a single value is given to every ancilla or
+    channel, so equal configurations compare and hash equal however spelled."""
 
     r: tuple[float, float, float, float] = 0.0
     input_kind: str = "vacuum"                 # "vacuum" | "squeezed"
@@ -111,6 +111,9 @@ class CodeConfig:
             self.input_antisqueeze_db, "input antisqueezing in dB", MAX_INPUT_DB))
         if self.input_kind not in ("vacuum", "squeezed"):
             raise ValueError(f"unknown input kind {_echo(self.input_kind)}")
+        if not isinstance(self.fourier_mode, (bool, np.bool_)):
+            raise ValueError(f"the Fourier flag must be a bool, not {_echo(self.fourier_mode)}")
+        object.__setattr__(self, "fourier_mode", bool(self.fourier_mode))
         # checked for a vacuum input too: table2 and tableC1 build the
         # squeezed input of any configuration from the two values
         if self.input_antisqueeze_db < self.input_squeeze_db:

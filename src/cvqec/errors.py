@@ -218,4 +218,6 @@ class ErrorConfig:
     def __post_init__(self):
         object.__setattr__(self, "gamma", _bounded(self.gamma, "gamma", 1.0))
         object.__setattr__(self, "channel", _channel(self.channel, "uniform"))
+        if not isinstance(self.law, ErrorLaw):
+            raise ValueError(f"law must be an ErrorLaw, not {_echo(self.law)}")
 

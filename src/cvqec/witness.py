@@ -22,6 +22,10 @@ from .code import CodeConfig, _network_symplectics, _source_sigma
 
 SEPARABLE_BOUND = 1.0
 
+# The squeezing grid of the witness experiment, without an r sweep, and of
+# acceptance criterion 10's monotonicity check.
+R_GRID = (0.0, 0.2, 0.4, 0.8, 1.6)
+
 # Each term: (quadrature, fixed parts as (weight, channel), gain slot 0..5 or
 # None, gained part as (weight sign, channel)).  Channels are 1-based.
 _TERMS = {

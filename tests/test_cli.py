@@ -37,6 +37,39 @@ def test_parse_config_defaults():
     assert cfg.code.r == pytest.approx((db_to_r(3.5),) * 4)
     assert cfg.error.gamma == 1.0
     assert cfg.trials == 50 and cfg.window == 512 and cfg.seed == 0
+    assert cfg == cli.ExperimentConfig() == cli.load_config(None)
+
+
+def test_parse_config_sets_only_the_keys_a_document_holds():
+    """Each key replaces its one field of ``ExperimentConfig()``: the
+    README's example written out at the defaults is the default config, and
+    a lone law kind or input squeezing keeps the other values of its part."""
+    default = cli.ExperimentConfig()
+    spelled = {"code": {"squeezing_db": 3.5, "input": "vacuum", "fourier": False,
+                        "channel_loss": None},
+               "error": {"gamma": 1.0, "channel": "uniform",
+                         "law": {"kind": "general", "magnitude": 5.0, "shape": "fixed"}},
+               "trials": 50, "window": 512, "seed": 0, "sweep": None}
+    assert cli.parse_config(spelled) == default
+    law = dataclasses.replace(default.error.law, kind="x")
+    assert (cli.parse_config({"error": {"law": {"kind": "x"}}})
+            == dataclasses.replace(default, error=dataclasses.replace(default.error, law=law)))
+    code = dataclasses.replace(default.code, input_kind="squeezed", input_squeeze_db=2.0)
+    assert (cli.parse_config({"code": {"input": {"squeeze_db": 2.0}}})
+            == dataclasses.replace(default, code=code))
+
+
+@pytest.mark.parametrize("part, value, message", [
+    ("code", {"r": 0.4}, "code must be a CodeConfig, not {'r': 0.4}"),
+    ("code", None, "code must be a CodeConfig, not None"),
+    ("error", None, "error must be an ErrorConfig, not None"),
+    ("error", "general", "error must be an ErrorConfig, not 'general'"),
+])
+def test_config_rejects_parts_of_another_type(part, value, message):
+    """A code or error part of the wrong type is a ValueError naming it when
+    the config is built, not a failure deep in a runner."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(cli.ExperimentConfig(), **{part: value})
 
 
 @pytest.mark.parametrize("doc", [
@@ -224,9 +257,11 @@ def test_one_round_fold_has_an_estimate_but_no_spread():
 
 @pytest.mark.parametrize("trials, pool", [(0, None), (-1, None), (2.5, None),
                                           (cli.MAX_TRIALS + 1, None), (2 ** 40, None),
+                                          (np.int64(300), None), (True, None),
                                           (8, True), (8, "x"), (8, 9), (8, 3.5)])
 def test_chunked_rounds_reject_bad_trials_or_pool(monkeypatch, trials, pool):
-    """A trial count that is not an int in [1, ``cli.MAX_TRIALS``], or a
+    """A trial count that is not an int in [1, ``cli.MAX_TRIALS``] (a numpy
+    integer or a bool included: ``ExperimentConfig``'s rule), or a
     pool that is not None or a round code 0..7 (a bool included), is a
     ValueError naming it and its value before any seed is spawned (the seed
     sequence is None, which cannot spawn) or round drawn."""
@@ -235,6 +270,42 @@ def test_chunked_rounds_reject_bad_trials_or_pool(monkeypatch, trials, pool):
     name, bad = ("pool", pool) if trials == 8 else ("trials", trials)
     with pytest.raises(ValueError, match=rf"^{name} .*{re.escape(repr(bad))}$"):
         cli.run_chunked_rounds(cfg.code, cfg.error, None, trials, 30, pool)
+
+
+def test_fold_reads_only_the_rounds_folded_so_far():
+    """Before its first round a fold has no estimate, no error bar and no
+    accuracy; holding 5 rounds of its 10 trials it reads what a 5-trial fold
+    of the same rounds reads, bit for bit, at their window."""
+    cfg = cli.parse_config({"error": {"gamma": 0.5, "law": {"magnitude": 20.0}}})
+    outcome = run_rounds(cfg.code, cfg.error, np.random.default_rng(3), 5, 30)
+    part, whole = cli.Fold(cfg.code, 10), cli.Fold(cfg.code, 5)
+    assert part.window is None and part.moments is None and len(part.fidelities) == 0
+    assert all(map(math.isnan, (part.fidelity, part.spread, part.accuracy)))
+    part.add(outcome)
+    whole.add(outcome)
+    assert part.rounds == 5 and part.window == whole.window == 30
+    np.testing.assert_array_equal(part.fidelities, whole.fidelities)
+    assert math.isfinite(part.spread) and math.isfinite(part.fidelity)
+    assert ((part.accuracy, part.spread, part.fidelity)
+            == (whole.accuracy, whole.spread, whole.fidelity))
+    assert part.accuracy == np.count_nonzero(outcome.matched) / 5
+
+
+def test_fold_rejects_a_batch_at_another_window_or_past_its_trials():
+    """A batch at another window than the fold's, or one with more rounds
+    than the fold has trials left, is a ValueError naming both numbers, and
+    the fold is left as it was."""
+    cfg = cli.parse_config({})
+    empty, fold = cli.Fold(cfg.code, 10), cli.Fold(cfg.code, 10)
+    fold.add(run_rounds(cfg.code, cfg.error, np.random.default_rng(1), 4, 30))
+    with pytest.raises(ValueError, match="^a batch at window 64 cannot join a fold at window 30$"):
+        fold.add(run_rounds(cfg.code, cfg.error, np.random.default_rng(2), 4, 64))
+    for held, target in ((0, empty), (4, fold)):
+        with pytest.raises(ValueError, match=f"^a batch of 20 rounds overfills a fold of 10 "
+                                             f"trials that holds {held}$"):
+            target.add(run_rounds(cfg.code, cfg.error, np.random.default_rng(2), 20, 30))
+    assert (empty.rounds, empty.window, empty.sums) == (0, None, None)
+    assert (fold.rounds, fold.window, len(fold.fidelities)) == (4, 30, 4)
 
 
 _GROUP_ROUNDS = cli._GROUP * cli._CHUNK
@@ -588,7 +659,7 @@ _BAD_CONFIGS = [
     ("table2", {"seed": -1}, "seed must be non-negative"),
     ("mc-sweep", {"sweep": {"parameter": "gamma", "values": [0.5, 1.5]}},
      "sweep gamma = 1.5: gamma must be finite and within [0, 1]"),
-    ("table2", {"code": {"fourier": "false"}}, "code.fourier must be true or false"),
+    ("table2", {"code": {"fourier": "false"}}, "Fourier flag must be a bool"),
     ("table2", {"window": 64.9}, "window must be an integer"),
     ("table2", {"trials": True}, "trials must be an integer"),
     ("table2", {"seed": "4"}, "seed must be an integer"),

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import re
 import warnings
 import weakref
 from fractions import Fraction
@@ -309,6 +310,24 @@ def test_code_config_spellings_share_one_normal_form(spellings):
         assert cfg == first
         assert hash(cfg) == hash(first)
         assert qec._maps(cfg, False) is qec._maps(first, False)
+
+
+@pytest.mark.parametrize("bad", ["yes", "false", None, 2, 1, 0, np.int64(1)])
+def test_code_config_rejects_a_fourier_flag_that_is_not_a_bool(bad):
+    """Only a bool selects the basis: a string, None or an integer, 1 and 0
+    included, is a ValueError naming it when the config is built, not a
+    failure inside numpy when a round first runs."""
+    with pytest.raises(ValueError,
+                       match=rf"^the Fourier flag must be a bool, not {re.escape(repr(bad))}$"):
+        CodeConfig(fourier_mode=bad)
+
+
+def test_code_config_stores_a_numpy_bool_fourier_flag_as_a_bool():
+    for flag in (False, True):
+        cfg = CodeConfig(fourier_mode=np.bool_(flag))
+        assert cfg.fourier_mode is flag
+        assert cfg == CodeConfig(fourier_mode=flag)
+        assert repr(cfg) == repr(CodeConfig(fourier_mode=flag))
 
 
 def test_code_config_rejects_a_wrong_mode_count():

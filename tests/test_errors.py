@@ -1,6 +1,7 @@
 """Error laws, event sampling, and the output mixtures."""
 
 import math
+import re
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -31,6 +32,12 @@ def test_law_validation():
     for bad in (6, np.int64(6), np.bool_(True), True):
         with pytest.raises(ValueError, match="channel must be 1..5 or 'uniform'"):
             ErrorConfig(channel=bad)
+
+
+@pytest.mark.parametrize("law", ["general", None, {"kind": "x"}])
+def test_error_config_rejects_a_law_that_is_not_an_error_law(law):
+    with pytest.raises(ValueError, match=rf"^law must be an ErrorLaw, not {re.escape(repr(law))}$"):
+        ErrorConfig(law=law)
 
 
 def test_error_config_stores_a_numpy_integer_channel_as_an_int():
