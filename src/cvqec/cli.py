@@ -127,11 +127,12 @@ def _check_trials(trials) -> None:
 class ExperimentConfig:
     """A run's configuration, checked when built, parsed or not: a
     ``CodeConfig`` and an ``ErrorConfig``; ints (not bools) for trials in
-    [1, ``MAX_TRIALS``], window up to ``MAX_WINDOW`` and a non-negative
-    seed; no sweep values, not even [], without a parameter, and a sweep of
-    a ``_SWEEPS`` parameter over two or more real values (kept as floats),
-    each giving a valid code and error config.  The defaults are the
-    paper's setting, which ``cvqec run`` runs without a config."""
+    [1, ``MAX_TRIALS``], window in [``code.MIN_SYNDROME_WINDOW``,
+    ``MAX_WINDOW``] and a non-negative seed; no sweep values, not even [],
+    without a parameter, and a sweep of a ``_SWEEPS`` parameter over two or
+    more real values (kept as floats), each giving a valid code and error
+    config.  The defaults are the paper's setting, which ``cvqec run`` runs
+    without a config."""
     code: CodeConfig = CodeConfig(r=db_to_r(3.5))
     error: ErrorConfig = ErrorConfig(law=ErrorLaw(magnitude=5.0))
     trials: int = 50
@@ -147,6 +148,9 @@ class ExperimentConfig:
             raise ValueError(f"error must be an ErrorConfig, not {_echo(self.error)}")
         _check_trials(self.trials)
         _integer("window", self.window, MAX_WINDOW)
+        if self.window < qec.MIN_SYNDROME_WINDOW:
+            raise ValueError(f"window must be at least {qec.MIN_SYNDROME_WINDOW}, "
+                             f"not {_echo(self.window)}")
         _integer("seed", self.seed, math.inf)
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, not {_echo(self.seed)}")
@@ -247,7 +251,7 @@ def load_config(path: str | None, seed: int | None = None) -> ExperimentConfig:
 # deterministic chunked Monte-Carlo
 
 
-@dataclass
+@dataclass(eq=False)
 class Fold:
     """A configuration's Monte-Carlo run as ``add`` folds in its rounds, at
     most ``trials``, at the window of the first ``RoundsOutcome`` added,
@@ -539,20 +543,17 @@ _RUNNERS = {
 EXPERIMENTS = tuple(_RUNNERS)
 
 
-_WINDOWED = ("table2", "spectra", "mc-sweep", "syndrome-demo")
 _WITH_STDERR = ("table2", "mc-sweep")      # write fidelity_mc_stderr, a spread over rounds
 
 
 def check_experiment(name: str, cfg: ExperimentConfig) -> None:
     """Raises ValueError if the experiment is unknown or cannot run with the
-    config, which checked itself when it was built: a window below the
-    syndrome floor, a single trial where a row's stderr needs two, a missing
-    or unsuitable sweep, a witness grid around a per-ancilla r or on a lossy
-    code, or a syndrome demo of a single-quadrature law."""
+    config, which checked itself when it was built: a single trial where a
+    row's stderr needs two, a missing or unsuitable sweep, a witness grid
+    around a per-ancilla r or on a lossy code, or a syndrome demo of a
+    single-quadrature law."""
     if name not in _RUNNERS:
         raise ValueError(f"unknown experiment {_echo(name)}")
-    if name in _WINDOWED and cfg.window < qec.MIN_SYNDROME_WINDOW:
-        raise ValueError(f"window must be at least {qec.MIN_SYNDROME_WINDOW}")
     if name in _WITH_STDERR and cfg.trials < 2:
         raise ValueError(f"the {name} experiment needs trials of at least 2: "
                          "fidelity_mc_stderr is a spread over its rounds")

@@ -311,11 +311,12 @@ PLAN_TABLE.setflags(write=False)
 
 @cache
 def _network_symplectics(fourier: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Encoder (with the ancillas' Fourier rotation when ``fourier``) and
-    decoder as 10x10 symplectic matrices, lifted from the exact network once
-    per flag and read-only."""
-    flags = [pos != INPUT_POS for pos in range(5)] if fourier else None
-    pair = (lift_to_symplectic(encoder_matrix(), flags), lift_to_symplectic(_decoder()))
+    """Encoder and decoder as 10x10 symplectic matrices, made once per flag
+    and read-only: the encoder is the float view of the exact ``encode``
+    forms over the ``SOURCE_SYMBOLS``, the decoder the lifted exact inverse."""
+    enc = np.array([[float(q.coefficient(s)) for s in SOURCE_SYMBOLS]
+                    for mode in encode(fourier=fourier) for q in (mode.x, mode.p)])
+    pair = (enc, lift_to_symplectic(_decoder()))
     for s in pair:
         s.setflags(write=False)
     return pair

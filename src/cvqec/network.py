@@ -5,7 +5,8 @@ The encoder mixes the ordered modes (a1, a2, a3, a_in, a4); column 4 is the
 input mode.  All matrix entries lie in Q(sqrt2, sqrt3) and the encoder is
 exactly orthogonal, so inversion is transposition.  A mode matrix is a tuple
 of row tuples of ExactScalars, immutable by type; ``np.array(m, dtype=float)``
-is its float view and ``tuple(zip(*m))`` its transpose.
+is its float view, ``tuple(zip(*m))`` its transpose, and its lift the same
+mixing of every mode's x and of every mode's p.
 """
 
 from __future__ import annotations
@@ -128,19 +129,6 @@ def inverse(m: Matrix) -> Matrix:
     return transpose
 
 
-def lift_to_symplectic(m: Matrix, fourier_flags: Sequence[bool] | None = None) -> np.ndarray:
-    """Lifts a mode matrix to the 10 x 10 symplectic acting identically on x and p.
-
-    Modes whose flag is set receive a 90-degree rotation (x, p) -> (-p, x)
-    before the mixing matrix acts; ``fourier_flags`` holds one flag per mode.
-    """
-    if fourier_flags is not None and len(fourier_flags) != N_MODES:
-        raise ValueError(f"{len(fourier_flags)} fourier flags for {N_MODES} modes")
-    lift = np.kron(np.array(m, dtype=float), np.eye(2))
-    if not (fourier_flags and any(fourier_flags)):
-        return lift
-    rot = np.eye(2 * N_MODES)
-    for i, flag in enumerate(fourier_flags):
-        if flag:
-            rot[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[0.0, -1.0], [1.0, 0.0]]
-    return lift @ rot
+def lift_to_symplectic(m: Matrix) -> np.ndarray:
+    """Lifts a mode matrix to the 10 x 10 symplectic acting identically on x and p."""
+    return np.kron(np.array(m, dtype=float), np.eye(2))

@@ -4,11 +4,10 @@ Four combinations of correlation variances, each the sum of an x-type and a
 p-type term with tunable gains g1..g6, certify cluster-type entanglement when
 they drop below the separable bound.  Variances are quadratic forms v^T C v on
 the lossless encoded covariance C = F F^T of a vacuum input, with F the
-network's encoder symplectic times the source standard deviations, the same
-numeric model as ``code.PipelineMaps``; the exact encoded forms give the same
-values and serve as their check.  The bound normalization is pinned so that
-unsqueezed ancillas with optimal gains sit exactly on the boundary (value 1)
-and any non-zero squeezing falls below it.
+encoder of ``code.PipelineMaps``, the float view of the exact encoded forms,
+times the source standard deviations.  The bound normalization is pinned so
+that unsqueezed ancillas with optimal gains sit exactly on the boundary
+(value 1) and any non-zero squeezing falls below it.
 """
 
 from __future__ import annotations

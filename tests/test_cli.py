@@ -308,6 +308,14 @@ def test_fold_rejects_a_batch_at_another_window_or_past_its_trials():
     assert (fold.rounds, fold.window, len(fold.fidelities)) == (4, 30, 4)
 
 
+def test_folds_compare_by_identity():
+    """A fold holds numpy arrays, so folds compare by identity, as
+    ``RoundsOutcome``s do, and never ask numpy for an array's truth value."""
+    code = cli.parse_config({}).code
+    first, second = cli.Fold(code, 4), cli.Fold(code, 4)
+    assert first == first and first != second
+
+
 _GROUP_ROUNDS = cli._GROUP * cli._CHUNK
 
 
@@ -751,6 +759,9 @@ _BAD_CONFIGS = [
     ("table2", "[" * 2000 + "]" * 2000, "bad config: maximum recursion depth exceeded"),
     ("table2", '{"code": {"r": ' + "[" * 2000 + "]" * 2000 + "}}",
      "bad config: maximum recursion depth exceeded"),
+    # the window floor holds for experiments that draw no syndrome too
+    *((name, {"window": window}, f"window must be at least 30, not {window}")
+      for name in ("tableC1", "witness") for window in (-5, 0, 29)),
 ]
 
 

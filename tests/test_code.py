@@ -350,11 +350,22 @@ def test_encode_symbolic_channel4():
     assert c4x.coefficient(QuadSymbol.input("x")) == -sqrt_of(frac(1, 3))
 
 
+def _ancilla_rotation():
+    """The ancillas' 90-degree rotation (x, p) -> (-p, x) on the interleaved
+    quadratures, built here independently of ``exact.ModeForm.fourier``."""
+    rot = np.eye(10)
+    for pos in range(5):
+        if pos != qec.INPUT_POS:
+            rot[2 * pos:2 * pos + 2, 2 * pos:2 * pos + 2] = [[0.0, -1.0], [1.0, 0.0]]
+    return rot
+
+
 def _reference_cov(cfg, decoded=True):
     """The pipeline covariance built step by step in numpy: source variances
-    from r and the ancilla orientations, the lifted encoder (ancillas
-    Fourier-rotated in Fourier mode) and, with ``decoded``, per-channel loss
-    (sqrt(eta) scaling plus (1 - eta)/4 of vacuum) and the lifted decoder."""
+    from r and the ancilla orientations, the lifted encoder (after the
+    ancillas' rotation in Fourier mode) and, with ``decoded``, per-channel
+    loss (sqrt(eta) scaling plus (1 - eta)/4 of vacuum) and the lifted
+    decoder."""
     var = []
     ancillas = iter(zip(cfg.r, qec.ANCILLA_ORIENTATIONS))
     for pos in range(5):
@@ -364,8 +375,9 @@ def _reference_cov(cfg, decoded=True):
         r, orientation = next(ancillas)
         quiet, loud = 0.25 * math.exp(-2 * r), 0.25 * math.exp(2 * r)
         var += [quiet, loud] if orientation == "amplitude" else [loud, quiet]
-    flags = [pos != qec.INPUT_POS for pos in range(5)] if cfg.fourier_mode else None
-    enc = lift_to_symplectic(encoder_matrix(), flags)
+    enc = lift_to_symplectic(encoder_matrix())
+    if cfg.fourier_mode:
+        enc = enc @ _ancilla_rotation()
     cov = enc @ np.diag(var) @ enc.T
     if not decoded:
         return cov
@@ -373,6 +385,15 @@ def _reference_cov(cfg, decoded=True):
     cov = np.sqrt(np.outer(eta, eta)) * cov + np.diag(0.25 * (1.0 - eta))
     dec = lift_to_symplectic(inverse(encoder_matrix()))
     return dec @ cov @ dec.T
+
+
+def test_network_encoder_is_the_reference_lift():
+    """The encoder symplectic, the float view of the exact encoded forms, is
+    the reference's lifted encoder matrix: bit for bit after the ancillas'
+    rotation, and equal (zeros may differ in sign) without it."""
+    plain = lift_to_symplectic(encoder_matrix())
+    assert qec._network_symplectics(True)[0].tobytes() == (plain @ _ancilla_rotation()).tobytes()
+    assert np.array_equal(qec._network_symplectics(False)[0], plain)
 
 
 def _form_covariances(forms, cfg):

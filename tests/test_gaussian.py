@@ -8,10 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cvqec.code import FLUCTUATION_FACTOR, CodeConfig, PipelineMaps, _source_sigma
+from cvqec.code import (FLUCTUATION_FACTOR, CodeConfig, PipelineMaps, _network_symplectics,
+                        _source_sigma)
 from cvqec.gaussian import db_to_r, fidelity_from_moments, variance_to_db
-from cvqec.network import (BeamSplitterElement, element_matrix, encoder_matrix, identity,
-                           lift_to_symplectic)
+from cvqec.network import BeamSplitterElement, element_matrix, encoder_matrix, lift_to_symplectic
 
 Q35 = 10.0 ** -0.35
 R35 = db_to_r(3.5)
@@ -71,17 +71,17 @@ def test_beamsplitter_zero_transmission():
 
 def test_fourier_rotation_swaps_squeezing():
     quiet, loud = 0.25 * math.exp(-1.4), 0.25 * math.exp(1.4)
-    s = lift_to_symplectic(identity(), [True, False, False, False, False])
+    s = _network_symplectics(True)[0]
+    unmix = lift_to_symplectic(encoder_matrix()).T
     cov = np.diag([quiet, loud] + [0.25] * 8)
-    assert np.allclose(s @ cov @ s.T, np.diag([loud, quiet] + [0.25] * 8))
+    assert np.allclose(unmix @ s @ cov @ s.T @ unmix.T, np.diag([loud, quiet] + [0.25] * 8))
 
 
 def test_lift_preserves_purity():
     """The lifted encoder is unitary: it conserves det(4 cov) of the sources."""
     cfg = CodeConfig(r=(0.5, 0.2, 0.0, 0.9), input_kind="squeezed")
     cov = np.diag(_source_sigma(cfg) ** 2)
-    for flags in (None, [True, True, True, False, True]):
-        s = lift_to_symplectic(encoder_matrix(), flags)
+    for s in (lift_to_symplectic(encoder_matrix()), _network_symplectics(True)[0]):
         assert np.linalg.det(4.0 * s @ cov @ s.T) == pytest.approx(
             np.linalg.det(4.0 * cov), rel=1e-9)
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cvqec.code import _network_symplectics
 from cvqec.exact import ExactScalar, LinearForm, QuadSymbol, sqrt_of, form_apply_matrix
 from cvqec.network import (BeamSplitterElement, ENCODER_SPEC, compose, encoder_matrix,
                            identity, inverse, lift_to_symplectic, matmul)
@@ -110,32 +111,28 @@ def test_lift_block_structure():
 
 
 def test_lift_fourier_flag_rotates_before_mixing():
-    s = lift_to_symplectic(identity(), [True, False, False, False, False])
+    """With Fourier-rotated ancillas the encoder symplectic is the lifted
+    mixing matrix after a rotation (x, p) -> (-p, x) of each ancilla: undoing
+    the mixing leaves a1 rotated and the input as it was."""
+    s = _network_symplectics(True)[0]
     vec = np.zeros(10)
     vec[0], vec[1] = 1.0, 2.0            # (x1, p1)
-    out = s @ vec
+    vec[6], vec[7] = 3.0, 4.0            # (x_in, p_in)
+    out = lift_to_symplectic(encoder_matrix()).T @ (s @ vec)
     assert out[0] == pytest.approx(-2.0)  # x -> -p
     assert out[1] == pytest.approx(1.0)   # p -> x
+    assert out[6:8] == pytest.approx([3.0, 4.0])
 
 
 def test_lift_is_symplectic():
     w = np.kron(np.eye(5), [[0, 1], [-1, 0]])
-    for flags in (None, [True, True, True, False, True]):
-        s = lift_to_symplectic(encoder_matrix(), flags)
+    for s in (lift_to_symplectic(encoder_matrix()), _network_symplectics(True)[0]):
         assert np.abs(s @ w @ s.T - w).max() < 1e-10
-
-
-@pytest.mark.parametrize("n", [0, 3, 7])
-def test_lift_rejects_flags_not_one_per_mode(n):
-    """Three flags would rotate part of the modes and seven end in a
-    broadcast error; both, and an empty list, are rejected by name."""
-    with pytest.raises(ValueError, match=f"{n} fourier flags for 5 modes"):
-        lift_to_symplectic(encoder_matrix(), [True] * n)
 
 
 def test_lift_preserves_mean_norm():
     rng = np.random.default_rng(4)
-    s = lift_to_symplectic(encoder_matrix(), [True, False, True, False, False])
+    s = _network_symplectics(True)[0]
     v = rng.normal(size=10)
     assert np.linalg.norm(s @ v) == pytest.approx(np.linalg.norm(v), rel=1e-12)
 

@@ -28,7 +28,6 @@ ALLOWLIST = {
     "exact.ExactScalar.__bool__": "without it a zero scalar would be truthy",
     "exact.ExactScalar.__repr__": "failed exact comparisons print their operands",
     "exact.LinearForm.__repr__": "a failed form comparison names its symbols",
-    "exact.ModeForm.fourier": "builds the Fourier forms the tests check PLANS[True] against",
 }
 
 # (experiment, config) pairs, each small: every experiment, and between

@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 
 from cvqec.cli import _SWEEPS, MAX_TRIALS, MAX_WINDOW
-from cvqec.code import MAX_INPUT_DB, MAX_R, RoundsOutcome
+from cvqec.code import MAX_INPUT_DB, MAX_R, MIN_SYNDROME_WINDOW, RoundsOutcome
 from cvqec.errors import MAX_MAGNITUDE
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,13 +36,16 @@ def test_readme_python_sketch_runs():
 
 
 def test_readme_input_limits_match_the_code():
-    """Every README limit "at most <value> (`<bound>`" equals its bound, and
-    the squeezing limit's "about <n> dB" is MAX_R in dB, rounded."""
+    """Every README limit "at most <value> (`<bound>`" or "at least <value>
+    (`<bound>`" equals its bound, and the squeezing limit's "about <n> dB"
+    is MAX_R in dB, rounded."""
     text = " ".join((ROOT / "README.md").read_text().split())
-    for bound, value in (("errors.MAX_MAGNITUDE", MAX_MAGNITUDE), ("code.MAX_R", MAX_R),
-                         ("code.MAX_INPUT_DB", MAX_INPUT_DB), ("cli.MAX_TRIALS", MAX_TRIALS),
-                         ("cli.MAX_WINDOW", MAX_WINDOW)):
-        stated = re.findall(rf"at most (\S+) \(`{re.escape(bound)}`", text)
+    for side, bound, value in (
+            ("most", "errors.MAX_MAGNITUDE", MAX_MAGNITUDE), ("most", "code.MAX_R", MAX_R),
+            ("most", "code.MAX_INPUT_DB", MAX_INPUT_DB), ("most", "cli.MAX_TRIALS", MAX_TRIALS),
+            ("most", "cli.MAX_WINDOW", MAX_WINDOW),
+            ("least", "code.MIN_SYNDROME_WINDOW", MIN_SYNDROME_WINDOW)):
+        stated = re.findall(rf"at {side} (\S+) \(`{re.escape(bound)}`", text)
         assert stated and all(float(v) == value for v in stated), (bound, stated)
     db = re.findall(r"\(`code\.MAX_R`, about (\d+) dB\)", text)
     assert db == [str(round(20.0 * MAX_R / math.log(10.0)))], db
