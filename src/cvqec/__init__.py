@@ -21,6 +21,7 @@ from .code import (AMBIGUOUS_P, CODE_NAMES, CodeConfig, NO_ERROR, OUT_POS,
                    PLANS, RoundsOutcome, RoundsSummary, UNCLASSIFIABLE,
                    closed_form_output, decode, encode, inject_error,
                    output_mixture, run_rounds, summarize_reports, syndrome_trace)
+from .montecarlo import Fold, run_chunked_rounds
 from .witness import (WitnessResult, combination_value, evaluate_witness,
                       optimize_gains)
 

@@ -14,16 +14,16 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import code as qec
-from .code import (CodeConfig, RoundsOutcome, closed_form_output, moments_from_sums,
-                   output_mixture, pooling_sums, run_rounds)
-from .errors import LAW_GENERAL, ErrorConfig, ErrorLaw, _bounded, _count, _echo
+from .code import CodeConfig, closed_form_output, output_mixture
+from .errors import LAW_GENERAL, ErrorConfig, ErrorLaw, bounded, check_integer, echo
 from .gaussian import db_to_r, fidelity_from_moments, variance_to_db
+from .montecarlo import check_trials, run_chunked_rounds
 from .witness import R_GRID, evaluate_witness
 
 # Experimentally measured reference values (embedded so emitted tables can be
@@ -73,16 +73,6 @@ MEASURED_NOISE_DB = {
     (5, "p", "squeezed", "squeezed"): (6.10, 0.33),
 }
 
-# Rounds per ``run_rounds`` call.  Each call also pays a cost that barely
-# grows with its rounds, about 150 us outside its draws at 8 rounds of the
-# sweep's shape on a 2-vCPU x86-64 host, which larger chunks would pay less
-# often.  The benchmark's ``perfbench/workloads.py`` mirrors it as ``CHUNK``,
-# and ``perfbench/run.py``'s ``check_counts`` requires exactly
-# ceil(trials / 256) ``run_rounds`` calls per configuration, so a change of
-# ``_CHUNK`` alone fails every benchmark run: larger chunks wait until that
-# count check no longer fixes the chunk size.
-_CHUNK = 256
-_GROUP = 4                  # chunks folded at once: 1,024 rounds
 _TRACE_ROWS = 4096          # trace rows turned into text at a time
 
 
@@ -90,12 +80,9 @@ _TRACE_ROWS = 4096          # trace rows turned into text at a time
 # configuration document
 
 
-# The largest trial count and syndrome window.  A run keeps 8 bytes a round
-# and a syndrome trace every sample, so at either bound it peaks below 300 MB
-# of resident memory: measured with getrusage (2-vCPU x86-64 host, numpy 2.4),
-# table2 at MAX_TRIALS (window 30) peaks at 74 MB in 240 s and syndrome-demo
-# at MAX_WINDOW at 110 MB in 20-23 s, lossless or at loss 0.9.
-MAX_TRIALS = 2 ** 21
+# The largest syndrome window.  syndrome-demo keeps a trace every sample:
+# measured with getrusage (2-vCPU x86-64 host, numpy 2.4), at MAX_WINDOW it
+# peaks at 110 MB of resident memory in 20-23 s, lossless or at loss 0.9.
 MAX_WINDOW = 2 ** 20
 
 # The code and error configs at one value of each sweep parameter.
@@ -108,26 +95,11 @@ _SWEEPS = {
 }
 
 
-def _integer(key: str, value, high: float) -> None:
-    """A ValueError naming ``key`` unless ``value`` is an int, not a bool, up to ``high``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, not {_echo(value)}")
-    if value > high:
-        raise ValueError(f"{key} must be at most {high}, not {_echo(value)}")
-
-
-def _check_trials(trials) -> None:
-    """The trials rule of configs and folds: an int, not a bool, in [1, ``MAX_TRIALS``]."""
-    _integer("trials", trials, MAX_TRIALS)
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, not {_echo(trials)}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A run's configuration, checked when built, parsed or not: a
     ``CodeConfig`` and an ``ErrorConfig``; ints (not bools) for trials in
-    [1, ``MAX_TRIALS``], window in [``code.MIN_SYNDROME_WINDOW``,
+    [1, ``montecarlo.MAX_TRIALS``], window in [``code.MIN_SYNDROME_WINDOW``,
     ``MAX_WINDOW``] and a non-negative seed; no sweep values, not even [],
     without a parameter, and a sweep of a ``_SWEEPS`` parameter over two or
     more real values (kept as floats), each giving a valid code and error
@@ -143,28 +115,28 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not isinstance(self.code, CodeConfig):
-            raise ValueError(f"code must be a CodeConfig, not {_echo(self.code)}")
+            raise ValueError(f"code must be a CodeConfig, not {echo(self.code)}")
         if not isinstance(self.error, ErrorConfig):
-            raise ValueError(f"error must be an ErrorConfig, not {_echo(self.error)}")
-        _check_trials(self.trials)
-        _integer("window", self.window, MAX_WINDOW)
+            raise ValueError(f"error must be an ErrorConfig, not {echo(self.error)}")
+        check_trials(self.trials)
+        check_integer("window", self.window, MAX_WINDOW)
         if self.window < qec.MIN_SYNDROME_WINDOW:
             raise ValueError(f"window must be at least {qec.MIN_SYNDROME_WINDOW}, "
-                             f"not {_echo(self.window)}")
-        _integer("seed", self.seed, math.inf)
+                             f"not {echo(self.window)}")
+        check_integer("seed", self.seed, math.inf)
         if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, not {_echo(self.seed)}")
+            raise ValueError(f"seed must be non-negative, not {echo(self.seed)}")
         parameter = self.sweep_parameter
         if parameter is None:
             if self.sweep_values != ():
                 raise ValueError("a sweep needs a parameter")
             return
         if not isinstance(parameter, str) or parameter not in _SWEEPS:
-            raise ValueError(f"unknown sweep parameter {_echo(parameter)}")
+            raise ValueError(f"unknown sweep parameter {echo(parameter)}")
         if not isinstance(self.sweep_values, (list, tuple)):
-            raise ValueError(f"sweep values must be a list, not {_echo(self.sweep_values)}")
+            raise ValueError(f"sweep values must be a list, not {echo(self.sweep_values)}")
         # one scalar each; its model checks its range
-        values = tuple(_bounded(v, "sweep value", sys.float_info.max)
+        values = tuple(bounded(v, "sweep value", sys.float_info.max)
                        for v in self.sweep_values)
         if len(values) < 2:
             raise ValueError("a sweep needs at least two values")
@@ -178,10 +150,10 @@ class ExperimentConfig:
 
 def _reject_unknown(doc: dict, allowed, where: str) -> None:
     if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object, not {_echo(doc)}")
+        raise ValueError(f"{where} must be a JSON object, not {echo(doc)}")
     unknown = set(doc) - set(allowed)
     if unknown:
-        raise ValueError(f"unknown {where} keys: {_echo(sorted(unknown))}")
+        raise ValueError(f"unknown {where} keys: {echo(sorted(unknown))}")
 
 
 def _parse_code(doc: dict, code: CodeConfig) -> CodeConfig:
@@ -194,7 +166,7 @@ def _parse_code(doc: dict, code: CodeConfig) -> CodeConfig:
         ("r", "r"), ("fourier", "fourier_mode"), ("channel_loss", "channel_loss")) if key in doc}
     if "squeezing_db" in doc:
         changes["r"] = db_to_r(
-            _bounded(doc["squeezing_db"], "ancilla squeezing in dB", qec.MAX_R_DB))
+            bounded(doc["squeezing_db"], "ancilla squeezing in dB", qec.MAX_R_DB))
     inp = doc.get("input")
     if inp == "vacuum":
         changes["input_kind"] = "vacuum"
@@ -203,7 +175,7 @@ def _parse_code(doc: dict, code: CodeConfig) -> CodeConfig:
         changes.update({f"input_{key}": value for key, value in inp.items()},
                        input_kind="squeezed")
     elif "input" in doc:
-        raise ValueError(f"unknown input spec {_echo(inp)}")
+        raise ValueError(f"unknown input spec {echo(inp)}")
     return replace(code, **changes)
 
 
@@ -245,107 +217,6 @@ def load_config(path: str | None, seed: int | None = None) -> ExperimentConfig:
         return parse_config({}, seed)
     with open(path, "r", encoding="utf-8") as fh:
         return parse_config(json.load(fh), seed)
-
-
-# --------------------------------------------------------------------------
-# deterministic chunked Monte-Carlo
-
-
-@dataclass(eq=False)
-class Fold:
-    """A configuration's Monte-Carlo run as ``add`` folds in its rounds, at
-    most ``trials``, at the window of the first ``RoundsOutcome`` added,
-    which every later one shares: the ``pooling_sums`` of the rounds of
-    final code ``pool`` (every round when None), added in round order and so
-    one batch's bit for bit however the rounds are grouped; every round's
-    fidelity against the input of ``code``; the matched count.  Every reading
-    is over the rounds folded so far.  A fold that pooled no round has no
-    estimate and no error bar: its ``moments`` are None, ``fidelity`` and
-    ``spread`` nan.  One of fewer than two rounds has no error bar either,
-    and one of no round no ``accuracy``.  ``trials`` meets
-    ``ExperimentConfig``'s rule."""
-    code: CodeConfig
-    trials: int
-    pool: int | None = None
-    window: int | None = field(default=None, init=False)
-    sums: np.ndarray | None = field(default=None, init=False)
-    rounds: int = field(default=0, init=False)
-    matched: int = field(default=0, init=False)
-    _fidelities: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        _check_trials(self.trials)
-        if self.pool is not None and _count(self.pool, "pool", 0) >= len(qec.CODE_NAMES):
-            raise ValueError(f"pool must be None or a round code 0..7, not {_echo(self.pool)}")
-        self._fidelities = np.empty(self.trials)
-
-    def add(self, outcome: RoundsOutcome) -> None:
-        """Folds in ``outcome``'s rounds after those folded so far."""
-        n = len(outcome.final_codes)
-        if self.window not in (None, outcome.window):
-            raise ValueError(f"a batch at window {outcome.window} cannot join a fold "
-                             f"at window {self.window}")
-        if self.rounds + n > self.trials:
-            raise ValueError(f"a batch of {n} rounds overfills a fold of {self.trials} "
-                             f"trials that holds {self.rounds}")
-        self.window = outcome.window
-        self._fidelities[self.rounds:self.rounds + n] = fidelity_from_moments(
-            *self.code.input_state(), outcome.corrected_mean, outcome.corrected_cov)
-        self.rounds += n
-        self.sums = pooling_sums(outcome, self.pool, self.sums)
-        self.matched += int(np.count_nonzero(outcome.matched))
-
-    @property
-    def fidelities(self) -> np.ndarray:
-        """Each round's fidelity, in round order."""
-        return self._fidelities[:self.rounds]
-
-    @property
-    def moments(self) -> tuple[np.ndarray, np.ndarray] | None:
-        return None if self.sums is None else moments_from_sums(self.sums, self.window)
-
-    @property
-    def fidelity(self) -> float:
-        return (math.nan if (moments := self.moments) is None
-                else fidelity_from_moments(*self.code.input_state(), *moments))
-
-    @property
-    def spread(self) -> float:
-        """Every round's fidelity's sample standard deviation over sqrt(n),
-        not the standard error of ``fidelity``, which pools only ``pool``;
-        nan below two rounds, where no deviation is defined."""
-        return math.nan if self.moments is None or self.rounds < 2 else float(
-            np.std(self.fidelities, ddof=1) / math.sqrt(self.rounds))
-
-    @property
-    def accuracy(self) -> float:
-        return self.matched / self.rounds if self.rounds else math.nan
-
-
-def run_chunked_rounds(code_cfg: CodeConfig, error_cfg: ErrorConfig,
-                       seed_seq: np.random.SeedSequence, trials: int, window: int,
-                       pool: int | None = None) -> Fold:
-    """Runs trials in chunks of ``_CHUNK`` rounds, each with its own RNG
-    stream, and adds each group of up to ``_GROUP`` chunks to the returned
-    ``Fold`` as soon as it is drawn.  The chunk seeds are spawned up front in
-    chunk order, so the fold depends only on the seed and the trial count."""
-    fold = Fold(code_cfg, trials, pool)
-    children = seed_seq.spawn(-(-fold.trials // _CHUNK))
-    for first in range(0, len(children), _GROUP):
-        parts = [run_rounds(code_cfg, error_cfg, np.random.default_rng(child),
-                            min(_CHUNK, trials - begin), window)
-                 for begin, child in zip(range(first * _CHUNK, trials, _CHUNK),
-                                         children[first:first + _GROUP])]
-        fold.add(parts[0] if len(parts) == 1 else _joined(parts))
-        del parts                       # one group's outcome at a time
-    return fold
-
-
-def _joined(parts: list[RoundsOutcome]) -> RoundsOutcome:
-    """One outcome holding the rounds of ``parts`` in order."""
-    return RoundsOutcome(parts[0].window, *(np.concatenate(column) for column in zip(
-        *((p.channels, p.final_codes, p.syndrome, p.corrected_mean, p.corrected_cov)
-          for p in parts))))
 
 
 # --------------------------------------------------------------------------
@@ -553,7 +424,7 @@ def check_experiment(name: str, cfg: ExperimentConfig) -> None:
     around a per-ancilla r or on a lossy code, or a syndrome demo of a
     single-quadrature law."""
     if name not in _RUNNERS:
-        raise ValueError(f"unknown experiment {_echo(name)}")
+        raise ValueError(f"unknown experiment {echo(name)}")
     if name in _WITH_STDERR and cfg.trials < 2:
         raise ValueError(f"the {name} experiment needs trials of at least 2: "
                          "fidelity_mc_stderr is a spread over its rounds")

@@ -27,8 +27,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (LAW_GENERAL, LAW_X, MAX_MAGNITUDE, ErrorConfig, ErrorLaw, _bounded,
-                     _channel, _count, _echo)
+from .errors import (LAW_GENERAL, LAW_X, MAX_MAGNITUDE, ErrorConfig, ErrorLaw, bounded,
+                     count, echo, hit_channel)
 from .exact import (ExactScalar, LinearForm, ModeForm, QuadSymbol, SQRT2,
                     TAG_ANTISQUEEZED, TAG_NONE, TAG_SQUEEZED, mode_forms_apply_matrix,
                     sqrt_of)
@@ -99,20 +99,20 @@ class CodeConfig:
     channel_loss: tuple[float, float, float, float, float] = None
 
     def __post_init__(self):
-        r = tuple(_bounded(v, "squeezing parameter", MAX_R)
+        r = tuple(bounded(v, "squeezing parameter", MAX_R)
                   for v in _per_mode(self.r, 4, "per-ancilla squeezing"))
-        loss = tuple(_bounded(v, "channel transmissivity", 1.0) for v in _per_mode(
+        loss = tuple(bounded(v, "channel transmissivity", 1.0) for v in _per_mode(
             1.0 if self.channel_loss is None else self.channel_loss, 5, "per-channel loss"))
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "channel_loss", loss)
-        object.__setattr__(self, "input_squeeze_db", _bounded(
+        object.__setattr__(self, "input_squeeze_db", bounded(
             self.input_squeeze_db, "input squeezing in dB", MAX_INPUT_DB))
-        object.__setattr__(self, "input_antisqueeze_db", _bounded(
+        object.__setattr__(self, "input_antisqueeze_db", bounded(
             self.input_antisqueeze_db, "input antisqueezing in dB", MAX_INPUT_DB))
         if self.input_kind not in ("vacuum", "squeezed"):
-            raise ValueError(f"unknown input kind {_echo(self.input_kind)}")
+            raise ValueError(f"unknown input kind {echo(self.input_kind)}")
         if not isinstance(self.fourier_mode, (bool, np.bool_)):
-            raise ValueError(f"the Fourier flag must be a bool, not {_echo(self.fourier_mode)}")
+            raise ValueError(f"the Fourier flag must be a bool, not {echo(self.fourier_mode)}")
         object.__setattr__(self, "fourier_mode", bool(self.fourier_mode))
         # checked for a vacuum input too: table2 and tableC1 build the
         # squeezed input of any configuration from the two values
@@ -196,7 +196,7 @@ def encode(*, fourier: bool) -> tuple[ModeForm, ...]:
 
 def inject_error(forms: tuple[ModeForm, ...], channel: int) -> tuple[ModeForm, ...]:
     """Adds the error symbols of one channel's displacement to its mode."""
-    channel = _channel(channel)
+    channel = hit_channel(channel)
     hit = forms[channel - 1] + error_mode_form(channel)
     return forms[:channel - 1] + (hit,) + forms[channel:]
 
@@ -399,13 +399,13 @@ def closed_form_output(cfg: CodeConfig, channel: int | None,
             two variances, x and p, each within [0, ``MAX_MAGNITUDE``^2]
             (the error law's ``quadrature_variances``).
     """
-    channel = _channel(channel, None)
+    channel = hit_channel(channel, None)
     if error_var is not None:
         if channel is None:
             raise ValueError("error_var needs a hit channel, not None")
         if not isinstance(error_var, (tuple, list)) or len(error_var) != 2:
-            raise ValueError(f"error_var must be two variances (x, p), not {_echo(error_var)}")
-        error_var = [_bounded(v, "error variance", MAX_MAGNITUDE ** 2) for v in error_var]
+            raise ValueError(f"error_var must be two variances (x, p), not {echo(error_var)}")
+        error_var = [bounded(v, "error variance", MAX_MAGNITUDE ** 2) for v in error_var]
     fourier = cfg.fourier_mode
     maps = _maps(cfg, fourier)
     plan = PLAN_TABLE[int(fourier), channel if error_var is None and channel else NO_ERROR]
@@ -689,8 +689,8 @@ def run_rounds(cfg: CodeConfig, error_cfg: ErrorConfig, rng: np.random.Generator
     from one generator in a fixed order, so a fixed seed gives identical
     results.
     """
-    n_rounds = _count(n_rounds, "n_rounds", 1)
-    window = _count(window, "syndrome window", MIN_SYNDROME_WINDOW)
+    n_rounds = count(n_rounds, "n_rounds", 1)
+    window = count(window, "syndrome window", MIN_SYNDROME_WINDOW)
     law = error_cfg.law
     occurred = rng.random(n_rounds) < error_cfg.gamma
     if error_cfg.channel == "uniform":
@@ -738,9 +738,9 @@ def syndrome_trace(cfg: CodeConfig, channel: int | None, window: int,
     round is.  The normals are drawn ``TRACE_BLOCK`` rows at a time and the
     phase offset after them, so the stream and every bit are one draw's.
     """
-    window = _count(window, "syndrome window", MIN_SYNDROME_WINDOW)
-    channel = _channel(channel, None)
-    magnitude = _bounded(magnitude, "magnitude", MAX_MAGNITUDE)
+    window = count(window, "syndrome window", MIN_SYNDROME_WINDOW)
+    channel = hit_channel(channel, None)
+    magnitude = bounded(magnitude, "magnitude", MAX_MAGNITUDE)
     maps = _maps(cfg, cfg.fourier_mode)
     noise = maps.noise[:4].T
     starts = range(0, window - 1, TRACE_BLOCK)

@@ -4,7 +4,8 @@ An error hits one channel with probability gamma.  The physical modulation
 (a driven sideband whose phase is slowly swept) is abstracted to a
 displacement law: either a fixed magnitude with uniformly random phase, or a
 single-quadrature displacement with random sign or Gaussian amplitude.  The
-output mixture of a round's branches is ``code.output_mixture``.
+output mixture of a round's branches is ``code.output_mixture``.  The input
+checks that other modules share live here too.
 """
 
 from __future__ import annotations
@@ -46,28 +47,36 @@ MAX_MAGNITUDE = 1e6
 
 
 # An error message's repr of an outside value: a long one is cut short.
-_echo = reprlib.Repr().repr
+echo = reprlib.Repr().repr
 
 
-def _bounded(value, what: str, high: float) -> float:
+def bounded(value, what: str, high: float) -> float:
     """A real number in [0, high] as a float; NaN, a bool, a string, an array
     or any other value is a ValueError naming ``what``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= high:
-        raise ValueError(f"{what} must be finite and within [0, {high:g}], not {_echo(value)}")
+        raise ValueError(f"{what} must be finite and within [0, {high:g}], not {echo(value)}")
     return float(value)
 
 
-def _count(value, what: str, low: int) -> int:
+def count(value, what: str, low: int) -> int:
     """An integer of at least ``low`` as an int; NaN, a bool, a float, even
     a whole one, or any other value is a ValueError naming ``what``."""
     if type(value) is int and value >= low:
         return value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise ValueError(f"{what} must be at least {low} and an integer, not {_echo(value)}")
+        raise ValueError(f"{what} must be at least {low} and an integer, not {echo(value)}")
     return int(value)
 
 
-def _channel(value, *others) -> int | str | None:
+def check_integer(key: str, value, high: float) -> None:
+    """A ValueError naming ``key`` unless ``value`` is an int, not a bool, up to ``high``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, not {echo(value)}")
+    if value > high:
+        raise ValueError(f"{key} must be at most {high}, not {echo(value)}")
+
+
+def hit_channel(value, *others) -> int | str | None:
     """A hit channel: an integer 1..5, numpy's too but not a bool, as an int,
     or one of the str or None ``others``, such as None for no error or 'uniform'."""
     if (type(value) is int and 1 <= value <= 5
@@ -76,7 +85,7 @@ def _channel(value, *others) -> int | str | None:
     if isinstance(value, numbers.Integral) and not isinstance(value, bool) and 1 <= value <= 5:
         return int(value)
     raise ValueError(f"channel must be {' or '.join(['1..5', *map(repr, others)])}, "
-                     f"not {_echo(value)}")
+                     f"not {echo(value)}")
 
 
 def _phase_sums(rng: np.random.Generator, n: int, window: int) -> np.ndarray:
@@ -132,12 +141,12 @@ class ErrorLaw:
 
     def __post_init__(self):
         if self.kind not in (LAW_GENERAL, LAW_X, LAW_P):
-            raise ValueError(f"unknown law kind {_echo(self.kind)}")
+            raise ValueError(f"unknown law kind {echo(self.kind)}")
         if self.shape not in (SHAPE_FIXED, SHAPE_GAUSSIAN):
-            raise ValueError(f"unknown law shape {_echo(self.shape)}")
+            raise ValueError(f"unknown law shape {echo(self.shape)}")
         if self.kind == LAW_GENERAL and self.shape != SHAPE_FIXED:
             raise ValueError("the general law supports the fixed shape only")
-        object.__setattr__(self, "magnitude", _bounded(self.magnitude, "magnitude", MAX_MAGNITUDE))
+        object.__setattr__(self, "magnitude", bounded(self.magnitude, "magnitude", MAX_MAGNITUDE))
 
     def quadrature_variances(self) -> tuple[float, float]:
         """Per-sample variance (Var dx, Var dp) of the displacement series."""
@@ -182,7 +191,7 @@ class ErrorLaw:
         of (mean, K) up to order 127 is ``draw``'s.  The sums are within a few
         1e-16 * window of float64 cos/sin sums over the same phases.  ``n``
         must be an integer of at least 0 and ``window`` one of at least 2."""
-        n, window = _count(n, "n", 0), _count(window, "window", 2)
+        n, window = count(n, "n", 0), count(window, "window", 2)
         mean, gram = np.zeros((n, 2)), np.zeros((n, 2, 2))
         a = self.magnitude
         if a == 0 or n == 0:
@@ -216,8 +225,8 @@ class ErrorConfig:
     law: ErrorLaw = ErrorLaw()
 
     def __post_init__(self):
-        object.__setattr__(self, "gamma", _bounded(self.gamma, "gamma", 1.0))
-        object.__setattr__(self, "channel", _channel(self.channel, "uniform"))
+        object.__setattr__(self, "gamma", bounded(self.gamma, "gamma", 1.0))
+        object.__setattr__(self, "channel", hit_channel(self.channel, "uniform"))
         if not isinstance(self.law, ErrorLaw):
-            raise ValueError(f"law must be an ErrorLaw, not {_echo(self.law)}")
+            raise ValueError(f"law must be an ErrorLaw, not {echo(self.law)}")
 

@@ -20,11 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvqec import cli
-from cvqec.code import (AMBIGUOUS_P, NO_ERROR, moments_from_sums, pooled_moments,
-                        pooling_sums, run_rounds, syndrome_trace)
+from cvqec.code import syndrome_trace
 from cvqec.errors import MAX_MAGNITUDE
-from cvqec.gaussian import db_to_r, fidelity_from_moments
-from test_code import concatenate_outcomes
+from cvqec.gaussian import db_to_r
+from cvqec.montecarlo import MAX_TRIALS
 
 
 def run_cli(args):
@@ -152,211 +151,6 @@ def test_table2_deterministic_and_crlf(tmp_path, experiment):
         assert filecmp.cmp(out_a / name, out_b / name, shallow=False), name
         if name.endswith(".csv"):
             assert b"\r\n" in (out_a / name).read_bytes()
-
-
-def test_chunked_rounds_are_run_rounds_on_spawned_seeds():
-    """run_chunked_rounds runs ``cli._CHUNK``-round chunks in order, the k-th
-    on the k-th child spawned from the seed, so its results depend only on
-    the seed and the trial count: at two full chunks and one of 88 rounds,
-    its pooled moments (of every round, of a class and of an absent class),
-    fidelities and matched fraction are bit for bit those of one outcome
-    holding every chunk's rounds."""
-    cfg = cli.parse_config({"error": {"gamma": 0.5, "law": {"magnitude": 20.0}}})
-    sizes = (cli._CHUNK, cli._CHUNK, 88)
-    trials = sum(sizes)
-    want = concatenate_outcomes([
-        run_rounds(cfg.code, cfg.error, np.random.default_rng(child), size, 32)
-        for child, size in zip(np.random.SeedSequence(9).spawn(3), sizes)])
-    want_fidelities = fidelity_from_moments(*cfg.code.input_state(), want.corrected_mean,
-                                            want.corrected_cov)
-    assert AMBIGUOUS_P not in want.final_codes
-    for pool in (None, NO_ERROR, 3, AMBIGUOUS_P):
-        fold = cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(9), trials,
-                                      32, pool)
-        want_pooled = pooled_moments(want, pool)
-        if pool == AMBIGUOUS_P:
-            assert fold.moments is None and want_pooled is None
-        else:
-            for got_part, want_part in zip(fold.moments, want_pooled, strict=True):
-                np.testing.assert_array_equal(got_part, want_part)
-        assert len(fold.fidelities) == trials
-        np.testing.assert_array_equal(fold.fidelities, want_fidelities)
-        assert fold.accuracy == want.summary.accuracy
-
-
-def _fold_chunk_by_chunk(cfg, seed, trials, window, pool):
-    """The fold of ``run_chunked_rounds``, one ``cli._CHUNK``-round chunk at
-    a time: each chunk's fidelities, its ``pooling_sums`` carried onto the
-    previous chunks' and its matched count."""
-    fidelities, sums, matched = [], None, 0
-    children = np.random.SeedSequence(seed).spawn(-(-trials // cli._CHUNK))
-    for start, child in zip(range(0, trials, cli._CHUNK), children, strict=True):
-        part = run_rounds(cfg.code, cfg.error, np.random.default_rng(child),
-                          min(cli._CHUNK, trials - start), window)
-        fidelities.append(fidelity_from_moments(*cfg.code.input_state(), part.corrected_mean,
-                                                part.corrected_cov))
-        sums = pooling_sums(part, pool, sums)
-        matched += int(np.count_nonzero(part.matched))
-    return moments_from_sums(sums, window), np.concatenate(fidelities), matched / trials
-
-
-def test_chunked_rounds_fold_groups_as_chunk_by_chunk():
-    """At ``cli._GROUP`` full chunks and 76 rounds more (a group of
-    ``cli._GROUP`` chunks, then one chunk alone) the grouped fold gives the
-    chunk-by-chunk fold's pooled moments (of every round, of one class and of
-    an absent class), fidelities and matched fraction bit for bit, on a
-    lossy gaussian-p sweep point whose rounds rerun in the rotated basis."""
-    cfg = cli.parse_config({"code": {"channel_loss": 0.9},
-                            "error": {"gamma": 0.5, "law": {"kind": "p", "shape": "gaussian"}}})
-    trials = cli._GROUP * cli._CHUNK + 76
-    for pool in (None, 3, AMBIGUOUS_P):
-        got = cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(4), trials, 30,
-                                     pool)
-        want = _fold_chunk_by_chunk(cfg, 4, trials, 30, pool)
-        want_moments, want_fidelities, want_accuracy = want
-        if pool == AMBIGUOUS_P:
-            assert got.moments is None and want_moments is None
-        else:
-            for got_part, want_part in zip(got.moments, want_moments, strict=True):
-                np.testing.assert_array_equal(got_part, want_part)
-        np.testing.assert_array_equal(got.fidelities, want_fidelities)
-        assert got.accuracy == want_accuracy
-
-
-def test_fold_estimate_is_the_pooled_fidelity_and_the_spread_of_every_round():
-    """A fold that pooled a class reads the fidelity of its pooled moments
-    against the input and every round's fidelity's sample standard deviation
-    over sqrt(n), bit for bit; one that pooled no round reads nan for both."""
-    cfg = cli.parse_config({"error": {"gamma": 0.5, "law": {"magnitude": 20.0}}})
-    trials = cli._CHUNK + 40
-    for pool in (None, 3):
-        fold = cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(5), trials,
-                                      32, pool)
-        assert fold.moments is not None
-        assert fold.fidelity == fidelity_from_moments(*cfg.code.input_state(), *fold.moments)
-        assert fold.spread == float(np.std(fold.fidelities, ddof=1) / math.sqrt(trials))
-    absent = cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(5), trials,
-                                    32, AMBIGUOUS_P)
-    assert absent.moments is None
-    assert math.isnan(absent.fidelity) and math.isnan(absent.spread)
-
-
-def test_one_round_fold_has_an_estimate_but_no_spread():
-    """One round has no sample deviation: ``spread`` is nan without numpy's
-    degrees-of-freedom warning, while a pooled round still gives a finite
-    ``fidelity``."""
-    cfg = cli.parse_config({"error": {"channel": 3, "law": {"magnitude": 20.0}}})
-    for pool in (None, 3):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            fold = cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(5), 1,
-                                          30, pool)
-            assert math.isnan(fold.spread)
-        assert fold.moments is not None and math.isfinite(fold.fidelity)
-
-
-@pytest.mark.parametrize("trials, pool", [(0, None), (-1, None), (2.5, None),
-                                          (cli.MAX_TRIALS + 1, None), (2 ** 40, None),
-                                          (np.int64(300), None), (True, None),
-                                          (8, True), (8, "x"), (8, 9), (8, 3.5)])
-def test_chunked_rounds_reject_bad_trials_or_pool(monkeypatch, trials, pool):
-    """A trial count that is not an int in [1, ``cli.MAX_TRIALS``] (a numpy
-    integer or a bool included: ``ExperimentConfig``'s rule), or a
-    pool that is not None or a round code 0..7 (a bool included), is a
-    ValueError naming it and its value before any seed is spawned (the seed
-    sequence is None, which cannot spawn) or round drawn."""
-    monkeypatch.setattr(cli, "run_rounds", None)
-    cfg = cli.parse_config({})
-    name, bad = ("pool", pool) if trials == 8 else ("trials", trials)
-    with pytest.raises(ValueError, match=rf"^{name} .*{re.escape(repr(bad))}$"):
-        cli.run_chunked_rounds(cfg.code, cfg.error, None, trials, 30, pool)
-
-
-def test_fold_reads_only_the_rounds_folded_so_far():
-    """Before its first round a fold has no estimate, no error bar and no
-    accuracy; holding 5 rounds of its 10 trials it reads what a 5-trial fold
-    of the same rounds reads, bit for bit, at their window."""
-    cfg = cli.parse_config({"error": {"gamma": 0.5, "law": {"magnitude": 20.0}}})
-    outcome = run_rounds(cfg.code, cfg.error, np.random.default_rng(3), 5, 30)
-    part, whole = cli.Fold(cfg.code, 10), cli.Fold(cfg.code, 5)
-    assert part.window is None and part.moments is None and len(part.fidelities) == 0
-    assert all(map(math.isnan, (part.fidelity, part.spread, part.accuracy)))
-    part.add(outcome)
-    whole.add(outcome)
-    assert part.rounds == 5 and part.window == whole.window == 30
-    np.testing.assert_array_equal(part.fidelities, whole.fidelities)
-    assert math.isfinite(part.spread) and math.isfinite(part.fidelity)
-    assert ((part.accuracy, part.spread, part.fidelity)
-            == (whole.accuracy, whole.spread, whole.fidelity))
-    assert part.accuracy == np.count_nonzero(outcome.matched) / 5
-
-
-def test_fold_rejects_a_batch_at_another_window_or_past_its_trials():
-    """A batch at another window than the fold's, or one with more rounds
-    than the fold has trials left, is a ValueError naming both numbers, and
-    the fold is left as it was."""
-    cfg = cli.parse_config({})
-    empty, fold = cli.Fold(cfg.code, 10), cli.Fold(cfg.code, 10)
-    fold.add(run_rounds(cfg.code, cfg.error, np.random.default_rng(1), 4, 30))
-    with pytest.raises(ValueError, match="^a batch at window 64 cannot join a fold at window 30$"):
-        fold.add(run_rounds(cfg.code, cfg.error, np.random.default_rng(2), 4, 64))
-    for held, target in ((0, empty), (4, fold)):
-        with pytest.raises(ValueError, match=f"^a batch of 20 rounds overfills a fold of 10 "
-                                             f"trials that holds {held}$"):
-            target.add(run_rounds(cfg.code, cfg.error, np.random.default_rng(2), 20, 30))
-    assert (empty.rounds, empty.window, empty.sums) == (0, None, None)
-    assert (fold.rounds, fold.window, len(fold.fidelities)) == (4, 30, 4)
-
-
-def test_folds_compare_by_identity():
-    """A fold holds numpy arrays, so folds compare by identity, as
-    ``RoundsOutcome``s do, and never ask numpy for an array's truth value."""
-    code = cli.parse_config({}).code
-    first, second = cli.Fold(code, 4), cli.Fold(code, 4)
-    assert first == first and first != second
-
-
-_GROUP_ROUNDS = cli._GROUP * cli._CHUNK
-
-
-@pytest.mark.parametrize("trials", (1, cli._CHUNK - 1, cli._CHUNK, cli._CHUNK + 1,
-                                    _GROUP_ROUNDS, _GROUP_ROUNDS + 1, _GROUP_ROUNDS + 76,
-                                    2 * _GROUP_ROUNDS + 1))
-def test_chunked_rounds_run_one_call_per_chunk(monkeypatch, trials):
-    """``run_rounds`` runs exactly ceil(trials / ``cli._CHUNK``) times, on
-    ``cli._CHUNK`` rounds each but the last, however the chunks are grouped
-    for the fold."""
-    sizes = []
-
-    def counted(code_cfg, error_cfg, rng, n_rounds, window):
-        sizes.append(n_rounds)
-        return run_rounds(code_cfg, error_cfg, rng, n_rounds, window)
-
-    monkeypatch.setattr(cli, "run_rounds", counted)
-    cfg = cli.parse_config({})
-    cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(2), trials, 30)
-    assert len(sizes) == math.ceil(trials / cli._CHUNK)
-    assert sizes == ([cli._CHUNK] * (len(sizes) - 1)
-                     + [trials - cli._CHUNK * (len(sizes) - 1)])
-
-
-def test_chunked_rounds_memory_is_flat_in_trials():
-    """A run's traced peak memory does not grow with its trials beyond the
-    8 bytes a round of its fidelities: 65,536 trials (``65536 / cli._CHUNK``
-    chunks) peak within 1 MB plus 8 B a trial of 2,048."""
-    cfg = cli.parse_config({"error": {"channel": 3}})
-
-    def peak(trials):
-        tracemalloc.start()
-        try:
-            cli.run_chunked_rounds(cfg.code, cfg.error, np.random.SeedSequence(1), trials, 30, 3)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    peak(1)                                 # the config's maps, built once
-    small, large = peak(2048), peak(65536)
-    assert large <= small + 2 ** 20 + 8 * 65536, (small, large)
 
 
 def test_syndrome_demo_holds_one_trace_at_a_time(tmp_path):
@@ -566,8 +360,8 @@ def test_mc_sweep_requires_sweep_section(tmp_path):
     ("window", False, "window must be an integer, not False"),
     ("seed", 1.5, "seed must be an integer, not 1.5"),
     ("seed", "4", "seed must be an integer, not '4'"),
-    ("trials", cli.MAX_TRIALS + 1, f"trials must be at most {cli.MAX_TRIALS}, not"),
-    ("trials", 2 ** 40, f"trials must be at most {cli.MAX_TRIALS}, not 1099511627776"),
+    ("trials", MAX_TRIALS + 1, f"trials must be at most {MAX_TRIALS}, not"),
+    ("trials", 2 ** 40, f"trials must be at most {MAX_TRIALS}, not 1099511627776"),
     ("window", cli.MAX_WINDOW + 1, f"window must be at most {cli.MAX_WINDOW}, not"),
     ("window", 2 ** 40, f"window must be at most {cli.MAX_WINDOW}, not 1099511627776"),
 ])
@@ -580,7 +374,7 @@ def test_config_built_in_code_rejects_bad_counts(key, value, message):
 
 
 def test_check_experiment_takes_counts_at_their_bounds():
-    cfg = cli.parse_config({"trials": cli.MAX_TRIALS, "window": cli.MAX_WINDOW,
+    cfg = cli.parse_config({"trials": MAX_TRIALS, "window": cli.MAX_WINDOW,
                             "seed": 2 ** 64})
     cli.check_experiment("table2", cfg)
 
@@ -745,8 +539,8 @@ _BAD_CONFIGS = [
      "sweep value must be finite and within"),
     ("mc-sweep", {"sweep": {"parameter": "loss", "values": [1.0, [1.0, 0.9, 0.9, 0.9, 1.0]]}},
      "sweep value must be finite and within"),
-    ("table2", {"trials": _HUGE}, f"trials must be at most {cli.MAX_TRIALS}"),
-    ("table2", {"trials": cli.MAX_TRIALS + 1}, f"trials must be at most {cli.MAX_TRIALS}"),
+    ("table2", {"trials": _HUGE}, f"trials must be at most {MAX_TRIALS}"),
+    ("table2", {"trials": MAX_TRIALS + 1}, f"trials must be at most {MAX_TRIALS}"),
     ("syndrome-demo", {"window": 10 ** 11}, f"window must be at most {cli.MAX_WINDOW}"),
     ("table2", {"window": cli.MAX_WINDOW + 1}, f"window must be at most {cli.MAX_WINDOW}"),
     ("tableC1", {"experiment": "tableC1"}, "unknown config keys: ['experiment']"),
@@ -874,7 +668,7 @@ _SCHEMA = {
 # or tiny; any other entry also takes out-of-range and odd values.
 _SIZE_WILD = st.sampled_from([
     10 ** 400, -(10 ** 400), math.nan, math.inf, -math.inf, -1, 0, 1, 29, 64.5, 1e400,
-    cli.MAX_TRIALS + 1, cli.MAX_WINDOW + 1, 10 ** 11, True, False, "1", None, [], [0.5, 0.5], {}])
+    MAX_TRIALS + 1, cli.MAX_WINDOW + 1, 10 ** 11, True, False, "1", None, [], [0.5, 0.5], {}])
 _WILD = _SIZE_WILD | st.sampled_from([
     -1e-300, 5e-324, 0.5, 1.0000001, 25.000001, 50.0, 217.2, 30.5, 1e6, 1e6 + 1, 1e7, 1e308,
     -0.0, "general", "gaussian", "uniform", "vacuum", [1.0] * 5, [0.4] * 4, [[0.4] * 4] * 4])

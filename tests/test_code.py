@@ -1458,10 +1458,10 @@ def _corrected_series(outcome, passes):
 @pytest.mark.parametrize("case", sorted(_PINNED_ROUNDS))
 def test_round_moments_match_stored_series(case, series_sampler):
     """Every round's corrected moments, and its fidelity as
-    ``cli.run_chunked_rounds`` computes it from them, equal those recomputed
-    from its corrected series.  The general case has no-error rounds and
-    channels 1 and 3-5; the gaussian p case has resolved reruns and
-    unresolved ones, which report the first pass."""
+    ``montecarlo.run_chunked_rounds`` computes it from them, equal those
+    recomputed from its corrected series.  The general case has no-error
+    rounds and channels 1 and 3-5; the gaussian p case has resolved reruns
+    and unresolved ones, which report the first pass."""
     import hashlib
 
     ec = {"general": ErrorConfig(0.7, "uniform", ErrorLaw("general", STRONG)),

@@ -9,9 +9,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from cvqec.cli import _SWEEPS, MAX_TRIALS, MAX_WINDOW
+from cvqec.cli import _SWEEPS, MAX_WINDOW
 from cvqec.code import MAX_INPUT_DB, MAX_R, MIN_SYNDROME_WINDOW, RoundsOutcome
 from cvqec.errors import MAX_MAGNITUDE
+from cvqec.montecarlo import MAX_TRIALS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,8 +43,8 @@ def test_readme_input_limits_match_the_code():
     text = " ".join((ROOT / "README.md").read_text().split())
     for side, bound, value in (
             ("most", "errors.MAX_MAGNITUDE", MAX_MAGNITUDE), ("most", "code.MAX_R", MAX_R),
-            ("most", "code.MAX_INPUT_DB", MAX_INPUT_DB), ("most", "cli.MAX_TRIALS", MAX_TRIALS),
-            ("most", "cli.MAX_WINDOW", MAX_WINDOW),
+            ("most", "code.MAX_INPUT_DB", MAX_INPUT_DB),
+            ("most", "montecarlo.MAX_TRIALS", MAX_TRIALS), ("most", "cli.MAX_WINDOW", MAX_WINDOW),
             ("least", "code.MIN_SYNDROME_WINDOW", MIN_SYNDROME_WINDOW)):
         stated = re.findall(rf"at {side} (\S+) \(`{re.escape(bound)}`", text)
         assert stated and all(float(v) == value for v in stated), (bound, stated)
