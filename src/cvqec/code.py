@@ -45,22 +45,15 @@ _STANDARD_BASIS = {"D1": "x", "D2": "p", "D3": "x", "D4": "x"}
 MIN_SYNDROME_WINDOW = 30
 FLUCTUATION_FACTOR = 3.0   # flag when excess variance exceeds 3x the baseline
 
-# The largest ancilla squeezing parameter r.  Without loss the decoder undoes
-# the encoder exactly, but in floats ``s_dec @ s_enc`` misses its signed
-# permutation by up to 2.2e-16, and that residue carries the anti-squeezed
-# noise, of order e^r, into the output and the detectors.  The closed-form
-# output variances of channels 1-5, for both inputs, deviate from acceptance
-# criterion 4's formula (V_in plus {2/3, 2, 8} e^{-2r} / 4 on channels 3-5,
-# V_in alone on 1-2) by at most 2.5e-11 relative at r = 25, 1.9e-10 at 26,
-# 1.0e-8 at 28 and 5.6e-7 at 30; from r = 36 the theory is plainly wrong.
+# The largest ancilla squeezing parameter r.  The lossy map's rounded loss term
+# carries anti-squeezed noise of order e^r: at uniform loss 0.9, channel 1's
+# fidelity, 1 in theory, is off by 2.4e-15 at r = 25, 5.2e-11 at 30, 0.025 at 40.
 MAX_R = 25.0
 MAX_R_DB = 20.0 * MAX_R / math.log(10.0)   # MAX_R as ancilla squeezing in dB, about 217
 
-# The largest input squeezing or anti-squeezing in dB.  The residue above adds
-# a fixed variance to the input's quiet quadrature: over 0 <= squeeze <=
-# antisqueeze <= B, r up to MAX_R, both bases and channels 1-5, the closed-form
-# fidelity stays within 2.9e-9 relative of its 60-digit value at B = 30, 2.8e-7
-# at 50, 2.7e-2 at 100 and 0.99 at 150; a 161 dB excess divides by zero.
+# The largest input squeezing or anti-squeezing in dB.  At uniform loss 0.9
+# and r <= MAX_R, channel 1's fidelity misses its known value by up to 5.7e-14
+# relative at 30 dB, 7.3e-12 at 50 and 9.5e-7 at 100.
 MAX_INPUT_DB = 30.0
 
 
@@ -169,7 +162,7 @@ def _source_symbols() -> tuple[QuadSymbol, ...]:
 
 
 # The one table of the source modes, read by the exact route
-# (``source_mode_forms``) and the numeric model (``_source_sigma``).
+# (``source_mode_forms``) and the numeric model (``source_variances``).
 SOURCE_SYMBOLS = _source_symbols()
 
 
@@ -310,16 +303,18 @@ PLAN_TABLE.setflags(write=False)
 
 
 @cache
-def _network_symplectics(fourier: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Encoder and decoder as 10x10 symplectic matrices, made once per flag
-    and read-only: the encoder is the float view of the exact ``encode``
-    forms over the ``SOURCE_SYMBOLS``, the decoder the lifted exact inverse."""
-    enc = np.array([[float(q.coefficient(s)) for s in SOURCE_SYMBOLS]
-                    for mode in encode(fourier=fourier) for q in (mode.x, mode.p)])
-    pair = (enc, lift_to_symplectic(_decoder()))
-    for s in pair:
+def _network_symplectics(fourier: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Encoder, decoder and their product ``rot`` as read-only 10x10
+    symplectic matrices, made once per flag: float views of the exact
+    ``encode``, inverse and ``decode(encode(...))``, so ``rot`` is 0 or +-1."""
+    encoded = encode(fourier=fourier)
+    enc, rot = (np.array([[float(q.coefficient(s)) for s in SOURCE_SYMBOLS]
+                          for mode in forms for q in (mode.x, mode.p)])
+                for forms in (encoded, decode(encoded)))
+    triple = (enc, lift_to_symplectic(_decoder()), rot)
+    for s in triple:
         s.setflags(write=False)
-    return pair
+    return triple
 
 
 # The factor of r in the exponent of a squeezed and an antisqueezed quadrature's
@@ -327,14 +322,14 @@ def _network_symplectics(fourier: bool) -> tuple[np.ndarray, np.ndarray]:
 _TAG_SIGN = {TAG_SQUEEZED: -2.0, TAG_ANTISQUEEZED: 2.0}
 
 
-def _source_sigma(cfg: CodeConfig) -> np.ndarray:
-    """Standard deviations of the ``SOURCE_SYMBOLS``: the input's V_x and
-    V_p, and each ancilla's (1/4) e^{-2r} quiet and (1/4) e^{+2r} loud
-    quadrature."""
+def source_variances(cfg: CodeConfig) -> np.ndarray:
+    """Variances of the ``SOURCE_SYMBOLS``: the input's V_x and V_p, and each
+    ancilla's (1/4) e^{-2r} quiet and (1/4) e^{+2r} loud quadrature.  The
+    one table read by ``PipelineMaps`` and the witness."""
     v_in = dict(zip("xp", cfg.input_variances()))
-    return np.sqrt([v_in[s.quad] if s.tag == TAG_NONE
-                    else VACUUM_VAR * math.exp(_TAG_SIGN[s.tag] * cfg.r[s.index - 1])
-                    for s in SOURCE_SYMBOLS])
+    return np.array([v_in[s.quad] if s.tag == TAG_NONE
+                     else VACUUM_VAR * math.exp(_TAG_SIGN[s.tag] * cfg.r[s.index - 1])
+                     for s in SOURCE_SYMBOLS])
 
 
 class PipelineMaps:
@@ -344,28 +339,31 @@ class PipelineMaps:
     The readouts are ``noise`` times standard normals plus, for each channel
     k, ``err_columns[k - 1]`` (6x2) times its displacement (dx, dp).
     ``noise`` holds one column per independent normal: the ten source
-    quadratures through the network (``_source_sigma``) and, when a channel
-    is lossy, ten more for the vacua that the loss mixes in.  ``thresholds``
-    flag D1..D4: 1 + ``FLUCTUATION_FACTOR`` times the squared norm of each
-    one's ``noise`` row, its baseline variance.  ``readout_factor`` F, the
-    transposed R of a QR factorization of the stacked noise maps, gives the
-    covariance as F F^T, which is never formed: its quiet readouts lie below
-    the rounding error of its loud ones under extreme squeezing, and a
-    singular covariance is safe.
+    quadratures (``source_variances``) through ``rot`` less the loss term,
+    exactly 0 without loss, and ten more for the vacua a lossy channel mixes
+    in.  ``thresholds`` flag D1..D4: 1 + ``FLUCTUATION_FACTOR`` times the
+    squared norm of each one's ``noise`` row, its baseline variance.
+    ``readout_factor`` F, the transposed R of a QR factorization of the
+    stacked noise maps, its rows signed so that F's diagonal is >= 0 (an
+    exact 0 counts as +), gives the covariance as F F^T, which is never
+    formed: its quiet readouts lie below the rounding error of its loud ones
+    under extreme squeezing, and a singular covariance is safe.
     """
 
     def __init__(self, cfg: CodeConfig, fourier: bool):
-        s_enc, s_dec = _network_symplectics(fourier)
+        s_enc, s_dec, rot = _network_symplectics(fourier)
         eta = np.repeat(np.sqrt(cfg.channel_loss), 2)
         rows = readout_rows(fourier)
         self.err_columns = (s_dec[rows] * eta).reshape(6, 5, 2).transpose(1, 0, 2).copy()
-        self.noise = (s_dec @ (eta[:, None] * s_enc))[rows] * _source_sigma(cfg)
+        loss = s_dec @ ((1.0 - eta)[:, None] * s_enc)
+        self.noise = (rot - loss)[rows] * np.sqrt(source_variances(cfg))
         if cfg.has_loss:
             vacua = s_dec[rows] * np.sqrt(1.0 - eta ** 2) * math.sqrt(VACUUM_VAR)
             self.noise = np.hstack([self.noise, vacua])
         detectors = self.noise[:4]
         self.thresholds = (1.0 + FLUCTUATION_FACTOR) * np.einsum("ij,ij->i", detectors, detectors)
-        self.readout_factor = np.linalg.qr(self.noise.T, mode="r").T
+        r = np.linalg.qr(self.noise.T, mode="r")
+        self.readout_factor = (np.where(r.diagonal() < 0.0, -1.0, 1.0)[:, None] * r).T
         for arr in (self.err_columns, self.noise, self.thresholds, self.readout_factor):
             arr.setflags(write=False)       # read-only: ``_maps`` shares one instance
 

@@ -2,22 +2,22 @@
 
 Four combinations of correlation variances, each the sum of an x-type and a
 p-type term with tunable gains g1..g6, certify cluster-type entanglement when
-they drop below the separable bound.  Variances are quadratic forms v^T C v on
-the lossless encoded covariance C = F F^T of a vacuum input, with F the
-encoder of ``code.PipelineMaps``, the float view of the exact encoded forms,
-times the source standard deviations.  The bound normalization is pinned so
-that unsqueezed ancillas with optimal gains sit exactly on the boundary
-(value 1) and any non-zero squeezing falls below it.
+they drop below the separable bound.  Each term is read from the exact
+encoded forms of a vacuum input and ``code.source_variances``.  The bound
+normalization is pinned so that unsqueezed ancillas with optimal gains sit
+exactly on the boundary (value 1) and any non-zero squeezing falls below it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
-from .code import CodeConfig, _network_symplectics, _source_sigma
+from .code import SOURCE_SYMBOLS, CodeConfig, encode, source_variances
+from .exact import ZERO, LinearForm
 
 SEPARABLE_BOUND = 1.0
 
@@ -39,51 +39,50 @@ _TERMS = {
 }
 
 
-@lru_cache(maxsize=8)
-def _encoded_factor(cfg: CodeConfig) -> np.ndarray:
-    """F with F F^T the lossless encoded covariance S_enc diag(sigma^2)
-    S_enc^T over the interleaved (x, p) quadratures of channels 1..5, made
-    once per configuration and read-only."""
+@cache
+def _term_forms(fourier: bool) -> dict:
+    """Per combination, each term's gain slot (or None), weight sign, exact
+    base b and gained quadrature m (or a zero form) and their float views."""
+    modes = encode(fourier=fourier)
+    out = {}
+    for idx, terms in _TERMS.items():
+        for quad, fixed, slot, gained in terms:
+            forms = [getattr(mode, quad) for mode in modes]
+            base = sum((forms[ch - 1] if w > 0 else -forms[ch - 1] for w, ch in fixed),
+                       LinearForm())
+            part = LinearForm() if slot is None else forms[gained[1] - 1]
+            views = np.array([[float(f.coefficient(s)) for s in SOURCE_SYMBOLS]
+                              for f in (base, part)])
+            views.setflags(write=False)
+            out.setdefault(idx, []).append((slot, gained[0] if gained else 0, base, part, views))
+    return out
+
+
+def _variances(cfg: CodeConfig) -> np.ndarray:
     if cfg.input_kind != "vacuum":
         raise ValueError("the witness is defined for a vacuum input state")
     if cfg.has_loss:
         raise ValueError("the witness models a lossless code: channel_loss must be 1")
-    factor = _network_symplectics(cfg.fourier_mode)[0] * _source_sigma(cfg)
-    factor.setflags(write=False)
-    return factor
-
-
-def _index(channel: int, quad: str) -> int:
-    return 2 * (channel - 1) + (0 if quad == "x" else 1)
-
-
-def _weights(quad: str, parts) -> np.ndarray:
-    """The vector v of sum(weight * quad of channel) over (weight, channel)."""
-    v = np.zeros(10)
-    for weight, channel in parts:
-        v[_index(channel, quad)] += weight
-    return v
+    return source_variances(cfg)
 
 
 def combination_value(idx: int, gains, cfg: CodeConfig):
     """Left-hand side of one witness inequality (separable bound is 1).
 
     ``gains`` is one vector g1..g6, giving a float, or a batch of shape
-    (..., 6), giving an array of shape (...).  Each term's variance is
-    |w F|^2 for its (..., 10) weight vectors w.
+    (..., 6), giving an array of shape (...).  A term's variance is the sum
+    over the source symbols s of (b_s + sign g m_s)^2 Var(s).
     """
     if idx not in _TERMS:
         raise ValueError("combination index must be 1..4")
     gains = np.asarray(gains, dtype=float)
     if gains.ndim == 0 or gains.shape[-1] != 6:
         raise ValueError("gains must have shape (6,) or (..., 6)")
-    factor = _encoded_factor(cfg)
+    var = _variances(cfg)
     total = 0.0
-    for quad, fixed, slot, gained in _TERMS[idx]:
-        weights = np.broadcast_to(_weights(quad, fixed), gains.shape[:-1] + (10,)).copy()
-        if slot is not None:
-            weights[..., _index(gained[1], quad)] += gained[0] * gains[..., slot]
-        total = total + np.sum((weights @ factor) ** 2, axis=-1)
+    for slot, sign, _, _, (base, part) in _term_forms(cfg.fourier_mode)[idx]:
+        coeff = base if slot is None else base + sign * gains[..., slot, None] * part
+        total = total + coeff ** 2 @ var
     return float(total) if gains.ndim == 1 else total
 
 
@@ -110,24 +109,27 @@ class WitnessResult:
         }
 
 
+@lru_cache(maxsize=8)
 def optimize_gains(cfg: CodeConfig) -> tuple[float, ...]:
-    """Closed-form minimizing gains g1..g6.
+    """Closed-form minimizing gains g1..g6, made once per configuration.
 
     Each gained term is Var(base + s*g*m), a parabola in g with vertex
-    g* = -s Cov(base, m) / Var(m), i.e. -s (b^T C m) / (m^T C m) on the
-    encoded covariance, where Var(m) >= 3/32 for every valid configuration.
+    g* = -s Cov(base, m) / Var(m), where Var(m) >= 3/32 for every valid
+    configuration; each moment is exact within a class of equal variances,
+    so a gain that is 0 in theory is 0.0.
     """
-    factor = _encoded_factor(cfg)
-    gains = [0.0] * 6
-    for terms in _TERMS.values():
-        for quad, fixed, slot, gained in terms:
-            if slot is None:
-                continue
-            sign, ch = gained
-            base = _weights(quad, fixed) @ factor
-            part = factor[_index(ch, quad)]
-            gains[slot] = -sign * float(base @ part) / float(part @ part)
-    return tuple(gains)
+    var = _variances(cfg).tolist()
+
+    def moment(u, w):
+        sums = {}
+        for s, v in zip(SOURCE_SYMBOLS, var):
+            sums[v] = sums.get(v, ZERO) + u.coefficient(s) * w.coefficient(s)
+        return math.fsum(v * float(total) for v, total in sums.items())
+
+    gains = {slot: -sign * moment(base, part) / moment(part, part) + 0.0  # + 0.0: no -0.0
+             for terms in _term_forms(cfg.fourier_mode).values()
+             for slot, sign, base, part, _ in terms if slot is not None}
+    return tuple(gains[slot] for slot in range(6))
 
 
 def evaluate_witness(cfg: CodeConfig) -> WitnessResult:

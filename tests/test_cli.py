@@ -206,6 +206,22 @@ def test_tableC1_artifact(tmp_path):
     assert by_key[(1, "x", "vacuum", "squeezed")]["noise_db_measured"] == ""
 
 
+def test_zero_in_theory_cells_print_zero(tmp_path):
+    """Lossless channels 1-2 never touch a vacuum input, so tableC1's eight
+    theory cells of them print 0.0, and the witness gains at r = 0 print
+    0.0 in both bases: no float residue and no -0.0."""
+    cli.run_experiment("tableC1", cli.parse_config({"seed": 0}), tmp_path)
+    rows = _read_csv(tmp_path / "tableC1.csv")
+    theory = rows[0].index("noise_db_theory")
+    zero = [row[theory] for row in rows[1:] if row[0] in "12" and row[2] == "vacuum"]
+    assert zero == ["0.0"] * 8
+    for fourier in (False, True):
+        doc = {"code": {"fourier": fourier}, "sweep": {"parameter": "r", "values": [0.0, 0.4]}}
+        cli.run_experiment("witness", cli.parse_config(doc), tmp_path)
+        rows = _read_csv(tmp_path / "witness.csv")
+        assert rows[1][0] == "0.0" and rows[1][5:11] == ["0.0"] * 6
+
+
 def test_syndrome_demo_artifacts(tmp_path):
     cfg = cli.parse_config({"window": 256, "seed": 3,
                             "error": {"law": {"magnitude": 5.0}}})

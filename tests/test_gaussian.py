@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cvqec.code import (FLUCTUATION_FACTOR, CodeConfig, PipelineMaps, _network_symplectics,
-                        _source_sigma)
+                        source_variances)
 from cvqec.gaussian import db_to_r, fidelity_from_moments, variance_to_db
 from cvqec.network import BeamSplitterElement, element_matrix, encoder_matrix, lift_to_symplectic
 
@@ -28,12 +28,12 @@ def test_vacuum_state():
 
 def test_squeezed_vacuum_zero_r_is_vacuum():
     """Unsqueezed ancillas are vacua: every source quadrature has variance 1/4."""
-    assert np.allclose(_source_sigma(CodeConfig(r=0.0)) ** 2, 0.25)
+    assert np.allclose(source_variances(CodeConfig(r=0.0)), 0.25)
 
 
 def test_squeezed_vacuum_35db():
     """3.5 dB ancillas: a1 is quiet in x, a2 in p, and both are pure."""
-    var = _source_sigma(CodeConfig(r=R35)) ** 2
+    var = source_variances(CodeConfig(r=R35))
     assert var[0] == pytest.approx(0.25 * Q35, rel=1e-12)
     assert var[3] == pytest.approx(0.25 * Q35, rel=1e-12)
     assert 16.0 * var[0] * var[1] == pytest.approx(1.0, rel=1e-12)
@@ -80,7 +80,7 @@ def test_fourier_rotation_swaps_squeezing():
 def test_lift_preserves_purity():
     """The lifted encoder is unitary: it conserves det(4 cov) of the sources."""
     cfg = CodeConfig(r=(0.5, 0.2, 0.0, 0.9), input_kind="squeezed")
-    cov = np.diag(_source_sigma(cfg) ** 2)
+    cov = np.diag(source_variances(cfg))
     for s in (lift_to_symplectic(encoder_matrix()), _network_symplectics(True)[0]):
         assert np.linalg.det(4.0 * s @ cov @ s.T) == pytest.approx(
             np.linalg.det(4.0 * cov), rel=1e-9)

@@ -15,10 +15,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cvqec"
 
 # "importer: module._name" of each private name kept across modules, with
 # the reason it stays.
-ALLOWLIST = {
-    "witness: code._network_symplectics": "until ROADMAP item 3 step A",
-    "witness: code._source_sigma": "until ROADMAP item 3 step A",
-}
+ALLOWLIST: dict[str, str] = {}
 
 
 def _package_module(node: ast.ImportFrom) -> str | None:

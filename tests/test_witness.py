@@ -5,10 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from cvqec.code import MAX_R, CodeConfig, closed_form_output, encode
+from cvqec.code import MAX_R, CodeConfig, closed_form_output, encode, source_variances
 from cvqec.gaussian import db_to_r, fidelity_from_moments
-from cvqec.witness import (_TERMS, SEPARABLE_BOUND, _encoded_factor, _index,
-                           combination_value, evaluate_witness, optimize_gains)
+from cvqec.witness import (_TERMS, SEPARABLE_BOUND, _term_forms, combination_value,
+                           evaluate_witness, optimize_gains)
 from test_exact import form_covariance, form_variance
 
 R35 = db_to_r(3.5)
@@ -203,12 +203,11 @@ def test_gain_denominators_stay_away_from_zero():
                          *np.linspace(0.0, MAX_R, 501)]]
     smallest = np.inf
     for cfg in configs:
-        factor = _encoded_factor(cfg)
-        for terms in _TERMS.values():
-            for quad, _, slot, gained in terms:
+        var = source_variances(cfg)
+        for terms in _term_forms(cfg.fourier_mode).values():
+            for slot, _, _, _, (_, part) in terms:
                 if slot is not None:
-                    part = factor[_index(gained[1], quad)]
-                    smallest = min(smallest, float(part @ part))
+                    smallest = min(smallest, float(part ** 2 @ var))
     assert smallest == pytest.approx(3 / 32, rel=1e-12)
 
 
@@ -218,9 +217,24 @@ def test_result_serializes():
     assert doc["bound"] == SEPARABLE_BOUND
 
 
-def test_encoded_factor_is_made_once_per_configuration_and_read_only():
-    factor = _encoded_factor(CodeConfig(r=0.4))
-    assert _encoded_factor(CodeConfig(r=0.4)) is factor
-    assert not factor.flags.writeable
+def test_witness_forms_and_gains_are_made_once_and_read_only():
+    """The term forms are built once per Fourier flag with read-only float
+    views, the gains once per configuration, and a squeezed input is still
+    refused."""
+    forms = _term_forms(False)
+    assert _term_forms(False) is forms
+    assert optimize_gains(CodeConfig(r=0.4)) is optimize_gains(CodeConfig(r=0.4))
+    for terms in forms.values():
+        for *_, views in terms:
+            assert not views.flags.writeable
     with pytest.raises(ValueError):
-        _encoded_factor(CodeConfig(r=0.4, input_kind="squeezed"))
+        optimize_gains(CodeConfig(r=0.4, input_kind="squeezed"))
+
+
+@pytest.mark.parametrize("fourier", [False, True])
+def test_unsqueezed_gains_are_exactly_zero(fourier):
+    """At r = 0 every source symbol has variance 1/4, so each gain's
+    covariance is one exact sum, which is 0: the gains print 0.0, never
+    -0.0 or a rounding residue."""
+    gains = optimize_gains(CodeConfig(r=0.0, fourier_mode=fourier))
+    assert [repr(g) for g in gains] == ["0.0"] * 6
